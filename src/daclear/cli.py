@@ -20,6 +20,7 @@ from .errors import (
     IterationLimit,
     ModelError,
     SchemaError,
+    SolverFailure,
     TooLarge,
     ValidationError,
 )
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
 EXIT_INPUT = 4
+EXIT_SOLVER = 5
 
 
 def _load_instance(path: str) -> Instance:
@@ -196,6 +198,9 @@ def run(argv=None) -> int:
     except (SchemaError, ValidationError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SolverFailure as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -24,7 +24,6 @@ FlexKey = tuple
 class Cut:
     coeffs: tuple[tuple[tuple, float], ...]  # (variable key, coefficient)
     rhs: float
-    sense: str = "<="
     kind: str = "bid-cut"  # bid-cut | no-good | curtailment
 
     def value(self, selection: BidSelection) -> float:
@@ -45,8 +44,8 @@ class CutPool:
     cuts: list[Cut] = field(default_factory=list)
 
     def add(self, cut: Cut) -> bool:
-        key = (cut.coeffs, cut.rhs, cut.sense)
-        if any((c.coeffs, c.rhs, c.sense) == key for c in self.cuts):
+        key = (cut.coeffs, cut.rhs)
+        if any((c.coeffs, c.rhs) == key for c in self.cuts):
             return False
         self.cuts.append(cut)
         return True

@@ -63,3 +63,8 @@ class IterationLimit(ModelError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+class SolverFailure(RuntimeError):
+    """A numerical subproblem did not reach a verdict (iteration limit,
+    phase-1 non-convergence or an unexpected status)."""

@@ -243,14 +243,14 @@ def solve_master(
                 ok = False
                 break
             lbw[col] = ubw[col] = v
-        if ok and all(cuts_ok(incumbent, cuts)):
+        if ok and all(cut.satisfied(incumbent) for cut in cuts):
             warm = solve_fixed(lbw, ubw)
             if warm.status == "optimal":
                 best_obj = warm.objective
                 best_x = warm.x
 
     counter = 0
-    root = (base_lb, base_ub)
+    root = (base_lb, base_ub, None)  # bounds and the parent's optimal x
     heap = []
 
     def push(bound, node):
@@ -264,11 +264,11 @@ def solve_master(
         if deadline is not None and time.monotonic() > deadline:
             status = "limit"
             break
-        neg_bound, _, (node_lb, node_ub) = heapq.heappop(heap)
+        neg_bound, _, (node_lb, node_ub, node_x0) = heapq.heappop(heap)
         if -neg_bound <= best_obj + abs_gap:
             closed_bound = max(closed_bound, -neg_bound)
             continue
-        sol = solve_fixed(node_lb, node_ub)
+        sol = solve_fixed(node_lb, node_ub, x0=node_x0)
         nodes += 1
         if sol.status != "optimal":
             continue
@@ -287,7 +287,7 @@ def solve_master(
             leaf_ub = node_ub.copy()
             for j in bin_cols:
                 leaf_lb[j] = leaf_ub[j] = round(sol.x[j])
-            exact = solve_fixed(leaf_lb, leaf_ub, x0=None)
+            exact = solve_fixed(leaf_lb, leaf_ub, x0=sol.x)
             if exact.status == "optimal" and exact.objective > best_obj:
                 best_obj = exact.objective
                 best_x = exact.x
@@ -300,7 +300,7 @@ def solve_master(
             child_lb = node_lb.copy()
             child_ub = node_ub.copy()
             child_lb[j_star] = child_ub[j_star] = fixed_val
-            push(sol.objective, (child_lb, child_ub))
+            push(sol.objective, (child_lb, child_ub, sol.x))
 
     if status == "limit":
         open_bound = max((-nb for nb, _, _ in heap), default=float("-inf"))
@@ -328,8 +328,3 @@ def solve_master(
         nodes=nodes,
     )
 
-
-def cuts_ok(selection: BidSelection, cuts: CutPool):
-    for cut in cuts:
-        yield cut.satisfied(selection)
-    yield True

@@ -21,7 +21,7 @@ from .core import (
     PrimalSolution,
     big_m,
 )
-from .errors import PriceInfeasible
+from .errors import PriceInfeasible, SolverFailure
 from .qp import QpProblem, solve_qp
 
 TIGHT_TOL = 1e-7
@@ -113,7 +113,7 @@ def solve_fixflow(instance: Instance, solution: PrimalSolution) -> PrimalSolutio
         x0[n_free + k] = solution.flows.get(key, 0.0)
     sol = solve_qp(prob, x0=x0)
     if sol.status != "optimal":
-        raise RuntimeError(f"flow canonicalization failed: {sol.status}")
+        raise SolverFailure(f"flow canonicalization failed: {sol.status}")
 
     delta = dict(solution.delta)
     for seg in free:

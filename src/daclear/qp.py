@@ -7,18 +7,25 @@ Solves
                 A_in x <= b_in
                 lb <= x <= ub
 
-with a primal active-set method on the null space of the working
-constraints.  A phase-1 pass with artificial slacks produces a feasible
-start or an infeasibility verdict.  All tie-breaks pick the lowest
-constraint index, so results are deterministic.
+with a primal active-set method.  Bounds stay bounds: each column is
+free, at its lower bound or at its upper bound (columns with lb == ub
+stay pinned), and steps move the free columns within the null space of
+the working rows.  When the start, clipped into the box, is infeasible, a
+phase-1 pass with artificial slacks on the equality rows and the violated
+inequality rows produces a feasible point or an infeasibility verdict.
+All tie-breaks pick the lowest index (rows, then upper bounds, then lower
+bounds), so results are deterministic.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .errors import SolverFailure
 
 FEAS_TOL = 1e-9
 DUAL_TOL = 1e-9
@@ -100,32 +107,52 @@ def _null_space(K: np.ndarray, n: int) -> np.ndarray:
     return vt[rank:].T
 
 
-class _ActiveSet:
-    """Active-set iteration on  max c'x + 1/2 x'Dx,  Ax=b,  Gx<=h."""
+# column states: bounds stay bounds, never rows of the working matrix
+FREE, LOWER, UPPER, PINNED = 0, 1, 2, 3
 
-    def __init__(self, c, d, A, b, G, h):
+
+class _ActiveSet:
+    """Active-set iteration on  max c'x + 1/2 x'Dx,  Ax=b,  Gx<=h,  lb<=x<=ub.
+
+    The working set is a sorted list of rows of G plus one state per
+    column; steps move only the free columns.  A blocking constraint is
+    numbered  i < len(h)  for row i,  len(h) + j  for the upper bound of
+    column j and  len(h) + n + j  for its lower bound, and ties go to the
+    lowest number."""
+
+    def __init__(self, c, d, A, b, G, h, lb, ub):
         self.c = c
         self.d = d
         self.A = A
         self.b = b
         self.G = G
         self.h = h
+        self.lb = lb
+        self.ub = ub
         self.n = len(c)
 
-    def run(self, x, work):
-        c, d, A, G, h = self.c, self.d, self.A, self.G, self.h
-        work = sorted(work)
-        max_iter = 200 * (self.n + len(h) + 5)
+    def start(self, x):
+        """Working rows and column states of the constraints tight at x."""
+        work = np.flatnonzero(np.abs(self.G @ x - self.h) <= FEAS_TOL).tolist()
+        state = np.full(self.n, FREE)
+        state[x - self.lb <= FEAS_TOL] = LOWER
+        state[self.ub - x <= FEAS_TOL] = UPPER
+        state[self.lb == self.ub] = PINNED
+        return work, state
+
+    def run(self, x, work, state):
+        c, d, n = self.c, self.d, self.n
+        max_iter = 200 * (2 * n + len(self.h) + 5)
         for it in range(max_iter):
             g = c + d * x
-            K = np.vstack([A, G[work]]) if (len(A) or work) else np.zeros((0, self.n))
-            Z = _null_space(K, self.n)
-            if Z.shape[1] == 0:
-                p = np.zeros(self.n)
-                flat_ray = None
-            else:
-                gz = Z.T @ g
-                H = Z.T @ (d[:, None] * Z)
+            free = state == FREE
+            Z = _null_space(self._rows(work)[:, free], int(free.sum()))
+            p = np.zeros(n)
+            flat_ray = None
+            if Z.shape[1]:
+                df = d[free]
+                gz = Z.T @ g[free]
+                H = Z.T @ (df[:, None] * Z)
                 w, V = np.linalg.eigh(H)
                 scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 0.0)
                 curved = w < -CURV_TOL * scale
@@ -133,186 +160,152 @@ class _ActiveSet:
                 flat_g = gv.copy()
                 flat_g[curved] = 0.0
                 if np.linalg.norm(flat_g) > DUAL_TOL:
-                    flat_ray = Z @ (V @ flat_g)
+                    flat_ray = np.zeros(n)
+                    flat_ray[free] = Z @ (V @ flat_g)
                     flat_ray /= np.linalg.norm(flat_ray)
-                else:
-                    flat_ray = None
                 q = np.zeros_like(gv)
                 q[curved] = -gv[curved] / w[curved]
-                p = Z @ (V @ q)
+                p[free] = Z @ (V @ q)
 
             if flat_ray is not None:
                 # objective ascends linearly and forever along this ray
-                alpha, block = self._ratio(x, flat_ray, work, np.inf)
+                alpha, block = self._ratio(x, flat_ray, work, state, np.inf)
                 if block is None:
-                    return "unbounded", x, work, flat_ray, it
-                x = x + alpha * flat_ray
-                work = sorted(work + [block])
+                    return "unbounded", x, work, state, flat_ray, it
+                x = self._step(x, alpha, flat_ray, block, work, state)
                 continue
 
             if np.linalg.norm(p) <= STEP_TOL * max(1.0, np.linalg.norm(x)):
-                y, mu_w = self._multipliers(g, work)
-                if len(mu_w) == 0 or np.min(mu_w) >= -DUAL_TOL:
-                    return "optimal", x, work, None, it
-                drop = next(
-                    i for i, m in zip(work, mu_w) if m < -DUAL_TOL
-                )
-                work = [i for i in work if i != drop]
+                _, mu_w, r = self.multipliers(g, work, state)
+                neg = [i for i, m in zip(work, mu_w) if m < -DUAL_TOL]
+                if neg:
+                    work.remove(neg[0])
+                    continue
+                # a bound multiplier is the reduced gradient, signed by side
+                up = np.flatnonzero((state == UPPER) & (r < -DUAL_TOL))
+                lo = np.flatnonzero((state == LOWER) & (r > DUAL_TOL))
+                if len(up) == 0 and len(lo) == 0:
+                    return "optimal", x, work, state, None, it
+                state[up[0] if len(up) else lo[0]] = FREE
                 continue
 
-            alpha, block = self._ratio(x, p, work, 1.0)
-            x = x + alpha * p
-            if block is not None:
-                work = sorted(work + [block])
-        raise RuntimeError("active-set iteration limit reached")
+            alpha, block = self._ratio(x, p, work, state, 1.0)
+            x = self._step(x, alpha, p, block, work, state)
+        raise SolverFailure("active-set iteration limit reached")
 
-    def _ratio(self, x, p, work, alpha_max):
-        G, h = self.G, self.h
-        alpha = alpha_max
-        block = None
-        inactive = [i for i in range(len(h)) if i not in set(work)]
-        for i in inactive:
-            gp = float(G[i] @ p)
-            if gp > 1e-12:
-                slack = max(float(h[i] - G[i] @ x), 0.0)
-                a = slack / gp
-                if a < alpha - 1e-14:
-                    alpha = a
-                    block = i
-        return alpha, block
+    def _rows(self, work):
+        return np.concatenate((self.A, self.G[work]))
 
-    def _multipliers(self, g, work):
-        A, G = self.A, self.G
-        K = np.vstack([A, G[work]]) if (len(A) or work) else np.zeros((0, self.n))
-        if K.shape[0] == 0:
-            return np.zeros(0), np.zeros(0)
-        lam, *_ = np.linalg.lstsq(K.T, g, rcond=None)
-        return lam[: len(A)], lam[len(A):]
+    def _ratio(self, x, p, work, state, alpha_max):
+        free = state == FREE
+        gp = self.G @ p
+        gp[work] = 0.0
+        rate = np.concatenate((gp, np.where(free, p, 0.0), np.where(free, -p, 0.0)))
+        slack = np.concatenate((self.h - self.G @ x, self.ub - x, x - self.lb))
+        hit = np.flatnonzero((rate > 1e-12) & (slack < np.inf))
+        if len(hit) == 0:
+            return alpha_max, None
+        ratios = np.maximum(slack[hit], 0.0) / rate[hit]
+        alpha = float(ratios.min())
+        if not alpha < alpha_max - 1e-14:
+            return alpha_max, None
+        k = int(np.argmax(ratios <= alpha + 1e-14))
+        return float(ratios[k]), int(hit[k])
+
+    def _step(self, x, alpha, p, block, work, state):
+        """Move to x + alpha p and add the blocking constraint in place."""
+        x = x + alpha * p
+        if block is None:
+            return x
+        m = len(self.h)
+        if block < m:
+            bisect.insort(work, block)
+        elif block < m + self.n:
+            j = block - m
+            state[j], x[j] = UPPER, self.ub[j]
+        else:
+            j = block - m - self.n
+            state[j], x[j] = LOWER, self.lb[j]
+        return x
+
+    def multipliers(self, g, work, state):
+        """Equality and working-row multipliers from the free columns, and
+        the reduced gradient  g - K'lam  that prices the fixed columns."""
+        K = self._rows(work)
+        free = state == FREE
+        lam = np.zeros(len(K))
+        if len(K) and free.any():
+            lam = np.linalg.lstsq(K[:, free].T, g[free], rcond=None)[0]
+        m = len(self.b)
+        return lam[:m], lam[m:], g - K.T @ lam
 
 
-def _phase1(c_len, A, b, G, h):
-    """Feasible point for Ax=b, Gx<=h, or (None, certificate) when none exists."""
-    n = c_len
-    x0 = np.zeros(n)
-    r_eq = b - A @ x0 if len(b) else np.zeros(0)
-    viol = [i for i in range(len(h)) if float(G[i] @ x0 - h[i]) > FEAS_TOL]
-    n_art = len(b) + len(viol)
-    if n_art == 0 and (len(b) == 0 or np.max(np.abs(r_eq)) <= FEAS_TOL):
+def _bound_multipliers(state, r):
+    """Lower- and upper-bound multipliers from the reduced gradient r; a
+    pinned column takes the side its sign says."""
+    lower = (state == LOWER) | (state == PINNED)
+    upper = (state == UPPER) | (state == PINNED)
+    return np.where(lower, np.maximum(-r, 0.0), 0.0), np.where(upper, np.maximum(r, 0.0), 0.0)
+
+
+def _phase1(prob: QpProblem, x0: np.ndarray):
+    """Feasible point from the start x0 (inside the box), or
+    (None, certificate) when none exists.  Only the equality rows and the
+    rows x0 violates get artificial slacks; the box stays a box."""
+    n = prob.n
+    A, b, G, h = prob.A_eq, prob.b_eq, prob.A_in, prob.b_in
+    r_eq = b - A @ x0
+    excess = G @ x0 - h
+    viol = np.flatnonzero(excess > FEAS_TOL)
+    if np.all(np.abs(r_eq) <= FEAS_TOL) and len(viol) == 0:
         return x0, None
     # z = [x, s_eq, s_in], all artificials nonnegative, maximize -sum(s)
-    sigma = np.where(r_eq >= 0, 1.0, -1.0)
-    A1 = np.zeros((len(b), n + n_art))
-    A1[:, :n] = A
-    for j in range(len(b)):
-        A1[j, n + j] = sigma[j]
-    G1 = np.zeros((len(h) + n_art, n + n_art))
-    h1 = np.zeros(len(h) + n_art)
-    G1[: len(h), :n] = G
-    h1[: len(h)] = h
-    for k, i in enumerate(viol):
-        G1[i, n + len(b) + k] = -1.0
-    for j in range(n_art):
-        G1[len(h) + j, n + j] = -1.0
-    c1 = np.zeros(n + n_art)
-    c1[n:] = -1.0
-    z0 = np.zeros(n + n_art)
-    z0[n : n + len(b)] = np.abs(r_eq)
-    for k, i in enumerate(viol):
-        z0[n + len(b) + k] = float(G[i] @ x0 - h[i])
-    work0 = [
-        i
-        for i in range(len(h1))
-        if abs(float(G1[i] @ z0 - h1[i])) <= FEAS_TOL
-    ]
-    solver = _ActiveSet(c1, np.zeros(n + n_art), A1, b, G1, h1)
-    status, z, work, _, _ = solver.run(z0, work0)
+    m, k = len(b), len(viol)
+    A1 = np.hstack([A, np.diag(np.where(r_eq >= 0, 1.0, -1.0)), np.zeros((m, k))])
+    G1 = np.hstack([G, np.zeros((len(h), m)), -np.eye(len(h))[:, viol]])
+    c1 = np.concatenate([np.zeros(n), -np.ones(m + k)])
+    lb1 = np.concatenate([prob.lb, np.zeros(m + k)])
+    ub1 = np.concatenate([prob.ub, np.full(m + k, np.inf)])
+    z0 = np.concatenate([x0, np.abs(r_eq), excess[viol]])
+    solver = _ActiveSet(c1, np.zeros(n + m + k), A1, b, G1, h, lb1, ub1)
+    status, z, work, state, _, _ = solver.run(z0, *solver.start(z0))
     if status != "optimal":
-        raise RuntimeError("phase-1 subproblem did not converge")
+        raise SolverFailure("phase-1 subproblem did not converge")
     if float(np.sum(z[n:])) > 1e-7:
-        # unsatisfiable subset: original rows carrying nonzero phase-1 weight
-        g1 = c1
-        y1, mu_w = solver._multipliers(g1, work)
-        cert_eq = [j for j in range(len(b)) if abs(float(y1[j])) > 1e-7]
-        cert_in = sorted(
-            i for i, m in zip(work, mu_w) if i < len(h) and m > 1e-7
-        )
-        return None, {"eq": cert_eq, "in": cert_in}
+        # unsatisfiable subset: constraints carrying nonzero phase-1 weight
+        y1, mu_w, r = solver.multipliers(c1, work, state)
+        nu_lower, nu_upper = _bound_multipliers(state[:n], r[:n])
+        return None, {
+            "eq": [j for j in range(m) if abs(float(y1[j])) > 1e-7],
+            "in": [i for i, mu in zip(work, mu_w) if mu > 1e-7],
+            "upper": np.flatnonzero(nu_upper > 1e-7).tolist(),
+            "lower": np.flatnonzero(nu_lower > 1e-7).tolist(),
+        }
     return z[:n], None
-
-
-def _stack_inequalities(prob: QpProblem):
-    n = prob.n
-    rows = [prob.A_in]
-    rhs = [prob.b_in]
-    ub_idx = [i for i in range(n) if np.isfinite(prob.ub[i])]
-    lb_idx = [i for i in range(n) if np.isfinite(prob.lb[i])]
-    if ub_idx:
-        E = np.zeros((len(ub_idx), n))
-        for k, i in enumerate(ub_idx):
-            E[k, i] = 1.0
-        rows.append(E)
-        rhs.append(prob.ub[ub_idx])
-    if lb_idx:
-        E = np.zeros((len(lb_idx), n))
-        for k, i in enumerate(lb_idx):
-            E[k, i] = -1.0
-        rows.append(E)
-        rhs.append(-prob.lb[lb_idx])
-    G = np.vstack(rows) if rows else np.zeros((0, n))
-    h = np.concatenate(rhs) if rhs else np.zeros(0)
-    return G, h, ub_idx, lb_idx
 
 
 def solve_qp(
     prob: QpProblem, tol: float = 1e-8, x0: Optional[np.ndarray] = None
 ) -> QpSolution:
-    n = prob.n
-    G, h, ub_idx, lb_idx = _stack_inequalities(prob)
-
-    x = None
-    if x0 is not None:
-        cand = np.asarray(x0, dtype=float)
-        eq_ok = len(prob.b_eq) == 0 or np.max(
-            np.abs(prob.A_eq @ cand - prob.b_eq)
-        ) <= FEAS_TOL
-        in_ok = len(h) == 0 or np.max(G @ cand - h) <= FEAS_TOL
-        if eq_ok and in_ok:
-            x = cand
+    """Optimum, infeasibility certificate or ascent ray of prob.  The
+    search starts from x0 (zero when None) clipped into the box; phase 1
+    runs only when that point is infeasible."""
+    start = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
+    x, cert = _phase1(prob, np.clip(start, prob.lb, prob.ub))
     if x is None:
-        x, cert = _phase1(n, prob.A_eq, prob.b_eq, G, h)
-        if x is None:
-            # map stacked inequality rows back onto their public names
-            m_in = len(prob.b_in)
-            named = {"eq": cert["eq"], "in": [], "upper": [], "lower": []}
-            for i in cert["in"]:
-                if i < m_in:
-                    named["in"].append(i)
-                elif i < m_in + len(ub_idx):
-                    named["upper"].append(ub_idx[i - m_in])
-                else:
-                    named["lower"].append(lb_idx[i - m_in - len(ub_idx)])
-            return QpSolution(status="infeasible", certificate=named)
+        return QpSolution(status="infeasible", certificate=cert)
 
-    work0 = [i for i in range(len(h)) if abs(float(G[i] @ x - h[i])) <= FEAS_TOL]
-    solver = _ActiveSet(prob.c, prob.d, prob.A_eq, prob.b_eq, G, h)
-    status, x, work, ray, iters = solver.run(x, work0)
+    solver = _ActiveSet(
+        prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub
+    )
+    status, x, work, state, ray, iters = solver.run(x, *solver.start(x))
     if status == "unbounded":
         return QpSolution(status="unbounded", x=x, ray=ray, iterations=iters)
 
-    g = prob.c + prob.d * x
-    y, mu_w = solver._multipliers(g, work)
-    mu_full = np.zeros(len(h))
-    for i, m in zip(work, mu_w):
-        mu_full[i] = max(m, 0.0)
-    m_in = len(prob.b_in)
-    mu_in = mu_full[:m_in]
-    nu_upper = np.zeros(n)
-    nu_lower = np.zeros(n)
-    for k, i in enumerate(ub_idx):
-        nu_upper[i] = mu_full[m_in + k]
-    for k, i in enumerate(lb_idx):
-        nu_lower[i] = mu_full[m_in + len(ub_idx) + k]
-
+    y, mu_w, r = solver.multipliers(prob.c + prob.d * x, work, state)
+    mu_in = np.zeros(len(prob.b_in))
+    mu_in[work] = np.maximum(mu_w, 0.0)
+    nu_lower, nu_upper = _bound_multipliers(state, r)
     sol = QpSolution(
         status="optimal",
         x=x,

@@ -22,7 +22,7 @@ from .core import (
     PrimalSolution,
     selection_terms,
 )
-from .errors import InfeasibleSelection, LinkViolation, UnknownId
+from .errors import InfeasibleSelection, LinkViolation, SolverFailure, UnknownId
 from .qp import QpProblem, QpSolution, solve_qp
 
 
@@ -208,5 +208,5 @@ def solve_relaxation(
             f"(certificate: {sol.certificate})"
         )
     if sol.status != "optimal":
-        raise RuntimeError(f"unexpected relaxation status {sol.status!r}")
+        raise SolverFailure(f"unexpected relaxation status {sol.status!r}")
     return outcome_from_qp(instance, selection, layout, terms, sol)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from daclear.cli import run
+from daclear.errors import SolverFailure
 from daclear.io import serialize_instance
 
 from helpers import make_instance, block, f3, random_instance
@@ -115,3 +116,14 @@ class TestInputErrors:
         path = _write(tmp_path, "bad.json", json.dumps({"hours": 1}))
         code, _ = _run(capsys, "clear", "--instance", path)
         assert code == 4
+
+
+def test_solver_failure_exit_code(capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise SolverFailure("phase-1 subproblem did not converge")
+
+    monkeypatch.setattr("daclear.qp._phase1", stalled)
+    code = run(["clear", "--instance", str(FIXTURE)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "phase-1" in err

@@ -141,3 +141,136 @@ class TestRandomSuite:
             assert sol.objective >= best - 0.5
             checked += 1
         assert checked > 10
+
+
+class TestBounds:
+    def test_pinned_columns_price_their_side(self):
+        # x0, x1 pinned; x2 is set by the equality row
+        prob = _prob([3.0, -2.0, 1.0], [0.0, 0.0, -1.0],
+                     A_eq=np.array([[1.0, 1.0, 1.0]]), b_eq=np.array([0.5]),
+                     lb=np.array([1.0, -1.0, -5.0]), ub=np.array([1.0, -1.0, 5.0]))
+        sol = solve_qp(prob)
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([1.0, -1.0, 0.5], abs=1e-12)
+        assert sol.nu_upper[0] == pytest.approx(2.5, abs=1e-10)
+        assert sol.nu_lower[0] == 0.0
+        assert sol.nu_lower[1] == pytest.approx(2.5, abs=1e-10)
+        assert sol.nu_upper[1] == 0.0
+        assert check_kkt(prob, sol).max_residual <= 1e-8
+
+    def test_random_pinned_columns(self):
+        rng = np.random.default_rng(31)
+        solved = 0
+        for _ in range(200):
+            prob = _random_problem(rng, n=int(rng.integers(2, 7)))
+            pin = rng.random(prob.n) < 0.4
+            prob.lb[pin] = prob.ub[pin] = rng.uniform(-1, 1, size=int(pin.sum()))
+            sol = solve_qp(prob)
+            if sol.status != "optimal":
+                continue
+            solved += 1
+            assert np.array_equal(sol.x[pin], prob.lb[pin])
+            # one side only, and the side the reduced gradient's sign says
+            assert np.all(np.minimum(sol.nu_lower, sol.nu_upper)[pin] == 0.0)
+            assert check_kkt(prob, sol).max_residual <= 1e-8
+        assert solved > 50
+
+    def test_one_sided_bounds(self):
+        sol = solve_qp(_prob([2.0], [-1.0], ub=np.array([1.0])))
+        assert sol.x[0] == 1.0
+        assert sol.nu_upper[0] == pytest.approx(1.0, abs=1e-10)
+        sol = solve_qp(_prob([1.0, -1.0], [0.0, 0.0],
+                             lb=np.array([-np.inf, 0.0]), ub=np.array([3.0, np.inf])))
+        assert sol.status == "optimal"
+        assert sol.x == pytest.approx([3.0, 0.0], abs=1e-12)
+        assert sol.nu_upper[0] == pytest.approx(1.0, abs=1e-10)
+        assert sol.nu_lower[1] == pytest.approx(1.0, abs=1e-10)
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            prob = _random_problem(rng)
+            open_side = rng.random(prob.n) < 0.5
+            prob.lb[open_side & (rng.random(prob.n) < 0.5)] = -np.inf
+            prob.ub[open_side & ~np.isinf(prob.lb)] = np.inf
+            prob.d[open_side] = -rng.uniform(0.5, 2.0, size=int(open_side.sum()))
+            sol = solve_qp(prob)
+            assert sol.status in ("optimal", "infeasible")
+            if sol.status == "optimal":
+                assert check_kkt(prob, sol).max_residual <= 1e-8
+
+    def test_infeasible_start_matches_cold_solve(self):
+        rng = np.random.default_rng(8)
+        warm_phase1 = 0
+        for _ in range(200):
+            prob = _random_problem(rng)
+            x0 = rng.uniform(-8, 8, size=prob.n)
+            cold = solve_qp(prob)
+            warm = solve_qp(prob, x0=x0)
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                warm_phase1 += 1
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert check_kkt(prob, warm).max_residual <= 1e-8
+        assert warm_phase1 > 50
+
+    def test_certificate_names_bound_columns(self):
+        # x + y >= 3 with both columns capped at 1
+        sol = solve_qp(_prob([0.0, 0.0], [0.0, 0.0],
+                             A_in=np.array([[-1.0, -1.0]]), b_in=np.array([-3.0]),
+                             lb=np.zeros(2), ub=np.ones(2)))
+        assert sol.status == "infeasible"
+        assert sol.certificate == {"eq": [], "in": [0], "upper": [0, 1], "lower": []}
+        # y >= x with x >= 2 and y <= 1, plus an untouched third column
+        sol = solve_qp(_prob([0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                             A_in=np.array([[1.0, -1.0, 0.0]]), b_in=np.array([0.0]),
+                             lb=np.array([2.0, 0.0, -1.0]), ub=np.array([3.0, 1.0, 1.0])))
+        assert sol.status == "infeasible"
+        assert sol.certificate == {"eq": [], "in": [0], "upper": [1], "lower": [0]}
+
+
+class TestLinprogCrossCheck:
+    def test_random_lps_agree_with_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(4242)
+        verdicts = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            lb = rng.uniform(-4, 0, size=n)
+            ub = lb + rng.uniform(0.5, 4, size=n)
+            kind = rng.integers(0, 5, size=n)  # box, pinned, free, >= lb, <= ub
+            ub[kind == 1] = lb[kind == 1]
+            lb[kind == 2], ub[kind == 2] = -np.inf, np.inf
+            ub[kind == 3] = np.inf
+            lb[kind == 4] = -np.inf
+            m_eq = int(rng.integers(0, 3))
+            m_in = int(rng.integers(0, 5))
+            prob = _prob(rng.uniform(-5, 5, size=n), np.zeros(n),
+                         A_eq=rng.uniform(-2, 2, size=(m_eq, n)),
+                         b_eq=rng.uniform(-3, 3, size=m_eq),
+                         A_in=rng.uniform(-2, 2, size=(m_in, n)),
+                         b_in=rng.uniform(-2, 5, size=m_in), lb=lb, ub=ub)
+            sol = solve_qp(prob)
+            rows = dict(
+                A_ub=prob.A_in if m_in else None, b_ub=prob.b_in if m_in else None,
+                A_eq=prob.A_eq if m_eq else None, b_eq=prob.b_eq if m_eq else None,
+                bounds=[(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+                        for lo, hi in zip(lb, ub)],
+                method="highs",
+            )
+            # a zero objective separates infeasible from unbounded, which
+            # HiGHS's presolve may report together
+            feasible = optimize.linprog(np.zeros(n), **rows).status == 0
+            assert (sol.status != "infeasible") == feasible
+            ref = optimize.linprog(-prob.c, **rows)
+            if sol.status == "optimal":
+                assert ref.status == 0
+                assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
+            elif sol.status == "unbounded":
+                assert ref.status != 0
+                ray = sol.ray
+                assert prob.c @ ray > 1e-9
+                assert np.all(np.abs(prob.A_eq @ ray) <= 1e-9)
+                assert np.all(prob.A_in @ ray <= 1e-9)
+                assert np.all(ray[np.isfinite(ub)] <= 1e-9)
+                assert np.all(ray[np.isfinite(lb)] >= -1e-9)
+            verdicts[sol.status] += 1
+        assert min(verdicts.values()) > 10
