@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -42,11 +43,18 @@ def _load_instance(path: str) -> Instance:
 
 
 def _result_doc(instance: Instance, result: ClearingResult) -> dict:
+    """Output document; a welfare, bound or gap that is not finite (no
+    candidate yet, or a master stopped before its root) is written as null."""
+    scores = {
+        name: value if math.isfinite(value) else None
+        for name, value in (
+            ("welfare", result.welfare), ("bound", result.bound), ("gap", result.gap)
+        )
+    }
     if result.solution is None:
         return {
             "selection": None, "delta": None, "flows": None, "prices": None,
-            "status": result.status, "mode": result.mode,
-            "welfare": result.welfare, "bound": result.bound, "gap": result.gap,
+            "status": result.status, "mode": result.mode, **scores,
             "prbs": [], "warnings": list(result.warnings), "iterations": [],
         }
     return io.solution_to_doc(
@@ -55,9 +63,7 @@ def _result_doc(instance: Instance, result: ClearingResult) -> dict:
         result.prices,
         status=result.status,
         mode=result.mode,
-        welfare=result.welfare,
-        bound=result.bound,
-        gap=result.gap,
+        **scores,
         prbs=[list(p) for p in result.prbs],
         warnings=list(result.warnings),
         iterations=[

@@ -70,10 +70,6 @@ class NetCurveSegment:
     def is_vertical(self) -> bool:
         return self.price_span == 0.0 and self.quantity_span > 0.0
 
-    @property
-    def is_horizontal(self) -> bool:
-        return self.quantity_span == 0.0
-
 
 @dataclass(frozen=True)
 class NetCurve:
@@ -98,23 +94,6 @@ class NetCurve:
             q -= seg.quantity_span
             pts.append((seg.base_price + seg.price_span, q))
         return pts
-
-    def quantity_bounds_at(self, price: float) -> tuple[float, float]:
-        """Range of executed net demand consistent with the filling rule at ``price``."""
-        lo = hi = self.min_net_demand
-        for seg in self.segments:
-            top = seg.base_price + seg.price_span
-            if seg.price_span > 0:
-                z = min(max((top - price) / seg.price_span, 0.0), 1.0)
-                lo += seg.quantity_span * z
-                hi += seg.quantity_span * z
-            else:
-                if price < seg.base_price:
-                    lo += seg.quantity_span
-                    hi += seg.quantity_span
-                elif price == seg.base_price:
-                    hi += seg.quantity_span
-        return lo, hi
 
 
 @dataclass(frozen=True)

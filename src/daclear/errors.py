@@ -37,10 +37,6 @@ class LinkViolation(ModelError):
     """A bid selection executes a linked block without its parent."""
 
 
-class FlexMultiplicity(ModelError):
-    """A flex bid is executed in more than one hour."""
-
-
 class InfeasibleSelection(ModelError):
     """The fixed combinatorial volume cannot be cleared within curve and flow bounds."""
 

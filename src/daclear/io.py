@@ -1,13 +1,14 @@
 """JSON documents for instances and clearing solutions.
 
 Serialization is canonical (sorted keys, shortest round-trip floats), so
-identical inputs always produce byte-identical output.
+identical inputs always produce byte-identical output.  It is also strict:
+a non-finite number raises ``ValueError`` instead of being written as
+``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Optional
 
 from .core import (
@@ -21,7 +22,7 @@ from .core import (
     PrimalSolution,
     build_net_curve,
 )
-from .errors import FlexMultiplicity, SchemaError
+from .errors import SchemaError
 
 
 _SENTINEL = object()
@@ -187,7 +188,7 @@ def parse_instance(text: str) -> Instance:
 
 
 def _dump(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -274,8 +275,6 @@ def selection_from_doc(doc, path="$.selection") -> BidSelection:
         blocks[bid] = int(val)
     flex = {}
     for fid, hour in flex_doc.items():
-        if fid in flex:
-            raise FlexMultiplicity(f"flex bid {fid!r} listed twice")
         if hour is not None and (isinstance(hour, bool) or not isinstance(hour, int)):
             raise SchemaError(f"{path}.flex.{fid}", "expected an hour index or null")
         flex[fid] = hour

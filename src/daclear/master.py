@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -18,13 +18,11 @@ import numpy as np
 from .core import (
     BidSelection,
     Instance,
-    PriceInterval,
     PrimalSolution,
-    big_m,
     presolve_price_bounds,
 )
-from .cuts import Cut, CutPool
-from .errors import InfeasibleSelection
+from .cuts import CutPool
+from .model import build_model
 from .qp import QpProblem, solve_qp
 
 INT_TOL = 1e-6
@@ -39,92 +37,39 @@ class MasterResult:
     nodes: int = 0
 
 
-@dataclass
-class _Layout:
-    seg_ids: list
-    flow_keys: list
-    block_ids: list
-    flex_keys: list  # (flex id, hour)
-    eq_keys: list
-
-    @property
-    def n_cont(self):
-        return len(self.seg_ids) + len(self.flow_keys)
-
-    @property
-    def n(self):
-        return self.n_cont + len(self.block_ids) + len(self.flex_keys)
-
-
 def _assemble(instance: Instance, cuts: CutPool):
-    layout = _Layout(
-        seg_ids=[s.id for s in instance.segments],
-        flow_keys=[(c.id, t) for c in instance.interconnectors for t in range(instance.hours)],
-        block_ids=[b.id for b in instance.blocks],
-        flex_keys=[(f.id, t) for f in instance.flex_bids for t in range(instance.hours)],
-        eq_keys=[(a, t) for a in instance.areas for t in range(instance.hours)],
-    )
-    n = layout.n
-    n_seg = len(layout.seg_ids)
-    n_cont = layout.n_cont
-    conn = {c.id: c for c in instance.interconnectors}
-    col_block = {bid: n_cont + j for j, bid in enumerate(layout.block_ids)}
-    col_flex = {key: n_cont + len(layout.block_ids) + j for j, key in enumerate(layout.flex_keys)}
+    """The clearing model with a column per block and per flex (bid, hour),
+    and the link, flex-once and cut rows over those columns."""
+    model = build_model(instance)
+    n_cont = model.n
+    hours = range(instance.hours)
+    flex_keys = [(f.id, t) for f in instance.flex_bids for t in hours]
+    col_block = {b.id: n_cont + j for j, b in enumerate(instance.blocks)}
+    col_flex = {key: n_cont + len(col_block) + j for j, key in enumerate(flex_keys)}
+    n = n_cont + len(col_block) + len(col_flex)
 
     c = np.zeros(n)
     d = np.zeros(n)
     lb = np.zeros(n)
     ub = np.ones(n)
-    for j, seg in enumerate(instance.segments):
-        c[j] = (seg.base_price + seg.price_span) * seg.quantity_span
-        d[j] = -seg.price_span * seg.quantity_span
-    for k, (cid, t) in enumerate(layout.flow_keys):
-        lb[n_seg + k] = conn[cid].lower[t]
-        ub[n_seg + k] = conn[cid].upper[t]
+    c[:n_cont], d[:n_cont] = model.c, model.d
+    lb[:n_cont], ub[:n_cont] = model.lb, model.ub
+    A_eq = np.zeros((len(model.eq_keys), n))
+    A_eq[:, :n_cont] = model.A_eq
     for b in instance.blocks:
         c[col_block[b.id]] = b.limit_price * sum(b.quantities)
+        for t in hours:
+            if b.quantities[t] != 0.0:
+                A_eq[model.eq_row[b.area, t], col_block[b.id]] = b.quantities[t]
     for f in instance.flex_bids:
-        for t in range(instance.hours):
+        for t in hours:
             c[col_flex[f.id, t]] = f.limit_price * f.quantity
+            A_eq[model.eq_row[f.area, t], col_flex[f.id, t]] = f.quantity
 
-    seg_col = {sid: j for j, sid in enumerate(layout.seg_ids)}
-    A_eq = np.zeros((len(layout.eq_keys), n))
-    b_eq = np.zeros(len(layout.eq_keys))
-    for r, (a, t) in enumerate(layout.eq_keys):
-        curve = instance.curves[a, t]
-        for seg in curve.segments:
-            A_eq[r, seg_col[seg.id]] = seg.quantity_span
-        for k, (cid, tt) in enumerate(layout.flow_keys):
-            if tt != t:
-                continue
-            if conn[cid].sink == a:
-                A_eq[r, n_seg + k] -= 1.0
-            if conn[cid].source == a:
-                A_eq[r, n_seg + k] += 1.0
-        for b in instance.blocks:
-            if b.area == a and b.quantities[t] != 0.0:
-                A_eq[r, col_block[b.id]] = b.quantities[t]
-        for f in instance.flex_bids:
-            if f.area == a:
-                A_eq[r, col_flex[f.id, t]] = f.quantity
-        b_eq[r] = -curve.min_net_demand
-
-    in_rows = []
-    in_rhs = []
-    for cc in instance.interconnectors:
-        if cc.ramp_rate is None or not np.isfinite(cc.ramp_rate):
-            continue
-        for t in range(instance.hours):
-            for sgn in (1.0, -1.0):
-                row = np.zeros(n)
-                row[n_seg + layout.flow_keys.index((cc.id, t))] = sgn
-                rhs = cc.ramp_rate
-                if t == 0:
-                    rhs += sgn * cc.initial_flow
-                else:
-                    row[n_seg + layout.flow_keys.index((cc.id, t - 1))] = -sgn
-                in_rows.append(row)
-                in_rhs.append(rhs)
+    ramp = np.zeros((len(model.b_in), n))
+    ramp[:, :n_cont] = model.A_in
+    in_rows = list(ramp)
+    in_rhs = list(model.b_in)
     for child, parent in instance.links:
         row = np.zeros(n)
         row[col_block[child]] = 1.0
@@ -133,7 +78,7 @@ def _assemble(instance: Instance, cuts: CutPool):
         in_rhs.append(0.0)
     for f in instance.flex_bids:
         row = np.zeros(n)
-        for t in range(instance.hours):
+        for t in hours:
             row[col_flex[f.id, t]] = 1.0
         in_rows.append(row)
         in_rhs.append(1.0)
@@ -149,8 +94,8 @@ def _assemble(instance: Instance, cuts: CutPool):
 
     A_in = np.array(in_rows).reshape(-1, n)
     b_in = np.array(in_rhs)
-    prob = QpProblem(c=c, d=d, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, lb=lb, ub=ub)
-    return prob, layout, col_block, col_flex
+    prob = QpProblem(c=c, d=d, A_eq=A_eq, b_eq=model.b_eq, A_in=A_in, b_in=b_in, lb=lb, ub=ub)
+    return prob, model, col_block, col_flex
 
 
 def _presolve_fixings(instance: Instance) -> dict:
@@ -179,15 +124,11 @@ def _presolve_fixings(instance: Instance) -> dict:
     return fixed
 
 
-def _selection_from_x(layout: _Layout, x, n_cont) -> BidSelection:
-    blocks = {}
-    for j, bid in enumerate(layout.block_ids):
-        blocks[bid] = int(round(x[n_cont + j]))
-    flex = {}
-    for f_id, _ in layout.flex_keys:
-        flex.setdefault(f_id, None)
-    for j, (fid, t) in enumerate(layout.flex_keys):
-        if round(x[n_cont + len(layout.block_ids) + j]) == 1:
+def _selection_from_x(instance: Instance, x, col_block, col_flex) -> BidSelection:
+    blocks = {bid: int(round(x[j])) for bid, j in col_block.items()}
+    flex = {f.id: None for f in instance.flex_bids}
+    for (fid, t), j in col_flex.items():
+        if round(x[j]) == 1:
             flex[fid] = t
     return BidSelection(blocks=blocks, flex=flex)
 
@@ -201,10 +142,8 @@ def solve_master(
     presolve: bool = True,
 ) -> MasterResult:
     cuts = cuts if cuts is not None else CutPool()
-    prob, layout, col_block, col_flex = _assemble(instance, cuts)
-    n_cont = layout.n_cont
-    n = layout.n
-    bin_cols = list(range(n_cont, n))
+    prob, model, col_block, col_flex = _assemble(instance, cuts)
+    bin_cols = list(range(model.n, prob.n))
     deadline = time.monotonic() + time_limit if time_limit is not None else None
 
     base_lb = prob.lb.copy()
@@ -220,29 +159,19 @@ def solve_master(
     nodes = 0
 
     def solve_fixed(sel_lb, sel_ub, x0=None):
-        p = QpProblem(
-            c=prob.c, d=prob.d, A_eq=prob.A_eq, b_eq=prob.b_eq,
-            A_in=prob.A_in, b_in=prob.b_in, lb=sel_lb, ub=sel_ub,
-        )
-        return solve_qp(p, x0=x0)
+        return solve_qp(replace(prob, lb=sel_lb, ub=sel_ub), x0=x0)
 
     if incumbent is not None:
+        pins = [(j, float(incumbent.blocks.get(bid, 0))) for bid, j in col_block.items()]
+        pins += [
+            (j, 1.0 if incumbent.flex.get(fid) == t else 0.0)
+            for (fid, t), j in col_flex.items()
+        ]
         lbw = base_lb.copy()
         ubw = base_ub.copy()
-        ok = True
-        for j, bid in enumerate(layout.block_ids):
-            v = float(incumbent.blocks.get(bid, 0))
-            if not (base_lb[n_cont + j] - 1e-12 <= v <= base_ub[n_cont + j] + 1e-12):
-                ok = False
-                break
-            lbw[n_cont + j] = ubw[n_cont + j] = v
-        for j, (fid, t) in enumerate(layout.flex_keys):
-            col = n_cont + len(layout.block_ids) + j
-            v = 1.0 if incumbent.flex.get(fid) == t else 0.0
-            if not (base_lb[col] - 1e-12 <= v <= base_ub[col] + 1e-12):
-                ok = False
-                break
-            lbw[col] = ubw[col] = v
+        for j, v in pins:
+            lbw[j] = ubw[j] = v
+        ok = all(base_lb[j] - 1e-12 <= v <= base_ub[j] + 1e-12 for j, v in pins)
         if ok and all(cut.satisfied(incumbent) for cut in cuts):
             warm = solve_fixed(lbw, ubw)
             if warm.status == "optimal":
@@ -314,12 +243,9 @@ def solve_master(
             bound=bound,
             nodes=nodes,
         )
-    selection = _selection_from_x(layout, best_x, n_cont)
-    delta = {sid: float(best_x[j]) for j, sid in enumerate(layout.seg_ids)}
-    flows = {
-        key: float(best_x[len(layout.seg_ids) + k])
-        for k, key in enumerate(layout.flow_keys)
-    }
+    selection = _selection_from_x(instance, best_x, col_block, col_flex)
+    delta = {sid: float(best_x[j]) for sid, j in model.seg_col.items()}
+    flows = {key: float(best_x[j]) for key, j in model.flow_col.items()}
     return MasterResult(
         status=status,
         solution=PrimalSolution(selection=selection, delta=delta, flows=flows),

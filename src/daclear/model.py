@@ -1,0 +1,119 @@
+"""The continuous clearing model shared by every clearing QP.
+
+Columns are the segment fills (in segment id order) followed by the
+interconnector flows (connector, then hour).  There is one clearing row per
+(area, hour) and two ramp rows per ramped connector and hour.  The master,
+the fixed-selection relaxation and FixFlow all start from this model: the
+master appends its binary columns and rows, the relaxation moves the fixed
+selection's volume to the right-hand side, and FixFlow keeps the vertical
+segment and flow columns.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import Instance
+
+
+@dataclass(frozen=True)
+class ClearingModel:
+    """Layout and rows of  max c'x + 1/2 sum d x^2  over fills and flows.
+
+    ``A_eq x = b_eq`` balances each (area, hour): segment spans, +1 for
+    flows leaving the area and -1 for flows entering it, against
+    ``-min_net_demand``.  ``A_in x <= b_in`` holds the ramp limits
+    ``+-(flow[t] - flow[t-1]) <= ramp_rate``, with the initial flow on the
+    right-hand side at hour 0."""
+
+    seg_ids: tuple[int, ...]
+    flow_keys: tuple[tuple[str, int], ...]
+    eq_keys: tuple[tuple[str, int], ...]
+    ramp_keys: tuple[tuple[str, int, str], ...]  # (connector, hour, fwd|bwd)
+    seg_col: dict[int, int]
+    flow_col: dict[tuple[str, int], int]
+    eq_row: dict[tuple[str, int], int]
+    c: np.ndarray
+    d: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    A_eq: np.ndarray
+    b_eq: np.ndarray
+    A_in: np.ndarray
+    b_in: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.seg_ids) + len(self.flow_keys)
+
+
+def build_model(instance: Instance) -> ClearingModel:
+    hours = range(instance.hours)
+    seg_ids = tuple(s.id for s in instance.segments)
+    flow_keys = tuple((cc.id, t) for cc in instance.interconnectors for t in hours)
+    eq_keys = tuple((a, t) for a in instance.areas for t in hours)
+    seg_col = {sid: j for j, sid in enumerate(seg_ids)}
+    flow_col = {key: len(seg_ids) + k for k, key in enumerate(flow_keys)}
+    eq_row = {key: r for r, key in enumerate(eq_keys)}
+    n = len(seg_ids) + len(flow_keys)
+
+    c = np.zeros(n)
+    d = np.zeros(n)
+    lb = np.zeros(n)
+    ub = np.ones(n)
+    for j, seg in enumerate(instance.segments):
+        c[j] = (seg.base_price + seg.price_span) * seg.quantity_span
+        d[j] = -seg.price_span * seg.quantity_span
+
+    A_eq = np.zeros((len(eq_keys), n))
+    b_eq = np.zeros(len(eq_keys))
+    for r, (a, t) in enumerate(eq_keys):
+        curve = instance.curves[a, t]
+        for seg in curve.segments:
+            A_eq[r, seg_col[seg.id]] = seg.quantity_span
+        b_eq[r] = -curve.min_net_demand
+
+    ramp_keys = []
+    in_rows = []
+    in_rhs = []
+    for cc in instance.interconnectors:
+        ramped = cc.ramp_rate is not None and np.isfinite(cc.ramp_rate)
+        for t in hours:
+            j = flow_col[cc.id, t]
+            lb[j] = cc.lower[t]
+            ub[j] = cc.upper[t]
+            A_eq[eq_row[cc.source, t], j] = 1.0
+            A_eq[eq_row[cc.sink, t], j] = -1.0
+            if not ramped:
+                continue
+            for sense, sgn in (("fwd", 1.0), ("bwd", -1.0)):
+                row = np.zeros(n)
+                row[j] = sgn
+                rhs = cc.ramp_rate
+                if t == 0:
+                    rhs += sgn * cc.initial_flow
+                else:
+                    row[flow_col[cc.id, t - 1]] = -sgn
+                ramp_keys.append((cc.id, t, sense))
+                in_rows.append(row)
+                in_rhs.append(rhs)
+
+    return ClearingModel(
+        seg_ids=seg_ids,
+        flow_keys=flow_keys,
+        eq_keys=eq_keys,
+        ramp_keys=tuple(ramp_keys),
+        seg_col=seg_col,
+        flow_col=flow_col,
+        eq_row=eq_row,
+        c=c,
+        d=d,
+        lb=lb,
+        ub=ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        A_in=np.array(in_rows).reshape(-1, n),
+        b_in=np.array(in_rhs),
+    )

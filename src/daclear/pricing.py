@@ -8,20 +8,21 @@ minimize total executed-bid losses, then minimize the squared price norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .core import (
     DualCertificate,
     Instance,
-    PriceInterval,
     PriceVector,
     PrimalSolution,
     big_m,
+    selection_terms,
 )
 from .errors import PriceInfeasible, SolverFailure
+from .model import build_model
 from .qp import QpProblem, solve_qp
 
 TIGHT_TOL = 1e-7
@@ -36,89 +37,53 @@ def solve_fixflow(instance: Instance, solution: PrimalSolution) -> PrimalSolutio
     """
     if not instance.interconnectors:
         return solution
+    model = build_model(instance)
     free = [s for s in instance.segments if s.is_vertical]
-    free_col = {s.id: j for j, s in enumerate(free)}
-    flow_keys = [
-        (c.id, t) for c in instance.interconnectors for t in range(instance.hours)
-    ]
+    free_ids = {s.id for s in free}
+    cols = [model.seg_col[s.id] for s in free] + list(model.flow_col.values())
     n_free = len(free)
-    n = n_free + len(flow_keys)
-    conn = {c.id: c for c in instance.interconnectors}
+    n = len(cols)
 
     c_obj = np.zeros(n)
     d_obj = np.zeros(n)
-    lb = np.zeros(n)
-    ub = np.ones(n)
-    for k, (cid, t) in enumerate(flow_keys):
-        d_obj[n_free + k] = -2.0
-        lb[n_free + k] = conn[cid].lower[t]
-        ub[n_free + k] = conn[cid].upper[t]
+    d_obj[n_free:] = -2.0
 
     # clearing rows with the pinned (sloped) fills moved to the rhs,
     # plus one welfare-preservation row over the free fills
-    eq_keys = [(a, t) for a in instance.areas for t in range(instance.hours)]
-    A_eq = np.zeros((len(eq_keys) + 1, n))
-    b_eq = np.zeros(len(eq_keys) + 1)
-    from .core import selection_terms
-
+    n_eq = len(model.eq_keys)
+    A_eq = np.zeros((n_eq + 1, n))
+    A_eq[:n_eq] = model.A_eq[:, cols]
+    b_eq = np.zeros(n_eq + 1)
     terms = selection_terms(instance, solution.selection)
-    for r, (a, t) in enumerate(eq_keys):
-        curve = instance.curves[a, t]
-        rhs = -curve.min_net_demand - terms.volume[a, t]
-        for seg in curve.segments:
-            if seg.id in free_col:
-                A_eq[r, free_col[seg.id]] = seg.quantity_span
-            else:
+    for r, (a, t) in enumerate(model.eq_keys):
+        rhs = model.b_eq[r] - terms.volume[a, t]
+        for seg in instance.curves[a, t].segments:
+            if seg.id not in free_ids:
                 rhs -= seg.quantity_span * solution.delta.get(seg.id, 0.0)
-        for k, (cid, tt) in enumerate(flow_keys):
-            if tt != t:
-                continue
-            if conn[cid].sink == a:
-                A_eq[r, n_free + k] -= 1.0
-            if conn[cid].source == a:
-                A_eq[r, n_free + k] += 1.0
         b_eq[r] = rhs
-    w_row = len(eq_keys)
-    for seg in free:
-        A_eq[w_row, free_col[seg.id]] = seg.base_price * seg.quantity_span
-        b_eq[w_row] += (
+    for k, seg in enumerate(free):
+        A_eq[n_eq, k] = seg.base_price * seg.quantity_span
+        b_eq[n_eq] += (
             seg.base_price * seg.quantity_span * solution.delta.get(seg.id, 0.0)
         )
 
-    m_ramp = []
-    for cc in instance.interconnectors:
-        if cc.ramp_rate is None or not np.isfinite(cc.ramp_rate):
-            continue
-        for t in range(instance.hours):
-            m_ramp.append((cc.id, t, 1.0))
-            m_ramp.append((cc.id, t, -1.0))
-    A_in = np.zeros((len(m_ramp), n))
-    b_in = np.zeros(len(m_ramp))
-    col = {key: n_free + k for k, key in enumerate(flow_keys)}
-    for r, (cid, t, sgn) in enumerate(m_ramp):
-        A_in[r, col[cid, t]] = sgn
-        b_in[r] = conn[cid].ramp_rate
-        if t == 0:
-            b_in[r] += sgn * conn[cid].initial_flow
-        else:
-            A_in[r, col[cid, t - 1]] = -sgn
-
     prob = QpProblem(
-        c=c_obj, d=d_obj, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, lb=lb, ub=ub
+        c=c_obj, d=d_obj, A_eq=A_eq, b_eq=b_eq, A_in=model.A_in[:, cols],
+        b_in=model.b_in, lb=model.lb[cols], ub=model.ub[cols],
     )
     x0 = np.zeros(n)
-    for seg in free:
-        x0[free_col[seg.id]] = solution.delta.get(seg.id, 0.0)
-    for k, key in enumerate(flow_keys):
+    for k, seg in enumerate(free):
+        x0[k] = solution.delta.get(seg.id, 0.0)
+    for k, key in enumerate(model.flow_keys):
         x0[n_free + k] = solution.flows.get(key, 0.0)
     sol = solve_qp(prob, x0=x0)
     if sol.status != "optimal":
         raise SolverFailure(f"flow canonicalization failed: {sol.status}")
 
     delta = dict(solution.delta)
-    for seg in free:
-        delta[seg.id] = float(sol.x[free_col[seg.id]])
-    flows = {key: float(sol.x[n_free + k]) for k, key in enumerate(flow_keys)}
+    for k, seg in enumerate(free):
+        delta[seg.id] = float(sol.x[k])
+    flows = {key: float(sol.x[n_free + k]) for k, key in enumerate(model.flow_keys)}
     return PrimalSolution(selection=solution.selection, delta=delta, flows=flows)
 
 

@@ -78,7 +78,7 @@ class QpSolution:
     ray: Optional[np.ndarray] = None
     certificate: Optional[dict] = None
     kkt_residual: float = float("nan")
-    iterations: int = 0
+    iterations: int = 0  # active-set iterations of phase 1 and phase 2
 
 
 @dataclass
@@ -249,16 +249,17 @@ def _bound_multipliers(state, r):
 
 
 def _phase1(prob: QpProblem, x0: np.ndarray):
-    """Feasible point from the start x0 (inside the box), or
-    (None, certificate) when none exists.  Only the equality rows and the
-    rows x0 violates get artificial slacks; the box stays a box."""
+    """(x, None, iterations) with a feasible point from the start x0 (inside
+    the box), or (None, certificate, iterations) when none exists.  Only the
+    equality rows and the rows x0 violates get artificial slacks; the box
+    stays a box."""
     n = prob.n
     A, b, G, h = prob.A_eq, prob.b_eq, prob.A_in, prob.b_in
     r_eq = b - A @ x0
     excess = G @ x0 - h
     viol = np.flatnonzero(excess > FEAS_TOL)
     if np.all(np.abs(r_eq) <= FEAS_TOL) and len(viol) == 0:
-        return x0, None
+        return x0, None, 0
     # z = [x, s_eq, s_in], all artificials nonnegative, maximize -sum(s)
     m, k = len(b), len(viol)
     A1 = np.hstack([A, np.diag(np.where(r_eq >= 0, 1.0, -1.0)), np.zeros((m, k))])
@@ -268,7 +269,7 @@ def _phase1(prob: QpProblem, x0: np.ndarray):
     ub1 = np.concatenate([prob.ub, np.full(m + k, np.inf)])
     z0 = np.concatenate([x0, np.abs(r_eq), excess[viol]])
     solver = _ActiveSet(c1, np.zeros(n + m + k), A1, b, G1, h, lb1, ub1)
-    status, z, work, state, _, _ = solver.run(z0, *solver.start(z0))
+    status, z, work, state, _, iters = solver.run(z0, *solver.start(z0))
     if status != "optimal":
         raise SolverFailure("phase-1 subproblem did not converge")
     if float(np.sum(z[n:])) > 1e-7:
@@ -280,8 +281,8 @@ def _phase1(prob: QpProblem, x0: np.ndarray):
             "in": [i for i, mu in zip(work, mu_w) if mu > 1e-7],
             "upper": np.flatnonzero(nu_upper > 1e-7).tolist(),
             "lower": np.flatnonzero(nu_lower > 1e-7).tolist(),
-        }
-    return z[:n], None
+        }, iters
+    return z[:n], None, iters
 
 
 def solve_qp(
@@ -291,14 +292,15 @@ def solve_qp(
     search starts from x0 (zero when None) clipped into the box; phase 1
     runs only when that point is infeasible."""
     start = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
-    x, cert = _phase1(prob, np.clip(start, prob.lb, prob.ub))
+    x, cert, iters1 = _phase1(prob, np.clip(start, prob.lb, prob.ub))
     if x is None:
-        return QpSolution(status="infeasible", certificate=cert)
+        return QpSolution(status="infeasible", certificate=cert, iterations=iters1)
 
     solver = _ActiveSet(
         prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub
     )
     status, x, work, state, ray, iters = solver.run(x, *solver.start(x))
+    iters += iters1
     if status == "unbounded":
         return QpSolution(status="unbounded", x=x, ray=ray, iterations=iters)
 

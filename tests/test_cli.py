@@ -1,15 +1,21 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from daclear.cli import run
+from daclear.cli import _result_doc, run
+from daclear.driver import clear_heuristic
 from daclear.errors import SolverFailure
-from daclear.io import serialize_instance
+from daclear.io import dump_document, serialize_instance
 
-from helpers import make_instance, block, f3, random_instance
+from helpers import appendix_a, make_instance, block, f3, random_instance
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "appendix_a.json"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def _write(tmp_path, name, text):
@@ -61,6 +67,28 @@ class TestClear:
         code, out = _run(capsys, "clear", "--instance", path,
                          "--time-limit", "0")
         assert code in (0, 3)
+
+    def test_time_limit_document_is_strict_json(self, capsys):
+        code, out = _run(capsys, "clear", "--instance", str(FIXTURE),
+                         "--time-limit", "0")
+        assert code == 3
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["status"] == "limit"
+        assert doc["welfare"] is None
+        assert doc["bound"] is None
+        assert doc["gap"] is None
+
+    def test_unbounded_limit_with_solution_is_strict_json(self):
+        # an exact master stopped before its root, with a heuristic
+        # solution in hand: bound = inf and gap = nan
+        inst = appendix_a()
+        result = replace(clear_heuristic(inst), status="limit",
+                         bound=float("inf"), gap=float("nan"))
+        doc = json.loads(dump_document(_result_doc(inst, result)),
+                         parse_constant=_reject_constant)
+        assert doc["welfare"] == pytest.approx(2.0)
+        assert doc["bound"] is None
+        assert doc["gap"] is None
 
 
 class TestOracle:

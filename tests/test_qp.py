@@ -70,6 +70,15 @@ class TestSolve:
         assert sol.status == "infeasible"
         assert sol.certificate is not None
 
+    def test_iterations_include_phase1(self):
+        # zero objective: the start 0 misses x1 + x2 = 1, so every
+        # iteration happens in phase 1
+        sol = solve_qp(_prob([0.0, 0.0], [0.0, 0.0],
+                             A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
+                             lb=np.zeros(2), ub=np.ones(2)))
+        assert sol.status == "optimal"
+        assert sol.iterations >= 1
+
     def test_rejects_positive_curvature(self):
         with pytest.raises(Exception):
             _prob([0.0], [1.0])
