@@ -18,12 +18,10 @@ from .core import (
 from .cuts import curtailment_violations
 from .driver import ClearOptions, ClearingResult, clear_exact, clear_heuristic
 from .errors import (
-    IterationLimit,
     ModelError,
+    PriceInfeasible,
     SchemaError,
     SolverFailure,
-    TooLarge,
-    ValidationError,
 )
 from .verify import check_bid_prices, check_filling, check_flow_price, oracle_clear
 
@@ -51,16 +49,7 @@ def _result_doc(instance: Instance, result: ClearingResult) -> dict:
             ("welfare", result.welfare), ("bound", result.bound), ("gap", result.gap)
         )
     }
-    if result.solution is None:
-        return {
-            "selection": None, "delta": None, "flows": None, "prices": None,
-            "status": result.status, "mode": result.mode, **scores,
-            "prbs": [], "warnings": list(result.warnings), "iterations": [],
-        }
-    return io.solution_to_doc(
-        instance,
-        result.solution,
-        result.prices,
+    fields = dict(
         status=result.status,
         mode=result.mode,
         **scores,
@@ -77,6 +66,9 @@ def _result_doc(instance: Instance, result: ClearingResult) -> dict:
             for rec in result.iterations
         ],
     )
+    if result.solution is None:
+        return {"selection": None, "delta": None, "flows": None, "prices": None, **fields}
+    return io.solution_to_doc(instance, result.solution, result.prices, **fields)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -91,11 +83,7 @@ def _cmd_clear(args) -> int:
     instance = _load_instance(args.instance)
     options = ClearOptions(abs_gap=args.abs_gap, time_limit=args.time_limit)
     solver = clear_exact if args.mode == "exact" else clear_heuristic
-    try:
-        result = solver(instance, options)
-    except IterationLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    result = solver(instance, options)
     if result.status == "infeasible":
         print("error: no feasible clearing exists under the given cuts", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -201,12 +189,12 @@ def run(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SchemaError, ValidationError, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SolverFailure as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except PriceInfeasible as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,7 +8,6 @@ price, so a segment's execution fraction runs from the high-price end
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence

@@ -8,7 +8,6 @@ analogous cuts for hourly-curtailment priority violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
 
 from .core import BidSelection, Instance, PriceVector, PrimalSolution
 from .errors import EmptyLossSets

@@ -1,28 +1,30 @@
 """Clearing orchestration.
 
-Heuristic mode: alternately maximize welfare and test for supporting
-prices, cutting off the currently loss-making bid set until none remains.
-Exact mode: the same loop, but each failed candidate is excluded by a cut
-that removes only that single selection, so the final candidate is the
-welfare optimum among price-supportable selections.
+Both modes run one cut loop: the master maximizes welfare under the cuts so
+far, FixFlow picks the candidate's flows, and the mode's test either accepts
+the candidate with its strict prices or cuts it off. Heuristic mode cuts off
+the currently loss-making bid set; exact mode cuts off only the failed
+selection, so its final candidate is the welfare optimum among
+price-supportable selections.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import BidSelection, Instance, PriceVector, PrimalSolution
+from .core import Instance, PriceVector, PrimalSolution, welfare_of
 from .cuts import (
     CutPool,
+    LossSets,
     bid_cut,
     curtailment_cut,
     curtailment_violations,
     loss_sets,
     no_good_cut,
 )
-from .errors import InfeasibleSelection, IterationLimit, PriceInfeasible
+from .errors import PriceInfeasible
 from .master import solve_master
 from .pricing import clamp_prices, solve_fixflow, solve_qpprice
 
@@ -49,14 +51,12 @@ class ClearingResult:
     prbs: tuple = ()
     warnings: tuple[str, ...] = ()
     frontier: Optional[tuple] = None
-    curtailment_cuts_fired: bool = False
 
 
 @dataclass(frozen=True)
 class ClearOptions:
     abs_gap: float = 1e-9
     time_limit: Optional[float] = None
-    max_iterations: Optional[int] = None
     presolve: bool = True
 
 
@@ -64,11 +64,52 @@ def _relative_gap(bound: float, welfare: float) -> float:
     return max(0.0, bound - welfare) / max(1.0, abs(bound))
 
 
-def _finish(instance, mode, solution, bound, iterations, curt_fired):
-    from .core import welfare_of
+def _deadline(options: ClearOptions) -> Optional[float]:
+    if options.time_limit is None:
+        return None
+    return time.monotonic() + options.time_limit
+
+
+def _price(instance, solution, relax_losses):
+    """Pricing of a candidate, or None when no price in the interval supports it."""
+    try:
+        return solve_qpprice(instance, solution, relax_losses=relax_losses)
+    except PriceInfeasible:
+        return None
+
+
+def _heuristic_test(instance, solution, cuts):
+    """Relaxed pricing, then a bid cut on the loss sets plus curtailment
+    cuts; a candidate that no price supports, or that has no loss-free
+    price once nothing is cut, gets a no-good cut instead."""
+    relaxed = _price(instance, solution, relax_losses=True)
+    curt = curtailment_violations(instance, solution)
+    if relaxed is None:
+        cut = no_good_cut(instance, solution.selection)
+        return LossSets((), ()), curt, None, int(cuts.add(cut))
+    sets = loss_sets(instance, solution, relaxed.prices)
+    added = 0 if sets.empty else int(cuts.add(bid_cut(sets)))
+    added += sum(cuts.add(curtailment_cut(bad)) for bad in curt.values())
+    pricing = None if added else _price(instance, solution, relax_losses=False)
+    if not added and pricing is None:
+        added = int(cuts.add(no_good_cut(instance, solution.selection)))
+    return sets, curt, pricing, added
+
+
+def _exact_test(instance, solution, cuts):
+    """Strict pricing plus the curtailment check; a failed candidate gets
+    one no-good cut. Relaxed pricing only fills the record's loss sets."""
+    pricing = _price(instance, solution, relax_losses=False)
+    relaxed = None if pricing is not None else _price(instance, solution, relax_losses=True)
+    sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
+    curt = curtailment_violations(instance, solution)
+    failed = pricing is None or bool(curt)
+    return sets, curt, pricing, int(failed and cuts.add(no_good_cut(instance, solution.selection)))
+
+
+def _finish(instance, mode, solution, pricing, bound, iterations):
     from .verify import list_prbs
 
-    pricing = solve_qpprice(instance, solution, relax_losses=False)
     prices, warnings = clamp_prices(pricing.prices, instance)
     w = welfare_of(instance, solution)
     return ClearingResult(
@@ -82,143 +123,72 @@ def _finish(instance, mode, solution, bound, iterations, curt_fired):
         iterations=tuple(iterations),
         prbs=tuple(list_prbs(instance, solution.selection, prices)),
         warnings=tuple(warnings),
-        curtailment_cuts_fired=curt_fired,
     )
 
 
-def clear_heuristic(instance: Instance, options: ClearOptions = ClearOptions()) -> ClearingResult:
-    deadline = (
-        time.monotonic() + options.time_limit
-        if options.time_limit is not None
-        else None
+def _no_solution(status, mode, bound, iterations):
+    return ClearingResult(
+        status=status, mode=mode, solution=None, prices=None,
+        welfare=float("-inf"), bound=bound, gap=float("inf"),
+        iterations=tuple(iterations),
     )
-    max_iter = options.max_iterations
-    if max_iter is None:
-        max_iter = max(1, 10 * (len(instance.blocks) + len(instance.flex_bids)))
+
+
+def _cut_loop(instance, options, mode, deadline, warm=None, fallback=None):
+    """Master, FixFlow, the mode's test and a record per iteration, until
+    the test adds no cut. A limit returns ``fallback``'s solution, if any."""
+    exact = mode == "exact"
+    test = _exact_test if exact else _heuristic_test
+    blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
+    cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
     cuts = CutPool()
     iterations = []
-    bound = None
-    curt_fired = False
-    best = None
-
-    for _ in range(max_iter):
+    bound = float("inf")  # the first master's bound
+    while len(iterations) < cap:
         remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         master = solve_master(
             instance, cuts, abs_gap=options.abs_gap, time_limit=remaining,
-            presolve=options.presolve,
+            incumbent=warm, presolve=options.presolve,
         )
+        warm = None
         if master.status == "infeasible":
-            return ClearingResult(
-                status="infeasible", mode="heuristic", solution=None, prices=None,
-                welfare=float("-inf"), bound=bound if bound is not None else float("inf"),
-                gap=float("inf"), iterations=tuple(iterations),
-            )
-        if bound is None:
+            return _no_solution("infeasible", mode, bound, iterations)
+        if not iterations:
             bound = master.bound
-        if master.status == "limit" and master.solution is None:
-            raise IterationLimit("time limit hit before any candidate", best=best)
+        if master.status == "limit":
+            break
         solution = solve_fixflow(instance, master.solution)
-        pricing = solve_qpprice(instance, solution, relax_losses=True)
-        sets = loss_sets(instance, solution, pricing.prices)
-        curt = curtailment_violations(instance, solution)
-        new_cuts = 0
-        if not sets.empty and cuts.add(bid_cut(sets)):
-            new_cuts += 1
-        for bad in curt.values():
-            if cuts.add(curtailment_cut(bad)):
-                new_cuts += 1
-                curt_fired = True
+        sets, curt, pricing, added = test(instance, solution, cuts)
         iterations.append(
             IterationRecord(
                 master_objective=master.objective,
                 loss_blocks=sets.blocks,
                 loss_flex=sets.flex,
                 curtailment_areas=tuple(sorted(curt)),
-                cuts_added=new_cuts,
+                cuts_added=added,
             )
         )
-        if new_cuts == 0:
-            return _finish(instance, "heuristic", solution, bound, iterations, curt_fired)
-        best = solution
-    raise IterationLimit(
-        f"no loss-free selection found within {max_iter} iterations", best=best
+        if not added:
+            # every selection exact mode excluded lacked loss-free prices,
+            # so its final master objective is also the tight dual bound
+            final = master.objective if exact else bound
+            return _finish(instance, mode, solution, pricing, final, iterations)
+    if exact:
+        bound = master.bound
+    if fallback is None or fallback.solution is None:
+        return _no_solution("limit", mode, bound, iterations)
+    return replace(
+        fallback, status="limit", mode=mode, bound=bound,
+        gap=_relative_gap(bound, fallback.welfare), iterations=tuple(iterations),
     )
+
+
+def clear_heuristic(instance: Instance, options: ClearOptions = ClearOptions()) -> ClearingResult:
+    return _cut_loop(instance, options, "heuristic", _deadline(options))
 
 
 def clear_exact(instance: Instance, options: ClearOptions = ClearOptions()) -> ClearingResult:
-    deadline = (
-        time.monotonic() + options.time_limit
-        if options.time_limit is not None
-        else None
-    )
-    warm: Optional[BidSelection] = None
-    try:
-        heuristic = clear_heuristic(instance, options)
-        if heuristic.solution is not None:
-            warm = heuristic.solution.selection
-    except IterationLimit:
-        heuristic = None
-
-    cuts = CutPool()
-    iterations = []
-    bound = None
-    curt_fired = False
-
-    while True:
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-        master = solve_master(
-            instance, cuts, abs_gap=options.abs_gap, time_limit=remaining,
-            incumbent=warm, presolve=options.presolve,
-        )
-        if master.status == "infeasible":
-            return ClearingResult(
-                status="infeasible", mode="exact", solution=None, prices=None,
-                welfare=float("-inf"), bound=bound if bound is not None else float("inf"),
-                gap=float("inf"), iterations=tuple(iterations),
-            )
-        if bound is None:
-            bound = master.bound
-        if master.status == "limit":
-            result = heuristic
-            return ClearingResult(
-                status="limit", mode="exact",
-                solution=result.solution if result else None,
-                prices=result.prices if result else None,
-                welfare=result.welfare if result else float("-inf"),
-                bound=master.bound,
-                gap=_relative_gap(master.bound, result.welfare) if result else float("inf"),
-                iterations=tuple(iterations),
-                curtailment_cuts_fired=curt_fired,
-            )
-        solution = solve_fixflow(instance, master.solution)
-        feasible = True
-        loss_blocks: tuple = ()
-        loss_flex: tuple = ()
-        try:
-            solve_qpprice(instance, solution, relax_losses=False)
-        except PriceInfeasible:
-            feasible = False
-            relaxed = solve_qpprice(instance, solution, relax_losses=True)
-            sets = loss_sets(instance, solution, relaxed.prices)
-            loss_blocks, loss_flex = sets.blocks, sets.flex
-        curt = curtailment_violations(instance, solution)
-        if curt:
-            feasible = False
-            curt_fired = True
-        iterations.append(
-            IterationRecord(
-                master_objective=master.objective,
-                loss_blocks=loss_blocks,
-                loss_flex=loss_flex,
-                curtailment_areas=tuple(sorted(curt)),
-                cuts_added=0 if feasible else 1,
-            )
-        )
-        if feasible:
-            # every excluded selection was price-infeasible, so the final
-            # master objective is also the tight dual bound
-            return _finish(
-                instance, "exact", solution, master.objective, iterations, curt_fired
-            )
-        cuts.add(no_good_cut(instance, solution.selection))
-        warm = None
+    deadline = _deadline(options)
+    heuristic = clear_heuristic(instance, options)
+    warm = heuristic.solution.selection if heuristic.solution is not None else None
+    return _cut_loop(instance, options, "exact", deadline, warm=warm, fallback=heuristic)

@@ -53,14 +53,6 @@ class TooLarge(ModelError):
     """The instance exceeds the enumeration cap of the brute-force oracle."""
 
 
-class IterationLimit(ModelError):
-    """The cutting loop exceeded its iteration budget."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class SolverFailure(RuntimeError):
     """A numerical subproblem did not reach a verdict (iteration limit,
     phase-1 non-convergence or an unexpected status)."""

@@ -3,7 +3,8 @@
 Serialization is canonical (sorted keys, shortest round-trip floats), so
 identical inputs always produce byte-identical output.  It is also strict:
 a non-finite number raises ``ValueError`` instead of being written as
-``NaN`` or ``Infinity``.
+``NaN`` or ``Infinity``, and parsing rejects those constants with a
+``SchemaError``.
 """
 
 from __future__ import annotations
@@ -70,11 +71,19 @@ def _nodes(raw, path):
     return tuple(out)
 
 
-def parse_instance(text: str) -> Instance:
+def _reject_constant(name):
+    raise SchemaError("$", f"non-finite number {name} is not allowed")
+
+
+def _load(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
+
+
+def parse_instance(text: str) -> Instance:
+    doc = _load(text)
     interval = _interval(_get(doc, "price_interval", dict, "$"), "$.price_interval")
     hours = _get(doc, "hours", int, "$")
     if hours <= 0:
@@ -312,10 +321,7 @@ def solution_to_doc(
 
 def parse_solution(text: str) -> tuple[BidSelection, dict, dict, Optional[dict]]:
     """Returns (selection, delta by segment id, flows, prices or None)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from None
+    doc = _load(text)
     selection = selection_from_doc(_get(doc, "selection", dict, "$"))
     delta_doc = _get(doc, "delta", dict, "$", default={})
     delta = {}

@@ -7,12 +7,12 @@ without trusting any multiplier produced by the solvers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .core import BidSelection, Instance, PriceVector, PrimalSolution
+from .core import BidSelection, Instance, PriceVector
 from .cuts import curtailment_violations
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
 from .pricing import TIGHT_TOL, solve_fixflow, solve_qpprice

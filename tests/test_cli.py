@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +14,9 @@ from daclear.io import dump_document, serialize_instance
 
 from helpers import appendix_a, make_instance, block, f3, random_instance
 
-FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "appendix_a.json"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "fixtures" / "appendix_a.json"
+NO_PRICE_SUPPORT = ROOT / "fixtures" / "no_price_support.json"
 
 
 def _reject_constant(name):
@@ -78,6 +83,24 @@ class TestClear:
         assert doc["bound"] is None
         assert doc["gap"] is None
 
+    def test_heuristic_time_limit_writes_limit_document(self, capsys):
+        code, out = _run(capsys, "clear", "--instance", str(FIXTURE),
+                         "--mode", "heuristic", "--time-limit", "0")
+        assert code == 3
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["status"] == "limit"
+        assert doc["mode"] == "heuristic"
+        assert doc["welfare"] is None
+        assert doc["selection"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ("clear",), ("clear", "--mode", "heuristic"), ("oracle",),
+    ])
+    def test_no_price_support_exit_code(self, capsys, argv):
+        code, out = _run(capsys, argv[0], "--instance", str(NO_PRICE_SUPPORT), *argv[1:])
+        assert code == 2
+        assert out == ""
+
     def test_unbounded_limit_with_solution_is_strict_json(self):
         # an exact master stopped before its root, with a heuristic
         # solution in hand: bound = inf and gap = nan
@@ -129,6 +152,16 @@ class TestVerify:
         report = json.loads(out)
         assert report["pass"] is False
 
+    def test_nan_price_is_input_error(self, capsys, tmp_path):
+        code, out = _run(capsys, "clear", "--instance", str(FIXTURE))
+        doc = json.loads(out)
+        doc["prices"][0]["price"] = float("nan")
+        sol = _write(tmp_path, "sol.json", json.dumps(doc))
+        code, out = _run(capsys, "verify", "--instance", str(FIXTURE),
+                         "--solution", sol)
+        assert code == 4
+        assert out == ""
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -155,3 +188,17 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 5
     assert "phase-1" in err
+
+
+def test_python_m_daclear(capsys):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "daclear", "clear", "--instance", str(FIXTURE)],
+        capture_output=True, env=env, check=False,
+    )
+    code, out = _run(capsys, "clear", "--instance", str(FIXTURE))
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()

@@ -1,13 +1,21 @@
+from pathlib import Path
+
 import pytest
 
+from daclear import driver
 from daclear.core import welfare_of
 from daclear.driver import ClearOptions, clear_exact, clear_heuristic
+from daclear.errors import PriceInfeasible
+from daclear.io import parse_instance
+from daclear.master import MasterResult
 from daclear.verify import (
     check_bid_prices,
     check_filling,
     check_flow_price,
     oracle_clear,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 from helpers import (
     appendix_a,
@@ -116,3 +124,56 @@ class TestLimits:
         assert res.status in ("limit", "optimal")
         if res.status == "limit":
             assert res.bound >= res.welfare - 1e-9
+
+    def test_exact_limit_keeps_the_warm_up_result(self, monkeypatch):
+        # the warm-up heuristic finishes; the exact loop's master stops
+        real = driver.solve_master
+
+        def stopped(instance, cuts, incumbent=None, **kwargs):
+            if incumbent is None:
+                return real(instance, cuts, incumbent=incumbent, **kwargs)
+            return MasterResult(status="limit")
+
+        monkeypatch.setattr(driver, "solve_master", stopped)
+        inst = appendix_a()
+        res = clear_exact(inst)
+        warm = clear_heuristic(inst)
+        assert res.status == "limit"
+        assert res.solution == warm.solution
+        assert res.welfare == warm.welfare
+        assert res.prbs == warm.prbs == (("block", "a"),)
+
+    def test_heuristic_time_limit_zero(self):
+        res = clear_heuristic(appendix_a(), ClearOptions(time_limit=0.0))
+        assert res.status == "limit"
+        assert res.solution is None
+        assert res.prices is None
+
+
+def _fixture(name):
+    return parse_instance((FIXTURES / f"{name}.json").read_text())
+
+
+class TestCandidatesWithoutPrices:
+    def test_no_supported_selection_is_infeasible(self):
+        # no selection has a price in the interval, even with bid losses
+        inst = _fixture("no_price_support")
+        for res in (clear_exact(inst), clear_heuristic(inst)):
+            assert res.status == "infeasible"
+            assert res.solution is None
+            assert all(rec.cuts_added == 1 for rec in res.iterations)
+        with pytest.raises(PriceInfeasible):
+            oracle_clear(inst)
+
+    def test_exact_goes_on_when_relaxed_pricing_fails(self):
+        # one failed candidate has no price even with bid losses, so the
+        # record's loss sets stay empty and a no-good cut removes it
+        inst = _fixture("exact_log_pricing_fails")
+        res = clear_exact(inst)
+        assert res.status == "optimal"
+        assert res.welfare == pytest.approx(oracle_clear(inst).welfare, abs=1e-7)
+        assert check_filling(inst, res.solution.delta, res.prices).passed
+        assert check_flow_price(inst, res.solution.flows, res.prices).passed
+        assert check_bid_prices(inst, res.solution.selection, res.prices).passed
+        failed = [rec for rec in res.iterations if rec.cuts_added]
+        assert any(not rec.loss_blocks and not rec.loss_flex for rec in failed)

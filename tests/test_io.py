@@ -14,7 +14,7 @@ from daclear.driver import clear_exact
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "appendix_a.json"
 
-from helpers import appendix_a, f3, ramp_fixture, random_instance
+from helpers import appendix_a, f2, f3, ramp_fixture, random_instance
 
 
 class TestParseInstance:
@@ -35,6 +35,12 @@ class TestParseInstance:
         with pytest.raises(SchemaError) as exc:
             parse_instance(json.dumps(doc))
         assert "blocks[0]" in str(exc.value)
+
+    def test_infinite_flow_bound_is_rejected(self):
+        doc = json.loads(serialize_instance(f2()))
+        doc["interconnectors"][0]["upper"][0] = float("inf")
+        with pytest.raises(SchemaError):
+            parse_instance(json.dumps(doc))
 
     def test_round_trip_preserves_semantics(self):
         for seed in range(6):
