@@ -236,9 +236,6 @@ class Instance:
     def flex_by_id(self) -> dict[str, FlexBid]:
         return {f.id: f for f in self.flex_bids}
 
-    def curve(self, area: str, hour: int) -> NetCurve:
-        return self.curves[area, hour]
-
     def area_interval(self, area: str) -> PriceInterval:
         return self.area_intervals.get(area, self.interval)
 

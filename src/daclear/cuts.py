@@ -14,14 +14,11 @@ from .errors import EmptyLossSets
 
 LOSS_TOL = 1e-9
 
-# variable keys inside a cut: ("block", id) or ("flex", id, hour)
-BlockKey = tuple
-FlexKey = tuple
-
 
 @dataclass(frozen=True)
 class Cut:
-    coeffs: tuple[tuple[tuple, float], ...]  # (variable key, coefficient)
+    # (variable key, coefficient); a key is ("block", id) or ("flex", id, hour)
+    coeffs: tuple[tuple[tuple, float], ...]
     rhs: float
     kind: str = "bid-cut"  # bid-cut | no-good | curtailment
 

@@ -5,7 +5,9 @@ far, FixFlow picks the candidate's flows, and the mode's test either accepts
 the candidate with its strict prices or cuts it off. Heuristic mode cuts off
 the currently loss-making bid set; exact mode cuts off only the failed
 selection, so its final candidate is the welfare optimum among
-price-supportable selections.
+price-supportable selections. Exact mode first runs the heuristic and starts
+from its no-good cuts, the ones that hold in exact mode too; when the
+heuristic added no other cut, its answer is already exact.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Optional
 
 from .core import Instance, PriceVector, PrimalSolution, welfare_of
 from .cuts import (
+    Cut,
     CutPool,
     LossSets,
     bid_cut,
@@ -51,6 +54,7 @@ class ClearingResult:
     prbs: tuple = ()
     warnings: tuple[str, ...] = ()
     frontier: Optional[tuple] = None
+    cuts: tuple[Cut, ...] = ()  # the cut pool the clear ended with
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ def _exact_test(instance, solution, cuts):
     return sets, curt, pricing, int(failed and cuts.add(no_good_cut(instance, solution.selection)))
 
 
-def _finish(instance, mode, solution, pricing, bound, iterations):
+def _finish(instance, mode, solution, pricing, bound, iterations, cuts):
     from .verify import list_prbs
 
     prices, warnings = clamp_prices(pricing.prices, instance)
@@ -123,36 +127,36 @@ def _finish(instance, mode, solution, pricing, bound, iterations):
         iterations=tuple(iterations),
         prbs=tuple(list_prbs(instance, solution.selection, prices)),
         warnings=tuple(warnings),
+        cuts=tuple(cuts),
     )
 
 
-def _no_solution(status, mode, bound, iterations):
+def _no_solution(status, mode, bound, iterations, cuts):
     return ClearingResult(
         status=status, mode=mode, solution=None, prices=None,
         welfare=float("-inf"), bound=bound, gap=float("inf"),
-        iterations=tuple(iterations),
+        iterations=tuple(iterations), cuts=tuple(cuts),
     )
 
 
-def _cut_loop(instance, options, mode, deadline, warm=None, fallback=None):
-    """Master, FixFlow, the mode's test and a record per iteration, until
-    the test adds no cut. A limit returns ``fallback``'s solution, if any."""
+def _cut_loop(instance, options, mode, deadline, cuts, fallback=None):
+    """Master, FixFlow, the mode's test and a record per iteration, from
+    the pool ``cuts`` until the test adds no cut. A limit returns
+    ``fallback``'s solution, if any."""
     exact = mode == "exact"
     test = _exact_test if exact else _heuristic_test
     blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
     cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
-    cuts = CutPool()
     iterations = []
     bound = float("inf")  # the first master's bound
     while len(iterations) < cap:
         remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         master = solve_master(
             instance, cuts, abs_gap=options.abs_gap, time_limit=remaining,
-            incumbent=warm, presolve=options.presolve,
+            presolve=options.presolve,
         )
-        warm = None
         if master.status == "infeasible":
-            return _no_solution("infeasible", mode, bound, iterations)
+            return _no_solution("infeasible", mode, bound, iterations, cuts)
         if not iterations:
             bound = master.bound
         if master.status == "limit":
@@ -172,23 +176,36 @@ def _cut_loop(instance, options, mode, deadline, warm=None, fallback=None):
             # every selection exact mode excluded lacked loss-free prices,
             # so its final master objective is also the tight dual bound
             final = master.objective if exact else bound
-            return _finish(instance, mode, solution, pricing, final, iterations)
+            return _finish(instance, mode, solution, pricing, final, iterations, cuts)
     if exact:
         bound = master.bound
     if fallback is None or fallback.solution is None:
-        return _no_solution("limit", mode, bound, iterations)
+        return _no_solution("limit", mode, bound, iterations, cuts)
     return replace(
         fallback, status="limit", mode=mode, bound=bound,
         gap=_relative_gap(bound, fallback.welfare), iterations=tuple(iterations),
+        cuts=tuple(cuts),
     )
 
 
 def clear_heuristic(instance: Instance, options: ClearOptions = ClearOptions()) -> ClearingResult:
-    return _cut_loop(instance, options, "heuristic", _deadline(options))
+    return _cut_loop(instance, options, "heuristic", _deadline(options), CutPool())
 
 
 def clear_exact(instance: Instance, options: ClearOptions = ClearOptions()) -> ClearingResult:
     deadline = _deadline(options)
     heuristic = clear_heuristic(instance, options)
-    warm = heuristic.solution.selection if heuristic.solution is not None else None
-    return _cut_loop(instance, options, "exact", deadline, warm=warm, fallback=heuristic)
+    # a no-good cut removes one selection without loss-free prices, so it
+    # holds in exact mode too; bid and curtailment cuts do not
+    no_goods = [cut for cut in heuristic.cuts if cut.kind == "no-good"]
+    if heuristic.status != "limit" and len(no_goods) == len(heuristic.cuts):
+        # the heuristic's test then cut off what the exact test would have,
+        # so its masters were the exact loop's
+        if heuristic.solution is None:
+            return replace(heuristic, mode="exact")
+        final = heuristic.iterations[-1].master_objective
+        return replace(
+            heuristic, status="optimal", mode="exact", bound=final,
+            gap=_relative_gap(final, heuristic.welfare),
+        )
+    return _cut_loop(instance, options, "exact", deadline, CutPool(no_goods), fallback=heuristic)

@@ -29,6 +29,18 @@ from .errors import SchemaError
 _SENTINEL = object()
 
 
+def _number(val, path) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise SchemaError(path, "expected a number")
+    return float(val)
+
+
+def _numbers(obj, key, path) -> tuple[float, ...]:
+    return tuple(
+        _number(v, f"{path}.{key}[{j}]") for j, v in enumerate(_get(obj, key, list, path))
+    )
+
+
 def _get(obj, key, kind, path, default=_SENTINEL):
     if not isinstance(obj, dict):
         raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
@@ -38,9 +50,7 @@ def _get(obj, key, kind, path, default=_SENTINEL):
         raise SchemaError(f"{path}.{key}", "missing required field")
     val = obj[key]
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise SchemaError(f"{path}.{key}", "expected a number")
-        return float(val)
+        return _number(val, f"{path}.{key}")
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise SchemaError(f"{path}.{key}", "expected an integer")
@@ -108,6 +118,12 @@ def parse_instance(text: str) -> Instance:
         path = f"$.curves[{i}]"
         a = _get(entry, "area", str, path)
         t = _get(entry, "hour", int, path)
+        if a not in areas:
+            raise SchemaError(f"{path}.area", f"unknown area {a!r}")
+        if not 0 <= t < hours:
+            raise SchemaError(f"{path}.hour", f"hour {t} is outside 0..{hours - 1}")
+        if (a, t) in by_key:
+            raise SchemaError(path, f"repeated curve for area {a!r} hour {t}")
         by_key[a, t] = (_nodes(_get(entry, "nodes", list, path), f"{path}.nodes"), path)
     for a in areas:
         for t in range(hours):
@@ -129,24 +145,24 @@ def parse_instance(text: str) -> Instance:
     blocks = []
     for i, entry in enumerate(_get(doc, "blocks", list, "$", default=[])):
         path = f"$.blocks[{i}]"
-        qty = _get(entry, "quantities", list, path)
         blocks.append(
             BlockBid(
                 id=_get(entry, "id", str, path),
                 area=_get(entry, "area", str, path),
                 limit_price=_get(entry, "limit_price", float, path),
-                quantities=tuple(
-                    _get({"q": q}, "q", float, f"{path}.quantities[{j}]")
-                    for j, q in enumerate(qty)
-                ),
+                quantities=_numbers(entry, "quantities", path),
             )
         )
     links = []
     for i, entry in enumerate(_get(doc, "links", list, "$", default=[])):
         path = f"$.links[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError(path, "expected a [child, parent] pair")
-        links.append((str(entry[0]), str(entry[1])))
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not all(isinstance(v, str) for v in entry)
+        ):
+            raise SchemaError(path, "expected a [child, parent] pair of block ids")
+        links.append(tuple(entry))
     flex = []
     for i, entry in enumerate(_get(doc, "flex", list, "$", default=[])):
         path = f"$.flex[{i}]"
@@ -169,12 +185,8 @@ def parse_instance(text: str) -> Instance:
                 id=_get(entry, "id", str, path),
                 source=_get(entry, "source", str, path),
                 sink=_get(entry, "sink", str, path),
-                lower=tuple(
-                    float(v) for v in _get(entry, "lower", list, path)
-                ),
-                upper=tuple(
-                    float(v) for v in _get(entry, "upper", list, path)
-                ),
+                lower=_numbers(entry, "lower", path),
+                upper=_numbers(entry, "upper", path),
                 ramp_rate=ramp,
                 initial_flow=_get(entry, "initial_flow", float, path, default=0.0),
             )

@@ -138,7 +138,6 @@ def solve_master(
     cuts: Optional[CutPool] = None,
     abs_gap: float = 1e-9,
     time_limit: Optional[float] = None,
-    incumbent: Optional[BidSelection] = None,
     presolve: bool = True,
 ) -> MasterResult:
     cuts = cuts if cuts is not None else CutPool()
@@ -160,23 +159,6 @@ def solve_master(
 
     def solve_fixed(sel_lb, sel_ub, x0=None):
         return solve_qp(replace(prob, lb=sel_lb, ub=sel_ub), x0=x0)
-
-    if incumbent is not None:
-        pins = [(j, float(incumbent.blocks.get(bid, 0))) for bid, j in col_block.items()]
-        pins += [
-            (j, 1.0 if incumbent.flex.get(fid) == t else 0.0)
-            for (fid, t), j in col_flex.items()
-        ]
-        lbw = base_lb.copy()
-        ubw = base_ub.copy()
-        for j, v in pins:
-            lbw[j] = ubw[j] = v
-        ok = all(base_lb[j] - 1e-12 <= v <= base_ub[j] + 1e-12 for j, v in pins)
-        if ok and all(cut.satisfied(incumbent) for cut in cuts):
-            warm = solve_fixed(lbw, ubw)
-            if warm.status == "optimal":
-                best_obj = warm.objective
-                best_x = warm.x
 
     counter = 0
     root = (base_lb, base_ub, None)  # bounds and the parent's optimal x

@@ -14,7 +14,6 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    DualCertificate,
     Instance,
     PriceVector,
     PrimalSolution,
@@ -91,7 +90,6 @@ def solve_fixflow(instance: Instance, solution: PrimalSolution) -> PrimalSolutio
 class PricingOutcome:
     prices: PriceVector
     losses: Mapping[str, float]
-    certificate: DualCertificate
     total_loss: float
 
 
@@ -263,32 +261,9 @@ def solve_qpprice(
         f = instance.flex_by_id[fid]
         losses[fid] = max(0.0, -(f.limit_price - prices[f.area, t]) * f.quantity)
 
-    mu_upper, mu_lower, rho_fwd, rho_bwd = {}, {}, {}, {}
-    for c in instance.interconnectors:
-        for t in range(T):
-            mu_upper[c.id, t] = 0.0
-            mu_lower[c.id, t] = 0.0
-            rho_fwd[c.id, t] = 0.0
-            rho_bwd[c.id, t] = 0.0
-    for (cid, t, name), j in mult_col.items():
-        {"mu_upper": mu_upper, "mu_lower": mu_lower,
-         "rho_fwd": rho_fwd, "rho_bwd": rho_bwd}[name][cid, t] = float(s2.x[j])
-    v_upper, v_lower = {}, {}
-    for seg in instance.segments:
-        a, t = instance.segment_location[seg.id]
-        diff = seg.quantity_span * (
-            seg.price_at(solution.delta.get(seg.id, 0.0)) - prices[a, t]
-        )
-        v_upper[seg.id] = max(diff, 0.0)
-        v_lower[seg.id] = max(-diff, 0.0)
-    cert = DualCertificate(
-        mu_upper=mu_upper, mu_lower=mu_lower, rho_fwd=rho_fwd, rho_bwd=rho_bwd,
-        v_upper=v_upper, v_lower=v_lower,
-    )
     return PricingOutcome(
         prices=prices,
         losses=losses,
-        certificate=cert,
         total_loss=float(sum(losses.values())),
     )
 

@@ -178,6 +178,16 @@ class TestInputErrors:
         code, _ = _run(capsys, "clear", "--instance", path)
         assert code == 4
 
+    def test_non_numeric_flow_bound(self, capsys, tmp_path):
+        doc = json.loads(serialize_instance(f3()))
+        doc["interconnectors"][0]["upper"][0] = "x"
+        path = _write(tmp_path, "bad.json", json.dumps(doc))
+        code = run(["clear", "--instance", path])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "$.interconnectors[0].upper[0]" in captured.err
+
 
 def test_solver_failure_exit_code(capsys, monkeypatch):
     def stalled(*args, **kwargs):

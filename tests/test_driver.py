@@ -127,21 +127,27 @@ class TestLimits:
 
     def test_exact_limit_keeps_the_warm_up_result(self, monkeypatch):
         # the warm-up heuristic finishes; the exact loop's master stops
-        real = driver.solve_master
+        real_heuristic, real_master = driver.clear_heuristic, driver.solve_master
+        warmed = []
 
-        def stopped(instance, cuts, incumbent=None, **kwargs):
-            if incumbent is None:
-                return real(instance, cuts, incumbent=incumbent, **kwargs)
-            return MasterResult(status="limit")
+        def heuristic(*args, **kwargs):
+            res = real_heuristic(*args, **kwargs)
+            warmed.append(res)
+            return res
 
-        monkeypatch.setattr(driver, "solve_master", stopped)
+        def master(*args, **kwargs):
+            return MasterResult(status="limit") if warmed else real_master(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "clear_heuristic", heuristic)
+        monkeypatch.setattr(driver, "solve_master", master)
         inst = appendix_a()
         res = clear_exact(inst)
-        warm = clear_heuristic(inst)
+        [warm] = warmed
         assert res.status == "limit"
         assert res.solution == warm.solution
         assert res.welfare == warm.welfare
         assert res.prbs == warm.prbs == (("block", "a"),)
+        assert res.iterations == ()
 
     def test_heuristic_time_limit_zero(self):
         res = clear_heuristic(appendix_a(), ClearOptions(time_limit=0.0))
@@ -152,6 +158,43 @@ class TestLimits:
 
 def _fixture(name):
     return parse_instance((FIXTURES / f"{name}.json").read_text())
+
+
+def _count_masters(monkeypatch):
+    calls = []
+    real = driver.solve_master
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_master", counted)
+    return calls
+
+
+class TestWarmUpCuts:
+    def test_exact_reuses_the_warm_up_no_good_cuts(self, monkeypatch):
+        # the heuristic proves all 12 cut selections price-infeasible; exact
+        # mode keeps those cuts instead of proposing the same selections again
+        calls = _count_masters(monkeypatch)
+        res = clear_exact(_fixture("no_price_support"))
+        assert res.status == "infeasible"
+        assert len(calls) == 13
+
+    def test_warm_up_without_cuts_is_exact(self, monkeypatch):
+        calls = _count_masters(monkeypatch)
+        res = clear_exact(f3())
+        assert res.status == "optimal"
+        assert res.bound == res.iterations[-1].master_objective
+        assert len(calls) == 1
+
+    def test_exact_cuts_are_no_good_cuts(self):
+        # appendix A's warm-up ends with a bid cut, which exact mode drops
+        assert {cut.kind for cut in clear_heuristic(appendix_a()).cuts} == {"bid-cut"}
+        for inst in (appendix_a(), _fixture("no_price_support"), _fixture("exact_log_pricing_fails")):
+            res = clear_exact(inst)
+            assert res.cuts
+            assert all(cut.kind == "no-good" for cut in res.cuts)
 
 
 class TestCandidatesWithoutPrices:

@@ -42,6 +42,40 @@ class TestParseInstance:
         with pytest.raises(SchemaError):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("entry", ["x", None, "-1", True])
+    def test_flow_bound_entry_must_be_a_number(self, side, entry):
+        doc = json.loads(serialize_instance(f2()))
+        doc["interconnectors"][0][side][0] = entry
+        with pytest.raises(SchemaError) as exc:
+            parse_instance(json.dumps(doc))
+        assert f"$.interconnectors[0].{side}[0]" in str(exc.value)
+
+    @pytest.mark.parametrize("pair", [["a", 7], [None, "a"], ["a", ["b"]]])
+    def test_link_entries_must_be_block_ids(self, pair):
+        doc = json.loads(FIXTURE.read_text())
+        doc["links"] = [pair]
+        with pytest.raises(SchemaError) as exc:
+            parse_instance(json.dumps(doc))
+        assert "$.links[0]" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "extra, where",
+        [
+            ({"area": "Y", "hour": 0}, "$.curves[1].area"),
+            ({"area": "X", "hour": 1}, "$.curves[1].hour"),
+            ({"area": "X", "hour": -1}, "$.curves[1].hour"),
+            ({"area": "X", "hour": 0}, "$.curves[1]"),
+        ],
+        ids=["unknown-area", "hour-past-end", "negative-hour", "repeated"],
+    )
+    def test_stray_curve_entry_is_rejected(self, extra, where):
+        doc = json.loads(FIXTURE.read_text())
+        doc["curves"].append({**extra, "nodes": [[0.0, 1.0], [5.0, 1.0]]})
+        with pytest.raises(SchemaError) as exc:
+            parse_instance(json.dumps(doc))
+        assert where in str(exc.value)
+
     def test_round_trip_preserves_semantics(self):
         for seed in range(6):
             inst = random_instance(seed)

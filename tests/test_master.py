@@ -54,12 +54,6 @@ class TestBranching:
         # the cheaper-supply hour wins
         assert res.solution.selection.flex.get("f") == 0
 
-    def test_incumbent_warm_start_matches(self):
-        inst = appendix_a()
-        cold = solve_master(inst)
-        warm = solve_master(inst, incumbent=cold.solution.selection)
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-
     def test_matches_relaxation_enumeration(self):
         from daclear.errors import InfeasibleSelection
         from daclear.verify import _all_selections
