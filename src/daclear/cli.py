@@ -108,6 +108,9 @@ def _cmd_verify(args) -> int:
     solution = PrimalSolution(selection=selection, delta=delta, flows=flows)
     if price_map is None:
         raise SchemaError("$.prices", "verification needs prices")
+    for key in ((a, t) for a in instance.areas for t in range(instance.hours)):
+        if key not in price_map:
+            raise SchemaError("$.prices", f"no price for area {key[0]!r}, hour {key[1]}")
     prices = PriceVector(pi=price_map)
 
     residuals = clearing_residuals(instance, solution)
@@ -152,6 +155,16 @@ def _report_doc(report) -> dict:
     }
 
 
+def _non_negative(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daclear",
@@ -162,15 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_clear = sub.add_parser("clear", help="clear an instance")
     p_clear.add_argument("--instance", required=True)
     p_clear.add_argument("--mode", choices=("heuristic", "exact"), default="exact")
-    p_clear.add_argument("--time-limit", type=float, default=None)
-    p_clear.add_argument("--abs-gap", type=float, default=1e-9)
+    p_clear.add_argument("--time-limit", type=_non_negative, default=None)
+    p_clear.add_argument("--abs-gap", type=_non_negative, default=1e-9)
     p_clear.add_argument("--out", default=None)
     p_clear.set_defaults(func=_cmd_clear)
 
     p_verify = sub.add_parser("verify", help="check a solution document")
     p_verify.add_argument("--instance", required=True)
     p_verify.add_argument("--solution", required=True)
-    p_verify.add_argument("--tol", type=float, default=1e-6)
+    p_verify.add_argument("--tol", type=_non_negative, default=1e-6)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 

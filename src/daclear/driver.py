@@ -1,24 +1,21 @@
 """Clearing orchestration.
 
-Both modes run one cut loop: the master maximizes welfare under the cuts so
-far, FixFlow picks the candidate's flows, and the mode's test either accepts
-the candidate with its strict prices or cuts it off. Heuristic mode cuts off
-the currently loss-making bid set; exact mode cuts off only the failed
-selection, so its final candidate is the welfare optimum among
-price-supportable selections. Exact mode first runs the heuristic and starts
-from its no-good cuts, the ones that hold in exact mode too; when the
-heuristic added no other cut, its answer is already exact.
+Each clear runs one branch-and-cut tree (``solve_master``) and supplies
+only its mode's test: at each integral leaf that is the master optimum
+under the cuts so far, FixFlow picks the candidate's flows, and the test
+either accepts the candidate with its strict prices or cuts it off.
+Heuristic mode cuts off the currently loss-making bid set; exact mode cuts
+off only the failed selection, so its accepted leaf is the welfare optimum
+among price-supportable selections.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import Instance, PriceVector, PrimalSolution, welfare_of
 from .cuts import (
-    Cut,
     CutPool,
     LossSets,
     bid_cut,
@@ -54,7 +51,6 @@ class ClearingResult:
     prbs: tuple = ()
     warnings: tuple[str, ...] = ()
     frontier: Optional[tuple] = None
-    cuts: tuple[Cut, ...] = ()  # the cut pool the clear ended with
 
 
 @dataclass(frozen=True)
@@ -66,12 +62,6 @@ class ClearOptions:
 
 def _relative_gap(bound: float, welfare: float) -> float:
     return max(0.0, bound - welfare) / max(1.0, abs(bound))
-
-
-def _deadline(options: ClearOptions) -> Optional[float]:
-    if options.time_limit is None:
-        return None
-    return time.monotonic() + options.time_limit
 
 
 def _price(instance, solution, relax_losses):
@@ -111,7 +101,7 @@ def _exact_test(instance, solution, cuts):
     return sets, curt, pricing, int(failed and cuts.add(no_good_cut(instance, solution.selection)))
 
 
-def _finish(instance, mode, solution, pricing, bound, iterations, cuts):
+def _finish(instance, mode, solution, pricing, bound, iterations):
     from .verify import list_prbs
 
     prices, warnings = clamp_prices(pricing.prices, instance)
@@ -127,85 +117,66 @@ def _finish(instance, mode, solution, pricing, bound, iterations, cuts):
         iterations=tuple(iterations),
         prbs=tuple(list_prbs(instance, solution.selection, prices)),
         warnings=tuple(warnings),
-        cuts=tuple(cuts),
     )
 
 
-def _no_solution(status, mode, bound, iterations, cuts):
+def _no_solution(status, mode, bound, iterations):
     return ClearingResult(
         status=status, mode=mode, solution=None, prices=None,
         welfare=float("-inf"), bound=bound, gap=float("inf"),
-        iterations=tuple(iterations), cuts=tuple(cuts),
+        iterations=tuple(iterations),
     )
 
 
-def _cut_loop(instance, options, mode, deadline, cuts, fallback=None):
-    """Master, FixFlow, the mode's test and a record per iteration, from
-    the pool ``cuts`` until the test adds no cut. A limit returns
-    ``fallback``'s solution, if any."""
+def _branch_and_cut(instance, options, mode):
+    """One master tree whose leaf test runs FixFlow and the mode's test and
+    records each tested leaf.  Heuristic mode stops after
+    10 x (blocks + flex) failed tests."""
     exact = mode == "exact"
     test = _exact_test if exact else _heuristic_test
     blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
     cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
+    cuts = CutPool()
     iterations = []
-    bound = float("inf")  # the first master's bound
-    while len(iterations) < cap:
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-        master = solve_master(
-            instance, cuts, abs_gap=options.abs_gap, time_limit=remaining,
-            presolve=options.presolve,
-        )
-        if master.status == "infeasible":
-            return _no_solution("infeasible", mode, bound, iterations, cuts)
-        if not iterations:
-            bound = master.bound
-        if master.status == "limit":
-            break
-        solution = solve_fixflow(instance, master.solution)
+    tested = []  # (leaf, FixFlow solution, pricing) per tested leaf
+
+    def leaf_test(leaf):
+        before = len(cuts)
+        solution = solve_fixflow(instance, leaf.solution)
         sets, curt, pricing, added = test(instance, solution, cuts)
+        tested.append((leaf, solution, pricing))
         iterations.append(
             IterationRecord(
-                master_objective=master.objective,
+                master_objective=leaf.objective,
                 loss_blocks=sets.blocks,
                 loss_flex=sets.flex,
                 curtailment_areas=tuple(sorted(curt)),
                 cuts_added=added,
             )
         )
-        if not added:
-            # every selection exact mode excluded lacked loss-free prices,
-            # so its final master objective is also the tight dual bound
-            final = master.objective if exact else bound
-            return _finish(instance, mode, solution, pricing, final, iterations, cuts)
-    if exact:
-        bound = master.bound
-    if fallback is None or fallback.solution is None:
-        return _no_solution("limit", mode, bound, iterations, cuts)
-    return replace(
-        fallback, status="limit", mode=mode, bound=bound,
-        gap=_relative_gap(bound, fallback.welfare), iterations=tuple(iterations),
-        cuts=tuple(cuts),
+        if added and len(iterations) >= cap:
+            return None
+        return cuts.cuts[before:]
+
+    master = solve_master(
+        instance, leaf_test, abs_gap=options.abs_gap, time_limit=options.time_limit,
+        presolve=options.presolve,
     )
+    bound = tested[0][0].bound if tested else float("inf")  # the cut-free master's
+    if master.status == "optimal":
+        _, solution, pricing = tested[-1]
+        # every selection exact mode excluded lacked loss-free prices,
+        # so the accepted leaf's objective is also the tight dual bound
+        final = master.objective if exact else bound
+        return _finish(instance, mode, solution, pricing, final, iterations)
+    if exact and master.status == "limit":
+        bound = master.bound
+    return _no_solution(master.status, mode, bound, iterations)
 
 
 def clear_heuristic(instance: Instance, options: ClearOptions = ClearOptions()) -> ClearingResult:
-    return _cut_loop(instance, options, "heuristic", _deadline(options), CutPool())
+    return _branch_and_cut(instance, options, "heuristic")
 
 
 def clear_exact(instance: Instance, options: ClearOptions = ClearOptions()) -> ClearingResult:
-    deadline = _deadline(options)
-    heuristic = clear_heuristic(instance, options)
-    # a no-good cut removes one selection without loss-free prices, so it
-    # holds in exact mode too; bid and curtailment cuts do not
-    no_goods = [cut for cut in heuristic.cuts if cut.kind == "no-good"]
-    if heuristic.status != "limit" and len(no_goods) == len(heuristic.cuts):
-        # the heuristic's test then cut off what the exact test would have,
-        # so its masters were the exact loop's
-        if heuristic.solution is None:
-            return replace(heuristic, mode="exact")
-        final = heuristic.iterations[-1].master_objective
-        return replace(
-            heuristic, status="optimal", mode="exact", bound=final,
-            gap=_relative_gap(final, heuristic.welfare),
-        )
-    return _cut_loop(instance, options, "exact", deadline, CutPool(no_goods), fallback=heuristic)
+    return _branch_and_cut(instance, options, "exact")

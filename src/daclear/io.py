@@ -351,7 +351,7 @@ def parse_solution(text: str) -> tuple[BidSelection, dict, dict, Optional[dict]]
         flows[
             _get(entry, "interconnector", str, path), _get(entry, "hour", int, path)
         ] = _get(entry, "flow", float, path)
-    prices_doc = doc.get("prices")
+    prices_doc = _get(doc, "prices", list, "$", default=None)
     prices = None
     if prices_doc is not None:
         prices = {}

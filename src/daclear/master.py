@@ -1,9 +1,12 @@
 """Cut-constrained welfare maximization over binary bid executions.
 
-Branch-and-bound on the block and flex execution variables; every node is
-a concave QP (binaries relaxed to [0,1]) solved by the active-set engine.
-Price conditions are absent here by design: cuts supplied by the caller
-are the only coupling to pricing.
+One best-first branch-and-cut tree on the block and flex execution
+variables; every node is a concave QP (binaries relaxed to [0,1]) solved by
+the active-set engine.  Price conditions are absent here by design: the
+caller's leaf test is the only coupling to pricing.  The test sees each
+integral leaf that is the master optimum under the cuts so far, and either
+accepts it or returns cuts, which become rows of the one QP while the
+search goes on (Padberg and Rinaldi, 1991).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .core import (
     PrimalSolution,
     presolve_price_bounds,
 )
-from .cuts import CutPool
+from .cuts import Cut
 from .model import build_model
 from .qp import QpProblem, solve_qp
 
@@ -37,9 +40,9 @@ class MasterResult:
     nodes: int = 0
 
 
-def _assemble(instance: Instance, cuts: CutPool):
+def _assemble(instance: Instance):
     """The clearing model with a column per block and per flex (bid, hour),
-    and the link, flex-once and cut rows over those columns."""
+    and the link and flex-once rows over those columns."""
     model = build_model(instance)
     n_cont = model.n
     hours = range(instance.hours)
@@ -82,20 +85,22 @@ def _assemble(instance: Instance, cuts: CutPool):
             row[col_flex[f.id, t]] = 1.0
         in_rows.append(row)
         in_rhs.append(1.0)
-    for cut in cuts:
-        row = np.zeros(n)
-        for key, coef in cut.coeffs:
-            if key[0] == "block":
-                row[col_block[key[1]]] += coef
-            else:
-                row[col_flex[key[1], key[2]]] += coef
-        in_rows.append(row)
-        in_rhs.append(cut.rhs)
 
     A_in = np.array(in_rows).reshape(-1, n)
     b_in = np.array(in_rhs)
     prob = QpProblem(c=c, d=d, A_eq=A_eq, b_eq=model.b_eq, A_in=A_in, b_in=b_in, lb=lb, ub=ub)
     return prob, model, col_block, col_flex
+
+
+def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], col_block, col_flex) -> QpProblem:
+    """``prob`` with one more inequality row per cut."""
+    rows = np.zeros((len(cuts), prob.n))
+    for row, cut in zip(rows, cuts):
+        for key, coef in cut.coeffs:
+            j = col_block[key[1]] if key[0] == "block" else col_flex[key[1], key[2]]
+            row[j] += coef
+    b_in = np.append(prob.b_in, [cut.rhs for cut in cuts])
+    return replace(prob, A_in=np.vstack([prob.A_in, rows]), b_in=b_in)
 
 
 def _presolve_fixings(instance: Instance) -> dict:
@@ -135,13 +140,20 @@ def _selection_from_x(instance: Instance, x, col_block, col_flex) -> BidSelectio
 
 def solve_master(
     instance: Instance,
-    cuts: Optional[CutPool] = None,
+    test: Optional[Callable[[MasterResult], Optional[Sequence[Cut]]]] = None,
     abs_gap: float = 1e-9,
     time_limit: Optional[float] = None,
     presolve: bool = True,
 ) -> MasterResult:
-    cuts = cuts if cuts is not None else CutPool()
-    prob, model, col_block, col_flex = _assemble(instance, cuts)
+    """Best-first branch-and-cut.  An integral leaf, re-solved with its
+    binaries pinned, goes back on the heap keyed by its objective plus
+    ``abs_gap``; when it reaches the top it is the master optimum under the
+    cuts so far, and ``test`` gets it as an optimal ``MasterResult``.  The
+    test returns no cuts to accept the leaf, cuts that reject it (they
+    become rows and the leaf's node is solved again under them), or None to
+    stop the search with status ``limit``.  Without a test the first such
+    leaf is returned."""
+    prob, model, col_block, col_flex = _assemble(instance)
     bin_cols = list(range(model.n, prob.n))
     deadline = time.monotonic() + time_limit if time_limit is not None else None
 
@@ -152,39 +164,54 @@ def solve_master(
             j = col_block[key[1]] if key[0] == "block" else col_flex[key[1], key[2]]
             base_lb[j] = base_ub[j] = val
 
-    best_obj = float("-inf")
-    best_x = None
-    closed_bound = float("-inf")  # largest bound among gap-pruned nodes
+    cuts: list[Cut] = []
     nodes = 0
-
-    def solve_fixed(sel_lb, sel_ub, x0=None):
-        return solve_qp(replace(prob, lb=sel_lb, ub=sel_ub), x0=x0)
-
     counter = 0
-    root = (base_lb, base_ub, None)  # bounds and the parent's optimal x
     heap = []
 
-    def push(bound, node):
+    def push(bound, node, leaf=None):
+        # a leaf wins ties against the nodes its gap prunes
         nonlocal counter
         counter += 1
-        heapq.heappush(heap, (-bound, counter, node))
+        key = bound if leaf is None else bound + abs_gap
+        heapq.heappush(heap, (-key, leaf is None, counter, bound, node, leaf))
 
-    push(float("inf"), root)
-    status = "optimal"
+    def result(status, leaf=None, objective=float("-inf")):
+        bound = max([objective] + [entry[3] for entry in heap])
+        if leaf is None:
+            return MasterResult(status=status, bound=bound, nodes=nodes)
+        selection, x = leaf
+        return MasterResult(
+            status=status,
+            solution=PrimalSolution(
+                selection=selection,
+                delta={sid: float(x[j]) for sid, j in model.seg_col.items()},
+                flows={key: float(x[j]) for key, j in model.flow_col.items()},
+            ),
+            objective=objective, bound=bound, nodes=nodes,
+        )
+
+    push(float("inf"), (base_lb, base_ub, None))  # bounds and a start x
     while heap:
         if deadline is not None and time.monotonic() > deadline:
-            status = "limit"
-            break
-        neg_bound, _, (node_lb, node_ub, node_x0) = heapq.heappop(heap)
-        if -neg_bound <= best_obj + abs_gap:
-            closed_bound = max(closed_bound, -neg_bound)
+            return result("limit")
+        _, _, _, bound, (node_lb, node_ub, node_x0), leaf = heapq.heappop(heap)
+        if leaf is not None and all(cut.satisfied(leaf[0]) for cut in cuts):
+            # the master optimum under the cuts so far
+            found = result("optimal", leaf, bound)
+            verdict = () if test is None else test(found)
+            if verdict is not None and not verdict:
+                return found
+            push(bound, (node_lb, node_ub, node_x0))  # solved again under the new cuts
+            if verdict is None:
+                return result("limit")
+            cuts.extend(verdict)
+            prob = _with_cuts(prob, verdict, col_block, col_flex)
             continue
-        sol = solve_fixed(node_lb, node_ub, x0=node_x0)
+        # a node, or a leaf that a later cut removed
+        sol = solve_qp(replace(prob, lb=node_lb, ub=node_ub), x0=node_x0)
         nodes += 1
         if sol.status != "optimal":
-            continue
-        if sol.objective <= best_obj + abs_gap:
-            closed_bound = max(closed_bound, sol.objective)
             continue
         frac = [
             (abs(sol.x[j] - round(sol.x[j])), j)
@@ -198,10 +225,10 @@ def solve_master(
             leaf_ub = node_ub.copy()
             for j in bin_cols:
                 leaf_lb[j] = leaf_ub[j] = round(sol.x[j])
-            exact = solve_fixed(leaf_lb, leaf_ub, x0=sol.x)
-            if exact.status == "optimal" and exact.objective > best_obj:
-                best_obj = exact.objective
-                best_x = exact.x
+            exact = solve_qp(replace(prob, lb=leaf_lb, ub=leaf_ub), x0=sol.x)
+            if exact.status == "optimal":
+                selection = _selection_from_x(instance, exact.x, col_block, col_flex)
+                push(exact.objective, (node_lb, node_ub, sol.x), (selection, exact.x))
             continue
         # branch on the most fractional binary, lowest column on ties
         j_star = min(
@@ -212,27 +239,4 @@ def solve_master(
             child_ub = node_ub.copy()
             child_lb[j_star] = child_ub[j_star] = fixed_val
             push(sol.objective, (child_lb, child_ub, sol.x))
-
-    if status == "limit":
-        open_bound = max((-nb for nb, _, _ in heap), default=float("-inf"))
-        bound = max(best_obj, closed_bound, open_bound)
-    else:
-        bound = max(best_obj, closed_bound)
-    if best_x is None:
-        return MasterResult(
-            status="infeasible" if status == "optimal" else status,
-            objective=float("-inf"),
-            bound=bound,
-            nodes=nodes,
-        )
-    selection = _selection_from_x(instance, best_x, col_block, col_flex)
-    delta = {sid: float(best_x[j]) for sid, j in model.seg_col.items()}
-    flows = {key: float(best_x[j]) for key, j in model.flow_col.items()}
-    return MasterResult(
-        status=status,
-        solution=PrimalSolution(selection=selection, delta=delta, flows=flows),
-        objective=best_obj,
-        bound=bound,
-        nodes=nodes,
-    )
-
+    return result("infeasible")

@@ -4,7 +4,10 @@ Each test prints a single PASS line when its criterion holds (run with
 pytest -s to see them).
 """
 
+import json
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,15 +36,14 @@ from daclear.verify import (
 from helpers import appendix_a, diamond, f3, ramp_fixture, random_instance
 
 SUITE_SIZE = 200
+SUITE_EXPECTED = Path(__file__).resolve().parent / "data" / "suite_expected.json"
 
 
 def _ok(n, text):
     print(f"ACCEPTANCE {n}: PASS - {text}")
 
 
-@pytest.fixture(scope="module")
-def suite():
-    """Shared 200-instance randomized run used by criteria 3, 4 and 10."""
+def _run_suite():
     t0 = time.monotonic()
     rows = []
     for seed in range(SUITE_SIZE):
@@ -55,6 +57,51 @@ def suite():
             }
         )
     return rows, time.monotonic() - t0
+
+
+@pytest.fixture(scope="module")
+def suite():
+    """Shared 200-instance randomized run used by criteria 3, 4 and 10 and
+    by the recorded-outcome check."""
+    return _run_suite()
+
+
+def _outcome(result):
+    """Status, executed bids and welfare of one clear, as JSON data."""
+    sel = None if result.solution is None else result.solution.selection
+    return {
+        "status": result.status,
+        "blocks": None if sel is None else sel.executed_blocks(),
+        "flex": None if sel is None else [list(x) for x in sel.executed_flex()],
+        "welfare": result.welfare if math.isfinite(result.welfare) else None,
+    }
+
+
+def _suite_outcomes(rows):
+    return [
+        {"seed": seed, "exact": _outcome(row["exact"]), "heuristic": _outcome(row["heuristic"])}
+        for seed, row in enumerate(rows)
+    ]
+
+
+def test_suite_matches_recorded_outcomes(suite):
+    """Both modes reproduce the recorded statuses and selections exactly,
+    and the recorded welfare within 1e-9, on every suite seed."""
+    rows, _ = suite
+    expected = json.loads(SUITE_EXPECTED.read_text())
+    observed = _suite_outcomes(rows)
+    assert len(observed) == len(expected)
+    for got, want in zip(observed, expected):
+        for mode in ("exact", "heuristic"):
+            g, w = got[mode], want[mode]
+            context = (got["seed"], mode)
+            assert (g["status"], g["blocks"], g["flex"]) == (
+                w["status"], w["blocks"], w["flex"]
+            ), context
+            if w["welfare"] is None:
+                assert g["welfare"] is None, context
+            else:
+                assert g["welfare"] == pytest.approx(w["welfare"], abs=1e-9), context
 
 
 def test_criterion_1_golden_fixture():
@@ -275,3 +322,10 @@ def test_criterion_10_presolve_soundness(suite):
             assert e.welfare == pytest.approx(plain.welfare, abs=1e-7)
             fixings_checked += 1
     _ok(10, f"bounds contain oracle prices, {fixings_checked} fixing checks clean")
+
+
+if __name__ == "__main__":
+    # rewrite the recorded suite outcomes: PYTHONPATH=src python tests/test_acceptance.py
+    SUITE_EXPECTED.parent.mkdir(exist_ok=True)
+    lines = [json.dumps(entry) for entry in _suite_outcomes(_run_suite()[0])]
+    SUITE_EXPECTED.write_text("[\n" + ",\n".join(lines) + "\n]\n")

@@ -93,6 +93,18 @@ class TestClear:
         assert doc["welfare"] is None
         assert doc["selection"] is None
 
+    def test_exact_time_limit_writes_limit_document(self, capsys):
+        # an exact limit result carries no solution, as a heuristic one does
+        code, out = _run(capsys, "clear", "--instance", str(FIXTURE),
+                         "--mode", "exact", "--time-limit", "0")
+        assert code == 3
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["status"] == "limit"
+        assert doc["mode"] == "exact"
+        assert doc["welfare"] is None
+        assert doc["gap"] is None
+        assert doc["selection"] is None
+
     @pytest.mark.parametrize("argv", [
         ("clear",), ("clear", "--mode", "heuristic"), ("oracle",),
     ])
@@ -102,8 +114,8 @@ class TestClear:
         assert out == ""
 
     def test_unbounded_limit_with_solution_is_strict_json(self):
-        # an exact master stopped before its root, with a heuristic
-        # solution in hand: bound = inf and gap = nan
+        # a result with a solution but no finite bound or gap: both are
+        # written as null
         inst = appendix_a()
         result = replace(clear_heuristic(inst), status="limit",
                          bound=float("inf"), gap=float("nan"))
@@ -163,6 +175,28 @@ class TestVerify:
         assert out == ""
 
 
+    def _verify_prices(self, capsys, tmp_path, prices):
+        code, out = _run(capsys, "clear", "--instance", str(FIXTURE))
+        doc = json.loads(out)
+        doc["prices"] = prices
+        sol = _write(tmp_path, "sol.json", json.dumps(doc))
+        code = run(["verify", "--instance", str(FIXTURE), "--solution", sol])
+        return code, capsys.readouterr()
+
+    def test_missing_price_is_input_error(self, capsys, tmp_path):
+        code, captured = self._verify_prices(capsys, tmp_path, [])
+        assert code == 4
+        assert captured.out == ""
+        assert "$.prices" in captured.err
+        assert "'X', hour 0" in captured.err
+
+    def test_prices_must_be_a_list(self, capsys, tmp_path):
+        code, captured = self._verify_prices(capsys, tmp_path, 5)
+        assert code == 4
+        assert captured.out == ""
+        assert "$.prices" in captured.err
+
+
 class TestInputErrors:
     def test_missing_file(self, capsys):
         code, _ = _run(capsys, "clear", "--instance", "/nonexistent.json")
@@ -177,6 +211,25 @@ class TestInputErrors:
         path = _write(tmp_path, "bad.json", json.dumps({"hours": 1}))
         code, _ = _run(capsys, "clear", "--instance", path)
         assert code == 4
+
+    @pytest.mark.parametrize("option", ["--abs-gap", "--time-limit"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "x"])
+    def test_option_must_be_finite_and_non_negative(self, capsys, option, value):
+        code = run(["clear", "--instance", str(FIXTURE), f"{option}={value}"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert option in captured.err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_verify_tol_must_be_finite_and_non_negative(self, capsys, value):
+        # with --tol inf every check passes, whatever the prices
+        code = run(["verify", "--instance", str(FIXTURE), "--solution", str(FIXTURE),
+                    f"--tol={value}"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "--tol" in captured.err
 
     def test_non_numeric_flow_bound(self, capsys, tmp_path):
         doc = json.loads(serialize_instance(f3()))

@@ -7,7 +7,6 @@ from daclear.core import welfare_of
 from daclear.driver import ClearOptions, clear_exact, clear_heuristic
 from daclear.errors import PriceInfeasible
 from daclear.io import parse_instance
-from daclear.master import MasterResult
 from daclear.verify import (
     check_bid_prices,
     check_filling,
@@ -125,29 +124,12 @@ class TestLimits:
         if res.status == "limit":
             assert res.bound >= res.welfare - 1e-9
 
-    def test_exact_limit_keeps_the_warm_up_result(self, monkeypatch):
-        # the warm-up heuristic finishes; the exact loop's master stops
-        real_heuristic, real_master = driver.clear_heuristic, driver.solve_master
-        warmed = []
-
-        def heuristic(*args, **kwargs):
-            res = real_heuristic(*args, **kwargs)
-            warmed.append(res)
-            return res
-
-        def master(*args, **kwargs):
-            return MasterResult(status="limit") if warmed else real_master(*args, **kwargs)
-
-        monkeypatch.setattr(driver, "clear_heuristic", heuristic)
-        monkeypatch.setattr(driver, "solve_master", master)
-        inst = appendix_a()
-        res = clear_exact(inst)
-        [warm] = warmed
+    def test_exact_time_limit_zero_has_no_solution(self):
+        res = clear_exact(appendix_a(), ClearOptions(time_limit=0.0))
         assert res.status == "limit"
-        assert res.solution == warm.solution
-        assert res.welfare == warm.welfare
-        assert res.prbs == warm.prbs == (("block", "a"),)
-        assert res.iterations == ()
+        assert res.solution is None
+        assert res.prices is None
+        assert res.gap == float("inf")
 
     def test_heuristic_time_limit_zero(self):
         res = clear_heuristic(appendix_a(), ClearOptions(time_limit=0.0))
@@ -160,41 +142,47 @@ def _fixture(name):
     return parse_instance((FIXTURES / f"{name}.json").read_text())
 
 
-def _count_masters(monkeypatch):
+def _count(monkeypatch, name):
     calls = []
-    real = driver.solve_master
+    real = getattr(driver, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(driver, "solve_master", counted)
+    monkeypatch.setattr(driver, name, counted)
     return calls
 
 
-class TestWarmUpCuts:
-    def test_exact_reuses_the_warm_up_no_good_cuts(self, monkeypatch):
-        # the heuristic proves all 12 cut selections price-infeasible; exact
-        # mode keeps those cuts instead of proposing the same selections again
-        calls = _count_masters(monkeypatch)
-        res = clear_exact(_fixture("no_price_support"))
-        assert res.status == "infeasible"
-        assert len(calls) == 13
+class TestOneTree:
+    def test_no_price_support_in_one_master_call(self, monkeypatch):
+        # every tested leaf gets a no-good cut inside the one tree
+        inst = _fixture("no_price_support")
+        for clear in (clear_exact, clear_heuristic):
+            calls = _count(monkeypatch, "solve_master")
+            res = clear(inst)
+            assert res.status == "infeasible"
+            assert len(res.iterations) == 12
+            assert len(calls) == 1
 
-    def test_warm_up_without_cuts_is_exact(self, monkeypatch):
-        calls = _count_masters(monkeypatch)
+    def test_appendix_a_in_one_master_call(self, monkeypatch):
+        for clear in (clear_exact, clear_heuristic):
+            calls = _count(monkeypatch, "solve_master")
+            res = clear(appendix_a())
+            assert res.welfare == pytest.approx(2.0, abs=1e-9)
+            assert [rec.master_objective for rec in res.iterations] == pytest.approx([3.0, 2.0])
+            assert len(calls) == 1
+
+    def test_exact_runs_no_heuristic(self, monkeypatch):
+        calls = _count(monkeypatch, "clear_heuristic")
+        for inst in (appendix_a(), f3(), _fixture("no_price_support")):
+            clear_exact(inst)
+        assert calls == []
+
+    def test_exact_bound_is_the_accepted_leaf(self):
         res = clear_exact(f3())
         assert res.status == "optimal"
         assert res.bound == res.iterations[-1].master_objective
-        assert len(calls) == 1
-
-    def test_exact_cuts_are_no_good_cuts(self):
-        # appendix A's warm-up ends with a bid cut, which exact mode drops
-        assert {cut.kind for cut in clear_heuristic(appendix_a()).cuts} == {"bid-cut"}
-        for inst in (appendix_a(), _fixture("no_price_support"), _fixture("exact_log_pricing_fails")):
-            res = clear_exact(inst)
-            assert res.cuts
-            assert all(cut.kind == "no-good" for cut in res.cuts)
 
 
 class TestCandidatesWithoutPrices:

@@ -1,6 +1,6 @@
 import pytest
 
-from daclear.cuts import Cut, CutPool, no_good_cut
+from daclear.cuts import no_good_cut
 from daclear.master import solve_master
 from daclear.relaxation import solve_relaxation
 
@@ -16,13 +16,26 @@ class TestApppendixA:
         assert res.solution.selection.blocks == {"a": 1, "b": 1, "c": 1, "d": 1}
 
     def test_respects_no_good_cut(self):
+        # the test rejects the four-block leaf; the same tree goes on to {c, d}
         inst = appendix_a()
-        pool = CutPool()
-        full = res = solve_master(inst).solution.selection
-        pool.add(no_good_cut(inst, full, kind="no-good"))
-        res = solve_master(inst, cuts=pool)
+        tested = []
+
+        def reject_all_four(leaf):
+            tested.append(leaf.solution.selection.executed_blocks())
+            if len(tested) == 1:
+                return [no_good_cut(inst, leaf.solution.selection)]
+            return ()
+
+        res = solve_master(inst, reject_all_four)
+        assert tested == [["a", "b", "c", "d"], ["c", "d"]]
         assert res.objective == pytest.approx(2.0, abs=1e-9)
         assert set(res.solution.selection.executed_blocks()) == {"c", "d"}
+
+    def test_stop_returns_limit(self):
+        res = solve_master(appendix_a(), lambda leaf: None)
+        assert res.status == "limit"
+        assert res.solution is None
+        assert res.bound == pytest.approx(3.0, abs=1e-9)
 
     def test_bound_dominates_objective(self):
         inst = appendix_a()
