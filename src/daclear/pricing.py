@@ -22,7 +22,7 @@ from .core import (
 )
 from .errors import PriceInfeasible, SolverFailure
 from .model import build_model
-from .qp import QpProblem, solve_qp
+from .qp import INFEAS_TOL, QpProblem, solve_qp
 
 TIGHT_TOL = 1e-7
 
@@ -144,28 +144,31 @@ def solve_qpprice(
             )
         ub[j] = max(cap, 0.0)
 
+    # execution-fraction price rule per quantity-carrying segment, as bounds
+    # of its price column: a full segment caps the price, an empty one
+    # floors it and a fractional one pins it
+    for seg in instance.segments:
+        if seg.quantity_span == 0.0:
+            continue
+        j = pi_col[instance.segment_location[seg.id]]
+        dlt = solution.delta.get(seg.id, 0.0)
+        if dlt >= 1.0 - TIGHT_TOL:
+            ub[j] = min(ub[j], seg.price_at(1.0))
+        elif dlt <= TIGHT_TOL:
+            lb[j] = max(lb[j], seg.price_at(0.0))
+        else:
+            price = seg.price_at(dlt)
+            lb[j], ub[j] = max(lb[j], price), min(ub[j], price)
+    if np.any(lb - ub > INFEAS_TOL):
+        raise PriceInfeasible("no price meets the segment fill conditions")
+    # bounds crossed by round-off pin the price between them
+    crossed = lb > ub
+    lb[crossed] = ub[crossed] = 0.5 * (lb[crossed] + ub[crossed])
+
     eq_rows = []
     eq_rhs = []
     in_rows = []
     in_rhs = []
-
-    # execution-fraction price rule per quantity-carrying segment
-    for seg in instance.segments:
-        if seg.quantity_span == 0.0:
-            continue
-        a, t = instance.segment_location[seg.id]
-        dlt = solution.delta.get(seg.id, 0.0)
-        row = np.zeros(n)
-        row[pi_col[a, t]] = 1.0
-        if dlt >= 1.0 - TIGHT_TOL:
-            in_rows.append(row)
-            in_rhs.append(seg.price_at(1.0))
-        elif dlt <= TIGHT_TOL:
-            in_rows.append(-row)
-            in_rhs.append(-seg.price_at(0.0))
-        else:
-            eq_rows.append(row)
-            eq_rhs.append(seg.price_at(dlt))
 
     # price-difference stationarity per interconnector and hour
     for c in instance.interconnectors:

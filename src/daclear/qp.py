@@ -32,6 +32,7 @@ DUAL_TOL = 1e-9
 STEP_TOL = 1e-11
 CURV_TOL = 1e-10
 RANK_TOL = 1e-11
+INFEAS_TOL = 1e-7  # phase-1 weight above which a problem is infeasible
 
 
 @dataclass
@@ -98,13 +99,16 @@ class KktReport:
         return self.max_residual <= self.tol
 
 
-def _null_space(K: np.ndarray, n: int) -> np.ndarray:
+def _factor(K: np.ndarray):
+    """(Z, P, Vr) from one SVD  K = U S V'  with the RANK_TOL rank rule: Z
+    spans the null space of K, and  P @ (Vr @ g)  applies the truncated
+    pseudo-inverse of K' to g, which gives the least-squares multipliers."""
     if K.shape[0] == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(K, full_matrices=True)
+        return np.eye(K.shape[1]), np.zeros((0, 0)), np.zeros((0, K.shape[1]))
+    u, s, vt = np.linalg.svd(K, full_matrices=True)
     tol = max(K.shape) * (s[0] if len(s) else 0.0) * RANK_TOL + RANK_TOL
     rank = int(np.sum(s > tol))
-    return vt[rank:].T
+    return vt[rank:].T, u[:, :rank] / s[:rank], vt[:rank]
 
 
 # column states: bounds stay bounds, never rows of the working matrix
@@ -141,60 +145,67 @@ class _ActiveSet:
         return work, state
 
     def run(self, x, work, state):
-        c, d, n = self.c, self.d, self.n
+        """(status, x, work, state, out, iterations) where out is the ascent
+        ray when unbounded and, when optimal, the closing multipliers
+        (y, mu_w, r): equality and working-row multipliers and the reduced
+        gradient  g - K'lam  that prices the fixed columns."""
+        c, d, n, m = self.c, self.d, self.n, len(self.b)
         max_iter = 200 * (2 * n + len(self.h) + 5)
         for it in range(max_iter):
             g = c + d * x
             free = state == FREE
-            Z = _null_space(self._rows(work)[:, free], int(free.sum()))
+            K = np.concatenate((self.A, self.G[work]))
+            # one factorization serves the step and the multipliers
+            Z, P, Vr = _factor(K[:, free])
             p = np.zeros(n)
-            flat_ray = None
+            ascent = None  # flat null-space direction along which g ascends
             if Z.shape[1]:
                 df = d[free]
                 gz = Z.T @ g[free]
-                H = Z.T @ (df[:, None] * Z)
-                w, V = np.linalg.eigh(H)
-                scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 0.0)
-                curved = w < -CURV_TOL * scale
-                gv = V.T @ gz
-                flat_g = gv.copy()
-                flat_g[curved] = 0.0
-                if np.linalg.norm(flat_g) > DUAL_TOL:
-                    flat_ray = np.zeros(n)
-                    flat_ray[free] = Z @ (V @ flat_g)
-                    flat_ray /= np.linalg.norm(flat_ray)
-                q = np.zeros_like(gv)
-                q[curved] = -gv[curved] / w[curved]
-                p[free] = Z @ (V @ q)
+                if df.any():
+                    w, V = np.linalg.eigh(Z.T @ (df[:, None] * Z))
+                    scale = max(1.0, float(np.max(np.abs(w))))
+                    curved = w < -CURV_TOL * scale
+                    gv = V.T @ gz
+                    q = np.zeros_like(gv)
+                    q[curved] = -gv[curved] / w[curved]
+                    p[free] = Z @ (V @ q)
+                    gv[curved] = 0.0
+                    if np.linalg.norm(gv) > DUAL_TOL:
+                        ascent = V @ gv
+                elif np.linalg.norm(gz) > DUAL_TOL:
+                    # no curvature on the free columns: every direction is flat
+                    ascent = gz
 
-            if flat_ray is not None:
+            if ascent is not None:
                 # objective ascends linearly and forever along this ray
-                alpha, block = self._ratio(x, flat_ray, work, state, np.inf)
+                ray = np.zeros(n)
+                ray[free] = Z @ ascent
+                ray /= np.linalg.norm(ray)
+                alpha, block = self._ratio(x, ray, work, state, np.inf)
                 if block is None:
-                    return "unbounded", x, work, state, flat_ray, it
-                x = self._step(x, alpha, flat_ray, block, work, state)
+                    return "unbounded", x, work, state, ray, it
+                x = self._step(x, alpha, ray, block, work, state)
                 continue
 
             if np.linalg.norm(p) <= STEP_TOL * max(1.0, np.linalg.norm(x)):
-                _, mu_w, r = self.multipliers(g, work, state)
-                neg = [i for i, m in zip(work, mu_w) if m < -DUAL_TOL]
+                lam = P @ (Vr @ g[free])
+                neg = [i for i, mu in zip(work, lam[m:]) if mu < -DUAL_TOL]
                 if neg:
                     work.remove(neg[0])
                     continue
                 # a bound multiplier is the reduced gradient, signed by side
+                r = g - K.T @ lam
                 up = np.flatnonzero((state == UPPER) & (r < -DUAL_TOL))
                 lo = np.flatnonzero((state == LOWER) & (r > DUAL_TOL))
                 if len(up) == 0 and len(lo) == 0:
-                    return "optimal", x, work, state, None, it
+                    return "optimal", x, work, state, (lam[:m], lam[m:], r), it
                 state[up[0] if len(up) else lo[0]] = FREE
                 continue
 
             alpha, block = self._ratio(x, p, work, state, 1.0)
             x = self._step(x, alpha, p, block, work, state)
         raise SolverFailure("active-set iteration limit reached")
-
-    def _rows(self, work):
-        return np.concatenate((self.A, self.G[work]))
 
     def _ratio(self, x, p, work, state, alpha_max):
         free = state == FREE
@@ -228,17 +239,6 @@ class _ActiveSet:
             state[j], x[j] = LOWER, self.lb[j]
         return x
 
-    def multipliers(self, g, work, state):
-        """Equality and working-row multipliers from the free columns, and
-        the reduced gradient  g - K'lam  that prices the fixed columns."""
-        K = self._rows(work)
-        free = state == FREE
-        lam = np.zeros(len(K))
-        if len(K) and free.any():
-            lam = np.linalg.lstsq(K[:, free].T, g[free], rcond=None)[0]
-        m = len(self.b)
-        return lam[:m], lam[m:], g - K.T @ lam
-
 
 def _bound_multipliers(state, r):
     """Lower- and upper-bound multipliers from the reduced gradient r; a
@@ -269,18 +269,18 @@ def _phase1(prob: QpProblem, x0: np.ndarray):
     ub1 = np.concatenate([prob.ub, np.full(m + k, np.inf)])
     z0 = np.concatenate([x0, np.abs(r_eq), excess[viol]])
     solver = _ActiveSet(c1, np.zeros(n + m + k), A1, b, G1, h, lb1, ub1)
-    status, z, work, state, _, iters = solver.run(z0, *solver.start(z0))
+    status, z, work, state, out, iters = solver.run(z0, *solver.start(z0))
     if status != "optimal":
         raise SolverFailure("phase-1 subproblem did not converge")
-    if float(np.sum(z[n:])) > 1e-7:
+    if float(np.sum(z[n:])) > INFEAS_TOL:
         # unsatisfiable subset: constraints carrying nonzero phase-1 weight
-        y1, mu_w, r = solver.multipliers(c1, work, state)
+        y1, mu_w, r = out
         nu_lower, nu_upper = _bound_multipliers(state[:n], r[:n])
         return None, {
-            "eq": [j for j in range(m) if abs(float(y1[j])) > 1e-7],
-            "in": [i for i, mu in zip(work, mu_w) if mu > 1e-7],
-            "upper": np.flatnonzero(nu_upper > 1e-7).tolist(),
-            "lower": np.flatnonzero(nu_lower > 1e-7).tolist(),
+            "eq": [j for j in range(m) if abs(float(y1[j])) > INFEAS_TOL],
+            "in": [i for i, mu in zip(work, mu_w) if mu > INFEAS_TOL],
+            "upper": np.flatnonzero(nu_upper > INFEAS_TOL).tolist(),
+            "lower": np.flatnonzero(nu_lower > INFEAS_TOL).tolist(),
         }, iters
     return z[:n], None, iters
 
@@ -299,12 +299,12 @@ def solve_qp(
     solver = _ActiveSet(
         prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub
     )
-    status, x, work, state, ray, iters = solver.run(x, *solver.start(x))
+    status, x, work, state, out, iters = solver.run(x, *solver.start(x))
     iters += iters1
     if status == "unbounded":
-        return QpSolution(status="unbounded", x=x, ray=ray, iterations=iters)
+        return QpSolution(status="unbounded", x=x, ray=out, iterations=iters)
 
-    y, mu_w, r = solver.multipliers(prob.c + prob.d * x, work, state)
+    y, mu_w, r = out
     mu_in = np.zeros(len(prob.b_in))
     mu_in[work] = np.maximum(mu_w, 0.0)
     nu_lower, nu_upper = _bound_multipliers(state, r)

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from daclear.core import clearing_residuals, welfare_of
+from daclear.core import BidSelection, PrimalSolution, clearing_residuals, welfare_of
 from daclear.errors import PriceInfeasible
 from daclear.pricing import clamp_prices, solve_fixflow, solve_qpprice
 from daclear.relaxation import solve_relaxation
@@ -107,6 +108,142 @@ class TestQpPrice:
                 continue
             for k in a.prices.pi:
                 assert b.prices[k] == pytest.approx(a.prices[k], abs=1e-7)
+
+
+class TestPriceBounds:
+    """Each segment's price rule is a bound of its area-hour price."""
+
+    @staticmethod
+    def _fills(delta):
+        return PrimalSolution(selection=BidSelection(), delta=delta, flows={})
+
+    def test_inconsistent_fills_raise_at_once(self):
+        # segment 2 (prices 50-60) empty asks for a price of at least 60;
+        # segment 4 (prices 10-20) full asks for at most 10
+        inst = make_instance(
+            {("X", 0): [[0, 40], [10, 40], [20, 30], [50, 30], [60, 20], [100, 20]]}
+        )
+        spans = {seg.id: (seg.price_at(1.0), seg.price_at(0.0)) for seg in inst.segments}
+        assert spans[2] == (50.0, 60.0) and spans[4] == (10.0, 20.0)
+        fills = self._fills({0: 1.0, 2: 0.0, 4: 1.0})
+        for relax in (False, True):
+            with pytest.raises(PriceInfeasible):
+                solve_qpprice(inst, fills, relax_losses=relax)
+
+    @pytest.mark.parametrize("shift", [0.0, -100.0])
+    def test_full_next_to_empty_pins_the_shared_node(self, shift):
+        # continuous curve: segment 0 full and segment 1 empty meet at
+        # 60 + shift, the only price both allow.  The minimum-norm price
+        # would sit on the floor at shift 0 and on the cap at shift -100
+        nodes = [[0, 40], [30, 20], [60, 0], [100, -10]]
+        inst = make_instance({("X", 0): [[p + shift, q] for p, q in nodes]},
+                             P=(shift, 100.0 + shift))
+        fills = self._fills({0: 1.0, 1: 0.0, 2: 0.0})
+        for relax in (False, True):
+            out = solve_qpprice(inst, fills, relax_losses=relax)
+            assert out.prices["X", 0] == 60.0 + shift
+            assert out.total_loss == 0.0
+
+
+def _min_loss_lp(optimize, inst, sol, strict):
+    """Minimum total executed-bid loss over the prices that support ``sol``,
+    solved by HiGHS with every fill condition written as a row; None when
+    no price supports it."""
+    keys = [(a, t) for a in inst.areas for t in range(inst.hours)]
+    pi = {k: j for j, k in enumerate(keys)}
+    bids = [(inst.block_by_id[b].area, enumerate(inst.block_by_id[b].quantities),
+             inst.block_by_id[b].limit_price) for b in sol.selection.executed_blocks()]
+    bids += [(inst.flex_by_id[f].area, [(t, inst.flex_by_id[f].quantity)],
+              inst.flex_by_id[f].limit_price) for f, t in sol.selection.executed_flex()]
+    conns = [(c, t) for c in inst.interconnectors for t in range(inst.hours)]
+    n_pi, n_loss = len(keys), len(bids)
+    # per connector and hour: upper, lower, ramp-up and ramp-down multipliers
+    mult = {ct: n_pi + n_loss + 4 * k for k, ct in enumerate(conns)}
+    n = n_pi + n_loss + 4 * len(conns)
+    lo, hi = inst.interval.lower, inst.interval.upper
+    bounds = [(lo, hi)] * n_pi + [(0.0, 0.0 if strict else None)] * n_loss
+    tol = 1e-7
+    for c, t in conns:
+        tau = sol.flows.get((c.id, t), 0.0)
+        prev = c.initial_flow if t == 0 else sol.flows.get((c.id, t - 1), 0.0)
+        ramp = np.inf if c.ramp_rate is None else c.ramp_rate
+        for tight in (c.upper[t] - tau <= tol, tau - c.lower[t] <= tol,
+                      tau - prev >= ramp - tol, prev - tau >= ramp - tol):
+            bounds.append((0.0, None if tight else 0.0))
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for seg in inst.segments:
+        if seg.quantity_span == 0.0:
+            continue
+        row = np.zeros(n)
+        row[pi[inst.segment_location[seg.id]]] = 1.0
+        z = sol.delta.get(seg.id, 0.0)
+        if z >= 1.0 - tol:
+            A_ub.append(row)
+            b_ub.append(seg.price_at(1.0))
+        elif z <= tol:
+            A_ub.append(-row)
+            b_ub.append(-seg.price_at(0.0))
+        else:
+            A_eq.append(row)
+            b_eq.append(seg.price_at(z))
+    for k, (area, hours_qty, limit) in enumerate(bids):
+        row = np.zeros(n)
+        rhs = 0.0
+        for t, q in hours_qty:
+            row[pi[area, t]] += q
+            rhs += limit * q
+        row[n_pi + k] = -1.0
+        A_ub.append(row)
+        b_ub.append(rhs)
+    # price difference = upper - lower multiplier + ramp-up(t) - ramp-down(t)
+    #                    - ramp-up(t+1) + ramp-down(t+1)
+    for c, t in conns:
+        row = np.zeros(n)
+        row[pi[c.sink, t]] += 1.0
+        row[pi[c.source, t]] -= 1.0
+        j = mult[c, t]
+        row[j:j + 4] -= [1.0, -1.0, 1.0, -1.0]
+        if t + 1 < inst.hours:
+            j = mult[c, t + 1]
+            row[j + 2:j + 4] += [1.0, -1.0]
+        A_eq.append(row)
+        b_eq.append(0.0)
+    cost = np.zeros(n)
+    cost[n_pi:n_pi + n_loss] = 1.0
+    res = optimize.linprog(
+        cost, A_ub=np.array(A_ub).reshape(-1, n) if A_ub else None,
+        b_ub=b_ub or None, A_eq=np.array(A_eq).reshape(-1, n) if A_eq else None,
+        b_eq=b_eq or None, bounds=bounds, method="highs",
+    )
+    assert res.status in (0, 2)
+    return res.fun if res.status == 0 else None
+
+
+class TestLinprogCrossCheck:
+    def test_min_loss_and_verdicts_agree_with_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        verdicts = {"priced": 0, "no strict price": 0}
+        for seed in range(50):
+            inst = random_instance(seed)
+            sol = solve_fixflow(inst, _master_solution(inst))
+            ref = _min_loss_lp(optimize, inst, sol, strict=False)
+            try:
+                total = solve_qpprice(inst, sol, relax_losses=True).total_loss
+            except PriceInfeasible:
+                total = None
+            if ref is None:
+                assert total is None, seed
+            else:
+                assert total == pytest.approx(ref, abs=1e-7), seed
+            strict_ref = _min_loss_lp(optimize, inst, sol, strict=True) is not None
+            try:
+                solve_qpprice(inst, sol)
+                strict = True
+            except PriceInfeasible:
+                strict = False
+            assert strict == strict_ref, seed
+            verdicts["priced" if strict else "no strict price"] += 1
+        assert min(verdicts.values()) > 0
 
 
 class TestClampPrices:

@@ -283,3 +283,66 @@ class TestLinprogCrossCheck:
                 assert np.all(ray[np.isfinite(lb)] >= -1e-9)
             verdicts[sol.status] += 1
         assert min(verdicts.values()) > 10
+
+
+class TestRankDeficientWorkingSets:
+    """The multipliers come from a truncated pseudo-inverse of the working
+    matrix, which must cope with dependent working rows."""
+
+    @staticmethod
+    def _check(prob, x0=None):
+        a = solve_qp(prob, x0=x0)
+        b = solve_qp(prob, x0=x0)
+        assert a.status == "optimal"
+        assert check_kkt(prob, a).max_residual <= 1e-8
+        assert np.array_equal(a.x, b.x)
+        for name in ("y_eq", "mu_in", "nu_lower", "nu_upper"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        return a
+
+    def test_duplicated_equality_row(self):
+        # max -(x^2 + y^2)/2  s.t.  x + y = 2, stated twice
+        prob = _prob([0.0, 0.0], [-1.0, -1.0],
+                     A_eq=np.array([[1.0, 1.0], [1.0, 1.0]]), b_eq=np.array([2.0, 2.0]))
+        sol = self._check(prob)
+        assert sol.x == pytest.approx([1.0, 1.0], abs=1e-10)
+        # the minimum-norm split of the one multiplier
+        assert sol.y_eq == pytest.approx([-0.5, -0.5], abs=1e-10)
+
+    def test_duplicated_inequality_row_tight_at_optimum(self):
+        # max 3x + 2y - x^2 - y^2  s.t.  x + y <= 1, stated twice; the start
+        # at the optimum puts both copies in the working set
+        prob = _prob([3.0, 2.0], [-2.0, -2.0],
+                     A_in=np.array([[1.0, 1.0], [1.0, 1.0]]), b_in=np.array([1.0, 1.0]),
+                     lb=np.full(2, -5.0), ub=np.full(2, 5.0))
+        cold = self._check(prob)
+        warm = self._check(prob, x0=np.array([0.75, 0.25]))
+        for sol in (cold, warm):
+            assert sol.x == pytest.approx([0.75, 0.25], abs=1e-10)
+            assert sol.mu_in.sum() == pytest.approx(1.5, abs=1e-10)
+        assert warm.mu_in == pytest.approx([0.75, 0.75], abs=1e-10)
+
+    def test_curved_and_flat_free_columns(self, monkeypatch):
+        # x is curved, y is flat.  From (1, 0), x starts at its upper bound
+        # and only the flat y is free, so the first iteration skips the
+        # eigendecomposition; once x is released, it runs
+        prob = _prob([0.5, 1.0], [-1.0, 0.0],
+                     lb=np.array([0.0, -1.0]), ub=np.array([1.0, 2.0]))
+        x0 = np.array([1.0, 0.0])
+        sol = self._check(prob, x0=x0)
+        assert sol.x == pytest.approx([0.5, 2.0], abs=1e-12)
+        assert sol.nu_upper[1] == pytest.approx(1.0, abs=1e-12)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
+        # y rises to its bound without eigh; x is released (no free column);
+        # x steps to 0.5 and the optimum is confirmed, each with eigh
+        assert solve_qp(prob, x0=x0).iterations == 3
+        assert calls == [(1, 1), (1, 1)]
+        # phase 1 and pure LPs never decompose
+        calls.clear()
+        sol = solve_qp(_prob([1.0, -1.0], [0.0, 0.0],
+                             A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
+                             lb=np.zeros(2), ub=np.ones(2)))
+        assert sol.status == "optimal" and sol.iterations > 0
+        assert calls == []
