@@ -25,7 +25,7 @@ from .core import (
     presolve_price_bounds,
 )
 from .cuts import Cut
-from .model import build_model
+from .model import balanced_start, build_model
 from .qp import QpProblem, solve_qp
 
 INT_TOL = 1e-6
@@ -209,7 +209,8 @@ def solve_master(
             prob = _with_cuts(prob, verdict, col_block, col_flex)
             continue
         # a node, or a leaf that a later cut removed
-        sol = solve_qp(replace(prob, lb=node_lb, ub=node_ub), x0=node_x0)
+        node = replace(prob, lb=node_lb, ub=node_ub)
+        sol = solve_qp(node, x0=balanced_start(model, node, node_x0))
         nodes += 1
         if sol.status != "optimal":
             continue
@@ -225,7 +226,8 @@ def solve_master(
             leaf_ub = node_ub.copy()
             for j in bin_cols:
                 leaf_lb[j] = leaf_ub[j] = round(sol.x[j])
-            exact = solve_qp(replace(prob, lb=leaf_lb, ub=leaf_ub), x0=sol.x)
+            pinned = replace(prob, lb=leaf_lb, ub=leaf_ub)
+            exact = solve_qp(pinned, x0=balanced_start(model, pinned, sol.x))
             if exact.status == "optimal":
                 selection = _selection_from_x(instance, exact.x, col_block, col_flex)
                 push(exact.objective, (node_lb, node_ub, sol.x), (selection, exact.x))

@@ -12,10 +12,12 @@ segment and flow columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .core import Instance
+from .qp import FEAS_TOL, QpProblem
 
 
 @dataclass(frozen=True)
@@ -117,3 +119,30 @@ def build_model(instance: Instance) -> ClearingModel:
         A_in=np.array(in_rows).reshape(-1, n),
         b_in=np.array(in_rhs),
     )
+
+
+def balanced_start(
+    model: ClearingModel, prob: QpProblem, x0: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """A start for ``prob``, a QP whose leading columns and equality rows are
+    ``model``'s: ``x0`` (zero when None) clipped into the box, then each
+    clearing row balanced along its own curve.  A row short of net demand
+    fills its next segments in column order, which is merit order; a row
+    with too much empties its last filled segments.  Flows, other columns
+    and inequality rows are left alone, so phase 1 runs only for the rows
+    no curve can balance and for violated inequality rows."""
+    x = np.clip(np.zeros(prob.n) if x0 is None else x0, prob.lb, prob.ub)
+    n_seg = len(model.seg_ids)
+    for r, short in enumerate(prob.b_eq - prob.A_eq @ x):
+        if abs(short) <= FEAS_TOL:
+            continue
+        cols = np.flatnonzero(model.A_eq[r, :n_seg] > 0.0)
+        if short < 0.0:
+            cols = cols[::-1]
+        span = model.A_eq[r, cols]
+        bound = prob.ub[cols] if short > 0.0 else prob.lb[cols]
+        # net demand each segment can still add, or give back, in turn
+        room = span * np.abs(bound - x[cols])
+        take = np.clip(abs(short) - (np.cumsum(room) - room), 0.0, room)
+        x[cols] = np.where(take >= room, bound, x[cols] + np.sign(short) * take / span)
+    return x

@@ -78,7 +78,6 @@ class QpSolution:
     nu_upper: Optional[np.ndarray] = None
     ray: Optional[np.ndarray] = None
     certificate: Optional[dict] = None
-    kkt_residual: float = float("nan")
     iterations: int = 0  # active-set iterations of phase 1 and phase 2
 
 
@@ -285,12 +284,12 @@ def _phase1(prob: QpProblem, x0: np.ndarray):
     return z[:n], None, iters
 
 
-def solve_qp(
-    prob: QpProblem, tol: float = 1e-8, x0: Optional[np.ndarray] = None
-) -> QpSolution:
+def solve_qp(prob: QpProblem, x0: Optional[np.ndarray] = None) -> QpSolution:
     """Optimum, infeasibility certificate or ascent ray of prob.  The
-    search starts from x0 (zero when None) clipped into the box; phase 1
-    runs only when that point is infeasible."""
+    search starts from x0 clipped into the box, or from the clipped origin
+    when x0 is None; callers that know a better start pass it (the clearing
+    QPs pass ``model.balanced_start``).  Phase 1 runs only when that point
+    is infeasible."""
     start = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
     x, cert, iters1 = _phase1(prob, np.clip(start, prob.lb, prob.ub))
     if x is None:
@@ -308,7 +307,7 @@ def solve_qp(
     mu_in = np.zeros(len(prob.b_in))
     mu_in[work] = np.maximum(mu_w, 0.0)
     nu_lower, nu_upper = _bound_multipliers(state, r)
-    sol = QpSolution(
+    return QpSolution(
         status="optimal",
         x=x,
         objective=prob.objective(x),
@@ -318,8 +317,6 @@ def solve_qp(
         nu_upper=nu_upper,
         iterations=iters,
     )
-    sol.kkt_residual = check_kkt(prob, sol, tol).max_residual
-    return sol
 
 
 def check_kkt(prob: QpProblem, sol: QpSolution, tol: float = 1e-8) -> KktReport:

@@ -24,8 +24,8 @@ from .core import (
     selection_terms,
 )
 from .errors import InfeasibleSelection, LinkViolation, SolverFailure, UnknownId
-from .model import ClearingModel, build_model
-from .qp import QpProblem, solve_qp
+from .model import ClearingModel, balanced_start, build_model
+from .qp import QpProblem, check_kkt, solve_qp
 
 
 def check_selection(instance: Instance, selection: BidSelection) -> None:
@@ -77,7 +77,7 @@ class RelaxationOutcome:
 
 def solve_relaxation(instance: Instance, selection: BidSelection) -> RelaxationOutcome:
     prob, model, terms = assemble_qprelax(instance, selection)
-    sol = solve_qp(prob)
+    sol = solve_qp(prob, x0=balanced_start(model, prob))
     if sol.status == "infeasible":
         raise InfeasibleSelection(
             f"selection cannot be cleared within curve and flow bounds "
@@ -103,5 +103,5 @@ def solve_relaxation(instance: Instance, selection: BidSelection) -> RelaxationO
         prices=PriceVector(pi={key: float(sol.y_eq[r]) for key, r in model.eq_row.items()}),
         certificate=cert,
         objective=sol.objective + terms.constant,
-        kkt_residual=sol.kkt_residual,
+        kkt_residual=check_kkt(prob, sol).max_residual,
     )

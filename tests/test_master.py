@@ -1,10 +1,16 @@
+from pathlib import Path
+
 import pytest
 
+from daclear import qp
 from daclear.cuts import no_good_cut
+from daclear.io import parse_instance
 from daclear.master import solve_master
 from daclear.relaxation import solve_relaxation
 
 from helpers import appendix_a, make_instance, block, flexbid, random_instance
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestApppendixA:
@@ -127,3 +133,22 @@ class TestLimits:
         assert res.status in ("limit", "optimal")
         if res.status == "limit":
             assert res.bound is not None
+
+
+class TestStarts:
+    def test_root_qp_starts_balanced(self, monkeypatch):
+        # every clearing row of this book balances along its own curve, so
+        # the root QP starts feasible and phase 1 has nothing to do
+        inst = parse_instance((FIXTURES / "no_price_support.json").read_text())
+        runs = []
+        phase1 = qp._phase1
+
+        def spy(prob, x0):
+            out = phase1(prob, x0)
+            runs.append(out[2])
+            return out
+
+        monkeypatch.setattr(qp, "_phase1", spy)
+        res = solve_master(inst)
+        assert res.status == "optimal"
+        assert runs[0] == 0

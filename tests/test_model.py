@@ -1,9 +1,20 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from daclear.model import build_model
+from daclear.core import BidSelection
+from daclear.io import parse_instance
+from daclear.model import balanced_start, build_model
+from daclear.qp import QpProblem, solve_qp
+from daclear.relaxation import assemble_qprelax
 
-from helpers import appendix_a, diamond, f2, ramp_fixture
+from helpers import (
+    appendix_a, block, connector, diamond, f2, make_instance, ramp_fixture, random_instance,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestClearingRows:
@@ -97,3 +108,97 @@ class TestLayout:
         )
         for arr in (model.c, model.d, model.lb, model.ub):
             assert arr.shape == (model.n,)
+
+
+def _model_qp(model):
+    return QpProblem(
+        c=model.c, d=model.d, A_eq=model.A_eq, b_eq=model.b_eq,
+        A_in=model.A_in, b_in=model.b_in, lb=model.lb, ub=model.ub,
+    )
+
+
+def _start_instances():
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield parse_instance(path.read_text())
+    for seed in range(50):
+        yield random_instance(seed)
+
+
+class TestBalancedStart:
+    def _check(self, model, prob, x0):
+        n_seg = len(model.seg_ids)
+        x = balanced_start(model, prob, x0)
+        assert np.all(prob.lb <= x) and np.all(x <= prob.ub)
+        clipped = np.clip(np.zeros(prob.n) if x0 is None else x0, prob.lb, prob.ub)
+        assert np.array_equal(x[n_seg:], clipped[n_seg:])  # flows untouched
+        resid = prob.b_eq - prob.A_eq @ x
+        balanced = 0
+        for r, short in enumerate(prob.b_eq - prob.A_eq @ clipped):
+            cols = np.flatnonzero(model.A_eq[r, :n_seg] > 0.0)
+            bound = prob.ub[cols] if short > 0 else prob.lb[cols]
+            room = float(model.A_eq[r, cols] @ np.abs(bound - clipped[cols]))
+            if abs(short) <= room - 1e-9:
+                assert abs(resid[r]) <= 1e-9
+                balanced += 1
+            elif abs(short) > room + 1e-9:
+                # the curve cannot absorb it: every segment moves to its bound
+                assert np.array_equal(x[cols], bound)
+        return balanced
+
+    def test_in_box_and_balanced_where_the_curve_absorbs(self):
+        rng = np.random.default_rng(11)
+        balanced = 0
+        for inst in _start_instances():
+            model = build_model(inst)
+            everything = BidSelection(
+                blocks={b.id: 1 for b in inst.blocks},
+                flex={f.id: 0 for f in inst.flex_bids},
+            )
+            probs = [_model_qp(model)]
+            probs += [assemble_qprelax(inst, sel)[0]
+                      for sel in (inst.empty_selection(), everything)]
+            for prob in probs:
+                for x0 in (None, rng.uniform(prob.lb - 1.0, prob.ub + 1.0)):
+                    balanced += self._check(model, prob, x0)
+        assert balanced > 500
+
+    def test_curve_out_of_merit_order(self):
+        # three segments of one curve, stored cheapest first
+        inst = make_instance({("X", 0): [[0, 30], [20, 20], [50, 5], [100, -10]]})
+        model = build_model(inst)
+        perm = np.arange(model.n)[::-1]
+        shuffled = replace(
+            model, seg_ids=model.seg_ids[::-1], c=model.c[perm], d=model.d[perm],
+            lb=model.lb[perm], ub=model.ub[perm], A_eq=model.A_eq[:, perm],
+            seg_col={sid: j for j, sid in enumerate(model.seg_ids[::-1])},
+        )
+        prob = replace(_model_qp(shuffled), b_eq=shuffled.b_eq + 10.0)
+        x = balanced_start(shuffled, prob)
+        assert np.all(prob.lb <= x) and np.all(x <= prob.ub)
+        assert np.abs(prob.A_eq @ x - prob.b_eq).max() <= 1e-9
+        warm = solve_qp(prob, x0=x)
+        cold = solve_qp(prob)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+    def test_block_larger_than_its_curve(self):
+        # S's curve can give back none of a 40 MW demand block, so the start
+        # leaves S's row unbalanced and phase 1 imports the block from R
+        inst = make_instance(
+            {("R", 0): [[0, 0], [10, 0], [10, -50], [100, -50]],
+             ("S", 0): [[0, 30], [40, 30], [40, 0], [100, 0]]},
+            [connector("c1", "R", "S", [-100], [100])],
+            blocks=[block("big", "S", 50, [40])],
+        )
+        prob, model, _ = assemble_qprelax(
+            inst, BidSelection(blocks={"big": 1}, flex={}))
+        x = balanced_start(model, prob)
+        resid = prob.b_eq - prob.A_eq @ x
+        assert abs(resid[model.eq_row["R", 0]]) <= 1e-9
+        assert resid[model.eq_row["S", 0]] == pytest.approx(-40.0)
+        warm = solve_qp(prob, x0=x)
+        cold = solve_qp(prob)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        # at the optimum R sells all 50 MW to S
+        assert warm.x[model.flow_col["c1", 0]] == pytest.approx(50.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,25 @@ class TestBounds:
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
                 assert check_kkt(prob, warm).max_residual <= 1e-8
         assert warm_phase1 > 50
+
+    def test_feasible_start_matches_cold_solve(self):
+        # warm callers (B&B children, balanced clearing starts) hand phase 2
+        # a feasible point that is no vertex; the optimum must not depend on it
+        rng = np.random.default_rng(23)
+        solved = 0
+        while solved < 300:
+            prob = _random_problem(rng)
+            cold = solve_qp(prob)
+            if cold.status != "optimal":
+                continue
+            nearby = replace(prob, c=prob.c + rng.uniform(-3, 3, size=prob.n),
+                             d=prob.d * rng.uniform(0.0, 2.0, size=prob.n))
+            x0 = solve_qp(nearby).x
+            warm = solve_qp(prob, x0=x0)
+            assert warm.status == cold.status
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert check_kkt(prob, warm).max_residual <= 1e-8
+            solved += 1
 
     def test_certificate_names_bound_columns(self):
         # x + y >= 3 with both columns capped at 1

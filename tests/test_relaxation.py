@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from daclear import relaxation
 from daclear.core import BidSelection, clearing_residuals, welfare_of
 from daclear.errors import InfeasibleSelection, LinkViolation, UnknownId
 from daclear.relaxation import assemble_qprelax, check_selection, solve_relaxation
@@ -113,4 +114,25 @@ class TestSolveRelaxation:
     def test_kkt_residual_small(self):
         inst = f3()
         out = solve_relaxation(inst, inst.empty_selection())
+        assert out.kkt_residual <= 1e-8
+
+    def test_one_area_solved_by_its_start(self, monkeypatch):
+        # without flows, filling the curve in merit order up to the selling
+        # block is the optimum: the QP confirms it without an iteration
+        inst = make_instance(
+            {("X", 0): [[0, 30], [20, 20], [50, 5], [100, -10]]},
+            blocks=[block("s", "X", 10, [-2])],
+        )
+        sols = []
+
+        def spy(prob, x0=None):
+            sols.append(solve_qp(prob, x0=x0))
+            return sols[-1]
+
+        monkeypatch.setattr(relaxation, "solve_qp", spy)
+        out = solve_relaxation(inst, _sel(inst, {"s": 1}))
+        assert [sol.iterations for sol in sols] == [0]
+        # 12 MW of net demand: four fifths of the 15 MW segment from 100 to 50
+        assert out.delta == pytest.approx({0: 0.8, 1: 0.0, 2: 0.0}, abs=1e-12)
+        assert out.prices["X", 0] == pytest.approx(60.0, abs=1e-9)
         assert out.kkt_residual <= 1e-8
