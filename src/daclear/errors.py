@@ -56,3 +56,8 @@ class TooLarge(ModelError):
 class SolverFailure(RuntimeError):
     """A numerical subproblem did not reach a verdict (iteration limit,
     phase-1 non-convergence or an unexpected status)."""
+
+
+class TimeLimit(RuntimeError):
+    """A solve passed the deadline its caller set; the caller turns this
+    into a ``limit`` result."""

@@ -25,8 +25,9 @@ from .core import (
     presolve_price_bounds,
 )
 from .cuts import Cut
+from .errors import TimeLimit
 from .model import balanced_start, build_model
-from .qp import QpProblem, solve_qp
+from .qp import QpProblem, infeasible_by_bounds, solve_qp
 
 INT_TOL = 1e-6
 
@@ -138,6 +139,30 @@ def _selection_from_x(instance: Instance, x, col_block, col_flex) -> BidSelectio
     return BidSelection(blocks=blocks, flex=flex)
 
 
+def _solve_node(node: QpProblem, model, x0, bin_cols, deadline):
+    """(sol, leaf) of one B&B node.  sol is None when the node has no
+    optimum; a node whose row activity bounds prove it infeasible is
+    dropped without a QP.  leaf is None while a free binary is fractional;
+    otherwise it is the node's integral solution: sol itself when the
+    binaries sit exactly on 0/1, else a re-solve with them pinned at the
+    rounding."""
+    if infeasible_by_bounds(node):
+        return None, None
+    sol = solve_qp(node, x0=balanced_start(model, node, x0), deadline=deadline)
+    if sol.status != "optimal":
+        return None, None
+    xb = sol.x[bin_cols]
+    rounded = np.round(xb)
+    if np.max(np.abs(xb - rounded), initial=0.0) > INT_TOL:
+        return sol, None
+    if np.array_equal(xb, rounded):
+        return sol, sol
+    lb, ub = node.lb.copy(), node.ub.copy()
+    lb[bin_cols] = ub[bin_cols] = rounded
+    pinned = replace(node, lb=lb, ub=ub)
+    return sol, solve_qp(pinned, x0=balanced_start(model, pinned, sol.x), deadline=deadline)
+
+
 def solve_master(
     instance: Instance,
     test: Optional[Callable[[MasterResult], Optional[Sequence[Cut]]]] = None,
@@ -145,14 +170,16 @@ def solve_master(
     time_limit: Optional[float] = None,
     presolve: bool = True,
 ) -> MasterResult:
-    """Best-first branch-and-cut.  An integral leaf, re-solved with its
-    binaries pinned, goes back on the heap keyed by its objective plus
-    ``abs_gap``; when it reaches the top it is the master optimum under the
-    cuts so far, and ``test`` gets it as an optimal ``MasterResult``.  The
-    test returns no cuts to accept the leaf, cuts that reject it (they
-    become rows and the leaf's node is solved again under them), or None to
-    stop the search with status ``limit``.  Without a test the first such
-    leaf is returned."""
+    """Best-first branch-and-cut.  An integral leaf (see ``_solve_node``)
+    goes back on the heap keyed by its objective plus ``abs_gap``; when it
+    reaches the top it is the master optimum under the cuts so far, and
+    ``test`` gets it as an optimal ``MasterResult``.  The test returns no
+    cuts to accept the leaf, cuts that reject it (they become rows and the
+    leaf's node is solved again under them), or None to stop the search
+    with status ``limit``.  Without a test the first such leaf is returned.
+    ``time_limit`` also bounds each node's QP solves: one that passes it
+    puts its node back on the heap, so the ``limit`` result's bound stays
+    valid."""
     prob, model, col_block, col_flex = _assemble(instance)
     bin_cols = list(range(model.n, prob.n))
     deadline = time.monotonic() + time_limit if time_limit is not None else None
@@ -195,7 +222,8 @@ def solve_master(
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             return result("limit")
-        _, _, _, bound, (node_lb, node_ub, node_x0), leaf = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        _, _, _, bound, (node_lb, node_ub, node_x0), leaf = entry
         if leaf is not None and all(cut.satisfied(leaf[0]) for cut in cuts):
             # the master optimum under the cuts so far
             found = result("optimal", leaf, bound)
@@ -210,28 +238,25 @@ def solve_master(
             continue
         # a node, or a leaf that a later cut removed
         node = replace(prob, lb=node_lb, ub=node_ub)
-        sol = solve_qp(node, x0=balanced_start(model, node, node_x0))
+        try:
+            sol, exact = _solve_node(node, model, node_x0, bin_cols, deadline)
+        except TimeLimit:
+            heapq.heappush(heap, entry)  # the interrupted node keeps its bound
+            return result("limit")
         nodes += 1
-        if sol.status != "optimal":
+        if sol is None:
+            continue
+        if exact is not None:
+            if exact.status == "optimal":
+                selection = _selection_from_x(instance, exact.x, col_block, col_flex)
+                push(exact.objective, (node_lb, node_ub, sol.x), (selection, exact.x))
             continue
         frac = [
             (abs(sol.x[j] - round(sol.x[j])), j)
             for j in bin_cols
             if node_lb[j] < node_ub[j]
         ]
-        worst = max((f for f, _ in frac), default=0.0)
-        if worst <= INT_TOL:
-            # integral leaf: re-solve with binaries pinned at the rounding
-            leaf_lb = node_lb.copy()
-            leaf_ub = node_ub.copy()
-            for j in bin_cols:
-                leaf_lb[j] = leaf_ub[j] = round(sol.x[j])
-            pinned = replace(prob, lb=leaf_lb, ub=leaf_ub)
-            exact = solve_qp(pinned, x0=balanced_start(model, pinned, sol.x))
-            if exact.status == "optimal":
-                selection = _selection_from_x(instance, exact.x, col_block, col_flex)
-                push(exact.objective, (node_lb, node_ub, sol.x), (selection, exact.x))
-            continue
+        worst = max(f for f, _ in frac)
         # branch on the most fractional binary, lowest column on ties
         j_star = min(
             (j for f, j in frac if f >= worst - 1e-12),

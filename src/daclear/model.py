@@ -11,7 +11,7 @@ segment and flow columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,6 +45,19 @@ class ClearingModel:
     b_eq: np.ndarray
     A_in: np.ndarray
     b_in: np.ndarray
+    # per clearing row: its segment columns in column (merit) order and
+    # their spans, derived from A_eq
+    row_segs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        n_seg = len(self.seg_ids)
+        segs = []
+        for row in self.A_eq[:, :n_seg]:
+            cols = np.flatnonzero(row > 0.0)
+            segs.append((cols, row[cols]))
+        object.__setattr__(self, "row_segs", tuple(segs))
 
     @property
     def n(self) -> int:
@@ -132,17 +145,22 @@ def balanced_start(
     and inequality rows are left alone, so phase 1 runs only for the rows
     no curve can balance and for violated inequality rows."""
     x = np.clip(np.zeros(prob.n) if x0 is None else x0, prob.lb, prob.ub)
-    n_seg = len(model.seg_ids)
-    for r, short in enumerate(prob.b_eq - prob.A_eq @ x):
-        if abs(short) <= FEAS_TOL:
-            continue
-        cols = np.flatnonzero(model.A_eq[r, :n_seg] > 0.0)
+    residual = prob.b_eq - prob.A_eq @ x
+    for r in (np.abs(residual) > FEAS_TOL).nonzero()[0]:
+        short = float(residual[r])
+        cols, spans = model.row_segs[r]
         if short < 0.0:
-            cols = cols[::-1]
-        span = model.A_eq[r, cols]
-        bound = prob.ub[cols] if short > 0.0 else prob.lb[cols]
-        # net demand each segment can still add, or give back, in turn
-        room = span * np.abs(bound - x[cols])
-        take = np.clip(abs(short) - (np.cumsum(room) - room), 0.0, room)
-        x[cols] = np.where(take >= room, bound, x[cols] + np.sign(short) * take / span)
+            cols, spans = cols[::-1], spans[::-1]
+        sign = 1.0 if short > 0.0 else -1.0
+        bound = (prob.ub if short > 0.0 else prob.lb)[cols].tolist()
+        fill = x[cols].tolist()
+        # net demand each segment can still add, or give back, in turn;
+        # rows hold a few segments, so plain floats beat array calls
+        total = 0.0
+        for k, span in enumerate(spans.tolist()):
+            room = span * abs(bound[k] - fill[k])
+            total += room
+            take = min(max(abs(short) - (total - room), 0.0), room)
+            fill[k] = bound[k] if take >= room else fill[k] + sign * take / span
+        x[cols] = fill
     return x

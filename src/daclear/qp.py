@@ -20,12 +20,14 @@ bounds), so results are deterministic.
 from __future__ import annotations
 
 import bisect
+import time
 from dataclasses import dataclass
+from math import sqrt
 from typing import Optional
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import SolverFailure, TimeLimit
 
 FEAS_TOL = 1e-9
 DUAL_TOL = 1e-9
@@ -143,36 +145,48 @@ class _ActiveSet:
         state[self.lb == self.ub] = PINNED
         return work, state
 
-    def run(self, x, work, state):
+    def run(self, x, work, state, deadline=None):
         """(status, x, work, state, out, iterations) where out is the ascent
         ray when unbounded and, when optimal, the closing multipliers
         (y, mu_w, r): equality and working-row multipliers and the reduced
-        gradient  g - K'lam  that prices the fixed columns."""
+        gradient  g - K'lam  that prices the fixed columns.  Raises
+        TimeLimit once ``time.monotonic()`` passes ``deadline``."""
         c, d, n, m = self.c, self.d, self.n, len(self.b)
         max_iter = 200 * (2 * n + len(self.h) + 5)
+        factor = None  # of the current working rows and column states
         for it in range(max_iter):
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeLimit("QP solve passed its deadline")
+            if factor is None:
+                # one factorization serves the step and the multipliers; an
+                # unblocked step keeps the working set, so the next
+                # iteration reuses it
+                free = state == FREE
+                K = np.concatenate((self.A, self.G[work]))
+                Z, P, Vr = _factor(K[:, free])
+                curv = None
+                df = d[free]
+                if Z.shape[1] and df.any():
+                    w, V = np.linalg.eigh(Z.T @ (df[:, None] * Z))
+                    scale = max(1.0, float(np.max(np.abs(w))))
+                    curv = (w, V, w < -CURV_TOL * scale)
+                factor = (free, K, Z, P, Vr, curv)
+            free, K, Z, P, Vr, curv = factor
             g = c + d * x
-            free = state == FREE
-            K = np.concatenate((self.A, self.G[work]))
-            # one factorization serves the step and the multipliers
-            Z, P, Vr = _factor(K[:, free])
             p = np.zeros(n)
             ascent = None  # flat null-space direction along which g ascends
             if Z.shape[1]:
-                df = d[free]
                 gz = Z.T @ g[free]
-                if df.any():
-                    w, V = np.linalg.eigh(Z.T @ (df[:, None] * Z))
-                    scale = max(1.0, float(np.max(np.abs(w))))
-                    curved = w < -CURV_TOL * scale
+                if curv is not None:
+                    w, V, curved = curv
                     gv = V.T @ gz
                     q = np.zeros_like(gv)
                     q[curved] = -gv[curved] / w[curved]
                     p[free] = Z @ (V @ q)
                     gv[curved] = 0.0
-                    if np.linalg.norm(gv) > DUAL_TOL:
+                    if sqrt(gv @ gv) > DUAL_TOL:
                         ascent = V @ gv
-                elif np.linalg.norm(gz) > DUAL_TOL:
+                elif sqrt(gz @ gz) > DUAL_TOL:
                     # no curvature on the free columns: every direction is flat
                     ascent = gz
 
@@ -180,30 +194,38 @@ class _ActiveSet:
                 # objective ascends linearly and forever along this ray
                 ray = np.zeros(n)
                 ray[free] = Z @ ascent
-                ray /= np.linalg.norm(ray)
+                ray /= sqrt(ray @ ray)
                 alpha, block = self._ratio(x, ray, work, state, np.inf)
                 if block is None:
                     return "unbounded", x, work, state, ray, it
                 x = self._step(x, alpha, ray, block, work, state)
+                factor = None
                 continue
 
-            if np.linalg.norm(p) <= STEP_TOL * max(1.0, np.linalg.norm(x)):
+            if sqrt(p @ p) <= STEP_TOL * max(1.0, sqrt(x @ x)):
                 lam = P @ (Vr @ g[free])
-                neg = [i for i, mu in zip(work, lam[m:]) if mu < -DUAL_TOL]
-                if neg:
-                    work.remove(neg[0])
+                neg = np.flatnonzero(lam[m:] < -DUAL_TOL)
+                if len(neg):
+                    del work[neg[0]]
+                    factor = None
                     continue
-                # a bound multiplier is the reduced gradient, signed by side
+                # a bound multiplier is the reduced gradient, signed by side;
+                # upper bounds are released before lower ones
                 r = g - K.T @ lam
-                up = np.flatnonzero((state == UPPER) & (r < -DUAL_TOL))
-                lo = np.flatnonzero((state == LOWER) & (r > DUAL_TOL))
-                if len(up) == 0 and len(lo) == 0:
+                wrong = np.concatenate(
+                    ((state == UPPER) & (r < -DUAL_TOL), (state == LOWER) & (r > DUAL_TOL))
+                )
+                k = int(np.argmax(wrong))
+                if not wrong[k]:
                     return "optimal", x, work, state, (lam[:m], lam[m:], r), it
-                state[up[0] if len(up) else lo[0]] = FREE
+                state[k % n] = FREE
+                factor = None
                 continue
 
             alpha, block = self._ratio(x, p, work, state, 1.0)
             x = self._step(x, alpha, p, block, work, state)
+            if block is not None:
+                factor = None
         raise SolverFailure("active-set iteration limit reached")
 
     def _ratio(self, x, p, work, state, alpha_max):
@@ -247,7 +269,7 @@ def _bound_multipliers(state, r):
     return np.where(lower, np.maximum(-r, 0.0), 0.0), np.where(upper, np.maximum(r, 0.0), 0.0)
 
 
-def _phase1(prob: QpProblem, x0: np.ndarray):
+def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
     """(x, None, iterations) with a feasible point from the start x0 (inside
     the box), or (None, certificate, iterations) when none exists.  Only the
     equality rows and the rows x0 violates get artificial slacks; the box
@@ -268,7 +290,7 @@ def _phase1(prob: QpProblem, x0: np.ndarray):
     ub1 = np.concatenate([prob.ub, np.full(m + k, np.inf)])
     z0 = np.concatenate([x0, np.abs(r_eq), excess[viol]])
     solver = _ActiveSet(c1, np.zeros(n + m + k), A1, b, G1, h, lb1, ub1)
-    status, z, work, state, out, iters = solver.run(z0, *solver.start(z0))
+    status, z, work, state, out, iters = solver.run(z0, *solver.start(z0), deadline)
     if status != "optimal":
         raise SolverFailure("phase-1 subproblem did not converge")
     if float(np.sum(z[n:])) > INFEAS_TOL:
@@ -284,21 +306,41 @@ def _phase1(prob: QpProblem, x0: np.ndarray):
     return z[:n], None, iters
 
 
-def solve_qp(prob: QpProblem, x0: Optional[np.ndarray] = None) -> QpSolution:
+def infeasible_by_bounds(prob: QpProblem) -> bool:
+    """True when row activity bounds over the box prove prob infeasible
+    (bound propagation, Savelsbergh 1994): an equality row whose activity
+    range misses its right-hand side, or an inequality row whose lowest
+    activity exceeds it, by more than INFEAS_TOL.  Phase 1 calls every such
+    problem infeasible, since the artificial on that row must carry more
+    than INFEAS_TOL, so callers may skip the solve."""
+    # equality rows once as they are (lowest activity) and once negated
+    # (highest); a zero coefficient adds nothing, even against an infinite bound
+    M = np.concatenate((prob.A_in, prob.A_eq, -prob.A_eq))
+    rhs = np.concatenate((prob.b_in, prob.b_eq, -prob.b_eq))
+    low = np.multiply(M, prob.lb, out=np.zeros_like(M), where=M > 0.0)
+    np.multiply(M, prob.ub, out=low, where=M < 0.0)
+    return bool((low.sum(axis=1) > rhs + INFEAS_TOL).any())
+
+
+def solve_qp(
+    prob: QpProblem, x0: Optional[np.ndarray] = None, deadline: Optional[float] = None
+) -> QpSolution:
     """Optimum, infeasibility certificate or ascent ray of prob.  The
     search starts from x0 clipped into the box, or from the clipped origin
     when x0 is None; callers that know a better start pass it (the clearing
     QPs pass ``model.balanced_start``).  Phase 1 runs only when that point
-    is infeasible."""
+    is infeasible.  With a ``deadline`` (a ``time.monotonic()`` instant),
+    every active-set iteration checks the clock and raises TimeLimit once
+    it has passed."""
     start = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
-    x, cert, iters1 = _phase1(prob, np.clip(start, prob.lb, prob.ub))
+    x, cert, iters1 = _phase1(prob, np.clip(start, prob.lb, prob.ub), deadline)
     if x is None:
         return QpSolution(status="infeasible", certificate=cert, iterations=iters1)
 
     solver = _ActiveSet(
         prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub
     )
-    status, x, work, state, out, iters = solver.run(x, *solver.start(x))
+    status, x, work, state, out, iters = solver.run(x, *solver.start(x), deadline)
     iters += iters1
     if status == "unbounded":
         return QpSolution(status="unbounded", x=x, ray=out, iterations=iters)

@@ -10,7 +10,7 @@ the solution.  The QP is a view of the shared clearing model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -47,10 +47,13 @@ def check_selection(instance: Instance, selection: BidSelection) -> None:
 
 
 def assemble_qprelax(
-    instance: Instance, selection: BidSelection
+    instance: Instance, selection: BidSelection, model: Optional[ClearingModel] = None
 ) -> tuple[QpProblem, ClearingModel, FixedSelectionTerms]:
+    """The selection's relaxation QP on ``model``, the instance's clearing
+    model, which is built here when None."""
     check_selection(instance, selection)
-    model = build_model(instance)
+    if model is None:
+        model = build_model(instance)
     terms = selection_terms(instance, selection)
     volume = np.array([terms.volume[key] for key in model.eq_keys])
     prob = QpProblem(
@@ -75,8 +78,10 @@ class RelaxationOutcome:
         return PrimalSolution(selection=self.selection, delta=self.delta, flows=self.flows)
 
 
-def solve_relaxation(instance: Instance, selection: BidSelection) -> RelaxationOutcome:
-    prob, model, terms = assemble_qprelax(instance, selection)
+def solve_relaxation(
+    instance: Instance, selection: BidSelection, model: Optional[ClearingModel] = None
+) -> RelaxationOutcome:
+    prob, model, terms = assemble_qprelax(instance, selection, model)
     sol = solve_qp(prob, x0=balanced_start(model, prob))
     if sol.status == "infeasible":
         raise InfeasibleSelection(

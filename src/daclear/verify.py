@@ -16,8 +16,9 @@ from .core import BidSelection, Instance, PriceVector
 from .cuts import curtailment_violations
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
 from .pricing import TIGHT_TOL, solve_fixflow, solve_qpprice
-from .qp import QpProblem, solve_qp
-from .relaxation import solve_relaxation
+from .model import build_model
+from .qp import QpProblem, infeasible_by_bounds, solve_qp
+from .relaxation import assemble_qprelax, solve_relaxation
 
 DEFAULT_TOL = 1e-6
 
@@ -267,10 +268,13 @@ def oracle_clear(instance: Instance, cap: int = 12):
         raise TooLarge(
             f"{decisions} binary decisions exceed the enumeration cap {cap}"
         )
+    model = build_model(instance)
     candidates = []
     for idx, selection in enumerate(_all_selections(instance)):
+        if infeasible_by_bounds(assemble_qprelax(instance, selection, model)[0]):
+            continue  # no fill or flow inside its bounds clears this volume
         try:
-            outcome = solve_relaxation(instance, selection)
+            outcome = solve_relaxation(instance, selection, model)
         except InfeasibleSelection:
             continue
         candidates.append((outcome.objective, idx, outcome))

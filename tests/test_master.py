@@ -1,8 +1,9 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from daclear import qp
+from daclear import master, qp
 from daclear.cuts import no_good_cut
 from daclear.io import parse_instance
 from daclear.master import solve_master
@@ -126,6 +127,60 @@ class TestPresolve:
                 assert a.objective <= b.objective + 1e-7
 
 
+def _count_master_qps(monkeypatch):
+    statuses = []
+    solve = master.solve_qp
+
+    def spy(prob, *args, **kwargs):
+        sol = solve(prob, *args, **kwargs)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(master, "solve_qp", spy)
+    return statuses
+
+
+class TestNodeSolves:
+    def test_infeasible_child_skips_its_qp(self, monkeypatch):
+        # the 15 MW block fills the curve's 10 MW at the root; its child
+        # with the block executed cannot clear, which row bounds show
+        inst = make_instance(
+            {("X", 0): [[0, 10], [50, 10], [50, -10], [100, -10]]},
+            blocks=[block("big", "X", 90, [15])],
+        )
+        statuses = _count_master_qps(monkeypatch)
+        pruned = solve_master(inst)
+        pruned_statuses = list(statuses)
+        statuses.clear()
+        monkeypatch.setattr(master, "infeasible_by_bounds", lambda prob: False)
+        solved = solve_master(inst)
+        assert statuses == ["optimal", "optimal", "infeasible"]
+        assert pruned_statuses == ["optimal", "optimal"]
+        assert pruned.nodes == solved.nodes == 3
+        assert pruned.objective == solved.objective
+        assert pruned.bound == solved.bound
+        assert pruned.solution.selection == solved.solution.selection
+
+    def test_integral_root_runs_no_pinned_resolve(self, monkeypatch):
+        inst = random_instance(0)
+        statuses = _count_master_qps(monkeypatch)
+        res = solve_master(inst)
+        assert res.status == "optimal" and res.nodes == 1
+        assert statuses == ["optimal"]
+
+
+def _clock(ticks_before_expiry):
+    """A monotonic clock that reads 0 for the given number of calls and 10
+    after them."""
+    calls = []
+
+    def monotonic():
+        calls.append(None)
+        return 0.0 if len(calls) <= ticks_before_expiry else 10.0
+
+    return SimpleNamespace(monotonic=monotonic)
+
+
 class TestLimits:
     def test_time_limit_returns_limit_status(self):
         inst = random_instance(3)
@@ -133,6 +188,23 @@ class TestLimits:
         assert res.status in ("limit", "optimal")
         if res.status == "limit":
             assert res.bound is not None
+
+    def test_interrupted_node_keeps_its_bound(self, monkeypatch):
+        # the deadline passes inside a node's QP, at each possible tick
+        inst = appendix_a()
+        optimum = solve_master(inst).objective
+        monkeypatch.setattr(master, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        limits = 0
+        for ticks in range(40):
+            monkeypatch.setattr(qp, "time", _clock(ticks))
+            res = solve_master(inst, time_limit=1.0)
+            if res.status == "optimal":
+                assert res.objective == pytest.approx(optimum, abs=1e-9)
+                continue
+            assert res.status == "limit"
+            assert res.bound >= optimum - 1e-9
+            limits += 1
+        assert limits >= 10
 
 
 class TestStarts:
@@ -143,8 +215,8 @@ class TestStarts:
         runs = []
         phase1 = qp._phase1
 
-        def spy(prob, x0):
-            out = phase1(prob, x0)
+        def spy(prob, x0, deadline=None):
+            out = phase1(prob, x0, deadline)
             runs.append(out[2])
             return out
 

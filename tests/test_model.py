@@ -162,6 +162,35 @@ class TestBalancedStart:
                     balanced += self._check(model, prob, x0)
         assert balanced > 500
 
+    def test_matches_the_array_formula(self):
+        # the per-row float loop does the array formula's arithmetic in the
+        # same order, so the starts agree bit for bit
+        def reference(model, prob, x0):
+            x = np.clip(np.zeros(prob.n) if x0 is None else x0, prob.lb, prob.ub)
+            n_seg = len(model.seg_ids)
+            for r, short in enumerate(prob.b_eq - prob.A_eq @ x):
+                if abs(short) <= 1e-9:
+                    continue
+                cols = np.flatnonzero(model.A_eq[r, :n_seg] > 0.0)
+                if short < 0.0:
+                    cols = cols[::-1]
+                span = model.A_eq[r, cols]
+                bound = prob.ub[cols] if short > 0.0 else prob.lb[cols]
+                room = span * np.abs(bound - x[cols])
+                take = np.clip(abs(short) - (np.cumsum(room) - room), 0.0, room)
+                x[cols] = np.where(take >= room, bound, x[cols] + np.sign(short) * take / span)
+            return x
+
+        rng = np.random.default_rng(5)
+        for inst in _start_instances():
+            model = build_model(inst)
+            prob = assemble_qprelax(inst, inst.empty_selection(), model)[0]
+            for x0 in (None, rng.uniform(prob.lb - 1.0, prob.ub + 1.0)):
+                x = balanced_start(model, prob, x0)
+                ref = reference(model, prob, x0)
+                assert np.array_equal(x, ref)
+                assert np.array_equal(np.signbit(x), np.signbit(ref))
+
     def test_curve_out_of_merit_order(self):
         # three segments of one curve, stored cheapest first
         inst = make_instance({("X", 0): [[0, 30], [20, 20], [50, 5], [100, -10]]})

@@ -1,9 +1,12 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from daclear.qp import QpProblem, check_kkt, solve_qp
+from daclear import qp
+from daclear.errors import TimeLimit
+from daclear.qp import QpProblem, check_kkt, infeasible_by_bounds, solve_qp
 
 
 def _prob(c, d, **kw):
@@ -357,9 +360,10 @@ class TestRankDeficientWorkingSets:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
         # y rises to its bound without eigh; x is released (no free column);
-        # x steps to 0.5 and the optimum is confirmed, each with eigh
+        # x steps to 0.5 with eigh, and the optimum check after that
+        # unblocked step reuses the factor
         assert solve_qp(prob, x0=x0).iterations == 3
-        assert calls == [(1, 1), (1, 1)]
+        assert calls == [(1, 1)]
         # phase 1 and pure LPs never decompose
         calls.clear()
         sol = solve_qp(_prob([1.0, -1.0], [0.0, 0.0],
@@ -367,3 +371,75 @@ class TestRankDeficientWorkingSets:
                              lb=np.zeros(2), ub=np.ones(2)))
         assert sol.status == "optimal" and sol.iterations > 0
         assert calls == []
+
+
+class TestRowBounds:
+    def test_flags_only_infeasible_problems(self):
+        # random boxes, some shifted away from the origin so that rows miss
+        rng = np.random.default_rng(77)
+        flagged = unflagged_infeasible = 0
+        for _ in range(600):
+            prob = _random_problem(rng)
+            prob.lb = rng.uniform(-4, 4, size=prob.n)
+            prob.ub = prob.lb + rng.uniform(0.0, 3.0, size=prob.n)
+            open_side = rng.random(prob.n) < 0.2
+            prob.ub[open_side] = np.inf
+            prob.b_in = rng.uniform(-5, 5, size=len(prob.b_in))
+            status = solve_qp(prob).status
+            if infeasible_by_bounds(prob):
+                flagged += 1
+                assert status == "infeasible"
+            elif status == "infeasible":
+                unflagged_infeasible += 1
+        assert flagged > 100
+        assert unflagged_infeasible > 0  # the test is a cheap screen, not phase 1
+
+    def test_margin_is_phase_one_threshold(self):
+        # x <= 1 against x >= 1 + margin: flagged only beyond INFEAS_TOL
+        for margin, flagged in ((0.5 * qp.INFEAS_TOL, False), (2 * qp.INFEAS_TOL, True)):
+            prob = _prob([0.0], [0.0], A_in=np.array([[-1.0]]),
+                         b_in=np.array([-1.0 - margin]),
+                         lb=np.array([0.0]), ub=np.array([1.0]))
+            assert infeasible_by_bounds(prob) is flagged
+
+
+class TestFactorReuse:
+    def test_unblocked_step_reuses_the_factor(self, monkeypatch):
+        # max 3x - x^2 inside [-5, 5]: one unblocked Newton step to 1.5,
+        # then the optimum check on the same working set
+        calls = []
+        factor = qp._factor
+        monkeypatch.setattr(qp, "_factor", lambda K: calls.append(K.shape) or factor(K))
+        sol = solve_qp(_prob([3.0], [-2.0], lb=np.array([-5.0]), ub=np.array([5.0])))
+        assert sol.x[0] == pytest.approx(1.5, abs=1e-12)
+        assert sol.iterations == 1
+        assert calls == [(0, 1)]
+
+
+class TestDeadline:
+    def test_passed_deadline_raises(self, monkeypatch):
+        prob = _prob([3.0], [-2.0], lb=np.array([-5.0]), ub=np.array([5.0]))
+        monkeypatch.setattr(qp, "time", SimpleNamespace(monotonic=lambda: 10.0))
+        with pytest.raises(TimeLimit):
+            solve_qp(prob, deadline=1.0)
+        assert solve_qp(prob, deadline=20.0).status == "optimal"
+
+    def test_phase_one_checks_the_deadline(self, monkeypatch):
+        # the start 0 misses x1 + x2 = 1, so phase 1 runs first
+        prob = _prob([0.0, 0.0], [0.0, 0.0], A_eq=np.array([[1.0, 1.0]]),
+                     b_eq=np.array([1.0]), lb=np.zeros(2), ub=np.ones(2))
+        raised = []
+        phase1 = qp._phase1
+
+        def spy(prob, x0, deadline=None):
+            try:
+                return phase1(prob, x0, deadline)
+            except TimeLimit:
+                raised.append("phase 1")
+                raise
+
+        monkeypatch.setattr(qp, "_phase1", spy)
+        monkeypatch.setattr(qp, "time", SimpleNamespace(monotonic=lambda: 10.0))
+        with pytest.raises(TimeLimit):
+            solve_qp(prob, deadline=1.0)
+        assert raised == ["phase 1"]
