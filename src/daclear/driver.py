@@ -11,6 +11,7 @@ among price-supportable selections.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,19 +65,19 @@ def _relative_gap(bound: float, welfare: float) -> float:
     return max(0.0, bound - welfare) / max(1.0, abs(bound))
 
 
-def _price(instance, solution, relax_losses):
+def _price(instance, solution, relax_losses, deadline):
     """Pricing of a candidate, or None when no price in the interval supports it."""
     try:
-        return solve_qpprice(instance, solution, relax_losses=relax_losses)
+        return solve_qpprice(instance, solution, relax_losses, deadline)
     except PriceInfeasible:
         return None
 
 
-def _heuristic_test(instance, solution, cuts):
+def _heuristic_test(instance, solution, cuts, deadline):
     """Relaxed pricing, then a bid cut on the loss sets plus curtailment
     cuts; a candidate that no price supports, or that has no loss-free
     price once nothing is cut, gets a no-good cut instead."""
-    relaxed = _price(instance, solution, relax_losses=True)
+    relaxed = _price(instance, solution, True, deadline)
     curt = curtailment_violations(instance, solution)
     if relaxed is None:
         cut = no_good_cut(instance, solution.selection)
@@ -84,17 +85,17 @@ def _heuristic_test(instance, solution, cuts):
     sets = loss_sets(instance, solution, relaxed.prices)
     added = 0 if sets.empty else int(cuts.add(bid_cut(sets)))
     added += sum(cuts.add(curtailment_cut(bad)) for bad in curt.values())
-    pricing = None if added else _price(instance, solution, relax_losses=False)
+    pricing = None if added else _price(instance, solution, False, deadline)
     if not added and pricing is None:
         added = int(cuts.add(no_good_cut(instance, solution.selection)))
     return sets, curt, pricing, added
 
 
-def _exact_test(instance, solution, cuts):
+def _exact_test(instance, solution, cuts, deadline):
     """Strict pricing plus the curtailment check; a failed candidate gets
     one no-good cut. Relaxed pricing only fills the record's loss sets."""
-    pricing = _price(instance, solution, relax_losses=False)
-    relaxed = None if pricing is not None else _price(instance, solution, relax_losses=True)
+    pricing = _price(instance, solution, False, deadline)
+    relaxed = None if pricing is not None else _price(instance, solution, True, deadline)
     sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
     curt = curtailment_violations(instance, solution)
     failed = pricing is None or bool(curt)
@@ -131,7 +132,8 @@ def _no_solution(status, mode, bound, iterations):
 def _branch_and_cut(instance, options, mode):
     """One master tree whose leaf test runs FixFlow and the mode's test and
     records each tested leaf.  Heuristic mode stops after
-    10 x (blocks + flex) failed tests."""
+    10 x (blocks + flex) failed tests.  The time limit also bounds the leaf
+    test's QPs: one that passes it ends the clear with ``limit``."""
     exact = mode == "exact"
     test = _exact_test if exact else _heuristic_test
     blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
@@ -139,11 +141,13 @@ def _branch_and_cut(instance, options, mode):
     cuts = CutPool()
     iterations = []
     tested = []  # (leaf, FixFlow solution, pricing) per tested leaf
+    limit = options.time_limit
+    deadline = time.monotonic() + limit if limit is not None else None
 
     def leaf_test(leaf):
         before = len(cuts)
-        solution = solve_fixflow(instance, leaf.solution)
-        sets, curt, pricing, added = test(instance, solution, cuts)
+        solution = solve_fixflow(instance, leaf.solution, deadline)
+        sets, curt, pricing, added = test(instance, solution, cuts, deadline)
         tested.append((leaf, solution, pricing))
         iterations.append(
             IterationRecord(

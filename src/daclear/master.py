@@ -159,7 +159,7 @@ def _solve_node(node: QpProblem, model, x0, bin_cols, deadline):
         return sol, sol
     lb, ub = node.lb.copy(), node.ub.copy()
     lb[bin_cols] = ub[bin_cols] = rounded
-    pinned = replace(node, lb=lb, ub=ub)
+    pinned = node.with_bounds(lb, ub)
     return sol, solve_qp(pinned, x0=balanced_start(model, pinned, sol.x), deadline=deadline)
 
 
@@ -179,7 +179,7 @@ def solve_master(
     with status ``limit``.  Without a test the first such leaf is returned.
     ``time_limit`` also bounds each node's QP solves: one that passes it
     puts its node back on the heap, so the ``limit`` result's bound stays
-    valid."""
+    valid.  A test that raises TimeLimit puts its leaf back the same way."""
     prob, model, col_block, col_flex = _assemble(instance)
     bin_cols = list(range(model.n, prob.n))
     deadline = time.monotonic() + time_limit if time_limit is not None else None
@@ -227,7 +227,11 @@ def solve_master(
         if leaf is not None and all(cut.satisfied(leaf[0]) for cut in cuts):
             # the master optimum under the cuts so far
             found = result("optimal", leaf, bound)
-            verdict = () if test is None else test(found)
+            try:
+                verdict = () if test is None else test(found)
+            except TimeLimit:
+                heapq.heappush(heap, entry)  # the tested leaf keeps its bound
+                return result("limit")
             if verdict is not None and not verdict:
                 return found
             push(bound, (node_lb, node_ub, node_x0))  # solved again under the new cuts
@@ -237,7 +241,7 @@ def solve_master(
             prob = _with_cuts(prob, verdict, col_block, col_flex)
             continue
         # a node, or a leaf that a later cut removed
-        node = replace(prob, lb=node_lb, ub=node_ub)
+        node = prob.with_bounds(node_lb, node_ub)
         try:
             sol, exact = _solve_node(node, model, node_x0, bin_cols, deadline)
         except TimeLimit:

@@ -9,7 +9,7 @@ minimize total executed-bid losses, then minimize the squared price norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -22,17 +22,20 @@ from .core import (
 )
 from .errors import PriceInfeasible, SolverFailure
 from .model import build_model
-from .qp import INFEAS_TOL, QpProblem, solve_qp
+from .qp import INFEAS_TOL, QpProblem, QpSolution, infeasible_by_bounds, solve_qp
 
 TIGHT_TOL = 1e-7
 
 
-def solve_fixflow(instance: Instance, solution: PrimalSolution) -> PrimalSolution:
+def solve_fixflow(
+    instance: Instance, solution: PrimalSolution, deadline: Optional[float] = None
+) -> PrimalSolution:
     """Minimum squared-norm flows among welfare-preserving alternatives.
 
     Slope-carrying segment fills are unique and stay fixed; vertical
     segment fills may redistribute as long as total welfare and clearing
-    balance are preserved.
+    balance are preserved.  ``deadline`` goes to the QP solve, which raises
+    TimeLimit once it has passed.
     """
     if not instance.interconnectors:
         return solution
@@ -75,7 +78,7 @@ def solve_fixflow(instance: Instance, solution: PrimalSolution) -> PrimalSolutio
         x0[k] = solution.delta.get(seg.id, 0.0)
     for k, key in enumerate(model.flow_keys):
         x0[n_free + k] = solution.flows.get(key, 0.0)
-    sol = solve_qp(prob, x0=x0)
+    sol = solve_qp(prob, x0=x0, deadline=deadline)
     if sol.status != "optimal":
         raise SolverFailure(f"flow canonicalization failed: {sol.status}")
 
@@ -113,8 +116,79 @@ def _tight_flow_multiplier_vars(instance: Instance, flows):
     return keys
 
 
+# flow multiplier kinds: the ones at even positions let a connector's sink
+# price exceed its source price, the ones at odd positions let it fall below
+_MULTS = ("mu_upper", "mu_lower", "rho_fwd", "rho_bwd")
+
+
+def _price_start(instance: Instance, mult_col, lb, ub, A_in, b_in, n_lam):
+    """A start for the pricing QPs, whose columns are the prices (area, then
+    hour), ``n_lam`` loss slacks and the flow multipliers in ``mult_col``.
+
+    Prices start at their lower bounds and rise to the least prices that
+    meet each (connector, hour) sign rule: without a multiplier column of
+    one kind at that hour, the rows say sink >= source (no mu_lower or
+    rho_bwd) or sink <= source (no mu_upper or rho_fwd).  These are
+    difference constraints, relaxed Bellman-Ford style, then clipped into
+    the bounds.  Each connector's multipliers then absorb its rows from the
+    last hour back, a ramp multiplier carrying its value into the previous
+    hour's row, and each loss slack takes its row's excess.  Phase 1 runs
+    only where this point is infeasible."""
+    T = instance.hours
+    index = {a: k * T for k, a in enumerate(instance.areas)}  # first price column
+    n_pi = len(index) * T
+    rules = []  # (lo, hi): the price in column hi is at least the one in lo
+    for c in instance.interconnectors:
+        for t in range(T):
+            has = [(c.id, t, m) in mult_col for m in _MULTS]
+            src, sink = index[c.source] + t, index[c.sink] + t
+            if not (has[1] or has[3]):  # no mu_lower, no rho_bwd
+                rules.append((src, sink))
+            if not (has[0] or has[2]):  # no mu_upper, no rho_fwd
+                rules.append((sink, src))
+    pi = lb[:n_pi].tolist()  # plain floats: a book has a handful of prices
+    for _ in range(len(index) + 1):
+        raised = False
+        for lo, hi in rules:
+            if pi[hi] < pi[lo]:
+                pi[hi] = pi[lo]
+                raised = True
+        if not raised:
+            break
+    x = np.zeros(len(lb))
+    x[:n_pi] = np.clip(pi, lb[:n_pi], ub[:n_pi])
+    pi = x[:n_pi].tolist()
+    for c in instance.interconnectors:
+        carry = 0.0
+        for t in reversed(range(T)):
+            r = pi[index[c.sink] + t] - pi[index[c.source] + t] + carry
+            carry = 0.0
+            names = _MULTS[0::2] if r > 0.0 else _MULTS[1::2] if r < 0.0 else ()
+            for name in names:
+                j = mult_col.get((c.id, t, name))
+                if j is not None:
+                    x[j] = abs(r)
+                    carry = r if name.startswith("rho") else 0.0
+                    break
+    if n_lam:
+        excess = A_in[:n_lam, :n_pi] @ x[:n_pi] - b_in[:n_lam]
+        x[n_pi : n_pi + n_lam] = np.clip(excess, 0.0, ub[n_pi : n_pi + n_lam])
+    return x
+
+
+def _solve(prob: QpProblem, x0, deadline) -> QpSolution:
+    """solve_qp, or an infeasible verdict without a QP when row activity
+    bounds prove it."""
+    if infeasible_by_bounds(prob):
+        return QpSolution(status="infeasible")
+    return solve_qp(prob, x0=x0, deadline=deadline)
+
+
 def solve_qpprice(
-    instance: Instance, solution: PrimalSolution, relax_losses: bool = False
+    instance: Instance,
+    solution: PrimalSolution,
+    relax_losses: bool = False,
+    deadline: Optional[float] = None,
 ) -> PricingOutcome:
     areas = instance.areas
     T = instance.hours
@@ -213,8 +287,8 @@ def solve_qpprice(
     b_eq = np.array(eq_rhs)
     A_in = np.array(in_rows).reshape(-1, n)
     b_in = np.array(in_rhs)
+    x1 = _price_start(instance, mult_col, lb, ub, A_in, b_in, len(lam_keys))
 
-    x1 = None
     if relax_losses and lam_keys:
         c1 = np.zeros(n)
         for j in lam_col.values():
@@ -223,7 +297,7 @@ def solve_qpprice(
             c=c1, d=np.zeros(n), A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
             lb=lb, ub=ub,
         )
-        s1 = solve_qp(p1)
+        s1 = _solve(p1, x1, deadline)
         if s1.status != "optimal":
             raise PriceInfeasible(
                 f"no supporting price even with loss slacks ({s1.status})"
@@ -243,7 +317,7 @@ def solve_qpprice(
     p2 = QpProblem(
         c=c2, d=d2, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, lb=lb, ub=ub
     )
-    s2 = solve_qp(p2, x0=x1)
+    s2 = _solve(p2, x1, deadline)
     if s2.status != "optimal":
         raise PriceInfeasible(
             "no loss-free supporting price exists for this execution"

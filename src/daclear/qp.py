@@ -20,8 +20,10 @@ bounds), so results are deterministic.
 from __future__ import annotations
 
 import bisect
+import copy
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 from typing import Optional
 
@@ -64,6 +66,23 @@ class QpProblem:
     @property
     def n(self) -> int:
         return len(self.c)
+
+    def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "QpProblem":
+        """This problem with the float arrays ``lb`` and ``ub`` as its box.
+        The copy shares the other arrays, already converted and checked,
+        and the stacked rows of ``infeasible_by_bounds``, built here once."""
+        self._activity_rows  # stacked before the copy, so that copies share them
+        node = copy.copy(self)
+        node.lb, node.ub = lb, ub
+        return node
+
+    @cached_property
+    def _activity_rows(self):
+        # equality rows once as they are (lowest activity) and once negated
+        # (highest), with the signs of their coefficients
+        M = np.concatenate((self.A_in, self.A_eq, -self.A_eq))
+        rhs = np.concatenate((self.b_in, self.b_eq, -self.b_eq))
+        return M, rhs + INFEAS_TOL, M > 0.0, M < 0.0
 
     def objective(self, x: np.ndarray) -> float:
         return float(self.c @ x + 0.5 * np.sum(self.d * x * x))
@@ -312,14 +331,14 @@ def infeasible_by_bounds(prob: QpProblem) -> bool:
     range misses its right-hand side, or an inequality row whose lowest
     activity exceeds it, by more than INFEAS_TOL.  Phase 1 calls every such
     problem infeasible, since the artificial on that row must carry more
-    than INFEAS_TOL, so callers may skip the solve."""
-    # equality rows once as they are (lowest activity) and once negated
-    # (highest); a zero coefficient adds nothing, even against an infinite bound
-    M = np.concatenate((prob.A_in, prob.A_eq, -prob.A_eq))
-    rhs = np.concatenate((prob.b_in, prob.b_eq, -prob.b_eq))
-    low = np.multiply(M, prob.lb, out=np.zeros_like(M), where=M > 0.0)
-    np.multiply(M, prob.ub, out=low, where=M < 0.0)
-    return bool((low.sum(axis=1) > rhs + INFEAS_TOL).any())
+    than INFEAS_TOL, so callers may skip the solve.  The stacked rows are
+    built on the first call and shared by ``with_bounds`` copies, so the
+    rows of a problem must not change after that call."""
+    # a zero coefficient adds nothing, even against an infinite bound
+    M, limit, pos, neg = prob._activity_rows
+    low = np.multiply(M, prob.lb, out=np.zeros_like(M), where=pos)
+    np.multiply(M, prob.ub, out=low, where=neg)
+    return bool((low.sum(axis=1) > limit).any())
 
 
 def solve_qp(
@@ -328,10 +347,10 @@ def solve_qp(
     """Optimum, infeasibility certificate or ascent ray of prob.  The
     search starts from x0 clipped into the box, or from the clipped origin
     when x0 is None; callers that know a better start pass it (the clearing
-    QPs pass ``model.balanced_start``).  Phase 1 runs only when that point
-    is infeasible.  With a ``deadline`` (a ``time.monotonic()`` instant),
-    every active-set iteration checks the clock and raises TimeLimit once
-    it has passed."""
+    QPs pass ``model.balanced_start``, pricing ``pricing._price_start``).
+    Phase 1 runs only when that point is infeasible.  With a ``deadline``
+    (a ``time.monotonic()`` instant), every active-set iteration checks the
+    clock and raises TimeLimit once it has passed."""
     start = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
     x, cert, iters1 = _phase1(prob, np.clip(start, prob.lb, prob.ub), deadline)
     if x is None:

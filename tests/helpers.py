@@ -1,6 +1,7 @@
 """Shared fixture builders and the random small-instance generator."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +47,18 @@ def connector(cid, source, sink, lower, upper, ramp=None, initial=0.0):
             "lower": [float(v) for v in lower], "upper": [float(v) for v in upper],
             "ramp_rate": None if ramp is None else float(ramp),
             "initial_flow": float(initial)}
+
+
+def expiring_clock(ticks_before_expiry):
+    """A stand-in for the ``time`` module whose monotonic clock reads 0 for
+    the given number of calls and 10 after them."""
+    calls = []
+
+    def monotonic():
+        calls.append(None)
+        return 0.0 if len(calls) <= ticks_before_expiry else 10.0
+
+    return SimpleNamespace(monotonic=monotonic)
 
 
 def appendix_a():

@@ -1,11 +1,12 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from daclear import driver
+from daclear import driver, master, qp
 from daclear.core import welfare_of
 from daclear.driver import ClearOptions, clear_exact, clear_heuristic
-from daclear.errors import PriceInfeasible
+from daclear.errors import PriceInfeasible, TimeLimit
 from daclear.io import parse_instance
 from daclear.verify import (
     check_bid_prices,
@@ -23,6 +24,7 @@ from helpers import (
     make_instance,
     block,
     diamond,
+    expiring_clock,
     ramp_fixture,
     random_instance,
 )
@@ -136,6 +138,36 @@ class TestLimits:
         assert res.status == "limit"
         assert res.solution is None
         assert res.prices is None
+
+    def test_leaf_test_honours_the_deadline(self, monkeypatch):
+        # the deadline passes at each possible tick of the QP clock, inside
+        # the master's node solves or inside the leaf test's FixFlow and
+        # pricing solves; either way the clear ends with a valid bound
+        inst = diamond()
+        optimum = clear_exact(inst).welfare
+        frozen = SimpleNamespace(monotonic=lambda: 0.0)
+        monkeypatch.setattr(driver, "time", frozen)
+        monkeypatch.setattr(master, "time", frozen)
+        in_leaf_test = []
+        for name in ("solve_fixflow", "solve_qpprice"):
+            def timed(*args, _real=getattr(driver, name), _name=name):
+                try:
+                    return _real(*args)
+                except TimeLimit:
+                    in_leaf_test.append(_name)
+                    raise
+            monkeypatch.setattr(driver, name, timed)
+        for ticks in range(60):
+            for clear in (clear_exact, clear_heuristic):
+                monkeypatch.setattr(qp, "time", expiring_clock(ticks))
+                res = clear(inst, ClearOptions(time_limit=1.0))
+                if res.status != "limit":
+                    assert res.welfare == pytest.approx(optimum, abs=1e-9)
+                    continue
+                assert res.solution is None
+                if clear is clear_exact:
+                    assert res.bound >= optimum - 1e-9
+        assert {"solve_fixflow", "solve_qpprice"} <= set(in_leaf_test)
 
 
 def _fixture(name):

@@ -5,11 +5,12 @@ import pytest
 
 from daclear import master, qp
 from daclear.cuts import no_good_cut
+from daclear.errors import TimeLimit
 from daclear.io import parse_instance
 from daclear.master import solve_master
 from daclear.relaxation import solve_relaxation
 
-from helpers import appendix_a, make_instance, block, flexbid, random_instance
+from helpers import appendix_a, block, expiring_clock, flexbid, make_instance, random_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -169,18 +170,6 @@ class TestNodeSolves:
         assert statuses == ["optimal"]
 
 
-def _clock(ticks_before_expiry):
-    """A monotonic clock that reads 0 for the given number of calls and 10
-    after them."""
-    calls = []
-
-    def monotonic():
-        calls.append(None)
-        return 0.0 if len(calls) <= ticks_before_expiry else 10.0
-
-    return SimpleNamespace(monotonic=monotonic)
-
-
 class TestLimits:
     def test_time_limit_returns_limit_status(self):
         inst = random_instance(3)
@@ -196,7 +185,7 @@ class TestLimits:
         monkeypatch.setattr(master, "time", SimpleNamespace(monotonic=lambda: 0.0))
         limits = 0
         for ticks in range(40):
-            monkeypatch.setattr(qp, "time", _clock(ticks))
+            monkeypatch.setattr(qp, "time", expiring_clock(ticks))
             res = solve_master(inst, time_limit=1.0)
             if res.status == "optimal":
                 assert res.objective == pytest.approx(optimum, abs=1e-9)
@@ -205,6 +194,21 @@ class TestLimits:
             assert res.bound >= optimum - 1e-9
             limits += 1
         assert limits >= 10
+
+    def test_interrupted_leaf_test_keeps_the_leaf(self):
+        # the test's own solves pass the deadline: the leaf goes back on
+        # the heap, so its objective is still the bound
+        inst = appendix_a()
+        optimum = solve_master(inst).objective
+
+        def test(leaf):
+            raise TimeLimit("leaf test passed its deadline")
+
+        res = solve_master(inst, test)
+        assert res.status == "limit"
+        assert res.solution is None
+        assert res.bound == pytest.approx(optimum, abs=1e-9)
+        assert res.bound >= optimum
 
 
 class TestStarts:

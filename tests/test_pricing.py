@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+from daclear import pricing
 from daclear.core import BidSelection, PrimalSolution, clearing_residuals, welfare_of
-from daclear.errors import PriceInfeasible
+from daclear.driver import clear_exact, clear_heuristic
+from daclear.errors import InfeasibleSelection, PriceInfeasible
 from daclear.pricing import clamp_prices, solve_fixflow, solve_qpprice
+from daclear.qp import QpProblem, solve_qp
 from daclear.relaxation import solve_relaxation
 from daclear.master import solve_master
+from daclear.verify import _all_selections
 
 from helpers import (
     appendix_a,
+    block,
+    connector,
+    diamond,
     f2,
     f3,
     make_instance,
@@ -143,6 +150,172 @@ class TestPriceBounds:
             out = solve_qpprice(inst, fills, relax_losses=relax)
             assert out.prices["X", 0] == 60.0 + shift
             assert out.total_loss == 0.0
+
+
+def _pricing_cases(instances):
+    """(instance, FixFlow solution) for every selection of each instance
+    whose relaxation clears: priced, loss-making and unpriceable ones."""
+    for inst in instances:
+        for selection in _all_selections(inst):
+            try:
+                primal = solve_relaxation(inst, selection).primal
+            except InfeasibleSelection:
+                continue
+            yield inst, solve_fixflow(inst, primal)
+
+
+def _outcome(inst, sol, relax):
+    try:
+        out = solve_qpprice(inst, sol, relax_losses=relax)
+    except PriceInfeasible as exc:
+        return str(exc)
+    return out.prices.pi, out.total_loss
+
+
+def _spy_pricing_qps(monkeypatch):
+    """(problem, x0) of every QP that pricing solves."""
+    seen = []
+
+    def spy(prob, x0=None, deadline=None):
+        seen.append((prob, x0))
+        return solve_qp(prob, x0=x0, deadline=deadline)
+
+    monkeypatch.setattr(pricing, "solve_qp", spy)
+    return seen
+
+
+def _ramp_free(inst):
+    return all(c.ramp_rate is None for c in inst.interconnectors)
+
+
+class TestPriceStart:
+    """Pricing starts from prices that meet the sign rules of the flow
+    multipliers, multipliers that absorb the price differences and loss
+    slacks that absorb the loss rows."""
+
+    INSTANCES = [random_instance(seed) for seed in range(40)] + [
+        f2(), f3(), diamond(), ramp_fixture(), appendix_a(),
+    ]
+
+    def test_inside_the_box_and_never_cold(self, monkeypatch):
+        seen = _spy_pricing_qps(monkeypatch)
+        for inst, sol in _pricing_cases(self.INSTANCES):
+            for relax in (False, True):
+                _outcome(inst, sol, relax)
+        for inst in self.INSTANCES[:10]:
+            clear_exact(inst)
+            clear_heuristic(inst)
+        assert len(seen) > 500
+        for prob, x0 in seen:
+            assert x0 is not None
+            assert np.all(prob.lb <= x0) and np.all(x0 <= prob.ub)
+
+    def test_meets_the_rows_when_the_rules_fit_the_bounds(self, monkeypatch):
+        # without ramp multipliers no value carries between hours, so the
+        # start meets every equality row whenever some point in the box
+        # does; each loss slack covers its row up to the slack's cap
+        seen = _spy_pricing_qps(monkeypatch)
+        cases = [case for case in _pricing_cases(self.INSTANCES) if _ramp_free(case[0])]
+        for inst, sol in cases:
+            _outcome(inst, sol, relax=True)
+        checked = 0
+        for prob, x0 in seen:
+            if not prob.d.any():  # the relaxed stage 1: x0 is the start
+                n = prob.n
+                rows = QpProblem(c=np.zeros(n), d=np.zeros(n), A_eq=prob.A_eq,
+                                 b_eq=prob.b_eq, A_in=np.zeros((0, n)), b_in=[],
+                                 lb=prob.lb, ub=prob.ub)
+                if len(prob.b_eq) and solve_qp(rows).status == "optimal":
+                    assert np.max(np.abs(prob.A_eq @ x0 - prob.b_eq)) <= 1e-9
+                    checked += 1
+                covered = prob.A_in @ x0 - prob.b_in <= 1e-9
+                at_cap = x0[prob.c < 0] == prob.ub[prob.c < 0]
+                assert np.all(covered | at_cap)
+        assert checked > 50
+
+    def test_a_ramp_carries_into_the_previous_hour(self, monkeypatch):
+        # the flow climbs 6 MW an hour, its ramp limit, so rho_fwd is tight
+        # at both hours; rho_fwd at hour 1 also sits in hour 0's row, and
+        # the start must carry its value there.  Half-sloped segments pin R
+        # at 10, S at 20 in hour 0 and at 30 in hour 1
+        inst = make_instance(
+            {(a, t): [[0, 30], [100, -30]] for a in "RS" for t in (0, 1)},
+            [connector("c1", "R", "S", [-100, -100], [100, 100], ramp=6.0)],
+            hours=2,
+        )
+        price = {("R", 0): 10.0, ("R", 1): 10.0, ("S", 0): 20.0, ("S", 1): 30.0}
+        fills = {seg.id: 1.0 - price[inst.segment_location[seg.id]] / 100.0
+                 for seg in inst.segments}
+        sol = PrimalSolution(selection=BidSelection(), delta=fills,
+                             flows={("c1", 0): 6.0, ("c1", 1): 12.0})
+        seen = _spy_pricing_qps(monkeypatch)
+        out = solve_qpprice(inst, sol)
+        assert out.prices["S", 1] - out.prices["R", 1] == pytest.approx(20.0, abs=1e-9)
+        prob, x0 = seen[0]
+        assert sorted(x0[4:]) == pytest.approx([20.0, 30.0], abs=1e-12)
+        assert np.max(np.abs(prob.A_eq @ x0 - prob.b_eq)) <= 1e-12
+
+    def test_prices_rise_along_a_chain(self, monkeypatch):
+        # A -> B -> C with both flows inside their limits: all three prices
+        # must be equal, and A's is pinned at 50.  The connectors are listed
+        # from the far end, so the rise needs a second pass to reach C
+        inst = make_instance(
+            {("A", 0): [[0, 30], [100, -30]], ("B", 0): [[0, 0], [100, 0]],
+             ("C", 0): [[0, 0], [100, 0]]},
+            [connector("BC", "B", "C", [-100], [100]),
+             connector("AB", "A", "B", [-100], [100])],
+            areas=["A", "B", "C"],
+        )
+        sol = PrimalSolution(selection=BidSelection(), delta={0: 0.5}, flows={})
+        seen = _spy_pricing_qps(monkeypatch)
+        out = solve_qpprice(inst, sol)
+        assert [out.prices[a, 0] for a in "ABC"] == pytest.approx([50.0] * 3, abs=1e-9)
+        prob, x0 = seen[0]
+        assert list(x0) == [50.0, 50.0, 50.0]
+
+    def test_matches_the_cold_start(self, monkeypatch):
+        # the same prices and verdicts as pricing with no start and no row test
+        cases = list(_pricing_cases(self.INSTANCES))
+        started = [_outcome(inst, sol, relax) for inst, sol in cases for relax in (False, True)]
+        monkeypatch.setattr(pricing, "_price_start", lambda *args: None)
+        monkeypatch.setattr(pricing, "infeasible_by_bounds", lambda prob: False)
+        cold = [_outcome(inst, sol, relax) for inst, sol in cases for relax in (False, True)]
+        verdicts = [isinstance(out, str) for out in cold]
+        assert 100 < sum(verdicts) < len(verdicts) - 100
+        for a, b in zip(started, cold):
+            if isinstance(b, str):
+                assert a == b
+                continue
+            assert a[0].keys() == b[0].keys()
+            assert max(abs(a[0][k] - b[0][k]) for k in b[0]) <= 1e-9
+            assert a[1] == pytest.approx(b[1], abs=1e-9)
+
+
+class TestDecidedByBounds:
+    @pytest.mark.parametrize("relax", [False, True])
+    @pytest.mark.parametrize("executed", [0, 1])
+    def test_runs_no_qp_and_keeps_the_verdict(self, monkeypatch, relax, executed):
+        # half-full segments pin R at 25 and S at 70 while the flow sits
+        # strictly inside its limits: the price-difference row asks for
+        # equal prices, which the bounds rule out
+        inst = make_instance(
+            {("R", 0): [[0, 0], [10, 0], [40, -30], [100, -30]],
+             ("S", 0): [[0, 30], [40, 30], [100, 0]]},
+            [connector("c1", "R", "S", [-100], [100])],
+            blocks=[block("b", "S", 90, [1])],
+        )
+        assert [inst.segments[k].price_at(0.5) for k in (1, 3)] == [25.0, 70.0]
+        sol = PrimalSolution(selection=BidSelection(blocks={"b": executed}, flex={}),
+                             delta={1: 0.5, 3: 0.5}, flows={("c1", 0): 5.0})
+        seen = _spy_pricing_qps(monkeypatch)
+        with pytest.raises(PriceInfeasible) as decided:
+            solve_qpprice(inst, sol, relax_losses=relax)
+        assert seen == []
+        monkeypatch.setattr(pricing, "infeasible_by_bounds", lambda prob: False)
+        with pytest.raises(PriceInfeasible) as solved:
+            solve_qpprice(inst, sol, relax_losses=relax)
+        assert len(seen) == 1
+        assert str(decided.value) == str(solved.value)
 
 
 def _min_loss_lp(optimize, inst, sol, strict):

@@ -394,6 +394,21 @@ class TestRowBounds:
         assert flagged > 100
         assert unflagged_infeasible > 0  # the test is a cheap screen, not phase 1
 
+    def test_bound_copies_share_rows_and_agree(self):
+        # a with_bounds copy shares the rows stacked once for its problem
+        # and decides exactly as a problem built afresh with its box
+        rng = np.random.default_rng(78)
+        for _ in range(200):
+            prob = _random_problem(rng)
+            lb = rng.uniform(-4, 4, size=prob.n)
+            ub = lb + rng.uniform(0.0, 3.0, size=prob.n)
+            node = prob.with_bounds(lb, ub)
+            fresh = replace(prob, lb=lb, ub=ub)
+            assert node.A_eq is prob.A_eq and node.A_in is prob.A_in
+            assert node._activity_rows is prob._activity_rows
+            assert infeasible_by_bounds(node) == infeasible_by_bounds(fresh)
+            assert infeasible_by_bounds(prob) == infeasible_by_bounds(replace(prob))
+
     def test_margin_is_phase_one_threshold(self):
         # x <= 1 against x >= 1 + margin: flagged only beyond INFEAS_TOL
         for margin, flagged in ((0.5 * qp.INFEAS_TOL, False), (2 * qp.INFEAS_TOL, True)):
