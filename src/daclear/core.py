@@ -178,18 +178,6 @@ class PriceVector:
 
 
 @dataclass(frozen=True)
-class DualCertificate:
-    """KKT multipliers backing a price vector (all nonnegative)."""
-
-    mu_upper: Mapping[tuple[str, int], float]
-    mu_lower: Mapping[tuple[str, int], float]
-    rho_fwd: Mapping[tuple[str, int], float]
-    rho_bwd: Mapping[tuple[str, int], float]
-    v_upper: Mapping[int, float]
-    v_lower: Mapping[int, float]
-
-
-@dataclass(frozen=True)
 class FixedSelectionTerms:
     """Objective constant and per-(area, hour) volume of a fixed selection."""
 

@@ -33,10 +33,6 @@ class ClearingViolated(ModelError):
     """The clearing balance (executed net demand vs. net import) does not hold."""
 
 
-class LinkViolation(ModelError):
-    """A bid selection executes a linked block without its parent."""
-
-
 class InfeasibleSelection(ModelError):
     """The fixed combinatorial volume cannot be cleared within curve and flow bounds."""
 

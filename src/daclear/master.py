@@ -41,9 +41,10 @@ class MasterResult:
     nodes: int = 0
 
 
-def _assemble(instance: Instance):
-    """The clearing model with a column per block and per flex (bid, hour),
-    and the link and flex-once rows over those columns."""
+def assemble_master(instance: Instance):
+    """(prob, model, col_block, col_flex): the clearing model with a column
+    per block and per flex (bid, hour), and the link and flex-once rows
+    over those columns.  The oracle solves it with every binary pinned."""
     model = build_model(instance)
     n_cont = model.n
     hours = range(instance.hours)
@@ -180,7 +181,7 @@ def solve_master(
     ``time_limit`` also bounds each node's QP solves: one that passes it
     puts its node back on the heap, so the ``limit`` result's bound stays
     valid.  A test that raises TimeLimit puts its leaf back the same way."""
-    prob, model, col_block, col_flex = _assemble(instance)
+    prob, model, col_block, col_flex = assemble_master(instance)
     bin_cols = list(range(model.n, prob.n))
     deadline = time.monotonic() + time_limit if time_limit is not None else None
 
@@ -209,12 +210,7 @@ def solve_master(
             return MasterResult(status=status, bound=bound, nodes=nodes)
         selection, x = leaf
         return MasterResult(
-            status=status,
-            solution=PrimalSolution(
-                selection=selection,
-                delta={sid: float(x[j]) for sid, j in model.seg_col.items()},
-                flows={key: float(x[j]) for key, j in model.flow_col.items()},
-            ),
+            status=status, solution=model.primal(selection, x),
             objective=objective, bound=bound, nodes=nodes,
         )
 

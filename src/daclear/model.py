@@ -2,11 +2,11 @@
 
 Columns are the segment fills (in segment id order) followed by the
 interconnector flows (connector, then hour).  There is one clearing row per
-(area, hour) and two ramp rows per ramped connector and hour.  The master,
-the fixed-selection relaxation and FixFlow all start from this model: the
-master appends its binary columns and rows, the relaxation moves the fixed
-selection's volume to the right-hand side, and FixFlow keeps the vertical
-segment and flow columns.
+(area, hour) and two ramp rows per ramped connector and hour.  The master
+and FixFlow both start from this model: the master appends its binary
+columns and rows (the oracle's fixed-selection relaxation is that problem
+with every binary pinned), and FixFlow keeps the vertical segment and flow
+columns.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Instance
+from .core import BidSelection, Instance, PrimalSolution
 from .qp import FEAS_TOL, QpProblem
 
 
@@ -62,6 +62,15 @@ class ClearingModel:
     @property
     def n(self) -> int:
         return len(self.seg_ids) + len(self.flow_keys)
+
+    def primal(self, selection: BidSelection, x: np.ndarray) -> PrimalSolution:
+        """``selection`` with the fills and flows that ``x``, a point of a
+        QP whose leading columns are this model's, gives them."""
+        return PrimalSolution(
+            selection=selection,
+            delta={sid: float(x[j]) for sid, j in self.seg_col.items()},
+            flows={key: float(x[j]) for key, j in self.flow_col.items()},
+        )
 
 
 def build_model(instance: Instance) -> ClearingModel:

@@ -15,10 +15,10 @@ import numpy as np
 from .core import BidSelection, Instance, PriceVector
 from .cuts import curtailment_violations
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
+from .master import assemble_master
 from .pricing import TIGHT_TOL, solve_fixflow, solve_qpprice
-from .model import build_model
 from .qp import QpProblem, infeasible_by_bounds, solve_qp
-from .relaxation import assemble_qprelax, solve_relaxation
+from .relaxation import solve_relaxation
 
 DEFAULT_TOL = 1e-6
 
@@ -249,10 +249,31 @@ def _all_selections(instance: Instance):
     hour_choices = [None] + list(range(instance.hours))
     for bits in itertools.product((0, 1), repeat=len(block_ids)):
         blocks = dict(zip(block_ids, bits))
-        if any(blocks[ch] > blocks[pa] for ch, pa in instance.links):
+        if not BidSelection(blocks=blocks).link_consistent(instance.links):
             continue
         for assign in itertools.product(hour_choices, repeat=len(flex_ids)):
             yield BidSelection(blocks=blocks, flex=dict(zip(flex_ids, assign)))
+
+
+def _relaxations(instance: Instance):
+    """(objective, index, primal) of each enumerated selection whose
+    relaxation clears, in enumeration order.  The relaxation is the master
+    problem with its block and flex columns pinned at the selection."""
+    prob, model, col_block, col_flex = assemble_master(instance)
+    for idx, selection in enumerate(_all_selections(instance)):
+        lb, ub = prob.lb.copy(), prob.ub.copy()
+        for bid, j in col_block.items():
+            lb[j] = ub[j] = selection.blocks[bid]
+        for (fid, t), j in col_flex.items():
+            lb[j] = ub[j] = float(selection.flex[fid] == t)
+        pinned = prob.with_bounds(lb, ub)  # shares the master's rows
+        if infeasible_by_bounds(pinned):
+            continue  # no fill or flow inside its bounds clears this volume
+        try:
+            objective, primal = solve_relaxation(pinned, model, selection)
+        except InfeasibleSelection:
+            continue
+        yield objective, idx, primal
 
 
 def oracle_clear(instance: Instance, cap: int = 12):
@@ -268,30 +289,20 @@ def oracle_clear(instance: Instance, cap: int = 12):
         raise TooLarge(
             f"{decisions} binary decisions exceed the enumeration cap {cap}"
         )
-    model = build_model(instance)
-    candidates = []
-    for idx, selection in enumerate(_all_selections(instance)):
-        if infeasible_by_bounds(assemble_qprelax(instance, selection, model)[0]):
-            continue  # no fill or flow inside its bounds clears this volume
-        try:
-            outcome = solve_relaxation(instance, selection, model)
-        except InfeasibleSelection:
-            continue
-        candidates.append((outcome.objective, idx, outcome))
-    candidates.sort(key=lambda rec: (-rec[0], rec[1]))
+    candidates = sorted(_relaxations(instance), key=lambda rec: (-rec[0], rec[1]))
 
     frontier = []
-    for objective, _, outcome in candidates:
-        fixed = solve_fixflow(instance, outcome.primal)
+    for objective, _, primal in candidates:
+        fixed = solve_fixflow(instance, primal)
         try:
             pricing = solve_qpprice(instance, fixed, relax_losses=False)
         except PriceInfeasible:
-            frontier.append((objective, outcome.selection, False))
+            frontier.append((objective, primal.selection, False))
             continue
         if curtailment_violations(instance, fixed):
-            frontier.append((objective, outcome.selection, False))
+            frontier.append((objective, primal.selection, False))
             continue
-        frontier.append((objective, outcome.selection, True))
+        frontier.append((objective, primal.selection, True))
         return ClearingResult(
             status="optimal",
             mode="oracle",

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from daclear.io import parse_instance
+from daclear.master import assemble_master
 
 
 def make_instance(curves, conns=(), P=(0.0, 100.0), hours=1, areas=None,
@@ -59,6 +60,19 @@ def expiring_clock(ticks_before_expiry):
         return 0.0 if len(calls) <= ticks_before_expiry else 10.0
 
     return SimpleNamespace(monotonic=monotonic)
+
+
+def pinned_relaxation(inst, selection):
+    """(problem, model): the master problem of ``inst`` with its block and
+    flex columns pinned at ``selection``, the relaxation the oracle solves
+    for that selection."""
+    prob, model, col_block, col_flex = assemble_master(inst)
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    for bid, j in col_block.items():
+        lb[j] = ub[j] = selection.blocks.get(bid, 0)
+    for (fid, t), j in col_flex.items():
+        lb[j] = ub[j] = float(selection.flex.get(fid) == t)
+    return prob.with_bounds(lb, ub), model
 
 
 def appendix_a():

@@ -8,10 +8,10 @@ from daclear.core import BidSelection
 from daclear.io import parse_instance
 from daclear.model import balanced_start, build_model
 from daclear.qp import QpProblem, solve_qp
-from daclear.relaxation import assemble_qprelax
 
 from helpers import (
-    appendix_a, block, connector, diamond, f2, make_instance, ramp_fixture, random_instance,
+    appendix_a, block, connector, diamond, f2, make_instance, pinned_relaxation, ramp_fixture,
+    random_instance,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -155,7 +155,7 @@ class TestBalancedStart:
                 flex={f.id: 0 for f in inst.flex_bids},
             )
             probs = [_model_qp(model)]
-            probs += [assemble_qprelax(inst, sel)[0]
+            probs += [pinned_relaxation(inst, sel)[0]
                       for sel in (inst.empty_selection(), everything)]
             for prob in probs:
                 for x0 in (None, rng.uniform(prob.lb - 1.0, prob.ub + 1.0)):
@@ -183,8 +183,7 @@ class TestBalancedStart:
 
         rng = np.random.default_rng(5)
         for inst in _start_instances():
-            model = build_model(inst)
-            prob = assemble_qprelax(inst, inst.empty_selection(), model)[0]
+            prob, model = pinned_relaxation(inst, inst.empty_selection())
             for x0 in (None, rng.uniform(prob.lb - 1.0, prob.ub + 1.0)):
                 x = balanced_start(model, prob, x0)
                 ref = reference(model, prob, x0)
@@ -219,8 +218,7 @@ class TestBalancedStart:
             [connector("c1", "R", "S", [-100], [100])],
             blocks=[block("big", "S", 50, [40])],
         )
-        prob, model, _ = assemble_qprelax(
-            inst, BidSelection(blocks={"big": 1}, flex={}))
+        prob, model = pinned_relaxation(inst, BidSelection(blocks={"big": 1}))
         x = balanced_start(model, prob)
         resid = prob.b_eq - prob.A_eq @ x
         assert abs(resid[model.eq_row["R", 0]]) <= 1e-9

@@ -4,12 +4,11 @@ import pytest
 from daclear import pricing
 from daclear.core import BidSelection, PrimalSolution, clearing_residuals, welfare_of
 from daclear.driver import clear_exact, clear_heuristic
-from daclear.errors import InfeasibleSelection, PriceInfeasible
+from daclear.errors import PriceInfeasible
 from daclear.pricing import clamp_prices, solve_fixflow, solve_qpprice
 from daclear.qp import QpProblem, solve_qp
-from daclear.relaxation import solve_relaxation
 from daclear.master import solve_master
-from daclear.verify import _all_selections
+from daclear.verify import _relaxations
 
 from helpers import (
     appendix_a,
@@ -156,11 +155,7 @@ def _pricing_cases(instances):
     """(instance, FixFlow solution) for every selection of each instance
     whose relaxation clears: priced, loss-making and unpriceable ones."""
     for inst in instances:
-        for selection in _all_selections(inst):
-            try:
-                primal = solve_relaxation(inst, selection).primal
-            except InfeasibleSelection:
-                continue
+        for _, _, primal in _relaxations(inst):
             yield inst, solve_fixflow(inst, primal)
 
 

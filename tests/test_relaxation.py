@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from daclear import relaxation
-from daclear.core import BidSelection, clearing_residuals, welfare_of
-from daclear.errors import InfeasibleSelection, LinkViolation, UnknownId
-from daclear.relaxation import assemble_qprelax, check_selection, solve_relaxation
-from daclear.qp import solve_qp
+from daclear.core import BidSelection, clearing_residuals, selection_terms, welfare_of
+from daclear.errors import InfeasibleSelection, UnknownId
+from daclear.qp import check_kkt, solve_qp
+from daclear.relaxation import solve_relaxation
+from daclear.verify import _all_selections, _relaxations
 
 from helpers import (
     appendix_a,
@@ -13,126 +14,159 @@ from helpers import (
     f3,
     make_instance,
     block,
-    connector,
+    pinned_relaxation,
     ramp_fixture,
     random_instance,
 )
 
 
-def _sel(inst, blocks=None, flex=None):
+def _sel(blocks=None, flex=None):
     return BidSelection(blocks=dict(blocks or {}), flex=dict(flex or {}))
+
+
+def _relax(inst, selection):
+    pinned, model = pinned_relaxation(inst, selection)
+    return solve_relaxation(pinned, model, selection)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(problem, solution) of every QP the relaxation solves."""
+    seen = []
+
+    def spy(prob, x0=None):
+        seen.append((prob, solve_qp(prob, x0=x0)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(relaxation, "solve_qp", spy)
+    return seen
 
 
 class TestCheckSelection:
     def test_unknown_block(self):
         inst = appendix_a()
         with pytest.raises(UnknownId):
-            check_selection(inst, _sel(inst, {"zzz": 1}))
+            selection_terms(inst, _sel({"zzz": 1}))
 
     def test_link_violation(self):
+        # the oracle never enumerates a selection that breaks a link
         inst = make_instance(
             {("X", 0): [[0, 10], [100, -10]]},
             blocks=[block("p", "X", 50, [5]), block("q", "X", 50, [5])],
             links=[("q", "p")],
         )
-        with pytest.raises(LinkViolation):
-            check_selection(inst, _sel(inst, {"p": 0, "q": 1}))
-        check_selection(inst, _sel(inst, {"p": 1, "q": 1}))
+        blocks = [dict(sel.blocks) for sel in _all_selections(inst)]
+        assert blocks == [{"p": 0, "q": 0}, {"p": 1, "q": 0}, {"p": 1, "q": 1}]
 
 
 class TestAssemble:
     def test_appendix_a_dimensions(self):
         inst = appendix_a()
-        prob, layout, terms = assemble_qprelax(inst, _sel(inst, {"c": 1, "d": 1}))
-        assert len(layout.seg_ids) + len(layout.flow_keys) == len(prob.c)
-        assert prob.A_eq.shape[0] == len(layout.eq_keys)
-        # flat curve: one balance row, rhs reflects executed block quantities
-        assert len(layout.eq_keys) == 1
+        pinned, model = pinned_relaxation(inst, _sel({"c": 1, "d": 1}))
+        # the model's columns, then one pinned column per block
+        assert pinned.n == model.n + 4
+        assert list(pinned.lb[model.n:]) == [0.0, 0.0, 1.0, 1.0]
+        assert np.array_equal(pinned.ub[model.n:], pinned.lb[model.n:])
+        # flat curve: one balance row
+        assert pinned.A_eq.shape[0] == len(model.eq_keys) == 1
 
-    def test_block_quantities_enter_rhs(self):
-        inst = appendix_a()
-        _, _, terms_empty = assemble_qprelax(inst, _sel(inst))
-        _, _, terms_cd = assemble_qprelax(inst, _sel(inst, {"c": 1, "d": 1}))
-        assert terms_cd.volume[("X", 0)] == pytest.approx(0.0)
-        assert terms_empty.volume.get(("X", 0), 0.0) == pytest.approx(0.0)
-        _, _, terms_d = assemble_qprelax(inst, _sel(inst, {"d": 1}))
-        assert terms_d.volume[("X", 0)] == pytest.approx(2.0)
+    def test_block_quantities_enter_the_rows(self):
+        # the volume and welfare of the pinned columns are what core derives
+        # from the bids on its own
+        checked = 0
+        for seed in range(20):
+            inst = random_instance(seed)
+            for sel in _all_selections(inst):
+                pinned, model = pinned_relaxation(inst, sel)
+                terms = selection_terms(inst, sel)
+                x = pinned.lb[model.n:]
+                assert np.array_equal(pinned.ub[model.n:], x)
+                assert pinned.A_eq[:, model.n:] @ x == pytest.approx(
+                    [terms.volume.get(key, 0.0) for key in model.eq_keys], abs=1e-9
+                )
+                assert pinned.c[model.n:] @ x == pytest.approx(terms.constant, abs=1e-9)
+                checked += 1
+        assert checked > 200
 
 
 class TestSolveRelaxation:
     def test_appendix_a_cd(self):
         inst = appendix_a()
-        out = solve_relaxation(inst, _sel(inst, {"c": 1, "d": 1}))
-        assert out.objective == pytest.approx(2.0, abs=1e-9)
-        res = clearing_residuals(inst, out.primal)
+        objective, primal = _relax(inst, _sel({"c": 1, "d": 1}))
+        assert objective == pytest.approx(2.0, abs=1e-9)
+        res = clearing_residuals(inst, primal)
         assert max(abs(r) for r in res.values()) <= 1e-9
 
     def test_infeasible_selection_raises(self):
         inst = appendix_a()
         # d alone injects +2 into a flat zero curve with no counterparty
+        d_only = _sel({"a": 0, "b": 0, "c": 0, "d": 1})
         with pytest.raises(InfeasibleSelection):
-            solve_relaxation(inst, _sel(inst, {"d": 1}))
+            _relax(inst, d_only)
+        # so the oracle never ranks it
+        assert d_only not in [primal.selection for _, _, primal in _relaxations(inst)]
 
-    def test_two_area_flow_uncongested(self):
+    def test_two_area_flow_uncongested(self, solves):
         inst = f2()
-        out = solve_relaxation(inst, inst.empty_selection())
-        assert out.flows["c1", 0] == pytest.approx(30.0, abs=1e-7)
-        assert out.prices["R", 0] == pytest.approx(10.0, abs=1e-7)
-        assert out.prices["S", 0] == pytest.approx(10.0, abs=1e-7)
+        _, primal = _relax(inst, inst.empty_selection())
+        assert primal.flows["c1", 0] == pytest.approx(30.0, abs=1e-7)
+        # the clearing rows' multipliers are the areas' prices (R, then S)
+        [(_, sol)] = solves
+        assert sol.y_eq == pytest.approx([10.0, 10.0], abs=1e-7)
 
-    def test_two_area_flow_congested(self):
+    def test_two_area_flow_congested(self, solves):
         inst = f3()
-        out = solve_relaxation(inst, inst.empty_selection())
-        assert out.flows["c1", 0] == pytest.approx(20.0, abs=1e-7)
-        assert out.prices["R", 0] == pytest.approx(10.0, abs=1e-7)
-        assert out.prices["S", 0] == pytest.approx(40.0, abs=1e-7)
+        _, primal = _relax(inst, inst.empty_selection())
+        assert primal.flows["c1", 0] == pytest.approx(20.0, abs=1e-7)
+        [(_, sol)] = solves
+        assert sol.y_eq == pytest.approx([10.0, 40.0], abs=1e-7)
         # capacity multiplier equals the price spread
-        assert out.certificate.mu_upper["c1", 0] == pytest.approx(30.0, abs=1e-6)
+        _, model = pinned_relaxation(inst, inst.empty_selection())
+        assert sol.nu_upper[model.flow_col["c1", 0]] == pytest.approx(30.0, abs=1e-6)
 
     def test_ramp_limits_bind(self):
         inst = ramp_fixture()
-        out = solve_relaxation(inst, inst.empty_selection())
-        f0 = out.flows["c1", 0]
-        f1 = out.flows["c1", 1]
+        _, primal = _relax(inst, inst.empty_selection())
+        f0 = primal.flows["c1", 0]
+        f1 = primal.flows["c1", 1]
         assert abs(f0 - inst.interconnectors[0].initial_flow) <= 6.0 + 1e-7
         assert abs(f1 - f0) <= 6.0 + 1e-7
 
     def test_objective_equals_welfare_of_primal(self):
-        for seed in range(10):
+        # welfare_of and clearing_residuals derive the selection's volume
+        # through core.selection_terms, not through the master's columns
+        checked = 0
+        for seed in range(20):
             inst = random_instance(seed)
-            sel = inst.empty_selection()
-            try:
-                out = solve_relaxation(inst, sel)
-            except InfeasibleSelection:
-                continue
-            assert out.objective == pytest.approx(
-                welfare_of(inst, out.primal), abs=1e-7
-            )
-            res = clearing_residuals(inst, out.primal)
-            assert max(abs(r) for r in res.values()) <= 1e-6
+            for objective, _, primal in _relaxations(inst):
+                # the oracle's relaxation is the one this file's helper pins
+                assert _relax(inst, primal.selection)[0] == objective
+                assert objective == pytest.approx(welfare_of(inst, primal), abs=1e-7)
+                res = clearing_residuals(inst, primal)
+                assert max(abs(r) for r in res.values()) <= 1e-6
+                checked += primal.selection != inst.empty_selection()
+        assert checked > 100
 
-    def test_kkt_residual_small(self):
+    def test_kkt_residual_small(self, solves):
         inst = f3()
-        out = solve_relaxation(inst, inst.empty_selection())
-        assert out.kkt_residual <= 1e-8
+        _relax(inst, inst.empty_selection())
+        for seed in range(5):
+            list(_relaxations(random_instance(seed)))
+        assert len(solves) > 20
+        for prob, sol in solves:
+            assert check_kkt(prob, sol).max_residual <= 1e-8
 
-    def test_one_area_solved_by_its_start(self, monkeypatch):
+    def test_one_area_solved_by_its_start(self, solves):
         # without flows, filling the curve in merit order up to the selling
         # block is the optimum: the QP confirms it without an iteration
         inst = make_instance(
             {("X", 0): [[0, 30], [20, 20], [50, 5], [100, -10]]},
             blocks=[block("s", "X", 10, [-2])],
         )
-        sols = []
-
-        def spy(prob, x0=None):
-            sols.append(solve_qp(prob, x0=x0))
-            return sols[-1]
-
-        monkeypatch.setattr(relaxation, "solve_qp", spy)
-        out = solve_relaxation(inst, _sel(inst, {"s": 1}))
-        assert [sol.iterations for sol in sols] == [0]
+        _, primal = _relax(inst, _sel({"s": 1}))
+        [(prob, sol)] = solves
+        assert sol.iterations == 0
         # 12 MW of net demand: four fifths of the 15 MW segment from 100 to 50
-        assert out.delta == pytest.approx({0: 0.8, 1: 0.0, 2: 0.0}, abs=1e-12)
-        assert out.prices["X", 0] == pytest.approx(60.0, abs=1e-9)
-        assert out.kkt_residual <= 1e-8
+        assert primal.delta == pytest.approx({0: 0.8, 1: 0.0, 2: 0.0}, abs=1e-12)
+        assert sol.y_eq == pytest.approx([60.0], abs=1e-9)
+        assert check_kkt(prob, sol).max_residual <= 1e-8
