@@ -27,6 +27,7 @@ from .cuts import (
 )
 from .errors import PriceInfeasible
 from .master import solve_master
+from .model import build_model
 from .pricing import clamp_prices, solve_fixflow, solve_qpprice
 
 
@@ -65,19 +66,19 @@ def _relative_gap(bound: float, welfare: float) -> float:
     return max(0.0, bound - welfare) / max(1.0, abs(bound))
 
 
-def _price(instance, solution, relax_losses, deadline):
+def _price(instance, model, solution, relax_losses, deadline):
     """Pricing of a candidate, or None when no price in the interval supports it."""
     try:
-        return solve_qpprice(instance, solution, relax_losses, deadline)
+        return solve_qpprice(instance, model, solution, relax_losses, deadline)
     except PriceInfeasible:
         return None
 
 
-def _heuristic_test(instance, solution, cuts, deadline):
+def _heuristic_test(instance, model, solution, cuts, deadline):
     """Relaxed pricing, then a bid cut on the loss sets plus curtailment
     cuts; a candidate that no price supports, or that has no loss-free
     price once nothing is cut, gets a no-good cut instead."""
-    relaxed = _price(instance, solution, True, deadline)
+    relaxed = _price(instance, model, solution, True, deadline)
     curt = curtailment_violations(instance, solution)
     if relaxed is None:
         cut = no_good_cut(instance, solution.selection)
@@ -85,17 +86,17 @@ def _heuristic_test(instance, solution, cuts, deadline):
     sets = loss_sets(instance, solution, relaxed.prices)
     added = 0 if sets.empty else int(cuts.add(bid_cut(sets)))
     added += sum(cuts.add(curtailment_cut(bad)) for bad in curt.values())
-    pricing = None if added else _price(instance, solution, False, deadline)
+    pricing = None if added else _price(instance, model, solution, False, deadline)
     if not added and pricing is None:
         added = int(cuts.add(no_good_cut(instance, solution.selection)))
     return sets, curt, pricing, added
 
 
-def _exact_test(instance, solution, cuts, deadline):
+def _exact_test(instance, model, solution, cuts, deadline):
     """Strict pricing plus the curtailment check; a failed candidate gets
     one no-good cut. Relaxed pricing only fills the record's loss sets."""
-    pricing = _price(instance, solution, False, deadline)
-    relaxed = None if pricing is not None else _price(instance, solution, True, deadline)
+    pricing = _price(instance, model, solution, False, deadline)
+    relaxed = None if pricing is not None else _price(instance, model, solution, True, deadline)
     sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
     curt = curtailment_violations(instance, solution)
     failed = pricing is None or bool(curt)
@@ -138,6 +139,7 @@ def _branch_and_cut(instance, options, mode):
     test = _exact_test if exact else _heuristic_test
     blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
     cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
+    model = build_model(instance)
     cuts = CutPool()
     iterations = []
     tested = []  # (leaf, FixFlow solution, pricing) per tested leaf
@@ -146,8 +148,8 @@ def _branch_and_cut(instance, options, mode):
 
     def leaf_test(leaf):
         before = len(cuts)
-        solution = solve_fixflow(instance, leaf.solution, deadline)
-        sets, curt, pricing, added = test(instance, solution, cuts, deadline)
+        solution = solve_fixflow(instance, model, leaf.solution, deadline)
+        sets, curt, pricing, added = test(instance, model, solution, cuts, deadline)
         tested.append((leaf, solution, pricing))
         iterations.append(
             IterationRecord(

@@ -2,11 +2,12 @@
 
 Columns are the segment fills (in segment id order) followed by the
 interconnector flows (connector, then hour).  There is one clearing row per
-(area, hour) and two ramp rows per ramped connector and hour.  The master
-and FixFlow both start from this model: the master appends its binary
-columns and rows (the oracle's fixed-selection relaxation is that problem
-with every binary pinned), and FixFlow keeps the vertical segment and flow
-columns.
+(area, hour) and two ramp rows per ramped connector and hour.  The master,
+FixFlow and pricing all start from this model: the master appends its
+binary columns and rows (the oracle's fixed-selection relaxation is that
+problem with every binary pinned), FixFlow keeps the vertical segment and
+flow columns, and pricing's rows are the stationarity conditions of this
+QP on its flow columns, one price per clearing row.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ class ClearingModel:
     row_segs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
         init=False, repr=False, compare=False
     )
+    # (F, h, owner): the flow columns' inequality rows  F @ flows <= h,
+    # each flow's upper and lower bound followed by the ramp rows whose
+    # last flow column it is; owner[i] is that flow's index.  Derived from
+    # lb, ub and A_in
+    flow_rows: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         n_seg = len(self.seg_ids)
@@ -58,6 +66,13 @@ class ClearingModel:
             cols = np.flatnonzero(row > 0.0)
             segs.append((cols, row[cols]))
         object.__setattr__(self, "row_segs", tuple(segs))
+        f = slice(n_seg, self.n)
+        eye = np.eye(len(self.flow_keys))
+        F = np.vstack([eye, -eye, self.A_in[:, f]])
+        h = np.concatenate([self.ub[f], -self.lb[f], self.b_in])
+        owner = np.where(F != 0.0, np.arange(len(eye)), -1).max(axis=1, initial=-1)
+        order = np.argsort(owner, kind="stable")
+        object.__setattr__(self, "flow_rows", (F[order], h[order], owner[order]))
 
     @property
     def n(self) -> int:

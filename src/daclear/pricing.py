@@ -4,6 +4,13 @@ A fixed selection usually admits many optimal flow patterns and many
 supporting price vectors.  FixFlow picks the minimum-squared-norm flows
 among the welfare-preserving ones; the price solve picks prices that first
 minimize total executed-bid losses, then minimize the squared price norm.
+
+Both are views of the clearing model (``daclear.model``) of the instance.
+FixFlow keeps its vertical segment and flow columns.  The price QP has one
+price column per clearing row, and its equality rows are the stationarity
+conditions of the welfare QP on the flow columns at the fixed flows: the
+price difference across each flow column meets the multipliers of the flow
+bounds and ramp rows that are tight there.
 """
 
 from __future__ import annotations
@@ -13,24 +20,22 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import (
-    Instance,
-    PriceVector,
-    PrimalSolution,
-    big_m,
-    selection_terms,
-)
+from .core import Instance, PriceVector, PrimalSolution, selection_terms
 from .errors import PriceInfeasible, SolverFailure
-from .model import build_model
+from .model import ClearingModel
 from .qp import INFEAS_TOL, QpProblem, QpSolution, infeasible_by_bounds, solve_qp
 
 TIGHT_TOL = 1e-7
 
 
 def solve_fixflow(
-    instance: Instance, solution: PrimalSolution, deadline: Optional[float] = None
+    instance: Instance,
+    model: ClearingModel,
+    solution: PrimalSolution,
+    deadline: Optional[float] = None,
 ) -> PrimalSolution:
-    """Minimum squared-norm flows among welfare-preserving alternatives.
+    """Minimum squared-norm flows among welfare-preserving alternatives,
+    on ``model``, the clearing model of ``instance``.
 
     Slope-carrying segment fills are unique and stay fixed; vertical
     segment fills may redistribute as long as total welfare and clearing
@@ -39,7 +44,6 @@ def solve_fixflow(
     """
     if not instance.interconnectors:
         return solution
-    model = build_model(instance)
     free = [s for s in instance.segments if s.is_vertical]
     free_ids = {s.id for s in free}
     cols = [model.seg_col[s.id] for s in free] + list(model.flow_col.values())
@@ -96,83 +100,67 @@ class PricingOutcome:
     total_loss: float
 
 
-def _tight_flow_multiplier_vars(instance: Instance, flows):
-    """Which flow-side multipliers may be nonzero at the fixed flows."""
-    keys = []
-    for c in instance.interconnectors:
-        ramp = c.ramp_rate if c.ramp_rate is not None else np.inf
-        for t in range(instance.hours):
-            tau = flows.get((c.id, t), 0.0)
-            if c.upper[t] - tau <= TIGHT_TOL:
-                keys.append((c.id, t, "mu_upper"))
-            if tau - c.lower[t] <= TIGHT_TOL:
-                keys.append((c.id, t, "mu_lower"))
-            if np.isfinite(ramp):
-                prev = c.initial_flow if t == 0 else flows.get((c.id, t - 1), 0.0)
-                if (tau - prev) >= ramp - TIGHT_TOL:
-                    keys.append((c.id, t, "rho_fwd"))
-                if (prev - tau) >= ramp - TIGHT_TOL:
-                    keys.append((c.id, t, "rho_bwd"))
-    return keys
+def _flow_stationarity(model: ClearingModel, flows):
+    """The welfare QP's stationarity rows on its flow columns at ``flows``:
+    ``P @ prices + G @ multipliers = 0``, one row per flow column, with
+    ``P = -A_eq[:, flow]'`` and ``G = -F[tight]'`` over the rows of
+    ``model.flow_rows`` that are tight at ``flows``: -1 for an upper bound,
+    +1 for a lower bound and the negated ramp row.  ``owner`` names the
+    flow row each multiplier belongs to."""
+    F, h, owner = model.flow_rows
+    tau = np.array([flows.get(key, 0.0) for key in model.flow_keys])
+    tight = np.flatnonzero(h - F @ tau <= TIGHT_TOL)
+    f = slice(len(model.seg_ids), model.n)
+    return -model.A_eq[:, f].T, -F[tight].T, owner[tight]
 
 
-# flow multiplier kinds: the ones at even positions let a connector's sink
-# price exceed its source price, the ones at odd positions let it fall below
-_MULTS = ("mu_upper", "mu_lower", "rho_fwd", "rho_bwd")
-
-
-def _price_start(instance: Instance, mult_col, lb, ub, A_in, b_in, n_lam):
-    """A start for the pricing QPs, whose columns are the prices (area, then
-    hour), ``n_lam`` loss slacks and the flow multipliers in ``mult_col``.
+def _price_start(A_eq, owner, lb, ub, A_in, b_in, n_pi, n_lam):
+    """A start for the pricing QPs, whose columns are ``n_pi`` prices,
+    ``n_lam`` loss slacks and the flow multipliers, row ``owner[j]`` owning
+    multiplier ``j`` (see ``_flow_stationarity``).
 
     Prices start at their lower bounds and rise to the least prices that
-    meet each (connector, hour) sign rule: without a multiplier column of
-    one kind at that hour, the rows say sink >= source (no mu_lower or
-    rho_bwd) or sink <= source (no mu_upper or rho_fwd).  These are
+    meet each row's sign rule: a row none of whose own multipliers has a
+    positive coefficient needs a price part of at least 0, and one none of
+    whose own multipliers has a negative coefficient at most 0.  These are
     difference constraints, relaxed Bellman-Ford style, then clipped into
-    the bounds.  Each connector's multipliers then absorb its rows from the
-    last hour back, a ramp multiplier carrying its value into the previous
-    hour's row, and each loss slack takes its row's excess.  Phase 1 runs
-    only where this point is infeasible."""
-    T = instance.hours
-    index = {a: k * T for k, a in enumerate(instance.areas)}  # first price column
-    n_pi = len(index) * T
+    the bounds.  The rows then take their residuals from the last row back,
+    each on its first own multiplier of the opposite sign; a ramp
+    multiplier also sits in its earlier hour's row, so that row's residual
+    carries its value.  Each loss slack takes its row's excess.  Phase 1
+    runs only where this point is infeasible."""
+    m0 = n_pi + n_lam
+    rows = A_eq.tolist()  # plain floats: a book has a handful of rows
+    own = [[] for _ in rows]
+    for j, r in enumerate(owner.tolist()):
+        own[r].append(m0 + j)
     rules = []  # (lo, hi): the price in column hi is at least the one in lo
-    for c in instance.interconnectors:
-        for t in range(T):
-            has = [(c.id, t, m) in mult_col for m in _MULTS]
-            src, sink = index[c.source] + t, index[c.sink] + t
-            if not (has[1] or has[3]):  # no mu_lower, no rho_bwd
-                rules.append((src, sink))
-            if not (has[0] or has[2]):  # no mu_upper, no rho_fwd
-                rules.append((sink, src))
-    pi = lb[:n_pi].tolist()  # plain floats: a book has a handful of prices
-    for _ in range(len(index) + 1):
+    for row, cols in zip(rows, own):
+        price = row[:n_pi]
+        lo, hi = price.index(min(price)), price.index(max(price))
+        if all(row[j] < 0.0 for j in cols):
+            rules.append((lo, hi))
+        if all(row[j] > 0.0 for j in cols):
+            rules.append((hi, lo))
+    pi = lb[:n_pi].tolist()
+    raised = True
+    while raised:
         raised = False
-        for lo, hi in rules:
-            if pi[hi] < pi[lo]:
-                pi[hi] = pi[lo]
+        for a, b in rules:
+            if pi[b] < pi[a]:
+                pi[b] = pi[a]
                 raised = True
-        if not raised:
-            break
     x = np.zeros(len(lb))
     x[:n_pi] = np.clip(pi, lb[:n_pi], ub[:n_pi])
-    pi = x[:n_pi].tolist()
-    for c in instance.interconnectors:
-        carry = 0.0
-        for t in reversed(range(T)):
-            r = pi[index[c.sink] + t] - pi[index[c.source] + t] + carry
-            carry = 0.0
-            names = _MULTS[0::2] if r > 0.0 else _MULTS[1::2] if r < 0.0 else ()
-            for name in names:
-                j = mult_col.get((c.id, t, name))
-                if j is not None:
-                    x[j] = abs(r)
-                    carry = r if name.startswith("rho") else 0.0
-                    break
+    for r in reversed(range(len(rows))):
+        residual = float(A_eq[r] @ x)
+        for j in own[r]:
+            if rows[r][j] * residual < 0.0:
+                x[j] = abs(residual)
+                break
     if n_lam:
-        excess = A_in[:n_lam, :n_pi] @ x[:n_pi] - b_in[:n_lam]
-        x[n_pi : n_pi + n_lam] = np.clip(excess, 0.0, ub[n_pi : n_pi + n_lam])
+        excess = A_in[:, :n_pi] @ x[:n_pi] - b_in
+        x[n_pi:m0] = np.clip(excess, 0.0, ub[n_pi:m0])
     return x
 
 
@@ -186,37 +174,37 @@ def _solve(prob: QpProblem, x0, deadline) -> QpSolution:
 
 def solve_qpprice(
     instance: Instance,
+    model: ClearingModel,
     solution: PrimalSolution,
     relax_losses: bool = False,
     deadline: Optional[float] = None,
 ) -> PricingOutcome:
-    areas = instance.areas
-    T = instance.hours
-    pi_keys = [(a, t) for a in areas for t in range(T)]
-    pi_col = {key: j for j, key in enumerate(pi_keys)}
-    exec_blocks = solution.selection.executed_blocks()
-    exec_flex = solution.selection.executed_flex()
-    lam_keys = (exec_blocks + [f for f, _ in exec_flex]) if relax_losses else []
-    lam_col = {bid: len(pi_keys) + j for j, bid in enumerate(lam_keys)}
-    mult_keys = _tight_flow_multiplier_vars(instance, solution.flows)
-    mult_col = {key: len(pi_keys) + len(lam_keys) + j for j, key in enumerate(mult_keys)}
-    n = len(pi_keys) + len(lam_keys) + len(mult_keys)
+    """Prices that support ``solution`` on ``model``, the clearing model of
+    ``instance``.  With ``relax_losses``, a first QP finds the least total
+    loss of the executed fill-or-kill bids, and the prices are chosen among
+    those that keep it."""
+    iv = instance.interval
+    bids = []  # (id, area, [(hour, quantity)], limit price) per executed bid
+    for bid in solution.selection.executed_blocks():
+        b = instance.block_by_id[bid]
+        bids.append((bid, b.area, list(enumerate(b.quantities)), b.limit_price))
+    for fid, t in solution.selection.executed_flex():
+        f = instance.flex_by_id[fid]
+        bids.append((fid, f.area, [(t, f.quantity)], f.limit_price))
+    P, G, owner = _flow_stationarity(model, solution.flows)
+    n_pi = len(model.eq_keys)
+    n_lam = len(bids) if relax_losses else 0
+    lam = slice(n_pi, n_pi + n_lam)
+    n = n_pi + n_lam + G.shape[1]
 
     lb = np.full(n, 0.0)
     ub = np.full(n, np.inf)
-    for key, j in pi_col.items():
-        lb[j] = instance.interval.lower
-        ub[j] = instance.interval.upper
-    for bid, j in lam_col.items():
-        if bid in instance.block_by_id:
-            cap = -big_m(instance.block_by_id[bid], instance.interval)
-        else:
-            f = instance.flex_by_id[bid]
-            cap = max(
-                (f.limit_price - instance.interval.lower) * -f.quantity,
-                (f.limit_price - instance.interval.upper) * -f.quantity,
-            )
-        ub[j] = max(cap, 0.0)
+    lb[:n_pi] = iv.lower
+    ub[:n_pi] = iv.upper
+    # a loss slack is capped at its bid's largest loss over the interval
+    for k, (_, _, qty, limit) in enumerate(bids[:n_lam]):
+        worst = sum(min((limit - iv.lower) * q, (limit - iv.upper) * q) for _, q in qty)
+        ub[n_pi + k] = max(-worst, 0.0)
 
     # execution-fraction price rule per quantity-carrying segment, as bounds
     # of its price column: a full segment caps the price, an empty one
@@ -224,7 +212,7 @@ def solve_qpprice(
     for seg in instance.segments:
         if seg.quantity_span == 0.0:
             continue
-        j = pi_col[instance.segment_location[seg.id]]
+        j = model.eq_row[instance.segment_location[seg.id]]
         dlt = solution.delta.get(seg.id, 0.0)
         if dlt >= 1.0 - TIGHT_TOL:
             ub[j] = min(ub[j], seg.price_at(1.0))
@@ -239,60 +227,23 @@ def solve_qpprice(
     crossed = lb > ub
     lb[crossed] = ub[crossed] = 0.5 * (lb[crossed] + ub[crossed])
 
-    eq_rows = []
-    eq_rhs = []
-    in_rows = []
-    in_rhs = []
+    A_eq = np.zeros((len(P), n))
+    A_eq[:, :n_pi] = P
+    A_eq[:, n_pi + n_lam:] = G
+    b_eq = np.zeros(len(P))
+    # no-loss row per executed fill-or-kill bid (slack lam when relaxed)
+    A_in = np.zeros((len(bids), n))
+    b_in = np.zeros(len(bids))
+    for r, (_, area, qty, limit) in enumerate(bids):
+        for t, q in qty:
+            A_in[r, model.eq_row[area, t]] += q
+            b_in[r] += limit * q
+    A_in[np.arange(n_lam), n_pi + np.arange(n_lam)] = -1.0
+    x1 = _price_start(A_eq, owner, lb, ub, A_in, b_in, n_pi, n_lam)
 
-    # price-difference stationarity per interconnector and hour
-    for c in instance.interconnectors:
-        for t in range(T):
-            row = np.zeros(n)
-            row[pi_col[c.sink, t]] += 1.0
-            row[pi_col[c.source, t]] -= 1.0
-            for name, sgn, tt in (
-                ("mu_upper", -1.0, t),
-                ("mu_lower", 1.0, t),
-                ("rho_fwd", -1.0, t),
-                ("rho_bwd", 1.0, t),
-                ("rho_fwd", 1.0, t + 1),
-                ("rho_bwd", -1.0, t + 1),
-            ):
-                key = (c.id, tt, name)
-                if key in mult_col:
-                    row[mult_col[key]] += sgn
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
-
-    # no-loss rows for executed fill-or-kill bids (slack lam when relaxed)
-    def loss_row(area, hours_qty, limit, bid):
-        row = np.zeros(n)
-        rhs = 0.0
-        for t, q in hours_qty:
-            row[pi_col[area, t]] += q
-            rhs += limit * q
-        if relax_losses:
-            row[lam_col[bid]] = -1.0
-        in_rows.append(row)
-        in_rhs.append(rhs)
-
-    for bid in exec_blocks:
-        b = instance.block_by_id[bid]
-        loss_row(b.area, list(enumerate(b.quantities)), b.limit_price, bid)
-    for fid, t in exec_flex:
-        f = instance.flex_by_id[fid]
-        loss_row(f.area, [(t, f.quantity)], f.limit_price, fid)
-
-    A_eq = np.array(eq_rows).reshape(-1, n)
-    b_eq = np.array(eq_rhs)
-    A_in = np.array(in_rows).reshape(-1, n)
-    b_in = np.array(in_rhs)
-    x1 = _price_start(instance, mult_col, lb, ub, A_in, b_in, len(lam_keys))
-
-    if relax_losses and lam_keys:
+    if n_lam:
         c1 = np.zeros(n)
-        for j in lam_col.values():
-            c1[j] = -1.0
+        c1[lam] = -1.0
         p1 = QpProblem(
             c=c1, d=np.zeros(n), A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
             lb=lb, ub=ub,
@@ -302,22 +253,22 @@ def solve_qpprice(
             raise PriceInfeasible(
                 f"no supporting price even with loss slacks ({s1.status})"
             )
-        total = float(np.sum(s1.x[len(pi_keys) : len(pi_keys) + len(lam_keys)]))
+        total = float(np.sum(s1.x[lam]))
         row = np.zeros(n)
-        for j in lam_col.values():
-            row[j] = 1.0
+        row[lam] = 1.0
         A_in = np.vstack([A_in, row])
         b_in = np.append(b_in, total + 1e-9)
         x1 = s1.x
 
-    c2 = np.zeros(n)
     d2 = np.zeros(n)
-    for j in pi_col.values():
-        d2[j] = -2.0
+    d2[:n_pi] = -2.0
     p2 = QpProblem(
-        c=c2, d=d2, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, lb=lb, ub=ub
+        c=np.zeros(n), d=d2, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
+        lb=lb, ub=ub,
     )
-    s2 = _solve(p2, x1, deadline)
+    # after stage 1, p2 only adds sum(lam) <= total, whose lowest activity
+    # over lam >= 0 is 0: the row test stage 1 passed decides p2 too
+    s2 = solve_qp(p2, x0=x1, deadline=deadline) if n_lam else _solve(p2, x1, deadline)
     if s2.status != "optimal":
         raise PriceInfeasible(
             "no loss-free supporting price exists for this execution"
@@ -325,19 +276,14 @@ def solve_qpprice(
             else f"price selection failed ({s2.status})"
         )
 
-    prices = PriceVector(pi={key: float(s2.x[pi_col[key]]) for key in pi_keys})
+    prices = PriceVector(
+        pi={key: float(s2.x[j]) for j, key in enumerate(model.eq_keys)}
+    )
 
-    losses = {}
-    for bid in exec_blocks:
-        b = instance.block_by_id[bid]
-        surplus = sum(
-            (b.limit_price - prices[b.area, t]) * q for t, q in enumerate(b.quantities)
-        )
-        losses[bid] = max(0.0, -surplus)
-    for fid, t in exec_flex:
-        f = instance.flex_by_id[fid]
-        losses[fid] = max(0.0, -(f.limit_price - prices[f.area, t]) * f.quantity)
-
+    losses = {
+        bid: max(0.0, -sum((limit - prices[area, t]) * q for t, q in qty))
+        for bid, area, qty, limit in bids
+    }
     return PricingOutcome(
         prices=prices,
         losses=losses,

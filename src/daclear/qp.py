@@ -347,7 +347,8 @@ def solve_qp(
     """Optimum, infeasibility certificate or ascent ray of prob.  The
     search starts from x0 clipped into the box, or from the clipped origin
     when x0 is None; callers that know a better start pass it (the clearing
-    QPs pass ``model.balanced_start``, pricing ``pricing._price_start``).
+    QPs pass ``model.balanced_start``, pricing ``pricing._price_start`` over
+    its stationarity rows).
     Phase 1 runs only when that point is infeasible.  With a ``deadline``
     (a ``time.monotonic()`` instant), every active-set iteration checks the
     clock and raises TimeLimit once it has passed."""

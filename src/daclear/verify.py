@@ -16,6 +16,7 @@ from .core import BidSelection, Instance, PriceVector
 from .cuts import curtailment_violations
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
 from .master import assemble_master
+from .model import build_model
 from .pricing import TIGHT_TOL, solve_fixflow, solve_qpprice
 from .qp import QpProblem, infeasible_by_bounds, solve_qp
 from .relaxation import solve_relaxation
@@ -291,11 +292,12 @@ def oracle_clear(instance: Instance, cap: int = 12):
         )
     candidates = sorted(_relaxations(instance), key=lambda rec: (-rec[0], rec[1]))
 
+    model = build_model(instance)
     frontier = []
     for objective, _, primal in candidates:
-        fixed = solve_fixflow(instance, primal)
+        fixed = solve_fixflow(instance, model, primal)
         try:
-            pricing = solve_qpprice(instance, fixed, relax_losses=False)
+            pricing = solve_qpprice(instance, model, fixed, relax_losses=False)
         except PriceInfeasible:
             frontier.append((objective, primal.selection, False))
             continue

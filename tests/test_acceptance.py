@@ -22,6 +22,7 @@ from daclear.core import (
 )
 from daclear.driver import ClearOptions, clear_exact, clear_heuristic
 from daclear.master import solve_master
+from daclear.model import build_model
 from daclear.pricing import solve_fixflow, solve_qpprice
 from daclear.qp import QpProblem, check_kkt, solve_qp
 from daclear.verify import (
@@ -125,8 +126,8 @@ def test_criterion_2_intermediate_steps():
     res = clear_exact(inst)
     assert sum(rec.cuts_added for rec in res.iterations) >= 1
 
-    full = solve_fixflow(inst, cut_free.solution)
-    relaxed = solve_qpprice(inst, full, relax_losses=True)
+    full = solve_fixflow(inst, build_model(inst), cut_free.solution)
+    relaxed = solve_qpprice(inst, build_model(inst), full, relax_losses=True)
     assert relaxed.total_loss > 0
     _ok(2, f"cut-free objective 3, cuts fired, relaxed loss {relaxed.total_loss:.3f}")
 

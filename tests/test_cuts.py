@@ -13,6 +13,7 @@ from daclear.cuts import (
 )
 from daclear.errors import EmptyLossSets
 from daclear.master import solve_master
+from daclear.model import build_model
 from daclear.pricing import solve_fixflow, solve_qpprice
 
 from helpers import appendix_a, make_instance, block, flexbid
@@ -21,8 +22,8 @@ from helpers import appendix_a, make_instance, block, flexbid
 def _appendix_a_relaxed():
     inst = appendix_a()
     res = solve_master(inst)
-    sol = solve_fixflow(inst, res.solution)
-    out = solve_qpprice(inst, sol, relax_losses=True)
+    sol = solve_fixflow(inst, build_model(inst), res.solution)
+    out = solve_qpprice(inst, build_model(inst), sol, relax_losses=True)
     return inst, sol, out
 
 
@@ -39,7 +40,7 @@ class TestLossSets:
 
         inst = appendix_a()
         res = clear_exact(inst)
-        out = solve_qpprice(inst, res.solution, relax_losses=True)
+        out = solve_qpprice(inst, build_model(inst), res.solution, relax_losses=True)
         assert loss_sets(inst, res.solution, out.prices).empty
 
 
@@ -102,7 +103,7 @@ class TestCurtailment:
     def test_violation_detected(self):
         inst = self._curtailing_instance()
         res = solve_master(inst)
-        sol = solve_fixflow(inst, res.solution)
+        sol = solve_fixflow(inst, build_model(inst), res.solution)
         if sol.selection.blocks.get("buy") != 1:
             pytest.skip("master did not execute the block")
         viol = curtailment_violations(inst, sol)
@@ -112,7 +113,7 @@ class TestCurtailment:
     def test_cut_forms(self):
         inst = self._curtailing_instance()
         res = solve_master(inst)
-        sol = solve_fixflow(inst, res.solution)
+        sol = solve_fixflow(inst, build_model(inst), res.solution)
         viol = curtailment_violations(inst, sol)
         if not viol:
             pytest.skip("no violation to cut")

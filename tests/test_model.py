@@ -85,6 +85,19 @@ class TestRampRows:
         assert model.ramp_keys == ()
         assert model.A_in.shape == (0, model.n)
 
+    def test_flow_rows_group_bounds_and_ramps_by_their_last_flow(self):
+        # ATC 1000 both hours, ramp 6 from flow 18; the hour-1 ramp rows
+        # also reach back to hour 0's flow
+        model = build_model(ramp_fixture())
+        F, h, owner = model.flow_rows
+        assert owner.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert F.tolist() == [
+            [1, 0], [-1, 0], [1, 0], [-1, 0],  # hour 0: upper, lower, fwd, bwd
+            [0, 1], [0, -1], [-1, 1], [1, -1],  # hour 1
+        ]
+        assert h.tolist() == [1000, 1000, 24, -12, 1000, 1000, 6, 6]
+        assert [f.shape for f in build_model(appendix_a()).flow_rows] == [(0, 0), (0,), (0,)]
+
 
 class TestLayout:
     @pytest.mark.parametrize("make", [appendix_a, f2, ramp_fixture, diamond])

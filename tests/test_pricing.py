@@ -5,6 +5,7 @@ from daclear import pricing
 from daclear.core import BidSelection, PrimalSolution, clearing_residuals, welfare_of
 from daclear.driver import clear_exact, clear_heuristic
 from daclear.errors import PriceInfeasible
+from daclear.model import build_model
 from daclear.pricing import clamp_prices, solve_fixflow, solve_qpprice
 from daclear.qp import QpProblem, solve_qp
 from daclear.master import solve_master
@@ -34,8 +35,8 @@ class TestFixFlow:
     def test_idempotent(self):
         for inst in (f2(), f3(), ramp_fixture()):
             sol = _master_solution(inst)
-            once = solve_fixflow(inst, sol)
-            twice = solve_fixflow(inst, once)
+            once = solve_fixflow(inst, build_model(inst), sol)
+            twice = solve_fixflow(inst, build_model(inst), once)
             for k in once.flows:
                 assert twice.flows[k] == pytest.approx(once.flows[k], abs=1e-9)
             for k in once.delta:
@@ -45,7 +46,7 @@ class TestFixFlow:
         for seed in range(12):
             inst = random_instance(seed)
             sol = _master_solution(inst)
-            fixed = solve_fixflow(inst, sol)
+            fixed = solve_fixflow(inst, build_model(inst), sol)
             assert welfare_of(inst, fixed) == pytest.approx(
                 welfare_of(inst, sol), abs=1e-6
             )
@@ -54,7 +55,7 @@ class TestFixFlow:
 
     def test_ramp_fixture_flows(self):
         inst = ramp_fixture()
-        fixed = solve_fixflow(inst, _master_solution(inst))
+        fixed = solve_fixflow(inst, build_model(inst), _master_solution(inst))
         assert fixed.flows["c1", 0] == pytest.approx(21.0, abs=1e-6)
         assert fixed.flows["c1", 1] == pytest.approx(27.0, abs=1e-6)
 
@@ -65,33 +66,33 @@ class TestQpPrice:
         # optimal selection {a,b,c,d} has no uniform supporting price
         full = _master_solution(inst)
         with pytest.raises(PriceInfeasible):
-            solve_qpprice(inst, solve_fixflow(inst, full))
+            solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), full))
 
     def test_appendix_a_second_best(self):
         from daclear.driver import clear_exact
 
         inst = appendix_a()
         res = clear_exact(inst)
-        out = solve_qpprice(inst, res.solution)
+        out = solve_qpprice(inst, build_model(inst), res.solution)
         assert out.prices["X", 0] == pytest.approx(3.0, abs=1e-6)
         assert out.total_loss == pytest.approx(0.0, abs=1e-9)
 
     def test_relaxed_losses_nonnegative(self):
         inst = appendix_a()
-        full = solve_fixflow(inst, _master_solution(inst))
-        out = solve_qpprice(inst, full, relax_losses=True)
+        full = solve_fixflow(inst, build_model(inst), _master_solution(inst))
+        out = solve_qpprice(inst, build_model(inst), full, relax_losses=True)
         assert out.total_loss > 0
         assert all(v >= -1e-9 for v in out.losses.values())
 
     def test_f3_congested_prices(self):
         inst = f3()
-        out = solve_qpprice(inst, solve_fixflow(inst, _master_solution(inst)))
+        out = solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), _master_solution(inst)))
         assert out.prices["R", 0] == pytest.approx(10.0, abs=1e-6)
         assert out.prices["S", 0] == pytest.approx(40.0, abs=1e-6)
 
     def test_ramp_price_reflection(self):
         inst = ramp_fixture()
-        out = solve_qpprice(inst, solve_fixflow(inst, _master_solution(inst)))
+        out = solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), _master_solution(inst)))
         d0 = out.prices["S", 0] - out.prices["R", 0]
         d1 = out.prices["S", 1] - out.prices["R", 1]
         assert d0 + d1 == pytest.approx(0.0, abs=1e-6)
@@ -99,17 +100,17 @@ class TestQpPrice:
 
     def test_price_indifference_minimizes_norm(self):
         inst = price_indifferent()
-        out = solve_qpprice(inst, solve_fixflow(inst, _master_solution(inst)))
+        out = solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), _master_solution(inst)))
         # any price in [0, 7] supports the execution; tie broken at 0
         assert out.prices["X", 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_resolve_gives_same_prices(self):
         for seed in range(8):
             inst = random_instance(seed)
-            sol = solve_fixflow(inst, _master_solution(inst))
+            sol = solve_fixflow(inst, build_model(inst), _master_solution(inst))
             try:
-                a = solve_qpprice(inst, sol)
-                b = solve_qpprice(inst, sol)
+                a = solve_qpprice(inst, build_model(inst), sol)
+                b = solve_qpprice(inst, build_model(inst), sol)
             except PriceInfeasible:
                 continue
             for k in a.prices.pi:
@@ -134,7 +135,7 @@ class TestPriceBounds:
         fills = self._fills({0: 1.0, 2: 0.0, 4: 1.0})
         for relax in (False, True):
             with pytest.raises(PriceInfeasible):
-                solve_qpprice(inst, fills, relax_losses=relax)
+                solve_qpprice(inst, build_model(inst), fills, relax_losses=relax)
 
     @pytest.mark.parametrize("shift", [0.0, -100.0])
     def test_full_next_to_empty_pins_the_shared_node(self, shift):
@@ -146,7 +147,7 @@ class TestPriceBounds:
                              P=(shift, 100.0 + shift))
         fills = self._fills({0: 1.0, 1: 0.0, 2: 0.0})
         for relax in (False, True):
-            out = solve_qpprice(inst, fills, relax_losses=relax)
+            out = solve_qpprice(inst, build_model(inst), fills, relax_losses=relax)
             assert out.prices["X", 0] == 60.0 + shift
             assert out.total_loss == 0.0
 
@@ -156,12 +157,12 @@ def _pricing_cases(instances):
     whose relaxation clears: priced, loss-making and unpriceable ones."""
     for inst in instances:
         for _, _, primal in _relaxations(inst):
-            yield inst, solve_fixflow(inst, primal)
+            yield inst, solve_fixflow(inst, build_model(inst), primal)
 
 
 def _outcome(inst, sol, relax):
     try:
-        out = solve_qpprice(inst, sol, relax_losses=relax)
+        out = solve_qpprice(inst, build_model(inst), sol, relax_losses=relax)
     except PriceInfeasible as exc:
         return str(exc)
     return out.prices.pi, out.total_loss
@@ -244,7 +245,7 @@ class TestPriceStart:
         sol = PrimalSolution(selection=BidSelection(), delta=fills,
                              flows={("c1", 0): 6.0, ("c1", 1): 12.0})
         seen = _spy_pricing_qps(monkeypatch)
-        out = solve_qpprice(inst, sol)
+        out = solve_qpprice(inst, build_model(inst), sol)
         assert out.prices["S", 1] - out.prices["R", 1] == pytest.approx(20.0, abs=1e-9)
         prob, x0 = seen[0]
         assert sorted(x0[4:]) == pytest.approx([20.0, 30.0], abs=1e-12)
@@ -263,7 +264,7 @@ class TestPriceStart:
         )
         sol = PrimalSolution(selection=BidSelection(), delta={0: 0.5}, flows={})
         seen = _spy_pricing_qps(monkeypatch)
-        out = solve_qpprice(inst, sol)
+        out = solve_qpprice(inst, build_model(inst), sol)
         assert [out.prices[a, 0] for a in "ABC"] == pytest.approx([50.0] * 3, abs=1e-9)
         prob, x0 = seen[0]
         assert list(x0) == [50.0, 50.0, 50.0]
@@ -304,11 +305,11 @@ class TestDecidedByBounds:
                              delta={1: 0.5, 3: 0.5}, flows={("c1", 0): 5.0})
         seen = _spy_pricing_qps(monkeypatch)
         with pytest.raises(PriceInfeasible) as decided:
-            solve_qpprice(inst, sol, relax_losses=relax)
+            solve_qpprice(inst, build_model(inst), sol, relax_losses=relax)
         assert seen == []
         monkeypatch.setattr(pricing, "infeasible_by_bounds", lambda prob: False)
         with pytest.raises(PriceInfeasible) as solved:
-            solve_qpprice(inst, sol, relax_losses=relax)
+            solve_qpprice(inst, build_model(inst), sol, relax_losses=relax)
         assert len(seen) == 1
         assert str(decided.value) == str(solved.value)
 
@@ -393,10 +394,10 @@ class TestLinprogCrossCheck:
         verdicts = {"priced": 0, "no strict price": 0}
         for seed in range(50):
             inst = random_instance(seed)
-            sol = solve_fixflow(inst, _master_solution(inst))
+            sol = solve_fixflow(inst, build_model(inst), _master_solution(inst))
             ref = _min_loss_lp(optimize, inst, sol, strict=False)
             try:
-                total = solve_qpprice(inst, sol, relax_losses=True).total_loss
+                total = solve_qpprice(inst, build_model(inst), sol, relax_losses=True).total_loss
             except PriceInfeasible:
                 total = None
             if ref is None:
@@ -405,7 +406,7 @@ class TestLinprogCrossCheck:
                 assert total == pytest.approx(ref, abs=1e-7), seed
             strict_ref = _min_loss_lp(optimize, inst, sol, strict=True) is not None
             try:
-                solve_qpprice(inst, sol)
+                solve_qpprice(inst, build_model(inst), sol)
                 strict = True
             except PriceInfeasible:
                 strict = False
@@ -417,7 +418,7 @@ class TestLinprogCrossCheck:
 class TestClampPrices:
     def test_inside_interval_untouched(self):
         inst = f3()
-        out = solve_qpprice(inst, solve_fixflow(inst, _master_solution(inst)))
+        out = solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), _master_solution(inst)))
         clamped, warnings = clamp_prices(out.prices, inst)
         assert warnings == []
         assert clamped["R", 0] == out.prices["R", 0]
@@ -429,8 +430,8 @@ class TestClampPrices:
             {("X", 0): [[20, 0], [50, 0]]},
             area_intervals={"X": {"lower": 20, "upper": 50}},
         )
-        sol = solve_fixflow(inst, _master_solution(inst))
-        out = solve_qpprice(inst, sol)
+        sol = solve_fixflow(inst, build_model(inst), _master_solution(inst))
+        out = solve_qpprice(inst, build_model(inst), sol)
         assert out.prices["X", 0] == pytest.approx(0.0, abs=1e-6)
         clamped, warnings = clamp_prices(out.prices, inst)
         assert clamped["X", 0] == pytest.approx(20.0, abs=1e-12)
