@@ -11,7 +11,6 @@ from .core import (
     PriceInterval,
     PriceVector,
     PrimalSolution,
-    big_m,
     build_net_curve,
     presolve_price_bounds,
     surplus_report,
@@ -33,7 +32,6 @@ __all__ = [
     "PriceInterval",
     "PriceVector",
     "PrimalSolution",
-    "big_m",
     "build_net_curve",
     "clear_exact",
     "clear_heuristic",

@@ -515,17 +515,6 @@ def surplus_report(
     )
 
 
-def big_m(block: BlockBid, interval: PriceInterval) -> float:
-    """Worst-case loss of a block over the price interval (nonpositive)."""
-    total = 0.0
-    for q in block.quantities:
-        total += min(
-            (block.limit_price - interval.lower) * q,
-            (block.limit_price - interval.upper) * q,
-        )
-    return total
-
-
 def _price_where_quantity_below(nodes, target, interval, eps=1e-9):
     """Smallest price at which the polyline quantity is <= target."""
     target = target + eps

@@ -165,7 +165,7 @@ def _branch_and_cut(instance, options, mode):
         return cuts.cuts[before:]
 
     master = solve_master(
-        instance, leaf_test, abs_gap=options.abs_gap, time_limit=options.time_limit,
+        instance, model, leaf_test, abs_gap=options.abs_gap, time_limit=options.time_limit,
         presolve=options.presolve,
     )
     bound = tested[0][0].bound if tested else float("inf")  # the cut-free master's

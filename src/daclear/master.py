@@ -26,7 +26,7 @@ from .core import (
 )
 from .cuts import Cut
 from .errors import TimeLimit
-from .model import balanced_start, build_model
+from .model import ClearingModel, balanced_start
 from .qp import QpProblem, infeasible_by_bounds, solve_qp
 
 INT_TOL = 1e-6
@@ -41,11 +41,11 @@ class MasterResult:
     nodes: int = 0
 
 
-def assemble_master(instance: Instance):
-    """(prob, model, col_block, col_flex): the clearing model with a column
-    per block and per flex (bid, hour), and the link and flex-once rows
-    over those columns.  The oracle solves it with every binary pinned."""
-    model = build_model(instance)
+def assemble_master(instance: Instance, model: ClearingModel):
+    """(prob, col_block, col_flex): ``model``, the clearing model of
+    ``instance``, with a column per block and per flex (bid, hour), and the
+    link and flex-once rows over those columns.  The oracle solves it with
+    every binary pinned."""
     n_cont = model.n
     hours = range(instance.hours)
     flex_keys = [(f.id, t) for f in instance.flex_bids for t in hours]
@@ -91,7 +91,7 @@ def assemble_master(instance: Instance):
     A_in = np.array(in_rows).reshape(-1, n)
     b_in = np.array(in_rhs)
     prob = QpProblem(c=c, d=d, A_eq=A_eq, b_eq=model.b_eq, A_in=A_in, b_in=b_in, lb=lb, ub=ub)
-    return prob, model, col_block, col_flex
+    return prob, col_block, col_flex
 
 
 def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], col_block, col_flex) -> QpProblem:
@@ -140,16 +140,20 @@ def _selection_from_x(instance: Instance, x, col_block, col_flex) -> BidSelectio
     return BidSelection(blocks=blocks, flex=flex)
 
 
-def _solve_node(node: QpProblem, model, x0, bin_cols, deadline):
+def _solve_node(node: QpProblem, model, parent, bin_cols, deadline):
     """(sol, leaf) of one B&B node.  sol is None when the node has no
     optimum; a node whose row activity bounds prove it infeasible is
-    dropped without a QP.  leaf is None while a free binary is fractional;
-    otherwise it is the node's integral solution: sol itself when the
-    binaries sit exactly on 0/1, else a re-solve with them pinned at the
-    rounding."""
+    dropped without a QP.  A node with a ``parent`` solution (a child, or
+    a node solved again under new cuts) starts from the parent's optimum
+    and working set; phase 1 from the parent's balanced point is the
+    fallback, and the root's start.  leaf is None while a free binary is
+    fractional; otherwise it is the node's integral solution: sol itself
+    when the binaries sit exactly on 0/1, else a re-solve with them pinned
+    at the rounding, started from sol the same way."""
     if infeasible_by_bounds(node):
         return None, None
-    sol = solve_qp(node, x0=balanced_start(model, node, x0), deadline=deadline)
+    x0 = balanced_start(model, node, None if parent is None else parent.x)
+    sol = solve_qp(node, x0=x0, deadline=deadline, start=parent)
     if sol.status != "optimal":
         return None, None
     xb = sol.x[bin_cols]
@@ -161,27 +165,33 @@ def _solve_node(node: QpProblem, model, x0, bin_cols, deadline):
     lb, ub = node.lb.copy(), node.ub.copy()
     lb[bin_cols] = ub[bin_cols] = rounded
     pinned = node.with_bounds(lb, ub)
-    return sol, solve_qp(pinned, x0=balanced_start(model, pinned, sol.x), deadline=deadline)
+    x0 = balanced_start(model, pinned, sol.x)
+    return sol, solve_qp(pinned, x0=x0, deadline=deadline, start=sol)
 
 
 def solve_master(
     instance: Instance,
+    model: ClearingModel,
     test: Optional[Callable[[MasterResult], Optional[Sequence[Cut]]]] = None,
     abs_gap: float = 1e-9,
     time_limit: Optional[float] = None,
     presolve: bool = True,
 ) -> MasterResult:
-    """Best-first branch-and-cut.  An integral leaf (see ``_solve_node``)
-    goes back on the heap keyed by its objective plus ``abs_gap``; when it
-    reaches the top it is the master optimum under the cuts so far, and
-    ``test`` gets it as an optimal ``MasterResult``.  The test returns no
-    cuts to accept the leaf, cuts that reject it (they become rows and the
-    leaf's node is solved again under them), or None to stop the search
-    with status ``limit``.  Without a test the first such leaf is returned.
+    """Best-first branch-and-cut on ``model``, the clearing model of
+    ``instance``.  Each child is solved from its parent's optimum and
+    working set (``solve_qp``'s ``start``), so phase 1 runs only at the
+    root and where that parametric start falls back.  An integral leaf
+    (see ``_solve_node``) goes back on the heap keyed by its objective
+    plus ``abs_gap``; when it reaches the top it is the master optimum
+    under the cuts so far, and ``test`` gets it as an optimal
+    ``MasterResult``.  The test returns no cuts to accept the leaf, cuts
+    that reject it (they become rows and the leaf's node is solved again
+    under them), or None to stop the search with status ``limit``.
+    Without a test the first such leaf is returned.
     ``time_limit`` also bounds each node's QP solves: one that passes it
     puts its node back on the heap, so the ``limit`` result's bound stays
     valid.  A test that raises TimeLimit puts its leaf back the same way."""
-    prob, model, col_block, col_flex = assemble_master(instance)
+    prob, col_block, col_flex = assemble_master(instance, model)
     bin_cols = list(range(model.n, prob.n))
     deadline = time.monotonic() + time_limit if time_limit is not None else None
 
@@ -214,12 +224,12 @@ def solve_master(
             objective=objective, bound=bound, nodes=nodes,
         )
 
-    push(float("inf"), (base_lb, base_ub, None))  # bounds and a start x
+    push(float("inf"), (base_lb, base_ub, None))  # bounds and a parent solution
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             return result("limit")
         entry = heapq.heappop(heap)
-        _, _, _, bound, (node_lb, node_ub, node_x0), leaf = entry
+        _, _, _, bound, (node_lb, node_ub, parent), leaf = entry
         if leaf is not None and all(cut.satisfied(leaf[0]) for cut in cuts):
             # the master optimum under the cuts so far
             found = result("optimal", leaf, bound)
@@ -230,7 +240,7 @@ def solve_master(
                 return result("limit")
             if verdict is not None and not verdict:
                 return found
-            push(bound, (node_lb, node_ub, node_x0))  # solved again under the new cuts
+            push(bound, (node_lb, node_ub, parent))  # solved again under the new cuts
             if verdict is None:
                 return result("limit")
             cuts.extend(verdict)
@@ -239,7 +249,7 @@ def solve_master(
         # a node, or a leaf that a later cut removed
         node = prob.with_bounds(node_lb, node_ub)
         try:
-            sol, exact = _solve_node(node, model, node_x0, bin_cols, deadline)
+            sol, exact = _solve_node(node, model, parent, bin_cols, deadline)
         except TimeLimit:
             heapq.heappush(heap, entry)  # the interrupted node keeps its bound
             return result("limit")
@@ -249,7 +259,7 @@ def solve_master(
         if exact is not None:
             if exact.status == "optimal":
                 selection = _selection_from_x(instance, exact.x, col_block, col_flex)
-                push(exact.objective, (node_lb, node_ub, sol.x), (selection, exact.x))
+                push(exact.objective, (node_lb, node_ub, sol), (selection, exact.x))
             continue
         frac = [
             (abs(sol.x[j] - round(sol.x[j])), j)
@@ -265,5 +275,5 @@ def solve_master(
             child_lb = node_lb.copy()
             child_ub = node_ub.copy()
             child_lb[j_star] = child_ub[j_star] = fixed_val
-            push(sol.objective, (child_lb, child_ub, sol.x))
+            push(sol.objective, (child_lb, child_ub, sol))
     return result("infeasible")

@@ -12,7 +12,10 @@ free, at its lower bound or at its upper bound (columns with lb == ub
 stay pinned), and steps move the free columns within the null space of
 the working rows.  When the start, clipped into the box, is infeasible, a
 phase-1 pass with artificial slacks on the equality rows and the violated
-inequality rows produces a feasible point or an infeasibility verdict.
+inequality rows produces a feasible point or an infeasibility verdict.  A
+solve may instead start from the optimum of a problem that differs in some
+pinned columns (a branch-and-bound parent): a parametric pass moves those
+columns to their values while it keeps the parent's working set optimal.
 All tie-breaks pick the lowest index (rows, then upper bounds, then lower
 bounds), so results are deterministic.
 """
@@ -37,6 +40,7 @@ STEP_TOL = 1e-11
 CURV_TOL = 1e-10
 RANK_TOL = 1e-11
 INFEAS_TOL = 1e-7  # phase-1 weight above which a problem is infeasible
+END_TOL = 1e-12  # relative round-off at the end of a parametric pass
 
 
 @dataclass
@@ -88,18 +92,36 @@ class QpProblem:
         return float(self.c @ x + 0.5 * np.sum(self.d * x * x))
 
 
+@dataclass(frozen=True)
+class WorkingSet:
+    """Where an optimal solve ended: its working rows (indices into
+    ``A_in``, ascending) and one state per column (FREE, LOWER, UPPER or
+    PINNED).  It prices the solution (``multipliers``) and starts a solve
+    of a nearby problem (``solve_qp``'s ``start``)."""
+
+    rows: tuple[int, ...]
+    state: np.ndarray
+
+
 @dataclass
 class QpSolution:
     status: str  # optimal | infeasible | unbounded
     x: Optional[np.ndarray] = None
     objective: float = float("nan")
-    y_eq: Optional[np.ndarray] = None
-    mu_in: Optional[np.ndarray] = None
-    nu_lower: Optional[np.ndarray] = None
-    nu_upper: Optional[np.ndarray] = None
     ray: Optional[np.ndarray] = None
     certificate: Optional[dict] = None
-    iterations: int = 0  # active-set iterations of phase 1 and phase 2
+    # active-set iterations: phase 1 and phase 2, plus the breakpoints of a
+    # parametric start
+    iterations: int = 0
+    working: Optional[WorkingSet] = None  # when optimal
+
+
+@dataclass
+class Multipliers:
+    y_eq: np.ndarray
+    mu_in: np.ndarray
+    nu_lower: np.ndarray
+    nu_upper: np.ndarray
 
 
 @dataclass
@@ -127,12 +149,14 @@ def _factor(K: np.ndarray):
         return np.eye(K.shape[1]), np.zeros((0, 0)), np.zeros((0, K.shape[1]))
     u, s, vt = np.linalg.svd(K, full_matrices=True)
     tol = max(K.shape) * (s[0] if len(s) else 0.0) * RANK_TOL + RANK_TOL
-    rank = int(np.sum(s > tol))
+    rank = int(np.count_nonzero(s > tol))
     return vt[rank:].T, u[:, :rank] / s[:rank], vt[:rank]
 
 
 # column states: bounds stay bounds, never rows of the working matrix
 FREE, LOWER, UPPER, PINNED = 0, 1, 2, 3
+# per state, the sign that makes a bound's reduced gradient its multiplier
+_SIDE = np.array([0.0, -1.0, 1.0, 0.0])
 
 
 class _ActiveSet:
@@ -164,15 +188,15 @@ class _ActiveSet:
         state[self.lb == self.ub] = PINNED
         return work, state
 
-    def run(self, x, work, state, deadline=None):
+    def run(self, x, work, state, deadline=None, factor=None):
         """(status, x, work, state, out, iterations) where out is the ascent
         ray when unbounded and, when optimal, the closing multipliers
         (y, mu_w, r): equality and working-row multipliers and the reduced
-        gradient  g - K'lam  that prices the fixed columns.  Raises
+        gradient  g - K'lam  that prices the fixed columns.  ``factor`` is
+        ``_factorize``'s of work and state when the caller has it.  Raises
         TimeLimit once ``time.monotonic()`` passes ``deadline``."""
         c, d, n, m = self.c, self.d, self.n, len(self.b)
         max_iter = 200 * (2 * n + len(self.h) + 5)
-        factor = None  # of the current working rows and column states
         for it in range(max_iter):
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeLimit("QP solve passed its deadline")
@@ -180,16 +204,7 @@ class _ActiveSet:
                 # one factorization serves the step and the multipliers; an
                 # unblocked step keeps the working set, so the next
                 # iteration reuses it
-                free = state == FREE
-                K = np.concatenate((self.A, self.G[work]))
-                Z, P, Vr = _factor(K[:, free])
-                curv = None
-                df = d[free]
-                if Z.shape[1] and df.any():
-                    w, V = np.linalg.eigh(Z.T @ (df[:, None] * Z))
-                    scale = max(1.0, float(np.max(np.abs(w))))
-                    curv = (w, V, w < -CURV_TOL * scale)
-                factor = (free, K, Z, P, Vr, curv)
+                factor = self._factorize(work, state)
             free, K, Z, P, Vr, curv = factor
             g = c + d * x
             p = np.zeros(n)
@@ -247,6 +262,170 @@ class _ActiveSet:
                 factor = None
         raise SolverFailure("active-set iteration limit reached")
 
+    def follow(self, x, work, state, deadline=None):
+        """(x, breakpoints, factor) at the end of a parametric pass, where
+        factor is ``_factorize``'s of the final working set (None when the
+        last breakpoint changed it), or None when the pass cannot go on.
+
+        The pass starts from x, optimal with ``work`` and ``state`` for
+        this problem with its moving columns (PINNED, but away from their
+        value) held where x has them, and moves those columns in a straight
+        line to their values (Best, 1996; Ferreau, Kirches, Potschka, Bock
+        and Diehl, 2014).  On each segment the free columns keep the
+        working rows tight and the gradient in the range of their rows,
+        with no component along flat directions, and the multipliers follow
+        by least squares, all from one ``_factor``.  A segment ends at the
+        first breakpoint: a working row or bound whose multiplier reaches
+        the wrong sign leaves the working set (working rows by position,
+        then bounds by column, on ties), or else a constraint that becomes
+        tight joins it (``_ratio``'s order).  A joining constraint that
+        depends on the working set takes the place of the one whose
+        multiplier reaches zero first as its own grows (``_exchange``); so
+        does a moving column that the working rows need, as it starts to
+        move.  Breakpoints up to END_TOL past the end still count, and a
+        dependent one there stays out of the working set.  The pass gives
+        up when the working rows stay dependent on the free columns, when a
+        dependent constraint has nothing to replace, or after
+        ``2n + len(h) + 5`` breakpoints."""
+        c, d, n, nh = self.c, self.d, self.n, len(self.h)
+        pinned = state == PINNED
+        # a column that round-off alone keeps from its value takes it at once
+        off = np.abs(x - self.lb)
+        x = np.where(pinned & (off <= END_TOL * np.maximum(1.0, np.abs(self.lb))), self.lb, x)
+        move = pinned & (x != self.lb)
+        entering = np.flatnonzero(move).tolist()
+        if not entering:
+            return x, 0, None
+        steps = 0
+        while True:
+            if steps > 2 * n + nh + 5:
+                return None
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeLimit("QP solve passed its deadline")
+            factor = self._factorize(work, state)
+            free, K, Z, P, Vr, curv = factor
+            if len(Vr) < len(K):
+                # the working rows need a moving column: it enters as a
+                # bound pushing it toward its value, in place of another
+                if not entering:
+                    return None
+                j = entering.pop(0)
+                state[j] = FREE
+                free, K, Z, P, Vr, _ = self._factorize(work, state)
+                a = np.zeros(n)
+                a[j] = -1.0 if self.lb[j] > x[j] else 1.0
+                dropped = self._dependent(a, free, Z) and self._exchange(
+                    a, x, work, state, free, K, P, Vr
+                )
+                state[j] = PINNED
+                if not dropped:
+                    return None
+                steps += 1
+                continue
+            entering = []
+            # per unit of the segment: the moving columns' remaining way,
+            # and the free columns' least-norm answer plus the curved
+            # null-space part that keeps them stationary
+            dx = np.where(move, self.lb - x, 0.0)
+            dxf = -(Vr.T @ (P.T @ (K @ dx)))
+            if curv is not None:
+                w, V, curved = curv
+                gv = V[:, curved].T @ (Z.T @ (d[free] * dxf))
+                dxf -= Z @ (V[:, curved] @ (gv / w[curved]))
+            dx[free] = dxf
+            # the least-norm answer smears round-off over every free column;
+            # one the exact step leaves alone must stay where it is
+            dx[np.abs(dx) <= 1e-14 * np.max(np.abs(dx))] = 0.0
+            duals = self._signed_duals(state, free, K, P, Vr, np.column_stack((c + d * x, d * dx)))
+            # a constraint that becomes tight at the end, up to round-off,
+            # still joins, as it would on a vertex-to-vertex path
+            alpha, block = self._ratio(x, dx, work, state, 1.0 + END_TOL)
+            t, k = _first_zero(duals[:, 0], -duals[:, 1])
+            if k is not None and t < min(alpha, 1.0):
+                x = x + t * dx
+                self._release(k, work, state)
+                steps += 1
+                continue
+            end = alpha >= 1.0
+            x = x + min(alpha, 1.0) * dx
+            if end:
+                x[move] = self.lb[move]
+            dependent = False
+            if block is not None:
+                if block < nh:
+                    a = self.G[block]
+                else:
+                    a = np.zeros(n)
+                    a[(block - nh) % n] = 1.0 if block < nh + n else -1.0
+                dependent = self._dependent(a, free, Z)
+            if block is None or (end and dependent):
+                # at the end, a constraint the working set implies may stay
+                # out; a bound it reaches still takes its value exactly
+                if dependent and block >= nh:
+                    j = (block - nh) % n
+                    x[j] = (self.ub if block < nh + n else self.lb)[j]
+                return x, steps, factor
+            if dependent and not self._exchange(a, x, work, state, free, K, P, Vr):
+                return None
+            x = self._step(x, 0.0, dx, block, work, state)
+            steps += 1
+            if end:
+                return x, steps, None
+
+    def _factorize(self, work, state):
+        """(free, K, Z, P, Vr, curv) of the working rows and column states:
+        the free columns, the working matrix, ``_factor`` of its free part
+        and, when the free columns curve, the eigendecomposition
+        (w, V, curved) of the reduced Hessian  Z'DZ."""
+        free = state == FREE
+        K = np.concatenate((self.A, self.G[work]))
+        Z, P, Vr = _factor(K[:, free])
+        curv = None
+        df = self.d[free]
+        if Z.shape[1] and df.any():
+            w, V = np.linalg.eigh(Z.T @ (df[:, None] * Z))
+            scale = max(1.0, float(np.max(np.abs(w))))
+            curv = (w, V, w < -CURV_TOL * scale)
+        return free, K, Z, P, Vr, curv
+
+    def _signed_duals(self, state, free, K, P, Vr, grads):
+        """Per column of ``grads`` (n x k): the least-squares multipliers of
+        the working rows on the free columns, then one bound multiplier per
+        column from the reduced gradient, signed so that each is
+        nonnegative at an optimum (zero for free and pinned columns)."""
+        lam = P @ (Vr @ grads[free])
+        return np.concatenate((lam[len(self.b):], _SIDE[state][:, None] * (grads - K.T @ lam)))
+
+    @staticmethod
+    def _dependent(a, free, Z):
+        """True when the constraint with normal a is a combination of the
+        working constraints: no part of it, beyond round-off, lies in their
+        null space."""
+        za = Z.T @ a[free]
+        return sqrt(za @ za) <= 1e-9 * max(1.0, sqrt(a @ a))
+
+    def _exchange(self, a, x, work, state, free, K, P, Vr):
+        """Make room at x for the constraint with normal a, a combination of
+        the working constraints: as its multiplier grows, theirs fall by
+        their coefficients in a, and the first to reach zero leaves (lowest
+        number on ties).  False when none falls."""
+        grads = np.column_stack((self.c + self.d * x, a))
+        duals = self._signed_duals(state, free, K, P, Vr, grads)
+        _, k = _first_zero(duals[:, 0], duals[:, 1])
+        if k is None:
+            return False
+        self._release(k, work, state)
+        return True
+
+    @staticmethod
+    def _release(k, work, state):
+        """Drop the k-th constraint in ``_signed_duals``' order: working
+        rows by position, then bounds by column."""
+        if k < len(work):
+            del work[k]
+        else:
+            state[k - len(work)] = FREE
+
     def _ratio(self, x, p, work, state, alpha_max):
         free = state == FREE
         gp = self.G @ p
@@ -278,6 +457,20 @@ class _ActiveSet:
             j = block - m - self.n
             state[j], x[j] = LOWER, self.lb[j]
         return x
+
+
+def _first_zero(level, rate):
+    """(t, k): the least t >= 0 at which ``level - t * rate`` reaches zero
+    in an entry whose rate is positive, and the lowest such entry; (inf,
+    None) when no rate is positive.  Entries already below zero count as
+    zero."""
+    falling = rate > 1e-12
+    ratios = np.divide(np.maximum(level, 0.0), rate, out=np.full(len(rate), np.inf), where=falling)
+    k = int(ratios.argmin())
+    t = float(ratios[k])
+    if t == np.inf:
+        return t, None
+    return t, int(np.argmax(ratios <= t + 1e-14))
 
 
 def _bound_multipliers(state, r):
@@ -341,50 +534,111 @@ def infeasible_by_bounds(prob: QpProblem) -> bool:
     return bool((low.sum(axis=1) > limit).any())
 
 
-def solve_qp(
-    prob: QpProblem, x0: Optional[np.ndarray] = None, deadline: Optional[float] = None
-) -> QpSolution:
-    """Optimum, infeasibility certificate or ascent ray of prob.  The
-    search starts from x0 clipped into the box, or from the clipped origin
-    when x0 is None; callers that know a better start pass it (the clearing
-    QPs pass ``model.balanced_start``, pricing ``pricing._price_start`` over
-    its stationarity rows).
-    Phase 1 runs only when that point is infeasible.  With a ``deadline``
-    (a ``time.monotonic()`` instant), every active-set iteration checks the
-    clock and raises TimeLimit once it has passed."""
-    start = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
-    x, cert, iters1 = _phase1(prob, np.clip(start, prob.lb, prob.ub), deadline)
-    if x is None:
-        return QpSolution(status="infeasible", certificate=cert, iterations=iters1)
+def _rows_hold(prob: QpProblem, x: np.ndarray) -> bool:
+    """True when x satisfies prob's rows at FEAS_TOL."""
+    return bool(
+        np.all(np.abs(prob.A_eq @ x - prob.b_eq) <= FEAS_TOL)
+        and np.all(prob.A_in @ x <= prob.b_in + FEAS_TOL)
+    )
 
+
+def _warm_start(solver: _ActiveSet, prob: QpProblem, start: QpSolution, deadline):
+    """(x, work, state, breakpoints, factor) for prob from ``start``, the
+    optimum of a problem with the same columns, objective, equality rows
+    and leading inequality rows, which prob extends by more inequality
+    rows and by pinning columns; None to fall back to phase 1.  The start
+    must satisfy prob's rows, so a new row it violates means a fallback.
+    ``_ActiveSet.follow`` then moves the pinned columns to their values,
+    and its end point must be feasible at FEAS_TOL."""
+    if not _rows_hold(prob, start.x):
+        return None
+    work, state = list(start.working.rows), start.working.state.copy()
+    state[prob.lb == prob.ub] = PINNED
+    out = solver.follow(start.x.copy(), work, state, deadline)
+    if out is None:
+        return None
+    x, breakpoints, factor = out
+    if not (
+        _rows_hold(prob, x) and np.all(x >= prob.lb - FEAS_TOL) and np.all(x <= prob.ub + FEAS_TOL)
+    ):
+        return None
+    return x, work, state, breakpoints, factor
+
+
+def solve_qp(
+    prob: QpProblem,
+    x0: Optional[np.ndarray] = None,
+    deadline: Optional[float] = None,
+    start: Optional[QpSolution] = None,
+) -> QpSolution:
+    """Optimum, infeasibility certificate or ascent ray of prob.
+
+    With ``start``, the optimal solution of a parent problem that prob
+    extends by pinned columns or added inequality rows (a branch-and-bound
+    child, see ``_warm_start``), a parametric pass moves the parent's
+    optimum and working set to prob's pinned values, and phase 2 goes on
+    from there; it usually confirms the optimum at once.  Without
+    ``start``, or when that pass falls back, the search starts from x0
+    clipped into the box, or from the clipped origin when x0 is None;
+    callers that know a better start pass it (the clearing QPs pass
+    ``model.balanced_start``, pricing ``pricing._price_start`` over its
+    stationarity rows), and phase 1 runs only when that point is
+    infeasible.  Infeasibility is always phase 1's verdict.  A fallback's
+    breakpoints are not counted in ``iterations``.  With a ``deadline``
+    (a ``time.monotonic()`` instant), every active-set iteration and
+    breakpoint checks the clock and raises TimeLimit once it has passed.
+    An optimal solution carries its ``working`` set, from which
+    ``multipliers`` derives its multipliers."""
     solver = _ActiveSet(
         prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub
     )
-    status, x, work, state, out, iters = solver.run(x, *solver.start(x), deadline)
+    warm = None if start is None else _warm_start(solver, prob, start, deadline)
+    if warm is None:
+        first = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
+        x, cert, iters1 = _phase1(prob, np.clip(first, prob.lb, prob.ub), deadline)
+        if x is None:
+            return QpSolution(status="infeasible", certificate=cert, iterations=iters1)
+        work, state = solver.start(x)
+        factor = None
+    else:
+        x, work, state, iters1, factor = warm
+    status, x, work, state, out, iters = solver.run(x, work, state, deadline, factor)
     iters += iters1
     if status == "unbounded":
         return QpSolution(status="unbounded", x=x, ray=out, iterations=iters)
-
-    y, mu_w, r = out
-    mu_in = np.zeros(len(prob.b_in))
-    mu_in[work] = np.maximum(mu_w, 0.0)
-    nu_lower, nu_upper = _bound_multipliers(state, r)
     return QpSolution(
         status="optimal",
         x=x,
         objective=prob.objective(x),
-        y_eq=y,
-        mu_in=mu_in,
-        nu_lower=nu_lower,
-        nu_upper=nu_upper,
         iterations=iters,
+        working=WorkingSet(tuple(work), state),
     )
+
+
+def multipliers(prob: QpProblem, sol: QpSolution) -> Multipliers:
+    """Multipliers of ``sol``, an optimal solution of prob, from its working
+    set at ``sol.x``: the least-squares equality and working-row
+    multipliers on the free columns (minimum-norm when the working rows
+    are dependent), and the bound multipliers from the reduced gradient,
+    where a pinned column takes the side its sign says."""
+    work, state = list(sol.working.rows), sol.working.state
+    free = state == FREE
+    K = np.concatenate((prob.A_eq, prob.A_in[work]))
+    _, P, Vr = _factor(K[:, free])
+    g = prob.c + prob.d * sol.x
+    lam = P @ (Vr @ g[free])
+    m = len(prob.b_eq)
+    mu_in = np.zeros(len(prob.b_in))
+    mu_in[work] = np.maximum(lam[m:], 0.0)
+    nu_lower, nu_upper = _bound_multipliers(state, g - K.T @ lam)
+    return Multipliers(y_eq=lam[:m], mu_in=mu_in, nu_lower=nu_lower, nu_upper=nu_upper)
 
 
 def check_kkt(prob: QpProblem, sol: QpSolution, tol: float = 1e-8) -> KktReport:
     """Residuals of stationarity, primal feasibility, dual sign and
-    complementarity for a candidate solution."""
+    complementarity for a candidate solution, priced by ``multipliers``."""
     x = sol.x
+    mult = multipliers(prob, sol)
     primal = 0.0
     dual = 0.0
     comp = 0.0
@@ -393,29 +647,29 @@ def check_kkt(prob: QpProblem, sol: QpSolution, tol: float = 1e-8) -> KktReport:
     if len(prob.b_in):
         slack = prob.b_in - prob.A_in @ x
         primal = max(primal, float(np.max(-slack)))
-        comp = max(comp, float(np.max(np.abs(sol.mu_in * slack))))
-        dual = max(dual, float(np.max(-sol.mu_in)))
+        comp = max(comp, float(np.max(np.abs(mult.mu_in * slack))))
+        dual = max(dual, float(np.max(-mult.mu_in)))
     lo_ok = np.isfinite(prob.lb)
     hi_ok = np.isfinite(prob.ub)
     if np.any(lo_ok):
         s = (x - prob.lb)[lo_ok]
         primal = max(primal, float(np.max(-s)))
-        comp = max(comp, float(np.max(np.abs(sol.nu_lower[lo_ok] * s))))
+        comp = max(comp, float(np.max(np.abs(mult.nu_lower[lo_ok] * s))))
     if np.any(hi_ok):
         s = (prob.ub - x)[hi_ok]
         primal = max(primal, float(np.max(-s)))
-        comp = max(comp, float(np.max(np.abs(sol.nu_upper[hi_ok] * s))))
+        comp = max(comp, float(np.max(np.abs(mult.nu_upper[hi_ok] * s))))
     dual = max(
         dual,
-        float(np.max(-sol.nu_lower)) if len(sol.nu_lower) else 0.0,
-        float(np.max(-sol.nu_upper)) if len(sol.nu_upper) else 0.0,
+        float(np.max(-mult.nu_lower)) if len(mult.nu_lower) else 0.0,
+        float(np.max(-mult.nu_upper)) if len(mult.nu_upper) else 0.0,
     )
     grad = prob.c + prob.d * x
-    stat = grad - sol.nu_upper + sol.nu_lower
+    stat = grad - mult.nu_upper + mult.nu_lower
     if len(prob.b_eq):
-        stat = stat - prob.A_eq.T @ sol.y_eq
+        stat = stat - prob.A_eq.T @ mult.y_eq
     if len(prob.b_in):
-        stat = stat - prob.A_in.T @ sol.mu_in
+        stat = stat - prob.A_in.T @ mult.mu_in
     stationarity = float(np.max(np.abs(stat))) if len(stat) else 0.0
     return KktReport(
         stationarity=stationarity, primal=primal, dual=dual,

@@ -16,7 +16,7 @@ from .core import BidSelection, Instance, PriceVector
 from .cuts import curtailment_violations
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
 from .master import assemble_master
-from .model import build_model
+from .model import ClearingModel, build_model
 from .pricing import TIGHT_TOL, solve_fixflow, solve_qpprice
 from .qp import QpProblem, infeasible_by_bounds, solve_qp
 from .relaxation import solve_relaxation
@@ -256,11 +256,12 @@ def _all_selections(instance: Instance):
             yield BidSelection(blocks=blocks, flex=dict(zip(flex_ids, assign)))
 
 
-def _relaxations(instance: Instance):
+def _relaxations(instance: Instance, model: ClearingModel):
     """(objective, index, primal) of each enumerated selection whose
     relaxation clears, in enumeration order.  The relaxation is the master
-    problem with its block and flex columns pinned at the selection."""
-    prob, model, col_block, col_flex = assemble_master(instance)
+    problem on ``model``, the clearing model of ``instance``, with its
+    block and flex columns pinned at the selection."""
+    prob, col_block, col_flex = assemble_master(instance, model)
     for idx, selection in enumerate(_all_selections(instance)):
         lb, ub = prob.lb.copy(), prob.ub.copy()
         for bid, j in col_block.items():
@@ -290,9 +291,8 @@ def oracle_clear(instance: Instance, cap: int = 12):
         raise TooLarge(
             f"{decisions} binary decisions exceed the enumeration cap {cap}"
         )
-    candidates = sorted(_relaxations(instance), key=lambda rec: (-rec[0], rec[1]))
-
     model = build_model(instance)
+    candidates = sorted(_relaxations(instance, model), key=lambda rec: (-rec[0], rec[1]))
     frontier = []
     for objective, _, primal in candidates:
         fixed = solve_fixflow(instance, model, primal)

@@ -7,6 +7,7 @@ import numpy as np
 
 from daclear.io import parse_instance
 from daclear.master import assemble_master
+from daclear.model import build_model
 
 
 def make_instance(curves, conns=(), P=(0.0, 100.0), hours=1, areas=None,
@@ -66,7 +67,8 @@ def pinned_relaxation(inst, selection):
     """(problem, model): the master problem of ``inst`` with its block and
     flex columns pinned at ``selection``, the relaxation the oracle solves
     for that selection."""
-    prob, model, col_block, col_flex = assemble_master(inst)
+    model = build_model(inst)
+    prob, col_block, col_flex = assemble_master(inst, model)
     lb, ub = prob.lb.copy(), prob.ub.copy()
     for bid, j in col_block.items():
         lb[j] = ub[j] = selection.blocks.get(bid, 0)
@@ -203,3 +205,24 @@ def random_instance(seed):
         ))
     return make_instance(curves, conns, hours=hours, areas=areas,
                          blocks=blocks, links=links, flex=flex)
+
+
+def paradox_book(seed):
+    """One area, two hours, two seller/buyer block pairs with overlapping
+    price windows on a thin elastic curve: the curve cannot absorb a
+    block that a branch pins, so branch-and-bound children need other
+    blocks to move."""
+    rng = np.random.default_rng(seed)
+    curves = {}
+    for t in range(2):
+        width = float(rng.uniform(1.0, 4.0))
+        mid = float(rng.uniform(35.0, 65.0))
+        curves["X", t] = [[mid - 30.0, width], [mid + 30.0, -width]]
+    blocks = []
+    for i in range(2):
+        low = rng.uniform(30.0, 60.0)
+        supply = rng.uniform(5.0, 15.0, size=2)
+        demand = supply * rng.uniform(0.6, 1.4, size=2)
+        blocks.append(block(f"s{i}", "X", low + rng.uniform(0.0, 5.0), -supply))
+        blocks.append(block(f"d{i}", "X", low + rng.uniform(2.0, 12.0), demand))
+    return make_instance(curves, hours=2, blocks=blocks)

@@ -119,7 +119,7 @@ def test_criterion_1_golden_fixture():
 
 def test_criterion_2_intermediate_steps():
     inst = appendix_a()
-    cut_free = solve_master(inst)
+    cut_free = solve_master(inst, build_model(inst))
     assert cut_free.objective == pytest.approx(3.0, abs=1e-9)
     assert set(cut_free.solution.selection.executed_blocks()) == {"a", "b", "c", "d"}
 

@@ -7,7 +7,6 @@ from daclear.core import (
     PriceInterval,
     PrimalSolution,
     PriceVector,
-    big_m,
     build_net_curve,
     presolve_price_bounds,
     surplus_report,
@@ -165,31 +164,10 @@ class TestSurplusReport:
             surplus_report(inst, sol, PriceVector(pi={("X", 0): 3.0}))
 
 
-class TestBigM:
-    def test_demand_block_wide_interval(self):
-        b = BlockBid(id="b", area="X", limit_price=2.0, quantities=(1.0,))
-        assert big_m(b, PriceInterval(-3000.0, 3000.0)) == -2998.0
-
+class TestBlockBid:
     def test_zero_quantities(self):
         with pytest.raises(Exception):
             BlockBid(id="b", area="X", limit_price=2.0, quantities=(0.0,))
-
-    def test_supply_block_worst_case_at_floor(self):
-        b = BlockBid(id="b", area="X", limit_price=100.0, quantities=(-1.0,))
-        assert big_m(b, P100) == -100.0
-
-    def test_lower_bounds_surplus(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            q = tuple(rng.uniform(-10, 10, size=3))
-            b = BlockBid(id="b", area="X", limit_price=float(rng.uniform(0, 100)),
-                         quantities=q)
-            m = big_m(b, P100)
-            assert m <= 1e-12
-            for _ in range(10):
-                pis = rng.uniform(0, 100, size=3)
-                surplus = sum((b.limit_price - pi) * qq for pi, qq in zip(pis, q))
-                assert surplus >= m - 1e-9
 
 
 class TestPresolveBounds:

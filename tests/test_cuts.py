@@ -21,7 +21,7 @@ from helpers import appendix_a, make_instance, block, flexbid
 
 def _appendix_a_relaxed():
     inst = appendix_a()
-    res = solve_master(inst)
+    res = solve_master(inst, build_model(inst))
     sol = solve_fixflow(inst, build_model(inst), res.solution)
     out = solve_qpprice(inst, build_model(inst), sol, relax_losses=True)
     return inst, sol, out
@@ -102,7 +102,7 @@ class TestCurtailment:
 
     def test_violation_detected(self):
         inst = self._curtailing_instance()
-        res = solve_master(inst)
+        res = solve_master(inst, build_model(inst))
         sol = solve_fixflow(inst, build_model(inst), res.solution)
         if sol.selection.blocks.get("buy") != 1:
             pytest.skip("master did not execute the block")
@@ -112,7 +112,7 @@ class TestCurtailment:
 
     def test_cut_forms(self):
         inst = self._curtailing_instance()
-        res = solve_master(inst)
+        res = solve_master(inst, build_model(inst))
         sol = solve_fixflow(inst, build_model(inst), res.solution)
         viol = curtailment_violations(inst, sol)
         if not viol:

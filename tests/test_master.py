@@ -8,8 +8,11 @@ from daclear.cuts import no_good_cut
 from daclear.errors import TimeLimit
 from daclear.io import parse_instance
 from daclear.master import solve_master
+from daclear.model import build_model
 
-from helpers import appendix_a, block, expiring_clock, flexbid, make_instance, random_instance
+from helpers import (
+    appendix_a, block, expiring_clock, flexbid, make_instance, paradox_book, random_instance,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -17,7 +20,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 class TestApppendixA:
     def test_cut_free_optimum_takes_all_four(self):
         inst = appendix_a()
-        res = solve_master(inst)
+        res = solve_master(inst, build_model(inst))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0, abs=1e-9)
         assert res.solution.selection.blocks == {"a": 1, "b": 1, "c": 1, "d": 1}
@@ -33,20 +36,21 @@ class TestApppendixA:
                 return [no_good_cut(inst, leaf.solution.selection)]
             return ()
 
-        res = solve_master(inst, reject_all_four)
+        res = solve_master(inst, build_model(inst), reject_all_four)
         assert tested == [["a", "b", "c", "d"], ["c", "d"]]
         assert res.objective == pytest.approx(2.0, abs=1e-9)
         assert set(res.solution.selection.executed_blocks()) == {"c", "d"}
 
     def test_stop_returns_limit(self):
-        res = solve_master(appendix_a(), lambda leaf: None)
+        inst = appendix_a()
+        res = solve_master(inst, build_model(inst), lambda leaf: None)
         assert res.status == "limit"
         assert res.solution is None
         assert res.bound == pytest.approx(3.0, abs=1e-9)
 
     def test_bound_dominates_objective(self):
         inst = appendix_a()
-        res = solve_master(inst)
+        res = solve_master(inst, build_model(inst))
         assert res.bound >= res.objective - 1e-9
 
 
@@ -57,7 +61,7 @@ class TestBranching:
             blocks=[block("p", "X", 80, [6]), block("q", "X", 10, [6])],
             links=[("q", "p")],
         )
-        res = solve_master(inst)
+        res = solve_master(inst, build_model(inst))
         sel = res.solution.selection
         assert sel.link_consistent(inst.links)
 
@@ -68,7 +72,7 @@ class TestBranching:
             hours=2,
             flex=[flexbid("f", "X", 90, 5)],
         )
-        res = solve_master(inst)
+        res = solve_master(inst, build_model(inst))
         hours = res.solution.selection.executed_flex()
         assert len(hours) <= 1
         # the cheaper-supply hour wins
@@ -79,8 +83,9 @@ class TestBranching:
 
         for seed in range(8):
             inst = random_instance(seed)
-            best = max((objective for objective, _, _ in _relaxations(inst)), default=None)
-            res = solve_master(inst)
+            relaxed = _relaxations(inst, build_model(inst))
+            best = max((objective for objective, _, _ in relaxed), default=None)
+            res = solve_master(inst, build_model(inst))
             if best is None:
                 assert res.status == "infeasible"
             else:
@@ -94,8 +99,8 @@ class TestPresolve:
             {("X", 0): [[0, 20], [50, 20], [50, -20], [100, -20]]},
             blocks=[block("junk", "X", 1.0, [5])],
         )
-        with_p = solve_master(inst, presolve=True)
-        without = solve_master(inst, presolve=False)
+        with_p = solve_master(inst, build_model(inst), presolve=True)
+        without = solve_master(inst, build_model(inst), presolve=False)
         assert with_p.objective == pytest.approx(without.objective, abs=1e-9)
         assert with_p.solution.selection.blocks["junk"] == 0
 
@@ -113,8 +118,8 @@ class TestPresolve:
     def test_presolve_only_tightens_master(self):
         for seed in range(10):
             inst = random_instance(seed)
-            a = solve_master(inst, presolve=True)
-            b = solve_master(inst, presolve=False)
+            a = solve_master(inst, build_model(inst), presolve=True)
+            b = solve_master(inst, build_model(inst), presolve=False)
             if a.status == b.status == "optimal":
                 assert a.objective <= b.objective + 1e-7
 
@@ -141,11 +146,11 @@ class TestNodeSolves:
             blocks=[block("big", "X", 90, [15])],
         )
         statuses = _count_master_qps(monkeypatch)
-        pruned = solve_master(inst)
+        pruned = solve_master(inst, build_model(inst))
         pruned_statuses = list(statuses)
         statuses.clear()
         monkeypatch.setattr(master, "infeasible_by_bounds", lambda prob: False)
-        solved = solve_master(inst)
+        solved = solve_master(inst, build_model(inst))
         assert statuses == ["optimal", "optimal", "infeasible"]
         assert pruned_statuses == ["optimal", "optimal"]
         assert pruned.nodes == solved.nodes == 3
@@ -156,7 +161,7 @@ class TestNodeSolves:
     def test_integral_root_runs_no_pinned_resolve(self, monkeypatch):
         inst = random_instance(0)
         statuses = _count_master_qps(monkeypatch)
-        res = solve_master(inst)
+        res = solve_master(inst, build_model(inst))
         assert res.status == "optimal" and res.nodes == 1
         assert statuses == ["optimal"]
 
@@ -164,7 +169,7 @@ class TestNodeSolves:
 class TestLimits:
     def test_time_limit_returns_limit_status(self):
         inst = random_instance(3)
-        res = solve_master(inst, time_limit=0.0)
+        res = solve_master(inst, build_model(inst), time_limit=0.0)
         assert res.status in ("limit", "optimal")
         if res.status == "limit":
             assert res.bound is not None
@@ -172,12 +177,12 @@ class TestLimits:
     def test_interrupted_node_keeps_its_bound(self, monkeypatch):
         # the deadline passes inside a node's QP, at each possible tick
         inst = appendix_a()
-        optimum = solve_master(inst).objective
+        optimum = solve_master(inst, build_model(inst)).objective
         monkeypatch.setattr(master, "time", SimpleNamespace(monotonic=lambda: 0.0))
         limits = 0
         for ticks in range(40):
             monkeypatch.setattr(qp, "time", expiring_clock(ticks))
-            res = solve_master(inst, time_limit=1.0)
+            res = solve_master(inst, build_model(inst), time_limit=1.0)
             if res.status == "optimal":
                 assert res.objective == pytest.approx(optimum, abs=1e-9)
                 continue
@@ -190,12 +195,12 @@ class TestLimits:
         # the test's own solves pass the deadline: the leaf goes back on
         # the heap, so its objective is still the bound
         inst = appendix_a()
-        optimum = solve_master(inst).objective
+        optimum = solve_master(inst, build_model(inst)).objective
 
         def test(leaf):
             raise TimeLimit("leaf test passed its deadline")
 
-        res = solve_master(inst, test)
+        res = solve_master(inst, build_model(inst), test)
         assert res.status == "limit"
         assert res.solution is None
         assert res.bound == pytest.approx(optimum, abs=1e-9)
@@ -216,6 +221,40 @@ class TestStarts:
             return out
 
         monkeypatch.setattr(qp, "_phase1", spy)
-        res = solve_master(inst)
+        res = solve_master(inst, build_model(inst))
         assert res.status == "optimal"
         assert runs[0] == 0
+
+    def test_feasible_children_skip_phase_one(self, monkeypatch):
+        # children start from their parent's optimum and working set: phase
+        # 1 runs for one only where that parametric start falls back
+        from daclear.driver import clear_exact
+
+        calls = {"phase 1": 0, "fallback": 0}
+        children = []
+        phase1, warm_start, solve = qp._phase1, qp._warm_start, master.solve_qp
+
+        def phase1_spy(prob, x0, deadline=None):
+            calls["phase 1"] += 1
+            return phase1(prob, x0, deadline)
+
+        def warm_start_spy(*args):
+            out = warm_start(*args)
+            calls["fallback"] += out is None
+            return out
+
+        def solve_spy(prob, *args, **kwargs):
+            calls.update({"phase 1": 0, "fallback": 0})
+            sol = solve(prob, *args, **kwargs)
+            if kwargs.get("start") is not None and sol.status == "optimal":
+                children.append(dict(calls))
+            return sol
+
+        monkeypatch.setattr(qp, "_phase1", phase1_spy)
+        monkeypatch.setattr(qp, "_warm_start", warm_start_spy)
+        monkeypatch.setattr(master, "solve_qp", solve_spy)
+        for seed in range(40):
+            assert clear_exact(paradox_book(seed)).status in ("optimal", "infeasible")
+        assert all(c["phase 1"] == c["fallback"] for c in children)
+        assert len(children) >= 150
+        assert sum(c["fallback"] for c in children) <= 0.1 * len(children)

@@ -3,7 +3,10 @@ interconnectors of an instance document changes neither the oracle's
 verdict nor its welfare, and exact mode agrees with the oracle on the
 reordered instance.  Reversing every interconnector or doubling every
 quantity keeps each mode's verdict, selection and prices, and negates the
-flows or doubles the welfare."""
+flows or doubles the welfare.  Shifting every price by a constant shifts
+the prices, keeps the verdicts and selections, and moves the welfare by a
+constant that no selection changes; adding a block that loses at every price
+the market can clear at changes nothing, and presolve fixes it out."""
 
 import json
 from pathlib import Path
@@ -11,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from daclear.driver import clear_exact, clear_heuristic
+from daclear.core import presolve_price_bounds
 from daclear.errors import PriceInfeasible
 from daclear.io import parse_instance, serialize_instance
+from daclear.master import _presolve_fixings
 from daclear.verify import oracle_clear
 
 from helpers import diamond, ramp_fixture, random_instance
@@ -97,12 +102,18 @@ def _doubled(doc):
     }
 
 
-def _transformed_pairs(transform):
-    """(where, result, transformed result) per instance and mode that
+def _decisions(inst):
+    return len(inst.blocks) + len(inst.flex_bids) * inst.hours
+
+
+def _transformed_pairs(transform, seeds=range(540, 580), price_shift=0.0):
+    """(where, instance, result, transformed result) per instance and mode that
     clears with a solution, after asserting that the oracle, exact and
-    heuristic modes keep their verdicts and selections.  New seeds, the
-    day-book fixtures, the diamond and the ramp fixture."""
-    instances = [(f"seed {seed}", random_instance(seed)) for seed in range(540, 580)]
+    heuristic modes keep their verdicts and selections, and that the
+    transformed prices are the prices plus ``price_shift``.  New seeds,
+    the day-book fixtures, the diamond and the ramp fixture.  The oracle
+    runs where the transformed instance is within its cap."""
+    instances = [(f"seed {seed}", random_instance(seed)) for seed in seeds]
     instances += [(name, parse_instance((FIXTURES / f"{name}.json").read_text()))
                   for name in ("no_price_support", "exact_log_pricing_fails")]
     instances += [("diamond", diamond()), ("ramp_fixture", ramp_fixture())]
@@ -111,6 +122,8 @@ def _transformed_pairs(transform):
         other = parse_instance(json.dumps(transform(doc)))
         for mode, clear in (("oracle", _oracle), ("exact", clear_exact),
                             ("heuristic", clear_heuristic)):
+            if mode == "oracle" and _decisions(other) > 12:
+                continue
             a, b = clear(inst), clear(other)
             where = f"{name} {mode}"
             assert (a is None) == (b is None), where
@@ -124,13 +137,13 @@ def _transformed_pairs(transform):
                 assert getattr(b.solution.selection, side)() == sel, where
             assert b.prices.pi.keys() == a.prices.pi.keys(), where
             for key, price in a.prices.pi.items():
-                assert b.prices[key] == pytest.approx(price, abs=1e-7), where
-            yield where, a, b
+                assert b.prices[key] == pytest.approx(price + price_shift, abs=1e-7), where
+            yield where, inst, a, b
 
 
 def test_reversing_every_interconnector_negates_the_flows():
     with_flows = 0
-    for where, a, b in _transformed_pairs(_reversed_connectors):
+    for where, _, a, b in _transformed_pairs(_reversed_connectors):
         assert b.welfare == pytest.approx(a.welfare, abs=1e-7), where
         assert b.solution.flows.keys() == a.solution.flows.keys(), where
         for key, flow in a.solution.flows.items():
@@ -141,7 +154,75 @@ def test_reversing_every_interconnector_negates_the_flows():
 
 def test_doubling_every_quantity_doubles_the_welfare():
     compared = 0
-    for where, a, b in _transformed_pairs(_doubled):
+    for where, _, a, b in _transformed_pairs(_doubled):
         assert b.welfare == pytest.approx(2.0 * a.welfare, abs=1e-7), where
         compared += 1
     assert compared >= 120
+
+
+SHIFT = 37.5
+
+
+def _shifted(doc):
+    """Every price moved up by SHIFT: curve nodes, limit prices and the
+    price intervals, the whole market's and each area's."""
+    interval = lambda iv: {"lower": iv["lower"] + SHIFT, "upper": iv["upper"] + SHIFT}
+    return {
+        **doc,
+        "price_interval": interval(doc["price_interval"]),
+        "areas": [{**a, **({"price_interval": interval(a["price_interval"])}
+                           if "price_interval" in a else {})} for a in doc["areas"]],
+        "curves": [{**c, "nodes": [[p + SHIFT, q] for p, q in c["nodes"]]}
+                   for c in doc["curves"]],
+        "blocks": [{**b, "limit_price": b["limit_price"] + SHIFT} for b in doc["blocks"]],
+        "flex": [{**f, "limit_price": f["limit_price"] + SHIFT} for f in doc["flex"]],
+    }
+
+
+def _with_loser(doc):
+    """One more block, "loser", that loses at every price presolve allows:
+    a buyer priced at the interval's floor where presolve keeps the price
+    above it, else a seller priced at the ceiling where presolve keeps it
+    below.  A buyer leaves the bounds that exclude its price as they are,
+    and so does a seller."""
+    inst = parse_instance(json.dumps(doc))
+    iv = inst.interval
+    bounds = presolve_price_bounds(inst)
+    for (area, hour), b in sorted(bounds.items()):
+        for limit, quantity, excluded in ((iv.lower, 5.0, b.lower > iv.lower),
+                                          (iv.upper, -5.0, b.upper < iv.upper)):
+            if excluded:
+                q = [0.0] * inst.hours
+                q[hour] = quantity
+                loser = {"id": "loser", "area": area, "limit_price": limit, "quantities": q}
+                return {**doc, "blocks": doc["blocks"] + [loser]}
+    return doc
+
+
+def test_shifting_every_price_shifts_the_prices():
+    # welfare leaves out the value of each curve's inelastic net demand
+    # (its quantity at the price cap), so the shift moves it by the same
+    # amount for every selection: SHIFT times minus their sum
+    compared = 0
+    for where, inst, a, b in _transformed_pairs(_shifted, range(580, 620), SHIFT):
+        inelastic = sum(curve.min_net_demand for curve in inst.curves.values())
+        assert b.welfare == pytest.approx(a.welfare - SHIFT * inelastic, abs=1e-7), where
+        compared += 1
+    assert compared >= 100
+
+
+def test_a_block_that_always_loses_changes_nothing():
+    compared = 0
+    fixed = set()
+    for where, _, a, b in _transformed_pairs(_with_loser, range(580, 620)):
+        assert b.welfare == pytest.approx(a.welfare, abs=1e-7), where
+        assert b.solution.selection.blocks.get("loser", 0) == 0, where
+        compared += 1
+    for seed in range(580, 620):
+        doc = json.loads(serialize_instance(random_instance(seed)))
+        other = parse_instance(json.dumps(_with_loser(doc)))
+        if any(b.id == "loser" for b in other.blocks):
+            assert ("block", "loser") in _presolve_fixings(other), seed
+            fixed.add(seed)
+    assert compared >= 100
+    assert len(fixed) >= 30

@@ -26,7 +26,7 @@ from helpers import (
 
 
 def _master_solution(inst):
-    res = solve_master(inst)
+    res = solve_master(inst, build_model(inst))
     assert res.status == "optimal"
     return res.solution
 
@@ -156,7 +156,7 @@ def _pricing_cases(instances):
     """(instance, FixFlow solution) for every selection of each instance
     whose relaxation clears: priced, loss-making and unpriceable ones."""
     for inst in instances:
-        for _, _, primal in _relaxations(inst):
+        for _, _, primal in _relaxations(inst, build_model(inst)):
             yield inst, solve_fixflow(inst, build_model(inst), primal)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from daclear import qp
 from daclear.errors import TimeLimit
-from daclear.qp import QpProblem, check_kkt, infeasible_by_bounds, solve_qp
+from daclear.qp import QpProblem, check_kkt, infeasible_by_bounds, multipliers, solve_qp
 
 
 def _prob(c, d, **kw):
@@ -45,16 +45,18 @@ class TestSolve:
         assert sol.objective == pytest.approx(2.25, abs=1e-10)
 
     def test_box_clipped(self):
-        sol = solve_qp(_prob([3.0], [-2.0], lb=np.array([-1.0]), ub=np.array([1.0])))
+        prob = _prob([3.0], [-2.0], lb=np.array([-1.0]), ub=np.array([1.0]))
+        sol = solve_qp(prob)
         assert sol.x[0] == pytest.approx(1.0, abs=1e-10)
-        assert sol.nu_upper[0] == pytest.approx(1.0, abs=1e-8)
+        assert multipliers(prob, sol).nu_upper[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_equality_projection(self):
         # max -(x^2+y^2)/2 s.t. x + y = 2 -> (1, 1)
-        sol = solve_qp(_prob([0.0, 0.0], [-1.0, -1.0],
-                             A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0])))
+        prob = _prob([0.0, 0.0], [-1.0, -1.0],
+                     A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
+        sol = solve_qp(prob)
         assert sol.x == pytest.approx([1.0, 1.0], abs=1e-10)
-        assert sol.y_eq[0] == pytest.approx(-1.0, abs=1e-8)
+        assert multipliers(prob, sol).y_eq[0] == pytest.approx(-1.0, abs=1e-8)
 
     def test_pure_lp(self):
         sol = solve_qp(_prob([1.0, -1.0], [0.0, 0.0],
@@ -166,10 +168,11 @@ class TestBounds:
         sol = solve_qp(prob)
         assert sol.status == "optimal"
         assert sol.x == pytest.approx([1.0, -1.0, 0.5], abs=1e-12)
-        assert sol.nu_upper[0] == pytest.approx(2.5, abs=1e-10)
-        assert sol.nu_lower[0] == 0.0
-        assert sol.nu_lower[1] == pytest.approx(2.5, abs=1e-10)
-        assert sol.nu_upper[1] == 0.0
+        mult = multipliers(prob, sol)
+        assert mult.nu_upper[0] == pytest.approx(2.5, abs=1e-10)
+        assert mult.nu_lower[0] == 0.0
+        assert mult.nu_lower[1] == pytest.approx(2.5, abs=1e-10)
+        assert mult.nu_upper[1] == 0.0
         assert check_kkt(prob, sol).max_residual <= 1e-8
 
     def test_random_pinned_columns(self):
@@ -185,20 +188,24 @@ class TestBounds:
             solved += 1
             assert np.array_equal(sol.x[pin], prob.lb[pin])
             # one side only, and the side the reduced gradient's sign says
-            assert np.all(np.minimum(sol.nu_lower, sol.nu_upper)[pin] == 0.0)
+            mult = multipliers(prob, sol)
+            assert np.all(np.minimum(mult.nu_lower, mult.nu_upper)[pin] == 0.0)
             assert check_kkt(prob, sol).max_residual <= 1e-8
         assert solved > 50
 
     def test_one_sided_bounds(self):
-        sol = solve_qp(_prob([2.0], [-1.0], ub=np.array([1.0])))
+        prob = _prob([2.0], [-1.0], ub=np.array([1.0]))
+        sol = solve_qp(prob)
         assert sol.x[0] == 1.0
-        assert sol.nu_upper[0] == pytest.approx(1.0, abs=1e-10)
-        sol = solve_qp(_prob([1.0, -1.0], [0.0, 0.0],
-                             lb=np.array([-np.inf, 0.0]), ub=np.array([3.0, np.inf])))
+        assert multipliers(prob, sol).nu_upper[0] == pytest.approx(1.0, abs=1e-10)
+        prob = _prob([1.0, -1.0], [0.0, 0.0],
+                     lb=np.array([-np.inf, 0.0]), ub=np.array([3.0, np.inf]))
+        sol = solve_qp(prob)
         assert sol.status == "optimal"
         assert sol.x == pytest.approx([3.0, 0.0], abs=1e-12)
-        assert sol.nu_upper[0] == pytest.approx(1.0, abs=1e-10)
-        assert sol.nu_lower[1] == pytest.approx(1.0, abs=1e-10)
+        mult = multipliers(prob, sol)
+        assert mult.nu_upper[0] == pytest.approx(1.0, abs=1e-10)
+        assert mult.nu_lower[1] == pytest.approx(1.0, abs=1e-10)
         rng = np.random.default_rng(17)
         for _ in range(100):
             prob = _random_problem(rng)
@@ -320,18 +327,19 @@ class TestRankDeficientWorkingSets:
         assert a.status == "optimal"
         assert check_kkt(prob, a).max_residual <= 1e-8
         assert np.array_equal(a.x, b.x)
+        ma, mb = multipliers(prob, a), multipliers(prob, b)
         for name in ("y_eq", "mu_in", "nu_lower", "nu_upper"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        return a
+            assert np.array_equal(getattr(ma, name), getattr(mb, name))
+        return a, ma
 
     def test_duplicated_equality_row(self):
         # max -(x^2 + y^2)/2  s.t.  x + y = 2, stated twice
         prob = _prob([0.0, 0.0], [-1.0, -1.0],
                      A_eq=np.array([[1.0, 1.0], [1.0, 1.0]]), b_eq=np.array([2.0, 2.0]))
-        sol = self._check(prob)
+        sol, mult = self._check(prob)
         assert sol.x == pytest.approx([1.0, 1.0], abs=1e-10)
         # the minimum-norm split of the one multiplier
-        assert sol.y_eq == pytest.approx([-0.5, -0.5], abs=1e-10)
+        assert mult.y_eq == pytest.approx([-0.5, -0.5], abs=1e-10)
 
     def test_duplicated_inequality_row_tight_at_optimum(self):
         # max 3x + 2y - x^2 - y^2  s.t.  x + y <= 1, stated twice; the start
@@ -341,10 +349,10 @@ class TestRankDeficientWorkingSets:
                      lb=np.full(2, -5.0), ub=np.full(2, 5.0))
         cold = self._check(prob)
         warm = self._check(prob, x0=np.array([0.75, 0.25]))
-        for sol in (cold, warm):
+        for sol, mult in (cold, warm):
             assert sol.x == pytest.approx([0.75, 0.25], abs=1e-10)
-            assert sol.mu_in.sum() == pytest.approx(1.5, abs=1e-10)
-        assert warm.mu_in == pytest.approx([0.75, 0.75], abs=1e-10)
+            assert mult.mu_in.sum() == pytest.approx(1.5, abs=1e-10)
+        assert warm[1].mu_in == pytest.approx([0.75, 0.75], abs=1e-10)
 
     def test_curved_and_flat_free_columns(self, monkeypatch):
         # x is curved, y is flat.  From (1, 0), x starts at its upper bound
@@ -353,9 +361,9 @@ class TestRankDeficientWorkingSets:
         prob = _prob([0.5, 1.0], [-1.0, 0.0],
                      lb=np.array([0.0, -1.0]), ub=np.array([1.0, 2.0]))
         x0 = np.array([1.0, 0.0])
-        sol = self._check(prob, x0=x0)
+        sol, mult = self._check(prob, x0=x0)
         assert sol.x == pytest.approx([0.5, 2.0], abs=1e-12)
-        assert sol.nu_upper[1] == pytest.approx(1.0, abs=1e-12)
+        assert mult.nu_upper[1] == pytest.approx(1.0, abs=1e-12)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
@@ -458,3 +466,141 @@ class TestDeadline:
         with pytest.raises(TimeLimit):
             solve_qp(prob, deadline=1.0)
         assert raised == ["phase 1"]
+
+
+def _pinned(prob, j, value):
+    lb, ub = prob.lb.copy(), prob.ub.copy()
+    lb[j] = ub[j] = value
+    return prob.with_bounds(lb, ub)
+
+
+def _count_fallbacks(monkeypatch):
+    """One entry per parametric start that falls back to phase 1."""
+    fallbacks = []
+    warm_start = qp._warm_start
+
+    def spy(*args):
+        out = warm_start(*args)
+        if out is None:
+            fallbacks.append(None)
+        return out
+
+    monkeypatch.setattr(qp, "_warm_start", spy)
+    return fallbacks
+
+
+class TestWarmStarts:
+    """A child pins one column of a solved parent; it starts from the
+    parent's optimum and working set and must end where a cold solve does."""
+
+    def test_children_match_cold_solves(self, monkeypatch):
+        # criterion 9's random family; each child pins a free column of its
+        # parent at the column's floor or ceiling
+        from test_acceptance import _random_qp
+
+        fallbacks = _count_fallbacks(monkeypatch)
+        rng = np.random.default_rng(160)
+        feasible = fell_back = 0
+        for _ in range(600):
+            prob = _random_qp(rng, int(rng.integers(1, 21)))
+            parent = solve_qp(prob)
+            free = [] if parent.status != "optimal" else np.flatnonzero(parent.working.state == qp.FREE)
+            if not len(free):
+                continue
+            j = int(rng.choice(free))
+            child = _pinned(prob, j, (prob.lb if rng.random() < 0.5 else prob.ub)[j])
+            cold = solve_qp(child)
+            fallbacks.clear()
+            warm = solve_qp(child, x0=parent.x, start=parent)
+            again = solve_qp(child, x0=parent.x, start=parent)
+            assert warm.status == cold.status == again.status
+            assert again.iterations == warm.iterations
+            if cold.status != "optimal":
+                assert len(fallbacks) == 2  # infeasibility is phase 1's verdict
+                continue
+            feasible += 1
+            fell_back += bool(fallbacks)
+            assert np.array_equal(warm.x, again.x)
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+            assert check_kkt(child, warm).max_residual <= 1e-8
+        assert feasible > 300
+        assert fell_back <= 0.1 * feasible
+
+    def test_dependent_working_rows_fall_back(self, monkeypatch):
+        # x + y <= 1 stated twice and tight at the parent's optimum: once x
+        # is pinned, the two rows on y alone are dependent
+        prob = _prob([3.0, 2.0], [-2.0, -2.0],
+                     A_in=np.array([[1.0, 1.0], [1.0, 1.0]]), b_in=np.array([1.0, 1.0]),
+                     lb=np.full(2, -5.0), ub=np.full(2, 5.0))
+        parent = solve_qp(prob, x0=np.array([0.75, 0.25]))
+        assert parent.working.rows == (0, 1)
+        fallbacks = _count_fallbacks(monkeypatch)
+        child = _pinned(prob, 0, -5.0)
+        warm = solve_qp(child, x0=parent.x, start=parent)
+        cold = solve_qp(child)
+        assert fallbacks == [None]
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert check_kkt(child, warm).max_residual <= 1e-8
+
+    def test_dependent_breakpoint_exchanges_a_bound(self, monkeypatch):
+        # max -(x^2)/2 - (y^2)/2 + 3z, x + y + z = 2, z <= 1: the flat z sits
+        # at its ceiling.  Pinning x at 2 drives y down to its floor 0, where
+        # the row on the free columns left would be dependent; z's bound
+        # leaves the working set in its place and the pass goes on
+        prob = _prob([0.0, 0.0, 3.0], [-1.0, -1.0, 0.0],
+                     A_eq=np.array([[1.0, 1.0, 1.0]]), b_eq=np.array([2.0]),
+                     lb=np.array([-3.0, 0.0, -3.0]), ub=np.array([3.0, 3.0, 1.0]))
+        parent = solve_qp(prob)
+        assert parent.x == pytest.approx([0.5, 0.5, 1.0], abs=1e-12)
+        fallbacks = _count_fallbacks(monkeypatch)
+        child = _pinned(prob, 0, 2.0)
+        warm = solve_qp(child, x0=parent.x, start=parent)
+        assert fallbacks == []
+        assert warm.x == pytest.approx([2.0, 0.0, 0.0], abs=1e-12)
+        assert warm.objective == pytest.approx(solve_qp(child).objective, abs=1e-12)
+        assert check_kkt(child, warm).max_residual <= 1e-8
+
+    def test_flat_free_columns_keep_their_split(self, monkeypatch):
+        # y and z are flat and free, and only their sum is fixed by the row:
+        # the pass moves them along the row's least-norm direction, never
+        # along the flat one, so their difference stays the parent's
+        prob = _prob([2.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                     A_eq=np.array([[1.0, 1.0, 1.0]]), b_eq=np.array([3.0]),
+                     lb=np.zeros(3), ub=np.full(3, 3.0))
+        parent = solve_qp(prob, x0=np.array([1.0, 1.5, 0.5]))
+        assert parent.x[0] == pytest.approx(2.0, abs=1e-12)
+        assert list(parent.working.state) == [qp.FREE] * 3
+        fallbacks = _count_fallbacks(monkeypatch)
+        child = _pinned(prob, 0, 0.0)
+        warm = solve_qp(child, x0=parent.x, start=parent)
+        assert fallbacks == []
+        assert warm.x[1] + warm.x[2] == pytest.approx(3.0, abs=1e-12)
+        assert warm.x[1] - warm.x[2] == pytest.approx(parent.x[1] - parent.x[2], abs=1e-12)
+        assert warm.objective == pytest.approx(solve_qp(child).objective, abs=1e-12)
+        assert check_kkt(child, warm).max_residual <= 1e-8
+
+    def test_infeasible_child_falls_back(self, monkeypatch):
+        # x + y = 3 with y <= 1: pinning x at 0 leaves nothing to clear the row
+        prob = _prob([1.0, 0.0], [-1.0, -1.0],
+                     A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([3.0]),
+                     lb=np.zeros(2), ub=np.array([3.0, 1.0]))
+        parent = solve_qp(prob)
+        assert parent.status == "optimal"
+        fallbacks = _count_fallbacks(monkeypatch)
+        child = _pinned(prob, 0, 0.0)
+        warm = solve_qp(child, x0=parent.x, start=parent)
+        assert fallbacks == [None]
+        assert warm.status == solve_qp(child).status == "infeasible"
+        assert warm.certificate is not None
+
+    def test_violated_new_row_falls_back(self, monkeypatch):
+        # a row added since the parent was solved (a cut) that the parent's
+        # point violates sends the child to phase 1
+        prob = _prob([1.0, 1.0], [-1.0, -1.0], lb=np.zeros(2), ub=np.full(2, 2.0))
+        parent = solve_qp(prob)
+        fallbacks = _count_fallbacks(monkeypatch)
+        cut = replace(prob, A_in=np.array([[1.0, 1.0]]), b_in=np.array([1.0]))
+        warm = solve_qp(cut, x0=parent.x, start=parent)
+        assert fallbacks == [None]
+        assert warm.x == pytest.approx([0.5, 0.5], abs=1e-12)

@@ -4,7 +4,8 @@ import pytest
 from daclear import relaxation
 from daclear.core import BidSelection, clearing_residuals, selection_terms, welfare_of
 from daclear.errors import InfeasibleSelection, UnknownId
-from daclear.qp import check_kkt, solve_qp
+from daclear.model import build_model
+from daclear.qp import check_kkt, multipliers, solve_qp
 from daclear.relaxation import solve_relaxation
 from daclear.verify import _all_selections, _relaxations
 
@@ -104,25 +105,26 @@ class TestSolveRelaxation:
         with pytest.raises(InfeasibleSelection):
             _relax(inst, d_only)
         # so the oracle never ranks it
-        assert d_only not in [primal.selection for _, _, primal in _relaxations(inst)]
+        assert d_only not in [primal.selection for _, _, primal in _relaxations(inst, build_model(inst))]
 
     def test_two_area_flow_uncongested(self, solves):
         inst = f2()
         _, primal = _relax(inst, inst.empty_selection())
         assert primal.flows["c1", 0] == pytest.approx(30.0, abs=1e-7)
         # the clearing rows' multipliers are the areas' prices (R, then S)
-        [(_, sol)] = solves
-        assert sol.y_eq == pytest.approx([10.0, 10.0], abs=1e-7)
+        [(prob, sol)] = solves
+        assert multipliers(prob, sol).y_eq == pytest.approx([10.0, 10.0], abs=1e-7)
 
     def test_two_area_flow_congested(self, solves):
         inst = f3()
         _, primal = _relax(inst, inst.empty_selection())
         assert primal.flows["c1", 0] == pytest.approx(20.0, abs=1e-7)
-        [(_, sol)] = solves
-        assert sol.y_eq == pytest.approx([10.0, 40.0], abs=1e-7)
+        [(prob, sol)] = solves
+        mult = multipliers(prob, sol)
+        assert mult.y_eq == pytest.approx([10.0, 40.0], abs=1e-7)
         # capacity multiplier equals the price spread
         _, model = pinned_relaxation(inst, inst.empty_selection())
-        assert sol.nu_upper[model.flow_col["c1", 0]] == pytest.approx(30.0, abs=1e-6)
+        assert mult.nu_upper[model.flow_col["c1", 0]] == pytest.approx(30.0, abs=1e-6)
 
     def test_ramp_limits_bind(self):
         inst = ramp_fixture()
@@ -138,7 +140,7 @@ class TestSolveRelaxation:
         checked = 0
         for seed in range(20):
             inst = random_instance(seed)
-            for objective, _, primal in _relaxations(inst):
+            for objective, _, primal in _relaxations(inst, build_model(inst)):
                 # the oracle's relaxation is the one this file's helper pins
                 assert _relax(inst, primal.selection)[0] == objective
                 assert objective == pytest.approx(welfare_of(inst, primal), abs=1e-7)
@@ -151,7 +153,8 @@ class TestSolveRelaxation:
         inst = f3()
         _relax(inst, inst.empty_selection())
         for seed in range(5):
-            list(_relaxations(random_instance(seed)))
+            inst = random_instance(seed)
+            list(_relaxations(inst, build_model(inst)))
         assert len(solves) > 20
         for prob, sol in solves:
             assert check_kkt(prob, sol).max_residual <= 1e-8
@@ -168,5 +171,5 @@ class TestSolveRelaxation:
         assert sol.iterations == 0
         # 12 MW of net demand: four fifths of the 15 MW segment from 100 to 50
         assert primal.delta == pytest.approx({0: 0.8, 1: 0.0, 2: 0.0}, abs=1e-12)
-        assert sol.y_eq == pytest.approx([60.0], abs=1e-9)
+        assert multipliers(prob, sol).y_eq == pytest.approx([60.0], abs=1e-9)
         assert check_kkt(prob, sol).max_residual <= 1e-8
