@@ -27,7 +27,7 @@ from .core import (
 from .cuts import Cut
 from .errors import TimeLimit
 from .model import ClearingModel, balanced_start
-from .qp import QpProblem, infeasible_by_bounds, solve_qp
+from .qp import END_TOL, QpProblem, infeasible_by_bounds, solve_qp
 
 INT_TOL = 1e-6
 
@@ -148,8 +148,9 @@ def _solve_node(node: QpProblem, model, parent, bin_cols, deadline):
     and working set; phase 1 from the parent's balanced point is the
     fallback, and the root's start.  leaf is None while a free binary is
     fractional; otherwise it is the node's integral solution: sol itself
-    when the binaries sit exactly on 0/1, else a re-solve with them pinned
-    at the rounding, started from sol the same way."""
+    when the binaries sit on 0/1 up to round-off (``qp.END_TOL``), else a
+    re-solve with them pinned at the rounding, started from sol the same
+    way."""
     if infeasible_by_bounds(node):
         return None, None
     x0 = balanced_start(model, node, None if parent is None else parent.x)
@@ -158,9 +159,10 @@ def _solve_node(node: QpProblem, model, parent, bin_cols, deadline):
         return None, None
     xb = sol.x[bin_cols]
     rounded = np.round(xb)
-    if np.max(np.abs(xb - rounded), initial=0.0) > INT_TOL:
+    offset = np.max(np.abs(xb - rounded), initial=0.0)
+    if offset > INT_TOL:
         return sol, None
-    if np.array_equal(xb, rounded):
+    if offset <= END_TOL:
         return sol, sol
     lb, ub = node.lb.copy(), node.ub.copy()
     lb[bin_cols] = ub[bin_cols] = rounded

@@ -16,8 +16,12 @@ inequality rows produces a feasible point or an infeasibility verdict.  A
 solve may instead start from the optimum of a problem that differs in some
 pinned columns (a branch-and-bound parent): a parametric pass moves those
 columns to their values while it keeps the parent's working set optimal.
-All tie-breaks pick the lowest index (rows, then upper bounds, then lower
-bounds), so results are deterministic.
+At a stationary point the working row or bound with the most negative
+multiplier leaves (Dantzig's rule; Gill, Murray and Wright, 1981, 5.2);
+right after a zero-length step the first wrong-signed one leaves instead
+(Bland, 1977), so degenerate steps cannot cycle.  All tie-breaks pick the
+lowest index (working rows by position, then bounds by column), so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -197,6 +201,7 @@ class _ActiveSet:
         TimeLimit once ``time.monotonic()`` passes ``deadline``."""
         c, d, n, m = self.c, self.d, self.n, len(self.b)
         max_iter = 200 * (2 * n + len(self.h) + 5)
+        degenerate = False  # the last ratio test gave a zero-length step
         for it in range(max_iter):
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeLimit("QP solve passed its deadline")
@@ -230,6 +235,7 @@ class _ActiveSet:
                 ray[free] = Z @ ascent
                 ray /= sqrt(ray @ ray)
                 alpha, block = self._ratio(x, ray, work, state, np.inf)
+                degenerate = alpha == 0.0
                 if block is None:
                     return "unbounded", x, work, state, ray, it
                 x = self._step(x, alpha, ray, block, work, state)
@@ -237,26 +243,25 @@ class _ActiveSet:
                 continue
 
             if sqrt(p @ p) <= STEP_TOL * max(1.0, sqrt(x @ x)):
+                # working-row multipliers, then the bound multipliers: the
+                # reduced gradient signed by side, in ``_signed_duals``' order
                 lam = P @ (Vr @ g[free])
-                neg = np.flatnonzero(lam[m:] < -DUAL_TOL)
-                if len(neg):
-                    del work[neg[0]]
-                    factor = None
-                    continue
-                # a bound multiplier is the reduced gradient, signed by side;
-                # upper bounds are released before lower ones
                 r = g - K.T @ lam
-                wrong = np.concatenate(
-                    ((state == UPPER) & (r < -DUAL_TOL), (state == LOWER) & (r > DUAL_TOL))
-                )
-                k = int(np.argmax(wrong))
-                if not wrong[k]:
+                duals = np.concatenate((lam[m:], _SIDE[state] * r))
+                wrong = duals < -DUAL_TOL
+                if not wrong.any():
                     return "optimal", x, work, state, (lam[:m], lam[m:], r), it
-                state[k % n] = FREE
+                # the most negative multiplier leaves (Dantzig's rule), the
+                # lowest index on ties; after a zero-length step the first
+                # wrong-signed one does (Bland, 1977), so that a degenerate
+                # cycle, made of such steps only, cannot form
+                k = int(np.argmax(wrong)) if degenerate else int(np.argmin(duals))
+                self._release(k, work, state)
                 factor = None
                 continue
 
             alpha, block = self._ratio(x, p, work, state, 1.0)
+            degenerate = alpha == 0.0
             x = self._step(x, alpha, p, block, work, state)
             if block is not None:
                 factor = None

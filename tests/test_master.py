@@ -166,6 +166,57 @@ class TestNodeSolves:
         assert statuses == ["optimal"]
 
 
+def _offset_binary(monkeypatch, offset):
+    """Spy on the master's QP solves; in the first solution the last
+    column, a binary, moves ``offset`` from its 0/1 value into [0, 1]."""
+    calls = []
+    solve = master.solve_qp
+
+    def spy(prob, *args, **kwargs):
+        sol = solve(prob, *args, **kwargs)
+        if not calls:
+            j = len(prob.c) - 1
+            assert sol.x[j] in (0.0, 1.0)
+            sol.x[j] = abs(sol.x[j] - offset)
+        calls.append(prob)
+        return sol
+
+    monkeypatch.setattr(master, "solve_qp", spy)
+    return calls
+
+
+class TestNearlyIntegralNodes:
+    """Binaries within round-off (``qp.END_TOL``) of 0/1 make the node its
+    own leaf; larger offsets, up to INT_TOL, get the pinned re-solve."""
+
+    def _root(self):
+        # the 5 MW block fits the curve's 10 MW, so the root takes it whole
+        inst = make_instance(
+            {("X", 0): [[0, 10], [50, 10], [50, -10], [100, -10]]},
+            blocks=[block("b", "X", 90, [5])],
+        )
+        model = build_model(inst)
+        prob, _, _ = master.assemble_master(inst, model)
+        return prob, model, list(range(model.n, prob.n))
+
+    def test_round_off_offset_is_its_own_leaf(self, monkeypatch):
+        prob, model, bin_cols = self._root()
+        calls = _offset_binary(monkeypatch, 1e-15)
+        sol, leaf = master._solve_node(prob, model, None, bin_cols, None)
+        assert sol.x[bin_cols[-1]] == 1.0 - 1e-15
+        assert leaf is sol
+        assert len(calls) == 1
+
+    def test_larger_offset_is_solved_pinned(self, monkeypatch):
+        prob, model, bin_cols = self._root()
+        calls = _offset_binary(monkeypatch, 1e-9)
+        sol, leaf = master._solve_node(prob, model, None, bin_cols, None)
+        assert leaf is not sol and leaf.status == "optimal"
+        assert leaf.x[bin_cols[-1]] == 1.0
+        assert len(calls) == 2
+        assert calls[1].lb[bin_cols[-1]] == calls[1].ub[bin_cols[-1]] == 1.0
+
+
 class TestLimits:
     def test_time_limit_returns_limit_status(self):
         inst = random_instance(3)

@@ -604,3 +604,96 @@ class TestWarmStarts:
         warm = solve_qp(cut, x0=parent.x, start=parent)
         assert fallbacks == [None]
         assert warm.x == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+def _spy_releases(monkeypatch, prob):
+    """Events of solving prob, an LP (d = 0): ("ratio", alpha) per ratio
+    test and ("release", k, duals) per released constraint, with the signed
+    multipliers (``_signed_duals``' order) it was chosen from."""
+    events = []
+    solver = qp._ActiveSet(
+        prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub
+    )
+    ratio, release = qp._ActiveSet._ratio, qp._ActiveSet._release
+
+    def ratio_spy(self, *args):
+        out = ratio(self, *args)
+        events.append(("ratio", out[0]))
+        return out
+
+    def release_spy(k, work, state):
+        # with d = 0 the gradient is c wherever the iterate is
+        free, K, _, P, Vr, _ = solver._factorize(work, state)
+        duals = solver._signed_duals(state, free, K, P, Vr, prob.c[:, None])[:, 0]
+        events.append(("release", k, duals))
+        release(k, work, state)
+
+    monkeypatch.setattr(qp._ActiveSet, "_ratio", ratio_spy)
+    monkeypatch.setattr(qp._ActiveSet, "_release", staticmethod(release_spy))
+    return events
+
+
+def _beale():
+    """Beale's (1955) LP, on which the simplex method with the most
+    negative reduced cost cycles: max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4."""
+    return _prob([0.75, -20.0, 0.5, -6.0], np.zeros(4),
+                 A_in=np.array([[0.25, -8.0, -1.0, 9.0],
+                                [0.5, -12.0, -0.5, 3.0],
+                                [0.0, 0.0, 1.0, 0.0]]),
+                 b_in=np.array([0.0, 0.0, 1.0]), lb=np.zeros(4), ub=np.full(4, np.inf))
+
+
+class TestReleaseRule:
+    """At a stationary point the most negative multiplier leaves (Dantzig),
+    lowest index on ties; right after a zero-length step the first
+    wrong-signed one leaves (Bland)."""
+
+    def test_most_negative_bound_multiplier_leaves_first(self, monkeypatch):
+        # both columns start at their lower bound with multipliers -1 and -3
+        prob = _prob([1.0, 3.0], np.zeros(2), lb=np.zeros(2), ub=np.full(2, 10.0))
+        events = _spy_releases(monkeypatch, prob)
+        sol = solve_qp(prob)
+        assert sol.x == pytest.approx([10.0, 10.0], abs=1e-12)
+        releases = [e for e in events if e[0] == "release"]
+        assert [k for _, k, _ in releases] == [1, 0]
+        assert releases[0][2] == pytest.approx([-1.0, -3.0], abs=1e-12)
+
+    def test_ties_release_the_lowest_index(self, monkeypatch):
+        prob = _prob([2.0, 2.0], np.zeros(2), lb=np.zeros(2), ub=np.full(2, 10.0))
+        events = _spy_releases(monkeypatch, prob)
+        solve_qp(prob)
+        assert [e[1] for e in events if e[0] == "release"] == [0, 1]
+
+    @pytest.mark.parametrize("x0", [None, [0.0, 1.0, 0.0, 0.0]])
+    def test_beale_lp_reaches_the_highs_optimum(self, x0):
+        optimize = pytest.importorskip("scipy.optimize")
+        prob = _beale()
+        sol = solve_qp(prob, x0=None if x0 is None else np.array(x0))
+        ref = optimize.linprog(-prob.c, A_ub=prob.A_in, b_ub=prob.b_in,
+                               bounds=[(0, None)] * 4, method="highs")
+        assert sol.status == "optimal" and ref.status == 0
+        assert sol.objective == pytest.approx(-ref.fun, abs=1e-12)
+        assert sol.x == pytest.approx(ref.x, abs=1e-12)
+
+    def test_release_after_a_zero_length_step_is_the_first_wrong_one(self, monkeypatch):
+        # from (0, 1, 0, 0), feasible, the path enters Beale's degenerate
+        # vertex at the origin, where ratio tests return zero-length steps;
+        # the most negative multiplier alone cycles there
+        prob = _beale()
+        events = _spy_releases(monkeypatch, prob)
+        assert solve_qp(prob, x0=np.array([0.0, 1.0, 0.0, 0.0])).status == "optimal"
+        after_zero = []
+        alpha = None
+        for event in events:
+            if event[0] == "ratio":
+                alpha = event[1]
+                continue
+            _, k, duals = event
+            wrong = np.flatnonzero(duals < -qp.DUAL_TOL)
+            if alpha == 0.0:
+                assert k == wrong[0]
+                after_zero.append(k != int(np.argmin(duals)))
+            else:
+                assert k == int(np.argmin(duals))
+        # Bland's choice differs from Dantzig's at least once here
+        assert any(after_zero)
