@@ -22,6 +22,7 @@ from .errors import (
     PriceInfeasible,
     SchemaError,
     SolverFailure,
+    UnknownId,
 )
 from .verify import check_bid_prices, check_filling, check_flow_price, oracle_clear
 
@@ -108,6 +109,7 @@ def _cmd_verify(args) -> int:
     solution = PrimalSolution(selection=selection, delta=delta, flows=flows)
     if price_map is None:
         raise SchemaError("$.prices", "verification needs prices")
+    _check_ids(instance, selection, flows, price_map)
     for key in ((a, t) for a in instance.areas for t in range(instance.hours)):
         if key not in price_map:
             raise SchemaError("$.prices", f"no price for area {key[0]!r}, hour {key[1]}")
@@ -143,6 +145,25 @@ def _cmd_verify(args) -> int:
     }
     _emit(doc, getattr(args, "out", None))
     return EXIT_OK
+
+
+def _check_ids(instance: Instance, selection, flows, prices) -> None:
+    """UnknownId for a selection, flow or price entry that names a bid,
+    interconnector, area or hour the instance lacks."""
+    for bid in selection.blocks:
+        if bid not in instance.block_by_id:
+            raise UnknownId(f"unknown block id {bid!r}")
+    for fid in selection.flex:
+        if fid not in instance.flex_by_id:
+            raise UnknownId(f"unknown flex id {fid!r}")
+    hours = range(instance.hours)
+    interconnectors = {c.id for c in instance.interconnectors}
+    for cid, t in flows:
+        if cid not in interconnectors or t not in hours:
+            raise UnknownId(f"flow on unknown interconnector {cid!r} or hour {t}")
+    for a, t in prices:
+        if a not in instance.areas or t not in hours:
+            raise UnknownId(f"price for unknown area {a!r} or hour {t}")
 
 
 def _report_doc(report) -> dict:

@@ -7,7 +7,7 @@ analogous cuts for hourly-curtailment priority violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import BidSelection, Instance, PriceVector, PrimalSolution
 from .errors import EmptyLossSets
@@ -17,40 +17,13 @@ LOSS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Cut:
+    """sum(coefficient * column) <= rhs over the master's binary columns;
+    the master keeps each cut as a row of its QP."""
+
     # (variable key, coefficient); a key is ("block", id) or ("flex", id, hour)
     coeffs: tuple[tuple[tuple, float], ...]
     rhs: float
     kind: str = "bid-cut"  # bid-cut | no-good | curtailment
-
-    def value(self, selection: BidSelection) -> float:
-        total = 0.0
-        for key, coef in self.coeffs:
-            if key[0] == "block":
-                total += coef * selection.blocks.get(key[1], 0)
-            else:
-                total += coef * (1 if selection.flex.get(key[1]) == key[2] else 0)
-        return total
-
-    def satisfied(self, selection: BidSelection, tol: float = 1e-6) -> bool:
-        return self.value(selection) <= self.rhs + tol
-
-
-@dataclass
-class CutPool:
-    cuts: list[Cut] = field(default_factory=list)
-
-    def add(self, cut: Cut) -> bool:
-        key = (cut.coeffs, cut.rhs)
-        if any((c.coeffs, c.rhs) == key for c in self.cuts):
-            return False
-        self.cuts.append(cut)
-        return True
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    def __iter__(self):
-        return iter(self.cuts)
 
 
 @dataclass(frozen=True)
@@ -99,7 +72,7 @@ def bid_cut(sets: LossSets) -> Cut:
     )
 
 
-def no_good_cut(instance: Instance, selection: BidSelection, kind: str = "no-good") -> Cut:
+def no_good_cut(instance: Instance, selection: BidSelection) -> Cut:
     """Exclude exactly the given selection.
 
     The complement form sum_{executed}(1 - x) + sum_{rejected} x >= 1 is
@@ -121,7 +94,7 @@ def no_good_cut(instance: Instance, selection: BidSelection, kind: str = "no-goo
                 n_exec += 1
             else:
                 coeffs.append((("flex", f.id, t), -1.0))
-    return Cut(coeffs=tuple(coeffs), rhs=float(n_exec - 1), kind=kind)
+    return Cut(coeffs=tuple(coeffs), rhs=float(n_exec - 1), kind="no-good")
 
 
 def curtailment_violations(

@@ -17,7 +17,6 @@ from typing import Optional
 
 from .core import Instance, PriceVector, PrimalSolution, welfare_of
 from .cuts import (
-    CutPool,
     LossSets,
     bid_cut,
     curtailment_cut,
@@ -59,7 +58,6 @@ class ClearingResult:
 class ClearOptions:
     abs_gap: float = 1e-9
     time_limit: Optional[float] = None
-    presolve: bool = True
 
 
 def _relative_gap(bound: float, welfare: float) -> float:
@@ -74,25 +72,27 @@ def _price(instance, model, solution, relax_losses, deadline):
         return None
 
 
-def _heuristic_test(instance, model, solution, cuts, deadline):
+def _heuristic_test(instance, model, solution, deadline):
     """Relaxed pricing, then a bid cut on the loss sets plus curtailment
     cuts; a candidate that no price supports, or that has no loss-free
     price once nothing is cut, gets a no-good cut instead."""
     relaxed = _price(instance, model, solution, True, deadline)
     curt = curtailment_violations(instance, solution)
     if relaxed is None:
-        cut = no_good_cut(instance, solution.selection)
-        return LossSets((), ()), curt, None, int(cuts.add(cut))
+        return LossSets((), ()), curt, None, [no_good_cut(instance, solution.selection)]
     sets = loss_sets(instance, solution, relaxed.prices)
-    added = 0 if sets.empty else int(cuts.add(bid_cut(sets)))
-    added += sum(cuts.add(curtailment_cut(bad)) for bad in curt.values())
-    pricing = None if added else _price(instance, model, solution, False, deadline)
-    if not added and pricing is None:
-        added = int(cuts.add(no_good_cut(instance, solution.selection)))
-    return sets, curt, pricing, added
+    cuts = [] if sets.empty else [bid_cut(sets)]
+    for cut in map(curtailment_cut, curt.values()):
+        # one row per coefficients and rhs, whatever the cut's kind
+        if all((c.coeffs, c.rhs) != (cut.coeffs, cut.rhs) for c in cuts):
+            cuts.append(cut)
+    pricing = None if cuts else _price(instance, model, solution, False, deadline)
+    if not cuts and pricing is None:
+        cuts = [no_good_cut(instance, solution.selection)]
+    return sets, curt, pricing, cuts
 
 
-def _exact_test(instance, model, solution, cuts, deadline):
+def _exact_test(instance, model, solution, deadline):
     """Strict pricing plus the curtailment check; a failed candidate gets
     one no-good cut. Relaxed pricing only fills the record's loss sets."""
     pricing = _price(instance, model, solution, False, deadline)
@@ -100,7 +100,7 @@ def _exact_test(instance, model, solution, cuts, deadline):
     sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
     curt = curtailment_violations(instance, solution)
     failed = pricing is None or bool(curt)
-    return sets, curt, pricing, int(failed and cuts.add(no_good_cut(instance, solution.selection)))
+    return sets, curt, pricing, [no_good_cut(instance, solution.selection)] if failed else []
 
 
 def _finish(instance, mode, solution, pricing, bound, iterations):
@@ -140,16 +140,14 @@ def _branch_and_cut(instance, options, mode):
     blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
     cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
     model = build_model(instance)
-    cuts = CutPool()
     iterations = []
     tested = []  # (leaf, FixFlow solution, pricing) per tested leaf
     limit = options.time_limit
     deadline = time.monotonic() + limit if limit is not None else None
 
     def leaf_test(leaf):
-        before = len(cuts)
         solution = solve_fixflow(instance, model, leaf.solution, deadline)
-        sets, curt, pricing, added = test(instance, model, solution, cuts, deadline)
+        sets, curt, pricing, cuts = test(instance, model, solution, deadline)
         tested.append((leaf, solution, pricing))
         iterations.append(
             IterationRecord(
@@ -157,16 +155,15 @@ def _branch_and_cut(instance, options, mode):
                 loss_blocks=sets.blocks,
                 loss_flex=sets.flex,
                 curtailment_areas=tuple(sorted(curt)),
-                cuts_added=added,
+                cuts_added=len(cuts),
             )
         )
-        if added and len(iterations) >= cap:
+        if cuts and len(iterations) >= cap:
             return None
-        return cuts.cuts[before:]
+        return cuts
 
     master = solve_master(
-        instance, model, leaf_test, abs_gap=options.abs_gap, time_limit=options.time_limit,
-        presolve=options.presolve,
+        instance, model, leaf_test, abs_gap=options.abs_gap, time_limit=options.time_limit
     )
     bound = tested[0][0].bound if tested else float("inf")  # the cut-free master's
     if master.status == "optimal":

@@ -29,9 +29,6 @@ from .errors import TimeLimit
 from .model import ClearingModel, balanced_start
 from .qp import END_TOL, QpProblem, infeasible_by_bounds, solve_qp
 
-INT_TOL = 1e-6
-
-
 @dataclass
 class MasterResult:
     status: str  # optimal | infeasible | limit
@@ -140,35 +137,18 @@ def _selection_from_x(instance: Instance, x, col_block, col_flex) -> BidSelectio
     return BidSelection(blocks=blocks, flex=flex)
 
 
-def _solve_node(node: QpProblem, model, parent, bin_cols, deadline):
-    """(sol, leaf) of one B&B node.  sol is None when the node has no
-    optimum; a node whose row activity bounds prove it infeasible is
-    dropped without a QP.  A node with a ``parent`` solution (a child, or
-    a node solved again under new cuts) starts from the parent's optimum
-    and working set; phase 1 from the parent's balanced point is the
-    fallback, and the root's start.  leaf is None while a free binary is
-    fractional; otherwise it is the node's integral solution: sol itself
-    when the binaries sit on 0/1 up to round-off (``qp.END_TOL``), else a
-    re-solve with them pinned at the rounding, started from sol the same
-    way."""
+def _solve_node(node: QpProblem, model, parent, deadline):
+    """The optimal solution of one B&B node, or None when it has none; a
+    node whose row activity bounds prove it infeasible is dropped without
+    a QP.  A node with a ``parent`` solution (a child, or a node solved
+    again under new cuts) starts from the parent's optimum and working
+    set; phase 1 from the parent's balanced point is the fallback, and the
+    root's start."""
     if infeasible_by_bounds(node):
-        return None, None
+        return None
     x0 = balanced_start(model, node, None if parent is None else parent.x)
     sol = solve_qp(node, x0=x0, deadline=deadline, start=parent)
-    if sol.status != "optimal":
-        return None, None
-    xb = sol.x[bin_cols]
-    rounded = np.round(xb)
-    offset = np.max(np.abs(xb - rounded), initial=0.0)
-    if offset > INT_TOL:
-        return sol, None
-    if offset <= END_TOL:
-        return sol, sol
-    lb, ub = node.lb.copy(), node.ub.copy()
-    lb[bin_cols] = ub[bin_cols] = rounded
-    pinned = node.with_bounds(lb, ub)
-    x0 = balanced_start(model, pinned, sol.x)
-    return sol, solve_qp(pinned, x0=x0, deadline=deadline, start=sol)
+    return sol if sol.status == "optimal" else None
 
 
 def solve_master(
@@ -177,34 +157,34 @@ def solve_master(
     test: Optional[Callable[[MasterResult], Optional[Sequence[Cut]]]] = None,
     abs_gap: float = 1e-9,
     time_limit: Optional[float] = None,
-    presolve: bool = True,
 ) -> MasterResult:
     """Best-first branch-and-cut on ``model``, the clearing model of
     ``instance``.  Each child is solved from its parent's optimum and
     working set (``solve_qp``'s ``start``), so phase 1 runs only at the
-    root and where that parametric start falls back.  An integral leaf
-    (see ``_solve_node``) goes back on the heap keyed by its objective
-    plus ``abs_gap``; when it reaches the top it is the master optimum
-    under the cuts so far, and ``test`` gets it as an optimal
-    ``MasterResult``.  The test returns no cuts to accept the leaf, cuts
-    that reject it (they become rows and the leaf's node is solved again
-    under them), or None to stop the search with status ``limit``.
+    root and where that parametric start falls back.  A node whose free
+    binaries all sit on 0/1 up to round-off (``qp.END_TOL``) is an
+    integral leaf; any other node branches.  A leaf goes back on the heap
+    keyed by its objective plus ``abs_gap``; when it reaches the top and
+    meets every cut row it is the master optimum under the cuts so far,
+    and ``test`` gets it as an optimal ``MasterResult``.  The test returns
+    no cuts to accept the leaf, cuts that reject it (they become rows of
+    the QP, the only place cuts are kept, and the leaf's node is solved
+    again under them), or None to stop the search with status ``limit``.
     Without a test the first such leaf is returned.
     ``time_limit`` also bounds each node's QP solves: one that passes it
     puts its node back on the heap, so the ``limit`` result's bound stays
     valid.  A test that raises TimeLimit puts its leaf back the same way."""
     prob, col_block, col_flex = assemble_master(instance, model)
     bin_cols = list(range(model.n, prob.n))
+    cut_rows = len(prob.b_in)  # the rows after these are cuts
     deadline = time.monotonic() + time_limit if time_limit is not None else None
 
     base_lb = prob.lb.copy()
     base_ub = prob.ub.copy()
-    if presolve:
-        for key, val in _presolve_fixings(instance).items():
-            j = col_block[key[1]] if key[0] == "block" else col_flex[key[1], key[2]]
-            base_lb[j] = base_ub[j] = val
+    for key, val in _presolve_fixings(instance).items():
+        j = col_block[key[1]] if key[0] == "block" else col_flex[key[1], key[2]]
+        base_lb[j] = base_ub[j] = val
 
-    cuts: list[Cut] = []
     nodes = 0
     counter = 0
     heap = []
@@ -232,7 +212,9 @@ def solve_master(
             return result("limit")
         entry = heapq.heappop(heap)
         _, _, _, bound, (node_lb, node_ub, parent), leaf = entry
-        if leaf is not None and all(cut.satisfied(leaf[0]) for cut in cuts):
+        if leaf is not None and np.all(
+            prob.A_in[cut_rows:] @ leaf[1] <= prob.b_in[cut_rows:] + 1e-6
+        ):
             # the master optimum under the cuts so far
             found = result("optimal", leaf, bound)
             try:
@@ -245,30 +227,28 @@ def solve_master(
             push(bound, (node_lb, node_ub, parent))  # solved again under the new cuts
             if verdict is None:
                 return result("limit")
-            cuts.extend(verdict)
             prob = _with_cuts(prob, verdict, col_block, col_flex)
             continue
         # a node, or a leaf that a later cut removed
         node = prob.with_bounds(node_lb, node_ub)
         try:
-            sol, exact = _solve_node(node, model, parent, bin_cols, deadline)
+            sol = _solve_node(node, model, parent, deadline)
         except TimeLimit:
             heapq.heappush(heap, entry)  # the interrupted node keeps its bound
             return result("limit")
         nodes += 1
         if sol is None:
             continue
-        if exact is not None:
-            if exact.status == "optimal":
-                selection = _selection_from_x(instance, exact.x, col_block, col_flex)
-                push(exact.objective, (node_lb, node_ub, sol), (selection, exact.x))
-            continue
         frac = [
             (abs(sol.x[j] - round(sol.x[j])), j)
             for j in bin_cols
             if node_lb[j] < node_ub[j]
         ]
-        worst = max(f for f, _ in frac)
+        worst = max((f for f, _ in frac), default=0.0)
+        if worst <= END_TOL:
+            selection = _selection_from_x(instance, sol.x, col_block, col_flex)
+            push(sol.objective, (node_lb, node_ub, sol), (selection, sol.x))
+            continue
         # branch on the most fractional binary, lowest column on ties
         j_star = min(
             (j for f, j in frac if f >= worst - 1e-12),

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from daclear.io import parse_instance
-from daclear.master import assemble_master
+from daclear.master import _with_cuts, assemble_master
 from daclear.model import build_model
 
 
@@ -75,6 +75,16 @@ def pinned_relaxation(inst, selection):
     for (fid, t), j in col_flex.items():
         lb[j] = ub[j] = float(selection.flex.get(fid) == t)
     return prob.with_bounds(lb, ub), model
+
+
+def cut_activity(inst, cut, selection):
+    """The left-hand side of ``cut`` at ``selection``: the row that the
+    master's ``_with_cuts`` adds for it, times the selection's binaries
+    as ``pinned_relaxation`` pins them."""
+    pinned, model = pinned_relaxation(inst, selection)
+    _, col_block, col_flex = assemble_master(inst, model)
+    row = _with_cuts(pinned, [cut], col_block, col_flex).A_in[-1]
+    return float(row[model.n:] @ pinned.lb[model.n:])
 
 
 def appendix_a():

@@ -175,13 +175,40 @@ class TestVerify:
         assert out == ""
 
 
-    def _verify_prices(self, capsys, tmp_path, prices):
+    def _verify_edited(self, capsys, tmp_path, edit):
         code, out = _run(capsys, "clear", "--instance", str(FIXTURE))
         doc = json.loads(out)
-        doc["prices"] = prices
+        edit(doc)
         sol = _write(tmp_path, "sol.json", json.dumps(doc))
         code = run(["verify", "--instance", str(FIXTURE), "--solution", sol])
         return code, capsys.readouterr()
+
+    def _verify_prices(self, capsys, tmp_path, prices):
+        return self._verify_edited(capsys, tmp_path, lambda doc: doc.update(prices=prices))
+
+    def _assert_unknown_id(self, code, captured, named):
+        assert code == 4
+        assert captured.out == ""
+        assert "unknown" in captured.err and named in captured.err
+
+    def test_unknown_interconnector_flow_is_input_error(self, capsys, tmp_path):
+        flow = {"interconnector": "nope", "hour": 0, "flow": 1e6}
+        code, captured = self._verify_edited(
+            capsys, tmp_path, lambda doc: doc["flows"].append(flow))
+        self._assert_unknown_id(code, captured, "'nope'")
+
+    @pytest.mark.parametrize("area, named", [("ZZ", "'ZZ'"), ("X", "hour 7")])
+    def test_unknown_area_hour_price_is_input_error(self, capsys, tmp_path, area, named):
+        price = {"area": area, "hour": 7, "price": 3.0}
+        code, captured = self._verify_edited(
+            capsys, tmp_path, lambda doc: doc["prices"].append(price))
+        self._assert_unknown_id(code, captured, named)
+
+    @pytest.mark.parametrize("kind, value", [("blocks", 0), ("flex", None)])
+    def test_unknown_selection_id_is_input_error(self, capsys, tmp_path, kind, value):
+        code, captured = self._verify_edited(
+            capsys, tmp_path, lambda doc: doc["selection"][kind].update(nope=value))
+        self._assert_unknown_id(code, captured, "'nope'")
 
     def test_missing_price_is_input_error(self, capsys, tmp_path):
         code, captured = self._verify_prices(capsys, tmp_path, [])

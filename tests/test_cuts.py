@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
+from daclear import driver, master
 from daclear.core import BidSelection
 from daclear.cuts import (
-    CutPool,
     bid_cut,
     curtailment_cut,
     curtailment_violations,
@@ -16,7 +16,9 @@ from daclear.master import solve_master
 from daclear.model import build_model
 from daclear.pricing import solve_fixflow, solve_qpprice
 
-from helpers import appendix_a, make_instance, block, flexbid
+from helpers import (
+    appendix_a, block, cut_activity, flexbid, make_instance, paradox_book, random_instance,
+)
 
 
 def _appendix_a_relaxed():
@@ -56,7 +58,7 @@ class TestBidCut:
                 blocks=dict(zip(("a", "b", "c", "d"), bits)), flex={}
             )
             keeps_all = all(sel.blocks[m] == 1 for m in members)
-            assert cut.satisfied(sel) == (not keeps_all)
+            assert (cut_activity(inst, cut, sel) > cut.rhs) == keeps_all
 
     def test_empty_raises(self):
         from daclear.cuts import LossSets
@@ -69,12 +71,13 @@ class TestNoGoodCut:
     def test_excludes_only_that_selection(self):
         inst = appendix_a()
         target = BidSelection(blocks={"a": 1, "b": 0, "c": 1, "d": 1}, flex={})
-        cut = no_good_cut(inst, target, kind="no-good")
+        cut = no_good_cut(inst, target)
         for bits in itertools.product((0, 1), repeat=4):
             sel = BidSelection(
                 blocks=dict(zip(("a", "b", "c", "d"), bits)), flex={}
             )
-            assert cut.satisfied(sel) == (sel.blocks != target.blocks)
+            excluded = cut_activity(inst, cut, sel) > cut.rhs
+            assert excluded == (sel.blocks == target.blocks)
 
     def test_flex_hours_are_distinct_atoms(self):
         inst = make_instance(
@@ -84,10 +87,11 @@ class TestNoGoodCut:
             flex=[flexbid("f", "X", 90, 5)],
         )
         target = BidSelection(blocks={}, flex={"f": 0})
-        cut = no_good_cut(inst, target, kind="no-good")
-        assert not cut.satisfied(target)
-        assert cut.satisfied(BidSelection(blocks={}, flex={"f": 1}))
-        assert cut.satisfied(BidSelection(blocks={}, flex={"f": None}))
+        cut = no_good_cut(inst, target)
+        assert cut_activity(inst, cut, target) > cut.rhs
+        for hour in (1, None):
+            other = BidSelection(blocks={}, flex={"f": hour})
+            assert cut_activity(inst, cut, other) <= cut.rhs
 
 
 class TestCurtailment:
@@ -118,9 +122,9 @@ class TestCurtailment:
         if not viol:
             pytest.skip("no violation to cut")
         heur = curtailment_cut(viol["X", 0])
-        exact = no_good_cut(inst, sol.selection, kind="curtailment")
-        assert not heur.satisfied(sol.selection)
-        assert not exact.satisfied(sol.selection)
+        exact = no_good_cut(inst, sol.selection)
+        assert cut_activity(inst, heur, sol.selection) > heur.rhs
+        assert cut_activity(inst, exact, sol.selection) > exact.rhs
 
     def test_compliant_solution_clean(self):
         from daclear.driver import clear_exact
@@ -130,12 +134,59 @@ class TestCurtailment:
         assert curtailment_violations(inst, res.solution) == {}
 
 
-class TestCutPool:
-    def test_deduplicates(self):
-        inst = appendix_a()
-        sel = BidSelection(blocks={"a": 1, "b": 1, "c": 1, "d": 1}, flex={})
-        pool = CutPool()
-        c = no_good_cut(inst, sel, kind="no-good")
-        assert pool.add(c)
-        assert not pool.add(no_good_cut(inst, sel, kind="no-good"))
-        assert len(pool) == 1
+class TestLeafTestCuts:
+    def test_repeated_curtailment_sets_give_one_row(self, monkeypatch):
+        # the demand block outranks curtailment in both hours: two
+        # violations with the same loss sets, so the same cut row
+        inst = make_instance(
+            {("X", 0): [[0, 4], [80, 3]], ("X", 1): [[0, 4], [80, 3]]},
+            hours=2,
+            blocks=[block("gen", "X", 5, [-2, -2]), block("buy", "X", 95, [1, 1])],
+        )
+        rows = []
+        with_cuts = master._with_cuts
+
+        def spy(prob, cuts, *args):
+            rows.append(len(cuts))
+            return with_cuts(prob, cuts, *args)
+
+        monkeypatch.setattr(master, "_with_cuts", spy)
+        res = driver.clear_heuristic(inst)
+        first = res.iterations[0]
+        assert first.curtailment_areas == (("X", 0), ("X", 1))
+        assert first.cuts_added == 1
+        assert rows == [1]
+        assert res.solution.selection.blocks == {"gen": 1, "buy": 0}
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_cuts_exclude_their_leaf_and_no_later_one(self, monkeypatch, mode):
+        # each cut a leaf test returns is violated by its own leaf, and
+        # every leaf tested later in the clear meets it: a waiting leaf
+        # that a later cut excludes is not tested (in heuristic mode this
+        # happens on paradox_book(747) and random_instance(748))
+        name = f"_{mode}_test"
+        leaf_test = getattr(driver, name)
+        tested = []
+
+        def spy(instance, model, solution, deadline):
+            out = leaf_test(instance, model, solution, deadline)
+            *_, cuts = out
+            tested.append((instance, solution.selection, cuts))
+            return out
+
+        monkeypatch.setattr(driver, name, spy)
+        clear = driver.clear_exact if mode == "exact" else driver.clear_heuristic
+        n_cuts = 0
+        for seed in range(700, 760):
+            for inst in (random_instance(seed), paradox_book(seed)):
+                tested.clear()
+                clear(inst)
+                earlier = []
+                for _, selection, cuts in tested:
+                    for cut in earlier:
+                        assert cut_activity(inst, cut, selection) <= cut.rhs
+                    for cut in cuts:
+                        assert cut_activity(inst, cut, selection) > cut.rhs
+                    earlier += cuts
+                n_cuts += len(earlier)
+        assert n_cuts >= 40

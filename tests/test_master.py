@@ -92,34 +92,42 @@ class TestBranching:
                 assert res.objective == pytest.approx(best, abs=1e-6)
 
 
+def _no_fixings(monkeypatch):
+    """Presolve fixes no binary for the rest of the test."""
+    monkeypatch.setattr(master, "_presolve_fixings", lambda instance: {})
+
+
 class TestPresolve:
-    def test_always_loss_block_fixed_out(self):
+    def test_always_loss_block_fixed_out(self, monkeypatch):
         # flat zero curve, pure demand block priced below any feasible price
         inst = make_instance(
             {("X", 0): [[0, 20], [50, 20], [50, -20], [100, -20]]},
             blocks=[block("junk", "X", 1.0, [5])],
         )
-        with_p = solve_master(inst, build_model(inst), presolve=True)
-        without = solve_master(inst, build_model(inst), presolve=False)
+        with_p = solve_master(inst, build_model(inst))
+        _no_fixings(monkeypatch)
+        without = solve_master(inst, build_model(inst))
         assert with_p.objective == pytest.approx(without.objective, abs=1e-9)
         assert with_p.solution.selection.blocks["junk"] == 0
 
-    def test_presolve_never_changes_clearing_welfare(self):
-        from daclear.driver import ClearOptions, clear_exact
+    def test_presolve_never_changes_clearing_welfare(self, monkeypatch):
+        from daclear.driver import clear_exact
 
-        for seed in range(10):
-            inst = random_instance(seed)
-            a = clear_exact(inst)
-            b = clear_exact(inst, ClearOptions(presolve=False))
+        instances = [random_instance(seed) for seed in range(10)]
+        presolved = [clear_exact(inst) for inst in instances]
+        _no_fixings(monkeypatch)
+        for inst, a in zip(instances, presolved):
+            b = clear_exact(inst)
             assert a.status == b.status
             if a.status == "optimal":
                 assert a.welfare == pytest.approx(b.welfare, abs=1e-7)
 
-    def test_presolve_only_tightens_master(self):
-        for seed in range(10):
-            inst = random_instance(seed)
-            a = solve_master(inst, build_model(inst), presolve=True)
-            b = solve_master(inst, build_model(inst), presolve=False)
+    def test_presolve_only_tightens_master(self, monkeypatch):
+        instances = [random_instance(seed) for seed in range(10)]
+        presolved = [solve_master(inst, build_model(inst)) for inst in instances]
+        _no_fixings(monkeypatch)
+        for inst, a in zip(instances, presolved):
+            b = solve_master(inst, build_model(inst))
             if a.status == b.status == "optimal":
                 assert a.objective <= b.objective + 1e-7
 
@@ -186,35 +194,35 @@ def _offset_binary(monkeypatch, offset):
 
 
 class TestNearlyIntegralNodes:
-    """Binaries within round-off (``qp.END_TOL``) of 0/1 make the node its
-    own leaf; larger offsets, up to INT_TOL, get the pinned re-solve."""
+    """A node whose binaries sit within round-off (``qp.END_TOL``) of 0/1
+    is its own leaf; one further off branches."""
 
-    def _root(self):
+    def _instance(self):
         # the 5 MW block fits the curve's 10 MW, so the root takes it whole
-        inst = make_instance(
+        return make_instance(
             {("X", 0): [[0, 10], [50, 10], [50, -10], [100, -10]]},
             blocks=[block("b", "X", 90, [5])],
         )
-        model = build_model(inst)
-        prob, _, _ = master.assemble_master(inst, model)
-        return prob, model, list(range(model.n, prob.n))
 
     def test_round_off_offset_is_its_own_leaf(self, monkeypatch):
-        prob, model, bin_cols = self._root()
+        inst = self._instance()
+        exact = solve_master(inst, build_model(inst))
         calls = _offset_binary(monkeypatch, 1e-15)
-        sol, leaf = master._solve_node(prob, model, None, bin_cols, None)
-        assert sol.x[bin_cols[-1]] == 1.0 - 1e-15
-        assert leaf is sol
-        assert len(calls) == 1
+        res = solve_master(inst, build_model(inst))
+        assert res.nodes == 1 and len(calls) == 1
+        assert res.objective == exact.objective
+        assert res.solution.selection.blocks == {"b": 1}
 
-    def test_larger_offset_is_solved_pinned(self, monkeypatch):
-        prob, model, bin_cols = self._root()
+    def test_larger_offset_branches(self, monkeypatch):
+        inst = self._instance()
+        exact = solve_master(inst, build_model(inst))
         calls = _offset_binary(monkeypatch, 1e-9)
-        sol, leaf = master._solve_node(prob, model, None, bin_cols, None)
-        assert leaf is not sol and leaf.status == "optimal"
-        assert leaf.x[bin_cols[-1]] == 1.0
-        assert len(calls) == 2
-        assert calls[1].lb[bin_cols[-1]] == calls[1].ub[bin_cols[-1]] == 1.0
+        res = solve_master(inst, build_model(inst))
+        j = len(calls[0].c) - 1
+        assert res.nodes == len(calls) == 3
+        assert [(child.lb[j], child.ub[j]) for child in calls[1:]] == [(0.0, 0.0), (1.0, 1.0)]
+        assert res.objective == pytest.approx(exact.objective, abs=1e-9)
+        assert res.solution.selection == exact.solution.selection
 
 
 class TestLimits:
