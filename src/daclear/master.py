@@ -92,7 +92,8 @@ def assemble_master(instance: Instance, model: ClearingModel):
 
 
 def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], col_block, col_flex) -> QpProblem:
-    """``prob`` with one more inequality row per cut."""
+    """``prob`` with one more inequality row per cut, and a factor cache of
+    its own (see ``QpProblem.factors`` for when it may take prob's)."""
     rows = np.zeros((len(cuts), prob.n))
     for row, cut in zip(rows, cuts):
         for key, coef in cut.coeffs:
@@ -143,11 +144,14 @@ def _solve_node(node: QpProblem, model, parent, deadline):
     a QP.  A node with a ``parent`` solution (a child, or a node solved
     again under new cuts) starts from the parent's optimum and working
     set; phase 1 from the parent's balanced point is the fallback, and the
-    root's start."""
+    root's start.  That point is built only when the search needs it: at
+    the root, and when the parametric start falls back."""
     if infeasible_by_bounds(node):
         return None
-    x0 = balanced_start(model, node, None if parent is None else parent.x)
-    sol = solve_qp(node, x0=x0, deadline=deadline, start=parent)
+    point = None if parent is None else parent.x
+    sol = solve_qp(
+        node, x0=lambda: balanced_start(model, node, point), deadline=deadline, start=parent
+    )
     return sol if sol.status == "optimal" else None
 
 
@@ -227,7 +231,11 @@ def solve_master(
             push(bound, (node_lb, node_ub, parent))  # solved again under the new cuts
             if verdict is None:
                 return result("limit")
-            prob = _with_cuts(prob, verdict, col_block, col_flex)
+            cut_prob = _with_cuts(prob, verdict, col_block, col_flex)
+            # the rows before the cuts keep their indices, so every cached
+            # factorization still holds for the longer problem
+            cut_prob.factors = prob.factors
+            prob = cut_prob
             continue
         # a node, or a leaf that a later cut removed
         node = prob.with_bounds(node_lb, node_ub)

@@ -236,3 +236,51 @@ def paradox_book(seed):
         blocks.append(block(f"s{i}", "X", low + rng.uniform(0.0, 5.0), -supply))
         blocks.append(block(f"d{i}", "X", low + rng.uniform(2.0, 12.0), demand))
     return make_instance(curves, hours=2, blocks=blocks)
+
+
+
+def _step_nodes(rng, level, width):
+    """Stepped node list on prices 12-88: vertical drops at 1-2 price
+    levels, flat between, so every segment's quadratic term is zero."""
+    prices = np.unique(np.round(np.sort(rng.uniform(12.0, 88.0, size=int(rng.integers(1, 3)))), 4))
+    hi = level + rng.uniform(*width)
+    lo = level - rng.uniform(*width)
+    qty = [hi, *np.sort(rng.uniform(lo, hi, size=len(prices) - 1))[::-1], lo]
+    nodes = []
+    for i, p in enumerate(prices):
+        nodes += [[float(p), float(qty[i])], [float(p), float(qty[i + 1])]]
+    return nodes
+
+
+def step_book(seed):
+    """Three areas in a chain, three hours and 13-20 blocks on step curves:
+    a master with more binaries than the oracle enumerates, whose QPs are
+    LPs.  Curves reach 10-30 MW either side of their level on even seeds,
+    where presolve often fixes the last block, which bids far outside the
+    curves' prices, and 2-10 MW on odd seeds, where the blocks compete and
+    the tree branches more."""
+    rng = np.random.default_rng(seed)
+    hours = 3
+    areas = ["A0", "A1", "A2"]
+    width = (10.0, 30.0) if seed % 2 == 0 else (2.0, 10.0)
+    curves = {
+        (a, t): _step_nodes(rng, rng.uniform(-8.0, 8.0), width) for a in areas for t in range(hours)
+    }
+    conns = []
+    for k, (src, snk) in enumerate(zip(areas, areas[1:])):
+        atc = rng.uniform(5.0, 20.0, size=hours)
+        conns.append(connector(f"c{k}", src, snk, -atc, atc, ramp=float(rng.uniform(4.0, 12.0)),
+                               initial=float(rng.uniform(-4.0, 4.0))))
+    n_blocks = int(rng.integers(13, 21))
+    blocks = []
+    for i in range(n_blocks):
+        sign = 1.0 if i % 2 else -1.0
+        q = sign * rng.uniform(3.0, 15.0, size=hours)
+        q[rng.random(hours) < 0.25] = 0.0
+        if not np.any(q):
+            q[0] = 8.0 * sign
+        limit = rng.uniform(20.0, 80.0) + rng.uniform(0, 1e-3)
+        if i == n_blocks - 1:
+            limit = rng.uniform(1.0, 8.0) if sign > 0 else rng.uniform(92.0, 99.0)
+        blocks.append(block(f"b{i}", str(rng.choice(areas)), float(limit), q))
+    return make_instance(curves, conns, hours=hours, areas=areas, blocks=blocks)

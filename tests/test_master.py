@@ -3,15 +3,19 @@ from types import SimpleNamespace
 
 import pytest
 
+import numpy as np
+
 from daclear import master, qp
-from daclear.cuts import no_good_cut
+from daclear.core import BidSelection
+from daclear.cuts import LossSets, bid_cut, no_good_cut
 from daclear.errors import TimeLimit
 from daclear.io import parse_instance
-from daclear.master import solve_master
-from daclear.model import build_model
+from daclear.master import _with_cuts, assemble_master, solve_master
+from daclear.model import balanced_start, build_model
 
 from helpers import (
     appendix_a, block, expiring_clock, flexbid, make_instance, paradox_book, random_instance,
+    step_book,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -317,3 +321,174 @@ class TestStarts:
         assert all(c["phase 1"] == c["fallback"] for c in children)
         assert len(children) >= 150
         assert sum(c["fallback"] for c in children) <= 0.1 * len(children)
+
+
+def _reject_first_leaves(instance, count):
+    """A leaf test that rejects the first ``count`` leaves, each with its
+    own no-good cut, and accepts the next."""
+    tested = []
+
+    def test(leaf):
+        tested.append(leaf)
+        if len(tested) > count:
+            return ()
+        return [no_good_cut(instance, leaf.solution.selection)]
+
+    return test
+
+
+class TestFactorCache:
+    """Node QPs share their problem's factor cache (``QpProblem.factors``),
+    and the master hands it on to each longer cut problem."""
+
+    def test_results_do_not_depend_on_the_cache(self, monkeypatch):
+        # every master, a cut problem included, bit for bit as without a
+        # cache; rejecting the first leaf leaves 61 of the 80 feasible
+        instances = [paradox_book(seed) for seed in range(40)]
+        instances += [random_instance(seed) for seed in range(40)]
+
+        def solve_all():
+            out = []
+            for inst in instances:
+                res = solve_master(inst, build_model(inst), _reject_first_leaves(inst, 1))
+                out.append((res.status, res.objective, res.bound, res.nodes, res.solution))
+            return out
+
+        cached = solve_all()
+        monkeypatch.setattr(qp, "FACTOR_CACHE_SIZE", 0)
+        assert solve_all() == cached
+        assert sum(r[0] == "optimal" for r in cached) >= 60
+
+    def test_cut_problems_of_one_base_keep_their_own_factors(self):
+        # two cut problems built from one base put different rows at the
+        # cut's index; neither may see the other's factorizations
+        inst = appendix_a()
+        model = build_model(inst)
+        base, col_block, col_flex = assemble_master(inst, model)
+        k = len(base.b_in)
+        # no-good cuts whose rows both enter working sets
+        selections = [
+            BidSelection(blocks=dict(zip("abcd", bits)), flex={})
+            for bits in ((1, 0, 0, 1), (1, 0, 1, 1))
+        ]
+        probs = [
+            _with_cuts(base, [no_good_cut(inst, sel)], col_block, col_flex)
+            for sel in selections
+        ]
+        assert probs[0].factors is not probs[1].factors
+        for prob in probs:
+            assert qp.solve_qp(prob, x0=balanced_start(model, prob)).status == "optimal"
+        for prob in probs:
+            assert any(k in rows for rows, _ in prob.factors)
+            for (rows, free), cached in prob.factors.items():
+                K = np.concatenate((prob.A_eq, prob.A_in[list(rows)]))
+                fresh = qp._factor(K[:, np.frombuffer(free, dtype=bool)])
+                assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+
+    def test_cut_problems_take_over_the_cache(self, monkeypatch):
+        # each problem the master builds under new cuts starts from the
+        # cache of the one before it
+        caches = []
+        with_cuts = master._with_cuts
+
+        def spy(prob, *args):
+            caches.append(prob.factors)
+            return with_cuts(prob, *args)
+
+        monkeypatch.setattr(master, "_with_cuts", spy)
+        solved = []
+        solve = master.solve_qp
+        monkeypatch.setattr(
+            master, "solve_qp", lambda prob, **kw: solved.append(prob) or solve(prob, **kw)
+        )
+        inst = appendix_a()
+        solve_master(inst, build_model(inst), _reject_first_leaves(inst, 2))
+        assert len(caches) == 2
+        assert all(prob.factors is caches[0] for prob in solved)
+
+
+class TestMilpCrossCheck:
+    """Past the oracle's cap the master is checked against HiGHS: on step
+    books every segment is flat or vertical, so the master is a MILP."""
+
+    SEEDS = range(24)
+
+    @staticmethod
+    def _milp(prob, n_cont):
+        """HiGHS's optimum of prob with its columns from n_cont on binary,
+        or None when it has none."""
+        optimize = pytest.importorskip("scipy.optimize")
+        integrality = np.zeros(prob.n)
+        integrality[n_cont:] = 1
+        res = optimize.milp(
+            -prob.c, integrality=integrality, bounds=optimize.Bounds(prob.lb, prob.ub),
+            constraints=[
+                optimize.LinearConstraint(prob.A_eq, prob.b_eq, prob.b_eq),
+                optimize.LinearConstraint(prob.A_in, -np.inf, prob.b_in),
+            ],
+            options={"mip_rel_gap": 1e-12},
+        )
+        assert res.status in (0, 2)  # optimal or infeasible
+        return -res.fun if res.status == 0 else None
+
+    @staticmethod
+    def _random_cuts(inst, leaf, rng):
+        """The leaf's no-good cut, a bid cut on 2-4 of its executed blocks
+        and a no-good cut on a random selection."""
+        selection = leaf.solution.selection
+        cuts = [no_good_cut(inst, selection)]
+        executed = selection.executed_blocks()
+        if len(executed) >= 2:
+            size = int(rng.integers(2, min(4, len(executed)) + 1))
+            chosen = rng.choice(executed, size=size, replace=False)
+            cuts.append(bid_cut(LossSets(blocks=tuple(sorted(chosen)), flex=())))
+        other = {b.id: int(rng.random() < 0.5) for b in inst.blocks}
+        cuts.append(no_good_cut(inst, BidSelection(blocks=other, flex={})))
+        return cuts
+
+    @pytest.mark.parametrize("presolve", [True, False], ids=["presolve", "no-fixings"])
+    def test_master_matches_milp(self, monkeypatch, presolve):
+        pytest.importorskip("scipy.optimize")
+        if not presolve:
+            _no_fixings(monkeypatch)
+        for seed in self.SEEDS:
+            inst = step_book(seed)
+            model = build_model(inst)
+            prob, _, _ = assemble_master(inst, model)
+            assert 12 < prob.n - model.n <= 20 and not prob.d.any()
+            res = solve_master(inst, model)
+            assert res.status == "optimal"
+            assert res.objective == pytest.approx(self._milp(prob, model.n), rel=1e-7)
+
+    @pytest.mark.parametrize("presolve", [True, False], ids=["presolve", "no-fixings"])
+    def test_master_matches_milp_under_random_cuts(self, monkeypatch, presolve):
+        # three rounds of cuts per book; the accepted leaf is the optimum
+        # of the master with every cut added as a row
+        pytest.importorskip("scipy.optimize")
+        if not presolve:
+            _no_fixings(monkeypatch)
+        statuses = set()
+        for seed in self.SEEDS:
+            inst = step_book(seed)
+            model = build_model(inst)
+            rng = np.random.default_rng(seed)
+            rounds, added = [], []
+
+            def test(leaf):
+                rounds.append(leaf)
+                if len(rounds) > 3:
+                    return ()
+                cuts = self._random_cuts(inst, leaf, rng)
+                added.extend(cuts)
+                return cuts
+
+            res = solve_master(inst, model, test)
+            prob, col_block, col_flex = assemble_master(inst, model)
+            ref = self._milp(_with_cuts(prob, added, col_block, col_flex), model.n)
+            statuses.add(res.status)
+            if ref is None:
+                assert res.status == "infeasible"
+            else:
+                assert res.status == "optimal"
+                assert res.objective == pytest.approx(ref, rel=1e-7)
+        assert "optimal" in statuses

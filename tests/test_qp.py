@@ -369,8 +369,9 @@ class TestRankDeficientWorkingSets:
         monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
         # y rises to its bound without eigh; x is released (no free column);
         # x steps to 0.5 with eigh, and the optimum check after that
-        # unblocked step reuses the factor
-        assert solve_qp(prob, x0=x0).iterations == 3
+        # unblocked step reuses the factor.  A fresh copy of the problem
+        # starts with an empty factor cache, which the solves above filled
+        assert solve_qp(replace(prob), x0=x0).iterations == 3
         assert calls == [(1, 1)]
         # phase 1 and pure LPs never decompose
         calls.clear()
@@ -437,6 +438,65 @@ class TestFactorReuse:
         assert sol.x[0] == pytest.approx(1.5, abs=1e-12)
         assert sol.iterations == 1
         assert calls == [(0, 1)]
+
+
+class TestFactorCache:
+    """Solves of a problem and of its ``with_bounds`` copies share one cache
+    of factorizations, keyed by working rows and free columns."""
+
+    @staticmethod
+    def _siblings():
+        # max -(x^2 + y^2)/2 + x + y with x + y = 2: the parent sits at
+        # (1, 1) with both columns free; pinning x at 0.5 or at 1.5 moves y
+        # along the row in one segment, with the same working set
+        prob = _prob([1.0, 1.0], [-1.0, -1.0], A_eq=np.array([[1.0, 1.0]]),
+                     b_eq=np.array([2.0]), lb=np.full(2, -5.0), ub=np.full(2, 5.0))
+        return prob, _pinned(prob, 0, 0.5), _pinned(prob, 0, 1.5)
+
+    def test_second_child_reuses_the_first_childs_factors(self, monkeypatch):
+        prob, first, second = self._siblings()
+        parent = solve_qp(prob)
+        assert first.factors is second.factors is prob.factors
+        calls = []
+        factor = qp._factor
+        monkeypatch.setattr(qp, "_factor", lambda K: calls.append(K.shape) or factor(K))
+        one = solve_qp(first, start=parent)
+        assert calls == [(1, 1)]
+        calls.clear()
+        fallbacks = _count_fallbacks(monkeypatch)
+        two = solve_qp(second, start=parent)
+        assert calls == [] and fallbacks == []
+        assert one.x == pytest.approx([0.5, 1.5], abs=1e-12)
+        assert two.x == pytest.approx([1.5, 0.5], abs=1e-12)
+        # a problem built afresh factorizes again and ends at the same point
+        fresh = solve_qp(replace(second), start=parent)
+        assert calls == [(1, 1)]
+        assert np.array_equal(fresh.x, two.x) and fresh.iterations == two.iterations
+
+    def test_cached_arrays_are_read_only(self):
+        prob, _, _ = self._siblings()
+        solve_qp(prob)
+        entries = list(prob.factors.values())
+        assert entries
+        for Z, P, Vr, curv in entries:
+            arrays = [Z, P, Vr] + ([] if curv is None else list(curv))
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+
+    def test_cache_keeps_its_bound(self, monkeypatch):
+        # with room for two, the most recent entry is the optimum's
+        monkeypatch.setattr(qp, "FACTOR_CACHE_SIZE", 2)
+        rng = np.random.default_rng(161)
+        sizes = []
+        for _ in range(100):
+            prob = _random_problem(rng)
+            sol = solve_qp(prob)
+            sizes.append(len(prob.factors))
+            if sol.status == "optimal":
+                rows, state = sol.working.rows, sol.working.state
+                assert list(prob.factors)[-1] == (rows, (state == qp.FREE).tobytes())
+        assert max(sizes) == 2
 
 
 class TestDeadline:
