@@ -21,9 +21,7 @@ multiplier leaves (Dantzig's rule; Gill, Murray and Wright, 1981, 5.2);
 right after a zero-length step the first wrong-signed one leaves instead
 (Bland, 1977), so degenerate steps cannot cycle.  All tie-breaks pick the
 lowest index (working rows by position, then bounds by column), so results
-are deterministic.  A problem caches the factorizations of the working sets
-its solves meet, and its branch-and-bound copies share them, since siblings
-and subtrees often walk the same working sets.
+are deterministic.
 """
 
 from __future__ import annotations
@@ -623,9 +621,7 @@ def solve_qp(
     breakpoint checks the clock and raises TimeLimit once it has passed.
     An optimal solution carries its ``working`` set, from which
     ``multipliers`` derives its multipliers.  The active-set steps take
-    their factorizations from prob's cache (``QpProblem.factors``), which
-    the ``with_bounds`` copies of prob share; phase 1 keeps its own for
-    the solve."""
+    their factorizations from ``prob.factors``; phase 1 keeps its own."""
     solver = _ActiveSet(
         prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub,
         prob.factors,
