@@ -1,12 +1,13 @@
 """Clearing orchestration.
 
-Each clear runs one branch-and-cut tree (``solve_master``) and supplies
-only its mode's test: at each integral leaf that is the master optimum
-under the cuts so far, FixFlow picks the candidate's flows, and the test
-either accepts the candidate with its strict prices or cuts it off.
-Heuristic mode cuts off the currently loss-making bid set; exact mode cuts
-off only the failed selection, so its accepted leaf is the welfare optimum
-among price-supportable selections.
+Each clear runs one branch-and-cut tree (``solve_master``) and tests each
+integral leaf that is the master optimum under the cuts so far: FixFlow
+picks the candidate's flows, and the candidate passes with its strict
+prices when it has loss-free prices and no curtailment violation.  The
+modes differ only in the cut for a failed leaf.  Heuristic mode cuts off
+the currently loss-making bid set; exact mode cuts off only the failed
+selection, so its accepted leaf is the welfare optimum among
+price-supportable selections.
 """
 
 from __future__ import annotations
@@ -72,35 +73,30 @@ def _price(instance, model, solution, relax_losses, deadline):
         return None
 
 
-def _heuristic_test(instance, model, solution, deadline):
-    """Relaxed pricing, then a bid cut on the loss sets plus curtailment
-    cuts; a candidate that no price supports, or that has no loss-free
-    price once nothing is cut, gets a no-good cut instead."""
-    relaxed = _price(instance, model, solution, True, deadline)
+def _leaf_test(instance, model, solution, exact, deadline):
+    """Strict pricing and the curtailment check decide the leaf in both
+    modes: one with loss-free prices and no curtailment violation passes
+    with empty loss sets.  Loss-free prices make the least relaxed loss 0,
+    so only a leaf without them runs relaxed pricing, for its record's
+    loss sets and heuristic mode's bid cut.  Exact mode cuts off a failed
+    leaf with one no-good cut; heuristic mode with a bid cut on the loss
+    sets plus curtailment cuts, or a no-good cut when relaxed pricing
+    fails or these give no cut."""
+    pricing = _price(instance, model, solution, False, deadline)
     curt = curtailment_violations(instance, solution)
-    if relaxed is None:
-        return LossSets((), ()), curt, None, [no_good_cut(instance, solution.selection)]
-    sets = loss_sets(instance, solution, relaxed.prices)
+    if pricing is not None and not curt:
+        return LossSets((), ()), curt, pricing, []
+    relaxed = None if pricing is not None else _price(instance, model, solution, True, deadline)
+    sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
+    no_good = [no_good_cut(instance, solution.selection)]
+    if exact or (pricing is None and relaxed is None):
+        return sets, curt, pricing, no_good
     cuts = [] if sets.empty else [bid_cut(sets)]
     for cut in map(curtailment_cut, curt.values()):
         # one row per coefficients and rhs, whatever the cut's kind
         if all((c.coeffs, c.rhs) != (cut.coeffs, cut.rhs) for c in cuts):
             cuts.append(cut)
-    pricing = None if cuts else _price(instance, model, solution, False, deadline)
-    if not cuts and pricing is None:
-        cuts = [no_good_cut(instance, solution.selection)]
-    return sets, curt, pricing, cuts
-
-
-def _exact_test(instance, model, solution, deadline):
-    """Strict pricing plus the curtailment check; a failed candidate gets
-    one no-good cut. Relaxed pricing only fills the record's loss sets."""
-    pricing = _price(instance, model, solution, False, deadline)
-    relaxed = None if pricing is not None else _price(instance, model, solution, True, deadline)
-    sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
-    curt = curtailment_violations(instance, solution)
-    failed = pricing is None or bool(curt)
-    return sets, curt, pricing, [no_good_cut(instance, solution.selection)] if failed else []
+    return sets, curt, pricing, cuts or no_good
 
 
 def _finish(instance, mode, solution, pricing, bound, iterations):
@@ -131,12 +127,11 @@ def _no_solution(status, mode, bound, iterations):
 
 
 def _branch_and_cut(instance, options, mode):
-    """One master tree whose leaf test runs FixFlow and the mode's test and
+    """One master tree whose leaf test runs FixFlow and ``_leaf_test`` and
     records each tested leaf.  Heuristic mode stops after
     10 x (blocks + flex) failed tests.  The time limit also bounds the leaf
     test's QPs: one that passes it ends the clear with ``limit``."""
     exact = mode == "exact"
-    test = _exact_test if exact else _heuristic_test
     blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
     cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
     model = build_model(instance)
@@ -147,7 +142,7 @@ def _branch_and_cut(instance, options, mode):
 
     def leaf_test(leaf):
         solution = solve_fixflow(instance, model, leaf.solution, deadline)
-        sets, curt, pricing, cuts = test(instance, model, solution, deadline)
+        sets, curt, pricing, cuts = _leaf_test(instance, model, solution, exact, deadline)
         tested.append((leaf, solution, pricing))
         iterations.append(
             IterationRecord(

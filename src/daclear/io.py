@@ -108,6 +108,8 @@ def parse_instance(text: str) -> Instance:
         sub = _get(entry, "price_interval", dict, path, default=None)
         if sub is not None:
             area_intervals[aid] = _interval(sub, f"{path}.price_interval")
+    if not areas:
+        raise SchemaError("$.areas", "must name at least one area")
 
     curves = {}
     raw_nodes = {}

@@ -17,7 +17,7 @@ from .cuts import curtailment_violations
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
 from .master import assemble_master
 from .model import ClearingModel, build_model
-from .pricing import TIGHT_TOL, solve_fixflow, solve_qpprice
+from .pricing import TIGHT_TOL, clamp_prices, solve_fixflow, solve_qpprice
 from .qp import QpProblem, infeasible_by_bounds, solve_qp
 from .relaxation import solve_relaxation
 
@@ -283,6 +283,8 @@ def oracle_clear(instance: Instance, cap: int = 12):
 
     Candidates are ranked by relaxed welfare and tested for supporting
     prices from the top down; the first price-feasible one is optimal.
+    Its prices are clamped to the area intervals, with a warning per moved
+    price, as the driver's are.
     """
     from .driver import ClearingResult
 
@@ -305,16 +307,18 @@ def oracle_clear(instance: Instance, cap: int = 12):
             frontier.append((objective, primal.selection, False))
             continue
         frontier.append((objective, primal.selection, True))
+        prices, warnings = clamp_prices(pricing.prices, instance)
         return ClearingResult(
             status="optimal",
             mode="oracle",
             solution=fixed,
-            prices=pricing.prices,
+            prices=prices,
             welfare=objective,
             bound=objective,
             gap=0.0,
             iterations=(),
-            prbs=tuple(list_prbs(instance, fixed.selection, pricing.prices)),
+            prbs=tuple(list_prbs(instance, fixed.selection, prices)),
+            warnings=tuple(warnings),
             frontier=tuple(frontier),
         )
     raise PriceInfeasible("no selection admits supporting prices")

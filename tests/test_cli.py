@@ -268,6 +268,17 @@ class TestInputErrors:
         assert captured.out == ""
         assert "$.interconnectors[0].upper[0]" in captured.err
 
+    @pytest.mark.parametrize("command", ["clear", "oracle"])
+    def test_no_areas(self, capsys, tmp_path, command):
+        doc = json.loads(FIXTURE.read_text())
+        doc["areas"], doc["curves"], doc["blocks"] = [], [], []
+        path = _write(tmp_path, "bad.json", json.dumps(doc))
+        code = run([command, "--instance", path])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "$.areas" in captured.err
+
 
 def test_solver_failure_exit_code(capsys, monkeypatch):
     def stalled(*args, **kwargs):

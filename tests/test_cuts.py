@@ -164,17 +164,16 @@ class TestLeafTestCuts:
         # every leaf tested later in the clear meets it: a waiting leaf
         # that a later cut excludes is not tested (in heuristic mode this
         # happens on paradox_book(747) and random_instance(748))
-        name = f"_{mode}_test"
-        leaf_test = getattr(driver, name)
+        leaf_test = driver._leaf_test
         tested = []
 
-        def spy(instance, model, solution, deadline):
-            out = leaf_test(instance, model, solution, deadline)
+        def spy(instance, model, solution, exact, deadline):
+            out = leaf_test(instance, model, solution, exact, deadline)
             *_, cuts = out
             tested.append((instance, solution.selection, cuts))
             return out
 
-        monkeypatch.setattr(driver, name, spy)
+        monkeypatch.setattr(driver, "_leaf_test", spy)
         clear = driver.clear_exact if mode == "exact" else driver.clear_heuristic
         n_cuts = 0
         for seed in range(700, 760):

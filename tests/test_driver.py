@@ -5,9 +5,11 @@ import pytest
 
 from daclear import driver, master, qp
 from daclear.core import welfare_of
+from daclear.cuts import loss_sets
 from daclear.driver import ClearOptions, clear_exact, clear_heuristic
 from daclear.errors import PriceInfeasible, TimeLimit
 from daclear.io import parse_instance
+from daclear.pricing import solve_qpprice
 from daclear.verify import (
     check_bid_prices,
     check_filling,
@@ -25,6 +27,7 @@ from helpers import (
     block,
     diamond,
     expiring_clock,
+    paradox_book,
     ramp_fixture,
     random_instance,
 )
@@ -240,3 +243,76 @@ class TestCandidatesWithoutPrices:
         assert check_bid_prices(inst, res.solution.selection, res.prices).passed
         failed = [rec for rec in res.iterations if rec.cuts_added]
         assert any(not rec.loss_blocks and not rec.loss_flex for rec in failed)
+
+
+def _spy_pricing(monkeypatch, check=None):
+    """Record (relax_losses, priced) per pricing call of the leaf test;
+    ``check`` runs after each call that finds prices."""
+    calls = []
+
+    def spy(instance, model, solution, relax_losses, deadline):
+        try:
+            out = solve_qpprice(instance, model, solution, relax_losses, deadline)
+        except PriceInfeasible:
+            calls.append((relax_losses, False))
+            raise
+        calls.append((relax_losses, True))
+        if check is not None:
+            check(instance, model, solution, relax_losses)
+        return out
+
+    monkeypatch.setattr(driver, "solve_qpprice", spy)
+    return calls
+
+
+class TestLeafTest:
+    def test_strict_pricing_decides_and_relaxed_explains(self, monkeypatch):
+        # the first leaf lacks loss-free prices: strict, then relaxed
+        # pricing for its loss sets; the second passes on one strict QP
+        for clear in (clear_heuristic, clear_exact):
+            calls = _spy_pricing(monkeypatch)
+            res = clear(appendix_a())
+            assert res.welfare == pytest.approx(2.0, abs=1e-9)
+            assert calls == [(False, False), (True, True), (False, True)]
+            assert res.iterations[0].loss_blocks
+
+    def test_passing_leaf_is_priced_once(self, monkeypatch):
+        calls = _spy_pricing(monkeypatch)
+        res = clear_heuristic(f3())
+        assert len(res.iterations) == 1 and not res.iterations[0].cuts_added
+        assert calls == [(False, True)]
+
+    @pytest.mark.parametrize("clear", [clear_exact, clear_heuristic])
+    def test_relaxed_pricing_only_after_failed_strict(self, monkeypatch, clear):
+        # per tested leaf one strict call, and a relaxed one exactly when
+        # the strict call found no loss-free prices
+        for seed in range(40, 60):
+            calls = _spy_pricing(monkeypatch)
+            res = clear(paradox_book(seed))
+            expected = []
+            for relax, priced in calls:
+                if not relax:
+                    expected += [False] if priced else [False, True]
+            assert [relax for relax, _ in calls] == expected
+            assert expected.count(False) == len(res.iterations)
+
+    @pytest.mark.parametrize("make", [random_instance, paradox_book])
+    def test_strict_prices_leave_no_loss_sets(self, monkeypatch, make):
+        # loss-free prices make the least relaxed loss 0, so a leaf with
+        # strict prices needs no relaxed pricing to find its loss sets
+        checked = []
+
+        def check(instance, model, solution, relax_losses):
+            if not relax_losses:
+                relaxed = solve_qpprice(instance, model, solution, True)
+                assert loss_sets(instance, solution, relaxed.prices).empty
+                checked.append(1)
+
+        solved = 0
+        for seed in range(800, 860):
+            inst = make(seed)
+            for clear in (clear_exact, clear_heuristic):
+                _spy_pricing(monkeypatch, check)
+                solved += clear(inst).solution is not None
+        # at least every accepted leaf was checked
+        assert len(checked) >= solved > 0

@@ -76,6 +76,13 @@ class TestParseInstance:
             parse_instance(json.dumps(doc))
         assert where in str(exc.value)
 
+    def test_no_areas_is_rejected(self):
+        doc = json.loads(FIXTURE.read_text())
+        doc["areas"], doc["curves"], doc["blocks"] = [], [], []
+        with pytest.raises(SchemaError) as exc:
+            parse_instance(json.dumps(doc))
+        assert "$.areas" in str(exc.value)
+
     def test_round_trip_preserves_semantics(self):
         for seed in range(6):
             inst = random_instance(seed)

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from daclear.core import PriceVector
 from daclear.driver import clear_exact
 from daclear.errors import TooLarge
+from daclear.io import parse_instance, serialize_instance
 from daclear.verify import (
     check_bid_prices,
     check_filling,
@@ -137,3 +140,16 @@ class TestOracle:
             a = oracle_clear(inst)
             b = clear_exact(inst)
             assert b.welfare == pytest.approx(a.welfare, abs=1e-7)
+
+    def test_clamps_to_area_intervals_like_exact(self):
+        # A0's interval caps its hour-1 price below the one pricing finds
+        doc = json.loads(serialize_instance(random_instance(169)))
+        doc["areas"][0]["price_interval"] = {"lower": 19.06, "upper": 90.492}
+        inst = parse_instance(json.dumps(doc))
+        o = oracle_clear(inst)
+        e = clear_exact(inst)
+        assert o.solution.selection == e.solution.selection
+        assert o.welfare == pytest.approx(e.welfare, abs=1e-7)
+        assert o.prices["A0", 1] == e.prices["A0", 1] == 90.492
+        assert o.warnings == e.warnings
+        assert len(o.warnings) == 1 and "'A0' hour 1" in o.warnings[0]
