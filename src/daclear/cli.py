@@ -24,7 +24,13 @@ from .errors import (
     SolverFailure,
     UnknownId,
 )
-from .verify import check_bid_prices, check_filling, check_flow_price, oracle_clear
+from .verify import (
+    check_bid_prices,
+    check_bounds,
+    check_filling,
+    check_flow_price,
+    oracle_clear,
+)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -117,19 +123,22 @@ def _cmd_verify(args) -> int:
 
     residuals = clearing_residuals(instance, solution)
     balance = max(abs(v) for v in residuals.values())
+    bounds = check_bounds(instance, delta, flows, tol=args.tol)
     filling = check_filling(instance, delta, prices, tol=args.tol)
     flow = check_flow_price(instance, flows, prices, tol=args.tol)
     bids = check_bid_prices(instance, selection, prices, tol=args.tol)
-    curt = curtailment_violations(instance, solution)
+    curt = curtailment_violations(instance, solution, tol=args.tol)
     doc = {
         "pass": (
             balance <= args.tol
+            and bounds.passed
             and filling.passed
             and flow.passed
             and bids.passed
             and not curt
         ),
         "clearing_balance_residual": balance,
+        "bounds": _report_doc(bounds),
         "filling": _report_doc(filling),
         "flow_price": _report_doc(flow),
         "bid_prices": _report_doc(bids),

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .core import BidSelection, Instance, PriceVector, PrimalSolution
 from .errors import EmptyLossSets
+from .model import ClearingModel
 
 LOSS_TOL = 1e-9
 
@@ -72,29 +73,16 @@ def bid_cut(sets: LossSets) -> Cut:
     )
 
 
-def no_good_cut(instance: Instance, selection: BidSelection) -> Cut:
-    """Exclude exactly the given selection.
+def no_good_cut(model: ClearingModel, selection: BidSelection) -> Cut:
+    """Exclude exactly the given selection, over every binary column of
+    ``model``.
 
     The complement form sum_{executed}(1 - x) + sum_{rejected} x >= 1 is
     stored as  sum_{executed} x - sum_{rejected} x <= n_executed - 1.
     """
-    coeffs = []
-    n_exec = 0
-    for b in instance.blocks:
-        if selection.blocks.get(b.id, 0):
-            coeffs.append((("block", b.id), 1.0))
-            n_exec += 1
-        else:
-            coeffs.append((("block", b.id), -1.0))
-    for f in instance.flex_bids:
-        chosen = selection.flex.get(f.id)
-        for t in range(instance.hours):
-            if chosen == t:
-                coeffs.append((("flex", f.id, t), 1.0))
-                n_exec += 1
-            else:
-                coeffs.append((("flex", f.id, t), -1.0))
-    return Cut(coeffs=tuple(coeffs), rhs=float(n_exec - 1), kind="no-good")
+    values = model.binaries(selection)
+    coeffs = tuple((key, 1.0 if v else -1.0) for key, v in zip(model.bin_keys, values))
+    return Cut(coeffs=coeffs, rhs=float(values.sum() - 1), kind="no-good")
 
 
 def curtailment_violations(

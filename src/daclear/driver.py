@@ -88,7 +88,7 @@ def _leaf_test(instance, model, solution, exact, deadline):
         return LossSets((), ()), curt, pricing, []
     relaxed = None if pricing is not None else _price(instance, model, solution, True, deadline)
     sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
-    no_good = [no_good_cut(instance, solution.selection)]
+    no_good = [no_good_cut(model, solution.selection)]
     if exact or (pricing is None and relaxed is None):
         return sets, curt, pricing, no_good
     cuts = [] if sets.empty else [bid_cut(sets)]

@@ -1,12 +1,13 @@
 """Cut-constrained welfare maximization over binary bid executions.
 
 One best-first branch-and-cut tree on the block and flex execution
-variables; every node is a concave QP (binaries relaxed to [0,1]) solved by
-the active-set engine.  Price conditions are absent here by design: the
-caller's leaf test is the only coupling to pricing.  The test sees each
-integral leaf that is the master optimum under the cuts so far, and either
-accepts it or returns cuts, which become rows of the one QP while the
-search goes on (Padberg and Rinaldi, 1991).
+variables, the binary columns of the clearing model's master problem
+(``ClearingModel.master``); every node is a concave QP (binaries relaxed
+to [0,1]) solved by the active-set engine.  Price conditions are absent
+here by design: the caller's leaf test is the only coupling to pricing.
+The test sees each integral leaf that is the master optimum under the cuts
+so far, and either accepts it or returns cuts, which become rows of the
+one QP while the search goes on (Padberg and Rinaldi, 1991).
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    BidSelection,
-    Instance,
-    PrimalSolution,
-    presolve_price_bounds,
-)
+from .core import Instance, PrimalSolution, presolve_price_bounds
 from .cuts import Cut
 from .errors import TimeLimit
 from .model import ClearingModel, balanced_start
@@ -38,85 +34,32 @@ class MasterResult:
     nodes: int = 0
 
 
-def assemble_master(instance: Instance, model: ClearingModel):
-    """(prob, col_block, col_flex): ``model``, the clearing model of
-    ``instance``, with a column per block and per flex (bid, hour), and the
-    link and flex-once rows over those columns.  The oracle solves it with
-    every binary pinned."""
-    n_cont = model.n
-    hours = range(instance.hours)
-    flex_keys = [(f.id, t) for f in instance.flex_bids for t in hours]
-    col_block = {b.id: n_cont + j for j, b in enumerate(instance.blocks)}
-    col_flex = {key: n_cont + len(col_block) + j for j, key in enumerate(flex_keys)}
-    n = n_cont + len(col_block) + len(col_flex)
-
-    c = np.zeros(n)
-    d = np.zeros(n)
-    lb = np.zeros(n)
-    ub = np.ones(n)
-    c[:n_cont], d[:n_cont] = model.c, model.d
-    lb[:n_cont], ub[:n_cont] = model.lb, model.ub
-    A_eq = np.zeros((len(model.eq_keys), n))
-    A_eq[:, :n_cont] = model.A_eq
-    for b in instance.blocks:
-        c[col_block[b.id]] = b.limit_price * sum(b.quantities)
-        for t in hours:
-            if b.quantities[t] != 0.0:
-                A_eq[model.eq_row[b.area, t], col_block[b.id]] = b.quantities[t]
-    for f in instance.flex_bids:
-        for t in hours:
-            c[col_flex[f.id, t]] = f.limit_price * f.quantity
-            A_eq[model.eq_row[f.area, t], col_flex[f.id, t]] = f.quantity
-
-    ramp = np.zeros((len(model.b_in), n))
-    ramp[:, :n_cont] = model.A_in
-    in_rows = list(ramp)
-    in_rhs = list(model.b_in)
-    for child, parent in instance.links:
-        row = np.zeros(n)
-        row[col_block[child]] = 1.0
-        row[col_block[parent]] -= 1.0
-        in_rows.append(row)
-        in_rhs.append(0.0)
-    for f in instance.flex_bids:
-        row = np.zeros(n)
-        for t in hours:
-            row[col_flex[f.id, t]] = 1.0
-        in_rows.append(row)
-        in_rhs.append(1.0)
-
-    A_in = np.array(in_rows).reshape(-1, n)
-    b_in = np.array(in_rhs)
-    prob = QpProblem(c=c, d=d, A_eq=A_eq, b_eq=model.b_eq, A_in=A_in, b_in=b_in, lb=lb, ub=ub)
-    return prob, col_block, col_flex
-
-
-def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], col_block, col_flex) -> QpProblem:
-    """``prob`` with one more inequality row per cut, and a factor cache of
-    its own (see ``QpProblem.factors`` for when it may take prob's)."""
+def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], model: ClearingModel) -> QpProblem:
+    """``prob``, a master problem on ``model``, with one more inequality row
+    per cut, and a factor cache of its own (see ``QpProblem.factors`` for
+    when it may take prob's)."""
     rows = np.zeros((len(cuts), prob.n))
     for row, cut in zip(rows, cuts):
         for key, coef in cut.coeffs:
-            j = col_block[key[1]] if key[0] == "block" else col_flex[key[1], key[2]]
-            row[j] += coef
+            row[model.bin_col[key]] += coef
     b_in = np.append(prob.b_in, [cut.rhs for cut in cuts])
     return replace(prob, A_in=np.vstack([prob.A_in, rows]), b_in=b_in)
 
 
-def _presolve_fixings(instance: Instance) -> dict:
-    """Binary columns provably zero: bids that lose at every price inside
-    the presolve bounds.  Only the always-loss direction is fixed; the
-    never-loss direction is left to the search (forcing execution is not
-    welfare-safe in general)."""
+def _presolve_fixings(instance: Instance) -> set:
+    """The keys of binary columns provably zero: bids that lose at every
+    price inside the presolve bounds.  Only the always-loss direction is
+    fixed; the never-loss direction is left to the search (forcing
+    execution is not welfare-safe in general)."""
     bounds = presolve_price_bounds(instance)
-    fixed = {}
+    fixed = set()
     for b in instance.blocks:
         best = 0.0
         for t, q in enumerate(b.quantities):
             iv = bounds[b.area, t]
             best += max((b.limit_price - iv.lower) * q, (b.limit_price - iv.upper) * q)
         if best < -1e-9:
-            fixed["block", b.id] = 0.0
+            fixed.add(("block", b.id))
     for f in instance.flex_bids:
         for t in range(instance.hours):
             iv = bounds[f.area, t]
@@ -125,17 +68,8 @@ def _presolve_fixings(instance: Instance) -> dict:
                 (f.limit_price - iv.upper) * f.quantity,
             )
             if best < -1e-9:
-                fixed["flex", f.id, t] = 0.0
+                fixed.add(("flex", f.id, t))
     return fixed
-
-
-def _selection_from_x(instance: Instance, x, col_block, col_flex) -> BidSelection:
-    blocks = {bid: int(round(x[j])) for bid, j in col_block.items()}
-    flex = {f.id: None for f in instance.flex_bids}
-    for (fid, t), j in col_flex.items():
-        if round(x[j]) == 1:
-            flex[fid] = t
-    return BidSelection(blocks=blocks, flex=flex)
 
 
 def _solve_node(node: QpProblem, model, parent, deadline):
@@ -178,16 +112,13 @@ def solve_master(
     ``time_limit`` also bounds each node's QP solves: one that passes it
     puts its node back on the heap, so the ``limit`` result's bound stays
     valid.  A test that raises TimeLimit puts its leaf back the same way."""
-    prob, col_block, col_flex = assemble_master(instance, model)
+    prob = model.master()
     bin_cols = list(range(model.n, prob.n))
     cut_rows = len(prob.b_in)  # the rows after these are cuts
     deadline = time.monotonic() + time_limit if time_limit is not None else None
 
-    base_lb = prob.lb.copy()
     base_ub = prob.ub.copy()
-    for key, val in _presolve_fixings(instance).items():
-        j = col_block[key[1]] if key[0] == "block" else col_flex[key[1], key[2]]
-        base_lb[j] = base_ub[j] = val
+    base_ub[[model.bin_col[key] for key in _presolve_fixings(instance)]] = 0.0
 
     nodes = 0
     counter = 0
@@ -210,7 +141,7 @@ def solve_master(
             objective=objective, bound=bound, nodes=nodes,
         )
 
-    push(float("inf"), (base_lb, base_ub, None))  # bounds and a parent solution
+    push(float("inf"), (prob.lb, base_ub, None))  # bounds and a parent solution
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             return result("limit")
@@ -231,7 +162,7 @@ def solve_master(
             push(bound, (node_lb, node_ub, parent))  # solved again under the new cuts
             if verdict is None:
                 return result("limit")
-            cut_prob = _with_cuts(prob, verdict, col_block, col_flex)
+            cut_prob = _with_cuts(prob, verdict, model)
             # the rows before the cuts keep their indices, so every cached
             # factorization still holds for the longer problem
             cut_prob.factors = prob.factors
@@ -254,8 +185,7 @@ def solve_master(
         ]
         worst = max((f for f, _ in frac), default=0.0)
         if worst <= END_TOL:
-            selection = _selection_from_x(instance, sol.x, col_block, col_flex)
-            push(sol.objective, (node_lb, node_ub, sol), (selection, sol.x))
+            push(sol.objective, (node_lb, node_ub, sol), (model.selection_at(sol.x), sol.x))
             continue
         # branch on the most fractional binary, lowest column on ties
         j_star = min(

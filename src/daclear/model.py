@@ -1,13 +1,15 @@
-"""The continuous clearing model shared by every clearing QP.
+"""The clearing model shared by every clearing QP.
 
 Columns are the segment fills (in segment id order) followed by the
 interconnector flows (connector, then hour).  There is one clearing row per
-(area, hour) and two ramp rows per ramped connector and hour.  The master,
-FixFlow and pricing all start from this model: the master appends its
-binary columns and rows (the oracle's fixed-selection relaxation is that
-problem with every binary pinned), FixFlow keeps the vertical segment and
-flow columns, and pricing's rows are the stationarity conditions of this
-QP on its flow columns, one price per clearing row.
+(area, hour) and two ramp rows per ramped connector and hour.  The master's
+binary columns come after these: one per block in instance order, then one
+per flex (bid, hour), with their clearing-row entries and the link and
+flex-once rows.  The master, FixFlow and pricing all start from this model:
+the master is the whole of it (the oracle's fixed-selection relaxation is
+the master with every binary pinned), FixFlow keeps the vertical segment
+and flow columns, and pricing's rows are the stationarity conditions of
+the continuous QP on its flow columns, one price per clearing row.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ class ClearingModel:
     flows leaving the area and -1 for flows entering it, against
     ``-min_net_demand``.  ``A_in x <= b_in`` holds the ramp limits
     ``+-(flow[t] - flow[t-1]) <= ramp_rate``, with the initial flow on the
-    right-hand side at hour 0."""
+    right-hand side at hour 0.  The master's binary columns follow column
+    ``n``: ``bin_col`` maps each key of ``bin_keys``, the keys cuts use, to
+    its master column; ``bin_c`` and ``bin_A_eq`` are their objective and
+    clearing-row entries, and ``link_A y <= link_b`` their link rows
+    ``y_child - y_parent <= 0`` and flex-once rows ``sum_t y <= 1``."""
 
     seg_ids: tuple[int, ...]
     flow_keys: tuple[tuple[str, int], ...]
@@ -46,6 +52,12 @@ class ClearingModel:
     b_eq: np.ndarray
     A_in: np.ndarray
     b_in: np.ndarray
+    bin_keys: tuple[tuple, ...]  # ("block", id), then ("flex", id, hour)
+    bin_col: dict[tuple, int]
+    bin_c: np.ndarray
+    bin_A_eq: np.ndarray
+    link_A: np.ndarray
+    link_b: np.ndarray
     # per clearing row: its segment columns in column (merit) order and
     # their spans, derived from A_eq
     row_segs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
@@ -77,6 +89,45 @@ class ClearingModel:
     @property
     def n(self) -> int:
         return len(self.seg_ids) + len(self.flow_keys)
+
+    def master(self) -> QpProblem:
+        """A new master problem: every column, the binaries in [0, 1], and
+        the ramp rows followed by the link and flex-once rows.  Each call
+        builds its own problem, so each has its own factor cache."""
+        m = len(self.bin_keys)
+        return QpProblem(
+            c=np.concatenate([self.c, self.bin_c]),
+            d=np.concatenate([self.d, np.zeros(m)]),
+            A_eq=np.hstack([self.A_eq, self.bin_A_eq]),
+            b_eq=self.b_eq,
+            A_in=np.block([
+                [self.A_in, np.zeros((len(self.b_in), m))],
+                [np.zeros((len(self.link_b), self.n)), self.link_A],
+            ]),
+            b_in=np.concatenate([self.b_in, self.link_b]),
+            lb=np.concatenate([self.lb, np.zeros(m)]),
+            ub=np.concatenate([self.ub, np.ones(m)]),
+        )
+
+    def binaries(self, selection: BidSelection) -> np.ndarray:
+        """The binary columns' values at ``selection``, in ``bin_keys`` order."""
+        return np.array([
+            float(selection.flex.get(key[1]) == key[2]) if key[0] == "flex"
+            else selection.blocks.get(key[1], 0)
+            for key in self.bin_keys
+        ], dtype=float)
+
+    def selection_at(self, x: np.ndarray) -> BidSelection:
+        """The selection whose binaries ``x``, a master point, rounds to."""
+        blocks, flex = {}, {}
+        for key, j in self.bin_col.items():
+            if key[0] == "block":
+                blocks[key[1]] = int(round(x[j]))
+            elif round(x[j]) == 1:
+                flex[key[1]] = key[2]
+            else:
+                flex.setdefault(key[1])
+        return BidSelection(blocks=blocks, flex=flex)
 
     def primal(self, selection: BidSelection, x: np.ndarray) -> PrimalSolution:
         """``selection`` with the fills and flows that ``x``, a point of a
@@ -139,6 +190,27 @@ def build_model(instance: Instance) -> ClearingModel:
                 in_rows.append(row)
                 in_rhs.append(rhs)
 
+    bin_keys = tuple(("block", b.id) for b in instance.blocks)
+    bin_keys += tuple(("flex", f.id, t) for f in instance.flex_bids for t in hours)
+    bin_col = {key: n + k for k, key in enumerate(bin_keys)}
+    bin_c = np.zeros(len(bin_keys))
+    bin_A_eq = np.zeros((len(eq_keys), len(bin_keys)))
+    link_A = np.zeros((len(instance.links) + len(instance.flex_bids), len(bin_keys)))
+    for k, b in enumerate(instance.blocks):
+        bin_c[k] = b.limit_price * sum(b.quantities)
+        for t in hours:
+            if b.quantities[t] != 0.0:
+                bin_A_eq[eq_row[b.area, t], k] = b.quantities[t]
+    for r, (child, parent) in enumerate(instance.links):
+        link_A[r, bin_col["block", child] - n] = 1.0
+        link_A[r, bin_col["block", parent] - n] -= 1.0
+    for r, f in enumerate(instance.flex_bids, len(instance.links)):
+        for t in hours:
+            k = bin_col["flex", f.id, t] - n
+            bin_c[k] = f.limit_price * f.quantity
+            bin_A_eq[eq_row[f.area, t], k] = f.quantity
+            link_A[r, k] = 1.0
+
     return ClearingModel(
         seg_ids=seg_ids,
         flow_keys=flow_keys,
@@ -155,6 +227,12 @@ def build_model(instance: Instance) -> ClearingModel:
         b_eq=b_eq,
         A_in=np.array(in_rows).reshape(-1, n),
         b_in=np.array(in_rhs),
+        bin_keys=bin_keys,
+        bin_col=bin_col,
+        bin_c=bin_c,
+        bin_A_eq=bin_A_eq,
+        link_A=link_A,
+        link_b=np.array([0.0] * len(instance.links) + [1.0] * len(instance.flex_bids)),
     )
 
 

@@ -2,8 +2,8 @@
 
 With the combinatorial execution decisions frozen, the remaining problem
 is a concave QP over segment fills and interconnector flows: the master
-problem (``master.assemble_master``) with every block and flex column
-pinned, whose objective includes the executed bids' welfare.  The oracle
+problem (``ClearingModel.master``) with every binary column pinned, whose
+objective includes the executed bids' welfare.  The oracle
 (``verify.oracle_clear``) solves one per enumerated selection.
 """
 

@@ -15,7 +15,6 @@ import numpy as np
 from .core import BidSelection, Instance, PriceVector
 from .cuts import curtailment_violations
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
-from .master import assemble_master
 from .model import ClearingModel, build_model
 from .pricing import TIGHT_TOL, clamp_prices, solve_fixflow, solve_qpprice
 from .qp import QpProblem, infeasible_by_bounds, solve_qp
@@ -221,6 +220,36 @@ def check_bid_prices(
     return ConditionReport.from_violations(violations)
 
 
+def check_bounds(
+    instance: Instance,
+    delta: Mapping[int, float],
+    flows: Mapping[tuple[str, int], float],
+    tol: float = DEFAULT_TOL,
+) -> ConditionReport:
+    """Fills within [0, 1], flows within their interconnector's bounds, and
+    ramp limits, measured from the initial flow at hour 0: the box and ramp
+    rows of the clearing model at the given fills and flows."""
+    model = build_model(instance)
+    x = np.array(
+        [float(delta.get(sid, 0.0)) for sid in model.seg_ids]
+        + [float(flows.get(key, 0.0)) for key in model.flow_keys]
+    )
+    locations = [(*instance.segment_location[sid], sid) for sid in model.seg_ids]
+    locations += model.flow_keys
+    kinds = ["fill-bound"] * len(model.seg_ids) + ["flow-bound"] * len(model.flow_keys)
+    violations = [
+        Violation(loc, float(v), kind)
+        for loc, kind, v in zip(locations, kinds, np.maximum(model.lb - x, x - model.ub))
+        if v > tol
+    ]
+    violations += [
+        Violation(key, float(v), "ramp")
+        for key, v in zip(model.ramp_keys, model.A_in @ x - model.b_in)
+        if v > tol
+    ]
+    return ConditionReport.from_violations(violations)
+
+
 def list_prbs(instance: Instance, selection: BidSelection, prices: PriceVector,
               tol: float = 1e-9) -> list:
     """Rejected combinatorial bids that would profit at the final prices."""
@@ -260,14 +289,11 @@ def _relaxations(instance: Instance, model: ClearingModel):
     """(objective, index, primal) of each enumerated selection whose
     relaxation clears, in enumeration order.  The relaxation is the master
     problem on ``model``, the clearing model of ``instance``, with its
-    block and flex columns pinned at the selection."""
-    prob, col_block, col_flex = assemble_master(instance, model)
+    binary columns pinned at the selection."""
+    prob = model.master()
     for idx, selection in enumerate(_all_selections(instance)):
         lb, ub = prob.lb.copy(), prob.ub.copy()
-        for bid, j in col_block.items():
-            lb[j] = ub[j] = selection.blocks[bid]
-        for (fid, t), j in col_flex.items():
-            lb[j] = ub[j] = float(selection.flex[fid] == t)
+        lb[model.n:] = ub[model.n:] = model.binaries(selection)
         pinned = prob.with_bounds(lb, ub)  # shares the master's rows
         if infeasible_by_bounds(pinned):
             continue  # no fill or flow inside its bounds clears this volume

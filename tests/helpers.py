@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from daclear.io import parse_instance
-from daclear.master import _with_cuts, assemble_master
+from daclear.master import _with_cuts
 from daclear.model import build_model
 
 
@@ -68,12 +68,9 @@ def pinned_relaxation(inst, selection):
     flex columns pinned at ``selection``, the relaxation the oracle solves
     for that selection."""
     model = build_model(inst)
-    prob, col_block, col_flex = assemble_master(inst, model)
+    prob = model.master()
     lb, ub = prob.lb.copy(), prob.ub.copy()
-    for bid, j in col_block.items():
-        lb[j] = ub[j] = selection.blocks.get(bid, 0)
-    for (fid, t), j in col_flex.items():
-        lb[j] = ub[j] = float(selection.flex.get(fid) == t)
+    lb[model.n:] = ub[model.n:] = model.binaries(selection)
     return prob.with_bounds(lb, ub), model
 
 
@@ -82,8 +79,7 @@ def cut_activity(inst, cut, selection):
     master's ``_with_cuts`` adds for it, times the selection's binaries
     as ``pinned_relaxation`` pins them."""
     pinned, model = pinned_relaxation(inst, selection)
-    _, col_block, col_flex = assemble_master(inst, model)
-    row = _with_cuts(pinned, [cut], col_block, col_flex).A_in[-1]
+    row = _with_cuts(pinned, [cut], model).A_in[-1]
     return float(row[model.n:] @ pinned.lb[model.n:])
 
 

@@ -12,7 +12,7 @@ from daclear.driver import clear_heuristic
 from daclear.errors import SolverFailure
 from daclear.io import dump_document, serialize_instance
 
-from helpers import appendix_a, make_instance, block, f3, random_instance
+from helpers import appendix_a, block, connector, f3, make_instance, random_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "appendix_a.json"
@@ -163,6 +163,100 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["pass"] is False
+
+    def _verify_doc(self, capsys, tmp_path, inst, doc, *argv):
+        path = _write(tmp_path, "inst.json", serialize_instance(inst))
+        sol = _write(tmp_path, "sol.json", json.dumps(doc))
+        code, out = _run(capsys, "verify", "--instance", path, "--solution", sol, *argv)
+        assert code == 0
+        return json.loads(out)
+
+    @staticmethod
+    def _doc(inst, delta, flows=(), prices=(), blocks=None):
+        spans = [s for s in inst.segments if s.quantity_span]
+        return {
+            "selection": {"blocks": blocks or {}, "flex": {}},
+            "delta": {str(s.id): v for s, v in zip(spans, delta)},
+            "flows": [{"interconnector": c, "hour": t, "flow": f} for c, t, f in flows],
+            "prices": [{"area": a, "hour": t, "price": p} for a, t, p in prices],
+        }
+
+    def test_tol_reaches_curtailment_priority(self, capsys, tmp_path):
+        # the curtailed demand segment is filled to 1 - 5e-5 while the
+        # demand block d runs: a curtailment violation at 1e-6 only
+        inst = make_instance({("X", 0): [[0, 10], [50, 10]]},
+                             blocks=[block("s", "X", 10, [-12]), block("d", "X", 80, [2])])
+        doc = self._doc(inst, [1 - 5e-5], prices=[("X", 0, 50.0)], blocks={"s": 1, "d": 1})
+        strict = self._verify_doc(capsys, tmp_path, inst, doc)
+        assert strict["curtailment_priority"]["pass"] is False
+        assert strict["pass"] is False
+        loose = self._verify_doc(capsys, tmp_path, inst, doc, "--tol", "1e-3")
+        assert loose["clearing_balance_residual"] == pytest.approx(5e-4)
+        for check in ("bounds", "filling", "flow_price", "bid_prices", "curtailment_priority"):
+            assert loose[check]["pass"] is True, check
+        assert loose["pass"] is True
+
+    def _two_area(self, ramp=None):
+        """20 MW of supply at 10 in R, 20 MW of demand at 60 in S, and a
+        connector R -> S bounded to [-5, 5]."""
+        return make_instance(
+            {("R", 0): [[10, 0], [10, -20]], ("S", 0): [[60, 20], [60, 0]]},
+            [connector("c", "R", "S", [-5], [5], ramp=ramp)],
+        )
+
+    def test_flow_beyond_its_bound_fails(self, capsys, tmp_path):
+        # flow 8 balances both areas for welfare 600; clear finds 450 at flow 5
+        inst = self._two_area()
+        prices = [("R", 0, 10.0), ("S", 0, 60.0)]
+        doc = self._verify_doc(capsys, tmp_path, inst,
+                               self._doc(inst, [0.6, 0.4], [("c", 0, 8.0)], prices))
+        assert doc["bounds"] == {"pass": False, "violations": [
+            {"location": ["c", 0], "amount": 3.0, "condition": "flow-bound"}]}
+        assert doc["clearing_balance_residual"] == 0.0
+        assert doc["pass"] is False
+        doc = self._verify_doc(capsys, tmp_path, inst,
+                               self._doc(inst, [0.75, 0.25], [("c", 0, 5.0)], prices))
+        assert doc["pass"] is True
+        assert doc["welfare"] == pytest.approx(450.0)
+
+    def test_ramp_from_the_initial_flow_fails(self, capsys, tmp_path):
+        # flow 5 is inside [-5, 5] but 3 MW beyond the ramp rate 2 from flow 0
+        inst = self._two_area(ramp=2.0)
+        doc = self._verify_doc(capsys, tmp_path, inst, self._doc(
+            inst, [0.75, 0.25], [("c", 0, 5.0)], [("R", 0, 10.0), ("S", 0, 60.0)]))
+        assert doc["bounds"] == {"pass": False, "violations": [
+            {"location": ["c", 0, "fwd"], "amount": 3.0, "condition": "ramp"}]}
+        assert doc["flow_price"]["pass"] is True
+        assert doc["pass"] is False
+
+    def test_fill_outside_the_unit_interval_fails(self, capsys, tmp_path):
+        # the 20 MW supply segment filled to -0.5 sells 30 MW to the block
+        inst = make_instance({("X", 0): [[10, 0], [10, -20]]},
+                             blocks=[block("d", "X", 80, [30])])
+        doc = self._verify_doc(capsys, tmp_path, inst, self._doc(
+            inst, [-0.5], prices=[("X", 0, 10.0)], blocks={"d": 1}))
+        seg = next(s for s in inst.segments if s.quantity_span)
+        assert doc["bounds"] == {"pass": False, "violations": [
+            {"location": ["X", 0, seg.id], "amount": 0.5, "condition": "fill-bound"}]}
+        assert doc["clearing_balance_residual"] == 0.0
+        assert doc["pass"] is False
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_clear_output_passes_on_every_fixture(self, capsys, tmp_path, mode):
+        verified = 0
+        for path in sorted((ROOT / "fixtures").glob("*.json")):
+            code, out = _run(capsys, "clear", "--instance", str(path), "--mode", mode)
+            if code == 2:  # no selection has loss-free prices: no document
+                continue
+            assert code == 0
+            sol = _write(tmp_path, "sol.json", out)
+            code, out = _run(capsys, "verify", "--instance", str(path), "--solution", sol)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["bounds"]["pass"] is True, path.name
+            assert doc["pass"] is True, path.name
+            verified += 1
+        assert verified == 2
 
     def test_nan_price_is_input_error(self, capsys, tmp_path):
         code, out = _run(capsys, "clear", "--instance", str(FIXTURE))

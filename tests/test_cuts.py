@@ -15,6 +15,7 @@ from daclear.errors import EmptyLossSets
 from daclear.master import solve_master
 from daclear.model import build_model
 from daclear.pricing import solve_fixflow, solve_qpprice
+from daclear.verify import _all_selections
 
 from helpers import (
     appendix_a, block, cut_activity, flexbid, make_instance, paradox_book, random_instance,
@@ -71,7 +72,7 @@ class TestNoGoodCut:
     def test_excludes_only_that_selection(self):
         inst = appendix_a()
         target = BidSelection(blocks={"a": 1, "b": 0, "c": 1, "d": 1}, flex={})
-        cut = no_good_cut(inst, target)
+        cut = no_good_cut(build_model(inst), target)
         for bits in itertools.product((0, 1), repeat=4):
             sel = BidSelection(
                 blocks=dict(zip(("a", "b", "c", "d"), bits)), flex={}
@@ -87,11 +88,31 @@ class TestNoGoodCut:
             flex=[flexbid("f", "X", 90, 5)],
         )
         target = BidSelection(blocks={}, flex={"f": 0})
-        cut = no_good_cut(inst, target)
+        cut = no_good_cut(build_model(inst), target)
         assert cut_activity(inst, cut, target) > cut.rhs
         for hour in (1, None):
             other = BidSelection(blocks={}, flex={"f": hour})
             assert cut_activity(inst, cut, other) <= cut.rhs
+
+    def test_excludes_only_its_selection_with_links_and_flex_hours(self):
+        # three blocks with q linked to p, two 2-hour flex bids: 6 x 9
+        # link-consistent selections
+        inst = make_instance(
+            {("X", 0): [[0, 20], [100, -20]], ("X", 1): [[0, 20], [100, -20]]},
+            hours=2,
+            blocks=[block("p", "X", 80, [4, 6]), block("q", "X", 30, [-3, 2]),
+                    block("r", "X", 50, [0, -5])],
+            links=[("q", "p")],
+            flex=[flexbid("f", "X", 60, 3), flexbid("g", "X", 5, -4)],
+        )
+        model = build_model(inst)
+        selections = list(_all_selections(inst))
+        assert len(selections) == 54
+        for target in selections:
+            cut = no_good_cut(model, target)
+            assert [key for key, _ in cut.coeffs] == list(model.bin_keys)
+            for sel in selections:
+                assert (cut_activity(inst, cut, sel) > cut.rhs) == (sel == target)
 
 
 class TestCurtailment:
@@ -122,7 +143,7 @@ class TestCurtailment:
         if not viol:
             pytest.skip("no violation to cut")
         heur = curtailment_cut(viol["X", 0])
-        exact = no_good_cut(inst, sol.selection)
+        exact = no_good_cut(build_model(inst), sol.selection)
         assert cut_activity(inst, heur, sol.selection) > heur.rhs
         assert cut_activity(inst, exact, sol.selection) > exact.rhs
 

@@ -1,0 +1,48 @@
+"""``tools/digests.py`` prints one line per CLI run of the comparison set;
+on the fixtures its lines have the documented format, match the CLI's own
+output, and come out the same on a rerun."""
+
+import hashlib
+import importlib.util
+import re
+from pathlib import Path
+
+from daclear.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+LINE = re.compile(
+    r"fixture (\S+) (clear-exact|clear-heuristic|oracle) (\d+) ([0-9a-f]{64}) ([0-9a-f]{64})"
+)
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+def _digests():
+    spec = importlib.util.spec_from_file_location("digests", ROOT / "tools" / "digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fixture_digests_are_well_formed_and_repeatable(capsys):
+    digests = _digests()
+    lines = list(digests.digest_lines(digests.fixtures()))
+    names = sorted(p.stem for p in (ROOT / "fixtures").glob("*.json"))
+    matches = [LINE.fullmatch(line) for line in lines]
+    assert all(matches), lines
+    assert [(m[1], m[2]) for m in matches] == [
+        (name, command) for name in names for command in digests.COMMANDS
+    ]
+    runs = {(m[1], m[2]): m for m in matches}
+    # appendix_a clears; no_price_support exits 2 with only an error message
+    fixture = str(ROOT / "fixtures" / "appendix_a.json")
+    assert run(["clear", "--mode", "exact", "--instance", fixture]) == 0
+    out = capsys.readouterr().out
+    assert runs["appendix_a", "clear-exact"].group(3, 4, 5) == (
+        "0", hashlib.sha256(out.encode()).hexdigest(), EMPTY
+    )
+    for command in digests.COMMANDS:
+        code, out_sha, err_sha = runs["no_price_support", command].group(3, 4, 5)
+        assert code == "2" and out_sha == EMPTY and err_sha != EMPTY
+    assert list(digests.digest_lines(digests.fixtures())) == lines
+    # with the 200 + 110 + 110 generated instances: 423 instances, 1,269 runs
+    assert sum(len(seeds) for seeds in digests.SEEDS.values()) + len(names) == 423

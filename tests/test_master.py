@@ -10,7 +10,7 @@ from daclear.core import BidSelection
 from daclear.cuts import LossSets, bid_cut, no_good_cut
 from daclear.errors import TimeLimit
 from daclear.io import parse_instance
-from daclear.master import _with_cuts, assemble_master, solve_master
+from daclear.master import _with_cuts, solve_master
 from daclear.model import balanced_start, build_model
 
 from helpers import (
@@ -32,15 +32,16 @@ class TestApppendixA:
     def test_respects_no_good_cut(self):
         # the test rejects the four-block leaf; the same tree goes on to {c, d}
         inst = appendix_a()
+        model = build_model(inst)
         tested = []
 
         def reject_all_four(leaf):
             tested.append(leaf.solution.selection.executed_blocks())
             if len(tested) == 1:
-                return [no_good_cut(inst, leaf.solution.selection)]
+                return [no_good_cut(model, leaf.solution.selection)]
             return ()
 
-        res = solve_master(inst, build_model(inst), reject_all_four)
+        res = solve_master(inst, model, reject_all_four)
         assert tested == [["a", "b", "c", "d"], ["c", "d"]]
         assert res.objective == pytest.approx(2.0, abs=1e-9)
         assert set(res.solution.selection.executed_blocks()) == {"c", "d"}
@@ -98,7 +99,7 @@ class TestBranching:
 
 def _no_fixings(monkeypatch):
     """Presolve fixes no binary for the rest of the test."""
-    monkeypatch.setattr(master, "_presolve_fixings", lambda instance: {})
+    monkeypatch.setattr(master, "_presolve_fixings", lambda instance: set())
 
 
 class TestPresolve:
@@ -323,16 +324,16 @@ class TestStarts:
         assert sum(c["fallback"] for c in children) <= 0.1 * len(children)
 
 
-def _reject_first_leaves(instance, count):
+def _reject_first_leaves(model, count):
     """A leaf test that rejects the first ``count`` leaves, each with its
-    own no-good cut, and accepts the next."""
+    own no-good cut over ``model``'s binaries, and accepts the next."""
     tested = []
 
     def test(leaf):
         tested.append(leaf)
         if len(tested) > count:
             return ()
-        return [no_good_cut(instance, leaf.solution.selection)]
+        return [no_good_cut(model, leaf.solution.selection)]
 
     return test
 
@@ -350,7 +351,8 @@ class TestFactorCache:
         def solve_all():
             out = []
             for inst in instances:
-                res = solve_master(inst, build_model(inst), _reject_first_leaves(inst, 1))
+                model = build_model(inst)
+                res = solve_master(inst, model, _reject_first_leaves(model, 1))
                 out.append((res.status, res.objective, res.bound, res.nodes, res.solution))
             return out
 
@@ -364,7 +366,7 @@ class TestFactorCache:
         # cut's index; neither may see the other's factorizations
         inst = appendix_a()
         model = build_model(inst)
-        base, col_block, col_flex = assemble_master(inst, model)
+        base = model.master()
         k = len(base.b_in)
         # no-good cuts whose rows both enter working sets
         selections = [
@@ -372,7 +374,7 @@ class TestFactorCache:
             for bits in ((1, 0, 0, 1), (1, 0, 1, 1))
         ]
         probs = [
-            _with_cuts(base, [no_good_cut(inst, sel)], col_block, col_flex)
+            _with_cuts(base, [no_good_cut(model, sel)], model)
             for sel in selections
         ]
         assert probs[0].factors is not probs[1].factors
@@ -402,7 +404,8 @@ class TestFactorCache:
             master, "solve_qp", lambda prob, **kw: solved.append(prob) or solve(prob, **kw)
         )
         inst = appendix_a()
-        solve_master(inst, build_model(inst), _reject_first_leaves(inst, 2))
+        model = build_model(inst)
+        solve_master(inst, model, _reject_first_leaves(model, 2))
         assert len(caches) == 2
         assert all(prob.factors is caches[0] for prob in solved)
 
@@ -432,18 +435,18 @@ class TestMilpCrossCheck:
         return -res.fun if res.status == 0 else None
 
     @staticmethod
-    def _random_cuts(inst, leaf, rng):
+    def _random_cuts(inst, model, leaf, rng):
         """The leaf's no-good cut, a bid cut on 2-4 of its executed blocks
         and a no-good cut on a random selection."""
         selection = leaf.solution.selection
-        cuts = [no_good_cut(inst, selection)]
+        cuts = [no_good_cut(model, selection)]
         executed = selection.executed_blocks()
         if len(executed) >= 2:
             size = int(rng.integers(2, min(4, len(executed)) + 1))
             chosen = rng.choice(executed, size=size, replace=False)
             cuts.append(bid_cut(LossSets(blocks=tuple(sorted(chosen)), flex=())))
         other = {b.id: int(rng.random() < 0.5) for b in inst.blocks}
-        cuts.append(no_good_cut(inst, BidSelection(blocks=other, flex={})))
+        cuts.append(no_good_cut(model, BidSelection(blocks=other, flex={})))
         return cuts
 
     @pytest.mark.parametrize("presolve", [True, False], ids=["presolve", "no-fixings"])
@@ -454,7 +457,7 @@ class TestMilpCrossCheck:
         for seed in self.SEEDS:
             inst = step_book(seed)
             model = build_model(inst)
-            prob, _, _ = assemble_master(inst, model)
+            prob = model.master()
             assert 12 < prob.n - model.n <= 20 and not prob.d.any()
             res = solve_master(inst, model)
             assert res.status == "optimal"
@@ -478,13 +481,12 @@ class TestMilpCrossCheck:
                 rounds.append(leaf)
                 if len(rounds) > 3:
                     return ()
-                cuts = self._random_cuts(inst, leaf, rng)
+                cuts = self._random_cuts(inst, model, leaf, rng)
                 added.extend(cuts)
                 return cuts
 
             res = solve_master(inst, model, test)
-            prob, col_block, col_flex = assemble_master(inst, model)
-            ref = self._milp(_with_cuts(prob, added, col_block, col_flex), model.n)
+            ref = self._milp(_with_cuts(model.master(), added, model), model.n)
             statuses.add(res.status)
             if ref is None:
                 assert res.status == "infeasible"

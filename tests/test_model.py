@@ -8,10 +8,11 @@ from daclear.core import BidSelection
 from daclear.io import parse_instance
 from daclear.model import balanced_start, build_model
 from daclear.qp import QpProblem, solve_qp
+from daclear.verify import _all_selections
 
 from helpers import (
-    appendix_a, block, connector, diamond, f2, make_instance, pinned_relaxation, ramp_fixture,
-    random_instance,
+    appendix_a, block, connector, diamond, f2, flexbid, make_instance, pinned_relaxation,
+    ramp_fixture, random_instance,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -121,6 +122,66 @@ class TestLayout:
         )
         for arr in (model.c, model.d, model.lb, model.ub):
             assert arr.shape == (model.n,)
+
+    def test_binary_keys_follow_the_continuous_columns(self):
+        inst = _linked_flex_book()
+        model = build_model(inst)
+        assert model.bin_keys == (
+            ("block", "p"), ("block", "q"), ("block", "r"),
+            ("flex", "f", 0), ("flex", "f", 1), ("flex", "g", 0), ("flex", "g", 1),
+        )
+        assert list(model.bin_col) == list(model.bin_keys)
+        assert list(model.bin_col.values()) == list(range(model.n, model.n + 7))
+        prob = model.master()
+        assert prob.n == model.n + 7
+        assert prob.c[model.bin_col["block", "p"]] == 80.0 * 10.0
+        assert prob.c[model.bin_col["flex", "g", 1]] == 5.0 * -4.0
+        assert prob.A_eq[model.eq_row["X", 1], model.bin_col["block", "q"]] == 2.0
+        assert prob.A_eq[model.eq_row["X", 0], model.bin_col["flex", "f", 1]] == 0.0
+        # the link q -> p, then the flex-once rows of f and g
+        assert prob.A_in[:, model.n:].tolist() == [
+            [-1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1, 1],
+        ]
+        assert prob.b_in.tolist() == [0.0, 1.0, 1.0]
+
+    def test_every_selection_pins_and_rounds_back_to_itself(self):
+        # seeds 922 and 927 have a link; ten seeds have flex bids over 2-3 hours
+        linked = multi_hour_flex = checked = 0
+        for seed in range(900, 940):
+            inst = random_instance(seed)
+            model = build_model(inst)
+            linked += bool(inst.links)
+            multi_hour_flex += bool(inst.flex_bids) and inst.hours > 1
+            for selection in _all_selections(inst):
+                pinned, _ = pinned_relaxation(inst, selection)
+                assert np.array_equal(pinned.lb[model.n:], pinned.ub[model.n:])
+                assert set(pinned.lb[model.n:]) <= {0.0, 1.0}
+                assert model.selection_at(pinned.lb) == selection
+                checked += 1
+        assert linked == 2 and multi_hour_flex == 10
+        assert checked == 695
+
+    def test_master_problems_share_no_factor_cache(self):
+        # a search that appends its cuts at row k must not see factorizations
+        # of another search's different row k
+        model = build_model(_linked_flex_book())
+        first, second = model.master(), model.master()
+        assert first is not second and first.factors is not second.factors
+        assert solve_qp(first, x0=balanced_start(model, first)).status == "optimal"
+        assert first.factors and not second.factors
+
+
+def _linked_flex_book():
+    """One area, two hours, three blocks with q linked to p, and two
+    2-hour flex bids."""
+    return make_instance(
+        {("X", 0): [[0, 20], [100, -20]], ("X", 1): [[0, 20], [100, -20]]},
+        hours=2,
+        blocks=[block("p", "X", 80, [4, 6]), block("q", "X", 30, [-3, 2]),
+                block("r", "X", 50, [0, -5])],
+        links=[("q", "p")],
+        flex=[flexbid("f", "X", 60, 3), flexbid("g", "X", 5, -4)],
+    )
 
 
 def _model_qp(model):

@@ -1,0 +1,86 @@
+"""Digests of the CLI's output over the comparison set.
+
+Runs ``clear --mode exact``, ``clear --mode heuristic`` and ``oracle``
+in-process through ``daclear.cli.run`` on every instance of the set:
+small-suite seeds 0-199, paradox seeds 1000-1109 and day-book seeds
+3000-3109 from ``bench/generate.py``, then the instances in ``fixtures/``.
+It prints one line per run:
+
+    family seed command exit-code sha256(stdout) sha256(stderr)
+
+Two trees behave the same on the set when their outputs diff empty:
+
+    PYTHONPATH=src python tools/digests.py > before.txt   # in one tree
+    PYTHONPATH=src python tools/digests.py > after.txt    # in the other
+    diff before.txt after.txt
+
+Run both with the same BLAS thread settings: a threaded matrix product may
+round differently.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = {
+    "small-suite": range(0, 200),
+    "paradox": range(1000, 1110),
+    "day-book": range(3000, 3110),
+}
+COMMANDS = {
+    "clear-exact": ("clear", "--mode", "exact"),
+    "clear-heuristic": ("clear", "--mode", "heuristic"),
+    "oracle": ("oracle",),
+}
+
+
+def generated():
+    """(family, seed, instance text) for each generated instance of the set."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import generate
+
+    for family, seeds in SEEDS.items():
+        for seed in seeds:
+            yield family, str(seed), generate.instance_text(family, seed)
+
+
+def fixtures():
+    """(family, name, instance text) for each instance in ``fixtures/``."""
+    for path in sorted((ROOT / "fixtures").glob("*.json")):
+        yield "fixture", path.stem, path.read_text(encoding="utf-8")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digest_lines(instances):
+    """One digest line per command and instance of ``instances``."""
+    from daclear.cli import run
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        for family, seed, text in instances:
+            path.write_text(text, encoding="utf-8")
+            for name, argv in COMMANDS.items():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run([*argv, "--instance", str(path)])
+                digests = f"{_sha(out.getvalue())} {_sha(err.getvalue())}"
+                yield f"{family} {seed} {name} {code} {digests}"
+
+
+def main() -> int:
+    for line in digest_lines([*generated(), *fixtures()]):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
