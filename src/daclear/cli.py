@@ -29,6 +29,7 @@ from .verify import (
     check_bounds,
     check_filling,
     check_flow_price,
+    check_links,
     oracle_clear,
 )
 
@@ -127,6 +128,7 @@ def _cmd_verify(args) -> int:
     filling = check_filling(instance, delta, prices, tol=args.tol)
     flow = check_flow_price(instance, flows, prices, tol=args.tol)
     bids = check_bid_prices(instance, selection, prices, tol=args.tol)
+    links = check_links(instance, selection)
     curt = curtailment_violations(instance, solution, tol=args.tol)
     doc = {
         "pass": (
@@ -135,6 +137,7 @@ def _cmd_verify(args) -> int:
             and filling.passed
             and flow.passed
             and bids.passed
+            and links.passed
             and not curt
         ),
         "clearing_balance_residual": balance,
@@ -142,6 +145,7 @@ def _cmd_verify(args) -> int:
         "filling": _report_doc(filling),
         "flow_price": _report_doc(flow),
         "bid_prices": _report_doc(bids),
+        "links": _report_doc(links),
         "curtailment_priority": {
             "pass": not curt,
             "violations": [

@@ -65,15 +65,15 @@ def _relative_gap(bound: float, welfare: float) -> float:
     return max(0.0, bound - welfare) / max(1.0, abs(bound))
 
 
-def _price(instance, model, solution, relax_losses, deadline):
+def _price(instance, model, solution, relax_losses, deadline, duals):
     """Pricing of a candidate, or None when no price in the interval supports it."""
     try:
-        return solve_qpprice(instance, model, solution, relax_losses, deadline)
+        return solve_qpprice(instance, model, solution, relax_losses, deadline, duals)
     except PriceInfeasible:
         return None
 
 
-def _leaf_test(instance, model, solution, exact, deadline):
+def _leaf_test(instance, model, solution, exact, deadline, duals):
     """Strict pricing and the curtailment check decide the leaf in both
     modes: one with loss-free prices and no curtailment violation passes
     with empty loss sets.  Loss-free prices make the least relaxed loss 0,
@@ -81,12 +81,16 @@ def _leaf_test(instance, model, solution, exact, deadline):
     loss sets and heuristic mode's bid cut.  Exact mode cuts off a failed
     leaf with one no-good cut; heuristic mode with a bid cut on the loss
     sets plus curtailment cuts, or a no-good cut when relaxed pricing
-    fails or these give no cut."""
-    pricing = _price(instance, model, solution, False, deadline)
+    fails or these give no cut.  Both pricings start from ``duals``, the
+    leaf's multipliers in the master (``MasterResult.duals``)."""
+    pricing = _price(instance, model, solution, False, deadline, duals)
     curt = curtailment_violations(instance, solution)
     if pricing is not None and not curt:
         return LossSets((), ()), curt, pricing, []
-    relaxed = None if pricing is not None else _price(instance, model, solution, True, deadline)
+    relaxed = (
+        None if pricing is not None
+        else _price(instance, model, solution, True, deadline, duals)
+    )
     sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
     no_good = [no_good_cut(model, solution.selection)]
     if exact or (pricing is None and relaxed is None):
@@ -142,7 +146,9 @@ def _branch_and_cut(instance, options, mode):
 
     def leaf_test(leaf):
         solution = solve_fixflow(instance, model, leaf.solution, deadline)
-        sets, curt, pricing, cuts = _leaf_test(instance, model, solution, exact, deadline)
+        sets, curt, pricing, cuts = _leaf_test(
+            instance, model, solution, exact, deadline, leaf.duals
+        )
         tested.append((leaf, solution, pricing))
         iterations.append(
             IterationRecord(

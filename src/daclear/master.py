@@ -22,8 +22,8 @@ import numpy as np
 from .core import Instance, PrimalSolution, presolve_price_bounds
 from .cuts import Cut
 from .errors import TimeLimit
-from .model import ClearingModel, balanced_start
-from .qp import END_TOL, QpProblem, infeasible_by_bounds, solve_qp
+from .model import ClearingModel, balanced_start, money_start
+from .qp import END_TOL, Multipliers, QpProblem, infeasible_by_bounds, multipliers, solve_qp
 
 @dataclass
 class MasterResult:
@@ -32,6 +32,11 @@ class MasterResult:
     objective: float = float("-inf")
     bound: float = float("inf")
     nodes: int = 0
+    # with a solution: the multipliers of its node's QP there, whose
+    # clearing-row and flow-row entries are also those of the welfare QP
+    # with the selection pinned (cut, link and flex-once rows hold no fill
+    # or flow)
+    duals: Optional[Multipliers] = None
 
 
 def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], model: ClearingModel) -> QpProblem:
@@ -77,14 +82,20 @@ def _solve_node(node: QpProblem, model, parent, deadline):
     node whose row activity bounds prove it infeasible is dropped without
     a QP.  A node with a ``parent`` solution (a child, or a node solved
     again under new cuts) starts from the parent's optimum and working
-    set; phase 1 from the parent's balanced point is the fallback, and the
-    root's start.  That point is built only when the search needs it: at
-    the root, and when the parametric start falls back."""
+    set; phase 1 from the parent's balanced point is the fallback.  The
+    root starts from ``money_start``.  These points are built only when
+    the search needs them: at the root, and when the parametric start
+    falls back."""
     if infeasible_by_bounds(node):
         return None
-    point = None if parent is None else parent.x
     sol = solve_qp(
-        node, x0=lambda: balanced_start(model, node, point), deadline=deadline, start=parent
+        node,
+        x0=lambda: (
+            money_start(model, node) if parent is None
+            else balanced_start(model, node, parent.x)
+        ),
+        deadline=deadline,
+        start=parent,
     )
     return sol if sol.status == "optimal" else None
 
@@ -135,10 +146,10 @@ def solve_master(
         bound = max([objective] + [entry[3] for entry in heap])
         if leaf is None:
             return MasterResult(status=status, bound=bound, nodes=nodes)
-        selection, x = leaf
+        selection, sol = leaf
         return MasterResult(
-            status=status, solution=model.primal(selection, x),
-            objective=objective, bound=bound, nodes=nodes,
+            status=status, solution=model.primal(selection, sol.x),
+            objective=objective, bound=bound, nodes=nodes, duals=multipliers(prob, sol),
         )
 
     push(float("inf"), (prob.lb, base_ub, None))  # bounds and a parent solution
@@ -148,7 +159,7 @@ def solve_master(
         entry = heapq.heappop(heap)
         _, _, _, bound, (node_lb, node_ub, parent), leaf = entry
         if leaf is not None and np.all(
-            prob.A_in[cut_rows:] @ leaf[1] <= prob.b_in[cut_rows:] + 1e-6
+            prob.A_in[cut_rows:] @ leaf[1].x <= prob.b_in[cut_rows:] + 1e-6
         ):
             # the master optimum under the cuts so far
             found = result("optimal", leaf, bound)
@@ -185,7 +196,7 @@ def solve_master(
         ]
         worst = max((f for f, _ in frac), default=0.0)
         if worst <= END_TOL:
-            push(sol.objective, (node_lb, node_ub, sol), (model.selection_at(sol.x), sol.x))
+            push(sol.objective, (node_lb, node_ub, sol), (model.selection_at(sol.x), sol))
             continue
         # branch on the most fractional binary, lowest column on ties
         j_star = min(

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BidSelection, Instance, PrimalSolution
-from .qp import FEAS_TOL, QpProblem
+from .qp import FEAS_TOL, QpProblem, rows_hold
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,11 @@ class ClearingModel:
     row_segs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
         init=False, repr=False, compare=False
     )
-    # (F, h, owner): the flow columns' inequality rows  F @ flows <= h,
+    # (F, h, source): the flow columns' inequality rows  F @ flows <= h,
     # each flow's upper and lower bound followed by the ramp rows whose
-    # last flow column it is; owner[i] is that flow's index.  Derived from
-    # lb, ub and A_in
+    # last flow column it is; source[i] is the row's index in [upper bounds,
+    # lower bounds, ramp rows], the order in which the welfare QP's
+    # multipliers price them.  Derived from lb, ub and A_in
     flow_rows: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False
     )
@@ -84,7 +85,7 @@ class ClearingModel:
         h = np.concatenate([self.ub[f], -self.lb[f], self.b_in])
         owner = np.where(F != 0.0, np.arange(len(eye)), -1).max(axis=1, initial=-1)
         order = np.argsort(owner, kind="stable")
-        object.__setattr__(self, "flow_rows", (F[order], h[order], owner[order]))
+        object.__setattr__(self, "flow_rows", (F[order], h[order], order))
 
     @property
     def n(self) -> int:
@@ -266,3 +267,44 @@ def balanced_start(
             fill[k] = bound[k] if take >= room else fill[k] + sign * take / span
         x[cols] = fill
     return x
+
+
+def money_start(model: ClearingModel, prob: QpProblem) -> np.ndarray:
+    """A start for ``prob``, a master problem on ``model``: the bids in the
+    money executed, when their balanced point meets every row of prob, and
+    otherwise ``balanced_start`` with every binary at its lower bound.
+
+    A bid is in the money when its surplus is positive at the marginal
+    prices of that balanced start: each clearing row's price is the one at
+    which its last filled segment is filled (its first segment's, at fill
+    0, when none is; 0 for a row without segments).  A link or flex-once
+    row that the bids in the money break keeps none of its columns, except
+    the hour of a flex bid with the largest surplus (the earliest on ties).
+    The executed bids' point is ``balanced_start`` of the balanced start
+    with these binaries set."""
+    x = balanced_start(model, prob)
+    n = model.n
+    g = prob.c[:n] + prob.d[:n] * x[:n]
+    pi = np.zeros(len(model.row_segs))
+    for r, (cols, _) in enumerate(model.row_segs):
+        if len(cols):
+            filled = cols[x[cols] > 0.0]
+            j = filled[-1] if len(filled) else cols[0]
+            pi[r] = g[j] / model.A_eq[r, j]
+    surplus = model.bin_c - pi @ model.bin_A_eq
+    y = np.where(surplus > 0.0, prob.ub[n:], prob.lb[n:])
+    broken = np.flatnonzero(model.link_A @ y > model.link_b + FEAS_TOL)
+    while len(broken):
+        for r in broken:
+            cols = np.flatnonzero(model.link_A[r])
+            on = cols[y[cols] > 0.0]
+            y[cols] = 0.0
+            if model.link_b[r] > 0.0:  # a flex-once row
+                y[on[np.argmax(surplus[on])]] = 1.0
+        broken = np.flatnonzero(model.link_A @ y > model.link_b + FEAS_TOL)
+    if not y.any():
+        return x
+    start = x.copy()
+    start[n:] = y
+    start = balanced_start(model, prob, start)
+    return start if rows_hold(prob, start) else x

@@ -23,7 +23,7 @@ import numpy as np
 from .core import Instance, PriceVector, PrimalSolution, selection_terms
 from .errors import PriceInfeasible, SolverFailure
 from .model import ClearingModel
-from .qp import INFEAS_TOL, QpProblem, QpSolution, infeasible_by_bounds, solve_qp
+from .qp import INFEAS_TOL, Multipliers, QpProblem, QpSolution, infeasible_by_bounds, solve_qp
 
 TIGHT_TOL = 1e-7
 
@@ -105,62 +105,35 @@ def _flow_stationarity(model: ClearingModel, flows):
     ``P @ prices + G @ multipliers = 0``, one row per flow column, with
     ``P = -A_eq[:, flow]'`` and ``G = -F[tight]'`` over the rows of
     ``model.flow_rows`` that are tight at ``flows``: -1 for an upper bound,
-    +1 for a lower bound and the negated ramp row.  ``owner`` names the
-    flow row each multiplier belongs to."""
-    F, h, owner = model.flow_rows
+    +1 for a lower bound and the negated ramp row.  ``source`` names the
+    flow row each multiplier belongs to (see ``ClearingModel.flow_rows``)."""
+    F, h, source = model.flow_rows
     tau = np.array([flows.get(key, 0.0) for key in model.flow_keys])
     tight = np.flatnonzero(h - F @ tau <= TIGHT_TOL)
     f = slice(len(model.seg_ids), model.n)
-    return -model.A_eq[:, f].T, -F[tight].T, owner[tight]
+    return -model.A_eq[:, f].T, -F[tight].T, source[tight]
 
 
-def _price_start(A_eq, owner, lb, ub, A_in, b_in, n_pi, n_lam):
-    """A start for the pricing QPs, whose columns are ``n_pi`` prices,
-    ``n_lam`` loss slacks and the flow multipliers, row ``owner[j]`` owning
-    multiplier ``j`` (see ``_flow_stationarity``).
+def _dual_start(model: ClearingModel, duals: Multipliers, source, lb, ub, A_in, b_in, n_lam):
+    """A start for the pricing QPs, whose columns are the prices, ``n_lam``
+    loss slacks and the multipliers of the tight flow rows ``source``
+    names, from ``duals``, the multipliers of a welfare QP on ``model``
+    with the priced selection pinned, at a dispatch of the same welfare.
 
-    Prices start at their lower bounds and rise to the least prices that
-    meet each row's sign rule: a row none of whose own multipliers has a
-    positive coefficient needs a price part of at least 0, and one none of
-    whose own multipliers has a negative coefficient at most 0.  These are
-    difference constraints, relaxed Bellman-Ford style, then clipped into
-    the bounds.  The rows then take their residuals from the last row back,
-    each on its first own multiplier of the opposite sign; a ramp
-    multiplier also sits in its earlier hour's row, so that row's residual
-    carries its value.  Each loss slack takes its row's excess.  Phase 1
-    runs only where this point is infeasible."""
-    m0 = n_pi + n_lam
-    rows = A_eq.tolist()  # plain floats: a book has a handful of rows
-    own = [[] for _ in rows]
-    for j, r in enumerate(owner.tolist()):
-        own[r].append(m0 + j)
-    rules = []  # (lo, hi): the price in column hi is at least the one in lo
-    for row, cols in zip(rows, own):
-        price = row[:n_pi]
-        lo, hi = price.index(min(price)), price.index(max(price))
-        if all(row[j] < 0.0 for j in cols):
-            rules.append((lo, hi))
-        if all(row[j] > 0.0 for j in cols):
-            rules.append((hi, lo))
-    pi = lb[:n_pi].tolist()
-    raised = True
-    while raised:
-        raised = False
-        for a, b in rules:
-            if pi[b] < pi[a]:
-                pi[b] = pi[a]
-                raised = True
-    x = np.zeros(len(lb))
-    x[:n_pi] = np.clip(pi, lb[:n_pi], ub[:n_pi])
-    for r in reversed(range(len(rows))):
-        residual = float(A_eq[r] @ x)
-        for j in own[r]:
-            if rows[r][j] * residual < 0.0:
-                x[j] = abs(residual)
-                break
+    Each price starts at its clearing row's multiplier clipped into its
+    bounds, each flow-row multiplier at the welfare QP's (the flow bounds'
+    from its reduced gradient, the ramp rows' from ``mu_in``), and each
+    loss slack at its row's excess.  A convex QP has one multiplier set
+    for all its optima, so these multipliers also meet the stationarity
+    rows at FixFlow's flows, and phase 1 runs only where a price leaves
+    its bounds or, without slacks, a bid loses."""
+    n_pi = len(model.eq_keys)
+    f = slice(len(model.seg_ids), model.n)
+    flow = np.concatenate((duals.nu_upper[f], duals.nu_lower[f], duals.mu_in[:len(model.b_in)]))
+    x = np.concatenate((np.clip(duals.y_eq, lb[:n_pi], ub[:n_pi]), np.zeros(n_lam), flow[source]))
     if n_lam:
         excess = A_in[:, :n_pi] @ x[:n_pi] - b_in
-        x[n_pi:m0] = np.clip(excess, 0.0, ub[n_pi:m0])
+        x[n_pi:n_pi + n_lam] = np.clip(excess, 0.0, ub[n_pi:n_pi + n_lam])
     return x
 
 
@@ -178,11 +151,15 @@ def solve_qpprice(
     solution: PrimalSolution,
     relax_losses: bool = False,
     deadline: Optional[float] = None,
+    duals: Optional[Multipliers] = None,
 ) -> PricingOutcome:
     """Prices that support ``solution`` on ``model``, the clearing model of
     ``instance``.  With ``relax_losses``, a first QP finds the least total
     loss of the executed fill-or-kill bids, and the prices are chosen among
-    those that keep it."""
+    those that keep it.  ``duals``, the multipliers of the welfare QP with
+    the selection pinned at a dispatch of ``solution``'s welfare (a
+    master leaf's or the oracle's relaxation), start the QPs
+    (``_dual_start``); without them they start cold."""
     iv = instance.interval
     bids = []  # (id, area, [(hour, quantity)], limit price) per executed bid
     for bid in solution.selection.executed_blocks():
@@ -191,7 +168,7 @@ def solve_qpprice(
     for fid, t in solution.selection.executed_flex():
         f = instance.flex_by_id[fid]
         bids.append((fid, f.area, [(t, f.quantity)], f.limit_price))
-    P, G, owner = _flow_stationarity(model, solution.flows)
+    P, G, source = _flow_stationarity(model, solution.flows)
     n_pi = len(model.eq_keys)
     n_lam = len(bids) if relax_losses else 0
     lam = slice(n_pi, n_pi + n_lam)
@@ -239,7 +216,7 @@ def solve_qpprice(
             A_in[r, model.eq_row[area, t]] += q
             b_in[r] += limit * q
     A_in[np.arange(n_lam), n_pi + np.arange(n_lam)] = -1.0
-    x1 = _price_start(A_eq, owner, lb, ub, A_in, b_in, n_pi, n_lam)
+    x1 = None if duals is None else _dual_start(model, duals, source, lb, ub, A_in, b_in, n_lam)
 
     if n_lam:
         c1 = np.zeros(n)

@@ -135,6 +135,11 @@ class QpSolution:
     # parametric start
     iterations: int = 0
     working: Optional[WorkingSet] = None  # when optimal
+    # when optimal, the multipliers the last iteration computed to prove it:
+    # (y, mu_w, r), the equality and working-row multipliers (in
+    # ``working.rows`` order) and the reduced gradient  g - K'lam, from which
+    # ``multipliers`` builds the bound multipliers without a factorization
+    duals: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 @dataclass
@@ -563,7 +568,7 @@ def infeasible_by_bounds(prob: QpProblem) -> bool:
     return bool((low.sum(axis=1) > limit).any())
 
 
-def _rows_hold(prob: QpProblem, x: np.ndarray) -> bool:
+def rows_hold(prob: QpProblem, x: np.ndarray) -> bool:
     """True when x satisfies prob's rows at FEAS_TOL."""
     return bool(
         (np.abs(prob.A_eq @ x - prob.b_eq) <= FEAS_TOL).all()
@@ -579,7 +584,7 @@ def _warm_start(solver: _ActiveSet, prob: QpProblem, start: QpSolution, deadline
     must satisfy prob's rows, so a new row it violates means a fallback.
     ``_ActiveSet.follow`` then moves the pinned columns to their values,
     and its end point must be feasible at FEAS_TOL."""
-    if not _rows_hold(prob, start.x):
+    if not rows_hold(prob, start.x):
         return None
     work, state = list(start.working.rows), start.working.state.copy()
     state[prob.lb == prob.ub] = PINNED
@@ -588,7 +593,7 @@ def _warm_start(solver: _ActiveSet, prob: QpProblem, start: QpSolution, deadline
         return None
     x, breakpoints = out
     if not (
-        _rows_hold(prob, x) and (x >= prob.lb - FEAS_TOL).all() and (x <= prob.ub + FEAS_TOL).all()
+        rows_hold(prob, x) and (x >= prob.lb - FEAS_TOL).all() and (x <= prob.ub + FEAS_TOL).all()
     ):
         return None
     return x, work, state, breakpoints
@@ -610,18 +615,19 @@ def solve_qp(
     ``start``, or when that pass falls back, the search starts from x0
     clipped into the box, or from the clipped origin when x0 is None;
     callers that know a better start pass it (the clearing QPs pass
-    ``model.balanced_start``, pricing ``pricing._price_start`` over its
-    stationarity rows), and phase 1 runs only when that point is
-    infeasible.  x0 may also be a function that builds the start, called
-    only when the search needs it, so a caller with a ``start`` pays for
-    the fallback's start only when the pass falls back.  Infeasibility is
-    always phase 1's verdict.  A fallback's
-    breakpoints are not counted in ``iterations``.  With a ``deadline``
-    (a ``time.monotonic()`` instant), every active-set iteration and
+    ``model.balanced_start`` or, at the master root, ``model.money_start``;
+    pricing passes the welfare QP's multipliers), and phase 1 runs only
+    when that point is infeasible.  x0 may also be a function that builds
+    the start, called only when the search needs it, so a caller with a
+    ``start`` pays for the fallback's start only when the pass falls back.
+    Infeasibility is always phase 1's verdict.  A fallback's breakpoints
+    are not counted in ``iterations``.  With a ``deadline`` (a
+    ``time.monotonic()`` instant), every active-set iteration and
     breakpoint checks the clock and raises TimeLimit once it has passed.
-    An optimal solution carries its ``working`` set, from which
-    ``multipliers`` derives its multipliers.  The active-set steps take
-    their factorizations from ``prob.factors``; phase 1 keeps its own."""
+    An optimal solution carries its ``working`` set and the ``duals`` that
+    proved it optimal, from which ``multipliers`` builds its multipliers.
+    The active-set steps take their factorizations from ``prob.factors``;
+    phase 1 keeps its own."""
     solver = _ActiveSet(
         prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub,
         prob.factors,
@@ -647,26 +653,23 @@ def solve_qp(
         objective=prob.objective(x),
         iterations=iters,
         working=WorkingSet(tuple(work), state),
+        duals=out,
     )
 
 
 def multipliers(prob: QpProblem, sol: QpSolution) -> Multipliers:
-    """Multipliers of ``sol``, an optimal solution of prob, from its working
-    set at ``sol.x``: the least-squares equality and working-row
-    multipliers on the free columns (minimum-norm when the working rows
-    are dependent), and the bound multipliers from the reduced gradient,
-    where a pinned column takes the side its sign says."""
-    work, state = list(sol.working.rows), sol.working.state
-    free = state == FREE
-    K = np.concatenate((prob.A_eq, prob.A_in[work]))
-    _, P, Vr = _factor(K[:, free])
-    g = prob.c + prob.d * sol.x
-    lam = P @ (Vr @ g[free])
-    m = len(prob.b_eq)
+    """Multipliers of ``sol``, an optimal solution of prob or of a problem
+    with prob's columns, equality rows and leading inequality rows, from
+    the ``duals`` its solve ended with: the least-squares equality and
+    working-row multipliers on the free columns of its working set at
+    ``sol.x`` (minimum-norm when the working rows are dependent), and the
+    bound multipliers from the reduced gradient, where a pinned column
+    takes the side its sign says."""
+    y, mu_w, r = sol.duals
     mu_in = np.zeros(len(prob.b_in))
-    mu_in[work] = np.maximum(lam[m:], 0.0)
-    nu_lower, nu_upper = _bound_multipliers(state, g - K.T @ lam)
-    return Multipliers(y_eq=lam[:m], mu_in=mu_in, nu_lower=nu_lower, nu_upper=nu_upper)
+    mu_in[list(sol.working.rows)] = np.maximum(mu_w, 0.0)
+    nu_lower, nu_upper = _bound_multipliers(sol.working.state, r)
+    return Multipliers(y_eq=y, mu_in=mu_in, nu_lower=nu_lower, nu_upper=nu_upper)
 
 
 def check_kkt(prob: QpProblem, sol: QpSolution, tol: float = 1e-8) -> KktReport:

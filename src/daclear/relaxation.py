@@ -12,15 +12,16 @@ from __future__ import annotations
 from .core import BidSelection, PrimalSolution
 from .errors import InfeasibleSelection, SolverFailure
 from .model import ClearingModel, balanced_start
-from .qp import QpProblem, solve_qp
+from .qp import Multipliers, QpProblem, multipliers, solve_qp
 
 
 def solve_relaxation(
     pinned: QpProblem, model: ClearingModel, selection: BidSelection
-) -> tuple[float, PrimalSolution]:
-    """(objective, primal) of ``pinned``, a master problem on ``model`` with
-    its binary columns pinned at ``selection``, solved from its balanced
-    start."""
+) -> tuple[float, PrimalSolution, Multipliers]:
+    """(objective, primal, duals) of ``pinned``, a master problem on
+    ``model`` with its binary columns pinned at ``selection``, solved from
+    its balanced start; ``duals`` are the multipliers at its optimum, which
+    start pricing (``pricing.solve_qpprice``)."""
     sol = solve_qp(pinned, x0=balanced_start(model, pinned))
     if sol.status == "infeasible":
         raise InfeasibleSelection(
@@ -29,4 +30,4 @@ def solve_relaxation(
         )
     if sol.status != "optimal":
         raise SolverFailure(f"unexpected relaxation status {sol.status!r}")
-    return sol.objective, model.primal(selection, sol.x)
+    return sol.objective, model.primal(selection, sol.x), multipliers(pinned, sol)

@@ -220,6 +220,16 @@ def check_bid_prices(
     return ConditionReport.from_violations(violations)
 
 
+def check_links(instance: Instance, selection: BidSelection) -> ConditionReport:
+    """No executed child block whose parent block is rejected: one
+    violation per broken link, located at (child, parent)."""
+    return ConditionReport.from_violations(
+        Violation((child, parent), 1.0, "link")
+        for child, parent in instance.links
+        if selection.blocks.get(child, 0) > selection.blocks.get(parent, 0)
+    )
+
+
 def check_bounds(
     instance: Instance,
     delta: Mapping[int, float],
@@ -286,10 +296,10 @@ def _all_selections(instance: Instance):
 
 
 def _relaxations(instance: Instance, model: ClearingModel):
-    """(objective, index, primal) of each enumerated selection whose
-    relaxation clears, in enumeration order.  The relaxation is the master
-    problem on ``model``, the clearing model of ``instance``, with its
-    binary columns pinned at the selection."""
+    """(objective, index, primal, duals) of each enumerated selection whose
+    relaxation clears, in enumeration order (see ``solve_relaxation``).
+    The relaxation is the master problem on ``model``, the clearing model
+    of ``instance``, with its binary columns pinned at the selection."""
     prob = model.master()
     for idx, selection in enumerate(_all_selections(instance)):
         lb, ub = prob.lb.copy(), prob.ub.copy()
@@ -298,10 +308,10 @@ def _relaxations(instance: Instance, model: ClearingModel):
         if infeasible_by_bounds(pinned):
             continue  # no fill or flow inside its bounds clears this volume
         try:
-            objective, primal = solve_relaxation(pinned, model, selection)
+            objective, primal, duals = solve_relaxation(pinned, model, selection)
         except InfeasibleSelection:
             continue
-        yield objective, idx, primal
+        yield objective, idx, primal, duals
 
 
 def oracle_clear(instance: Instance, cap: int = 12):
@@ -322,10 +332,10 @@ def oracle_clear(instance: Instance, cap: int = 12):
     model = build_model(instance)
     candidates = sorted(_relaxations(instance, model), key=lambda rec: (-rec[0], rec[1]))
     frontier = []
-    for objective, _, primal in candidates:
+    for objective, _, primal, duals in candidates:
         fixed = solve_fixflow(instance, model, primal)
         try:
-            pricing = solve_qpprice(instance, model, fixed, relax_losses=False)
+            pricing = solve_qpprice(instance, model, fixed, relax_losses=False, duals=duals)
         except PriceInfeasible:
             frontier.append((objective, primal.selection, False))
             continue

@@ -196,6 +196,26 @@ class TestVerify:
             assert loose[check]["pass"] is True, check
         assert loose["pass"] is True
 
+    def test_child_without_its_parent_fails(self, capsys, tmp_path):
+        # a 20 MW supply step at 5; child q runs without its parent p, and
+        # every other check passes with the curve balancing q at fill 0.75
+        inst = make_instance({("X", 0): [[5, 0], [5, -20]]},
+                             blocks=[block("p", "X", 80, [5]), block("q", "X", 10, [5])],
+                             links=[("q", "p")])
+        prices = [("X", 0, 5.0)]
+        doc = self._verify_doc(capsys, tmp_path, inst,
+                               self._doc(inst, [0.75], prices=prices, blocks={"p": 0, "q": 1}))
+        assert doc["links"] == {"pass": False, "violations": [
+            {"location": ["q", "p"], "amount": 1.0, "condition": "link"}]}
+        assert doc["clearing_balance_residual"] == 0.0
+        for check in ("bounds", "filling", "flow_price", "bid_prices", "curtailment_priority"):
+            assert doc[check]["pass"] is True, check
+        assert doc["pass"] is False
+        doc = self._verify_doc(capsys, tmp_path, inst,
+                               self._doc(inst, [0.5], prices=prices, blocks={"p": 1, "q": 1}))
+        assert doc["links"] == {"pass": True, "violations": []}
+        assert doc["pass"] is True
+
     def _two_area(self, ramp=None):
         """20 MW of supply at 10 in R, 20 MW of demand at 60 in S, and a
         connector R -> S bounded to [-5, 5]."""

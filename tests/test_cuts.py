@@ -188,8 +188,8 @@ class TestLeafTestCuts:
         leaf_test = driver._leaf_test
         tested = []
 
-        def spy(instance, model, solution, exact, deadline):
-            out = leaf_test(instance, model, solution, exact, deadline)
+        def spy(instance, model, solution, exact, deadline, duals):
+            out = leaf_test(instance, model, solution, exact, deadline, duals)
             *_, cuts = out
             tested.append((instance, solution.selection, cuts))
             return out

@@ -250,9 +250,9 @@ def _spy_pricing(monkeypatch, check=None):
     ``check`` runs after each call that finds prices."""
     calls = []
 
-    def spy(instance, model, solution, relax_losses, deadline):
+    def spy(instance, model, solution, relax_losses, deadline, duals):
         try:
-            out = solve_qpprice(instance, model, solution, relax_losses, deadline)
+            out = solve_qpprice(instance, model, solution, relax_losses, deadline, duals)
         except PriceInfeasible:
             calls.append((relax_losses, False))
             raise

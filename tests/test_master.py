@@ -5,13 +5,13 @@ import pytest
 
 import numpy as np
 
-from daclear import master, qp
+from daclear import master, model as clearing_model, qp
 from daclear.core import BidSelection
 from daclear.cuts import LossSets, bid_cut, no_good_cut
 from daclear.errors import TimeLimit
 from daclear.io import parse_instance
 from daclear.master import _with_cuts, solve_master
-from daclear.model import balanced_start, build_model
+from daclear.model import balanced_start, build_model, money_start
 
 from helpers import (
     appendix_a, block, expiring_clock, flexbid, make_instance, paradox_book, random_instance,
@@ -89,7 +89,7 @@ class TestBranching:
         for seed in range(8):
             inst = random_instance(seed)
             relaxed = _relaxations(inst, build_model(inst))
-            best = max((objective for objective, _, _ in relaxed), default=None)
+            best = max((objective for objective, *_ in relaxed), default=None)
             res = solve_master(inst, build_model(inst))
             if best is None:
                 assert res.status == "infeasible"
@@ -288,6 +288,57 @@ class TestStarts:
         res = solve_master(inst, build_model(inst))
         assert res.status == "optimal"
         assert runs[0] == 0
+
+    def test_root_starts_with_the_bids_in_the_money(self, monkeypatch):
+        # at the balanced start's marginal prices (50 in both hours) buyer
+        # d (limit 80) and seller s (20) are in the money and buyer e (10)
+        # is not; the curve absorbs d and s, so the root QP starts with
+        # them executed, which is its optimum
+        inst = make_instance(
+            {("X", t): [[0, 30], [100, -30]] for t in (0, 1)},
+            hours=2,
+            blocks=[block("d", "X", 80, [5, 8]), block("s", "X", 20, [-4, -6]),
+                    block("e", "X", 10, [3, 3])],
+        )
+        model = build_model(inst)
+        prob = model.master()
+        start = money_start(model, prob)
+        assert start[model.n:].tolist() == [1.0, 1.0, 0.0]
+        balanced = qp.solve_qp(prob, x0=balanced_start(model, prob))
+        started = qp.solve_qp(prob, x0=start)
+        assert started.iterations < balanced.iterations
+        assert started.objective == pytest.approx(balanced.objective, abs=1e-9)
+        roots = []
+        solve = master.solve_qp
+
+        def spy(prob, *args, **kwargs):
+            sol = solve(prob, *args, **kwargs)
+            roots.append(sol)
+            return sol
+
+        monkeypatch.setattr(master, "solve_qp", spy)
+        solve_master(inst, model)
+        assert roots[0].iterations == started.iterations
+        assert np.array_equal(roots[0].x, started.x)
+
+    def test_thin_curve_falls_back_to_the_balanced_start(self, monkeypatch):
+        # d0 and s1 are in the money at the balanced start's prices, but
+        # the thin curve cannot absorb them, so the root keeps that start
+        model = build_model(paradox_book(0))
+        prob = model.master()
+        points = []
+        balanced = clearing_model.balanced_start
+
+        def spy(*args):
+            points.append(balanced(*args))
+            return points[-1]
+
+        monkeypatch.setattr(clearing_model, "balanced_start", spy)
+        start = money_start(model, prob)
+        assert len(points) == 2
+        assert points[1][model.n:].tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert not qp.rows_hold(prob, points[1])
+        assert np.array_equal(start, points[0])
 
     def test_feasible_children_skip_phase_one(self, monkeypatch):
         # children start from their parent's optimum and working set: phase

@@ -90,8 +90,9 @@ class TestRampRows:
         # ATC 1000 both hours, ramp 6 from flow 18; the hour-1 ramp rows
         # also reach back to hour 0's flow
         model = build_model(ramp_fixture())
-        F, h, owner = model.flow_rows
-        assert owner.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        F, h, source = model.flow_rows
+        # indices into [upper bounds, lower bounds, ramp rows]
+        assert source.tolist() == [0, 2, 4, 5, 1, 3, 6, 7]
         assert F.tolist() == [
             [1, 0], [-1, 0], [1, 0], [-1, 0],  # hour 0: upper, lower, fwd, bwd
             [0, 1], [0, -1], [-1, 1], [1, -1],  # hour 1

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from daclear import pricing
+from daclear import driver, pricing, qp
 from daclear.core import BidSelection, PrimalSolution, clearing_residuals, welfare_of
 from daclear.driver import clear_exact, clear_heuristic
 from daclear.errors import PriceInfeasible
 from daclear.model import build_model
 from daclear.pricing import clamp_prices, solve_fixflow, solve_qpprice
-from daclear.qp import QpProblem, solve_qp
+from daclear.qp import rows_hold, solve_qp
 from daclear.master import solve_master
 from daclear.verify import _relaxations
 
@@ -153,16 +153,18 @@ class TestPriceBounds:
 
 
 def _pricing_cases(instances):
-    """(instance, FixFlow solution) for every selection of each instance
-    whose relaxation clears: priced, loss-making and unpriceable ones."""
+    """(instance, FixFlow solution, duals of its relaxation) for every
+    selection of each instance whose relaxation clears: priced,
+    loss-making and unpriceable ones."""
     for inst in instances:
-        for _, _, primal in _relaxations(inst, build_model(inst)):
-            yield inst, solve_fixflow(inst, build_model(inst), primal)
+        model = build_model(inst)
+        for _, _, primal, duals in _relaxations(inst, model):
+            yield inst, solve_fixflow(inst, model, primal), duals
 
 
-def _outcome(inst, sol, relax):
+def _outcome(inst, sol, relax, duals=None):
     try:
-        out = solve_qpprice(inst, build_model(inst), sol, relax_losses=relax)
+        out = solve_qpprice(inst, build_model(inst), sol, relax_losses=relax, duals=duals)
     except PriceInfeasible as exc:
         return str(exc)
     return out.prices.pi, out.total_loss
@@ -180,24 +182,37 @@ def _spy_pricing_qps(monkeypatch):
     return seen
 
 
-def _ramp_free(inst):
-    return all(c.ramp_rate is None for c in inst.interconnectors)
+def _phase1_runs(monkeypatch):
+    """One flag per ``qp._phase1`` call: True when the start was
+    infeasible, so that phase 1 ran (a feasible start comes back as it
+    is)."""
+    runs = []
+    phase1 = qp._phase1
+
+    def spy(prob, x0, deadline=None):
+        out = phase1(prob, x0, deadline)
+        runs.append(out[0] is not x0)
+        return out
+
+    monkeypatch.setattr(qp, "_phase1", spy)
+    return runs
 
 
 class TestPriceStart:
-    """Pricing starts from prices that meet the sign rules of the flow
-    multipliers, multipliers that absorb the price differences and loss
-    slacks that absorb the loss rows."""
+    """Pricing starts from the welfare QP's multipliers: the prices at the
+    clearing rows' multipliers, the flow rows' multipliers as they are and
+    loss slacks that absorb the loss rows."""
 
     INSTANCES = [random_instance(seed) for seed in range(40)] + [
         f2(), f3(), diamond(), ramp_fixture(), appendix_a(),
     ]
 
-    def test_inside_the_box_and_never_cold(self, monkeypatch):
+    def test_inside_the_box_with_duals_and_cold_without(self, monkeypatch):
+        cases = list(_pricing_cases(self.INSTANCES))
         seen = _spy_pricing_qps(monkeypatch)
-        for inst, sol in _pricing_cases(self.INSTANCES):
+        for inst, sol, duals in cases:
             for relax in (False, True):
-                _outcome(inst, sol, relax)
+                _outcome(inst, sol, relax, duals)
         for inst in self.INSTANCES[:10]:
             clear_exact(inst)
             clear_heuristic(inst)
@@ -205,77 +220,80 @@ class TestPriceStart:
         for prob, x0 in seen:
             assert x0 is not None
             assert np.all(prob.lb <= x0) and np.all(x0 <= prob.ub)
+        seen.clear()
+        for inst, sol, _ in cases[:100]:
+            _outcome(inst, sol, relax=False)
+        assert seen and all(x0 is None for _, x0 in seen)
 
-    def test_meets_the_rows_when_the_rules_fit_the_bounds(self, monkeypatch):
-        # without ramp multipliers no value carries between hours, so the
-        # start meets every equality row whenever some point in the box
-        # does; each loss slack covers its row up to the slack's cap
+    def test_meets_the_rows_where_the_duals_fit_the_bounds(self, monkeypatch):
+        # the multipliers meet the stationarity rows, and each loss slack
+        # covers its row within its cap while the prices stay inside the
+        # interval, so relaxed pricing starts feasible wherever the clip
+        # moved no price beyond round-off
+        cases = list(_pricing_cases(self.INSTANCES))
         seen = _spy_pricing_qps(monkeypatch)
-        cases = [case for case in _pricing_cases(self.INSTANCES) if _ramp_free(case[0])]
-        for inst, sol in cases:
-            _outcome(inst, sol, relax=True)
         checked = 0
-        for prob, x0 in seen:
-            if not prob.d.any():  # the relaxed stage 1: x0 is the start
-                n = prob.n
-                rows = QpProblem(c=np.zeros(n), d=np.zeros(n), A_eq=prob.A_eq,
-                                 b_eq=prob.b_eq, A_in=np.zeros((0, n)), b_in=[],
-                                 lb=prob.lb, ub=prob.ub)
-                if len(prob.b_eq) and solve_qp(rows).status == "optimal":
-                    assert np.max(np.abs(prob.A_eq @ x0 - prob.b_eq)) <= 1e-9
-                    checked += 1
-                covered = prob.A_in @ x0 - prob.b_in <= 1e-9
-                at_cap = x0[prob.c < 0] == prob.ub[prob.c < 0]
-                assert np.all(covered | at_cap)
-        assert checked > 50
+        for inst, sol, duals in cases:
+            seen.clear()
+            _outcome(inst, sol, relax=True, duals=duals)
+            if not seen:  # decided by the row test
+                continue
+            prob, x0 = seen[0]
+            if np.max(np.abs(x0[:len(duals.y_eq)] - duals.y_eq)) <= 1e-12:
+                assert rows_hold(prob, x0)
+                checked += 1
+        assert checked > 400
 
-    def test_a_ramp_carries_into_the_previous_hour(self, monkeypatch):
-        # the flow climbs 6 MW an hour, its ramp limit, so rho_fwd is tight
-        # at both hours; rho_fwd at hour 1 also sits in hour 0's row, and
-        # the start must carry its value there.  Half-sloped segments pin R
-        # at 10, S at 20 in hour 0 and at 30 in hour 1
-        inst = make_instance(
-            {(a, t): [[0, 30], [100, -30]] for a in "RS" for t in (0, 1)},
-            [connector("c1", "R", "S", [-100, -100], [100, 100], ramp=6.0)],
-            hours=2,
-        )
-        price = {("R", 0): 10.0, ("R", 1): 10.0, ("S", 0): 20.0, ("S", 1): 30.0}
-        fills = {seg.id: 1.0 - price[inst.segment_location[seg.id]] / 100.0
-                 for seg in inst.segments}
-        sol = PrimalSolution(selection=BidSelection(), delta=fills,
-                             flows={("c1", 0): 6.0, ("c1", 1): 12.0})
+    @staticmethod
+    def _accepted_leaf_pricing(monkeypatch, inst):
+        """(phase-1 flags, problem, start) of the QPs of the accepted
+        leaf's strict pricing in ``clear_exact(inst)``."""
+        runs = _phase1_runs(monkeypatch)
         seen = _spy_pricing_qps(monkeypatch)
-        out = solve_qpprice(inst, build_model(inst), sol)
-        assert out.prices["S", 1] - out.prices["R", 1] == pytest.approx(20.0, abs=1e-9)
-        prob, x0 = seen[0]
-        assert sorted(x0[4:]) == pytest.approx([20.0, 30.0], abs=1e-12)
-        assert np.max(np.abs(prob.A_eq @ x0 - prob.b_eq)) <= 1e-12
+        strict = []
 
-    def test_prices_rise_along_a_chain(self, monkeypatch):
-        # A -> B -> C with both flows inside their limits: all three prices
-        # must be equal, and A's is pinned at 50.  The connectors are listed
-        # from the far end, so the rise needs a second pass to reach C
-        inst = make_instance(
-            {("A", 0): [[0, 30], [100, -30]], ("B", 0): [[0, 0], [100, 0]],
-             ("C", 0): [[0, 0], [100, 0]]},
-            [connector("BC", "B", "C", [-100], [100]),
-             connector("AB", "A", "B", [-100], [100])],
-            areas=["A", "B", "C"],
-        )
-        sol = PrimalSolution(selection=BidSelection(), delta={0: 0.5}, flows={})
-        seen = _spy_pricing_qps(monkeypatch)
-        out = solve_qpprice(inst, build_model(inst), sol)
-        assert [out.prices[a, 0] for a in "ABC"] == pytest.approx([50.0] * 3, abs=1e-9)
-        prob, x0 = seen[0]
-        assert list(x0) == [50.0, 50.0, 50.0]
+        def spy(instance, model, solution, relax_losses, deadline, duals):
+            assert duals is not None
+            runs.clear()
+            seen.clear()
+            out = solve_qpprice(instance, model, solution, relax_losses, deadline, duals)
+            if not relax_losses:
+                strict.append((list(runs), *seen[0]))
+            return out
+
+        monkeypatch.setattr(driver, "solve_qpprice", spy)
+        assert clear_exact(inst).status == "optimal"
+        return strict[-1]
+
+    @pytest.mark.parametrize("make", [f3, ramp_fixture])
+    def test_accepted_leaf_runs_no_phase_one(self, monkeypatch, make):
+        # congestion on f3; on ramp_fixture the ramp rows bind at both
+        # hours: the binding rows' multipliers start where the master has them
+        inst = make()
+        runs, prob, x0 = self._accepted_leaf_pricing(monkeypatch, inst)
+        assert runs == [False]
+        assert np.any(x0[len(build_model(inst).eq_keys):] > 0.0)
+
+    def test_phase_one_only_for_a_broken_no_loss_row(self, monkeypatch):
+        # the accepted leaf {c, d} of appendix_a: its master node prices X
+        # at block b's limit 2, a multiplier of the pinned welfare QP at
+        # which seller c (limit 3) loses, so only c's no-loss row breaks
+        runs, prob, x0 = self._accepted_leaf_pricing(monkeypatch, appendix_a())
+        assert runs == [True]
+        assert x0[0] == pytest.approx(2.0, abs=1e-12)
+        assert np.all(prob.lb <= x0) and np.all(x0 <= prob.ub)
+        assert np.max(np.abs(prob.A_eq @ x0 - prob.b_eq), initial=0.0) <= 1e-12
+        assert np.flatnonzero(prob.A_in @ x0 > prob.b_in).tolist() == [0]
 
     def test_matches_the_cold_start(self, monkeypatch):
         # the same prices and verdicts as pricing with no start and no row test
         cases = list(_pricing_cases(self.INSTANCES))
-        started = [_outcome(inst, sol, relax) for inst, sol in cases for relax in (False, True)]
-        monkeypatch.setattr(pricing, "_price_start", lambda *args: None)
+        started = [
+            _outcome(inst, sol, relax, duals)
+            for inst, sol, duals in cases for relax in (False, True)
+        ]
         monkeypatch.setattr(pricing, "infeasible_by_bounds", lambda prob: False)
-        cold = [_outcome(inst, sol, relax) for inst, sol in cases for relax in (False, True)]
+        cold = [_outcome(inst, sol, relax) for inst, sol, _ in cases for relax in (False, True)]
         verdicts = [isinstance(out, str) for out in cold]
         assert 100 < sum(verdicts) < len(verdicts) - 100
         for a, b in zip(started, cold):

@@ -110,6 +110,35 @@ class TestKkt:
             assert rep.passed
             assert rep.max_residual <= 1e-8
 
+    def test_kept_multipliers_match_a_fresh_factorization(self):
+        # ``multipliers`` reads the duals the optimal exit computed; the
+        # reference factors the working matrix again and solves for them
+        from test_acceptance import _random_qp
+
+        rng = np.random.default_rng(99)
+        solved = 0
+        for _ in range(1000):
+            prob = _random_qp(rng, int(rng.integers(1, 21)))
+            sol = solve_qp(prob)
+            if sol.status != "optimal":
+                continue
+            work, state = list(sol.working.rows), sol.working.state
+            free = state == qp.FREE
+            K = np.concatenate((prob.A_eq, prob.A_in[work]))
+            _, P, Vr = qp._factor(K[:, free])
+            g = prob.c + prob.d * sol.x
+            lam = P @ (Vr @ g[free])
+            m = len(prob.b_eq)
+            mu_in = np.zeros(len(prob.b_in))
+            mu_in[work] = np.maximum(lam[m:], 0.0)
+            nu_lower, nu_upper = qp._bound_multipliers(state, g - K.T @ lam)
+            kept = multipliers(prob, sol)
+            for name, ref in (("y_eq", lam[:m]), ("mu_in", mu_in),
+                              ("nu_lower", nu_lower), ("nu_upper", nu_upper)):
+                assert np.max(np.abs(getattr(kept, name) - ref), initial=0.0) <= 1e-12
+            solved += 1
+        assert solved >= 500
+
     def test_detects_tampering(self):
         prob = _prob([3.0], [-2.0], lb=np.array([-5.0]), ub=np.array([5.0]))
         sol = solve_qp(prob)

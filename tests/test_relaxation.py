@@ -93,7 +93,7 @@ class TestAssemble:
 class TestSolveRelaxation:
     def test_appendix_a_cd(self):
         inst = appendix_a()
-        objective, primal = _relax(inst, _sel({"c": 1, "d": 1}))
+        objective, primal, _ = _relax(inst, _sel({"c": 1, "d": 1}))
         assert objective == pytest.approx(2.0, abs=1e-9)
         res = clearing_residuals(inst, primal)
         assert max(abs(r) for r in res.values()) <= 1e-9
@@ -105,11 +105,12 @@ class TestSolveRelaxation:
         with pytest.raises(InfeasibleSelection):
             _relax(inst, d_only)
         # so the oracle never ranks it
-        assert d_only not in [primal.selection for _, _, primal in _relaxations(inst, build_model(inst))]
+        relaxed = _relaxations(inst, build_model(inst))
+        assert d_only not in [primal.selection for _, _, primal, _ in relaxed]
 
     def test_two_area_flow_uncongested(self, solves):
         inst = f2()
-        _, primal = _relax(inst, inst.empty_selection())
+        _, primal, _ = _relax(inst, inst.empty_selection())
         assert primal.flows["c1", 0] == pytest.approx(30.0, abs=1e-7)
         # the clearing rows' multipliers are the areas' prices (R, then S)
         [(prob, sol)] = solves
@@ -117,7 +118,7 @@ class TestSolveRelaxation:
 
     def test_two_area_flow_congested(self, solves):
         inst = f3()
-        _, primal = _relax(inst, inst.empty_selection())
+        _, primal, _ = _relax(inst, inst.empty_selection())
         assert primal.flows["c1", 0] == pytest.approx(20.0, abs=1e-7)
         [(prob, sol)] = solves
         mult = multipliers(prob, sol)
@@ -128,7 +129,7 @@ class TestSolveRelaxation:
 
     def test_ramp_limits_bind(self):
         inst = ramp_fixture()
-        _, primal = _relax(inst, inst.empty_selection())
+        _, primal, _ = _relax(inst, inst.empty_selection())
         f0 = primal.flows["c1", 0]
         f1 = primal.flows["c1", 1]
         assert abs(f0 - inst.interconnectors[0].initial_flow) <= 6.0 + 1e-7
@@ -140,7 +141,7 @@ class TestSolveRelaxation:
         checked = 0
         for seed in range(20):
             inst = random_instance(seed)
-            for objective, _, primal in _relaxations(inst, build_model(inst)):
+            for objective, _, primal, _ in _relaxations(inst, build_model(inst)):
                 # the oracle's relaxation is the one this file's helper pins
                 assert _relax(inst, primal.selection)[0] == objective
                 assert objective == pytest.approx(welfare_of(inst, primal), abs=1e-7)
@@ -166,7 +167,7 @@ class TestSolveRelaxation:
             {("X", 0): [[0, 30], [20, 20], [50, 5], [100, -10]]},
             blocks=[block("s", "X", 10, [-2])],
         )
-        _, primal = _relax(inst, _sel({"s": 1}))
+        _, primal, _ = _relax(inst, _sel({"s": 1}))
         [(prob, sol)] = solves
         assert sol.iterations == 0
         # 12 MW of net demand: four fifths of the 15 MW segment from 100 to 50
