@@ -269,6 +269,18 @@ def balanced_start(
     return x
 
 
+def _curves_take(model: ClearingModel, prob: QpProblem, x: np.ndarray) -> bool:
+    """False when a clearing row's curve cannot take the volume that x's
+    other columns leave it, by more than round-off, anywhere in its
+    segments' box: ``balanced_start`` of x would leave that row broken, and
+    ``rows_hold`` would reject the point."""
+    s = len(model.seg_ids)
+    spans = prob.A_eq[:, :s]  # nonnegative
+    need = prob.b_eq - prob.A_eq[:, s:] @ x[s:]
+    margin = 2.0 * FEAS_TOL
+    return not ((need < spans @ prob.lb[:s] - margin) | (need > spans @ prob.ub[:s] + margin)).any()
+
+
 def money_start(model: ClearingModel, prob: QpProblem) -> np.ndarray:
     """A start for ``prob``, a master problem on ``model``: the bids in the
     money executed, when their balanced point meets every row of prob, and
@@ -281,7 +293,8 @@ def money_start(model: ClearingModel, prob: QpProblem) -> np.ndarray:
     row that the bids in the money break keeps none of its columns, except
     the hour of a flex bid with the largest surplus (the earliest on ties).
     The executed bids' point is ``balanced_start`` of the balanced start
-    with these binaries set."""
+    with these binaries set; it is built only when each clearing row's
+    curve can take the executed bids' volume."""
     x = balanced_start(model, prob)
     n = model.n
     g = prob.c[:n] + prob.d[:n] * x[:n]
@@ -306,5 +319,7 @@ def money_start(model: ClearingModel, prob: QpProblem) -> np.ndarray:
         return x
     start = x.copy()
     start[n:] = y
+    if not _curves_take(model, prob, start):
+        return x
     start = balanced_start(model, prob, start)
     return start if rows_hold(prob, start) else x

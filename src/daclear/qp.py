@@ -10,9 +10,10 @@ Solves
 with a primal active-set method.  Bounds stay bounds: each column is
 free, at its lower bound or at its upper bound (columns with lb == ub
 stay pinned), and steps move the free columns within the null space of
-the working rows.  When the start, clipped into the box, is infeasible, a
-phase-1 pass with artificial slacks on the equality rows and the violated
-inequality rows produces a feasible point or an infeasibility verdict.  A
+the working rows.  When the start, clipped into the box, is infeasible,
+bound propagation over the rows may prove the problem infeasible at once;
+otherwise a phase-1 pass with artificial slacks on the equality rows and
+the violated inequality rows produces a feasible point or that verdict.  A
 solve may instead start from the optimum of a problem that differs in some
 pinned columns (a branch-and-bound parent): a parametric pass moves those
 columns to their values while it keeps the parent's working set optimal.
@@ -27,7 +28,6 @@ are deterministic.
 from __future__ import annotations
 
 import bisect
-import copy
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -51,6 +51,10 @@ END_TOL = 1e-12  # relative round-off at the end of a parametric pass
 # exact and heuristic, the clears' 8,391 lookups need 4,179 SVDs with 8
 # entries, 3,939 with 16 and 3,933 with no bound
 FACTOR_CACHE_SIZE = 16
+# bound-propagation passes phase 1 makes before it builds its artificial
+# problem (``_propagate``); a pass that moves no bound by more than
+# FEAS_TOL ends them sooner
+PROPAGATION_PASSES = 8
 
 
 @dataclass
@@ -88,17 +92,19 @@ class QpProblem:
         the factor cache of its rows (``factors``), so a node reuses the
         factorizations of every node solved before it."""
         self._activity_rows, self.factors  # made before the copy, so that copies share them
-        node = copy.copy(self)
-        node.lb, node.ub = lb, ub
+        node = QpProblem.__new__(QpProblem)
+        node.__dict__ = {**self.__dict__, "lb": lb, "ub": ub}
         return node
 
     @cached_property
     def _activity_rows(self):
         # equality rows once as they are (lowest activity) and once negated
-        # (highest), with the signs of their coefficients
+        # (highest), with the signs of their coefficients and the positive
+        # and negative parts of the rows
         M = np.concatenate((self.A_in, self.A_eq, -self.A_eq))
         rhs = np.concatenate((self.b_in, self.b_eq, -self.b_eq))
-        return M, rhs + INFEAS_TOL, M > 0.0, M < 0.0
+        pos, neg = M > 0.0, M < 0.0
+        return M, rhs + INFEAS_TOL, pos, neg, np.where(pos, M, 0.0), np.where(neg, M, 0.0)
 
     @cached_property
     def factors(self) -> OrderedDict:
@@ -400,7 +406,7 @@ class _ActiveSet:
         (a hit returns the arrays a fresh factorization did, read-only),
         and go into it otherwise, evicting beyond FACTOR_CACHE_SIZE."""
         free = state == FREE
-        K = np.concatenate((self.A, self.G[work]))
+        K = np.concatenate((self.A, self.G[work])) if work else self.A
         key = (tuple(work), free.tobytes())
         factors = self.factors.get(key)
         if factors is not None:
@@ -462,10 +468,13 @@ class _ActiveSet:
 
     def _ratio(self, x, p, work, state, alpha_max):
         free = state == FREE
-        gp = self.G @ p
-        gp[work] = 0.0
-        rate = np.concatenate((gp, np.where(free, p, 0.0), np.where(free, -p, 0.0)))
-        slack = np.concatenate((self.h - self.G @ x, self.ub - x, x - self.lb))
+        rate = (np.where(free, p, 0.0), np.where(free, -p, 0.0))
+        slack = (self.ub - x, x - self.lb)
+        if len(self.h):
+            gp = self.G @ p
+            gp[work] = 0.0
+            rate, slack = (gp, *rate), (self.h - self.G @ x, *slack)
+        rate, slack = np.concatenate(rate), np.concatenate(slack)
         hit = ((rate > 1e-12) & (slack < np.inf)).nonzero()[0]
         if len(hit) == 0:
             return alpha_max, None
@@ -517,9 +526,13 @@ def _bound_multipliers(state, r):
 
 def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
     """(x, None, iterations) with a feasible point from the start x0 (inside
-    the box), or (None, certificate, iterations) when none exists.  Only the
-    equality rows and the rows x0 violates get artificial slacks; the box
-    stays a box."""
+    the box), or (None, certificate, iterations) when none exists.  When x0
+    breaks a row, bound propagation (``_propagate``) first tries to prove
+    the problem infeasible, with no iteration; only when it cannot does
+    phase 1 build its artificial problem, with slacks on the equality rows
+    and the rows x0 violates only (the box stays a box).  A certificate
+    names the rows and box bounds that carry the proof: those the
+    propagation used, or those with nonzero phase-1 multipliers."""
     n = prob.n
     A, b, G, h = prob.A_eq, prob.b_eq, prob.A_in, prob.b_in
     r_eq = b - A @ x0
@@ -527,6 +540,9 @@ def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
     viol = (excess > FEAS_TOL).nonzero()[0]
     if (np.abs(r_eq) <= FEAS_TOL).all() and len(viol) == 0:
         return x0, None, 0
+    cert = _propagate(prob)
+    if cert is not None:
+        return None, cert, 0
     # z = [x, s_eq, s_in], all artificials nonnegative, maximize -sum(s)
     m, k = len(b), len(viol)
     A1 = np.hstack([A, np.diag(np.where(r_eq >= 0, 1.0, -1.0)), np.zeros((m, k))])
@@ -552,17 +568,124 @@ def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
     return z[:n], None, iters
 
 
+def _propagate(prob: QpProblem) -> Optional[dict]:
+    """The certificate of prob's infeasibility when iterated bound
+    propagation proves it (Savelsbergh, 1994), else None.
+
+    A pass takes each row of ``_activity_rows`` (relaxed by INFEAS_TOL,
+    equality rows from both sides), puts its other columns at their lowest
+    activity over the box the pass started from, and tightens each
+    column's bound to what the row leaves it.  The proof is a row whose
+    lowest activity exceeds its limit, or a column whose bounds cross, by
+    more than FEAS_TOL times the larger of 1 and the values compared, so
+    round-off never decides it.  It is sound for phase 1: every point
+    phase 1 accepts breaks each row by at most INFEAS_TOL, so it survives
+    every tightening.  At most PROPAGATION_PASSES passes run, fewer once a
+    pass moves no bound by more than FEAS_TOL."""
+    M, limit, pos, neg, _, _ = prob._activity_rows
+    if not len(M):
+        return None
+    lb, ub = prob.lb, prob.ub
+    cols = np.arange(prob.n)
+    passes = []  # per pass, the row that moved each lower and upper bound, or -1
+    for _ in range(PROPAGATION_PASSES):
+        term = np.multiply(M, lb, out=np.zeros_like(M), where=pos)
+        np.multiply(M, ub, out=term, where=neg)
+        unbounded = np.isinf(term)  # an infinite bound under a nonzero coefficient
+        term[unbounded] = 0.0
+        low = term.sum(axis=1)
+        n_inf = unbounded.sum(axis=1)
+        broken = (n_inf == 0) & (low > limit + FEAS_TOL * np.maximum(1.0, np.abs(limit)))
+        if broken.any():
+            return _conflict(M, prob, passes, row=int(broken.argmax()))
+        # a row bounds a column when its other columns' lowest activity is
+        # finite: x_j <= own + (limit - low) / M_ij for a positive entry,
+        # x_j >= the same for a negative one, where own is the bound the
+        # lowest activity takes (0 for the one infinite term)
+        bounding = (n_inf[:, None] == unbounded) & (pos | neg)
+        own = np.where(unbounded, 0.0, np.where(pos, lb, ub))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            implied = (limit - low)[:, None] / M + own
+        upper = np.where(bounding & pos, implied, np.inf)
+        lower = np.where(bounding & neg, implied, -np.inf)
+        up_row, low_row = upper.argmin(axis=0), lower.argmax(axis=0)
+        new_ub, new_lb = upper[up_row, cols], lower[low_row, cols]
+        down, up = new_ub < ub - FEAS_TOL, new_lb > lb + FEAS_TOL
+        if not (down.any() or up.any()):
+            return None
+        passes.append((np.where(up, low_row, -1), np.where(down, up_row, -1)))
+        lb, ub = np.where(up, new_lb, lb), np.where(down, new_ub, ub)
+        crossed = lb - ub > FEAS_TOL * np.maximum(1.0, np.maximum(np.abs(lb), np.abs(ub)))
+        if crossed.any():
+            return _conflict(M, prob, passes, column=int(crossed.argmax()))
+    return None
+
+
+def _conflict(M, prob, passes, row=None, column=None) -> dict:
+    """The certificate of ``_propagate``'s proof after ``passes``: the rows
+    and box bounds behind a ``row`` whose lowest activity exceeds its
+    limit, or behind the crossing bounds of a ``column``.  A moved bound
+    stands for the row that moved it and for the bounds of that row's
+    other columns when it did; an unmoved one for its box bound."""
+    m_in, m_eq = len(prob.b_in), len(prob.b_eq)
+    memo = {}
+
+    def bound(side, j, p):
+        # what column j's bound on ``side`` rests on after p passes
+        key = side, j, p
+        if key not in memo:
+            items = {(side, j)}
+            for q in range(p - 1, -1, -1):
+                r = int(passes[q][side == "upper"][j])
+                if r >= 0:
+                    items = activity(r, q, skip=j)
+                    break
+            memo[key] = items
+        return memo[key]
+
+    def activity(r, p, skip=None):
+        # what row r's lowest activity after p passes rests on
+        items = {("row", r)}
+        for k in np.flatnonzero(M[r]).tolist():
+            if k != skip:
+                items |= bound("lower" if M[r, k] > 0.0 else "upper", k, p)
+        return items
+
+    p = len(passes)
+    if row is not None:
+        items = activity(row, p)
+    else:
+        items = bound("lower", column, p) | bound("upper", column, p)
+    cert = {"eq": set(), "in": set(), "upper": set(), "lower": set()}
+    for kind, i in items:
+        if kind != "row":
+            cert[kind].add(i)
+        elif i < m_in:
+            cert["in"].add(i)
+        else:  # the equality rows are stacked twice
+            cert["eq"].add((i - m_in) % m_eq)
+    return {kind: sorted(found) for kind, found in cert.items()}
+
+
 def infeasible_by_bounds(prob: QpProblem) -> bool:
     """True when row activity bounds over the box prove prob infeasible
     (bound propagation, Savelsbergh 1994): an equality row whose activity
     range misses its right-hand side, or an inequality row whose lowest
     activity exceeds it, by more than INFEAS_TOL.  Phase 1 calls every such
     problem infeasible, since the artificial on that row must carry more
-    than INFEAS_TOL, so callers may skip the solve.  The stacked rows are
-    built on the first call and shared by ``with_bounds`` copies, so the
-    rows of a problem must not change after that call."""
-    # a zero coefficient adds nothing, even against an infinite bound
-    M, limit, pos, neg = prob._activity_rows
+    than INFEAS_TOL, so callers may skip the solve.  This is the first
+    test of ``_propagate``, with no tightening, cheap enough for every B&B
+    node: two matrix-vector products over the positive and negative parts
+    of the rows.  An infinite bound under a zero coefficient, as in
+    pricing's boxes, makes those NaN; such a problem, like one the
+    products flag, is decided by a masked product that leaves zero
+    coefficients out.  The stacked rows are built on the first call and
+    shared by ``with_bounds`` copies, so the rows of a problem must not
+    change after that call."""
+    M, limit, pos, neg, M_pos, M_neg = prob._activity_rows
+    with np.errstate(invalid="ignore"):
+        if (M_pos @ prob.lb + M_neg @ prob.ub <= limit).all():
+            return False
     low = np.multiply(M, prob.lb, out=np.zeros_like(M), where=pos)
     np.multiply(M, prob.ub, out=low, where=neg)
     return bool((low.sum(axis=1) > limit).any())
@@ -620,8 +743,9 @@ def solve_qp(
     when that point is infeasible.  x0 may also be a function that builds
     the start, called only when the search needs it, so a caller with a
     ``start`` pays for the fallback's start only when the pass falls back.
-    Infeasibility is always phase 1's verdict.  A fallback's breakpoints
-    are not counted in ``iterations``.  With a ``deadline`` (a
+    Infeasibility is always the verdict of ``_phase1``: of the bound
+    propagation it tries first, with no iteration, or of its artificial
+    problem.  A fallback's breakpoints are not counted in ``iterations``.  With a ``deadline`` (a
     ``time.monotonic()`` instant), every active-set iteration and
     breakpoint checks the clock and raises TimeLimit once it has passed.
     An optimal solution carries its ``working`` set and the ``duals`` that

@@ -171,6 +171,38 @@ class TestNodeSolves:
         assert pruned.bound == solved.bound
         assert pruned.solution.selection == solved.solution.selection
 
+    def test_leaf_under_its_own_cut_is_decided_alike(self, monkeypatch):
+        # a rejected leaf's node is solved again under its no-good cut, which
+        # its own optimum breaks; bound propagation proves such nodes
+        # infeasible without phase 1's artificial problem, as phase 1 would
+        from daclear.driver import clear_exact
+
+        resolves = []
+        solve = master.solve_qp
+
+        def spy(node, *args, start=None, **kwargs):
+            sol = solve(node, *args, start=start, **kwargs)
+            if (
+                start is not None and not qp.rows_hold(node, start.x)
+                and (node.lb <= start.x).all() and (start.x <= node.ub).all()
+            ):
+                resolves.append((node, args, start, kwargs, sol))
+            return sol
+
+        monkeypatch.setattr(master, "solve_qp", spy)
+        results = [clear_exact(paradox_book(seed)) for seed in range(10)]
+        proved = [sol for *_, sol in resolves if sol.status == "infeasible"]
+        assert len(proved) >= 5 and all(sol.iterations == 0 for sol in proved)
+        monkeypatch.setattr(qp, "_propagate", lambda prob: None)
+        for node, args, start, kwargs, sol in resolves:
+            assert solve(node, *args, start=start, **kwargs).status == sol.status
+        monkeypatch.setattr(master, "solve_qp", solve)
+        again = [clear_exact(paradox_book(seed)) for seed in range(10)]
+        for one, other in zip(results, again):
+            assert one.status == other.status and one.welfare == other.welfare
+            assert one.solution == other.solution
+            assert len(one.iterations) == len(other.iterations)
+
     def test_integral_root_runs_no_pinned_resolve(self, monkeypatch):
         inst = random_instance(0)
         statuses = _count_master_qps(monkeypatch)
@@ -324,6 +356,7 @@ class TestStarts:
     def test_thin_curve_falls_back_to_the_balanced_start(self, monkeypatch):
         # d0 and s1 are in the money at the balanced start's prices, but
         # the thin curve cannot absorb them, so the root keeps that start
+        # without balancing their point: balanced, it would break a row
         model = build_model(paradox_book(0))
         prob = model.master()
         points = []
@@ -335,10 +368,33 @@ class TestStarts:
 
         monkeypatch.setattr(clearing_model, "balanced_start", spy)
         start = money_start(model, prob)
-        assert len(points) == 2
-        assert points[1][model.n:].tolist() == [0.0, 1.0, 1.0, 0.0]
-        assert not qp.rows_hold(prob, points[1])
+        assert len(points) == 1
         assert np.array_equal(start, points[0])
+        money = start.copy()
+        money[model.n:] = [0.0, 1.0, 1.0, 0.0]
+        assert not qp.rows_hold(prob, balanced(model, prob, money))
+
+    def test_curve_test_keeps_every_start(self, monkeypatch):
+        # the curve test before the second balancing skips only points that
+        # rows_hold would reject once balanced: without it, every root
+        # starts from the same point
+        instances = [paradox_book(seed) for seed in range(40)]
+        instances += [random_instance(seed) for seed in range(40)]
+        takes = clearing_model._curves_take
+        verdicts = []
+        monkeypatch.setattr(
+            clearing_model, "_curves_take",
+            lambda *args: verdicts.append(takes(*args)) or verdicts[-1],
+        )
+        starts = []
+        for inst in instances:
+            model = build_model(inst)
+            starts.append(money_start(model, model.master()))
+        monkeypatch.setattr(clearing_model, "_curves_take", lambda *args: True)
+        for inst, start in zip(instances, starts):
+            model = build_model(inst)
+            assert np.array_equal(money_start(model, model.master()), start)
+        assert verdicts.count(False) >= 30 and verdicts.count(True) >= 10
 
     def test_feasible_children_skip_phase_one(self, monkeypatch):
         # children start from their parent's optimum and working set: phase

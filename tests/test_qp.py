@@ -411,18 +411,26 @@ class TestRankDeficientWorkingSets:
         assert calls == []
 
 
+def _boxed_problems(seed, count=600):
+    """Random problems in random boxes, some shifted away from the origin
+    so that rows miss and some open above."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        prob = _random_problem(rng)
+        prob.lb = rng.uniform(-4, 4, size=prob.n)
+        prob.ub = prob.lb + rng.uniform(0.0, 3.0, size=prob.n)
+        open_side = rng.random(prob.n) < 0.2
+        prob.ub[open_side] = np.inf
+        prob.b_in = rng.uniform(-5, 5, size=len(prob.b_in))
+        problems.append(prob)
+    return problems
+
+
 class TestRowBounds:
     def test_flags_only_infeasible_problems(self):
-        # random boxes, some shifted away from the origin so that rows miss
-        rng = np.random.default_rng(77)
         flagged = unflagged_infeasible = 0
-        for _ in range(600):
-            prob = _random_problem(rng)
-            prob.lb = rng.uniform(-4, 4, size=prob.n)
-            prob.ub = prob.lb + rng.uniform(0.0, 3.0, size=prob.n)
-            open_side = rng.random(prob.n) < 0.2
-            prob.ub[open_side] = np.inf
-            prob.b_in = rng.uniform(-5, 5, size=len(prob.b_in))
+        for prob in _boxed_problems(77):
             status = solve_qp(prob).status
             if infeasible_by_bounds(prob):
                 flagged += 1
@@ -446,6 +454,64 @@ class TestRowBounds:
             assert node._activity_rows is prob._activity_rows
             assert infeasible_by_bounds(node) == infeasible_by_bounds(fresh)
             assert infeasible_by_bounds(prob) == infeasible_by_bounds(replace(prob))
+
+    def test_propagation_proves_only_what_phase_one_proves(self, monkeypatch):
+        # every problem propagation proves infeasible is infeasible to phase
+        # 1 without it, every verdict stays, and the single pass misses some
+        # of those propagation proves
+        problems = _boxed_problems(77)
+        certs = [qp._propagate(prob) for prob in problems]
+        proved = [cert is not None for cert in certs]
+        statuses = [solve_qp(prob).status for prob in problems]
+        monkeypatch.setattr(qp, "_propagate", lambda prob: None)
+        assert [solve_qp(replace(prob)).status for prob in problems] == statuses
+        assert all(status == "infeasible" for status, p in zip(statuses, proved) if p)
+        beyond = [
+            prob for prob, p in zip(problems, proved) if p and not infeasible_by_bounds(prob)
+        ]
+        assert len(beyond) > 0
+        # each certificate names rows and bounds that are infeasible alone
+        for prob, cert in zip(problems, certs):
+            if cert is None:
+                continue
+            lb, ub = np.full(prob.n, -np.inf), np.full(prob.n, np.inf)
+            lb[cert["lower"]] = prob.lb[cert["lower"]]
+            ub[cert["upper"]] = prob.ub[cert["upper"]]
+            core = replace(prob, A_eq=prob.A_eq[cert["eq"]], b_eq=prob.b_eq[cert["eq"]],
+                           A_in=prob.A_in[cert["in"]], b_in=prob.b_in[cert["in"]], lb=lb, ub=ub)
+            assert solve_qp(core).status == "infeasible"
+
+    def test_two_row_chain_needs_no_artificial_problem(self, monkeypatch):
+        # x + y = 1.6 pushes y up to 0.6 (x <= 1), y + z <= 0.5 pushes it
+        # down to 0.5 (z >= 0): each row alone fits the box, together they
+        # do not; the start 0 breaks the equality row
+        prob = _prob([0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                     A_eq=np.array([[1.0, 1.0, 0.0]]), b_eq=np.array([1.6]),
+                     A_in=np.array([[0.0, 1.0, 1.0]]), b_in=np.array([0.5]),
+                     lb=np.zeros(3), ub=np.ones(3))
+        assert not infeasible_by_bounds(prob)
+        built = []
+        active_set = qp._ActiveSet
+
+        class Spy(active_set):
+            def __init__(self, c, *args, **kwargs):
+                built.append(len(c))
+                super().__init__(c, *args, **kwargs)
+
+        monkeypatch.setattr(qp, "_ActiveSet", Spy)
+        sol = solve_qp(prob)
+        assert sol.status == "infeasible" and sol.iterations == 0
+        assert built == [3]  # the problem's own solver, no artificial columns
+        # y's lower bound rests on the equality row and x's upper bound, its
+        # upper bound on the inequality row and z's lower bound
+        assert sol.certificate == {"eq": [0], "in": [0], "upper": [0], "lower": [2]}
+        # phase 1 proves it with one artificial, on the equality row, and
+        # names the same rows and bounds
+        monkeypatch.setattr(qp, "_propagate", lambda prob: None)
+        built.clear()
+        phase1 = solve_qp(replace(prob))
+        assert phase1.status == "infeasible" and phase1.certificate == sol.certificate
+        assert built == [3, 3 + 1]
 
     def test_margin_is_phase_one_threshold(self):
         # x <= 1 against x >= 1 + margin: flagged only beyond INFEAS_TOL

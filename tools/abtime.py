@@ -1,0 +1,123 @@
+"""CPU time per clear of two checkouts, interleaved in one process.
+
+    python tools/abtime.py BASE HEAD --family paradox --first 1000 --count 110
+
+BASE and HEAD are checkout roots (directories holding ``src/daclear``).
+Each side's package is copied into a temporary directory under a name of
+its own and imported from there, so both live in this one process.  Every
+instance of the family (``bench/generate.py``, seeds ``first`` to
+``first + count - 1``) is parsed by each side and cleared by both in each
+mode, ``--repeat`` times, and the side that goes first alternates from one
+instance to the next.  Per mode the script prints each side's median CPU
+milliseconds per clear (over instances, of each instance's median clear)
+and the median over instances of the HEAD/BASE ratio, with the number of
+instances whose status or welfare differ between the sides.
+
+Clears of one tree in separate processes can differ by more than half in
+speed on a shared host; interleaved in one process, both sides see the
+same host, so the ratio resolves differences of a few percent.  BLAS runs
+on one thread, as in ``bench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+MODES = ("exact", "heuristic")
+
+
+def load_side(checkout: Path, name: str, tmp: Path):
+    """``checkout``'s ``src/daclear``, copied to ``tmp/name`` and imported
+    as the package ``name`` (``tmp`` must be on ``sys.path``), replacing
+    any earlier import under that name; (io, driver) modules."""
+    shutil.copytree(
+        Path(checkout) / "src" / "daclear", tmp / name,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+    importlib.invalidate_caches()
+    return importlib.import_module(f"{name}.io"), importlib.import_module(f"{name}.driver")
+
+
+def _clear(driver, mode, instance):
+    solver = driver.clear_exact if mode == "exact" else driver.clear_heuristic
+    start = time.process_time()
+    result = solver(instance)
+    return time.process_time() - start, (result.status, repr(result.welfare))
+
+
+def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int = 3) -> dict:
+    """Per mode: (base ms, head ms, median head/base ratio, instances whose
+    outcome differs)."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import generate
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        try:
+            sides = [load_side(base, "abtime_base", Path(tmp)),
+                     load_side(head, "abtime_head", Path(tmp))]
+        finally:
+            sys.path.remove(tmp)
+        texts = [generate.instance_text(family, seed) for seed in seeds]
+        out = {}
+        for mode in modes:
+            times = ([], [])
+            differ = 0
+            for i, text in enumerate(texts):
+                instances = [io.parse_instance(text) for io, _ in sides]
+                order = (0, 1) if i % 2 == 0 else (1, 0)
+                runs = ([], [])
+                outcome = [None, None]
+                for _ in range(repeat):
+                    for side in order:
+                        cpu, outcome[side] = _clear(sides[side][1], mode, instances[side])
+                        runs[side].append(cpu)
+                differ += outcome[0] != outcome[1]
+                for side in (0, 1):
+                    times[side].append(statistics.median(runs[side]))
+            ratios = [h / b for b, h in zip(*times) if b > 0.0]
+            out[mode] = (
+                1e3 * statistics.median(times[0]),
+                1e3 * statistics.median(times[1]),
+                statistics.median(ratios),
+                differ,
+            )
+        return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("head", type=Path)
+    parser.add_argument("--family", default="paradox")
+    parser.add_argument("--first", type=int, default=1000)
+    parser.add_argument("--count", type=int, default=110)
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--modes", nargs="+", choices=MODES, default=list(MODES))
+    args = parser.parse_args(argv)
+    seeds = range(args.first, args.first + args.count)
+    print(f"{args.family} seeds {seeds.start}-{seeds.stop - 1}, {args.repeat} repeats")
+    print(f"base {args.base.resolve()}\nhead {args.head.resolve()}")
+    print(f"{'mode':10s} {'base ms':>9s} {'head ms':>9s} {'head/base':>9s} {'differ':>6s}")
+    results = compare(args.base, args.head, args.family, seeds, args.modes, args.repeat)
+    for mode, (base_ms, head_ms, ratio, differ) in results.items():
+        print(f"{mode:10s} {base_ms:9.3f} {head_ms:9.3f} {ratio:9.3f} {differ:6d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
