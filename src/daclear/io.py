@@ -293,7 +293,7 @@ def selection_from_doc(doc, path="$.selection") -> BidSelection:
     flex_doc = _get(doc, "flex", dict, path, default={})
     blocks = {}
     for bid, val in blocks_doc.items():
-        if val not in (0, 1):
+        if isinstance(val, bool) or val not in (0, 1):
             raise SchemaError(f"{path}.blocks.{bid}", "expected 0 or 1")
         blocks[bid] = int(val)
     flex = {}
@@ -347,22 +347,23 @@ def parse_solution(text: str) -> tuple[BidSelection, dict, dict, Optional[dict]]
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise SchemaError(f"$.delta.{key}", "expected a number")
         delta[sid] = float(val)
-    flows = {}
-    for i, entry in enumerate(_get(doc, "flows", list, "$", default=[])):
-        path = f"$.flows[{i}]"
-        flows[
-            _get(entry, "interconnector", str, path), _get(entry, "hour", int, path)
-        ] = _get(entry, "flow", float, path)
+    flows = _hourly(_get(doc, "flows", list, "$", default=[]), "$.flows", "interconnector", "flow")
     prices_doc = _get(doc, "prices", list, "$", default=None)
-    prices = None
-    if prices_doc is not None:
-        prices = {}
-        for i, entry in enumerate(prices_doc):
-            path = f"$.prices[{i}]"
-            prices[
-                _get(entry, "area", str, path), _get(entry, "hour", int, path)
-            ] = _get(entry, "price", float, path)
+    prices = None if prices_doc is None else _hourly(prices_doc, "$.prices", "area", "price")
     return selection, delta, flows, prices
+
+
+def _hourly(entries, path, name, value) -> dict:
+    """{(name, hour): value} of the entries of the list at ``path``; a
+    repeated (name, hour) is a SchemaError at its second entry."""
+    out = {}
+    for i, entry in enumerate(entries):
+        here = f"{path}[{i}]"
+        key = _get(entry, name, str, here), _get(entry, "hour", int, here)
+        if key in out:
+            raise SchemaError(here, f"repeated entry for {name} {key[0]!r} hour {key[1]}")
+        out[key] = _get(entry, value, float, here)
+    return out
 
 
 def dump_document(doc: dict) -> str:

@@ -23,7 +23,7 @@ from .core import Instance, PrimalSolution, presolve_price_bounds
 from .cuts import Cut
 from .errors import TimeLimit
 from .model import ClearingModel, balanced_start, money_start
-from .qp import END_TOL, Multipliers, QpProblem, infeasible_by_bounds, multipliers, solve_qp
+from .qp import END_TOL, Multipliers, QpProblem, multipliers, solve_qp
 
 @dataclass
 class MasterResult:
@@ -78,16 +78,13 @@ def _presolve_fixings(instance: Instance) -> set:
 
 
 def _solve_node(node: QpProblem, model, parent, deadline):
-    """The optimal solution of one B&B node, or None when it has none; a
-    node whose row activity bounds prove it infeasible is dropped without
-    a QP.  A node with a ``parent`` solution (a child, or a node solved
-    again under new cuts) starts from the parent's optimum and working
-    set; phase 1 from the parent's balanced point is the fallback.  The
-    root starts from ``money_start``.  These points are built only when
-    the search needs them: at the root, and when the parametric start
-    falls back."""
-    if infeasible_by_bounds(node):
-        return None
+    """The optimal solution of one B&B node, or None when it has none.  A
+    node with a ``parent`` solution (a child, or a node solved again under
+    new cuts) starts from the parent's optimum and working set; phase 1
+    from the parent's balanced point is the fallback.  The root starts from
+    ``money_start``.  These points are built only when the search needs
+    them: not for a node that ``solve_qp``'s row test refutes, and for a
+    child only when the parametric start falls back."""
     sol = solve_qp(
         node,
         x0=lambda: (

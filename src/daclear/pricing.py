@@ -23,7 +23,7 @@ import numpy as np
 from .core import Instance, PriceVector, PrimalSolution, selection_terms
 from .errors import PriceInfeasible, SolverFailure
 from .model import ClearingModel
-from .qp import INFEAS_TOL, Multipliers, QpProblem, QpSolution, infeasible_by_bounds, solve_qp
+from .qp import INFEAS_TOL, Multipliers, QpProblem, solve_qp
 
 TIGHT_TOL = 1e-7
 
@@ -137,14 +137,6 @@ def _dual_start(model: ClearingModel, duals: Multipliers, source, lb, ub, A_in, 
     return x
 
 
-def _solve(prob: QpProblem, x0, deadline) -> QpSolution:
-    """solve_qp, or an infeasible verdict without a QP when row activity
-    bounds prove it."""
-    if infeasible_by_bounds(prob):
-        return QpSolution(status="infeasible")
-    return solve_qp(prob, x0=x0, deadline=deadline)
-
-
 def solve_qpprice(
     instance: Instance,
     model: ClearingModel,
@@ -225,7 +217,7 @@ def solve_qpprice(
             c=c1, d=np.zeros(n), A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
             lb=lb, ub=ub,
         )
-        s1 = _solve(p1, x1, deadline)
+        s1 = solve_qp(p1, x0=x1, deadline=deadline)
         if s1.status != "optimal":
             raise PriceInfeasible(
                 f"no supporting price even with loss slacks ({s1.status})"
@@ -243,9 +235,7 @@ def solve_qpprice(
         c=np.zeros(n), d=d2, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
         lb=lb, ub=ub,
     )
-    # after stage 1, p2 only adds sum(lam) <= total, whose lowest activity
-    # over lam >= 0 is 0: the row test stage 1 passed decides p2 too
-    s2 = solve_qp(p2, x0=x1, deadline=deadline) if n_lam else _solve(p2, x1, deadline)
+    s2 = solve_qp(p2, x0=x1, deadline=deadline)
     if s2.status != "optimal":
         raise PriceInfeasible(
             "no loss-free supporting price exists for this execution"

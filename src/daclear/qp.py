@@ -10,10 +10,10 @@ Solves
 with a primal active-set method.  Bounds stay bounds: each column is
 free, at its lower bound or at its upper bound (columns with lb == ub
 stay pinned), and steps move the free columns within the null space of
-the working rows.  When the start, clipped into the box, is infeasible,
-bound propagation over the rows may prove the problem infeasible at once;
-otherwise a phase-1 pass with artificial slacks on the equality rows and
-the violated inequality rows produces a feasible point or that verdict.  A
+the working rows.  A row whose activity over the box misses its limit
+proves infeasibility at once; otherwise, when the start clipped into the
+box is infeasible, bound propagation or a phase-1 pass with artificial
+slacks on the equality rows and the violated inequality rows does.  A
 solve may instead start from the optimum of a problem that differs in some
 pinned columns (a branch-and-bound parent): a parametric pass moves those
 columns to their values while it keeps the parent's working set optimal.
@@ -88,9 +88,9 @@ class QpProblem:
     def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "QpProblem":
         """This problem with the float arrays ``lb`` and ``ub`` as its box.
         The copy shares the other arrays, already converted and checked,
-        the stacked rows of ``infeasible_by_bounds``, built here once, and
-        the factor cache of its rows (``factors``), so a node reuses the
-        factorizations of every node solved before it."""
+        the stacked rows of the row activity test (``_lowest_activity``),
+        built here once, and the factor cache of its rows (``factors``), so
+        a node reuses the factorizations of every node solved before it."""
         self._activity_rows, self.factors  # made before the copy, so that copies share them
         node = QpProblem.__new__(QpProblem)
         node.__dict__ = {**self.__dict__, "lb": lb, "ub": ub}
@@ -98,13 +98,13 @@ class QpProblem:
 
     @cached_property
     def _activity_rows(self):
-        # equality rows once as they are (lowest activity) and once negated
-        # (highest), with the signs of their coefficients and the positive
-        # and negative parts of the rows
+        # equality rows as they are (lowest activity) and negated (highest),
+        # limits relaxed by INFEAS_TOL, the activity above which a row is
+        # broken (``_lowest_activity``) and the coefficients' signs
         M = np.concatenate((self.A_in, self.A_eq, -self.A_eq))
-        rhs = np.concatenate((self.b_in, self.b_eq, -self.b_eq))
-        pos, neg = M > 0.0, M < 0.0
-        return M, rhs + INFEAS_TOL, pos, neg, np.where(pos, M, 0.0), np.where(neg, M, 0.0)
+        limit = np.concatenate((self.b_in, self.b_eq, -self.b_eq)) + INFEAS_TOL
+        broken = limit + FEAS_TOL * np.maximum(1.0, np.abs(limit))
+        return M, limit, broken, M > 0.0, M < 0.0
 
     @cached_property
     def factors(self) -> OrderedDict:
@@ -568,6 +568,32 @@ def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
     return z[:n], None, iters
 
 
+def _lowest_activity(prob: QpProblem, lb, ub):
+    """(terms, row) of prob's stacked rows (``_activity_rows``) over the
+    box lb..ub: each entry's term of its row's lowest activity (zero for a
+    zero coefficient, so an open box gives -inf but no NaN), and the first
+    row whose lowest activity exceeds its limit by more than FEAS_TOL times
+    the larger of 1 and the limit, or None.  Phase 1 calls such a problem
+    infeasible, as the artificial on that row must carry over INFEAS_TOL."""
+    M, _, broken, pos, neg = prob._activity_rows
+    terms = M * np.where(pos, lb, np.where(neg, ub, 0.0))
+    over = terms.sum(axis=1) > broken
+    return terms, int(over.argmax()) if over.any() else None
+
+
+def _row_test(prob: QpProblem) -> Optional[dict]:
+    """The certificate of the first row that prob's box breaks
+    (``_lowest_activity``): the row, its positive columns' lower bounds and
+    its negative columns' upper bounds; None when no row breaks."""
+    if len(prob.b_in) or len(prob.b_eq):  # a problem without rows stacks none
+        _, row = _lowest_activity(prob, prob.lb, prob.ub)
+        if row is not None:
+            _, _, _, pos, neg = prob._activity_rows
+            upper, lower = neg[row].nonzero()[0].tolist(), pos[row].nonzero()[0].tolist()
+            return _certificate(prob, [row], upper, lower)
+    return None
+
+
 def _propagate(prob: QpProblem) -> Optional[dict]:
     """The certificate of prob's infeasibility when iterated bound
     propagation proves it (Savelsbergh, 1994), else None.
@@ -575,34 +601,30 @@ def _propagate(prob: QpProblem) -> Optional[dict]:
     A pass takes each row of ``_activity_rows`` (relaxed by INFEAS_TOL,
     equality rows from both sides), puts its other columns at their lowest
     activity over the box the pass started from, and tightens each
-    column's bound to what the row leaves it.  The proof is a row whose
-    lowest activity exceeds its limit, or a column whose bounds cross, by
-    more than FEAS_TOL times the larger of 1 and the values compared, so
-    round-off never decides it.  It is sound for phase 1: every point
-    phase 1 accepts breaks each row by at most INFEAS_TOL, so it survives
-    every tightening.  At most PROPAGATION_PASSES passes run, fewer once a
-    pass moves no bound by more than FEAS_TOL."""
-    M, limit, pos, neg, _, _ = prob._activity_rows
+    column's bound to what the row leaves it.  The proof is a row that the
+    tightened box breaks (``_lowest_activity``), or a column whose bounds
+    cross by more than FEAS_TOL times the larger of 1 and the values
+    compared.  It is sound for phase 1: every point phase 1 accepts breaks
+    each row by at most INFEAS_TOL, so it survives every tightening.  At
+    most PROPAGATION_PASSES passes run, fewer once a pass moves no bound by
+    more than FEAS_TOL."""
+    M, limit, _, pos, neg = prob._activity_rows
     if not len(M):
         return None
     lb, ub = prob.lb, prob.ub
     cols = np.arange(prob.n)
     passes = []  # per pass, the row that moved each lower and upper bound, or -1
     for _ in range(PROPAGATION_PASSES):
-        term = np.multiply(M, lb, out=np.zeros_like(M), where=pos)
-        np.multiply(M, ub, out=term, where=neg)
-        unbounded = np.isinf(term)  # an infinite bound under a nonzero coefficient
-        term[unbounded] = 0.0
-        low = term.sum(axis=1)
-        n_inf = unbounded.sum(axis=1)
-        broken = (n_inf == 0) & (low > limit + FEAS_TOL * np.maximum(1.0, np.abs(limit)))
-        if broken.any():
-            return _conflict(M, prob, passes, row=int(broken.argmax()))
+        terms, row = _lowest_activity(prob, lb, ub)
+        if row is not None:
+            return _conflict(M, prob, passes, row=row)
         # a row bounds a column when its other columns' lowest activity is
         # finite: x_j <= own + (limit - low) / M_ij for a positive entry,
-        # x_j >= the same for a negative one, where own is the bound the
-        # lowest activity takes (0 for the one infinite term)
-        bounding = (n_inf[:, None] == unbounded) & (pos | neg)
+        # x_j >= the same for a negative one, where low sums the finite terms
+        # and own is the bound the lowest activity takes (0 if infinite)
+        unbounded = np.isinf(terms)
+        low = np.where(unbounded, 0.0, terms).sum(axis=1)
+        bounding = (unbounded.sum(axis=1)[:, None] == unbounded) & (pos | neg)
         own = np.where(unbounded, 0.0, np.where(pos, lb, ub))
         with np.errstate(divide="ignore", invalid="ignore"):
             implied = (limit - low)[:, None] / M + own
@@ -627,7 +649,6 @@ def _conflict(M, prob, passes, row=None, column=None) -> dict:
     limit, or behind the crossing bounds of a ``column``.  A moved bound
     stands for the row that moved it and for the bounds of that row's
     other columns when it did; an unmoved one for its box bound."""
-    m_in, m_eq = len(prob.b_in), len(prob.b_eq)
     memo = {}
 
     def bound(side, j, p):
@@ -656,39 +677,18 @@ def _conflict(M, prob, passes, row=None, column=None) -> dict:
         items = activity(row, p)
     else:
         items = bound("lower", column, p) | bound("upper", column, p)
-    cert = {"eq": set(), "in": set(), "upper": set(), "lower": set()}
-    for kind, i in items:
-        if kind != "row":
-            cert[kind].add(i)
-        elif i < m_in:
-            cert["in"].add(i)
-        else:  # the equality rows are stacked twice
-            cert["eq"].add((i - m_in) % m_eq)
-    return {kind: sorted(found) for kind, found in cert.items()}
+    return _certificate(
+        prob, *({i for kind, i in items if kind == k} for k in ("row", "upper", "lower"))
+    )
 
 
-def infeasible_by_bounds(prob: QpProblem) -> bool:
-    """True when row activity bounds over the box prove prob infeasible
-    (bound propagation, Savelsbergh 1994): an equality row whose activity
-    range misses its right-hand side, or an inequality row whose lowest
-    activity exceeds it, by more than INFEAS_TOL.  Phase 1 calls every such
-    problem infeasible, since the artificial on that row must carry more
-    than INFEAS_TOL, so callers may skip the solve.  This is the first
-    test of ``_propagate``, with no tightening, cheap enough for every B&B
-    node: two matrix-vector products over the positive and negative parts
-    of the rows.  An infinite bound under a zero coefficient, as in
-    pricing's boxes, makes those NaN; such a problem, like one the
-    products flag, is decided by a masked product that leaves zero
-    coefficients out.  The stacked rows are built on the first call and
-    shared by ``with_bounds`` copies, so the rows of a problem must not
-    change after that call."""
-    M, limit, pos, neg, M_pos, M_neg = prob._activity_rows
-    with np.errstate(invalid="ignore"):
-        if (M_pos @ prob.lb + M_neg @ prob.ub <= limit).all():
-            return False
-    low = np.multiply(M, prob.lb, out=np.zeros_like(M), where=pos)
-    np.multiply(M, prob.ub, out=low, where=neg)
-    return bool((low.sum(axis=1) > limit).any())
+def _certificate(prob: QpProblem, rows, upper, lower) -> dict:
+    """The certificate of a proof from its stacked rows (``_activity_rows``,
+    the equality rows twice) and the columns whose box bounds it used."""
+    m_in, m_eq = len(prob.b_in), len(prob.b_eq)
+    eq = {(r - m_in) % m_eq for r in rows if r >= m_in}
+    return {"eq": sorted(eq), "in": sorted(r for r in rows if r < m_in),
+            "upper": sorted(upper), "lower": sorted(lower)}
 
 
 def rows_hold(prob: QpProblem, x: np.ndarray) -> bool:
@@ -730,6 +730,12 @@ def solve_qp(
 ) -> QpSolution:
     """Optimum, infeasibility certificate or ascent ray of prob.
 
+    Every infeasible verdict comes from here, so callers run no test of
+    their own.  The first step, ahead of ``start`` and of building x0, is
+    the row test (``_row_test``, propagation's first pass with no
+    tightening): a row whose activity over the box misses its limit by more
+    than INFEAS_TOL ends the solve with no iteration and a certificate of
+    the row, its positive columns' lower and negative columns' upper bounds.
     With ``start``, the optimal solution of a parent problem that prob
     extends by pinned columns or added inequality rows (a branch-and-bound
     child, see ``_warm_start``), a parametric pass moves the parent's
@@ -741,17 +747,21 @@ def solve_qp(
     ``model.balanced_start`` or, at the master root, ``model.money_start``;
     pricing passes the welfare QP's multipliers), and phase 1 runs only
     when that point is infeasible.  x0 may also be a function that builds
-    the start, called only when the search needs it, so a caller with a
-    ``start`` pays for the fallback's start only when the pass falls back.
-    Infeasibility is always the verdict of ``_phase1``: of the bound
-    propagation it tries first, with no iteration, or of its artificial
-    problem.  A fallback's breakpoints are not counted in ``iterations``.  With a ``deadline`` (a
+    the start, called only when the search needs it, so a caller pays for
+    the start only when the row test passes and the parametric pass, if
+    any, falls back.  Past the row test, only ``_phase1`` proves
+    infeasibility: by the bound propagation it tries first, with no
+    iteration, or by its artificial problem.  A fallback's breakpoints are
+    not counted in ``iterations``.  With a ``deadline`` (a
     ``time.monotonic()`` instant), every active-set iteration and
     breakpoint checks the clock and raises TimeLimit once it has passed.
     An optimal solution carries its ``working`` set and the ``duals`` that
     proved it optimal, from which ``multipliers`` builds its multipliers.
     The active-set steps take their factorizations from ``prob.factors``;
     phase 1 keeps its own."""
+    cert = _row_test(prob)
+    if cert is not None:
+        return QpSolution(status="infeasible", certificate=cert)
     solver = _ActiveSet(
         prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub,
         prob.factors,

@@ -20,9 +20,10 @@ def solve_relaxation(
 ) -> tuple[float, PrimalSolution, Multipliers]:
     """(objective, primal, duals) of ``pinned``, a master problem on
     ``model`` with its binary columns pinned at ``selection``, solved from
-    its balanced start; ``duals`` are the multipliers at its optimum, which
-    start pricing (``pricing.solve_qpprice``)."""
-    sol = solve_qp(pinned, x0=balanced_start(model, pinned))
+    its balanced start, which is built only when ``solve_qp``'s row test
+    does not refute the selection; ``duals`` are the multipliers at its
+    optimum, which start pricing (``pricing.solve_qpprice``)."""
+    sol = solve_qp(pinned, x0=lambda: balanced_start(model, pinned))
     if sol.status == "infeasible":
         raise InfeasibleSelection(
             f"selection cannot be cleared within curve and flow bounds "

@@ -17,7 +17,7 @@ from .cuts import curtailment_violations
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
 from .model import ClearingModel, build_model
 from .pricing import TIGHT_TOL, clamp_prices, solve_fixflow, solve_qpprice
-from .qp import QpProblem, infeasible_by_bounds, solve_qp
+from .qp import QpProblem, solve_qp
 from .relaxation import solve_relaxation
 
 DEFAULT_TOL = 1e-6
@@ -305,8 +305,6 @@ def _relaxations(instance: Instance, model: ClearingModel):
         lb, ub = prob.lb.copy(), prob.ub.copy()
         lb[model.n:] = ub[model.n:] = model.binaries(selection)
         pinned = prob.with_bounds(lb, ub)  # shares the master's rows
-        if infeasible_by_bounds(pinned):
-            continue  # no fill or flow inside its bounds clears this volume
         try:
             objective, primal, duals = solve_relaxation(pinned, model, selection)
         except InfeasibleSelection:

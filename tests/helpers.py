@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from daclear import qp
 from daclear.io import parse_instance
 from daclear.master import _with_cuts
 from daclear.model import build_model
@@ -61,6 +62,12 @@ def expiring_clock(ticks_before_expiry):
         return 0.0 if len(calls) <= ticks_before_expiry else 10.0
 
     return SimpleNamespace(monotonic=monotonic)
+
+
+def without_row_test(monkeypatch):
+    """Take ``solve_qp``'s row test out, so that phase 1 decides every
+    verdict of infeasibility."""
+    monkeypatch.setattr(qp, "_row_test", lambda prob: None)
 
 
 def pinned_relaxation(inst, selection):

@@ -331,6 +331,20 @@ class TestVerify:
         assert "$.prices" in captured.err
         assert "'X', hour 0" in captured.err
 
+    @pytest.mark.parametrize("first", [False, True])
+    def test_repeated_price_is_input_error(self, capsys, tmp_path, first):
+        # a second price for X/0, after or before the clear's own: either
+        # order is the same input error, at the later entry
+        extra = {"area": "X", "hour": 0, "price": 99.0}
+
+        def edit(doc):
+            doc["prices"].insert(0 if first else len(doc["prices"]), extra)
+
+        code, captured = self._verify_edited(capsys, tmp_path, edit)
+        assert code == 4
+        assert captured.out == ""
+        assert "repeated entry for area 'X' hour 0" in captured.err
+
     def test_prices_must_be_a_list(self, capsys, tmp_path):
         code, captured = self._verify_prices(capsys, tmp_path, 5)
         assert code == 4

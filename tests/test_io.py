@@ -113,3 +113,33 @@ class TestSolutionDocs:
         _, delta, _, _ = parse_solution(text)
         for k, v in res.solution.delta.items():
             assert delta[k] == v
+
+    @pytest.mark.parametrize("field, entry, where", [
+        ("prices", {"area": "R", "hour": 0, "price": 99.0}, "$.prices[2]"),
+        ("flows", {"interconnector": "c1", "hour": 0, "flow": 0.0}, "$.flows[1]"),
+    ])
+    def test_repeated_hourly_entry_is_rejected(self, field, entry, where):
+        # whichever entry comes first, the second one for (name, hour) is
+        # the error: the appended one, then the one it displaced to index 1
+        inst = f3()
+        res = clear_exact(inst)
+        doc = solution_to_doc(inst, res.solution, res.prices)
+        doc[field].append(entry)
+        with pytest.raises(SchemaError) as exc:
+            parse_solution(json.dumps(doc))
+        assert exc.value.path == where
+        doc[field].insert(0, doc[field].pop())
+        with pytest.raises(SchemaError) as exc:
+            parse_solution(json.dumps(doc))
+        assert exc.value.path == f"$.{field}[1]"
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_block_value_is_rejected(self, value):
+        inst = appendix_a()
+        res = clear_exact(inst)
+        doc = solution_to_doc(inst, res.solution, res.prices)
+        bid = sorted(doc["selection"]["blocks"])[0]
+        doc["selection"]["blocks"][bid] = value
+        with pytest.raises(SchemaError) as exc:
+            parse_solution(json.dumps(doc))
+        assert exc.value.path == f"$.selection.blocks.{bid}"

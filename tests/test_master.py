@@ -15,7 +15,7 @@ from daclear.model import balanced_start, build_model, money_start
 
 from helpers import (
     appendix_a, block, expiring_clock, flexbid, make_instance, paradox_book, random_instance,
-    step_book,
+    step_book, without_row_test,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -153,19 +153,28 @@ def _count_master_qps(monkeypatch):
 class TestNodeSolves:
     def test_infeasible_child_skips_its_qp(self, monkeypatch):
         # the 15 MW block fills the curve's 10 MW at the root; its child
-        # with the block executed cannot clear, which row bounds show
+        # with the block executed cannot clear, which solve_qp's row test
+        # shows: no parametric pass, no balanced start, no iteration.  Without
+        # the row test the child falls back and phase 1 decides it alike
         inst = make_instance(
             {("X", 0): [[0, 10], [50, 10], [50, -10], [100, -10]]},
             blocks=[block("big", "X", 90, [15])],
         )
         statuses = _count_master_qps(monkeypatch)
+        starts = []  # 0 per parametric pass, 1 per balanced start
+        balanced, warm_start = master.balanced_start, qp._warm_start
+        monkeypatch.setattr(master, "balanced_start",
+                            lambda *args: starts.append(1) or balanced(*args))
+        monkeypatch.setattr(qp, "_warm_start", lambda *args: starts.append(0) or warm_start(*args))
         pruned = solve_master(inst, build_model(inst))
-        pruned_statuses = list(statuses)
+        assert statuses == ["optimal", "optimal", "infeasible"]
+        assert starts == [0]  # the feasible child's parametric pass only
         statuses.clear()
-        monkeypatch.setattr(master, "infeasible_by_bounds", lambda prob: False)
+        starts.clear()
+        without_row_test(monkeypatch)
         solved = solve_master(inst, build_model(inst))
         assert statuses == ["optimal", "optimal", "infeasible"]
-        assert pruned_statuses == ["optimal", "optimal"]
+        assert starts == [0, 0, 1]
         assert pruned.nodes == solved.nodes == 3
         assert pruned.objective == solved.objective
         assert pruned.bound == solved.bound

@@ -22,6 +22,7 @@ from helpers import (
     price_indifferent,
     ramp_fixture,
     random_instance,
+    without_row_test,
 )
 
 
@@ -236,7 +237,7 @@ class TestPriceStart:
         for inst, sol, duals in cases:
             seen.clear()
             _outcome(inst, sol, relax=True, duals=duals)
-            if not seen:  # decided by the row test
+            if not seen:  # decided by the price bounds, before any QP
                 continue
             prob, x0 = seen[0]
             if np.max(np.abs(x0[:len(duals.y_eq)] - duals.y_eq)) <= 1e-12:
@@ -292,7 +293,7 @@ class TestPriceStart:
             _outcome(inst, sol, relax, duals)
             for inst, sol, duals in cases for relax in (False, True)
         ]
-        monkeypatch.setattr(pricing, "infeasible_by_bounds", lambda prob: False)
+        without_row_test(monkeypatch)
         cold = [_outcome(inst, sol, relax) for inst, sol, _ in cases for relax in (False, True)]
         verdicts = [isinstance(out, str) for out in cold]
         assert 100 < sum(verdicts) < len(verdicts) - 100
@@ -321,14 +322,17 @@ class TestDecidedByBounds:
         assert [inst.segments[k].price_at(0.5) for k in (1, 3)] == [25.0, 70.0]
         sol = PrimalSolution(selection=BidSelection(blocks={"b": executed}, flex={}),
                              delta={1: 0.5, 3: 0.5}, flows={("c1", 0): 5.0})
+        # solve_qp's row test refutes the first pricing QP with no
+        # iteration and no phase 1; without it, phase 1 gives the same verdict
         seen = _spy_pricing_qps(monkeypatch)
+        runs = _phase1_runs(monkeypatch)
         with pytest.raises(PriceInfeasible) as decided:
             solve_qpprice(inst, build_model(inst), sol, relax_losses=relax)
-        assert seen == []
-        monkeypatch.setattr(pricing, "infeasible_by_bounds", lambda prob: False)
+        assert len(seen) == 1 and runs == []
+        without_row_test(monkeypatch)
         with pytest.raises(PriceInfeasible) as solved:
             solve_qpprice(inst, build_model(inst), sol, relax_losses=relax)
-        assert len(seen) == 1
+        assert len(seen) == 2 and runs == [True]
         assert str(decided.value) == str(solved.value)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from daclear import qp
 from daclear.errors import TimeLimit
-from daclear.qp import QpProblem, check_kkt, infeasible_by_bounds, multipliers, solve_qp
+from daclear.qp import QpProblem, check_kkt, multipliers, solve_qp
 
 
 def _prob(c, d, **kw):
@@ -427,18 +427,64 @@ def _boxed_problems(seed, count=600):
     return problems
 
 
+def _spy_proofs(monkeypatch):
+    """(proofs, solve): ``solve`` is ``solve_qp``, and each of its
+    infeasible verdicts appends its proof to ``proofs``: "rows" (the row
+    test), "propagation" (bound propagation, which needs at least one
+    tightening pass once the row test has passed) or "phase 1" (the
+    artificial problem)."""
+    proofs, proving = [], []
+    solve, phase1, propagate = qp.solve_qp, qp._phase1, qp._propagate
+
+    def phase1_spy(*args, **kwargs):
+        proving.append("phase 1")
+        return phase1(*args, **kwargs)
+
+    def propagate_spy(prob):
+        cert = propagate(prob)
+        if cert is not None:
+            proving[-1] = "propagation"
+        return cert
+
+    def solve_spy(prob, *args, **kwargs):
+        proving.clear()
+        sol = solve(prob, *args, **kwargs)
+        if sol.status == "infeasible":
+            proofs.append(proving[-1] if proving else "rows")
+        return sol
+
+    monkeypatch.setattr(qp, "_phase1", phase1_spy)
+    monkeypatch.setattr(qp, "_propagate", propagate_spy)
+    return proofs, solve_spy
+
+
 class TestRowBounds:
-    def test_flags_only_infeasible_problems(self):
-        flagged = unflagged_infeasible = 0
-        for prob in _boxed_problems(77):
-            status = solve_qp(prob).status
-            if infeasible_by_bounds(prob):
-                flagged += 1
-                assert status == "infeasible"
-            elif status == "infeasible":
+    def test_flags_only_infeasible_problems(self, monkeypatch):
+        # solve_qp refutes the problems the row test flags with no
+        # iteration and no phase 1; phase 1 alone, with no propagation,
+        # from the clipped origin, finds every verdict of solve_qp, and the
+        # row test is a screen that leaves some of them to it
+        problems = _boxed_problems(77)
+        flagged = [qp._row_test(prob) is not None for prob in problems]
+        calls = []
+        phase1 = qp._phase1
+        monkeypatch.setattr(qp, "_phase1", lambda *args: calls.append(1) or phase1(*args))
+        unflagged_infeasible = 0
+        statuses = []
+        for prob, flag in zip(problems, flagged):
+            calls.clear()
+            sol = solve_qp(prob)
+            statuses.append(sol.status)
+            if flag:
+                assert sol.status == "infeasible" and sol.iterations == 0 and calls == []
+            elif sol.status == "infeasible":
                 unflagged_infeasible += 1
-        assert flagged > 100
-        assert unflagged_infeasible > 0  # the test is a cheap screen, not phase 1
+        assert sum(flagged) > 100
+        assert unflagged_infeasible > 0
+        monkeypatch.setattr(qp, "_propagate", lambda prob: None)
+        for prob, status in zip(problems, statuses):
+            x, _, _ = phase1(prob, np.clip(np.zeros(prob.n), prob.lb, prob.ub))
+            assert (x is None) == (status == "infeasible")
 
     def test_bound_copies_share_rows_and_agree(self):
         # a with_bounds copy shares the rows stacked once for its problem
@@ -452,28 +498,35 @@ class TestRowBounds:
             fresh = replace(prob, lb=lb, ub=ub)
             assert node.A_eq is prob.A_eq and node.A_in is prob.A_in
             assert node._activity_rows is prob._activity_rows
-            assert infeasible_by_bounds(node) == infeasible_by_bounds(fresh)
-            assert infeasible_by_bounds(prob) == infeasible_by_bounds(replace(prob))
+            assert qp._row_test(node) == qp._row_test(fresh)
+            assert qp._row_test(prob) == qp._row_test(replace(prob))
 
     def test_propagation_proves_only_what_phase_one_proves(self, monkeypatch):
         # every problem propagation proves infeasible is infeasible to phase
-        # 1 without it, every verdict stays, and the single pass misses some
+        # 1 without it, every verdict stays, and the row test misses some
         # of those propagation proves
         problems = _boxed_problems(77)
-        certs = [qp._propagate(prob) for prob in problems]
-        proved = [cert is not None for cert in certs]
+        proved = [qp._propagate(prob) is not None for prob in problems]
         statuses = [solve_qp(prob).status for prob in problems]
         monkeypatch.setattr(qp, "_propagate", lambda prob: None)
         assert [solve_qp(replace(prob)).status for prob in problems] == statuses
         assert all(status == "infeasible" for status, p in zip(statuses, proved) if p)
-        beyond = [
-            prob for prob, p in zip(problems, proved) if p and not infeasible_by_bounds(prob)
-        ]
+        beyond = [prob for prob, p in zip(problems, proved) if p and qp._row_test(prob) is None]
         assert len(beyond) > 0
-        # each certificate names rows and bounds that are infeasible alone
-        for prob, cert in zip(problems, certs):
-            if cert is None:
-                continue
+
+    def test_every_certificate_is_infeasible_alone(self, monkeypatch):
+        # each verdict's certificate names rows and bounds that are
+        # infeasible on their own, whichever step proved it: the row test,
+        # propagation or phase 1
+        proofs, solve = _spy_proofs(monkeypatch)
+        refuted = [
+            (prob, sol) for prob in _boxed_problems(77)
+            if (sol := solve(prob)).status == "infeasible"
+        ]
+        # 334, 54 and 13 verdicts
+        assert all(proofs.count(proof) > 10 for proof in ("rows", "propagation", "phase 1"))
+        for prob, sol in refuted:
+            cert = sol.certificate
             lb, ub = np.full(prob.n, -np.inf), np.full(prob.n, np.inf)
             lb[cert["lower"]] = prob.lb[cert["lower"]]
             ub[cert["upper"]] = prob.ub[cert["upper"]]
@@ -489,7 +542,7 @@ class TestRowBounds:
                      A_eq=np.array([[1.0, 1.0, 0.0]]), b_eq=np.array([1.6]),
                      A_in=np.array([[0.0, 1.0, 1.0]]), b_in=np.array([0.5]),
                      lb=np.zeros(3), ub=np.ones(3))
-        assert not infeasible_by_bounds(prob)
+        assert qp._row_test(prob) is None
         built = []
         active_set = qp._ActiveSet
 
@@ -514,12 +567,14 @@ class TestRowBounds:
         assert built == [3, 3 + 1]
 
     def test_margin_is_phase_one_threshold(self):
-        # x <= 1 against x >= 1 + margin: flagged only beyond INFEAS_TOL
+        # x <= 1 against x >= 1 + margin: flagged only beyond INFEAS_TOL,
+        # and below it phase 1 accepts the point
         for margin, flagged in ((0.5 * qp.INFEAS_TOL, False), (2 * qp.INFEAS_TOL, True)):
             prob = _prob([0.0], [0.0], A_in=np.array([[-1.0]]),
                          b_in=np.array([-1.0 - margin]),
                          lb=np.array([0.0]), ub=np.array([1.0]))
-            assert infeasible_by_bounds(prob) is flagged
+            assert (qp._row_test(prob) is not None) is flagged
+            assert solve_qp(prob).status == ("infeasible" if flagged else "optimal")
 
 
 class TestFactorReuse:
@@ -654,8 +709,11 @@ class TestWarmStarts:
         from test_acceptance import _random_qp
 
         fallbacks = _count_fallbacks(monkeypatch)
+        starts = []
+        warm_start = qp._warm_start
+        monkeypatch.setattr(qp, "_warm_start", lambda *args: starts.append(1) or warm_start(*args))
         rng = np.random.default_rng(160)
-        feasible = fell_back = 0
+        feasible = fell_back = refuted = 0
         for _ in range(600):
             prob = _random_qp(rng, int(rng.integers(1, 21)))
             parent = solve_qp(prob)
@@ -666,19 +724,25 @@ class TestWarmStarts:
             child = _pinned(prob, j, (prob.lb if rng.random() < 0.5 else prob.ub)[j])
             cold = solve_qp(child)
             fallbacks.clear()
+            starts.clear()
             warm = solve_qp(child, x0=parent.x, start=parent)
             again = solve_qp(child, x0=parent.x, start=parent)
             assert warm.status == cold.status == again.status
             assert again.iterations == warm.iterations
+            if qp._row_test(child) is not None:
+                # decided ahead of the parametric pass
+                assert warm.status == "infeasible" and starts == []
+                refuted += 1
+                continue
             if cold.status != "optimal":
-                assert len(fallbacks) == 2  # infeasibility is phase 1's verdict
+                assert len(fallbacks) == 2  # past the row test, phase 1 decides
                 continue
             feasible += 1
             fell_back += bool(fallbacks)
             assert np.array_equal(warm.x, again.x)
             assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
             assert check_kkt(child, warm).max_residual <= 1e-8
-        assert feasible > 300
+        assert feasible > 300 and refuted > 0
         assert fell_back <= 0.1 * feasible
 
     def test_dependent_working_rows_fall_back(self, monkeypatch):
@@ -736,18 +800,27 @@ class TestWarmStarts:
         assert check_kkt(child, warm).max_residual <= 1e-8
 
     def test_infeasible_child_falls_back(self, monkeypatch):
-        # x + y = 3 with y <= 1: pinning x at 0 leaves nothing to clear the row
-        prob = _prob([1.0, 0.0], [-1.0, -1.0],
-                     A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([3.0]),
-                     lb=np.zeros(2), ub=np.array([3.0, 1.0]))
+        # the two-row chain of TestRowBounds with x free up to 2: the parent
+        # sits at (1.1, 0.5, 0).  Pinning x at 1 leaves each row room in
+        # the box, so the row test passes, but y must reach 0.6 against the
+        # cap 0.5: the parametric pass falls back, and propagation decides
+        prob = _prob([0.0, 0.0, 0.0], [-1.0, -1.0, -1.0],
+                     A_eq=np.array([[1.0, 1.0, 0.0]]), b_eq=np.array([1.6]),
+                     A_in=np.array([[0.0, 1.0, 1.0]]), b_in=np.array([0.5]),
+                     lb=np.zeros(3), ub=np.array([2.0, 1.0, 1.0]))
         parent = solve_qp(prob)
-        assert parent.status == "optimal"
+        assert parent.x == pytest.approx([1.1, 0.5, 0.0], abs=1e-12)
         fallbacks = _count_fallbacks(monkeypatch)
-        child = _pinned(prob, 0, 0.0)
+        child = _pinned(prob, 0, 1.0)
+        assert qp._row_test(child) is None
         warm = solve_qp(child, x0=parent.x, start=parent)
         assert fallbacks == [None]
-        assert warm.status == solve_qp(child).status == "infeasible"
-        assert warm.certificate is not None
+        cold = solve_qp(child)
+        assert warm.status == cold.status == "infeasible"
+        assert warm.iterations == 0
+        assert warm.certificate == cold.certificate == {
+            "eq": [0], "in": [0], "upper": [0], "lower": [2]
+        }
 
     def test_violated_new_row_falls_back(self, monkeypatch):
         # a row added since the parent was solved (a cut) that the parent's

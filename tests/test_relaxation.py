@@ -156,8 +156,10 @@ class TestSolveRelaxation:
         for seed in range(5):
             inst = random_instance(seed)
             list(_relaxations(inst, build_model(inst)))
-        assert len(solves) > 20
-        for prob, sol in solves:
+        # the spy also sees the selections that solve_qp's row test refutes
+        optimal = [(prob, sol) for prob, sol in solves if sol.status == "optimal"]
+        assert 20 < len(optimal) < len(solves)
+        for prob, sol in optimal:
             assert check_kkt(prob, sol).max_residual <= 1e-8
 
     def test_one_area_solved_by_its_start(self, solves):
