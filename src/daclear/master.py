@@ -3,7 +3,10 @@
 One best-first branch-and-cut tree on the block and flex execution
 variables, the binary columns of the clearing model's master problem
 (``ClearingModel.master``); every node is a concave QP (binaries relaxed
-to [0,1]) solved by the active-set engine.  Price conditions are absent
+to [0,1]) solved by the active-set engine, on the box that its rows
+leave it: before the QP, each free binary whose other value one row rules
+out over the node's box is fixed (node presolve; Savelsbergh, 1994), so no
+child is made that the row test would refute.  Price conditions are absent
 here by design: the caller's leaf test is the only coupling to pricing.
 The test sees each integral leaf that is the master optimum under the cuts
 so far, and either accepts it or returns cuts, which become rows of the
@@ -23,7 +26,9 @@ from .core import Instance, PrimalSolution, presolve_price_bounds
 from .cuts import Cut
 from .errors import TimeLimit
 from .model import ClearingModel, balanced_start, money_start
-from .qp import END_TOL, Multipliers, QpProblem, multipliers, solve_qp
+from .qp import (
+    END_TOL, PROPAGATION_PASSES, Multipliers, QpProblem, _lowest_activity, multipliers, solve_qp,
+)
 
 @dataclass
 class MasterResult:
@@ -77,6 +82,47 @@ def _presolve_fixings(instance: Instance) -> set:
     return fixed
 
 
+def _binary_rows(prob: QpProblem, bin_cols: Sequence[int]):
+    """What ``_fix_binaries`` reads of ``prob``'s stacked rows
+    (``QpProblem._activity_rows``): the binary columns, each row's
+    |coefficient| on them, and where that coefficient is positive and
+    where negative."""
+    cols = np.array(bin_cols, dtype=int)
+    M = prob._activity_rows[0][:, cols]
+    return cols, np.abs(M), M > 0.0, M < 0.0
+
+
+def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
+    """(lb, ub) with each free binary column fixed at v where the row test
+    would refute its other value over the box (node presolve; Savelsbergh,
+    1994): its |coefficient| in a stacked row exceeds that row's room,
+    ``broken`` minus its lowest activity (``qp._lowest_activity``), so the
+    value that raises the row's activity by it breaks the row.  Passes
+    repeat while a binary moves, at most PROPAGATION_PASSES.  The pass
+    gives no verdict: at a broken row, or once a binary is ruled out both
+    ways (fixed at 0), it stops and leaves the node to ``solve_qp``'s row
+    test.  Continuous bounds stay as they are; lb and ub are not modified."""
+    cols, size, positive, negative = binary_rows
+    broken = prob._activity_rows[2]
+    for _ in range(PROPAGATION_PASSES):
+        free = lb[cols] < ub[cols]
+        if not free.any():
+            break
+        terms, row = _lowest_activity(prob, lb, ub)
+        if row is not None:
+            break
+        ruled = size * free > (broken - terms.sum(axis=1))[:, None]
+        if not ruled.any():
+            break
+        no_one, no_zero = (ruled & positive).any(axis=0), (ruled & negative).any(axis=0)
+        lb, ub = lb.copy(), ub.copy()
+        ub[cols[no_one]] = 0.0
+        lb[cols[no_zero & ~no_one]] = 1.0
+        if (no_one & no_zero).any():
+            break
+    return lb, ub
+
+
 def _solve_node(node: QpProblem, model, parent, deadline):
     """The optimal solution of one B&B node, or None when it has none.  A
     node with a ``parent`` solution (a child, or a node solved again under
@@ -105,11 +151,15 @@ def solve_master(
     time_limit: Optional[float] = None,
 ) -> MasterResult:
     """Best-first branch-and-cut on ``model``, the clearing model of
-    ``instance``.  Each child is solved from its parent's optimum and
-    working set (``solve_qp``'s ``start``), so phase 1 runs only at the
-    root and where that parametric start falls back.  A node whose free
-    binaries all sit on 0/1 up to round-off (``qp.END_TOL``) is an
-    integral leaf; any other node branches.  A leaf goes back on the heap
+    ``instance``.  Before a popped node's QP, ``_fix_binaries`` fixes
+    each free binary whose other value the row test would refute over the
+    node's box, and the node is solved and branched on that tightened box;
+    it gives no verdict, so a node its rows rule out still ends at
+    ``solve_qp``'s row test.  Each child is solved from its parent's
+    optimum and working set (``solve_qp``'s ``start``), so phase 1 runs
+    only at the root and where that parametric start falls back.  A node
+    whose free binaries all sit on 0/1 up to round-off (``qp.END_TOL``) is
+    an integral leaf; any other node branches.  A leaf goes back on the heap
     keyed by its objective plus ``abs_gap``; when it reaches the top and
     meets every cut row it is the master optimum under the cuts so far,
     and ``test`` gets it as an optimal ``MasterResult``.  The test returns
@@ -122,6 +172,7 @@ def solve_master(
     valid.  A test that raises TimeLimit puts its leaf back the same way."""
     prob = model.master()
     bin_cols = list(range(model.n, prob.n))
+    binary_rows = _binary_rows(prob, bin_cols)
     cut_rows = len(prob.b_in)  # the rows after these are cuts
     deadline = time.monotonic() + time_limit if time_limit is not None else None
 
@@ -175,8 +226,11 @@ def solve_master(
             # factorization still holds for the longer problem
             cut_prob.factors = prob.factors
             prob = cut_prob
+            binary_rows = _binary_rows(prob, bin_cols)
             continue
-        # a node, or a leaf that a later cut removed
+        # a node, or a leaf that a later cut removed, on the box its rows
+        # leave it
+        node_lb, node_ub = _fix_binaries(prob, binary_rows, node_lb, node_ub)
         node = prob.with_bounds(node_lb, node_ub)
         try:
             sol = _solve_node(node, model, parent, deadline)

@@ -53,7 +53,8 @@ END_TOL = 1e-12  # relative round-off at the end of a parametric pass
 FACTOR_CACHE_SIZE = 16
 # bound-propagation passes phase 1 makes before it builds its artificial
 # problem (``_propagate``); a pass that moves no bound by more than
-# FEAS_TOL ends them sooner
+# FEAS_TOL ends them sooner.  The master's node pass
+# (``master._fix_binaries``) makes as many at most
 PROPAGATION_PASSES = 8
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from daclear import qp
+from daclear import master, qp
 from daclear.io import parse_instance
 from daclear.master import _with_cuts
 from daclear.model import build_model
@@ -68,6 +68,12 @@ def without_row_test(monkeypatch):
     """Take ``solve_qp``'s row test out, so that phase 1 decides every
     verdict of infeasibility."""
     monkeypatch.setattr(qp, "_row_test", lambda prob: None)
+
+
+def without_node_pass(monkeypatch):
+    """Take the master's node pass (``master._fix_binaries``) out, so that
+    every node is solved and branched on the box it was pushed with."""
+    monkeypatch.setattr(master, "_fix_binaries", lambda prob, binary_rows, lb, ub: (lb, ub))
 
 
 def pinned_relaxation(inst, selection):

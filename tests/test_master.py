@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from daclear.model import balanced_start, build_model, money_start
 
 from helpers import (
     appendix_a, block, expiring_clock, flexbid, make_instance, paradox_book, random_instance,
-    step_book, without_row_test,
+    step_book, without_node_pass, without_row_test,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -152,10 +153,13 @@ def _count_master_qps(monkeypatch):
 
 class TestNodeSolves:
     def test_infeasible_child_skips_its_qp(self, monkeypatch):
-        # the 15 MW block fills the curve's 10 MW at the root; its child
-        # with the block executed cannot clear, which solve_qp's row test
-        # shows: no parametric pass, no balanced start, no iteration.  Without
-        # the row test the child falls back and phase 1 decides it alike
+        # the 15 MW block cannot clear against the curve's 10 MW, which one
+        # row shows: the node pass fixes it at 0 before the root's QP, so
+        # the tree is one node and no child exists.  Without the pass the
+        # root takes the block in part, and its child with the block
+        # executed ends at solve_qp's row test: no parametric pass, no
+        # balanced start, no iteration.  Without the row test too, that
+        # child falls back and phase 1 decides it alike
         inst = make_instance(
             {("X", 0): [[0, 10], [50, 10], [50, -10], [100, -10]]},
             blocks=[block("big", "X", 90, [15])],
@@ -166,6 +170,11 @@ class TestNodeSolves:
         monkeypatch.setattr(master, "balanced_start",
                             lambda *args: starts.append(1) or balanced(*args))
         monkeypatch.setattr(qp, "_warm_start", lambda *args: starts.append(0) or warm_start(*args))
+        fixed = solve_master(inst, build_model(inst))
+        assert statuses == ["optimal"] and starts == []
+        assert fixed.nodes == 1
+        statuses.clear()
+        without_node_pass(monkeypatch)
         pruned = solve_master(inst, build_model(inst))
         assert statuses == ["optimal", "optimal", "infeasible"]
         assert starts == [0]  # the feasible child's parametric pass only
@@ -179,6 +188,10 @@ class TestNodeSolves:
         assert pruned.objective == solved.objective
         assert pruned.bound == solved.bound
         assert pruned.solution.selection == solved.solution.selection
+        # the one-node tree reaches the same optimum by another path
+        assert fixed.objective == pytest.approx(pruned.objective, rel=1e-12)
+        assert fixed.bound == pytest.approx(pruned.bound, rel=1e-12)
+        assert fixed.solution.selection == pruned.solution.selection
 
     def test_leaf_under_its_own_cut_is_decided_alike(self, monkeypatch):
         # a rejected leaf's node is solved again under its no-good cut, which
@@ -218,6 +231,106 @@ class TestNodeSolves:
         res = solve_master(inst, build_model(inst))
         assert res.status == "optimal" and res.nodes == 1
         assert statuses == ["optimal"]
+
+
+class TestNodePass:
+    """Before a node's QP, the master fixes each free binary whose other
+    value the row test would refute over the node's box
+    (``master._fix_binaries``)."""
+
+    # a 10 MW curve and a block of 10 MW plus 5e-8: the block's row breaks
+    # by less than INFEAS_TOL, so solve_qp takes the block executed as
+    # feasible, and the pass must not fix it at 0, as a threshold without
+    # the INFEAS_TOL relaxation would
+    NEAR_TIE = make_instance(
+        {("X", 0): [[0, 10], [50, 10], [50, -10], [100, -10]]},
+        blocks=[block("tie", "X", 90, [10 + 5e-8])],
+    )
+
+    def test_fixings_hold_in_every_feasible_selection(self, monkeypatch):
+        # at every node the master visits, a binary fixed at v takes the
+        # value v in every selection within the node's binary bounds whose
+        # pinned relaxation solve_qp finds feasible
+        from daclear.driver import clear_exact, clear_heuristic
+
+        passes = []
+        fix = master._fix_binaries
+
+        def spy(prob, binary_rows, lb, ub):
+            out = fix(prob, binary_rows, lb, ub)
+            passes.append((prob, binary_rows[0], lb, ub, *out))
+            return out
+
+        monkeypatch.setattr(master, "_fix_binaries", spy)
+        instances = [paradox_book(seed) for seed in range(20)]
+        instances += [random_instance(seed) for seed in range(50)] + [self.NEAR_TIE]
+        for inst in instances:
+            clear_exact(inst)
+            clear_heuristic(inst)
+        feasible = {}  # (problem, pinned values) -> whether solve_qp finds it feasible
+        checked = 0
+        for prob, cols, lb, ub, fixed_lb, fixed_ub in passes:
+            free = cols[lb[cols] < ub[cols]]
+            fixed = free[fixed_lb[free] == fixed_ub[free]]
+            if not len(fixed):
+                continue
+            for values in itertools.product((0.0, 1.0), repeat=len(free)):
+                pin_lb, pin_ub = lb.copy(), ub.copy()
+                pin_lb[free] = pin_ub[free] = values
+                key = id(prob), tuple(pin_lb[cols]), tuple(pin_ub[cols])
+                if key not in feasible:
+                    sol = qp.solve_qp(prob.with_bounds(pin_lb, pin_ub))
+                    feasible[key] = sol.status != "infeasible"
+                if feasible[key]:
+                    at = dict(zip(free.tolist(), values))
+                    assert all(at[j] == fixed_lb[j] for j in fixed.tolist())
+                    checked += 1
+        assert checked >= 100
+
+    def test_same_leaves_with_fewer_nodes(self, monkeypatch):
+        # the pass only removes values no feasible selection takes, so the
+        # clears test the same leaves in the same order, in fewer nodes
+        from daclear import driver
+
+        instances = [paradox_book(seed) for seed in range(20)]
+        instances += [random_instance(seed) for seed in range(50)]
+        leaves, nodes = [], []
+        leaf_test, solve = driver._leaf_test, driver.solve_master
+
+        def leaf_spy(instance, model, solution, *args):
+            leaves[-1].append(solution.selection)
+            return leaf_test(instance, model, solution, *args)
+
+        def master_spy(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            nodes.append(res.nodes)
+            return res
+
+        monkeypatch.setattr(driver, "_leaf_test", leaf_spy)
+        monkeypatch.setattr(driver, "solve_master", master_spy)
+
+        def clears():
+            out = []
+            for inst in instances:
+                for clear in (driver.clear_exact, driver.clear_heuristic):
+                    leaves.append([])
+                    res = clear(inst)
+                    selection = None if res.solution is None else res.solution.selection
+                    out.append((res.status, selection, leaves[-1], res.iterations))
+            return out
+
+        passed = clears()
+        with_pass = sum(nodes)
+        nodes.clear()
+        without_node_pass(monkeypatch)
+        for one, other in zip(passed, clears()):
+            assert one[:3] == other[:3]
+            assert len(one[3]) == len(other[3])
+            for a, b in zip(one[3], other[3]):
+                assert a.master_objective == pytest.approx(b.master_objective, rel=1e-12)
+                assert (a.loss_blocks, a.loss_flex, a.curtailment_areas, a.cuts_added) == (
+                    b.loss_blocks, b.loss_flex, b.curtailment_areas, b.cuts_added)
+        assert with_pass < sum(nodes)
 
 
 def _offset_binary(monkeypatch, offset):
@@ -433,7 +546,7 @@ class TestStarts:
         monkeypatch.setattr(qp, "_phase1", phase1_spy)
         monkeypatch.setattr(qp, "_warm_start", warm_start_spy)
         monkeypatch.setattr(master, "solve_qp", solve_spy)
-        for seed in range(40):
+        for seed in range(80):
             assert clear_exact(paradox_book(seed)).status in ("optimal", "infeasible")
         assert all(c["phase 1"] == c["fallback"] for c in children)
         assert len(children) >= 150

@@ -276,12 +276,14 @@ class TestPriceStart:
         assert np.any(x0[len(build_model(inst).eq_keys):] > 0.0)
 
     def test_phase_one_only_for_a_broken_no_loss_row(self, monkeypatch):
-        # the accepted leaf {c, d} of appendix_a: its master node prices X
-        # at block b's limit 2, a multiplier of the pinned welfare QP at
-        # which seller c (limit 3) loses, so only c's no-loss row breaks
+        # the accepted leaf {c, d} of appendix_a: the node pass pins its
+        # every binary, and on the empty curve the pinned welfare QP's
+        # clearing multiplier is degenerate; its node prices X at 0, at
+        # which seller c (limit 3) loses and buyer d (limit 4) does not,
+        # so only c's no-loss row breaks
         runs, prob, x0 = self._accepted_leaf_pricing(monkeypatch, appendix_a())
         assert runs == [True]
-        assert x0[0] == pytest.approx(2.0, abs=1e-12)
+        assert x0[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(prob.lb <= x0) and np.all(x0 <= prob.ub)
         assert np.max(np.abs(prob.A_eq @ x0 - prob.b_eq), initial=0.0) <= 1e-12
         assert np.flatnonzero(prob.A_in @ x0 > prob.b_in).tolist() == [0]

@@ -9,9 +9,11 @@ instance of the family (``bench/generate.py``, seeds ``first`` to
 ``first + count - 1``) is parsed by each side and cleared by both in each
 mode, ``--repeat`` times, and the side that goes first alternates from one
 instance to the next.  Per mode the script prints each side's median CPU
-milliseconds per clear (over instances, of each instance's median clear)
-and the median over instances of the HEAD/BASE ratio, with the number of
-instances whose status or welfare differ between the sides.
+milliseconds per clear (over instances, of each instance's median clear),
+the median over instances of the HEAD/BASE ratio, the number of instances
+whose status or selection differ between the sides, and the largest
+relative welfare difference between them, which round-off alone makes
+nonzero.
 
 Clears of one tree in separate processes can differ by more than half in
 speed on a shared host; interleaved in one process, both sides see the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import os
 import shutil
 import statistics
@@ -56,12 +59,26 @@ def _clear(driver, mode, instance):
     solver = driver.clear_exact if mode == "exact" else driver.clear_heuristic
     start = time.process_time()
     result = solver(instance)
-    return time.process_time() - start, (result.status, repr(result.welfare))
+    cpu = time.process_time() - start
+    selection = result.solution and result.solution.selection
+    # compared by their dicts: the two sides' selection classes differ
+    chosen = selection and (selection.blocks, selection.flex)
+    return cpu, (result.status, chosen), result.welfare
+
+
+def _relative(a: float, b: float) -> float:
+    """|a - b| over the larger of 1, |a| and |b|; 0 when a == b (also
+    both -inf, a clear without a solution), inf when only one is finite."""
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int = 3) -> dict:
     """Per mode: (base ms, head ms, median head/base ratio, instances whose
-    outcome differs)."""
+    status or selection differ, largest relative welfare difference)."""
     sys.path.insert(0, str(ROOT / "bench"))
     import generate
 
@@ -76,17 +93,20 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
         out = {}
         for mode in modes:
             times = ([], [])
-            differ = 0
+            differ, welfare = 0, 0.0
             for i, text in enumerate(texts):
                 instances = [io.parse_instance(text) for io, _ in sides]
                 order = (0, 1) if i % 2 == 0 else (1, 0)
                 runs = ([], [])
-                outcome = [None, None]
+                outcome, welfares = [None, None], [None, None]
                 for _ in range(repeat):
                     for side in order:
-                        cpu, outcome[side] = _clear(sides[side][1], mode, instances[side])
+                        cpu, outcome[side], welfares[side] = _clear(
+                            sides[side][1], mode, instances[side]
+                        )
                         runs[side].append(cpu)
                 differ += outcome[0] != outcome[1]
+                welfare = max(welfare, _relative(*welfares))
                 for side in (0, 1):
                     times[side].append(statistics.median(runs[side]))
             ratios = [h / b for b, h in zip(*times) if b > 0.0]
@@ -95,6 +115,7 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                 1e3 * statistics.median(times[1]),
                 statistics.median(ratios),
                 differ,
+                welfare,
             )
         return out
 
@@ -112,10 +133,12 @@ def main(argv=None) -> int:
     seeds = range(args.first, args.first + args.count)
     print(f"{args.family} seeds {seeds.start}-{seeds.stop - 1}, {args.repeat} repeats")
     print(f"base {args.base.resolve()}\nhead {args.head.resolve()}")
-    print(f"{'mode':10s} {'base ms':>9s} {'head ms':>9s} {'head/base':>9s} {'differ':>6s}")
+    print(f"{'mode':10s} {'base ms':>9s} {'head ms':>9s} {'head/base':>9s} {'differ':>6s}"
+          f" {'welfare':>8s}")
     results = compare(args.base, args.head, args.family, seeds, args.modes, args.repeat)
-    for mode, (base_ms, head_ms, ratio, differ) in results.items():
-        print(f"{mode:10s} {base_ms:9.3f} {head_ms:9.3f} {ratio:9.3f} {differ:6d}")
+    for mode, (base_ms, head_ms, ratio, differ, welfare) in results.items():
+        print(f"{mode:10s} {base_ms:9.3f} {head_ms:9.3f} {ratio:9.3f} {differ:6d}"
+              f" {welfare:8.1e}")
     return 0
 
 
