@@ -26,9 +26,7 @@ from .core import Instance, PrimalSolution, presolve_price_bounds
 from .cuts import Cut
 from .errors import TimeLimit
 from .model import ClearingModel, balanced_start, money_start
-from .qp import (
-    END_TOL, PROPAGATION_PASSES, Multipliers, QpProblem, _lowest_activity, multipliers, solve_qp,
-)
+from .qp import END_TOL, Multipliers, QpProblem, _lowest_activity, multipliers, solve_qp
 
 @dataclass
 class MasterResult:
@@ -92,6 +90,11 @@ def _binary_rows(prob: QpProblem, bin_cols: Sequence[int]):
     return cols, np.abs(M), M > 0.0, M < 0.0
 
 
+# passes the node pass (``_fix_binaries``) makes at most; a pass that fixes
+# no binary ends them sooner
+PROPAGATION_PASSES = 8
+
+
 def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
     """(lb, ub) with each free binary column fixed at v where the row test
     would refute its other value over the box (node presolve; Savelsbergh,
@@ -103,7 +106,7 @@ def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
     ways (fixed at 0), it stops and leaves the node to ``solve_qp``'s row
     test.  Continuous bounds stay as they are; lb and ub are not modified."""
     cols, size, positive, negative = binary_rows
-    broken = prob._activity_rows[2]
+    broken = prob._activity_rows[1]
     for _ in range(PROPAGATION_PASSES):
         free = lb[cols] < ub[cols]
         if not free.any():
@@ -164,9 +167,12 @@ def solve_master(
     meets every cut row it is the master optimum under the cuts so far,
     and ``test`` gets it as an optimal ``MasterResult``.  The test returns
     no cuts to accept the leaf, cuts that reject it (they become rows of
-    the QP, the only place cuts are kept, and the leaf's node is solved
-    again under them), or None to stop the search with status ``limit``.
-    Without a test the first such leaf is returned.
+    the QP, the only place cuts are kept), or None to stop the search with
+    status ``limit``.  Rejecting cuts cut the leaf off: each is violated at
+    the leaf's binaries, as the bid, curtailment and no-good cuts are.  So
+    the leaf's node is solved again under them only while some binary is
+    free in its box; with every binary pinned, the row test would refute
+    it, and it is dropped.  Without a test the first such leaf is returned.
     ``time_limit`` also bounds each node's QP solves: one that passes it
     puts its node back on the heap, so the ``limit`` result's bound stays
     valid.  A test that raises TimeLimit puts its leaf back the same way."""
@@ -218,9 +224,11 @@ def solve_master(
                 return result("limit")
             if verdict is not None and not verdict:
                 return found
-            push(bound, (node_lb, node_ub, parent))  # solved again under the new cuts
             if verdict is None:
+                push(bound, (node_lb, node_ub, parent))  # the leaf keeps its bound
                 return result("limit")
+            if (node_lb[bin_cols] < node_ub[bin_cols]).any():
+                push(bound, (node_lb, node_ub, parent))  # solved again under the new cuts
             cut_prob = _with_cuts(prob, verdict, model)
             # the rows before the cuts keep their indices, so every cached
             # factorization still holds for the longer problem

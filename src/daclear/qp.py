@@ -12,11 +12,11 @@ free, at its lower bound or at its upper bound (columns with lb == ub
 stay pinned), and steps move the free columns within the null space of
 the working rows.  A row whose activity over the box misses its limit
 proves infeasibility at once; otherwise, when the start clipped into the
-box is infeasible, bound propagation or a phase-1 pass with artificial
-slacks on the equality rows and the violated inequality rows does.  A
-solve may instead start from the optimum of a problem that differs in some
-pinned columns (a branch-and-bound parent): a parametric pass moves those
-columns to their values while it keeps the parent's working set optimal.
+box is infeasible, a phase-1 pass with artificial slacks on the equality
+rows and the violated inequality rows decides.  A solve may instead start
+from the optimum of a problem that differs in some pinned columns (a
+branch-and-bound parent): a parametric pass moves those columns to their
+values while it keeps the parent's working set optimal.
 At a stationary point the working row or bound with the most negative
 multiplier leaves (Dantzig's rule; Gill, Murray and Wright, 1981, 5.2);
 right after a zero-length step the first wrong-signed one leaves instead
@@ -51,11 +51,6 @@ END_TOL = 1e-12  # relative round-off at the end of a parametric pass
 # exact and heuristic, the clears' 8,391 lookups need 4,179 SVDs with 8
 # entries, 3,939 with 16 and 3,933 with no bound
 FACTOR_CACHE_SIZE = 16
-# bound-propagation passes phase 1 makes before it builds its artificial
-# problem (``_propagate``); a pass that moves no bound by more than
-# FEAS_TOL ends them sooner.  The master's node pass
-# (``master._fix_binaries``) makes as many at most
-PROPAGATION_PASSES = 8
 
 
 @dataclass
@@ -100,12 +95,12 @@ class QpProblem:
     @cached_property
     def _activity_rows(self):
         # equality rows as they are (lowest activity) and negated (highest),
-        # limits relaxed by INFEAS_TOL, the activity above which a row is
-        # broken (``_lowest_activity``) and the coefficients' signs
+        # the activity above which a row is broken (``_lowest_activity``;
+        # limits relaxed by INFEAS_TOL) and the coefficients' signs
         M = np.concatenate((self.A_in, self.A_eq, -self.A_eq))
         limit = np.concatenate((self.b_in, self.b_eq, -self.b_eq)) + INFEAS_TOL
         broken = limit + FEAS_TOL * np.maximum(1.0, np.abs(limit))
-        return M, limit, broken, M > 0.0, M < 0.0
+        return M, broken, M > 0.0, M < 0.0
 
     @cached_property
     def factors(self) -> OrderedDict:
@@ -528,12 +523,10 @@ def _bound_multipliers(state, r):
 def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
     """(x, None, iterations) with a feasible point from the start x0 (inside
     the box), or (None, certificate, iterations) when none exists.  When x0
-    breaks a row, bound propagation (``_propagate``) first tries to prove
-    the problem infeasible, with no iteration; only when it cannot does
-    phase 1 build its artificial problem, with slacks on the equality rows
-    and the rows x0 violates only (the box stays a box).  A certificate
-    names the rows and box bounds that carry the proof: those the
-    propagation used, or those with nonzero phase-1 multipliers."""
+    breaks a row, phase 1 builds its artificial problem, with slacks on the
+    equality rows and the rows x0 violates only (the box stays a box).  A
+    certificate names the rows and box bounds with nonzero phase-1
+    multipliers, which carry the proof."""
     n = prob.n
     A, b, G, h = prob.A_eq, prob.b_eq, prob.A_in, prob.b_in
     r_eq = b - A @ x0
@@ -541,9 +534,6 @@ def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
     viol = (excess > FEAS_TOL).nonzero()[0]
     if (np.abs(r_eq) <= FEAS_TOL).all() and len(viol) == 0:
         return x0, None, 0
-    cert = _propagate(prob)
-    if cert is not None:
-        return None, cert, 0
     # z = [x, s_eq, s_in], all artificials nonnegative, maximize -sum(s)
     m, k = len(b), len(viol)
     A1 = np.hstack([A, np.diag(np.where(r_eq >= 0, 1.0, -1.0)), np.zeros((m, k))])
@@ -576,7 +566,7 @@ def _lowest_activity(prob: QpProblem, lb, ub):
     row whose lowest activity exceeds its limit by more than FEAS_TOL times
     the larger of 1 and the limit, or None.  Phase 1 calls such a problem
     infeasible, as the artificial on that row must carry over INFEAS_TOL."""
-    M, _, broken, pos, neg = prob._activity_rows
+    M, broken, pos, neg = prob._activity_rows
     terms = M * np.where(pos, lb, np.where(neg, ub, 0.0))
     over = terms.sum(axis=1) > broken
     return terms, int(over.argmax()) if over.any() else None
@@ -589,107 +579,13 @@ def _row_test(prob: QpProblem) -> Optional[dict]:
     if len(prob.b_in) or len(prob.b_eq):  # a problem without rows stacks none
         _, row = _lowest_activity(prob, prob.lb, prob.ub)
         if row is not None:
-            _, _, _, pos, neg = prob._activity_rows
-            upper, lower = neg[row].nonzero()[0].tolist(), pos[row].nonzero()[0].tolist()
-            return _certificate(prob, [row], upper, lower)
+            _, _, pos, neg = prob._activity_rows
+            m_in = len(prob.b_in)
+            # the equality rows stack twice, after the inequality rows
+            eq, ineq = ([], [row]) if row < m_in else ([(row - m_in) % len(prob.b_eq)], [])
+            return {"eq": eq, "in": ineq, "upper": neg[row].nonzero()[0].tolist(),
+                    "lower": pos[row].nonzero()[0].tolist()}
     return None
-
-
-def _propagate(prob: QpProblem) -> Optional[dict]:
-    """The certificate of prob's infeasibility when iterated bound
-    propagation proves it (Savelsbergh, 1994), else None.
-
-    A pass takes each row of ``_activity_rows`` (relaxed by INFEAS_TOL,
-    equality rows from both sides), puts its other columns at their lowest
-    activity over the box the pass started from, and tightens each
-    column's bound to what the row leaves it.  The proof is a row that the
-    tightened box breaks (``_lowest_activity``), or a column whose bounds
-    cross by more than FEAS_TOL times the larger of 1 and the values
-    compared.  It is sound for phase 1: every point phase 1 accepts breaks
-    each row by at most INFEAS_TOL, so it survives every tightening.  At
-    most PROPAGATION_PASSES passes run, fewer once a pass moves no bound by
-    more than FEAS_TOL."""
-    M, limit, _, pos, neg = prob._activity_rows
-    if not len(M):
-        return None
-    lb, ub = prob.lb, prob.ub
-    cols = np.arange(prob.n)
-    passes = []  # per pass, the row that moved each lower and upper bound, or -1
-    for _ in range(PROPAGATION_PASSES):
-        terms, row = _lowest_activity(prob, lb, ub)
-        if row is not None:
-            return _conflict(M, prob, passes, row=row)
-        # a row bounds a column when its other columns' lowest activity is
-        # finite: x_j <= own + (limit - low) / M_ij for a positive entry,
-        # x_j >= the same for a negative one, where low sums the finite terms
-        # and own is the bound the lowest activity takes (0 if infinite)
-        unbounded = np.isinf(terms)
-        low = np.where(unbounded, 0.0, terms).sum(axis=1)
-        bounding = (unbounded.sum(axis=1)[:, None] == unbounded) & (pos | neg)
-        own = np.where(unbounded, 0.0, np.where(pos, lb, ub))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            implied = (limit - low)[:, None] / M + own
-        upper = np.where(bounding & pos, implied, np.inf)
-        lower = np.where(bounding & neg, implied, -np.inf)
-        up_row, low_row = upper.argmin(axis=0), lower.argmax(axis=0)
-        new_ub, new_lb = upper[up_row, cols], lower[low_row, cols]
-        down, up = new_ub < ub - FEAS_TOL, new_lb > lb + FEAS_TOL
-        if not (down.any() or up.any()):
-            return None
-        passes.append((np.where(up, low_row, -1), np.where(down, up_row, -1)))
-        lb, ub = np.where(up, new_lb, lb), np.where(down, new_ub, ub)
-        crossed = lb - ub > FEAS_TOL * np.maximum(1.0, np.maximum(np.abs(lb), np.abs(ub)))
-        if crossed.any():
-            return _conflict(M, prob, passes, column=int(crossed.argmax()))
-    return None
-
-
-def _conflict(M, prob, passes, row=None, column=None) -> dict:
-    """The certificate of ``_propagate``'s proof after ``passes``: the rows
-    and box bounds behind a ``row`` whose lowest activity exceeds its
-    limit, or behind the crossing bounds of a ``column``.  A moved bound
-    stands for the row that moved it and for the bounds of that row's
-    other columns when it did; an unmoved one for its box bound."""
-    memo = {}
-
-    def bound(side, j, p):
-        # what column j's bound on ``side`` rests on after p passes
-        key = side, j, p
-        if key not in memo:
-            items = {(side, j)}
-            for q in range(p - 1, -1, -1):
-                r = int(passes[q][side == "upper"][j])
-                if r >= 0:
-                    items = activity(r, q, skip=j)
-                    break
-            memo[key] = items
-        return memo[key]
-
-    def activity(r, p, skip=None):
-        # what row r's lowest activity after p passes rests on
-        items = {("row", r)}
-        for k in np.flatnonzero(M[r]).tolist():
-            if k != skip:
-                items |= bound("lower" if M[r, k] > 0.0 else "upper", k, p)
-        return items
-
-    p = len(passes)
-    if row is not None:
-        items = activity(row, p)
-    else:
-        items = bound("lower", column, p) | bound("upper", column, p)
-    return _certificate(
-        prob, *({i for kind, i in items if kind == k} for k in ("row", "upper", "lower"))
-    )
-
-
-def _certificate(prob: QpProblem, rows, upper, lower) -> dict:
-    """The certificate of a proof from its stacked rows (``_activity_rows``,
-    the equality rows twice) and the columns whose box bounds it used."""
-    m_in, m_eq = len(prob.b_in), len(prob.b_eq)
-    eq = {(r - m_in) % m_eq for r in rows if r >= m_in}
-    return {"eq": sorted(eq), "in": sorted(r for r in rows if r < m_in),
-            "upper": sorted(upper), "lower": sorted(lower)}
 
 
 def rows_hold(prob: QpProblem, x: np.ndarray) -> bool:
@@ -733,10 +629,10 @@ def solve_qp(
 
     Every infeasible verdict comes from here, so callers run no test of
     their own.  The first step, ahead of ``start`` and of building x0, is
-    the row test (``_row_test``, propagation's first pass with no
-    tightening): a row whose activity over the box misses its limit by more
-    than INFEAS_TOL ends the solve with no iteration and a certificate of
-    the row, its positive columns' lower and negative columns' upper bounds.
+    the row test (``_row_test``): a row whose activity over the box misses
+    its limit by more than INFEAS_TOL ends the solve with no iteration and
+    a certificate of the row, its positive columns' lower and negative
+    columns' upper bounds.
     With ``start``, the optimal solution of a parent problem that prob
     extends by pinned columns or added inequality rows (a branch-and-bound
     child, see ``_warm_start``), a parametric pass moves the parent's
@@ -750,10 +646,9 @@ def solve_qp(
     when that point is infeasible.  x0 may also be a function that builds
     the start, called only when the search needs it, so a caller pays for
     the start only when the row test passes and the parametric pass, if
-    any, falls back.  Past the row test, only ``_phase1`` proves
-    infeasibility: by the bound propagation it tries first, with no
-    iteration, or by its artificial problem.  A fallback's breakpoints are
-    not counted in ``iterations``.  With a ``deadline`` (a
+    any, falls back.  Past the row test, only ``_phase1``'s artificial
+    problem proves infeasibility.  A fallback's breakpoints are not
+    counted in ``iterations``.  With a ``deadline`` (a
     ``time.monotonic()`` instant), every active-set iteration and
     breakpoint checks the clock and raises TimeLimit once it has passed.
     An optimal solution carries its ``working`` set and the ``duals`` that

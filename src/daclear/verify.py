@@ -119,7 +119,10 @@ def check_flow_price(
     tol: float = DEFAULT_TOL,
 ) -> ConditionReport:
     """Existence of nonnegative congestion/ramp multipliers explaining
-    every cross-border price difference at the fixed flows."""
+    every cross-border price difference at the fixed flows.  A flow bound
+    or ramp row counts as tight within max(tol, TIGHT_TOL), the tolerance
+    of pricing's tight sets at the least, so a pass at one ``tol`` is a
+    pass at every larger one."""
     violations = []
     for c in instance.interconnectors:
         ramp = c.ramp_rate if c.ramp_rate is not None else np.inf
@@ -133,13 +136,14 @@ def check_flow_price(
 def _flow_fast_path(instance, c, flows, prices, tol):
     """No ramping: a price rise toward the sink requires a tight upper
     bound, a price drop a tight lower bound."""
+    tight = max(tol, TIGHT_TOL)
     out = []
     for t in range(instance.hours):
         tau = flows.get((c.id, t), 0.0)
         diff = prices[c.sink, t] - prices[c.source, t]
-        if diff > tol and c.upper[t] - tau > TIGHT_TOL:
+        if diff > tol and c.upper[t] - tau > tight:
             out.append(Violation((c.id, t), diff, "flow-price"))
-        elif diff < -tol and tau - c.lower[t] > TIGHT_TOL:
+        elif diff < -tol and tau - c.lower[t] > tight:
             out.append(Violation((c.id, t), -diff, "flow-price"))
     return out
 
@@ -149,17 +153,18 @@ def _flow_general(instance, c, flows, prices, tol):
     stationarity rows over the multipliers of tight constraints."""
     T = instance.hours
     ramp = c.ramp_rate if c.ramp_rate is not None else np.inf
+    tight = max(tol, TIGHT_TOL)
     cols = []  # (hour, kind)
     for t in range(T):
         tau = flows.get((c.id, t), 0.0)
         prev = c.initial_flow if t == 0 else flows.get((c.id, t - 1), 0.0)
-        if c.upper[t] - tau <= TIGHT_TOL:
+        if c.upper[t] - tau <= tight:
             cols.append((t, "mu_upper"))
-        if tau - c.lower[t] <= TIGHT_TOL:
+        if tau - c.lower[t] <= tight:
             cols.append((t, "mu_lower"))
-        if tau - prev >= ramp - TIGHT_TOL:
+        if tau - prev >= ramp - tight:
             cols.append((t, "rho_fwd"))
-        if prev - tau >= ramp - TIGHT_TOL:
+        if prev - tau >= ramp - tight:
             cols.append((t, "rho_bwd"))
     n = len(cols) + 2 * T  # multipliers plus +/- slack per hour
     A_eq = np.zeros((T, n))

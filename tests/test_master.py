@@ -194,36 +194,84 @@ class TestNodeSolves:
         assert fixed.solution.selection == pruned.solution.selection
 
     def test_leaf_under_its_own_cut_is_decided_alike(self, monkeypatch):
-        # a rejected leaf's node is solved again under its no-good cut, which
-        # its own optimum breaks; bound propagation proves such nodes
-        # infeasible without phase 1's artificial problem, as phase 1 would
+        # a rejected leaf breaks the cuts that reject it.  A leaf whose node
+        # pins every binary is dropped: under those cuts the row test
+        # refutes its node, with no QP.  A leaf with a binary free in its
+        # box goes back, and its node, whose own optimum breaks a new cut,
+        # falls back from its parametric start and is decided as a cold
+        # solve decides it
         from daclear.driver import clear_exact
 
-        resolves = []
-        solve = master.solve_qp
+        solves, cut_probs = [], []
+        solve, with_cuts = master.solve_qp, master._with_cuts
 
         def spy(node, *args, start=None, **kwargs):
             sol = solve(node, *args, start=start, **kwargs)
-            if (
-                start is not None and not qp.rows_hold(node, start.x)
-                and (node.lb <= start.x).all() and (start.x <= node.ub).all()
-            ):
-                resolves.append((node, args, start, kwargs, sol))
+            solves.append((node, args, start, kwargs, sol))
             return sol
 
         monkeypatch.setattr(master, "solve_qp", spy)
-        results = [clear_exact(paradox_book(seed)) for seed in range(10)]
-        proved = [sol for *_, sol in resolves if sol.status == "infeasible"]
-        assert len(proved) >= 5 and all(sol.iterations == 0 for sol in proved)
-        monkeypatch.setattr(qp, "_propagate", lambda prob: None)
-        for node, args, start, kwargs, sol in resolves:
-            assert solve(node, *args, start=start, **kwargs).status == sol.status
+        monkeypatch.setattr(
+            master, "_with_cuts", lambda *args: cut_probs.append(with_cuts(*args)) or cut_probs[-1]
+        )
+        refuted, resolved, results = 0, 0, []
+        for seed in range(10):
+            inst = paradox_book(seed)
+            solves.clear()
+            cut_probs.clear()
+            results.append(clear_exact(inst))
+            if not cut_probs:
+                continue
+            final, bins = cut_probs[-1], slice(build_model(inst).n, None)
+            for node, args, start, kwargs, sol in solves:
+                if sol.status == "optimal" and (node.lb[bins] == node.ub[bins]).all():
+                    if not qp.rows_hold(final, sol.x):
+                        assert qp._row_test(final.with_bounds(node.lb, node.ub)) is not None
+                        refuted += 1
+                if start is not None and not qp.rows_hold(node, start.x):
+                    assert solve(node, *args, **kwargs).status == sol.status
+                    resolved += 1
+        assert refuted >= 5 and resolved >= 1
         monkeypatch.setattr(master, "solve_qp", solve)
         again = [clear_exact(paradox_book(seed)) for seed in range(10)]
         for one, other in zip(results, again):
             assert one.status == other.status and one.welfare == other.welfare
             assert one.solution == other.solution
             assert len(one.iterations) == len(other.iterations)
+
+    def test_pinned_rejected_leaf_is_not_solved_again(self, monkeypatch):
+        # exact mode rejects a leaf with a no-good cut that the leaf breaks,
+        # so a leaf whose node pins every binary is not pushed back: no
+        # master QP is a pinned node that a cut row refutes.  Over paradox
+        # books 0-9 the trees take 51 nodes; 6 rejected leaves among them
+        # pin every binary and are not solved again
+        from daclear import driver
+
+        nodes, refuted_at_cuts = [], []
+        where = {}  # the first binary column and the first cut row
+        solve_tree, solve = driver.solve_master, master.solve_qp
+
+        def tree_spy(instance, model, *args, **kwargs):
+            res = solve_tree(instance, model, *args, **kwargs)
+            nodes.append(res.nodes)
+            return res
+
+        def spy(node, *args, **kwargs):
+            sol = solve(node, *args, **kwargs)
+            bins = slice(where["bins"], None)
+            if sol.status == "infeasible" and (node.lb[bins] == node.ub[bins]).all():
+                refuted_at_cuts.extend(i for i in sol.certificate["in"] if i >= where["cuts"])
+            return sol
+
+        monkeypatch.setattr(driver, "solve_master", tree_spy)
+        monkeypatch.setattr(master, "solve_qp", spy)
+        for seed in range(10):
+            inst = paradox_book(seed)
+            model = build_model(inst)
+            where.update(bins=model.n, cuts=len(model.master().b_in))
+            assert driver.clear_exact(inst).status == "optimal"
+        assert nodes == [3, 5, 3, 3, 8, 7, 7, 5, 7, 3]
+        assert refuted_at_cuts == []
 
     def test_integral_root_runs_no_pinned_resolve(self, monkeypatch):
         inst = random_instance(0)

@@ -430,40 +430,31 @@ def _boxed_problems(seed, count=600):
 def _spy_proofs(monkeypatch):
     """(proofs, solve): ``solve`` is ``solve_qp``, and each of its
     infeasible verdicts appends its proof to ``proofs``: "rows" (the row
-    test), "propagation" (bound propagation, which needs at least one
-    tightening pass once the row test has passed) or "phase 1" (the
-    artificial problem)."""
-    proofs, proving = [], []
-    solve, phase1, propagate = qp.solve_qp, qp._phase1, qp._propagate
+    test) or "phase 1" (the artificial problem)."""
+    proofs, phased = [], []
+    solve, phase1 = qp.solve_qp, qp._phase1
 
     def phase1_spy(*args, **kwargs):
-        proving.append("phase 1")
+        phased.append(1)
         return phase1(*args, **kwargs)
 
-    def propagate_spy(prob):
-        cert = propagate(prob)
-        if cert is not None:
-            proving[-1] = "propagation"
-        return cert
-
     def solve_spy(prob, *args, **kwargs):
-        proving.clear()
+        phased.clear()
         sol = solve(prob, *args, **kwargs)
         if sol.status == "infeasible":
-            proofs.append(proving[-1] if proving else "rows")
+            proofs.append("phase 1" if phased else "rows")
         return sol
 
     monkeypatch.setattr(qp, "_phase1", phase1_spy)
-    monkeypatch.setattr(qp, "_propagate", propagate_spy)
     return proofs, solve_spy
 
 
 class TestRowBounds:
     def test_flags_only_infeasible_problems(self, monkeypatch):
         # solve_qp refutes the problems the row test flags with no
-        # iteration and no phase 1; phase 1 alone, with no propagation,
-        # from the clipped origin, finds every verdict of solve_qp, and the
-        # row test is a screen that leaves some of them to it
+        # iteration and no phase 1; phase 1 alone, from the clipped origin,
+        # finds every verdict of solve_qp, and the row test is a screen
+        # that leaves some of them to it
         problems = _boxed_problems(77)
         flagged = [qp._row_test(prob) is not None for prob in problems]
         calls = []
@@ -481,7 +472,6 @@ class TestRowBounds:
                 unflagged_infeasible += 1
         assert sum(flagged) > 100
         assert unflagged_infeasible > 0
-        monkeypatch.setattr(qp, "_propagate", lambda prob: None)
         for prob, status in zip(problems, statuses):
             x, _, _ = phase1(prob, np.clip(np.zeros(prob.n), prob.lb, prob.ub))
             assert (x is None) == (status == "infeasible")
@@ -501,30 +491,17 @@ class TestRowBounds:
             assert qp._row_test(node) == qp._row_test(fresh)
             assert qp._row_test(prob) == qp._row_test(replace(prob))
 
-    def test_propagation_proves_only_what_phase_one_proves(self, monkeypatch):
-        # every problem propagation proves infeasible is infeasible to phase
-        # 1 without it, every verdict stays, and the row test misses some
-        # of those propagation proves
-        problems = _boxed_problems(77)
-        proved = [qp._propagate(prob) is not None for prob in problems]
-        statuses = [solve_qp(prob).status for prob in problems]
-        monkeypatch.setattr(qp, "_propagate", lambda prob: None)
-        assert [solve_qp(replace(prob)).status for prob in problems] == statuses
-        assert all(status == "infeasible" for status, p in zip(statuses, proved) if p)
-        beyond = [prob for prob, p in zip(problems, proved) if p and qp._row_test(prob) is None]
-        assert len(beyond) > 0
-
     def test_every_certificate_is_infeasible_alone(self, monkeypatch):
         # each verdict's certificate names rows and bounds that are
-        # infeasible on their own, whichever step proved it: the row test,
-        # propagation or phase 1
+        # infeasible on their own, whichever step proved it: the row test
+        # or phase 1
         proofs, solve = _spy_proofs(monkeypatch)
         refuted = [
             (prob, sol) for prob in _boxed_problems(77)
             if (sol := solve(prob)).status == "infeasible"
         ]
-        # 334, 54 and 13 verdicts
-        assert all(proofs.count(proof) > 10 for proof in ("rows", "propagation", "phase 1"))
+        # 334 and 67 verdicts
+        assert all(proofs.count(proof) > 10 for proof in ("rows", "phase 1"))
         for prob, sol in refuted:
             cert = sol.certificate
             lb, ub = np.full(prob.n, -np.inf), np.full(prob.n, np.inf)
@@ -534,10 +511,11 @@ class TestRowBounds:
                            A_in=prob.A_in[cert["in"]], b_in=prob.b_in[cert["in"]], lb=lb, ub=ub)
             assert solve_qp(core).status == "infeasible"
 
-    def test_two_row_chain_needs_no_artificial_problem(self, monkeypatch):
+    def test_two_row_chain_takes_one_artificial(self, monkeypatch):
         # x + y = 1.6 pushes y up to 0.6 (x <= 1), y + z <= 0.5 pushes it
-        # down to 0.5 (z >= 0): each row alone fits the box, together they
-        # do not; the start 0 breaks the equality row
+        # down to 0.5 (z >= 0): each row alone fits the box, so the row test
+        # passes, but together they do not; the start 0 breaks the equality
+        # row
         prob = _prob([0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                      A_eq=np.array([[1.0, 1.0, 0.0]]), b_eq=np.array([1.6]),
                      A_in=np.array([[0.0, 1.0, 1.0]]), b_in=np.array([0.5]),
@@ -553,18 +531,12 @@ class TestRowBounds:
 
         monkeypatch.setattr(qp, "_ActiveSet", Spy)
         sol = solve_qp(prob)
-        assert sol.status == "infeasible" and sol.iterations == 0
-        assert built == [3]  # the problem's own solver, no artificial columns
+        # the problem's own solver, then phase 1 with one artificial, on
+        # the equality row
+        assert sol.status == "infeasible" and built == [3, 3 + 1]
         # y's lower bound rests on the equality row and x's upper bound, its
         # upper bound on the inequality row and z's lower bound
         assert sol.certificate == {"eq": [0], "in": [0], "upper": [0], "lower": [2]}
-        # phase 1 proves it with one artificial, on the equality row, and
-        # names the same rows and bounds
-        monkeypatch.setattr(qp, "_propagate", lambda prob: None)
-        built.clear()
-        phase1 = solve_qp(replace(prob))
-        assert phase1.status == "infeasible" and phase1.certificate == sol.certificate
-        assert built == [3, 3 + 1]
 
     def test_margin_is_phase_one_threshold(self):
         # x <= 1 against x >= 1 + margin: flagged only beyond INFEAS_TOL,
@@ -803,7 +775,8 @@ class TestWarmStarts:
         # the two-row chain of TestRowBounds with x free up to 2: the parent
         # sits at (1.1, 0.5, 0).  Pinning x at 1 leaves each row room in
         # the box, so the row test passes, but y must reach 0.6 against the
-        # cap 0.5: the parametric pass falls back, and propagation decides
+        # cap 0.5: the parametric pass falls back, and phase 1 decides at
+        # the parent's point, where its artificial problem is already optimal
         prob = _prob([0.0, 0.0, 0.0], [-1.0, -1.0, -1.0],
                      A_eq=np.array([[1.0, 1.0, 0.0]]), b_eq=np.array([1.6]),
                      A_in=np.array([[0.0, 1.0, 1.0]]), b_in=np.array([0.5]),

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from daclear.errors import TooLarge
 from daclear.io import parse_instance, serialize_instance
 from daclear.verify import (
     check_bid_prices,
+    check_bounds,
     check_filling,
     check_flow_price,
     list_prbs,
@@ -85,6 +88,28 @@ class TestFlowPrice:
                               for k, v in res.prices.pi.items()})
         rep = check_flow_price(inst, res.solution.flows, bad)
         assert not rep.passed
+
+    def test_tightness_follows_tol(self):
+        # day-book instance seed 3005, exact: flow (c1, 1) sits on its cap
+        # with a price difference of 3.62 across it.  Moved 5e-7 below the
+        # cap, it passes the bounds check at tol 1e-6 and 1e-4, and its cap
+        # still explains the difference at both; 1e-3 below, it does not
+        # at 1e-6
+        path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
+        spec = importlib.util.spec_from_file_location("bench_generate", path)
+        generate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+        inst = parse_instance(generate.instance_text("day-book", 3005))
+        res = clear_exact(inst)
+        cap = next(c for c in inst.interconnectors if c.id == "c1").upper[1]
+        assert res.solution.flows["c1", 1] == pytest.approx(cap, abs=1e-9)
+        for below, passes in ((5e-7, True), (1e-3, False)):
+            flows = {**res.solution.flows, ("c1", 1): cap - below}
+            for tol in (1e-6, 1e-4):
+                assert check_bounds(inst, res.solution.delta, flows, tol=tol).passed
+            assert check_flow_price(inst, flows, res.prices, tol=1e-6).passed is passes
+            if passes:
+                assert check_flow_price(inst, flows, res.prices, tol=1e-4).passed
 
 
 class TestBidPrices:

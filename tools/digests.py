@@ -10,9 +10,13 @@ It prints one line per run:
 
 Two trees behave the same on the set when their outputs diff empty:
 
-    PYTHONPATH=src python tools/digests.py > before.txt   # in one tree
-    PYTHONPATH=src python tools/digests.py > after.txt    # in the other
+    python tools/digests.py > before.txt   # in one tree
+    python tools/digests.py > after.txt    # in the other
     diff before.txt after.txt
+
+Each run hashes the package under its own checkout's ``src``, which it
+puts first on ``sys.path``, whatever ``PYTHONPATH`` or the current
+directory holds.
 
 Run both with the same BLAS thread settings: a threaded matrix product may
 round differently.
@@ -61,7 +65,9 @@ def _sha(text: str) -> str:
 
 
 def digest_lines(instances):
-    """One digest line per command and instance of ``instances``."""
+    """One digest line per command and instance of ``instances``, from the
+    ``daclear`` of this script's own checkout."""
+    sys.path.insert(0, str(ROOT / "src"))
     from daclear.cli import run
 
     with tempfile.TemporaryDirectory() as tmp:
