@@ -145,7 +145,7 @@ def _branch_and_cut(instance, options, mode):
     deadline = time.monotonic() + limit if limit is not None else None
 
     def leaf_test(leaf):
-        solution = solve_fixflow(instance, model, leaf.solution, deadline)
+        solution = solve_fixflow(instance, model, leaf.solution, leaf.duals, deadline)
         sets, curt, pricing, cuts = _leaf_test(
             instance, model, solution, exact, deadline, leaf.duals
         )

@@ -15,6 +15,7 @@ the continuous QP on its flow columns, one price per clearing row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,6 +59,7 @@ class ClearingModel:
     bin_A_eq: np.ndarray
     link_A: np.ndarray
     link_b: np.ndarray
+    vertical: np.ndarray  # per segment column: its segment is vertical
     # per clearing row: its segment columns in column (merit) order and
     # their spans, derived from A_eq
     row_segs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
@@ -90,6 +92,18 @@ class ClearingModel:
     @property
     def n(self) -> int:
         return len(self.seg_ids) + len(self.flow_keys)
+
+    @cached_property
+    def fixflow_rows(self):
+        """FixFlow's layout (``pricing.solve_fixflow``): (cols, kept, A_eq,
+        A_kept, A_in).  Its columns ``cols`` are the vertical segments'
+        fills, then the flows; the other segments' fills, ``kept``, stay
+        where they are and move to the right-hand side of the clearing
+        rows through ``A_kept``, their clearing-row block.  ``A_eq`` and
+        ``A_in`` are the clearing and ramp rows on ``cols``."""
+        kept = np.flatnonzero(~self.vertical)
+        cols = np.concatenate((np.flatnonzero(self.vertical), np.arange(len(self.seg_ids), self.n)))
+        return cols, kept, self.A_eq[:, cols], self.A_eq[:, kept], self.A_in[:, cols]
 
     def master(self) -> QpProblem:
         """A new master problem: every column, the binaries in [0, 1], and
@@ -234,6 +248,7 @@ def build_model(instance: Instance) -> ClearingModel:
         bin_A_eq=bin_A_eq,
         link_A=link_A,
         link_b=np.array([0.0] * len(instance.links) + [1.0] * len(instance.flex_bids)),
+        vertical=np.array([seg.is_vertical for seg in instance.segments], dtype=bool),
     )
 
 

@@ -2,11 +2,13 @@
 
 A fixed selection usually admits many optimal flow patterns and many
 supporting price vectors.  FixFlow picks the minimum-squared-norm flows
-among the welfare-preserving ones; the price solve picks prices that first
-minimize total executed-bid losses, then minimize the squared price norm.
+on the optimal face of the welfare QP, which the multipliers of one of its
+optima name; the price solve picks prices that first minimize total
+executed-bid losses, then minimize the squared price norm.
 
 Both are views of the clearing model (``daclear.model``) of the instance.
-FixFlow keeps its vertical segment and flow columns.  The price QP has one
+FixFlow keeps its vertical segment and flow columns, with the columns and
+ramp rows whose multipliers are positive held tight.  The price QP has one
 price column per clearing row, and its equality rows are the stationarity
 conditions of the welfare QP on the flow columns at the fixed flows: the
 price difference across each flow column meets the multipliers of the flow
@@ -20,10 +22,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import Instance, PriceVector, PrimalSolution, selection_terms
+from .core import Instance, PriceVector, PrimalSolution
 from .errors import PriceInfeasible, SolverFailure
 from .model import ClearingModel
-from .qp import INFEAS_TOL, Multipliers, QpProblem, solve_qp
+from .qp import DUAL_TOL, INFEAS_TOL, Multipliers, QpProblem, solve_qp
 
 TIGHT_TOL = 1e-7
 
@@ -32,65 +34,57 @@ def solve_fixflow(
     instance: Instance,
     model: ClearingModel,
     solution: PrimalSolution,
+    duals: Multipliers,
     deadline: Optional[float] = None,
 ) -> PrimalSolution:
-    """Minimum squared-norm flows among welfare-preserving alternatives,
-    on ``model``, the clearing model of ``instance``.
+    """Minimum squared-norm flows on the optimal face of the welfare QP
+    with ``solution``'s selection pinned, on ``model``, the clearing model
+    of ``instance``.  ``solution`` is an optimum of that QP and ``duals``
+    are multipliers of it (a master leaf's, or the oracle's relaxation's).
 
-    Slope-carrying segment fills are unique and stay fixed; vertical
-    segment fills may redistribute as long as total welfare and clearing
-    balance are preserved.  ``deadline`` goes to the QP solve, which raises
-    TimeLimit once it has passed.
+    The optimal set of a convex QP is the set of its feasible points
+    complementary to any one of its dual solutions (Mangasarian, 1988),
+    so the face keeps the clearing rows and: the slope-carrying segment
+    fills, which the objective's curvature makes unique, fixed; each
+    vertical fill or flow whose bound multiplier exceeds DUAL_TOL pinned
+    at its value in ``solution``; and each ramp row whose multiplier
+    exceeds DUAL_TOL as an equality.  Welfare is constant on the face, and
+    ``solution`` lies on it and starts the QP.  ``deadline`` goes to the
+    QP solve, which raises TimeLimit once it has passed.
     """
     if not instance.interconnectors:
         return solution
-    free = [s for s in instance.segments if s.is_vertical]
-    free_ids = {s.id for s in free}
-    cols = [model.seg_col[s.id] for s in free] + list(model.flow_col.values())
-    n_free = len(free)
-    n = len(cols)
+    cols, kept, A_eq, A_kept, A_in = model.fixflow_rows
+    fills = np.array([solution.delta.get(sid, 0.0) for sid in model.seg_ids])
+    flows = [solution.flows.get(key, 0.0) for key in model.flow_keys]
+    x0 = np.concatenate((fills[model.vertical], flows))
+    n_free = len(x0) - len(flows)
 
-    c_obj = np.zeros(n)
-    d_obj = np.zeros(n)
+    lb, ub = model.lb[cols], model.ub[cols]
+    pinned = np.maximum(duals.nu_lower[cols], duals.nu_upper[cols]) > DUAL_TOL
+    lb[pinned] = ub[pinned] = x0[pinned]
+    tight = duals.mu_in[:len(model.b_in)] > DUAL_TOL
+    # clearing rows with the executed bids and the kept fills moved to the
+    # rhs, then the tight ramp rows
+    b_eq = model.b_eq - model.bin_A_eq @ model.binaries(solution.selection) - A_kept @ fills[kept]
+    d_obj = np.zeros(len(x0))
     d_obj[n_free:] = -2.0
-
-    # clearing rows with the pinned (sloped) fills moved to the rhs,
-    # plus one welfare-preservation row over the free fills
-    n_eq = len(model.eq_keys)
-    A_eq = np.zeros((n_eq + 1, n))
-    A_eq[:n_eq] = model.A_eq[:, cols]
-    b_eq = np.zeros(n_eq + 1)
-    terms = selection_terms(instance, solution.selection)
-    for r, (a, t) in enumerate(model.eq_keys):
-        rhs = model.b_eq[r] - terms.volume[a, t]
-        for seg in instance.curves[a, t].segments:
-            if seg.id not in free_ids:
-                rhs -= seg.quantity_span * solution.delta.get(seg.id, 0.0)
-        b_eq[r] = rhs
-    for k, seg in enumerate(free):
-        A_eq[n_eq, k] = seg.base_price * seg.quantity_span
-        b_eq[n_eq] += (
-            seg.base_price * seg.quantity_span * solution.delta.get(seg.id, 0.0)
-        )
-
     prob = QpProblem(
-        c=c_obj, d=d_obj, A_eq=A_eq, b_eq=b_eq, A_in=model.A_in[:, cols],
-        b_in=model.b_in, lb=model.lb[cols], ub=model.ub[cols],
+        c=np.zeros(len(x0)), d=d_obj,
+        A_eq=np.vstack((A_eq, A_in[tight])), b_eq=np.concatenate((b_eq, model.b_in[tight])),
+        A_in=A_in[~tight], b_in=model.b_in[~tight], lb=lb, ub=ub,
     )
-    x0 = np.zeros(n)
-    for k, seg in enumerate(free):
-        x0[k] = solution.delta.get(seg.id, 0.0)
-    for k, key in enumerate(model.flow_keys):
-        x0[n_free + k] = solution.flows.get(key, 0.0)
     sol = solve_qp(prob, x0=x0, deadline=deadline)
     if sol.status != "optimal":
         raise SolverFailure(f"flow canonicalization failed: {sol.status}")
 
     delta = dict(solution.delta)
-    for k, seg in enumerate(free):
-        delta[seg.id] = float(sol.x[k])
-    flows = {key: float(sol.x[n_free + k]) for k, key in enumerate(model.flow_keys)}
-    return PrimalSolution(selection=solution.selection, delta=delta, flows=flows)
+    for j, value in zip(cols[:n_free].tolist(), sol.x[:n_free].tolist()):
+        delta[model.seg_ids[j]] = value
+    return PrimalSolution(
+        selection=solution.selection, delta=delta,
+        flows=dict(zip(model.flow_keys, sol.x[n_free:].tolist())),
+    )
 
 
 @dataclass(frozen=True)

@@ -336,7 +336,7 @@ def oracle_clear(instance: Instance, cap: int = 12):
     candidates = sorted(_relaxations(instance, model), key=lambda rec: (-rec[0], rec[1]))
     frontier = []
     for objective, _, primal, duals in candidates:
-        fixed = solve_fixflow(instance, model, primal)
+        fixed = solve_fixflow(instance, model, primal, duals)
         try:
             pricing = solve_qpprice(instance, model, fixed, relax_losses=False, duals=duals)
         except PriceInfeasible:

@@ -1,11 +1,15 @@
 """Shared fixture builders and the random small-instance generator."""
 
+import importlib.util
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from daclear import master, qp
+from daclear.core import PrimalSolution, selection_terms
+from daclear.errors import SolverFailure
 from daclear.io import parse_instance
 from daclear.master import _with_cuts
 from daclear.model import build_model
@@ -293,3 +297,53 @@ def step_book(seed):
             limit = rng.uniform(1.0, 8.0) if sign > 0 else rng.uniform(92.0, 99.0)
         blocks.append(block(f"b{i}", str(rng.choice(areas)), float(limit), q))
     return make_instance(curves, conns, hours=hours, areas=areas, blocks=blocks)
+
+
+def bench_instance(family, seed):
+    """The instance of ``bench/generate.py``'s ``family`` at ``seed``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return parse_instance(generate.instance_text(family, seed))
+
+
+def welfare_row_fixflow(instance, model, solution):
+    """A reference FixFlow that needs no multipliers: the minimum
+    squared-norm flows over the vertical fills and flows that keep the
+    clearing rows, the ramp rows and the vertical fills' welfare (one
+    equality row), with the sloped fills fixed."""
+    if not instance.interconnectors:
+        return solution
+    free = [s for s in instance.segments if s.is_vertical]
+    free_ids = {s.id for s in free}
+    cols = [model.seg_col[s.id] for s in free] + list(model.flow_col.values())
+    n_free, n = len(free), len(cols)
+    d = np.zeros(n)
+    d[n_free:] = -2.0
+    n_eq = len(model.eq_keys)
+    A_eq = np.zeros((n_eq + 1, n))
+    A_eq[:n_eq] = model.A_eq[:, cols]
+    b_eq = np.zeros(n_eq + 1)
+    terms = selection_terms(instance, solution.selection)
+    for r, (a, t) in enumerate(model.eq_keys):
+        b_eq[r] = model.b_eq[r] - terms.volume[a, t] - sum(
+            seg.quantity_span * solution.delta.get(seg.id, 0.0)
+            for seg in instance.curves[a, t].segments if seg.id not in free_ids
+        )
+    for k, seg in enumerate(free):
+        A_eq[n_eq, k] = seg.base_price * seg.quantity_span
+        b_eq[n_eq] += A_eq[n_eq, k] * solution.delta.get(seg.id, 0.0)
+    prob = qp.QpProblem(
+        c=np.zeros(n), d=d, A_eq=A_eq, b_eq=b_eq, A_in=model.A_in[:, cols],
+        b_in=model.b_in, lb=model.lb[cols], ub=model.ub[cols],
+    )
+    x0 = [solution.delta.get(s.id, 0.0) for s in free]
+    x0 += [solution.flows.get(key, 0.0) for key in model.flow_keys]
+    sol = qp.solve_qp(prob, x0=np.array(x0))
+    if sol.status != "optimal":
+        raise SolverFailure(f"flow canonicalization failed: {sol.status}")
+    delta = dict(solution.delta)
+    delta.update({seg.id: float(sol.x[k]) for k, seg in enumerate(free)})
+    flows = {key: float(sol.x[n_free + k]) for k, key in enumerate(model.flow_keys)}
+    return PrimalSolution(selection=solution.selection, delta=delta, flows=flows)

@@ -1,5 +1,6 @@
 """``tools/abtime.py`` clears the same instances with two checkouts in one
-process; against itself, both sides agree on every outcome and welfare."""
+process; against itself, both sides agree on every outcome, welfare,
+price and flow."""
 
 import importlib.util
 import math
@@ -15,16 +16,20 @@ SPEC.loader.exec_module(abtime)
 def test_checkout_against_itself(capsys):
     results = abtime.compare(ROOT, ROOT, "paradox", range(1000, 1002), repeat=1)
     assert list(results) == ["exact", "heuristic"]
-    for base_ms, head_ms, ratio, differ, welfare in results.values():
+    for base_ms, head_ms, ratio, differ, welfare, price, flow in results.values():
         assert base_ms > 0.0 and head_ms > 0.0
         assert math.isfinite(ratio) and ratio > 0.0
-        assert differ == 0 and welfare == 0.0
+        assert differ == 0 and welfare == 0.0 and price == 0.0 and flow == 0.0
+    # day-book has flows to compare
+    results = abtime.compare(ROOT, ROOT, "day-book", range(3000, 3001), ["exact"], repeat=1)
+    assert results["exact"][3:] == (0, 0.0, 0.0, 0.0)
     assert abtime.main([str(ROOT), str(ROOT), "--count", "1", "--repeat", "1",
                         "--modes", "exact"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "paradox seeds 1000-1000, 1 repeats"
-    assert lines[-2].split()[-2:] == ["differ", "welfare"]
-    assert lines[-1].split()[0] == "exact" and lines[-1].split()[-2:] == ["0", "0.0e+00"]
+    assert lines[-2].split()[-4:] == ["differ", "welfare", "price", "flow"]
+    assert lines[-1].split()[0] == "exact"
+    assert lines[-1].split()[-4:] == ["0", "0.0e+00", "0.0e+00", "0.0e+00"]
 
 
 class _OtherSelection:
@@ -34,10 +39,11 @@ class _OtherSelection:
         self.blocks, self.flex = blocks, flex
 
 
-def _driver(selection, welfare, status="optimal"):
+def _driver(selection, welfare, status="optimal", flow=1.0):
     result = SimpleNamespace(
         status=status, welfare=welfare,
-        solution=selection and SimpleNamespace(selection=selection),
+        solution=selection and SimpleNamespace(selection=selection, flows={("c", 0): flow}),
+        prices=selection and SimpleNamespace(pi={("X", 0): 3.0}),
     )
     return SimpleNamespace(clear_exact=lambda instance: result)
 
@@ -48,12 +54,19 @@ def test_round_off_is_no_change_of_outcome():
     # reported on its own
     base = abtime._clear(_driver(SimpleNamespace(blocks={"b": 1}, flex={}), 137.1246361550629),
                          "exact", None)
-    head = abtime._clear(_driver(_OtherSelection({"b": 1}, {}), 137.1246361550634), "exact", None)
+    head = abtime._clear(_driver(_OtherSelection({"b": 1}, {}), 137.1246361550634,
+                                 flow=1.0 + 2**-40), "exact", None)
     assert base[1] == head[1]
-    assert 0.0 < abtime._relative(base[2], head[2]) < 1e-14
+    assert 0.0 < abtime._relative(base[2][0], head[2][0]) < 1e-14
+    (_, p0, f0), (_, p1, f1) = base[2], head[2]
+    assert abtime._largest_gap(p0, p1) == 0.0 and abtime._largest_gap(f0, f1) == 2**-40
     other = abtime._clear(_driver(_OtherSelection({"b": 0}, {}), 137.1246361550634), "exact", None)
     none = abtime._clear(_driver(None, -math.inf, "infeasible"), "exact", None)
     assert other[1] != base[1] and none[1] != base[1]
-    assert abtime._relative(none[2], none[2]) == 0.0
-    assert abtime._relative(none[2], base[2]) == math.inf
+    assert abtime._relative(none[2][0], none[2][0]) == 0.0
+    assert abtime._relative(none[2][0], base[2][0]) == math.inf
     assert abtime._relative(0.5, 0.25) == 0.25
+    # prices and flows of a clear without a solution agree only with another
+    assert abtime._largest_gap(none[2][1], none[2][1]) == 0.0
+    assert abtime._largest_gap(none[2][2], f0) == math.inf
+    assert abtime._largest_gap({}, {}) == 0.0 and abtime._largest_gap({"a": 1.0}, {}) == math.inf

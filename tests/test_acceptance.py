@@ -127,7 +127,7 @@ def test_criterion_2_intermediate_steps():
     res = clear_exact(inst)
     assert sum(rec.cuts_added for rec in res.iterations) >= 1
 
-    full = solve_fixflow(inst, build_model(inst), cut_free.solution)
+    full = solve_fixflow(inst, build_model(inst), cut_free.solution, cut_free.duals)
     relaxed = solve_qpprice(inst, build_model(inst), full, relax_losses=True)
     assert relaxed.total_loss > 0
     _ok(2, f"cut-free objective 3, cuts fired, relaxed loss {relaxed.total_loss:.3f}")

@@ -25,7 +25,7 @@ from helpers import (
 def _appendix_a_relaxed():
     inst = appendix_a()
     res = solve_master(inst, build_model(inst))
-    sol = solve_fixflow(inst, build_model(inst), res.solution)
+    sol = solve_fixflow(inst, build_model(inst), res.solution, res.duals)
     out = solve_qpprice(inst, build_model(inst), sol, relax_losses=True)
     return inst, sol, out
 
@@ -128,7 +128,7 @@ class TestCurtailment:
     def test_violation_detected(self):
         inst = self._curtailing_instance()
         res = solve_master(inst, build_model(inst))
-        sol = solve_fixflow(inst, build_model(inst), res.solution)
+        sol = solve_fixflow(inst, build_model(inst), res.solution, res.duals)
         if sol.selection.blocks.get("buy") != 1:
             pytest.skip("master did not execute the block")
         viol = curtailment_violations(inst, sol)
@@ -138,7 +138,7 @@ class TestCurtailment:
     def test_cut_forms(self):
         inst = self._curtailing_instance()
         res = solve_master(inst, build_model(inst))
-        sol = solve_fixflow(inst, build_model(inst), res.solution)
+        sol = solve_fixflow(inst, build_model(inst), res.solution, res.duals)
         viol = curtailment_violations(inst, sol)
         if not viol:
             pytest.skip("no violation to cut")

@@ -13,31 +13,40 @@ from daclear.verify import _relaxations
 
 from helpers import (
     appendix_a,
+    bench_instance,
     block,
     connector,
     diamond,
     f2,
     f3,
     make_instance,
+    pinned_relaxation,
     price_indifferent,
     ramp_fixture,
     random_instance,
+    welfare_row_fixflow,
     without_row_test,
 )
 
 
-def _master_solution(inst):
+def _master_result(inst):
     res = solve_master(inst, build_model(inst))
     assert res.status == "optimal"
-    return res.solution
+    return res
+
+
+def _fixflow(inst):
+    """FixFlow of ``inst``'s cut-free master optimum, on its leaf's duals."""
+    res = _master_result(inst)
+    return solve_fixflow(inst, build_model(inst), res.solution, res.duals)
 
 
 class TestFixFlow:
     def test_idempotent(self):
         for inst in (f2(), f3(), ramp_fixture()):
-            sol = _master_solution(inst)
-            once = solve_fixflow(inst, build_model(inst), sol)
-            twice = solve_fixflow(inst, build_model(inst), once)
+            res = _master_result(inst)
+            once = solve_fixflow(inst, build_model(inst), res.solution, res.duals)
+            twice = solve_fixflow(inst, build_model(inst), once, res.duals)
             for k in once.flows:
                 assert twice.flows[k] == pytest.approx(once.flows[k], abs=1e-9)
             for k in once.delta:
@@ -46,8 +55,9 @@ class TestFixFlow:
     def test_preserves_welfare_and_clearing(self):
         for seed in range(12):
             inst = random_instance(seed)
-            sol = _master_solution(inst)
-            fixed = solve_fixflow(inst, build_model(inst), sol)
+            res = _master_result(inst)
+            sol = res.solution
+            fixed = solve_fixflow(inst, build_model(inst), sol, res.duals)
             assert welfare_of(inst, fixed) == pytest.approx(
                 welfare_of(inst, sol), abs=1e-6
             )
@@ -56,18 +66,70 @@ class TestFixFlow:
 
     def test_ramp_fixture_flows(self):
         inst = ramp_fixture()
-        fixed = solve_fixflow(inst, build_model(inst), _master_solution(inst))
+        fixed = _fixflow(inst)
         assert fixed.flows["c1", 0] == pytest.approx(21.0, abs=1e-6)
         assert fixed.flows["c1", 1] == pytest.approx(27.0, abs=1e-6)
+
+    @staticmethod
+    def _books():
+        yield from (random_instance(seed) for seed in range(50))
+        yield from (f3(), ramp_fixture())
+        yield from (bench_instance("day-book", seed) for seed in range(1000, 1020))
+
+    def test_agrees_with_the_welfare_row_formulation(self):
+        # the face that the leaf's multipliers name is the set of
+        # welfare-preserving dispatches, so both give the same flows
+        for inst in self._books():
+            model = build_model(inst)
+            res = _master_result(inst)
+            face = solve_fixflow(inst, model, res.solution, res.duals)
+            ref = welfare_row_fixflow(inst, model, res.solution)
+            for key in model.flow_keys:
+                assert face.flows[key] == pytest.approx(ref.flows[key], abs=1e-9)
+            for seg in inst.segments:
+                if seg.is_vertical:
+                    assert face.delta[seg.id] == pytest.approx(ref.delta[seg.id], abs=1e-9)
+            assert welfare_of(inst, face) == pytest.approx(welfare_of(inst, ref), abs=1e-9)
+
+    def test_idempotent_under_the_same_duals(self):
+        for inst in self._books():
+            model = build_model(inst)
+            res = _master_result(inst)
+            once = solve_fixflow(inst, model, res.solution, res.duals)
+            twice = solve_fixflow(inst, model, once, res.duals)
+            assert twice.flows == once.flows
+            assert twice.delta == once.delta
+
+    def test_pins_follow_multipliers_not_tightness(self):
+        # price 20 on both sides: any flow in [0, 10] gives the same
+        # welfare, and the relaxation started on the ATC cap ends there, on
+        # a bound that is tight with a zero multiplier.  FixFlow moves the
+        # flow to 0
+        inst = make_instance(
+            {("X", 0): [[0, 0], [20, 0], [20, -30], [100, -30]],
+             ("Y", 0): [[0, 10], [20, 10], [20, -20], [100, -20]]},
+            [connector("c", "X", "Y", [-10], [10])],
+        )
+        prob, model = pinned_relaxation(inst, BidSelection())
+        j = model.flow_col["c", 0]
+        x0 = np.zeros(prob.n)
+        x0[j] = 10.0
+        sol = solve_qp(prob, x0=x0)
+        duals = qp.multipliers(prob, sol)
+        assert sol.status == "optimal" and sol.x[j] == pytest.approx(10.0, abs=1e-12)
+        assert max(duals.nu_lower[j], duals.nu_upper[j]) <= qp.DUAL_TOL
+        candidate = model.primal(BidSelection(), sol.x)
+        fixed = solve_fixflow(inst, model, candidate, duals)
+        assert fixed.flows["c", 0] == pytest.approx(0.0, abs=1e-9)
+        assert welfare_of(inst, fixed) == pytest.approx(welfare_of(inst, candidate), abs=1e-9)
 
 
 class TestQpPrice:
     def test_appendix_a_strict_price(self):
         inst = appendix_a()
         # optimal selection {a,b,c,d} has no uniform supporting price
-        full = _master_solution(inst)
         with pytest.raises(PriceInfeasible):
-            solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), full))
+            solve_qpprice(inst, build_model(inst), _fixflow(inst))
 
     def test_appendix_a_second_best(self):
         from daclear.driver import clear_exact
@@ -80,20 +142,20 @@ class TestQpPrice:
 
     def test_relaxed_losses_nonnegative(self):
         inst = appendix_a()
-        full = solve_fixflow(inst, build_model(inst), _master_solution(inst))
+        full = _fixflow(inst)
         out = solve_qpprice(inst, build_model(inst), full, relax_losses=True)
         assert out.total_loss > 0
         assert all(v >= -1e-9 for v in out.losses.values())
 
     def test_f3_congested_prices(self):
         inst = f3()
-        out = solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), _master_solution(inst)))
+        out = solve_qpprice(inst, build_model(inst), _fixflow(inst))
         assert out.prices["R", 0] == pytest.approx(10.0, abs=1e-6)
         assert out.prices["S", 0] == pytest.approx(40.0, abs=1e-6)
 
     def test_ramp_price_reflection(self):
         inst = ramp_fixture()
-        out = solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), _master_solution(inst)))
+        out = solve_qpprice(inst, build_model(inst), _fixflow(inst))
         d0 = out.prices["S", 0] - out.prices["R", 0]
         d1 = out.prices["S", 1] - out.prices["R", 1]
         assert d0 + d1 == pytest.approx(0.0, abs=1e-6)
@@ -101,14 +163,14 @@ class TestQpPrice:
 
     def test_price_indifference_minimizes_norm(self):
         inst = price_indifferent()
-        out = solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), _master_solution(inst)))
+        out = solve_qpprice(inst, build_model(inst), _fixflow(inst))
         # any price in [0, 7] supports the execution; tie broken at 0
         assert out.prices["X", 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_resolve_gives_same_prices(self):
         for seed in range(8):
             inst = random_instance(seed)
-            sol = solve_fixflow(inst, build_model(inst), _master_solution(inst))
+            sol = _fixflow(inst)
             try:
                 a = solve_qpprice(inst, build_model(inst), sol)
                 b = solve_qpprice(inst, build_model(inst), sol)
@@ -160,7 +222,7 @@ def _pricing_cases(instances):
     for inst in instances:
         model = build_model(inst)
         for _, _, primal, duals in _relaxations(inst, model):
-            yield inst, solve_fixflow(inst, model, primal), duals
+            yield inst, solve_fixflow(inst, model, primal, duals), duals
 
 
 def _outcome(inst, sol, relax, duals=None):
@@ -418,7 +480,7 @@ class TestLinprogCrossCheck:
         verdicts = {"priced": 0, "no strict price": 0}
         for seed in range(50):
             inst = random_instance(seed)
-            sol = solve_fixflow(inst, build_model(inst), _master_solution(inst))
+            sol = _fixflow(inst)
             ref = _min_loss_lp(optimize, inst, sol, strict=False)
             try:
                 total = solve_qpprice(inst, build_model(inst), sol, relax_losses=True).total_loss
@@ -442,7 +504,7 @@ class TestLinprogCrossCheck:
 class TestClampPrices:
     def test_inside_interval_untouched(self):
         inst = f3()
-        out = solve_qpprice(inst, build_model(inst), solve_fixflow(inst, build_model(inst), _master_solution(inst)))
+        out = solve_qpprice(inst, build_model(inst), _fixflow(inst))
         clamped, warnings = clamp_prices(out.prices, inst)
         assert warnings == []
         assert clamped["R", 0] == out.prices["R", 0]
@@ -454,7 +516,7 @@ class TestClampPrices:
             {("X", 0): [[20, 0], [50, 0]]},
             area_intervals={"X": {"lower": 20, "upper": 50}},
         )
-        sol = solve_fixflow(inst, build_model(inst), _master_solution(inst))
+        sol = _fixflow(inst)
         out = solve_qpprice(inst, build_model(inst), sol)
         assert out.prices["X", 0] == pytest.approx(0.0, abs=1e-6)
         clamped, warnings = clamp_prices(out.prices, inst)

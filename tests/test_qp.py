@@ -396,19 +396,29 @@ class TestRankDeficientWorkingSets:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
-        # y rises to its bound without eigh; x is released (no free column);
-        # x steps to 0.5 with eigh, and the optimum check after that
+        # y rises to its bound with no decomposition; x is released (no free
+        # column); x steps to 0.5 with its 1 x 1 reduced Hessian decomposed
+        # in closed form, as eigh would, and the optimum check after that
         # unblocked step reuses the factor.  A fresh copy of the problem
         # starts with an empty factor cache, which the solves above filled
-        assert solve_qp(replace(prob), x0=x0).iterations == 3
-        assert calls == [(1, 1)]
-        # phase 1 and pure LPs never decompose
-        calls.clear()
-        sol = solve_qp(_prob([1.0, -1.0], [0.0, 0.0],
-                             A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
-                             lb=np.zeros(2), ub=np.ones(2)))
-        assert sol.status == "optimal" and sol.iterations > 0
+        fresh = replace(prob)
+        assert solve_qp(fresh, x0=x0).iterations == 3
+        curv = [entry[3] for entry in fresh.factors.values()]
+        assert curv[:2] == [None, None] and len(curv) == 3
+        w, V, curved, divisor = curv[2]
+        assert (w.tolist(), V.tolist(), curved.tolist(), divisor.tolist()) == (
+            [-1.0], [[1.0]], [True], [-1.0]
+        )
         assert calls == []
+        for h in (-1.0, -0.3, -7e-9, 0.0):
+            w, V = eigh(np.array([[h]]))
+            assert (w.tolist(), V.tolist()) == ([h], [[1.0]])
+        # phase 1 and pure LPs never decompose
+        lp = _prob([1.0, -1.0], [0.0, 0.0], A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]),
+                   lb=np.zeros(2), ub=np.ones(2))
+        sol = solve_qp(lp)
+        assert sol.status == "optimal" and sol.iterations > 0
+        assert calls == [] and all(entry[3] is None for entry in lp.factors.values())
 
 
 def _boxed_problems(seed, count=600):

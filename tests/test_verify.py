@@ -1,6 +1,4 @@
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -19,6 +17,7 @@ from daclear.verify import (
 
 from helpers import (
     appendix_a,
+    bench_instance,
     f3,
     make_instance,
     block,
@@ -95,11 +94,7 @@ class TestFlowPrice:
         # cap, it passes the bounds check at tol 1e-6 and 1e-4, and its cap
         # still explains the difference at both; 1e-3 below, it does not
         # at 1e-6
-        path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
-        spec = importlib.util.spec_from_file_location("bench_generate", path)
-        generate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(generate)
-        inst = parse_instance(generate.instance_text("day-book", 3005))
+        inst = bench_instance("day-book", 3005)
         res = clear_exact(inst)
         cap = next(c for c in inst.interconnectors if c.id == "c1").upper[1]
         assert res.solution.flows["c1", 1] == pytest.approx(cap, abs=1e-9)

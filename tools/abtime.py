@@ -12,8 +12,8 @@ instance to the next.  Per mode the script prints each side's median CPU
 milliseconds per clear (over instances, of each instance's median clear),
 the median over instances of the HEAD/BASE ratio, the number of instances
 whose status or selection differ between the sides, and the largest
-relative welfare difference between them, which round-off alone makes
-nonzero.
+relative welfare difference and the largest absolute price and flow
+differences between them, which round-off alone makes nonzero.
 
 Clears of one tree in separate processes can differ by more than half in
 speed on a shared host; interleaved in one process, both sides see the
@@ -56,6 +56,9 @@ def load_side(checkout: Path, name: str, tmp: Path):
 
 
 def _clear(driver, mode, instance):
+    """(cpu seconds, outcome, (welfare, prices, flows)) of one clear; the
+    outcome is its status and selection, and prices and flows are dicts,
+    or None without a solution."""
     solver = driver.clear_exact if mode == "exact" else driver.clear_heuristic
     start = time.process_time()
     result = solver(instance)
@@ -63,7 +66,9 @@ def _clear(driver, mode, instance):
     selection = result.solution and result.solution.selection
     # compared by their dicts: the two sides' selection classes differ
     chosen = selection and (selection.blocks, selection.flex)
-    return cpu, (result.status, chosen), result.welfare
+    prices = result.prices and result.prices.pi
+    flows = result.solution and result.solution.flows
+    return cpu, (result.status, chosen), (result.welfare, prices, flows)
 
 
 def _relative(a: float, b: float) -> float:
@@ -76,9 +81,20 @@ def _relative(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _largest_gap(a, b) -> float:
+    """The largest |a[k] - b[k]| over the keys of the dicts a and b (0 when
+    they are empty, or both None), inf when their keys differ."""
+    if a is None or b is None:
+        return 0.0 if a is b else math.inf
+    if a.keys() != b.keys():
+        return math.inf
+    return max((abs(a[k] - b[k]) for k in a), default=0.0)
+
+
 def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int = 3) -> dict:
     """Per mode: (base ms, head ms, median head/base ratio, instances whose
-    status or selection differ, largest relative welfare difference)."""
+    status or selection differ, largest relative welfare difference,
+    largest absolute price difference, largest absolute flow difference)."""
     sys.path.insert(0, str(ROOT / "bench"))
     import generate
 
@@ -93,20 +109,23 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
         out = {}
         for mode in modes:
             times = ([], [])
-            differ, welfare = 0, 0.0
+            differ, welfare, price, flow = 0, 0.0, 0.0, 0.0
             for i, text in enumerate(texts):
                 instances = [io.parse_instance(text) for io, _ in sides]
                 order = (0, 1) if i % 2 == 0 else (1, 0)
                 runs = ([], [])
-                outcome, welfares = [None, None], [None, None]
+                outcome, values = [None, None], [None, None]
                 for _ in range(repeat):
                     for side in order:
-                        cpu, outcome[side], welfares[side] = _clear(
+                        cpu, outcome[side], values[side] = _clear(
                             sides[side][1], mode, instances[side]
                         )
                         runs[side].append(cpu)
                 differ += outcome[0] != outcome[1]
-                welfare = max(welfare, _relative(*welfares))
+                (w0, p0, f0), (w1, p1, f1) = values
+                welfare = max(welfare, _relative(w0, w1))
+                price = max(price, _largest_gap(p0, p1))
+                flow = max(flow, _largest_gap(f0, f1))
                 for side in (0, 1):
                     times[side].append(statistics.median(runs[side]))
             ratios = [h / b for b, h in zip(*times) if b > 0.0]
@@ -116,6 +135,8 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                 statistics.median(ratios),
                 differ,
                 welfare,
+                price,
+                flow,
             )
         return out
 
@@ -134,11 +155,11 @@ def main(argv=None) -> int:
     print(f"{args.family} seeds {seeds.start}-{seeds.stop - 1}, {args.repeat} repeats")
     print(f"base {args.base.resolve()}\nhead {args.head.resolve()}")
     print(f"{'mode':10s} {'base ms':>9s} {'head ms':>9s} {'head/base':>9s} {'differ':>6s}"
-          f" {'welfare':>8s}")
+          f" {'welfare':>8s} {'price':>8s} {'flow':>8s}")
     results = compare(args.base, args.head, args.family, seeds, args.modes, args.repeat)
-    for mode, (base_ms, head_ms, ratio, differ, welfare) in results.items():
+    for mode, (base_ms, head_ms, ratio, differ, welfare, price, flow) in results.items():
         print(f"{mode:10s} {base_ms:9.3f} {head_ms:9.3f} {ratio:9.3f} {differ:6d}"
-              f" {welfare:8.1e}")
+              f" {welfare:8.1e} {price:8.1e} {flow:8.1e}")
     return 0
 
 
