@@ -227,12 +227,6 @@ class Instance:
     def area_interval(self, area: str) -> PriceInterval:
         return self.area_intervals.get(area, self.interval)
 
-    def empty_selection(self) -> BidSelection:
-        return BidSelection(
-            blocks={b.id: 0 for b in self.blocks},
-            flex={f.id: None for f in self.flex_bids},
-        )
-
     def validate(self) -> None:
         if self.hours <= 0:
             raise ValidationError("instance needs at least one hour")

@@ -65,15 +65,15 @@ def _relative_gap(bound: float, welfare: float) -> float:
     return max(0.0, bound - welfare) / max(1.0, abs(bound))
 
 
-def _price(instance, model, solution, relax_losses, deadline, duals):
+def _price(instance, model, x, relax_losses, deadline, duals):
     """Pricing of a candidate, or None when no price in the interval supports it."""
     try:
-        return solve_qpprice(instance, model, solution, relax_losses, deadline, duals)
+        return solve_qpprice(instance, model, x, relax_losses, deadline, duals)
     except PriceInfeasible:
         return None
 
 
-def _leaf_test(instance, model, solution, exact, deadline, duals):
+def _leaf_test(instance, model, solution, x, exact, deadline, duals):
     """Strict pricing and the curtailment check decide the leaf in both
     modes: one with loss-free prices and no curtailment violation passes
     with empty loss sets.  Loss-free prices make the least relaxed loss 0,
@@ -81,15 +81,16 @@ def _leaf_test(instance, model, solution, exact, deadline, duals):
     loss sets and heuristic mode's bid cut.  Exact mode cuts off a failed
     leaf with one no-good cut; heuristic mode with a bid cut on the loss
     sets plus curtailment cuts, or a no-good cut when relaxed pricing
-    fails or these give no cut.  Both pricings start from ``duals``, the
-    leaf's multipliers in the master (``MasterResult.duals``)."""
-    pricing = _price(instance, model, solution, False, deadline, duals)
+    fails or these give no cut.  Both pricings read x, the leaf's point
+    after FixFlow, and start from ``duals``, its multipliers in the master
+    (``MasterResult.duals``)."""
+    pricing = _price(instance, model, x, False, deadline, duals)
     curt = curtailment_violations(instance, solution)
     if pricing is not None and not curt:
         return LossSets((), ()), curt, pricing, []
     relaxed = (
         None if pricing is not None
-        else _price(instance, model, solution, True, deadline, duals)
+        else _price(instance, model, x, True, deadline, duals)
     )
     sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
     no_good = [no_good_cut(model, solution.selection)]
@@ -145,9 +146,10 @@ def _branch_and_cut(instance, options, mode):
     deadline = time.monotonic() + limit if limit is not None else None
 
     def leaf_test(leaf):
-        solution = solve_fixflow(instance, model, leaf.solution, leaf.duals, deadline)
+        x = solve_fixflow(instance, model, leaf.x, leaf.duals, deadline)
+        solution = leaf.solution if x is leaf.x else model.primal(leaf.solution.selection, x)
         sets, curt, pricing, cuts = _leaf_test(
-            instance, model, solution, exact, deadline, leaf.duals
+            instance, model, solution, x, exact, deadline, leaf.duals
         )
         tested.append((leaf, solution, pricing))
         iterations.append(

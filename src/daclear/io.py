@@ -1,15 +1,19 @@
 """JSON documents for instances and clearing solutions.
 
 Serialization is canonical (sorted keys, shortest round-trip floats), so
-identical inputs always produce byte-identical output.  It is also strict:
-a non-finite number raises ``ValueError`` instead of being written as
-``NaN`` or ``Infinity``, and parsing rejects those constants with a
+identical inputs always produce byte-identical output: the bytes of
+``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, from a
+small writer (``_dump``), as ``json`` indents in pure Python.  It is also
+strict: a non-finite number raises ``ValueError`` instead of being written
+as ``NaN`` or ``Infinity``, and parsing rejects those constants with a
 ``SchemaError``.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import Any, Optional
 
 from .core import (
@@ -211,7 +215,50 @@ def parse_instance(text: str) -> Instance:
 
 
 def _dump(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` and a
+    newline, byte for byte, for str keys and str, int, float (numpy's too),
+    bool, None, list, tuple and dict values; ValueError on a non-finite
+    float and TypeError on anything else, non-str keys too."""
+    parts = []
+    _write(doc, parts, "\n")
+    return "".join(parts) + "\n"
+
+
+def _write(value: Any, parts: list, newline: str) -> None:
+    """Append ``value``'s JSON text to ``parts``, ``newline`` starting a line
+    at its indent; a finite float item is written in place."""
+    if isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        if not value:
+            parts.append("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        sep = ("{" if is_dict else "[") + inner
+        for item in sorted(value.items()) if is_dict else value:
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                sep += encode_basestring_ascii(key) + ": "
+            parts.append(sep)
+            sep = "," + inner
+            if type(item) is float and item - item == 0.0:
+                parts.append(float.__repr__(item))
+            else:
+                _write(item, parts, inner)
+        parts.append(newline + ("}" if is_dict else "]"))
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value or value in (inf, -inf):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        parts.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -3,11 +3,11 @@
 One best-first branch-and-cut tree on the block and flex execution
 variables, the binary columns of the clearing model's master problem
 (``ClearingModel.master``); every node is a concave QP (binaries relaxed
-to [0,1]) solved by the active-set engine, on the box that its rows
-leave it: before the QP, each free binary whose other value one row rules
-out over the node's box is fixed (node presolve; Savelsbergh, 1994), so no
-child is made that the row test would refute.  Price conditions are absent
-here by design: the caller's leaf test is the only coupling to pricing.
+to [0,1]) solved by the active-set engine, on the box that its rows leave
+it: before the QP, each free binary whose other value one row rules out
+over the node's box is fixed (node presolve; Savelsbergh, 1994), and the
+row activities of that box go to the QP's row test with the node.  Price
+conditions are absent here: the leaf test is the only coupling to pricing.
 The test sees each integral leaf that is the master optimum under the cuts
 so far, and either accepts it or returns cuts, which become rows of the
 one QP while the search goes on (Padberg and Rinaldi, 1991).
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ class MasterResult:
     # with the selection pinned (cut, link and flex-once rows hold no fill
     # or flow)
     duals: Optional[Multipliers] = None
+    x: Optional[np.ndarray] = None  # with a solution: its node's optimal point
 
 
 def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], model: ClearingModel) -> QpProblem:
@@ -50,8 +51,9 @@ def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], model: ClearingModel) -> Qp
     for row, cut in zip(rows, cuts):
         for key, coef in cut.coeffs:
             row[model.bin_col[key]] += coef
-    b_in = np.append(prob.b_in, [cut.rhs for cut in cuts])
-    return replace(prob, A_in=np.vstack([prob.A_in, rows]), b_in=b_in)
+    b_in = np.concatenate((prob.b_in, [cut.rhs for cut in cuts]))
+    return QpProblem(prob.c, prob.d, prob.A_eq, prob.b_eq, np.concatenate((prob.A_in, rows)), b_in,
+                     prob.lb, prob.ub)
 
 
 def _presolve_fixings(instance: Instance) -> set:
@@ -80,14 +82,12 @@ def _presolve_fixings(instance: Instance) -> set:
     return fixed
 
 
-def _binary_rows(prob: QpProblem, bin_cols: Sequence[int]):
-    """What ``_fix_binaries`` reads of ``prob``'s stacked rows
-    (``QpProblem._activity_rows``): the binary columns, each row's
-    |coefficient| on them, and where that coefficient is positive and
-    where negative."""
-    cols = np.array(bin_cols, dtype=int)
-    M = prob._activity_rows[0][:, cols]
-    return cols, np.abs(M), M > 0.0, M < 0.0
+def _binary_rows(prob: QpProblem, n: int):
+    """What ``_fix_binaries`` reads of ``prob``'s stacked rows: the binary
+    columns (from ``n`` on, as a slice), each row's |coefficient| on them,
+    and where it is positive and where negative."""
+    M = prob._activity_rows[0][:, n:]
+    return slice(n, None), np.abs(M), M > 0.0, M < 0.0
 
 
 # passes the node pass (``_fix_binaries``) makes at most; a pass that fixes
@@ -96,34 +96,38 @@ PROPAGATION_PASSES = 8
 
 
 def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
-    """(lb, ub) with each free binary column fixed at v where the row test
-    would refute its other value over the box (node presolve; Savelsbergh,
-    1994): its |coefficient| in a stacked row exceeds that row's room,
-    ``broken`` minus its lowest activity (``qp._lowest_activity``), so the
-    value that raises the row's activity by it breaks the row.  Passes
-    repeat while a binary moves, at most PROPAGATION_PASSES.  The pass
-    gives no verdict: at a broken row, or once a binary is ruled out both
-    ways (fixed at 0), it stops and leaves the node to ``solve_qp``'s row
-    test.  Continuous bounds stay as they are; lb and ub are not modified."""
+    """(lb, ub, lowest): lb and ub with each free binary column fixed at v
+    where the row test would refute its other value over the box (node
+    presolve; Savelsbergh, 1994): its |coefficient| in a stacked row
+    exceeds that row's room, ``broken`` minus its lowest activity
+    (``qp._lowest_activity``), so the value that raises the row's activity
+    by it breaks the row.  Passes repeat while a binary moves, at most
+    PROPAGATION_PASSES.  The pass gives no verdict: at a broken row, or
+    once a binary is ruled out both ways (fixed at 0), it stops and leaves
+    the node to ``solve_qp``'s row test, which takes ``lowest``, the last
+    pass's ``_lowest_activity`` when it saw the box returned (else None).
+    Continuous bounds stay as they are; lb and ub are not modified."""
     cols, size, positive, negative = binary_rows
     broken = prob._activity_rows[1]
+    lowest = None
     for _ in range(PROPAGATION_PASSES):
         free = lb[cols] < ub[cols]
         if not free.any():
             break
-        terms, row = _lowest_activity(prob, lb, ub)
+        lowest = low, row = _lowest_activity(prob, lb, ub)
         if row is not None:
             break
-        ruled = size * free > (broken - terms.sum(axis=1))[:, None]
+        ruled = size * free > (broken - low)[:, None]
         if not ruled.any():
             break
+        lowest = None
         no_one, no_zero = (ruled & positive).any(axis=0), (ruled & negative).any(axis=0)
         lb, ub = lb.copy(), ub.copy()
-        ub[cols[no_one]] = 0.0
-        lb[cols[no_zero & ~no_one]] = 1.0
+        ub[cols][no_one] = 0.0
+        lb[cols][no_zero & ~no_one] = 1.0
         if (no_one & no_zero).any():
             break
-    return lb, ub
+    return lb, ub, lowest
 
 
 def _solve_node(node: QpProblem, model, parent, deadline):
@@ -177,8 +181,8 @@ def solve_master(
     puts its node back on the heap, so the ``limit`` result's bound stays
     valid.  A test that raises TimeLimit puts its leaf back the same way."""
     prob = model.master()
-    bin_cols = list(range(model.n, prob.n))
-    binary_rows = _binary_rows(prob, bin_cols)
+    n = model.n  # the binary columns come after the model's
+    binary_rows = _binary_rows(prob, n)
     cut_rows = len(prob.b_in)  # the rows after these are cuts
     deadline = time.monotonic() + time_limit if time_limit is not None else None
 
@@ -200,10 +204,9 @@ def solve_master(
         bound = max([objective] + [entry[3] for entry in heap])
         if leaf is None:
             return MasterResult(status=status, bound=bound, nodes=nodes)
-        selection, sol = leaf
         return MasterResult(
-            status=status, solution=model.primal(selection, sol.x),
-            objective=objective, bound=bound, nodes=nodes, duals=multipliers(prob, sol),
+            status=status, solution=model.primal(model.selection_at(leaf.x), leaf.x),
+            objective=objective, bound=bound, nodes=nodes, duals=multipliers(prob, leaf), x=leaf.x,
         )
 
     push(float("inf"), (prob.lb, base_ub, None))  # bounds and a parent solution
@@ -212,9 +215,9 @@ def solve_master(
             return result("limit")
         entry = heapq.heappop(heap)
         _, _, _, bound, (node_lb, node_ub, parent), leaf = entry
-        if leaf is not None and np.all(
-            prob.A_in[cut_rows:] @ leaf[1].x <= prob.b_in[cut_rows:] + 1e-6
-        ):
+        if leaf is not None and (
+            prob.A_in[cut_rows:] @ leaf.x <= prob.b_in[cut_rows:] + 1e-6
+        ).all():
             # the master optimum under the cuts so far
             found = result("optimal", leaf, bound)
             try:
@@ -227,19 +230,19 @@ def solve_master(
             if verdict is None:
                 push(bound, (node_lb, node_ub, parent))  # the leaf keeps its bound
                 return result("limit")
-            if (node_lb[bin_cols] < node_ub[bin_cols]).any():
+            if (node_lb[n:] < node_ub[n:]).any():
                 push(bound, (node_lb, node_ub, parent))  # solved again under the new cuts
             cut_prob = _with_cuts(prob, verdict, model)
             # the rows before the cuts keep their indices, so every cached
             # factorization still holds for the longer problem
             cut_prob.factors = prob.factors
             prob = cut_prob
-            binary_rows = _binary_rows(prob, bin_cols)
+            binary_rows = _binary_rows(prob, n)
             continue
         # a node, or a leaf that a later cut removed, on the box its rows
         # leave it
-        node_lb, node_ub = _fix_binaries(prob, binary_rows, node_lb, node_ub)
-        node = prob.with_bounds(node_lb, node_ub)
+        node_lb, node_ub, lowest = _fix_binaries(prob, binary_rows, node_lb, node_ub)
+        node = prob.with_bounds(node_lb, node_ub, lowest)
         try:
             sol = _solve_node(node, model, parent, deadline)
         except TimeLimit:
@@ -248,22 +251,18 @@ def solve_master(
         nodes += 1
         if sol is None:
             continue
-        frac = [
-            (abs(sol.x[j] - round(sol.x[j])), j)
-            for j in bin_cols
-            if node_lb[j] < node_ub[j]
-        ]
-        worst = max((f for f, _ in frac), default=0.0)
+        xs, lo, hi = sol.x[n:].tolist(), node_lb[n:].tolist(), node_ub[n:].tolist()
+        frac = [(abs(v - round(v)), n + k) for k, v in enumerate(xs) if lo[k] < hi[k]]
+        worst = max(frac)[0] if frac else 0.0
         if worst <= END_TOL:
-            push(sol.objective, (node_lb, node_ub, sol), (model.selection_at(sol.x), sol))
+            push(sol.objective, (node_lb, node_ub, sol), sol)
             continue
         # branch on the most fractional binary, lowest column on ties
-        j_star = min(
-            (j for f, j in frac if f >= worst - 1e-12),
-        )
-        for fixed_val in (0.0, 1.0):
-            child_lb = node_lb.copy()
-            child_ub = node_ub.copy()
-            child_lb[j_star] = child_ub[j_star] = fixed_val
-            push(sol.objective, (child_lb, child_ub, sol))
+        j_star = min(j for f, j in frac if f >= worst - 1e-12)
+        # a free binary's bounds are 0 and 1, so each child changes one of
+        # them and shares the other array with its parent
+        no_ub, one_lb = node_ub.copy(), node_lb.copy()
+        no_ub[j_star], one_lb[j_star] = 0.0, 1.0
+        push(sol.objective, (node_lb, no_ub, sol))
+        push(sol.objective, (one_lb, node_ub, sol))
     return result("infeasible")

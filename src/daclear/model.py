@@ -9,13 +9,15 @@ flex-once rows.  The master, FixFlow and pricing all start from this model:
 the master is the whole of it (the oracle's fixed-selection relaxation is
 the master with every binary pinned), FixFlow keeps the vertical segment
 and flow columns, and pricing's rows are the stationarity conditions of
-the continuous QP on its flow columns, one price per clearing row.
+the continuous QP on its flow columns, one price per clearing row.  Each
+array is made once per clear from lists of its entries, in model order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -36,7 +38,22 @@ class ClearingModel:
     ``n``: ``bin_col`` maps each key of ``bin_keys``, the keys cuts use, to
     its master column; ``bin_c`` and ``bin_A_eq`` are their objective and
     clearing-row entries, and ``link_A y <= link_b`` their link rows
-    ``y_child - y_parent <= 0`` and flex-once rows ``sum_t y <= 1``."""
+    ``y_child - y_parent <= 0`` and flex-once rows ``sum_t y <= 1``.  These
+    arrays are read-only views of the master problem's (``master``).
+
+    The rest is what starts and pricing read, in model order: per clearing
+    row its segment columns in merit order and their spans (``row_segs``);
+    the quantity-carrying segments' columns, rows, base prices and price
+    spans (``fill_prices``); per binary column its bid's (id, limit price,
+    ((clearing row, quantity), ...)) over the hours it executes
+    (``bin_bids``), the sums of limit price times quantity (``bin_b``) and
+    of the smaller surplus at the interval's ends (``bin_worst``) over
+    them, and the columns in key order, as ``BidSelection`` lists executed
+    bids (``bin_order``); (F, h, source), the flow columns' rows
+    ``F @ flows <= h``, each flow's upper and lower bound then the ramp rows
+    it ends, source[i] being the row's index in [upper bounds, lower bounds,
+    ramp rows] (``flow_rows``); and (P, G) = (-A_eq' on the flow columns,
+    -F'), the stationarity rows of the welfare QP there (``stationarity``)."""
 
     seg_ids: tuple[int, ...]
     flow_keys: tuple[tuple[str, int], ...]
@@ -60,34 +77,16 @@ class ClearingModel:
     link_A: np.ndarray
     link_b: np.ndarray
     vertical: np.ndarray  # per segment column: its segment is vertical
-    # per clearing row: its segment columns in column (merit) order and
-    # their spans, derived from A_eq
-    row_segs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # (F, h, source): the flow columns' inequality rows  F @ flows <= h,
-    # each flow's upper and lower bound followed by the ramp rows whose
-    # last flow column it is; source[i] is the row's index in [upper bounds,
-    # lower bounds, ramp rows], the order in which the welfare QP's
-    # multipliers price them.  Derived from lb, ub and A_in
-    flow_rows: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        n_seg = len(self.seg_ids)
-        segs = []
-        for row in self.A_eq[:, :n_seg]:
-            cols = np.flatnonzero(row > 0.0)
-            segs.append((cols, row[cols]))
-        object.__setattr__(self, "row_segs", tuple(segs))
-        f = slice(n_seg, self.n)
-        eye = np.eye(len(self.flow_keys))
-        F = np.vstack([eye, -eye, self.A_in[:, f]])
-        h = np.concatenate([self.ub[f], -self.lb[f], self.b_in])
-        owner = np.where(F != 0.0, np.arange(len(eye)), -1).max(axis=1, initial=-1)
-        order = np.argsort(owner, kind="stable")
-        object.__setattr__(self, "flow_rows", (F[order], h[order], order))
+    row_segs: tuple[tuple[list, list], ...]
+    fill_prices: tuple
+    bin_bids: tuple[tuple, ...]
+    bin_b: np.ndarray
+    bin_worst: tuple[float, ...]
+    bin_order: tuple[int, ...]
+    flow_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    stationarity: tuple[np.ndarray, np.ndarray]
+    # (c, d, A_eq, b_eq, A_in, b_in, lb, ub) of the master problem
+    master_arrays: tuple = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -96,33 +95,24 @@ class ClearingModel:
     @cached_property
     def fixflow_rows(self):
         """FixFlow's layout (``pricing.solve_fixflow``): (cols, kept, A_eq,
-        A_kept, A_in).  Its columns ``cols`` are the vertical segments'
-        fills, then the flows; the other segments' fills, ``kept``, stay
-        where they are and move to the right-hand side of the clearing
-        rows through ``A_kept``, their clearing-row block.  ``A_eq`` and
-        ``A_in`` are the clearing and ramp rows on ``cols``."""
+        A_kept, A_in, c, d).  Its columns ``cols`` are the vertical
+        segments' fills, then the flows; the other segments' fills,
+        ``kept``, stay where they are and move to the right-hand side of
+        the clearing rows through ``A_kept``, their clearing-row block.
+        ``A_eq`` and ``A_in`` are the clearing and ramp rows on ``cols``,
+        and c and d its objective, minus the flows' squared norm."""
         kept = np.flatnonzero(~self.vertical)
         cols = np.concatenate((np.flatnonzero(self.vertical), np.arange(len(self.seg_ids), self.n)))
-        return cols, kept, self.A_eq[:, cols], self.A_eq[:, kept], self.A_in[:, cols]
+        d = np.where(np.arange(len(cols)) < len(cols) - len(self.flow_keys), 0.0, -2.0)
+        A_eq, A_kept, A_in = self.A_eq[:, cols], self.A_eq[:, kept], self.A_in[:, cols]
+        return cols, kept, A_eq, A_kept, A_in, np.zeros(len(cols)), d
 
     def master(self) -> QpProblem:
         """A new master problem: every column, the binaries in [0, 1], and
         the ramp rows followed by the link and flex-once rows.  Each call
-        builds its own problem, so each has its own factor cache."""
-        m = len(self.bin_keys)
-        return QpProblem(
-            c=np.concatenate([self.c, self.bin_c]),
-            d=np.concatenate([self.d, np.zeros(m)]),
-            A_eq=np.hstack([self.A_eq, self.bin_A_eq]),
-            b_eq=self.b_eq,
-            A_in=np.block([
-                [self.A_in, np.zeros((len(self.b_in), m))],
-                [np.zeros((len(self.link_b), self.n)), self.link_A],
-            ]),
-            b_in=np.concatenate([self.b_in, self.link_b]),
-            lb=np.concatenate([self.lb, np.zeros(m)]),
-            ub=np.concatenate([self.ub, np.ones(m)]),
-        )
+        builds its own problem, so each has its own factor cache; all
+        share the model's read-only arrays."""
+        return QpProblem(*self.master_arrays)
 
     def binaries(self, selection: BidSelection) -> np.ndarray:
         """The binary columns' values at ``selection``, in ``bin_keys`` order."""
@@ -135,10 +125,10 @@ class ClearingModel:
     def selection_at(self, x: np.ndarray) -> BidSelection:
         """The selection whose binaries ``x``, a master point, rounds to."""
         blocks, flex = {}, {}
-        for key, j in self.bin_col.items():
+        for key, v in zip(self.bin_keys, x[self.n:].tolist()):
             if key[0] == "block":
-                blocks[key[1]] = int(round(x[j]))
-            elif round(x[j]) == 1:
+                blocks[key[1]] = int(round(v))
+            elif round(v) == 1:
                 flex[key[1]] = key[2]
             else:
                 flex.setdefault(key[1])
@@ -147,108 +137,140 @@ class ClearingModel:
     def primal(self, selection: BidSelection, x: np.ndarray) -> PrimalSolution:
         """``selection`` with the fills and flows that ``x``, a point of a
         QP whose leading columns are this model's, gives them."""
+        n_seg = len(self.seg_ids)
         return PrimalSolution(
             selection=selection,
-            delta={sid: float(x[j]) for sid, j in self.seg_col.items()},
-            flows={key: float(x[j]) for key, j in self.flow_col.items()},
+            delta=dict(zip(self.seg_ids, x[:n_seg].tolist())),
+            flows=dict(zip(self.flow_keys, x[n_seg:self.n].tolist())),
         )
 
 
 def build_model(instance: Instance) -> ClearingModel:
-    hours = range(instance.hours)
-    seg_ids = tuple(s.id for s in instance.segments)
-    flow_keys = tuple((cc.id, t) for cc in instance.interconnectors for t in hours)
-    eq_keys = tuple((a, t) for a in instance.areas for t in hours)
-    seg_col = {sid: j for j, sid in enumerate(seg_ids)}
-    flow_col = {key: len(seg_ids) + k for k, key in enumerate(flow_keys)}
-    eq_row = {key: r for r, key in enumerate(eq_keys)}
-    n = len(seg_ids) + len(flow_keys)
+    """The clearing model of ``instance``.  One pass over the curves,
+    connectors and bids collects each array's entries in lists; each array
+    is then made by one conversion or one assignment, the master's first
+    and the model's as views of them."""
+    H = instance.hours
+    conns, links = instance.interconnectors, instance.links
+    blocks, flex = instance.blocks, instance.flex_bids
+    eq_keys = tuple((a, t) for a in instance.areas for t in range(H))
+    curves = [instance.curves[key] for key in eq_keys]
+    area_row = {a: H * i for i, a in enumerate(instance.areas)}  # the row of (a, 0)
+    # (id, clearing row, segment) in id order, so in column order
+    segs = sorted((s.id, r, s) for r, curve in enumerate(curves) for s in curve.segments)
+    seg_ids = tuple(sid for sid, _, _ in segs)
+    flow_keys = tuple((cc.id, t) for cc in conns for t in range(H))
+    bin_keys = tuple(("block", b.id) for b in blocks)
+    bin_keys += tuple(("flex", f.id, t) for f in flex for t in range(H))
+    n_seg, nf, m = len(seg_ids), len(flow_keys), len(bin_keys)
+    n = n_seg + nf
 
-    c = np.zeros(n)
-    d = np.zeros(n)
-    lb = np.zeros(n)
-    ub = np.ones(n)
-    for j, seg in enumerate(instance.segments):
-        c[j] = (seg.base_price + seg.price_span) * seg.quantity_span
-        d[j] = -seg.price_span * seg.quantity_span
-
-    A_eq = np.zeros((len(eq_keys), n))
-    b_eq = np.zeros(len(eq_keys))
-    for r, (a, t) in enumerate(eq_keys):
-        curve = instance.curves[a, t]
-        for seg in curve.segments:
-            A_eq[r, seg_col[seg.id]] = seg.quantity_span
-        b_eq[r] = -curve.min_net_demand
-
-    ramp_keys = []
-    in_rows = []
-    in_rhs = []
-    for cc in instance.interconnectors:
-        ramped = cc.ramp_rate is not None and np.isfinite(cc.ramp_rate)
-        for t in hours:
-            j = flow_col[cc.id, t]
-            lb[j] = cc.lower[t]
-            ub[j] = cc.upper[t]
-            A_eq[eq_row[cc.source, t], j] = 1.0
-            A_eq[eq_row[cc.sink, t], j] = -1.0
-            if not ramped:
-                continue
-            for sense, sgn in (("fwd", 1.0), ("bwd", -1.0)):
-                row = np.zeros(n)
-                row[j] = sgn
-                rhs = cc.ramp_rate
-                if t == 0:
-                    rhs += sgn * cc.initial_flow
-                else:
-                    row[flow_col[cc.id, t - 1]] = -sgn
+    c = [(s.base_price + s.price_span) * s.quantity_span for _, _, s in segs] + [0.0] * nf
+    d = [-s.price_span * s.quantity_span for _, _, s in segs] + [0.0] * (nf + m)
+    lb, ub = [0.0] * n_seg, [1.0] * n_seg
+    eq_r, eq_c = [r for _, r, _ in segs], list(range(n_seg))
+    eq_v = [s.quantity_span for _, _, s in segs]
+    fill = ([], [], [], [])  # pricing's fill rule: cols, rows, base, span
+    row_segs = [([], []) for _ in curves]
+    for j, (_, r, s) in enumerate(segs):
+        if s.quantity_span > 0.0:
+            row_segs[r][0].append(j)
+            row_segs[r][1].append(s.quantity_span)
+            for lst, v in zip(fill, (j, r, s.base_price, s.price_span)):
+                lst.append(v)
+    # per flow column (from 0): its flow rows (``flow_rows``), the upper
+    # and lower bound and then its ramp rows
+    flow_rows = [[i, nf + i] for i in range(nf)]
+    in_r, in_c, in_v, b_in, ramp_keys = [], [], [], [], []
+    for k, cc in enumerate(conns):
+        lb += cc.lower
+        ub += cc.upper
+        j = n_seg + k * H
+        eq_r += [area_row[area] + t for area in (cc.source, cc.sink) for t in range(H)]
+        eq_c += [*range(j, j + H)] * 2
+        eq_v += [1.0] * H + [-1.0] * H
+        if cc.ramp_rate is None or not isfinite(cc.ramp_rate):
+            continue
+        for t in range(H):
+            for sgn, sense in ((1.0, "fwd"), (-1.0, "bwd")):
+                cols = [j + t] if t == 0 else [j + t, j + t - 1]
+                flow_rows[k * H + t].append(2 * nf + len(b_in))
                 ramp_keys.append((cc.id, t, sense))
-                in_rows.append(row)
-                in_rhs.append(rhs)
+                in_r += [len(b_in)] * len(cols)
+                in_c += cols
+                in_v += [sgn, -sgn][:len(cols)]
+                b_in.append(cc.ramp_rate + sgn * cc.initial_flow if t == 0 else cc.ramp_rate)
+    n_ramp = len(b_in)
 
-    bin_keys = tuple(("block", b.id) for b in instance.blocks)
-    bin_keys += tuple(("flex", f.id, t) for f in instance.flex_bids for t in hours)
-    bin_col = {key: n + k for k, key in enumerate(bin_keys)}
-    bin_c = np.zeros(len(bin_keys))
-    bin_A_eq = np.zeros((len(eq_keys), len(bin_keys)))
-    link_A = np.zeros((len(instance.links) + len(instance.flex_bids), len(bin_keys)))
-    for k, b in enumerate(instance.blocks):
-        bin_c[k] = b.limit_price * sum(b.quantities)
-        for t in hours:
-            if b.quantities[t] != 0.0:
-                bin_A_eq[eq_row[b.area, t], k] = b.quantities[t]
-    for r, (child, parent) in enumerate(instance.links):
-        link_A[r, bin_col["block", child] - n] = 1.0
-        link_A[r, bin_col["block", parent] - n] -= 1.0
-    for r, f in enumerate(instance.flex_bids, len(instance.links)):
-        for t in hours:
-            k = bin_col["flex", f.id, t] - n
-            bin_c[k] = f.limit_price * f.quantity
-            bin_A_eq[eq_row[f.area, t], k] = f.quantity
-            link_A[r, k] = 1.0
+    # per binary column: (bid id, limit price, ((clearing row, quantity),
+    # ...)) over the hours it executes its bid in
+    bids = [(b.id, b.limit_price, tuple(enumerate(b.quantities, area_row[b.area]))) for b in blocks]
+    bids += [(f.id, f.limit_price, ((area_row[f.area] + t, f.quantity),))
+             for f in flex for t in range(H)]
+    c += [b.limit_price * sum(b.quantities) for b in blocks]
+    c += [f.limit_price * f.quantity for f in flex for _ in range(H)]
+    for k, (_, _, terms) in enumerate(bids, n):
+        for r, q in terms:
+            if q != 0.0:
+                eq_r.append(r)
+                eq_c.append(k)
+                eq_v.append(q)
+    bin_col = dict(zip(bin_keys, range(n, n + m)))
+    for i in range(len(flex)):  # the flex-once rows, after the link rows
+        in_r += [n_ramp + len(links) + i] * H
+        in_c += range(n + len(blocks) + i * H, n + len(blocks) + (i + 1) * H)
+        in_v += [1.0] * H
+
+    c, d = np.array(c, dtype=float), np.array(d, dtype=float)
+    lb, ub = np.array(lb + [0.0] * m, dtype=float), np.array(ub + [1.0] * m, dtype=float)
+    A_eq = np.zeros((len(eq_keys), n + m))
+    A_eq[np.array(eq_r, dtype=int), np.array(eq_c, dtype=int)] = np.array(eq_v, dtype=float)
+    b_eq = np.array([-curve.min_net_demand for curve in curves], dtype=float)
+    A_in = np.zeros((n_ramp + len(links) + len(flex), n + m))
+    if in_r:
+        A_in[np.array(in_r, dtype=int), np.array(in_c, dtype=int)] = np.array(in_v, dtype=float)
+    for r, (child, parent) in enumerate(links, n_ramp):
+        A_in[r, bin_col["block", child]] = 1.0
+        A_in[r, bin_col["block", parent]] -= 1.0
+    b_in = np.array(b_in + [0.0] * len(links) + [1.0] * len(flex), dtype=float)
+    arrays = (c, d, A_eq, b_eq, A_in, b_in, lb, ub)
+    for a in arrays:
+        a.flags.writeable = False
+    f = slice(n_seg, n)
+    order = np.array([row for rows in flow_rows for row in rows], dtype=int)
+    F, h = np.zeros((0, 0)), np.zeros(0)
+    if nf:
+        eye = np.eye(nf)
+        F = np.concatenate((eye, -eye, A_in[:n_ramp, f]))[order]
+        h = np.concatenate((ub[f], -lb[f], b_in[:n_ramp]))[order]
+
+    # pricing's no-loss right-hand sides and loss caps, summed hour by hour
+    # from 0.0, as the rows were once built
+    iv = instance.interval
+    bin_b, bin_worst = [], []
+    for _, limit, terms in bids:
+        total, worst = 0.0, 0.0
+        for _, q in terms:
+            total += limit * q
+            low, high = (limit - iv.lower) * q, (limit - iv.upper) * q
+            worst += high if high < low else low  # min(low, high)
+        bin_b.append(total)
+        bin_worst.append(worst)
 
     return ClearingModel(
-        seg_ids=seg_ids,
-        flow_keys=flow_keys,
-        eq_keys=eq_keys,
-        ramp_keys=tuple(ramp_keys),
-        seg_col=seg_col,
-        flow_col=flow_col,
-        eq_row=eq_row,
-        c=c,
-        d=d,
-        lb=lb,
-        ub=ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        A_in=np.array(in_rows).reshape(-1, n),
-        b_in=np.array(in_rhs),
-        bin_keys=bin_keys,
-        bin_col=bin_col,
-        bin_c=bin_c,
-        bin_A_eq=bin_A_eq,
-        link_A=link_A,
-        link_b=np.array([0.0] * len(instance.links) + [1.0] * len(instance.flex_bids)),
-        vertical=np.array([seg.is_vertical for seg in instance.segments], dtype=bool),
+        seg_ids=seg_ids, flow_keys=flow_keys, eq_keys=eq_keys, ramp_keys=tuple(ramp_keys),
+        seg_col=dict(zip(seg_ids, range(n_seg))), flow_col=dict(zip(flow_keys, range(n_seg, n))),
+        eq_row=dict(zip(eq_keys, range(len(eq_keys)))),
+        c=c[:n], d=d[:n], lb=lb[:n], ub=ub[:n], A_eq=A_eq[:, :n], b_eq=b_eq,
+        A_in=A_in[:n_ramp, :n], b_in=b_in[:n_ramp],
+        bin_keys=bin_keys, bin_col=bin_col, bin_c=c[n:], bin_A_eq=A_eq[:, n:],
+        link_A=A_in[n_ramp:, n:], link_b=b_in[n_ramp:],
+        vertical=np.array([s.is_vertical for _, _, s in segs], dtype=bool),
+        row_segs=tuple(row_segs), fill_prices=(np.array(fill[0], dtype=int), *fill[1:]),
+        bin_bids=tuple(bids), bin_b=np.array(bin_b, dtype=float), bin_worst=tuple(bin_worst),
+        bin_order=tuple(sorted(range(m), key=bin_keys.__getitem__)),
+        flow_rows=(F, h, order), stationarity=(-A_eq[:, f].T, -F.T),
+        master_arrays=arrays,
     )
 
 
@@ -262,26 +284,29 @@ def balanced_start(
     with too much empties its last filled segments.  Flows, other columns
     and inequality rows are left alone, so phase 1 runs only for the rows
     no curve can balance and for violated inequality rows."""
-    x = np.clip(np.zeros(prob.n) if x0 is None else x0, prob.lb, prob.ub)
+    # np.clip's values, a bound on ties included, in two cheaper ufunc calls
+    x = np.minimum(np.maximum(np.zeros(prob.n) if x0 is None else x0, prob.lb), prob.ub)
     residual = prob.b_eq - prob.A_eq @ x
-    for r in (np.abs(residual) > FEAS_TOL).nonzero()[0]:
+    rows = (np.abs(residual) > FEAS_TOL).nonzero()[0].tolist()
+    if not rows:
+        return x
+    # rows hold a few segments, so plain floats beat array calls
+    fill, lower, upper = x.tolist(), prob.lb.tolist(), prob.ub.tolist()
+    for r in rows:
         short = float(residual[r])
         cols, spans = model.row_segs[r]
         if short < 0.0:
             cols, spans = cols[::-1], spans[::-1]
         sign = 1.0 if short > 0.0 else -1.0
-        bound = (prob.ub if short > 0.0 else prob.lb)[cols].tolist()
-        fill = x[cols].tolist()
-        # net demand each segment can still add, or give back, in turn;
-        # rows hold a few segments, so plain floats beat array calls
+        bound = upper if short > 0.0 else lower
+        # net demand each segment can still add, or give back, in turn
         total = 0.0
-        for k, span in enumerate(spans.tolist()):
-            room = span * abs(bound[k] - fill[k])
+        for j, span in zip(cols, spans):
+            room = span * abs(bound[j] - fill[j])
             total += room
             take = min(max(abs(short) - (total - room), 0.0), room)
-            fill[k] = bound[k] if take >= room else fill[k] + sign * take / span
-        x[cols] = fill
-    return x
+            fill[j] = bound[j] if take >= room else fill[j] + sign * take / span
+    return np.array(fill)
 
 
 def _curves_take(model: ClearingModel, prob: QpProblem, x: np.ndarray) -> bool:
@@ -312,24 +337,24 @@ def money_start(model: ClearingModel, prob: QpProblem) -> np.ndarray:
     curve can take the executed bids' volume."""
     x = balanced_start(model, prob)
     n = model.n
-    g = prob.c[:n] + prob.d[:n] * x[:n]
-    pi = np.zeros(len(model.row_segs))
-    for r, (cols, _) in enumerate(model.row_segs):
-        if len(cols):
-            filled = cols[x[cols] > 0.0]
-            j = filled[-1] if len(filled) else cols[0]
-            pi[r] = g[j] / model.A_eq[r, j]
-    surplus = model.bin_c - pi @ model.bin_A_eq
+    c, d, fill = prob.c.tolist(), prob.d.tolist(), x.tolist()
+    pi = []
+    for cols, spans in model.row_segs:
+        # the row's last filled segment, or its first
+        k = next((k for k in range(len(cols) - 1, -1, -1) if fill[cols[k]] > 0.0), 0)
+        pi.append((c[cols[k]] + d[cols[k]] * fill[cols[k]]) / spans[k] if cols else 0.0)
+    surplus = model.bin_c - np.array(pi) @ model.bin_A_eq
     y = np.where(surplus > 0.0, prob.ub[n:], prob.lb[n:])
-    broken = np.flatnonzero(model.link_A @ y > model.link_b + FEAS_TOL)
-    while len(broken):
+    while len(model.link_b):
+        broken = (model.link_A @ y > model.link_b + FEAS_TOL).nonzero()[0]
+        if not len(broken):
+            break
         for r in broken:
-            cols = np.flatnonzero(model.link_A[r])
+            cols = model.link_A[r].nonzero()[0]
             on = cols[y[cols] > 0.0]
             y[cols] = 0.0
             if model.link_b[r] > 0.0:  # a flex-once row
                 y[on[np.argmax(surplus[on])]] = 1.0
-        broken = np.flatnonzero(model.link_A @ y > model.link_b + FEAS_TOL)
     if not y.any():
         return x
     start = x.copy()

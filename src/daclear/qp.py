@@ -75,22 +75,26 @@ class QpProblem:
         self.b_in = np.asarray(self.b_in, dtype=float)
         self.lb = np.asarray(self.lb, dtype=float)
         self.ub = np.asarray(self.ub, dtype=float)
-        if np.any(self.d > 1e-12):
+        if (self.d > 1e-12).any():
             raise ValueError("quadratic diagonal must be nonpositive")
 
     @property
     def n(self) -> int:
         return len(self.c)
 
-    def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "QpProblem":
+    _lowest = None  # ``_lowest_activity`` over the box, when ``with_bounds`` got it
+
+    def with_bounds(self, lb: np.ndarray, ub: np.ndarray, lowest=None) -> "QpProblem":
         """This problem with the float arrays ``lb`` and ``ub`` as its box.
         The copy shares the other arrays, already converted and checked,
         the stacked rows of the row activity test (``_lowest_activity``),
         built here once, and the factor cache of its rows (``factors``), so
-        a node reuses the factorizations of every node solved before it."""
+        a node reuses the factorizations of every node solved before it.
+        ``lowest``, when given, is ``_lowest_activity(self, lb, ub)``, which
+        the row test then takes as it is (the master's node pass hands it)."""
         self._activity_rows, self.factors  # made before the copy, so that copies share them
         node = QpProblem.__new__(QpProblem)
-        node.__dict__ = {**self.__dict__, "lb": lb, "ub": ub}
+        node.__dict__ = {**self.__dict__, "lb": lb, "ub": ub, "_lowest": lowest}
         return node
 
     @cached_property
@@ -151,23 +155,6 @@ class Multipliers:
     mu_in: np.ndarray
     nu_lower: np.ndarray
     nu_upper: np.ndarray
-
-
-@dataclass
-class KktReport:
-    stationarity: float
-    primal: float
-    dual: float
-    complementarity: float
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.stationarity, self.primal, self.dual, self.complementarity)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
 
 
 def _factor(K: np.ndarray):
@@ -515,12 +502,16 @@ def _first_zero(level, rate):
     return t, int((ratios <= t + 1e-14).argmax())
 
 
+# per state, whether its column takes a lower- or an upper-bound multiplier
+_AT_LOWER = np.array([False, True, False, True])
+_AT_UPPER = np.array([False, False, True, True])
+
+
 def _bound_multipliers(state, r):
     """Lower- and upper-bound multipliers from the reduced gradient r; a
     pinned column takes the side its sign says."""
-    lower = (state == LOWER) | (state == PINNED)
-    upper = (state == UPPER) | (state == PINNED)
-    return np.where(lower, np.maximum(-r, 0.0), 0.0), np.where(upper, np.maximum(r, 0.0), 0.0)
+    return (np.where(_AT_LOWER[state], np.maximum(-r, 0.0), 0.0),
+            np.where(_AT_UPPER[state], np.maximum(r, 0.0), 0.0))
 
 
 def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
@@ -563,24 +554,25 @@ def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
 
 
 def _lowest_activity(prob: QpProblem, lb, ub):
-    """(terms, row) of prob's stacked rows (``_activity_rows``) over the
-    box lb..ub: each entry's term of its row's lowest activity (zero for a
-    zero coefficient, so an open box gives -inf but no NaN), and the first
-    row whose lowest activity exceeds its limit by more than FEAS_TOL times
-    the larger of 1 and the limit, or None.  Phase 1 calls such a problem
-    infeasible, as the artificial on that row must carry over INFEAS_TOL."""
+    """(low, row) of prob's stacked rows (``_activity_rows``) over the box
+    lb..ub: each row's lowest activity (a zero coefficient adds no term,
+    so an open box gives -inf but no NaN), and the first row whose lowest
+    activity exceeds its limit by more than FEAS_TOL times the larger of 1
+    and the limit, or None.  Phase 1 calls such a problem infeasible, as
+    the artificial on that row must carry over INFEAS_TOL."""
     M, broken, pos, neg = prob._activity_rows
-    terms = M * np.where(pos, lb, np.where(neg, ub, 0.0))
-    over = terms.sum(axis=1) > broken
-    return terms, int(over.argmax()) if over.any() else None
+    low = (M * np.where(pos, lb, np.where(neg, ub, 0.0))).sum(axis=1)
+    over = low > broken
+    return low, int(over.argmax()) if over.any() else None
 
 
 def _row_test(prob: QpProblem) -> Optional[dict]:
     """The certificate of the first row that prob's box breaks
-    (``_lowest_activity``): the row, its positive columns' lower bounds and
-    its negative columns' upper bounds; None when no row breaks."""
+    (``_lowest_activity``, or the one ``with_bounds`` was handed): the row,
+    its positive columns' lower bounds and its negative columns' upper
+    bounds; None when no row breaks."""
     if len(prob.b_in) or len(prob.b_eq):  # a problem without rows stacks none
-        _, row = _lowest_activity(prob, prob.lb, prob.ub)
+        _, row = prob._lowest or _lowest_activity(prob, prob.lb, prob.ub)
         if row is not None:
             _, _, pos, neg = prob._activity_rows
             m_in = len(prob.b_in)
@@ -670,7 +662,7 @@ def solve_qp(
         if callable(x0):
             x0 = x0()
         first = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
-        x, cert, iters1 = _phase1(prob, np.clip(first, prob.lb, prob.ub), deadline)
+        x, cert, iters1 = _phase1(prob, np.minimum(np.maximum(first, prob.lb), prob.ub), deadline)
         if x is None:
             return QpSolution(status="infeasible", certificate=cert, iterations=iters1)
         work, state = solver.start(x)
@@ -703,46 +695,3 @@ def multipliers(prob: QpProblem, sol: QpSolution) -> Multipliers:
     mu_in[list(sol.working.rows)] = np.maximum(mu_w, 0.0)
     nu_lower, nu_upper = _bound_multipliers(sol.working.state, r)
     return Multipliers(y_eq=y, mu_in=mu_in, nu_lower=nu_lower, nu_upper=nu_upper)
-
-
-def check_kkt(prob: QpProblem, sol: QpSolution, tol: float = 1e-8) -> KktReport:
-    """Residuals of stationarity, primal feasibility, dual sign and
-    complementarity for a candidate solution, priced by ``multipliers``."""
-    x = sol.x
-    mult = multipliers(prob, sol)
-    primal = 0.0
-    dual = 0.0
-    comp = 0.0
-    if len(prob.b_eq):
-        primal = max(primal, float(np.max(np.abs(prob.A_eq @ x - prob.b_eq))))
-    if len(prob.b_in):
-        slack = prob.b_in - prob.A_in @ x
-        primal = max(primal, float(np.max(-slack)))
-        comp = max(comp, float(np.max(np.abs(mult.mu_in * slack))))
-        dual = max(dual, float(np.max(-mult.mu_in)))
-    lo_ok = np.isfinite(prob.lb)
-    hi_ok = np.isfinite(prob.ub)
-    if np.any(lo_ok):
-        s = (x - prob.lb)[lo_ok]
-        primal = max(primal, float(np.max(-s)))
-        comp = max(comp, float(np.max(np.abs(mult.nu_lower[lo_ok] * s))))
-    if np.any(hi_ok):
-        s = (prob.ub - x)[hi_ok]
-        primal = max(primal, float(np.max(-s)))
-        comp = max(comp, float(np.max(np.abs(mult.nu_upper[hi_ok] * s))))
-    dual = max(
-        dual,
-        float(np.max(-mult.nu_lower)) if len(mult.nu_lower) else 0.0,
-        float(np.max(-mult.nu_upper)) if len(mult.nu_upper) else 0.0,
-    )
-    grad = prob.c + prob.d * x
-    stat = grad - mult.nu_upper + mult.nu_lower
-    if len(prob.b_eq):
-        stat = stat - prob.A_eq.T @ mult.y_eq
-    if len(prob.b_in):
-        stat = stat - prob.A_in.T @ mult.mu_in
-    stationarity = float(np.max(np.abs(stat))) if len(stat) else 0.0
-    return KktReport(
-        stationarity=stationarity, primal=primal, dual=dual,
-        complementarity=comp, tol=tol,
-    )

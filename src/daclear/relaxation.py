@@ -9,7 +9,9 @@ objective includes the executed bids' welfare.  The oracle
 
 from __future__ import annotations
 
-from .core import BidSelection, PrimalSolution
+import numpy as np
+
+from .core import BidSelection
 from .errors import InfeasibleSelection, SolverFailure
 from .model import ClearingModel, balanced_start
 from .qp import Multipliers, QpProblem, multipliers, solve_qp
@@ -17,12 +19,13 @@ from .qp import Multipliers, QpProblem, multipliers, solve_qp
 
 def solve_relaxation(
     pinned: QpProblem, model: ClearingModel, selection: BidSelection
-) -> tuple[float, PrimalSolution, Multipliers]:
-    """(objective, primal, duals) of ``pinned``, a master problem on
-    ``model`` with its binary columns pinned at ``selection``, solved from
-    its balanced start, which is built only when ``solve_qp``'s row test
-    does not refute the selection; ``duals`` are the multipliers at its
-    optimum, which start pricing (``pricing.solve_qpprice``)."""
+) -> tuple[float, np.ndarray, Multipliers]:
+    """(objective, x, duals) of ``pinned``, a master problem on ``model``
+    with its binary columns pinned at ``selection``, solved from its
+    balanced start, which is built only when ``solve_qp``'s row test does
+    not refute the selection: x is its optimum, whose fills and flows
+    ``model.primal`` reads, and ``duals`` the multipliers there, which
+    start FixFlow and pricing."""
     sol = solve_qp(pinned, x0=lambda: balanced_start(model, pinned))
     if sol.status == "infeasible":
         raise InfeasibleSelection(
@@ -31,4 +34,4 @@ def solve_relaxation(
         )
     if sol.status != "optimal":
         raise SolverFailure(f"unexpected relaxation status {sol.status!r}")
-    return sol.objective, model.primal(selection, sol.x), multipliers(pinned, sol)
+    return sol.objective, sol.x, multipliers(pinned, sol)

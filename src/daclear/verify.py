@@ -301,7 +301,7 @@ def _all_selections(instance: Instance):
 
 
 def _relaxations(instance: Instance, model: ClearingModel):
-    """(objective, index, primal, duals) of each enumerated selection whose
+    """(objective, index, x, duals) of each enumerated selection whose
     relaxation clears, in enumeration order (see ``solve_relaxation``).
     The relaxation is the master problem on ``model``, the clearing model
     of ``instance``, with its binary columns pinned at the selection."""
@@ -311,10 +311,10 @@ def _relaxations(instance: Instance, model: ClearingModel):
         lb[model.n:] = ub[model.n:] = model.binaries(selection)
         pinned = prob.with_bounds(lb, ub)  # shares the master's rows
         try:
-            objective, primal, duals = solve_relaxation(pinned, model, selection)
+            objective, x, duals = solve_relaxation(pinned, model, selection)
         except InfeasibleSelection:
             continue
-        yield objective, idx, primal, duals
+        yield objective, idx, x, duals
 
 
 def oracle_clear(instance: Instance, cap: int = 12):
@@ -335,17 +335,18 @@ def oracle_clear(instance: Instance, cap: int = 12):
     model = build_model(instance)
     candidates = sorted(_relaxations(instance, model), key=lambda rec: (-rec[0], rec[1]))
     frontier = []
-    for objective, _, primal, duals in candidates:
-        fixed = solve_fixflow(instance, model, primal, duals)
+    for objective, _, x, duals in candidates:
+        x = solve_fixflow(instance, model, x, duals)
+        fixed = model.primal(model.selection_at(x), x)
         try:
-            pricing = solve_qpprice(instance, model, fixed, relax_losses=False, duals=duals)
+            pricing = solve_qpprice(instance, model, x, relax_losses=False, duals=duals)
         except PriceInfeasible:
-            frontier.append((objective, primal.selection, False))
+            frontier.append((objective, fixed.selection, False))
             continue
         if curtailment_violations(instance, fixed):
-            frontier.append((objective, primal.selection, False))
+            frontier.append((objective, fixed.selection, False))
             continue
-        frontier.append((objective, primal.selection, True))
+        frontier.append((objective, fixed.selection, True))
         prices, warnings = clamp_prices(pricing.prices, instance)
         return ClearingResult(
             status="optimal",

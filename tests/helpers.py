@@ -2,17 +2,20 @@
 
 import importlib.util
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from daclear import master, qp
-from daclear.core import PrimalSolution, selection_terms
-from daclear.errors import SolverFailure
+from daclear.core import BidSelection, PrimalSolution, selection_terms
+from daclear.errors import PriceInfeasible, SolverFailure
 from daclear.io import parse_instance
 from daclear.master import _with_cuts
 from daclear.model import build_model
+from daclear.pricing import TIGHT_TOL, solve_fixflow, solve_qpprice
+from daclear.qp import QpProblem, QpSolution, multipliers
 
 
 def make_instance(curves, conns=(), P=(0.0, 100.0), hours=1, areas=None,
@@ -77,7 +80,7 @@ def without_row_test(monkeypatch):
 def without_node_pass(monkeypatch):
     """Take the master's node pass (``master._fix_binaries``) out, so that
     every node is solved and branched on the box it was pushed with."""
-    monkeypatch.setattr(master, "_fix_binaries", lambda prob, binary_rows, lb, ub: (lb, ub))
+    monkeypatch.setattr(master, "_fix_binaries", lambda prob, binary_rows, lb, ub: (lb, ub, None))
 
 
 def pinned_relaxation(inst, selection):
@@ -89,6 +92,27 @@ def pinned_relaxation(inst, selection):
     lb, ub = prob.lb.copy(), prob.ub.copy()
     lb[model.n:] = ub[model.n:] = model.binaries(selection)
     return prob.with_bounds(lb, ub), model
+
+
+def point(model, solution):
+    """``solution`` as a point of ``model``'s master problem: its fills and
+    flows in column order (0 where it has none), then its binaries."""
+    return np.concatenate((
+        [solution.delta.get(sid, 0.0) for sid in model.seg_ids],
+        [solution.flows.get(key, 0.0) for key in model.flow_keys],
+        model.binaries(solution.selection),
+    ))
+
+
+def fixflow(inst, model, solution, duals):
+    """``pricing.solve_fixflow`` of ``solution``, as a solution."""
+    x = solve_fixflow(inst, model, point(model, solution), duals)
+    return model.primal(solution.selection, x)
+
+
+def qpprice(inst, model, solution, *args, **kwargs):
+    """``pricing.solve_qpprice`` of ``solution``."""
+    return solve_qpprice(inst, model, point(model, solution), *args, **kwargs)
 
 
 def cut_activity(inst, cut, selection):
@@ -347,3 +371,244 @@ def welfare_row_fixflow(instance, model, solution):
     delta.update({seg.id: float(sol.x[k]) for k, seg in enumerate(free)})
     flows = {key: float(sol.x[n_free + k]) for k, key in enumerate(model.flow_keys)}
     return PrimalSolution(selection=solution.selection, delta=delta, flows=flows)
+
+
+@dataclass
+class KktReport:
+    stationarity: float
+    primal: float
+    dual: float
+    complementarity: float
+    tol: float
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.stationarity, self.primal, self.dual, self.complementarity)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
+
+
+def check_kkt(prob: QpProblem, sol: QpSolution, tol: float = 1e-8) -> KktReport:
+    """Residuals of stationarity, primal feasibility, dual sign and
+    complementarity for a candidate solution, priced by ``multipliers``."""
+    x = sol.x
+    mult = multipliers(prob, sol)
+    primal = 0.0
+    dual = 0.0
+    comp = 0.0
+    if len(prob.b_eq):
+        primal = max(primal, float(np.max(np.abs(prob.A_eq @ x - prob.b_eq))))
+    if len(prob.b_in):
+        slack = prob.b_in - prob.A_in @ x
+        primal = max(primal, float(np.max(-slack)))
+        comp = max(comp, float(np.max(np.abs(mult.mu_in * slack))))
+        dual = max(dual, float(np.max(-mult.mu_in)))
+    lo_ok = np.isfinite(prob.lb)
+    hi_ok = np.isfinite(prob.ub)
+    if np.any(lo_ok):
+        s = (x - prob.lb)[lo_ok]
+        primal = max(primal, float(np.max(-s)))
+        comp = max(comp, float(np.max(np.abs(mult.nu_lower[lo_ok] * s))))
+    if np.any(hi_ok):
+        s = (prob.ub - x)[hi_ok]
+        primal = max(primal, float(np.max(-s)))
+        comp = max(comp, float(np.max(np.abs(mult.nu_upper[hi_ok] * s))))
+    dual = max(
+        dual,
+        float(np.max(-mult.nu_lower)) if len(mult.nu_lower) else 0.0,
+        float(np.max(-mult.nu_upper)) if len(mult.nu_upper) else 0.0,
+    )
+    grad = prob.c + prob.d * x
+    stat = grad - mult.nu_upper + mult.nu_lower
+    if len(prob.b_eq):
+        stat = stat - prob.A_eq.T @ mult.y_eq
+    if len(prob.b_in):
+        stat = stat - prob.A_in.T @ mult.mu_in
+    stationarity = float(np.max(np.abs(stat))) if len(stat) else 0.0
+    return KktReport(
+        stationarity=stationarity, primal=primal, dual=dual,
+        complementarity=comp, tol=tol,
+    )
+
+
+def empty_selection(instance) -> BidSelection:
+    return BidSelection(
+        blocks={b.id: 0 for b in instance.blocks},
+        flex={f.id: None for f in instance.flex_bids},
+    )
+
+
+def reference_model(instance):
+    """The clearing model's arrays as loops build them entry by entry, one
+    ``np.zeros`` row per ramp row, with ``row_segs`` and ``flow_rows``
+    derived from them and ``master`` assembled with ``np.block``: the
+    reference that ``model.build_model``'s arrays must equal bit for bit."""
+    hours = range(instance.hours)
+    seg_ids = tuple(s.id for s in instance.segments)
+    flow_keys = tuple((cc.id, t) for cc in instance.interconnectors for t in hours)
+    eq_keys = tuple((a, t) for a in instance.areas for t in hours)
+    seg_col = {sid: j for j, sid in enumerate(seg_ids)}
+    flow_col = {key: len(seg_ids) + k for k, key in enumerate(flow_keys)}
+    eq_row = {key: r for r, key in enumerate(eq_keys)}
+    n = len(seg_ids) + len(flow_keys)
+
+    c, d, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n)
+    for j, seg in enumerate(instance.segments):
+        c[j] = (seg.base_price + seg.price_span) * seg.quantity_span
+        d[j] = -seg.price_span * seg.quantity_span
+    A_eq = np.zeros((len(eq_keys), n))
+    b_eq = np.zeros(len(eq_keys))
+    for r, (a, t) in enumerate(eq_keys):
+        curve = instance.curves[a, t]
+        for seg in curve.segments:
+            A_eq[r, seg_col[seg.id]] = seg.quantity_span
+        b_eq[r] = -curve.min_net_demand
+    ramp_keys, in_rows, in_rhs = [], [], []
+    for cc in instance.interconnectors:
+        ramped = cc.ramp_rate is not None and np.isfinite(cc.ramp_rate)
+        for t in hours:
+            j = flow_col[cc.id, t]
+            lb[j], ub[j] = cc.lower[t], cc.upper[t]
+            A_eq[eq_row[cc.source, t], j] = 1.0
+            A_eq[eq_row[cc.sink, t], j] = -1.0
+            if not ramped:
+                continue
+            for sense, sgn in (("fwd", 1.0), ("bwd", -1.0)):
+                row = np.zeros(n)
+                row[j] = sgn
+                rhs = cc.ramp_rate
+                if t == 0:
+                    rhs += sgn * cc.initial_flow
+                else:
+                    row[flow_col[cc.id, t - 1]] = -sgn
+                ramp_keys.append((cc.id, t, sense))
+                in_rows.append(row)
+                in_rhs.append(rhs)
+    A_in, b_in = np.array(in_rows).reshape(-1, n), np.array(in_rhs)
+
+    bin_keys = tuple(("block", b.id) for b in instance.blocks)
+    bin_keys += tuple(("flex", f.id, t) for f in instance.flex_bids for t in hours)
+    bin_col = {key: n + k for k, key in enumerate(bin_keys)}
+    m = len(bin_keys)
+    bin_c, bin_A_eq = np.zeros(m), np.zeros((len(eq_keys), m))
+    link_A = np.zeros((len(instance.links) + len(instance.flex_bids), m))
+    for k, b in enumerate(instance.blocks):
+        bin_c[k] = b.limit_price * sum(b.quantities)
+        for t in hours:
+            if b.quantities[t] != 0.0:
+                bin_A_eq[eq_row[b.area, t], k] = b.quantities[t]
+    for r, (child, parent) in enumerate(instance.links):
+        link_A[r, bin_col["block", child] - n] = 1.0
+        link_A[r, bin_col["block", parent] - n] -= 1.0
+    for r, f in enumerate(instance.flex_bids, len(instance.links)):
+        for t in hours:
+            k = bin_col["flex", f.id, t] - n
+            bin_c[k] = f.limit_price * f.quantity
+            bin_A_eq[eq_row[f.area, t], k] = f.quantity
+            link_A[r, k] = 1.0
+    link_b = np.array([0.0] * len(instance.links) + [1.0] * len(instance.flex_bids))
+
+    row_segs = []
+    for row in A_eq[:, :len(seg_ids)]:
+        cols = np.flatnonzero(row > 0.0)
+        row_segs.append((cols, row[cols]))
+    f = slice(len(seg_ids), n)
+    eye = np.eye(len(flow_keys))
+    F = np.vstack([eye, -eye, A_in[:, f]])
+    h = np.concatenate([ub[f], -lb[f], b_in])
+    owner = np.where(F != 0.0, np.arange(len(eye)), -1).max(axis=1, initial=-1)
+    order = np.argsort(owner, kind="stable")
+    master_arrays = dict(
+        c=np.concatenate([c, bin_c]), d=np.concatenate([d, np.zeros(m)]),
+        A_eq=np.hstack([A_eq, bin_A_eq]), b_eq=b_eq,
+        A_in=np.block([[A_in, np.zeros((len(b_in), m))], [np.zeros((len(link_b), n)), link_A]]),
+        b_in=np.concatenate([b_in, link_b]),
+        lb=np.concatenate([lb, np.zeros(m)]), ub=np.concatenate([ub, np.ones(m)]),
+    )
+    return SimpleNamespace(
+        seg_ids=seg_ids, flow_keys=flow_keys, eq_keys=eq_keys, ramp_keys=tuple(ramp_keys),
+        seg_col=seg_col, flow_col=flow_col, eq_row=eq_row, bin_keys=bin_keys, bin_col=bin_col,
+        c=c, d=d, lb=lb, ub=ub, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
+        bin_c=bin_c, bin_A_eq=bin_A_eq, link_A=link_A, link_b=link_b,
+        vertical=np.array([seg.is_vertical for seg in instance.segments], dtype=bool),
+        row_segs=row_segs, flow_rows=(F[order], h[order], order), master=master_arrays,
+    )
+
+
+def reference_price_rows(instance, model, solution, relax_losses):
+    """(lb, ub, A_eq, b_eq, A_in, b_in) of the first pricing QP of
+    ``solution`` (the loss QP when ``relax_losses``), as loops over the
+    executed bids and over ``instance.segments`` build them; raises
+    PriceInfeasible where pricing's fill conditions do."""
+    iv = instance.interval
+    bids = []
+    for bid in solution.selection.executed_blocks():
+        b = instance.block_by_id[bid]
+        bids.append((bid, b.area, list(enumerate(b.quantities)), b.limit_price))
+    for fid, t in solution.selection.executed_flex():
+        f = instance.flex_by_id[fid]
+        bids.append((fid, f.area, [(t, f.quantity)], f.limit_price))
+    F, h, source = model.flow_rows
+    tau = np.array([solution.flows.get(key, 0.0) for key in model.flow_keys])
+    tight = np.flatnonzero(h - F @ tau <= TIGHT_TOL)
+    P, G = -model.A_eq[:, len(model.seg_ids):model.n].T, -F[tight].T
+    n_pi = len(model.eq_keys)
+    n_lam = len(bids) if relax_losses else 0
+    n = n_pi + n_lam + G.shape[1]
+    lb, ub = np.full(n, 0.0), np.full(n, np.inf)
+    lb[:n_pi], ub[:n_pi] = iv.lower, iv.upper
+    for k, (_, _, qty, limit) in enumerate(bids[:n_lam]):
+        worst = sum(min((limit - iv.lower) * q, (limit - iv.upper) * q) for _, q in qty)
+        ub[n_pi + k] = max(-worst, 0.0)
+    for seg in instance.segments:
+        if seg.quantity_span == 0.0:
+            continue
+        j = model.eq_row[instance.segment_location[seg.id]]
+        dlt = solution.delta.get(seg.id, 0.0)
+        if dlt >= 1.0 - TIGHT_TOL:
+            ub[j] = min(ub[j], seg.price_at(1.0))
+        elif dlt <= TIGHT_TOL:
+            lb[j] = max(lb[j], seg.price_at(0.0))
+        else:
+            price = seg.price_at(dlt)
+            lb[j], ub[j] = max(lb[j], price), min(ub[j], price)
+    if np.any(lb - ub > qp.INFEAS_TOL):
+        raise PriceInfeasible("no price meets the segment fill conditions")
+    crossed = lb > ub
+    lb[crossed] = ub[crossed] = 0.5 * (lb[crossed] + ub[crossed])
+    A_eq = np.zeros((len(P), n))
+    A_eq[:, :n_pi] = P
+    A_eq[:, n_pi + n_lam:] = G
+    A_in, b_in = np.zeros((len(bids), n)), np.zeros(len(bids))
+    for r, (_, area, qty, limit) in enumerate(bids):
+        for t, q in qty:
+            A_in[r, model.eq_row[area, t]] += q
+            b_in[r] += limit * q
+    A_in[np.arange(n_lam), n_pi + np.arange(n_lam)] = -1.0
+    return lb, ub, A_eq, np.zeros(len(P)), A_in, b_in
+
+
+def reference_fixflow_problem(instance, model, solution, duals):
+    """FixFlow's QP for ``solution`` as it was built from the solution's
+    fill and flow dicts and its selection's binaries, or None without
+    interconnectors."""
+    if not instance.interconnectors:
+        return None
+    cols, kept, A_eq, A_kept, A_in, _, _ = model.fixflow_rows
+    fills = np.array([solution.delta.get(sid, 0.0) for sid in model.seg_ids])
+    flows = [solution.flows.get(key, 0.0) for key in model.flow_keys]
+    x0 = np.concatenate((fills[model.vertical], flows))
+    lb, ub = model.lb[cols], model.ub[cols]
+    pinned = np.maximum(duals.nu_lower[cols], duals.nu_upper[cols]) > qp.DUAL_TOL
+    lb[pinned] = ub[pinned] = x0[pinned]
+    tight = duals.mu_in[:len(model.b_in)] > qp.DUAL_TOL
+    b_eq = model.b_eq - model.bin_A_eq @ model.binaries(solution.selection) - A_kept @ fills[kept]
+    d_obj = np.zeros(len(x0))
+    d_obj[len(x0) - len(flows):] = -2.0
+    return QpProblem(
+        c=np.zeros(len(x0)), d=d_obj,
+        A_eq=np.vstack((A_eq, A_in[tight])), b_eq=np.concatenate((b_eq, model.b_in[tight])),
+        A_in=A_in[~tight], b_in=model.b_in[~tight], lb=lb, ub=ub,
+    )

@@ -16,20 +16,35 @@ SPEC.loader.exec_module(abtime)
 def test_checkout_against_itself(capsys):
     results = abtime.compare(ROOT, ROOT, "paradox", range(1000, 1002), repeat=1)
     assert list(results) == ["exact", "heuristic"]
-    for base_ms, head_ms, ratio, differ, welfare, price, flow in results.values():
+    for base_ms, head_ms, ratio, differ, welfare, price, flow, *outside in results.values():
         assert base_ms > 0.0 and head_ms > 0.0
         assert math.isfinite(ratio) and ratio > 0.0
         assert differ == 0 and welfare == 0.0 and price == 0.0 and flow == 0.0
+        # each side's CPU outside solve_qp is part of its total
+        assert 0.0 < outside[0] <= base_ms and 0.0 < outside[1] <= head_ms
     # day-book has flows to compare
     results = abtime.compare(ROOT, ROOT, "day-book", range(3000, 3001), ["exact"], repeat=1)
-    assert results["exact"][3:] == (0, 0.0, 0.0, 0.0)
+    assert results["exact"][3:7] == (0, 0.0, 0.0, 0.0)
     assert abtime.main([str(ROOT), str(ROOT), "--count", "1", "--repeat", "1",
                         "--modes", "exact"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "paradox seeds 1000-1000, 1 repeats"
+    assert lines[-2].split()[1:5] == ["base", "ms", "head", "ms"]
+    assert lines[-2].split()[5:9] == ["base", "out", "head", "out"]
     assert lines[-2].split()[-4:] == ["differ", "welfare", "price", "flow"]
     assert lines[-1].split()[0] == "exact"
+    base_ms, head_ms, base_out, head_out = map(float, lines[-1].split()[1:5])
+    assert 0.0 < base_out <= base_ms and 0.0 < head_out <= head_ms
     assert lines[-1].split()[-4:] == ["0", "0.0e+00", "0.0e+00", "0.0e+00"]
+
+
+def test_qp_clock_times_only_the_wrapped_solves():
+    # the clock adds the CPU of each wrapped call, and nothing else
+    module = SimpleNamespace(solve_qp=lambda prob, **kw: sum(i * i for i in range(prob)))
+    clock = abtime.QpClock(module)
+    assert clock.total == 0.0
+    assert module.solve_qp(200000, x0=None) == sum(i * i for i in range(200000))
+    assert clock.total > 0.0
 
 
 class _OtherSelection:

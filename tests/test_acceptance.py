@@ -24,8 +24,7 @@ from daclear import master
 from daclear.driver import clear_exact, clear_heuristic
 from daclear.master import solve_master
 from daclear.model import build_model
-from daclear.pricing import solve_fixflow, solve_qpprice
-from daclear.qp import QpProblem, check_kkt, solve_qp
+from daclear.qp import QpProblem, solve_qp
 from daclear.verify import (
     _flow_fast_path,
     _flow_general,
@@ -35,7 +34,9 @@ from daclear.verify import (
     oracle_clear,
 )
 
-from helpers import appendix_a, diamond, f3, ramp_fixture, random_instance
+from helpers import (
+    appendix_a, check_kkt, diamond, f3, fixflow, qpprice, ramp_fixture, random_instance,
+)
 
 SUITE_SIZE = 200
 SUITE_EXPECTED = Path(__file__).resolve().parent / "data" / "suite_expected.json"
@@ -127,8 +128,8 @@ def test_criterion_2_intermediate_steps():
     res = clear_exact(inst)
     assert sum(rec.cuts_added for rec in res.iterations) >= 1
 
-    full = solve_fixflow(inst, build_model(inst), cut_free.solution, cut_free.duals)
-    relaxed = solve_qpprice(inst, build_model(inst), full, relax_losses=True)
+    full = fixflow(inst, build_model(inst), cut_free.solution, cut_free.duals)
+    relaxed = qpprice(inst, build_model(inst), full, relax_losses=True)
     assert relaxed.total_loss > 0
     _ok(2, f"cut-free objective 3, cuts fired, relaxed loss {relaxed.total_loss:.3f}")
 

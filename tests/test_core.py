@@ -15,7 +15,7 @@ from daclear.core import (
 )
 from daclear.errors import ClearingViolated, EmptyCurve, NonMonotoneCurve, UnknownId
 
-from helpers import appendix_a, f3, make_instance, block
+from helpers import appendix_a, empty_selection, f3, make_instance, block
 
 P100 = PriceInterval(0.0, 100.0)
 
@@ -133,7 +133,7 @@ class TestSurplusReport:
 
     def test_zero_execution_all_zero(self):
         inst = appendix_a()
-        sol = PrimalSolution(selection=inst.empty_selection(), delta={}, flows={})
+        sol = PrimalSolution(selection=empty_selection(inst), delta={}, flows={})
         rep = surplus_report(inst, sol, PriceVector(pi={("X", 0): 4.2}))
         assert rep.total == 0.0
 

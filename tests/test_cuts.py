@@ -14,19 +14,19 @@ from daclear.cuts import (
 from daclear.errors import EmptyLossSets
 from daclear.master import solve_master
 from daclear.model import build_model
-from daclear.pricing import solve_fixflow, solve_qpprice
 from daclear.verify import _all_selections
 
 from helpers import (
-    appendix_a, block, cut_activity, flexbid, make_instance, paradox_book, random_instance,
+    appendix_a, block, cut_activity, fixflow, flexbid, make_instance, paradox_book, qpprice,
+    random_instance,
 )
 
 
 def _appendix_a_relaxed():
     inst = appendix_a()
     res = solve_master(inst, build_model(inst))
-    sol = solve_fixflow(inst, build_model(inst), res.solution, res.duals)
-    out = solve_qpprice(inst, build_model(inst), sol, relax_losses=True)
+    sol = fixflow(inst, build_model(inst), res.solution, res.duals)
+    out = qpprice(inst, build_model(inst), sol, relax_losses=True)
     return inst, sol, out
 
 
@@ -43,7 +43,7 @@ class TestLossSets:
 
         inst = appendix_a()
         res = clear_exact(inst)
-        out = solve_qpprice(inst, build_model(inst), res.solution, relax_losses=True)
+        out = qpprice(inst, build_model(inst), res.solution, relax_losses=True)
         assert loss_sets(inst, res.solution, out.prices).empty
 
 
@@ -128,7 +128,7 @@ class TestCurtailment:
     def test_violation_detected(self):
         inst = self._curtailing_instance()
         res = solve_master(inst, build_model(inst))
-        sol = solve_fixflow(inst, build_model(inst), res.solution, res.duals)
+        sol = fixflow(inst, build_model(inst), res.solution, res.duals)
         if sol.selection.blocks.get("buy") != 1:
             pytest.skip("master did not execute the block")
         viol = curtailment_violations(inst, sol)
@@ -138,7 +138,7 @@ class TestCurtailment:
     def test_cut_forms(self):
         inst = self._curtailing_instance()
         res = solve_master(inst, build_model(inst))
-        sol = solve_fixflow(inst, build_model(inst), res.solution, res.duals)
+        sol = fixflow(inst, build_model(inst), res.solution, res.duals)
         viol = curtailment_violations(inst, sol)
         if not viol:
             pytest.skip("no violation to cut")
@@ -188,8 +188,8 @@ class TestLeafTestCuts:
         leaf_test = driver._leaf_test
         tested = []
 
-        def spy(instance, model, solution, exact, deadline, duals):
-            out = leaf_test(instance, model, solution, exact, deadline, duals)
+        def spy(instance, model, solution, x, exact, deadline, duals):
+            out = leaf_test(instance, model, solution, x, exact, deadline, duals)
             *_, cuts = out
             tested.append((instance, solution.selection, cuts))
             return out

@@ -143,3 +143,97 @@ class TestSolutionDocs:
         with pytest.raises(SchemaError) as exc:
             parse_solution(json.dumps(doc))
         assert exc.value.path == f"$.selection.blocks.{bid}"
+
+
+def _json_dump(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class TestWriter:
+    """``io._dump`` writes the bytes of ``json.dumps(doc, sort_keys=True,
+    indent=2, allow_nan=False)`` and fails as it does."""
+
+    @staticmethod
+    def _bench_docs():
+        import importlib.util
+
+        path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
+        spec = importlib.util.spec_from_file_location("bench_generate", path)
+        generate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+        for family in ("small-suite", "paradox", "day-book"):
+            for seed in range(50):
+                yield json.loads(generate.instance_text(family, seed))
+
+    def test_instances_and_generated_documents(self):
+        from daclear.io import _dump
+
+        fixtures = sorted(FIXTURE.parent.glob("*.json"))
+        assert len(fixtures) == 3
+        for path in fixtures:
+            inst = parse_instance(path.read_text())
+            assert serialize_instance(inst) == _json_dump(json.loads(serialize_instance(inst)))
+            doc = json.loads(path.read_text())
+            assert _dump(doc) == _json_dump(doc)
+        for doc in self._bench_docs():
+            assert _dump(doc) == _json_dump(doc)
+
+    def test_cli_clear_and_verify_outputs(self, tmp_path, capsys):
+        from daclear.cli import run
+
+        verified = 0
+        for path in sorted(FIXTURE.parent.glob("*.json")):
+            for mode in ("exact", "heuristic"):
+                out = tmp_path / f"{path.stem}-{mode}.json"
+                if run(["clear", "--mode", mode, "--instance", str(path), "--out", str(out)]):
+                    continue  # no solution: the error goes to stderr
+                text = out.read_text()
+                assert text == _json_dump(json.loads(text))
+                capsys.readouterr()
+                run(["verify", "--instance", str(path), "--solution", str(out)])
+                report = capsys.readouterr().out
+                assert report == _json_dump(json.loads(report))
+                verified += 1
+        assert verified == 4
+
+    def test_crafted_documents(self):
+        import numpy as np
+
+        from daclear.io import _dump
+
+        docs = [
+            {"esc\"\\\n\t\u0001": ["é", "☃", "😀", ""], "": {}},
+            {"nested": [[], {}, [[]], {"a": {}}, [{}]], "z": (1, 2.5, (), (None,))},
+            [-0.0, 0.0, 1e-320, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-7, 123456789.0],
+            [True, False, None, 0, -1, 2**70],
+            {"b": np.float64(0.1), "a": [np.float64(-0.0), np.float64(1e300)]},
+            [], {}, (), "plain", 3, -0.0, None, True,
+        ]
+        for doc in docs:
+            assert _dump(doc) == _json_dump(doc)
+
+    @pytest.mark.parametrize("doc", [
+        float("nan"), [float("inf")], {"x": -float("inf")}, {(1, 2): 3}, {1: "a", "b": 2},
+        "np.int64", [object()], {"a": {1, 2}},
+    ])
+    def test_fails_as_json_does(self, doc):
+        import numpy as np
+
+        from daclear.io import _dump
+
+        if doc == "np.int64":
+            doc = [np.int64(3)]
+        with pytest.raises(Exception) as expected:
+            _json_dump(doc)
+        with pytest.raises(Exception) as got:
+            _dump(doc)
+        assert got.type is expected.type
+
+    def test_keys_must_be_strings(self):
+        # json writes an int or float key as a string; every document the
+        # program writes has string keys, and the writer takes no other
+        from daclear.io import _dump
+
+        for key in (1, 2.5, None, True):
+            with pytest.raises(TypeError):
+                _dump({key: 0})

@@ -306,7 +306,7 @@ class TestNodePass:
 
         def spy(prob, binary_rows, lb, ub):
             out = fix(prob, binary_rows, lb, ub)
-            passes.append((prob, binary_rows[0], lb, ub, *out))
+            passes.append((prob, np.arange(prob.n)[binary_rows[0]], lb, ub, *out[:2]))
             return out
 
         monkeypatch.setattr(master, "_fix_binaries", spy)

@@ -11,8 +11,8 @@ from daclear.qp import QpProblem, solve_qp
 from daclear.verify import _all_selections
 
 from helpers import (
-    appendix_a, block, connector, diamond, f2, flexbid, make_instance, pinned_relaxation,
-    ramp_fixture, random_instance,
+    appendix_a, block, connector, diamond, empty_selection, f2, flexbid, make_instance,
+    pinned_relaxation, ramp_fixture, random_instance,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -231,7 +231,7 @@ class TestBalancedStart:
             )
             probs = [_model_qp(model)]
             probs += [pinned_relaxation(inst, sel)[0]
-                      for sel in (inst.empty_selection(), everything)]
+                      for sel in (empty_selection(inst), everything)]
             for prob in probs:
                 for x0 in (None, rng.uniform(prob.lb - 1.0, prob.ub + 1.0)):
                     balanced += self._check(model, prob, x0)
@@ -258,7 +258,7 @@ class TestBalancedStart:
 
         rng = np.random.default_rng(5)
         for inst in _start_instances():
-            prob, model = pinned_relaxation(inst, inst.empty_selection())
+            prob, model = pinned_relaxation(inst, empty_selection(inst))
             for x0 in (None, rng.uniform(prob.lb - 1.0, prob.ub + 1.0)):
                 x = balanced_start(model, prob, x0)
                 ref = reference(model, prob, x0)
@@ -270,10 +270,12 @@ class TestBalancedStart:
         inst = make_instance({("X", 0): [[0, 30], [20, 20], [50, 5], [100, -10]]})
         model = build_model(inst)
         perm = np.arange(model.n)[::-1]
+        spans = model.A_eq[0, perm].tolist()
         shuffled = replace(
             model, seg_ids=model.seg_ids[::-1], c=model.c[perm], d=model.d[perm],
             lb=model.lb[perm], ub=model.ub[perm], A_eq=model.A_eq[:, perm],
             seg_col={sid: j for j, sid in enumerate(model.seg_ids[::-1])},
+            row_segs=(([j for j, s in enumerate(spans) if s > 0.0], [s for s in spans if s > 0.0]),),
         )
         prob = replace(_model_qp(shuffled), b_eq=shuffled.b_eq + 10.0)
         x = balanced_start(shuffled, prob)

@@ -13,6 +13,8 @@ from daclear.verify import _relaxations
 
 from helpers import (
     appendix_a,
+    fixflow,
+    qpprice,
     bench_instance,
     block,
     connector,
@@ -38,15 +40,15 @@ def _master_result(inst):
 def _fixflow(inst):
     """FixFlow of ``inst``'s cut-free master optimum, on its leaf's duals."""
     res = _master_result(inst)
-    return solve_fixflow(inst, build_model(inst), res.solution, res.duals)
+    return fixflow(inst, build_model(inst), res.solution, res.duals)
 
 
 class TestFixFlow:
     def test_idempotent(self):
         for inst in (f2(), f3(), ramp_fixture()):
             res = _master_result(inst)
-            once = solve_fixflow(inst, build_model(inst), res.solution, res.duals)
-            twice = solve_fixflow(inst, build_model(inst), once, res.duals)
+            once = fixflow(inst, build_model(inst), res.solution, res.duals)
+            twice = fixflow(inst, build_model(inst), once, res.duals)
             for k in once.flows:
                 assert twice.flows[k] == pytest.approx(once.flows[k], abs=1e-9)
             for k in once.delta:
@@ -57,7 +59,7 @@ class TestFixFlow:
             inst = random_instance(seed)
             res = _master_result(inst)
             sol = res.solution
-            fixed = solve_fixflow(inst, build_model(inst), sol, res.duals)
+            fixed = fixflow(inst, build_model(inst), sol, res.duals)
             assert welfare_of(inst, fixed) == pytest.approx(
                 welfare_of(inst, sol), abs=1e-6
             )
@@ -82,7 +84,7 @@ class TestFixFlow:
         for inst in self._books():
             model = build_model(inst)
             res = _master_result(inst)
-            face = solve_fixflow(inst, model, res.solution, res.duals)
+            face = fixflow(inst, model, res.solution, res.duals)
             ref = welfare_row_fixflow(inst, model, res.solution)
             for key in model.flow_keys:
                 assert face.flows[key] == pytest.approx(ref.flows[key], abs=1e-9)
@@ -95,8 +97,8 @@ class TestFixFlow:
         for inst in self._books():
             model = build_model(inst)
             res = _master_result(inst)
-            once = solve_fixflow(inst, model, res.solution, res.duals)
-            twice = solve_fixflow(inst, model, once, res.duals)
+            once = fixflow(inst, model, res.solution, res.duals)
+            twice = fixflow(inst, model, once, res.duals)
             assert twice.flows == once.flows
             assert twice.delta == once.delta
 
@@ -119,7 +121,7 @@ class TestFixFlow:
         assert sol.status == "optimal" and sol.x[j] == pytest.approx(10.0, abs=1e-12)
         assert max(duals.nu_lower[j], duals.nu_upper[j]) <= qp.DUAL_TOL
         candidate = model.primal(BidSelection(), sol.x)
-        fixed = solve_fixflow(inst, model, candidate, duals)
+        fixed = fixflow(inst, model, candidate, duals)
         assert fixed.flows["c", 0] == pytest.approx(0.0, abs=1e-9)
         assert welfare_of(inst, fixed) == pytest.approx(welfare_of(inst, candidate), abs=1e-9)
 
@@ -129,33 +131,33 @@ class TestQpPrice:
         inst = appendix_a()
         # optimal selection {a,b,c,d} has no uniform supporting price
         with pytest.raises(PriceInfeasible):
-            solve_qpprice(inst, build_model(inst), _fixflow(inst))
+            qpprice(inst, build_model(inst), _fixflow(inst))
 
     def test_appendix_a_second_best(self):
         from daclear.driver import clear_exact
 
         inst = appendix_a()
         res = clear_exact(inst)
-        out = solve_qpprice(inst, build_model(inst), res.solution)
+        out = qpprice(inst, build_model(inst), res.solution)
         assert out.prices["X", 0] == pytest.approx(3.0, abs=1e-6)
         assert out.total_loss == pytest.approx(0.0, abs=1e-9)
 
     def test_relaxed_losses_nonnegative(self):
         inst = appendix_a()
         full = _fixflow(inst)
-        out = solve_qpprice(inst, build_model(inst), full, relax_losses=True)
+        out = qpprice(inst, build_model(inst), full, relax_losses=True)
         assert out.total_loss > 0
         assert all(v >= -1e-9 for v in out.losses.values())
 
     def test_f3_congested_prices(self):
         inst = f3()
-        out = solve_qpprice(inst, build_model(inst), _fixflow(inst))
+        out = qpprice(inst, build_model(inst), _fixflow(inst))
         assert out.prices["R", 0] == pytest.approx(10.0, abs=1e-6)
         assert out.prices["S", 0] == pytest.approx(40.0, abs=1e-6)
 
     def test_ramp_price_reflection(self):
         inst = ramp_fixture()
-        out = solve_qpprice(inst, build_model(inst), _fixflow(inst))
+        out = qpprice(inst, build_model(inst), _fixflow(inst))
         d0 = out.prices["S", 0] - out.prices["R", 0]
         d1 = out.prices["S", 1] - out.prices["R", 1]
         assert d0 + d1 == pytest.approx(0.0, abs=1e-6)
@@ -163,7 +165,7 @@ class TestQpPrice:
 
     def test_price_indifference_minimizes_norm(self):
         inst = price_indifferent()
-        out = solve_qpprice(inst, build_model(inst), _fixflow(inst))
+        out = qpprice(inst, build_model(inst), _fixflow(inst))
         # any price in [0, 7] supports the execution; tie broken at 0
         assert out.prices["X", 0] == pytest.approx(0.0, abs=1e-6)
 
@@ -172,8 +174,8 @@ class TestQpPrice:
             inst = random_instance(seed)
             sol = _fixflow(inst)
             try:
-                a = solve_qpprice(inst, build_model(inst), sol)
-                b = solve_qpprice(inst, build_model(inst), sol)
+                a = qpprice(inst, build_model(inst), sol)
+                b = qpprice(inst, build_model(inst), sol)
             except PriceInfeasible:
                 continue
             for k in a.prices.pi:
@@ -198,7 +200,7 @@ class TestPriceBounds:
         fills = self._fills({0: 1.0, 2: 0.0, 4: 1.0})
         for relax in (False, True):
             with pytest.raises(PriceInfeasible):
-                solve_qpprice(inst, build_model(inst), fills, relax_losses=relax)
+                qpprice(inst, build_model(inst), fills, relax_losses=relax)
 
     @pytest.mark.parametrize("shift", [0.0, -100.0])
     def test_full_next_to_empty_pins_the_shared_node(self, shift):
@@ -210,7 +212,7 @@ class TestPriceBounds:
                              P=(shift, 100.0 + shift))
         fills = self._fills({0: 1.0, 1: 0.0, 2: 0.0})
         for relax in (False, True):
-            out = solve_qpprice(inst, build_model(inst), fills, relax_losses=relax)
+            out = qpprice(inst, build_model(inst), fills, relax_losses=relax)
             assert out.prices["X", 0] == 60.0 + shift
             assert out.total_loss == 0.0
 
@@ -221,13 +223,13 @@ def _pricing_cases(instances):
     loss-making and unpriceable ones."""
     for inst in instances:
         model = build_model(inst)
-        for _, _, primal, duals in _relaxations(inst, model):
-            yield inst, solve_fixflow(inst, model, primal, duals), duals
+        for _, _, x, duals in _relaxations(inst, model):
+            yield inst, model.primal(model.selection_at(x), solve_fixflow(inst, model, x, duals)), duals
 
 
 def _outcome(inst, sol, relax, duals=None):
     try:
-        out = solve_qpprice(inst, build_model(inst), sol, relax_losses=relax, duals=duals)
+        out = qpprice(inst, build_model(inst), sol, relax_losses=relax, duals=duals)
     except PriceInfeasible as exc:
         return str(exc)
     return out.prices.pi, out.total_loss
@@ -315,11 +317,11 @@ class TestPriceStart:
         seen = _spy_pricing_qps(monkeypatch)
         strict = []
 
-        def spy(instance, model, solution, relax_losses, deadline, duals):
+        def spy(instance, model, x, relax_losses, deadline, duals):
             assert duals is not None
             runs.clear()
             seen.clear()
-            out = solve_qpprice(instance, model, solution, relax_losses, deadline, duals)
+            out = solve_qpprice(instance, model, x, relax_losses, deadline, duals)
             if not relax_losses:
                 strict.append((list(runs), *seen[0]))
             return out
@@ -391,11 +393,11 @@ class TestDecidedByBounds:
         seen = _spy_pricing_qps(monkeypatch)
         runs = _phase1_runs(monkeypatch)
         with pytest.raises(PriceInfeasible) as decided:
-            solve_qpprice(inst, build_model(inst), sol, relax_losses=relax)
+            qpprice(inst, build_model(inst), sol, relax_losses=relax)
         assert len(seen) == 1 and runs == []
         without_row_test(monkeypatch)
         with pytest.raises(PriceInfeasible) as solved:
-            solve_qpprice(inst, build_model(inst), sol, relax_losses=relax)
+            qpprice(inst, build_model(inst), sol, relax_losses=relax)
         assert len(seen) == 2 and runs == [True]
         assert str(decided.value) == str(solved.value)
 
@@ -483,7 +485,7 @@ class TestLinprogCrossCheck:
             sol = _fixflow(inst)
             ref = _min_loss_lp(optimize, inst, sol, strict=False)
             try:
-                total = solve_qpprice(inst, build_model(inst), sol, relax_losses=True).total_loss
+                total = qpprice(inst, build_model(inst), sol, relax_losses=True).total_loss
             except PriceInfeasible:
                 total = None
             if ref is None:
@@ -492,7 +494,7 @@ class TestLinprogCrossCheck:
                 assert total == pytest.approx(ref, abs=1e-7), seed
             strict_ref = _min_loss_lp(optimize, inst, sol, strict=True) is not None
             try:
-                solve_qpprice(inst, build_model(inst), sol)
+                qpprice(inst, build_model(inst), sol)
                 strict = True
             except PriceInfeasible:
                 strict = False
@@ -504,7 +506,7 @@ class TestLinprogCrossCheck:
 class TestClampPrices:
     def test_inside_interval_untouched(self):
         inst = f3()
-        out = solve_qpprice(inst, build_model(inst), _fixflow(inst))
+        out = qpprice(inst, build_model(inst), _fixflow(inst))
         clamped, warnings = clamp_prices(out.prices, inst)
         assert warnings == []
         assert clamped["R", 0] == out.prices["R", 0]
@@ -517,7 +519,7 @@ class TestClampPrices:
             area_intervals={"X": {"lower": 20, "upper": 50}},
         )
         sol = _fixflow(inst)
-        out = solve_qpprice(inst, build_model(inst), sol)
+        out = qpprice(inst, build_model(inst), sol)
         assert out.prices["X", 0] == pytest.approx(0.0, abs=1e-6)
         clamped, warnings = clamp_prices(out.prices, inst)
         assert clamped["X", 0] == pytest.approx(20.0, abs=1e-12)

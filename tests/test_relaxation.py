@@ -5,12 +5,14 @@ from daclear import relaxation
 from daclear.core import BidSelection, clearing_residuals, selection_terms, welfare_of
 from daclear.errors import InfeasibleSelection, UnknownId
 from daclear.model import build_model
-from daclear.qp import check_kkt, multipliers, solve_qp
+from daclear.qp import multipliers, solve_qp
 from daclear.relaxation import solve_relaxation
 from daclear.verify import _all_selections, _relaxations
 
 from helpers import (
     appendix_a,
+    check_kkt,
+    empty_selection,
     f2,
     f3,
     make_instance,
@@ -27,7 +29,8 @@ def _sel(blocks=None, flex=None):
 
 def _relax(inst, selection):
     pinned, model = pinned_relaxation(inst, selection)
-    return solve_relaxation(pinned, model, selection)
+    objective, x, duals = solve_relaxation(pinned, model, selection)
+    return objective, model.primal(selection, x), duals
 
 
 @pytest.fixture
@@ -105,12 +108,12 @@ class TestSolveRelaxation:
         with pytest.raises(InfeasibleSelection):
             _relax(inst, d_only)
         # so the oracle never ranks it
-        relaxed = _relaxations(inst, build_model(inst))
-        assert d_only not in [primal.selection for _, _, primal, _ in relaxed]
+        model = build_model(inst)
+        assert d_only not in [model.selection_at(x) for _, _, x, _ in _relaxations(inst, model)]
 
     def test_two_area_flow_uncongested(self, solves):
         inst = f2()
-        _, primal, _ = _relax(inst, inst.empty_selection())
+        _, primal, _ = _relax(inst, empty_selection(inst))
         assert primal.flows["c1", 0] == pytest.approx(30.0, abs=1e-7)
         # the clearing rows' multipliers are the areas' prices (R, then S)
         [(prob, sol)] = solves
@@ -118,18 +121,18 @@ class TestSolveRelaxation:
 
     def test_two_area_flow_congested(self, solves):
         inst = f3()
-        _, primal, _ = _relax(inst, inst.empty_selection())
+        _, primal, _ = _relax(inst, empty_selection(inst))
         assert primal.flows["c1", 0] == pytest.approx(20.0, abs=1e-7)
         [(prob, sol)] = solves
         mult = multipliers(prob, sol)
         assert mult.y_eq == pytest.approx([10.0, 40.0], abs=1e-7)
         # capacity multiplier equals the price spread
-        _, model = pinned_relaxation(inst, inst.empty_selection())
+        _, model = pinned_relaxation(inst, empty_selection(inst))
         assert mult.nu_upper[model.flow_col["c1", 0]] == pytest.approx(30.0, abs=1e-6)
 
     def test_ramp_limits_bind(self):
         inst = ramp_fixture()
-        _, primal, _ = _relax(inst, inst.empty_selection())
+        _, primal, _ = _relax(inst, empty_selection(inst))
         f0 = primal.flows["c1", 0]
         f1 = primal.flows["c1", 1]
         assert abs(f0 - inst.interconnectors[0].initial_flow) <= 6.0 + 1e-7
@@ -141,18 +144,20 @@ class TestSolveRelaxation:
         checked = 0
         for seed in range(20):
             inst = random_instance(seed)
-            for objective, _, primal, _ in _relaxations(inst, build_model(inst)):
+            model = build_model(inst)
+            for objective, _, x, _ in _relaxations(inst, model):
+                primal = model.primal(model.selection_at(x), x)
                 # the oracle's relaxation is the one this file's helper pins
                 assert _relax(inst, primal.selection)[0] == objective
                 assert objective == pytest.approx(welfare_of(inst, primal), abs=1e-7)
                 res = clearing_residuals(inst, primal)
                 assert max(abs(r) for r in res.values()) <= 1e-6
-                checked += primal.selection != inst.empty_selection()
+                checked += primal.selection != empty_selection(inst)
         assert checked > 100
 
     def test_kkt_residual_small(self, solves):
         inst = f3()
-        _relax(inst, inst.empty_selection())
+        _relax(inst, empty_selection(inst))
         for seed in range(5):
             inst = random_instance(seed)
             list(_relaxations(inst, build_model(inst)))

@@ -1,0 +1,170 @@
+"""The clearing set-up is built from per-model arrays: its arrays equal,
+bit for bit, those that loops over the instance built entry by entry
+(``helpers.reference_model``, ``reference_price_rows`` and
+``reference_fixflow_problem``), and the row activities that the node pass
+hands to ``solve_qp`` are those of the node's box."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from daclear import driver, master, pricing, qp
+from daclear.errors import PriceInfeasible
+from daclear.io import parse_instance
+from daclear.model import build_model
+
+from helpers import (
+    bench_instance, paradox_book, random_instance, reference_fixflow_problem,
+    reference_model, reference_price_rows,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PROBLEM_ARRAYS = ("c", "d", "A_eq", "b_eq", "A_in", "b_in", "lb", "ub")
+
+
+@pytest.fixture(scope="module")
+def books():
+    out = [random_instance(seed) for seed in range(50)]
+    out += [parse_instance(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    out += [bench_instance("paradox", seed) for seed in range(1000, 1020)]
+    out += [bench_instance("day-book", seed) for seed in range(3000, 3020)]
+    return out
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_model_arrays_equal_the_loop_built_ones(books):
+    for inst in books:
+        model, ref = build_model(inst), reference_model(inst)
+        for name in ("c", "d", "lb", "ub", "A_eq", "b_eq", "A_in", "b_in",
+                     "bin_c", "bin_A_eq", "link_A", "link_b", "vertical"):
+            assert _bits(getattr(model, name)) == _bits(getattr(ref, name)), name
+        for name in ("seg_ids", "flow_keys", "eq_keys", "ramp_keys", "seg_col", "flow_col",
+                     "eq_row", "bin_keys", "bin_col"):
+            assert getattr(model, name) == getattr(ref, name), name
+        for got, want in zip(model.flow_rows, ref.flow_rows):
+            assert _bits(got) == _bits(want)
+        assert len(model.row_segs) == len(ref.row_segs)
+        for (cols, spans), (ref_cols, ref_spans) in zip(model.row_segs, ref.row_segs):
+            assert cols == ref_cols.tolist() and _bits(np.array(spans)) == _bits(ref_spans)
+        prob = model.master()
+        for name in PROBLEM_ARRAYS:
+            assert _bits(getattr(prob, name)) == _bits(ref.master[name]), name
+        # the model's arrays are read-only views of the master's
+        assert np.shares_memory(model.A_eq, prob.A_eq) and not model.A_eq.flags.writeable
+
+
+def _leaf_calls(monkeypatch, books):
+    """(fixflow, pricing): the arguments of every FixFlow and pricing call
+    in exact and heuristic clears of ``books``."""
+    fixflows, prices = [], []
+    fix, price = driver.solve_fixflow, driver.solve_qpprice
+
+    def fix_spy(instance, model, x, duals, deadline=None):
+        fixflows.append((instance, model, x, duals))
+        return fix(instance, model, x, duals, deadline)
+
+    def price_spy(instance, model, x, relax_losses=False, deadline=None, duals=None):
+        prices.append((instance, model, x, relax_losses))
+        return price(instance, model, x, relax_losses, deadline, duals)
+
+    monkeypatch.setattr(driver, "solve_fixflow", fix_spy)
+    monkeypatch.setattr(driver, "solve_qpprice", price_spy)
+    for inst in books:
+        driver.clear_exact(inst)
+        driver.clear_heuristic(inst)
+    monkeypatch.undo()
+    return fixflows, prices
+
+
+def _first_problem(monkeypatch, call):
+    """The first QpProblem that ``call()`` hands to ``pricing.solve_qp``
+    (None when it hands none), and its outcome or exception."""
+    seen = []
+    solve = pricing.solve_qp
+
+    def spy(prob, *args, **kwargs):
+        seen.append(prob)
+        return solve(prob, *args, **kwargs)
+
+    monkeypatch.setattr(pricing, "solve_qp", spy)
+    try:
+        out = call()
+    except PriceInfeasible as exc:
+        out = exc
+    monkeypatch.undo()
+    return (seen[0] if seen else None), out
+
+
+def test_pricing_and_fixflow_problems_equal_the_loop_built_ones(monkeypatch, books):
+    fixflows, prices = _leaf_calls(monkeypatch, books)
+    assert len(prices) > 300 and sum(relax for *_, relax in prices) > 100
+    fixed = 0
+    for instance, model, x, duals in fixflows:
+        solution = model.primal(model.selection_at(x), x)
+        ref = reference_fixflow_problem(instance, model, solution, duals)
+        prob, _ = _first_problem(
+            monkeypatch, lambda: pricing.solve_fixflow(instance, model, x, duals)
+        )
+        assert (prob is None) == (ref is None)
+        if prob is not None:
+            fixed += 1
+            for name in PROBLEM_ARRAYS:
+                assert _bits(getattr(prob, name)) == _bits(getattr(ref, name)), name
+    assert fixed > 100
+    # each priced leaf, and the same leaf with its fills drawn at random
+    # among empty, full and fractional, which the fill conditions often
+    # refute before any QP
+    rng = np.random.default_rng(31)
+    cases = []
+    for instance, model, x, relax in prices:
+        cases.append((instance, model, x, relax))
+        drawn = x.copy()
+        n_seg = len(model.seg_ids)
+        drawn[:n_seg] = rng.choice([0.0, 1.0, 0.5, 1e-8], size=n_seg) + rng.uniform(0, 1e-9, n_seg)
+        cases.append((instance, model, drawn, relax))
+    refuted = 0
+    for instance, model, x, relax in cases:
+        solution = model.primal(model.selection_at(x), x)
+        prob, out = _first_problem(
+            monkeypatch, lambda: pricing.solve_qpprice(instance, model, x, relax)
+        )
+        try:
+            ref = reference_price_rows(instance, model, solution, relax)
+        except PriceInfeasible:
+            # the fill conditions alone refute it, before any QP
+            assert prob is None and isinstance(out, PriceInfeasible)
+            refuted += 1
+            continue
+        got = (prob.lb, prob.ub, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in)
+        for name, a, b in zip(("lb", "ub", "A_eq", "b_eq", "A_in", "b_in"), got, ref):
+            assert _bits(a) == _bits(b), name
+    assert 100 < refuted < len(cases) - 400
+
+
+def test_node_pass_hands_over_the_activities_of_the_box(monkeypatch):
+    # whenever the pass hands activities to the node, they are those of
+    # the box it returns, bit for bit, and the row test's verdict on them
+    # is the fresh one
+    handed = []
+    fix = master._fix_binaries
+
+    def spy(prob, binary_rows, lb, ub):
+        out = fix(prob, binary_rows, lb, ub)
+        handed.append((prob, *out))
+        return out
+
+    monkeypatch.setattr(master, "_fix_binaries", spy)
+    for inst in [paradox_book(seed) for seed in range(20)] + [random_instance(s) for s in range(30)]:
+        driver.clear_exact(inst)
+    given = [(prob, lb, ub, lowest) for prob, lb, ub, lowest in handed if lowest is not None]
+    assert len(given) > 100 and len(given) < len(handed)
+    for prob, lb, ub, (low, row) in given:
+        fresh_low, fresh_row = qp._lowest_activity(prob, lb, ub)
+        assert _bits(low) == _bits(fresh_low) and row == fresh_row
+        node = prob.with_bounds(lb, ub, (low, row))
+        assert qp._row_test(node) == qp._row_test(prob.with_bounds(lb, ub))

@@ -10,6 +10,9 @@ instance of the family (``bench/generate.py``, seeds ``first`` to
 mode, ``--repeat`` times, and the side that goes first alternates from one
 instance to the next.  Per mode the script prints each side's median CPU
 milliseconds per clear (over instances, of each instance's median clear),
+then the same median of the CPU a clear spends outside ``solve_qp`` (each
+side's ``solve_qp`` is wrapped where ``master`` and ``pricing`` call it and
+timed with ``time.process_time``, wrapper included),
 the median over instances of the HEAD/BASE ratio, the number of instances
 whose status or selection differ between the sides, and the largest
 relative welfare difference and the largest absolute price and flow
@@ -41,10 +44,30 @@ ROOT = Path(__file__).resolve().parent.parent
 MODES = ("exact", "heuristic")
 
 
+class QpClock:
+    """CPU seconds spent in ``solve_qp`` where the modules it wraps call it."""
+
+    def __init__(self, *modules):
+        self.total = 0.0
+        for module in modules:
+            module.solve_qp = self._wrap(module.solve_qp)
+
+    def _wrap(self, solve):
+        def timed(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                self.total += time.process_time() - start
+
+        return timed
+
+
 def load_side(checkout: Path, name: str, tmp: Path):
     """``checkout``'s ``src/daclear``, copied to ``tmp/name`` and imported
     as the package ``name`` (``tmp`` must be on ``sys.path``), replacing
-    any earlier import under that name; (io, driver) modules."""
+    any earlier import under that name; (io, driver, clock) with a
+    ``QpClock`` on its ``master`` and ``pricing`` modules."""
     shutil.copytree(
         Path(checkout) / "src" / "daclear", tmp / name,
         ignore=shutil.ignore_patterns("__pycache__"),
@@ -52,7 +75,8 @@ def load_side(checkout: Path, name: str, tmp: Path):
     for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
         del sys.modules[module]
     importlib.invalidate_caches()
-    return importlib.import_module(f"{name}.io"), importlib.import_module(f"{name}.driver")
+    clock = QpClock(*(importlib.import_module(f"{name}.{m}") for m in ("master", "pricing")))
+    return importlib.import_module(f"{name}.io"), importlib.import_module(f"{name}.driver"), clock
 
 
 def _clear(driver, mode, instance):
@@ -94,7 +118,8 @@ def _largest_gap(a, b) -> float:
 def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int = 3) -> dict:
     """Per mode: (base ms, head ms, median head/base ratio, instances whose
     status or selection differ, largest relative welfare difference,
-    largest absolute price difference, largest absolute flow difference)."""
+    largest absolute price difference, largest absolute flow difference,
+    base ms outside ``solve_qp``, head ms outside it)."""
     sys.path.insert(0, str(ROOT / "bench"))
     import generate
 
@@ -108,19 +133,20 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
         texts = [generate.instance_text(family, seed) for seed in seeds]
         out = {}
         for mode in modes:
-            times = ([], [])
+            times, out_times = ([], []), ([], [])
             differ, welfare, price, flow = 0, 0.0, 0.0, 0.0
             for i, text in enumerate(texts):
-                instances = [io.parse_instance(text) for io, _ in sides]
+                instances = [io.parse_instance(text) for io, _, _ in sides]
                 order = (0, 1) if i % 2 == 0 else (1, 0)
-                runs = ([], [])
+                runs, outside = ([], []), ([], [])
                 outcome, values = [None, None], [None, None]
                 for _ in range(repeat):
                     for side in order:
-                        cpu, outcome[side], values[side] = _clear(
-                            sides[side][1], mode, instances[side]
-                        )
+                        _, driver, clock = sides[side]
+                        in_qp = clock.total
+                        cpu, outcome[side], values[side] = _clear(driver, mode, instances[side])
                         runs[side].append(cpu)
+                        outside[side].append(cpu - (clock.total - in_qp))
                 differ += outcome[0] != outcome[1]
                 (w0, p0, f0), (w1, p1, f1) = values
                 welfare = max(welfare, _relative(w0, w1))
@@ -128,6 +154,7 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                 flow = max(flow, _largest_gap(f0, f1))
                 for side in (0, 1):
                     times[side].append(statistics.median(runs[side]))
+                    out_times[side].append(statistics.median(outside[side]))
             ratios = [h / b for b, h in zip(*times) if b > 0.0]
             out[mode] = (
                 1e3 * statistics.median(times[0]),
@@ -137,6 +164,8 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                 welfare,
                 price,
                 flow,
+                1e3 * statistics.median(out_times[0]),
+                1e3 * statistics.median(out_times[1]),
             )
         return out
 
@@ -154,12 +183,14 @@ def main(argv=None) -> int:
     seeds = range(args.first, args.first + args.count)
     print(f"{args.family} seeds {seeds.start}-{seeds.stop - 1}, {args.repeat} repeats")
     print(f"base {args.base.resolve()}\nhead {args.head.resolve()}")
-    print(f"{'mode':10s} {'base ms':>9s} {'head ms':>9s} {'head/base':>9s} {'differ':>6s}"
-          f" {'welfare':>8s} {'price':>8s} {'flow':>8s}")
+    print(f"{'mode':10s} {'base ms':>9s} {'head ms':>9s} {'base out':>9s} {'head out':>9s}"
+          f" {'head/base':>9s} {'differ':>6s} {'welfare':>8s} {'price':>8s} {'flow':>8s}")
     results = compare(args.base, args.head, args.family, seeds, args.modes, args.repeat)
-    for mode, (base_ms, head_ms, ratio, differ, welfare, price, flow) in results.items():
-        print(f"{mode:10s} {base_ms:9.3f} {head_ms:9.3f} {ratio:9.3f} {differ:6d}"
-              f" {welfare:8.1e} {price:8.1e} {flow:8.1e}")
+    for mode, (base_ms, head_ms, ratio, differ, welfare, price, flow, base_out, head_out) in (
+        results.items()
+    ):
+        print(f"{mode:10s} {base_ms:9.3f} {head_ms:9.3f} {base_out:9.3f} {head_out:9.3f}"
+              f" {ratio:9.3f} {differ:6d} {welfare:8.1e} {price:8.1e} {flow:8.1e}")
     return 0
 
 
