@@ -75,7 +75,8 @@ def _price(instance, model, x, relax_losses, deadline, duals):
 
 def _leaf_test(instance, model, solution, x, exact, deadline, duals):
     """Strict pricing and the curtailment check decide the leaf in both
-    modes: one with loss-free prices and no curtailment violation passes
+    modes (``solution`` needs only the leaf's selection and its
+    curtailment segments' fills): one with loss-free prices and no curtailment violation passes
     with empty loss sets.  Loss-free prices make the least relaxed loss 0,
     so only a leaf without them runs relaxed pricing, for its record's
     loss sets and heuristic mode's bid cut.  Exact mode cuts off a failed
@@ -141,17 +142,18 @@ def _branch_and_cut(instance, options, mode):
     cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
     model = build_model(instance)
     iterations = []
-    tested = []  # (leaf, FixFlow solution, pricing) per tested leaf
+    tested = []  # (leaf, FixFlow's point, pricing) per tested leaf
     limit = options.time_limit
     deadline = time.monotonic() + limit if limit is not None else None
 
     def leaf_test(leaf):
         x = solve_fixflow(instance, model, leaf.x, leaf.duals, deadline)
-        solution = leaf.solution if x is leaf.x else model.primal(leaf.solution.selection, x)
+        # the leaf test reads only the selection and the curtailment fills
+        fills = model.curtailment_fills(leaf.selection, x)
         sets, curt, pricing, cuts = _leaf_test(
-            instance, model, solution, x, exact, deadline, leaf.duals
+            instance, model, fills, x, exact, deadline, leaf.duals
         )
-        tested.append((leaf, solution, pricing))
+        tested.append((leaf, x, pricing))
         iterations.append(
             IterationRecord(
                 master_objective=leaf.objective,
@@ -170,7 +172,8 @@ def _branch_and_cut(instance, options, mode):
     )
     bound = tested[0][0].bound if tested else float("inf")  # the cut-free master's
     if master.status == "optimal":
-        _, solution, pricing = tested[-1]
+        leaf, x, pricing = tested[-1]
+        solution = model.primal(leaf.selection, x)
         # every selection exact mode excluded lacked loss-free prices,
         # so the accepted leaf's objective is also the tight dual bound
         final = master.objective if exact else bound

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Instance, PrimalSolution, presolve_price_bounds
+from .core import BidSelection, Instance, PrimalSolution, presolve_price_bounds
 from .cuts import Cut
 from .errors import TimeLimit
 from .model import ClearingModel, balanced_start, money_start
@@ -31,7 +31,7 @@ from .qp import END_TOL, Multipliers, QpProblem, _lowest_activity, multipliers, 
 @dataclass
 class MasterResult:
     status: str  # optimal | infeasible | limit
-    solution: Optional[PrimalSolution] = None
+    selection: Optional[BidSelection] = None  # with a solution
     objective: float = float("-inf")
     bound: float = float("inf")
     nodes: int = 0
@@ -41,6 +41,13 @@ class MasterResult:
     # or flow)
     duals: Optional[Multipliers] = None
     x: Optional[np.ndarray] = None  # with a solution: its node's optimal point
+    model: Optional[ClearingModel] = field(default=None, repr=False, compare=False)
+
+    @property
+    def solution(self) -> Optional[PrimalSolution]:
+        """The selection with the fills and flows of x, built on each call:
+        the driver reads x and builds them only for the accepted leaf."""
+        return None if self.selection is None else self.model.primal(self.selection, self.x)
 
 
 def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], model: ClearingModel) -> QpProblem:
@@ -205,8 +212,8 @@ def solve_master(
         if leaf is None:
             return MasterResult(status=status, bound=bound, nodes=nodes)
         return MasterResult(
-            status=status, solution=model.primal(model.selection_at(leaf.x), leaf.x),
-            objective=objective, bound=bound, nodes=nodes, duals=multipliers(prob, leaf), x=leaf.x,
+            status=status, selection=model.selection_at(leaf.x), objective=objective,
+            bound=bound, nodes=nodes, duals=multipliers(prob, leaf), x=leaf.x, model=model,
         )
 
     push(float("inf"), (prob.lb, base_ub, None))  # bounds and a parent solution

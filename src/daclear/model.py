@@ -41,7 +41,8 @@ class ClearingModel:
     ``y_child - y_parent <= 0`` and flex-once rows ``sum_t y <= 1``.  These
     arrays are read-only views of the master problem's (``master``).
 
-    The rest is what starts and pricing read, in model order: per clearing
+    The rest is what starts, pricing and the leaf test read, in model
+    order: per clearing
     row its segment columns in merit order and their spans (``row_segs``);
     the quantity-carrying segments' columns, rows, base prices and price
     spans (``fill_prices``); per binary column its bid's (id, limit price,
@@ -53,15 +54,13 @@ class ClearingModel:
     ``F @ flows <= h``, each flow's upper and lower bound then the ramp rows
     it ends, source[i] being the row's index in [upper bounds, lower bounds,
     ramp rows] (``flow_rows``); and (P, G) = (-A_eq' on the flow columns,
-    -F'), the stationarity rows of the welfare QP there (``stationarity``)."""
+    -F'), the stationarity rows of the welfare QP there (``stationarity``);
+    and the curtailment segments' (id, column) pairs (``curtailment``)."""
 
     seg_ids: tuple[int, ...]
     flow_keys: tuple[tuple[str, int], ...]
     eq_keys: tuple[tuple[str, int], ...]
     ramp_keys: tuple[tuple[str, int, str], ...]  # (connector, hour, fwd|bwd)
-    seg_col: dict[int, int]
-    flow_col: dict[tuple[str, int], int]
-    eq_row: dict[tuple[str, int], int]
     c: np.ndarray
     d: np.ndarray
     lb: np.ndarray
@@ -77,6 +76,7 @@ class ClearingModel:
     link_A: np.ndarray
     link_b: np.ndarray
     vertical: np.ndarray  # per segment column: its segment is vertical
+    curtailment: tuple[tuple[int, int], ...]  # (id, column) of curtailment segments
     row_segs: tuple[tuple[list, list], ...]
     fill_prices: tuple
     bin_bids: tuple[tuple, ...]
@@ -133,6 +133,14 @@ class ClearingModel:
             else:
                 flex.setdefault(key[1])
         return BidSelection(blocks=blocks, flex=flex)
+
+    def curtailment_fills(self, selection: BidSelection, x: np.ndarray) -> PrimalSolution:
+        """``selection`` with only the curtailment segments' fills that
+        ``x`` gives them: all that ``cuts.curtailment_violations`` reads."""
+        fills = x.tolist()
+        return PrimalSolution(
+            selection=selection, delta={sid: fills[j] for sid, j in self.curtailment}, flows={}
+        )
 
     def primal(self, selection: BidSelection, x: np.ndarray) -> PrimalSolution:
         """``selection`` with the fills and flows that ``x``, a point of a
@@ -259,13 +267,12 @@ def build_model(instance: Instance) -> ClearingModel:
 
     return ClearingModel(
         seg_ids=seg_ids, flow_keys=flow_keys, eq_keys=eq_keys, ramp_keys=tuple(ramp_keys),
-        seg_col=dict(zip(seg_ids, range(n_seg))), flow_col=dict(zip(flow_keys, range(n_seg, n))),
-        eq_row=dict(zip(eq_keys, range(len(eq_keys)))),
         c=c[:n], d=d[:n], lb=lb[:n], ub=ub[:n], A_eq=A_eq[:, :n], b_eq=b_eq,
         A_in=A_in[:n_ramp, :n], b_in=b_in[:n_ramp],
         bin_keys=bin_keys, bin_col=bin_col, bin_c=c[n:], bin_A_eq=A_eq[:, n:],
         link_A=A_in[n_ramp:, n:], link_b=b_in[n_ramp:],
         vertical=np.array([s.is_vertical for _, _, s in segs], dtype=bool),
+        curtailment=tuple((sid, j) for j, (sid, _, s) in enumerate(segs) if s.is_curtailment),
         row_segs=tuple(row_segs), fill_prices=(np.array(fill[0], dtype=int), *fill[1:]),
         bin_bids=tuple(bids), bin_b=np.array(bin_b, dtype=float), bin_worst=tuple(bin_worst),
         bin_order=tuple(sorted(range(m), key=bin_keys.__getitem__)),

@@ -160,13 +160,19 @@ class Multipliers:
 def _factor(K: np.ndarray):
     """(Z, P, Vr) from one SVD  K = U S V'  with the RANK_TOL rank rule: Z
     spans the null space of K, and  P @ (Vr @ g)  applies the truncated
-    pseudo-inverse of K' to g, which gives the least-squares multipliers."""
+    pseudo-inverse of K' to g, which gives the least-squares multipliers.
+    The three arrays are read-only."""
     if K.shape[0] == 0:
-        return np.eye(K.shape[1]), np.zeros((0, 0)), np.zeros((0, K.shape[1]))
-    u, s, vt = np.linalg.svd(K, full_matrices=True)
-    tol = max(K.shape) * (s[0] if len(s) else 0.0) * RANK_TOL + RANK_TOL
-    rank = int(np.count_nonzero(s > tol))
-    return vt[rank:].T, u[:, :rank] / s[:rank], vt[:rank]
+        Z, P, Vr = np.eye(K.shape[1]), np.zeros((0, 0)), np.zeros((0, K.shape[1]))
+        Z.flags.writeable = Vr.flags.writeable = False
+    else:
+        u, s, vt = np.linalg.svd(K, full_matrices=True)
+        vt.flags.writeable = False  # so are Z and Vr, its views
+        tol = max(K.shape) * (float(s[0]) if len(s) else 0.0) * RANK_TOL + RANK_TOL
+        rank = int(np.count_nonzero(s > tol))
+        Z, P, Vr = vt[rank:].T, u[:, :rank] / s[:rank], vt[:rank]
+    P.flags.writeable = False
+    return Z, P, Vr
 
 
 # column states: bounds stay bounds, never rows of the working matrix
@@ -199,7 +205,7 @@ class _ActiveSet:
     def start(self, x):
         """Working rows and column states of the constraints tight at x."""
         work = (np.abs(self.G @ x - self.h) <= FEAS_TOL).nonzero()[0].tolist()
-        state = np.full(self.n, FREE)
+        state = np.zeros(self.n, dtype=int)  # FREE
         state[x - self.lb <= FEAS_TOL] = LOWER
         state[self.ub - x <= FEAS_TOL] = UPPER
         state[self.lb == self.ub] = PINNED
@@ -222,19 +228,27 @@ class _ActiveSet:
             # finds it in the cache
             free, K, Z, P, Vr, curv = self._factorize(work, state)
             g = c + d * x
-            p = np.zeros(n)
+            gf = g.take(free)
+            p = None  # the Newton step, when the free columns curve
             ascent = None  # flat null-space direction along which g ascends
             if Z.shape[1]:
-                gz = Z.T @ g[free]
+                gz = Z.T @ gf
                 if curv is not None:
-                    # Newton step along the curved directions, ascent along
-                    # the flat ones
-                    w, V, curved, divisor = curv
+                    # Newton step along the curved directions (the leading
+                    # ones), ascent along the flat ones, if any
+                    w, V, _, wc = curv
                     gv = V.T @ gz
-                    p[free] = Z @ (V @ np.where(curved, -gv / divisor, 0.0))
-                    gv = np.where(curved, 0.0, gv)
-                    if sqrt(gv @ gv) > DUAL_TOL:
-                        ascent = V @ gv
+                    k = len(wc)
+                    if k == len(w):
+                        step = -gv / wc
+                    else:
+                        step = np.zeros(len(w))
+                        step[:k] = -gv[:k] / wc
+                        gv[:k] = 0.0
+                        if sqrt(gv @ gv) > DUAL_TOL:
+                            ascent = V @ gv
+                    p = np.zeros(n)
+                    p[free] = Z @ (V @ step)
                 elif sqrt(gz @ gz) > DUAL_TOL:
                     # no curvature on the free columns: every direction is flat
                     ascent = gz
@@ -244,21 +258,21 @@ class _ActiveSet:
                 ray = np.zeros(n)
                 ray[free] = Z @ ascent
                 ray /= sqrt(ray @ ray)
-                alpha, block = self._ratio(x, ray, work, state, np.inf)
+                alpha, block = self._ratio(x, ray, ray, work, np.inf)
                 degenerate = alpha == 0.0
                 if block is None:
                     return "unbounded", x, work, state, ray, it
                 x = self._step(x, alpha, ray, block, work, state)
                 continue
 
-            if sqrt(p @ p) <= STEP_TOL * max(1.0, sqrt(x @ x)):
+            if p is None or sqrt(p @ p) <= STEP_TOL * max(1.0, sqrt(x @ x)):
                 # working-row multipliers, then the bound multipliers: the
                 # reduced gradient signed by side, in ``_signed_duals``' order
-                lam = P @ (Vr @ g[free])
+                lam = P @ (Vr @ gf)
                 r = g - K.T @ lam
                 duals = np.concatenate((lam[m:], _SIDE[state] * r))
                 wrong = duals < -DUAL_TOL
-                if not wrong.any():
+                if not np.count_nonzero(wrong):
                     return "optimal", x, work, state, (lam[:m], lam[m:], r), it
                 # the most negative multiplier leaves (Dantzig's rule), the
                 # lowest index on ties; after a zero-length step the first
@@ -268,7 +282,7 @@ class _ActiveSet:
                 self._release(k, work, state)
                 continue
 
-            alpha, block = self._ratio(x, p, work, state, 1.0)
+            alpha, block = self._ratio(x, p, p, work, 1.0)
             degenerate = alpha == 0.0
             x = self._step(x, alpha, p, block, work, state)
         raise SolverFailure("active-set iteration limit reached")
@@ -297,15 +311,17 @@ class _ActiveSet:
         up when the working rows stay dependent on the free columns, when a
         dependent constraint has nothing to replace, or after
         ``2n + len(h) + 5`` breakpoints."""
-        c, d, n, nh = self.c, self.d, self.n, len(self.h)
-        pinned = state == PINNED
+        c, d, n, nh, lb = self.c, self.d, self.n, len(self.h), self.lb
+        pinned = (state == PINNED).nonzero()[0]
         # a column that round-off alone keeps from its value takes it at once
-        off = np.abs(x - self.lb)
-        x = np.where(pinned & (off <= END_TOL * np.maximum(1.0, np.abs(self.lb))), self.lb, x)
-        move = pinned & (x != self.lb)
-        entering = move.nonzero()[0].tolist()
-        if not entering:
+        xp, lp = x[pinned], lb[pinned]
+        xp = np.where(np.abs(xp - lp) <= END_TOL * np.maximum(1.0, np.abs(lp)), lp, xp)
+        x = x.copy()
+        x[pinned] = xp
+        move = pinned[xp != lp]
+        if not len(move):
             return x, 0
+        entering = move.tolist()
         steps = 0
         while True:
             if steps > 2 * n + nh + 5:
@@ -322,7 +338,7 @@ class _ActiveSet:
                 state[j] = FREE
                 free, K, Z, P, Vr, _ = self._factorize(work, state)
                 a = np.zeros(n)
-                a[j] = -1.0 if self.lb[j] > x[j] else 1.0
+                a[j] = -1.0 if lb[j] > x[j] else 1.0
                 dropped = self._dependent(a, free, Z) and self._exchange(
                     a, x, work, state, free, K, P, Vr
                 )
@@ -335,20 +351,24 @@ class _ActiveSet:
             # per unit of the segment: the moving columns' remaining way,
             # and the free columns' least-norm answer plus the curved
             # null-space part that keeps them stationary
-            dx = np.where(move, self.lb - x, 0.0)
+            dx = np.zeros(n)
+            dx[move] = lb[move] - x[move]
             dxf = -(Vr.T @ (P.T @ (K @ dx)))
             if curv is not None:
-                w, V, curved, _ = curv
-                gv = V[:, curved].T @ (Z.T @ (d[free] * dxf))
-                dxf -= Z @ (V[:, curved] @ (gv / w[curved]))
+                Vc, wc = curv[2:]
+                gv = Vc.T @ (Z.T @ (d.take(free) * dxf))
+                dxf -= Z @ (Vc @ (gv / wc))
             dx[free] = dxf
             # the least-norm answer smears round-off over every free column;
             # one the exact step leaves alone must stay where it is
-            dx[np.abs(dx) <= 1e-14 * np.abs(dx).max()] = 0.0
+            size = np.abs(dx)
+            dx[size <= 1e-14 * size[size.argmax()]] = 0.0
             duals = self._signed_duals(state, free, K, P, Vr, np.column_stack((c + d * x, d * dx)))
             # a constraint that becomes tight at the end, up to round-off,
             # still joins, as it would on a vertex-to-vertex path
-            alpha, block = self._ratio(x, dx, work, state, 1.0 + END_TOL)
+            dx_free = np.zeros(n)
+            dx_free[free] = dx.take(free)
+            alpha, block = self._ratio(x, dx, dx_free, work, 1.0 + END_TOL)
             t, k = _first_zero(duals[:, 0], -duals[:, 1])
             if k is not None and t < min(alpha, 1.0):
                 x = x + t * dx
@@ -358,7 +378,7 @@ class _ActiveSet:
             end = alpha >= 1.0
             x = x + min(alpha, 1.0) * dx
             if end:
-                x[move] = self.lb[move]
+                x[move] = lb[move]
             dependent = False
             if block is not None:
                 if block < nh:
@@ -372,7 +392,7 @@ class _ActiveSet:
                 # out; a bound it reaches still takes its value exactly
                 if dependent and block >= nh:
                     j = (block - nh) % n
-                    x[j] = (self.ub if block < nh + n else self.lb)[j]
+                    x[j] = (self.ub if block < nh + n else lb)[j]
                 return x, steps
             if dependent and not self._exchange(a, x, work, state, free, K, P, Vr):
                 return None
@@ -383,36 +403,40 @@ class _ActiveSet:
 
     def _factorize(self, work, state):
         """(free, K, Z, P, Vr, curv) of the working rows and column states:
-        the free columns, the working matrix, ``_factor`` of its free part
-        and, when the free columns curve, (w, V, curved, divisor): the
-        eigendecomposition of the reduced Hessian  Z'DZ, the mask of its
-        curved eigenvalues and w with 1 in place of the flat ones, which
-        divides all of them safely.  The factors come from ``self.factors``
-        when it holds the working rows and free columns (a hit returns the
-        arrays a fresh factorization did, read-only), and go into it
-        otherwise, evicting beyond FACTOR_CACHE_SIZE."""
-        free = state == FREE
-        K = np.concatenate((self.A, self.G[work])) if work else self.A
-        key = (tuple(work), free.tobytes())
-        factors = self.factors.get(key)
-        if factors is not None:
+        the free columns (ascending indices), the working matrix,
+        ``_factor`` of its free part and, when the free columns curve,
+        (w, V, Vc, wc): the eigendecomposition of the reduced Hessian  Z'DZ
+        (eigenvalues ascending, so the curved ones, below -CURV_TOL times
+        the largest |w| or 1, lead) and its curved columns of V and entries
+        of w.  A cache entry of
+        ``self.factors``, keyed by the working rows and the free-column
+        mask, holds (Z, P, Vr, curv, K, free), all read-only: a hit returns
+        the arrays a fresh factorization did, and a miss builds them and
+        stores them, evicting beyond FACTOR_CACHE_SIZE."""
+        mask = state == FREE
+        key = (tuple(work), mask.tobytes())
+        entry = self.factors.get(key)
+        if entry is not None:
             self.factors.move_to_end(key)
-            return (free, K, *factors)
-        Z, P, Vr = _factor(K[:, free])
-        arrays = [Z, P, Vr]
+            Z, P, Vr, curv, K, free = entry
+            return free, K, Z, P, Vr, curv
+        free = mask.nonzero()[0]
+        K = np.concatenate((self.A, self.G[work])) if work else self.A.view()
+        Z, P, Vr = _factor(K.take(free, axis=1))
         curv = None
-        df = self.d[free]
-        if Z.shape[1] and df.any():
+        df = self.d.take(free)
+        if Z.shape[1] and np.count_nonzero(df):
             H = Z.T @ (df[:, None] * Z)
             # eigh of a 1 x 1 matrix returns exactly its entry and [[1.0]]
             w, V = (H[0], np.ones((1, 1))) if len(H) == 1 else np.linalg.eigh(H)
-            scale = max(1.0, float(np.max(np.abs(w))))
+            scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
             curved = w < -CURV_TOL * scale
-            curv = (w, V, curved, np.where(curved, w, 1.0))
-            arrays += curv
-        for a in arrays:
-            a.flags.writeable = False
-        self.factors[key] = (Z, P, Vr, curv)
+            curv = (w, V, V[:, curved], w[:int(np.count_nonzero(curved))])
+            for a in curv:
+                a.setflags(write=False)
+        K.setflags(write=False)
+        free.setflags(write=False)
+        self.factors[key] = (Z, P, Vr, curv, K, free)
         if len(self.factors) > FACTOR_CACHE_SIZE:
             self.factors.popitem(last=False)
         return free, K, Z, P, Vr, curv
@@ -430,7 +454,7 @@ class _ActiveSet:
         """True when the constraint with normal a is a combination of the
         working constraints: no part of it, beyond round-off, lies in their
         null space."""
-        za = Z.T @ a[free]
+        za = Z.T @ a.take(free)
         return sqrt(za @ za) <= 1e-9 * max(1.0, sqrt(a @ a))
 
     def _exchange(self, a, x, work, state, free, K, P, Vr):
@@ -455,17 +479,29 @@ class _ActiveSet:
         else:
             state[k - len(work)] = FREE
 
-    def _ratio(self, x, p, work, state, alpha_max):
-        pf = np.where(state == FREE, p, 0.0)
+    @cached_property
+    def _limits(self):
+        # the ratio test's limits, as ``_ratio`` numbers its constraints
+        return np.concatenate((self.h, self.ub, -self.lb))
+
+    def _ratio(self, x, p, pf, work, alpha_max):
+        """(alpha, block): the longest step up to alpha_max along p, whose
+        free part (zero on the other columns) is pf, and the constraint
+        that blocks it (lowest number on ties), or (alpha_max, None).  A
+        lower bound's slack  x - lb  is taken as  -lb - (-x),  the same
+        number."""
         gp = self.G @ p
-        gp[work] = 0.0
+        if work:
+            gp.put(work, 0.0)
         rate = np.concatenate((gp, pf, -pf))
-        slack = np.concatenate((self.h - self.G @ x, self.ub - x, x - self.lb))
-        hit = ((rate > 1e-12) & (slack < np.inf)).nonzero()[0]
-        if len(hit) == 0:
+        hit = (rate > 1e-12).nonzero()[0]
+        if not len(hit):
             return alpha_max, None
-        ratios = np.maximum(slack[hit], 0.0) / rate[hit]
-        alpha = float(ratios.min())
+        # a slack that an infinite bound makes infinite gives an infinite
+        # ratio, which blocks nothing
+        slack = (self._limits - np.concatenate((self.G @ x, x, -x))).take(hit)
+        ratios = np.maximum(slack, 0.0) / rate.take(hit)
+        alpha = float(ratios[ratios.argmin()])
         if not alpha < alpha_max - 1e-14:
             return alpha_max, None
         k = int((ratios <= alpha + 1e-14).argmax())
@@ -614,6 +650,12 @@ def _warm_start(solver: _ActiveSet, prob: QpProblem, start: QpSolution, deadline
     return x, work, state, breakpoints
 
 
+def _clipped(prob: QpProblem, x0) -> np.ndarray:
+    """x0 clipped into prob's box; the origin's clip when x0 is None."""
+    first = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
+    return np.minimum(np.maximum(first, prob.lb), prob.ub)
+
+
 def solve_qp(
     prob: QpProblem,
     x0: Union[np.ndarray, Callable[[], np.ndarray], None] = None,
@@ -650,19 +692,24 @@ def solve_qp(
     proved it optimal, from which ``multipliers`` builds its multipliers.
     The active-set steps take their factorizations from ``prob.factors``;
     phase 1 keeps its own."""
-    cert = _row_test(prob)
-    if cert is not None:
-        return QpSolution(status="infeasible", certificate=cert)
+    array = start is None and not callable(x0)
+    if array:
+        x = _clipped(prob, x0)
+    # no row's lowest activity over the box exceeds its activity at a point
+    # of the box, so an array start that holds every row passes the row test
+    if not (array and rows_hold(prob, x)):
+        cert = _row_test(prob)
+        if cert is not None:
+            return QpSolution(status="infeasible", certificate=cert)
     solver = _ActiveSet(
         prob.c, prob.d, prob.A_eq, prob.b_eq, prob.A_in, prob.b_in, prob.lb, prob.ub,
         prob.factors,
     )
     warm = None if start is None else _warm_start(solver, prob, start, deadline)
     if warm is None:
-        if callable(x0):
-            x0 = x0()
-        first = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
-        x, cert, iters1 = _phase1(prob, np.minimum(np.maximum(first, prob.lb), prob.ub), deadline)
+        if not array:
+            x = _clipped(prob, x0() if callable(x0) else x0)
+        x, cert, iters1 = _phase1(prob, x, deadline)
         if x is None:
             return QpSolution(status="infeasible", certificate=cert, iterations=iters1)
         work, state = solver.start(x)

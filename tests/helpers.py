@@ -94,6 +94,19 @@ def pinned_relaxation(inst, selection):
     return prob.with_bounds(lb, ub), model
 
 
+def model_maps(model):
+    """The model's key-to-position maps, built from its layout: its
+    segment columns (``seg_col``, by segment id), flow columns
+    (``flow_col``, by (connector, hour)) and clearing rows (``eq_row``, by
+    (area, hour))."""
+    n_seg = len(model.seg_ids)
+    return SimpleNamespace(
+        seg_col=dict(zip(model.seg_ids, range(n_seg))),
+        flow_col=dict(zip(model.flow_keys, range(n_seg, n_seg + len(model.flow_keys)))),
+        eq_row=dict(zip(model.eq_keys, range(len(model.eq_keys)))),
+    )
+
+
 def point(model, solution):
     """``solution`` as a point of ``model``'s master problem: its fills and
     flows in column order (0 where it has none), then its binaries."""
@@ -341,7 +354,8 @@ def welfare_row_fixflow(instance, model, solution):
         return solution
     free = [s for s in instance.segments if s.is_vertical]
     free_ids = {s.id for s in free}
-    cols = [model.seg_col[s.id] for s in free] + list(model.flow_col.values())
+    maps = model_maps(model)
+    cols = [maps.seg_col[s.id] for s in free] + list(maps.flow_col.values())
     n_free, n = len(free), len(cols)
     d = np.zeros(n)
     d[n_free:] = -2.0
@@ -562,10 +576,11 @@ def reference_price_rows(instance, model, solution, relax_losses):
     for k, (_, _, qty, limit) in enumerate(bids[:n_lam]):
         worst = sum(min((limit - iv.lower) * q, (limit - iv.upper) * q) for _, q in qty)
         ub[n_pi + k] = max(-worst, 0.0)
+    eq_row = model_maps(model).eq_row
     for seg in instance.segments:
         if seg.quantity_span == 0.0:
             continue
-        j = model.eq_row[instance.segment_location[seg.id]]
+        j = eq_row[instance.segment_location[seg.id]]
         dlt = solution.delta.get(seg.id, 0.0)
         if dlt >= 1.0 - TIGHT_TOL:
             ub[j] = min(ub[j], seg.price_at(1.0))
@@ -584,7 +599,7 @@ def reference_price_rows(instance, model, solution, relax_losses):
     A_in, b_in = np.zeros((len(bids), n)), np.zeros(len(bids))
     for r, (_, area, qty, limit) in enumerate(bids):
         for t, q in qty:
-            A_in[r, model.eq_row[area, t]] += q
+            A_in[r, eq_row[area, t]] += q
             b_in[r] += limit * q
     A_in[np.arange(n_lam), n_pi + np.arange(n_lam)] = -1.0
     return lb, ub, A_eq, np.zeros(len(P)), A_in, b_in
@@ -612,3 +627,91 @@ def reference_fixflow_problem(instance, model, solution, duals):
         A_eq=np.vstack((A_eq, A_in[tight])), b_eq=np.concatenate((b_eq, model.b_in[tight])),
         A_in=A_in[~tight], b_in=model.b_in[~tight], lb=lb, ub=ub,
     )
+
+
+def reference_factorize(solver, work, state):
+    """``qp._ActiveSet._factorize`` as it was before its cache entries kept
+    the working matrix, computed afresh with no cache: (free, K, Z, P, Vr,
+    curv), free a column mask and curv (w, V, curved, divisor) or None."""
+    free = state == qp.FREE
+    K = np.concatenate((solver.A, solver.G[work])) if work else solver.A
+    Z, P, Vr = qp._factor(K[:, free])
+    curv = None
+    df = solver.d[free]
+    if Z.shape[1] and df.any():
+        H = Z.T @ (df[:, None] * Z)
+        w, V = (H[0], np.ones((1, 1))) if len(H) == 1 else np.linalg.eigh(H)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        curved = w < -qp.CURV_TOL * scale
+        curv = (w, V, curved, np.where(curved, w, 1.0))
+    return free, K, Z, P, Vr, curv
+
+
+def reference_ratio(solver, x, p, work, state, alpha_max):
+    """``qp._ActiveSet._ratio`` as it was before it took the free part of
+    the step from its caller: (alpha, block)."""
+    pf = np.where(state == qp.FREE, p, 0.0)
+    gp = solver.G @ p
+    gp[work] = 0.0
+    rate = np.concatenate((gp, pf, -pf))
+    slack = np.concatenate((solver.h - solver.G @ x, solver.ub - x, x - solver.lb))
+    hit = ((rate > 1e-12) & (slack < np.inf)).nonzero()[0]
+    if len(hit) == 0:
+        return alpha_max, None
+    ratios = np.maximum(slack[hit], 0.0) / rate[hit]
+    alpha = float(ratios.min())
+    if not alpha < alpha_max - 1e-14:
+        return alpha_max, None
+    k = int((ratios <= alpha + 1e-14).argmax())
+    return float(ratios[k]), int(hit[k])
+
+
+def same_bits(a, b) -> bool:
+    """True when the arrays a and b hold the same float64 bits in the same
+    shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def kernel_reference_spy(monkeypatch):
+    """Compare every ``_factorize`` and ``_ratio`` call of the active-set
+    kernel, bit for bit, with ``reference_factorize`` and
+    ``reference_ratio``; returns the counts of calls compared,
+    {"factorize": n, "ratio": n, "curved": n}.  A mismatch fails at once."""
+    counts = {"factorize": 0, "ratio": 0, "curved": 0}
+    factorize, ratio = qp._ActiveSet._factorize, qp._ActiveSet._ratio
+    last = {}
+
+    def factorize_spy(self, work, state):
+        out = factorize(self, work, state)
+        free, K, Z, P, Vr, curv = out
+        ref_free, ref_K, ref_Z, ref_P, ref_Vr, ref_curv = reference_factorize(self, work, state)
+        assert np.array_equal(free, ref_free.nonzero()[0])
+        for a, b in ((K, ref_K), (Z, ref_Z), (P, ref_P), (Vr, ref_Vr)):
+            assert same_bits(a, b) and a.strides == b.strides
+        assert (curv is None) == (ref_curv is None)
+        if curv is not None:
+            w, V, Vc, wc = curv
+            ref_w, ref_V, curved, divisor = ref_curv
+            assert same_bits(w, ref_w) and same_bits(V, ref_V)
+            # the curved eigenvalues lead, so they are the divisor's head
+            assert np.array_equal(curved, np.arange(len(w)) < len(wc))
+            assert same_bits(wc, divisor[:len(wc)]) and (divisor[len(wc):] == 1.0).all()
+            assert same_bits(Vc, ref_V[:, curved]) and Vc.strides == ref_V[:, curved].strides
+            counts["curved"] += 1
+        counts["factorize"] += 1
+        last["state"] = state
+        return out
+
+    def ratio_spy(self, x, p, pf, work, alpha_max):
+        out = ratio(self, x, p, pf, work, alpha_max)
+        state = last["state"]  # the caller factorized this state last
+        assert same_bits(pf, np.where(state == qp.FREE, p, 0.0))
+        ref = reference_ratio(self, x, p, list(work), state, alpha_max)
+        assert out[1] == ref[1] and same_bits(out[0], ref[0])
+        counts["ratio"] += 1
+        return out
+
+    monkeypatch.setattr(qp._ActiveSet, "_factorize", factorize_spy)
+    monkeypatch.setattr(qp._ActiveSet, "_ratio", ratio_spy)
+    return counts

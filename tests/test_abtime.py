@@ -20,8 +20,10 @@ def test_checkout_against_itself(capsys):
         assert base_ms > 0.0 and head_ms > 0.0
         assert math.isfinite(ratio) and ratio > 0.0
         assert differ == 0 and welfare == 0.0 and price == 0.0 and flow == 0.0
-        # each side's CPU outside solve_qp is part of its total
+        # each side's CPU outside solve_qp, and in the master's root QP, is
+        # part of its total
         assert 0.0 < outside[0] <= base_ms and 0.0 < outside[1] <= head_ms
+        assert 0.0 < outside[2] <= base_ms and 0.0 < outside[3] <= head_ms
     # day-book has flows to compare
     results = abtime.compare(ROOT, ROOT, "day-book", range(3000, 3001), ["exact"], repeat=1)
     assert results["exact"][3:7] == (0, 0.0, 0.0, 0.0)
@@ -31,10 +33,13 @@ def test_checkout_against_itself(capsys):
     assert lines[0] == "paradox seeds 1000-1000, 1 repeats"
     assert lines[-2].split()[1:5] == ["base", "ms", "head", "ms"]
     assert lines[-2].split()[5:9] == ["base", "out", "head", "out"]
+    assert lines[-2].split()[9:13] == ["base", "root", "head", "root"]
     assert lines[-2].split()[-4:] == ["differ", "welfare", "price", "flow"]
     assert lines[-1].split()[0] == "exact"
     base_ms, head_ms, base_out, head_out = map(float, lines[-1].split()[1:5])
     assert 0.0 < base_out <= base_ms and 0.0 < head_out <= head_ms
+    base_root, head_root = map(float, lines[-1].split()[5:7])
+    assert 0.0 < base_root <= base_ms and 0.0 < head_root <= head_ms
     assert lines[-1].split()[-4:] == ["0", "0.0e+00", "0.0e+00", "0.0e+00"]
 
 
@@ -45,6 +50,17 @@ def test_qp_clock_times_only_the_wrapped_solves():
     assert clock.total == 0.0
     assert module.solve_qp(200000, x0=None) == sum(i * i for i in range(200000))
     assert clock.total > 0.0
+
+
+def test_qp_clock_roots_are_the_first_modules_solves_without_start():
+    work = lambda prob, **kw: sum(i * i for i in range(prob))  # noqa: E731
+    master, pricing = SimpleNamespace(solve_qp=work), SimpleNamespace(solve_qp=work)
+    clock = abtime.QpClock(master, pricing)
+    master.solve_qp(200000, x0=None, start=object())
+    pricing.solve_qp(200000, x0=None)
+    assert clock.total > 0.0 and clock.root == 0.0
+    master.solve_qp(200000, x0=None, start=None)
+    assert 0.0 < clock.root < clock.total
 
 
 class _OtherSelection:

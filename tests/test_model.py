@@ -12,7 +12,7 @@ from daclear.verify import _all_selections
 
 from helpers import (
     appendix_a, block, connector, diamond, empty_selection, f2, flexbid, make_instance,
-    pinned_relaxation, ramp_fixture, random_instance,
+    model_maps, pinned_relaxation, ramp_fixture, random_instance,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -22,25 +22,27 @@ class TestClearingRows:
     def test_flow_incidence_signs(self):
         inst = f2()
         model = build_model(inst)
-        col = model.A_eq[:, model.flow_col["c1", 0]]
+        maps = model_maps(model)
+        col = model.A_eq[:, maps.flow_col["c1", 0]]
         # c1 runs R -> S: it leaves the source and enters the sink
-        assert col[model.eq_row["R", 0]] == 1.0
-        assert col[model.eq_row["S", 0]] == -1.0
+        assert col[maps.eq_row["R", 0]] == 1.0
+        assert col[maps.eq_row["S", 0]] == -1.0
         assert np.count_nonzero(col) == 2
 
     def test_segment_spans_rhs_and_bounds(self):
         inst = ramp_fixture()
         model = build_model(inst)
-        for (a, t), r in model.eq_row.items():
+        maps = model_maps(model)
+        for (a, t), r in maps.eq_row.items():
             curve = inst.curves[a, t]
             assert model.b_eq[r] == -curve.min_net_demand
             for seg in curve.segments:
-                assert model.A_eq[r, model.seg_col[seg.id]] == seg.quantity_span
+                assert model.A_eq[r, maps.seg_col[seg.id]] == seg.quantity_span
         conn = inst.interconnectors[0]
         for t in range(inst.hours):
-            j = model.flow_col[conn.id, t]
+            j = maps.flow_col[conn.id, t]
             assert (model.lb[j], model.ub[j]) == (conn.lower[t], conn.upper[t])
-        seg_cols = list(model.seg_col.values())
+        seg_cols = list(maps.seg_col.values())
         assert np.all(model.lb[seg_cols] == 0.0)
         assert np.all(model.ub[seg_cols] == 1.0)
 
@@ -64,8 +66,7 @@ class TestRampRows:
         inst = ramp_fixture()
         conn = inst.interconnectors[0]
         model = build_model(inst)
-        f0 = model.flow_col["c1", 0]
-        f1 = model.flow_col["c1", 1]
+        f0, f1 = model_maps(model).flow_col["c1", 0], model_maps(model).flow_col["c1", 1]
         for r, (_, t, sense) in enumerate(model.ramp_keys):
             sgn = 1.0 if sense == "fwd" else -1.0
             row = model.A_in[r]
@@ -106,18 +107,19 @@ class TestLayout:
     def test_column_maps_follow_key_order(self, make):
         inst = make()
         model = build_model(inst)
+        maps = model_maps(model)
         assert model.seg_ids == tuple(s.id for s in inst.segments)
-        assert list(model.seg_col) == list(model.seg_ids)
-        assert list(model.seg_col.values()) == list(range(len(model.seg_ids)))
+        assert list(maps.seg_col) == list(model.seg_ids)
+        assert list(maps.seg_col.values()) == list(range(len(model.seg_ids)))
         assert model.flow_keys == tuple(
             (c.id, t) for c in inst.interconnectors for t in range(inst.hours)
         )
-        assert list(model.flow_col) == list(model.flow_keys)
-        assert list(model.flow_col.values()) == list(
+        assert list(maps.flow_col) == list(model.flow_keys)
+        assert list(maps.flow_col.values()) == list(
             range(len(model.seg_ids), model.n)
         )
-        assert list(model.eq_row) == list(model.eq_keys)
-        assert list(model.eq_row.values()) == list(range(len(model.eq_keys)))
+        assert list(maps.eq_row) == list(model.eq_keys)
+        assert list(maps.eq_row.values()) == list(range(len(model.eq_keys)))
         assert model.eq_keys == tuple(
             (a, t) for a in inst.areas for t in range(inst.hours)
         )
@@ -137,8 +139,9 @@ class TestLayout:
         assert prob.n == model.n + 7
         assert prob.c[model.bin_col["block", "p"]] == 80.0 * 10.0
         assert prob.c[model.bin_col["flex", "g", 1]] == 5.0 * -4.0
-        assert prob.A_eq[model.eq_row["X", 1], model.bin_col["block", "q"]] == 2.0
-        assert prob.A_eq[model.eq_row["X", 0], model.bin_col["flex", "f", 1]] == 0.0
+        eq_row = model_maps(model).eq_row
+        assert prob.A_eq[eq_row["X", 1], model.bin_col["block", "q"]] == 2.0
+        assert prob.A_eq[eq_row["X", 0], model.bin_col["flex", "f", 1]] == 0.0
         # the link q -> p, then the flex-once rows of f and g
         assert prob.A_in[:, model.n:].tolist() == [
             [-1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1, 1],
@@ -274,7 +277,6 @@ class TestBalancedStart:
         shuffled = replace(
             model, seg_ids=model.seg_ids[::-1], c=model.c[perm], d=model.d[perm],
             lb=model.lb[perm], ub=model.ub[perm], A_eq=model.A_eq[:, perm],
-            seg_col={sid: j for j, sid in enumerate(model.seg_ids[::-1])},
             row_segs=(([j for j, s in enumerate(spans) if s > 0.0], [s for s in spans if s > 0.0]),),
         )
         prob = replace(_model_qp(shuffled), b_eq=shuffled.b_eq + 10.0)
@@ -298,11 +300,12 @@ class TestBalancedStart:
         prob, model = pinned_relaxation(inst, BidSelection(blocks={"big": 1}))
         x = balanced_start(model, prob)
         resid = prob.b_eq - prob.A_eq @ x
-        assert abs(resid[model.eq_row["R", 0]]) <= 1e-9
-        assert resid[model.eq_row["S", 0]] == pytest.approx(-40.0)
+        maps = model_maps(model)
+        assert abs(resid[maps.eq_row["R", 0]]) <= 1e-9
+        assert resid[maps.eq_row["S", 0]] == pytest.approx(-40.0)
         warm = solve_qp(prob, x0=x)
         cold = solve_qp(prob)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         # at the optimum R sells all 50 MW to S
-        assert warm.x[model.flow_col["c1", 0]] == pytest.approx(50.0)
+        assert warm.x[maps.flow_col["c1", 0]] == pytest.approx(50.0)

@@ -13,6 +13,7 @@ from daclear.verify import _relaxations
 
 from helpers import (
     appendix_a,
+    model_maps,
     fixflow,
     qpprice,
     bench_instance,
@@ -113,7 +114,7 @@ class TestFixFlow:
             [connector("c", "X", "Y", [-10], [10])],
         )
         prob, model = pinned_relaxation(inst, BidSelection())
-        j = model.flow_col["c", 0]
+        j = model_maps(model).flow_col["c", 0]
         x0 = np.zeros(prob.n)
         x0[j] = 10.0
         sol = solve_qp(prob, x0=x0)

@@ -8,7 +8,7 @@ from daclear import qp
 from daclear.errors import TimeLimit
 from daclear.qp import QpProblem, multipliers, solve_qp
 
-from helpers import check_kkt
+from helpers import bench_instance, check_kkt, kernel_reference_spy
 
 
 def _prob(c, d, **kw):
@@ -407,9 +407,9 @@ class TestRankDeficientWorkingSets:
         assert solve_qp(fresh, x0=x0).iterations == 3
         curv = [entry[3] for entry in fresh.factors.values()]
         assert curv[:2] == [None, None] and len(curv) == 3
-        w, V, curved, divisor = curv[2]
-        assert (w.tolist(), V.tolist(), curved.tolist(), divisor.tolist()) == (
-            [-1.0], [[1.0]], [True], [-1.0]
+        w, V, Vc, wc = curv[2]
+        assert (w.tolist(), V.tolist(), Vc.tolist(), wc.tolist()) == (
+            [-1.0], [[1.0]], [[1.0]], [-1.0]
         )
         assert calls == []
         for h in (-1.0, -0.3, -7e-9, 0.0):
@@ -624,8 +624,8 @@ class TestFactorCache:
         solve_qp(prob)
         entries = list(prob.factors.values())
         assert entries
-        for Z, P, Vr, curv in entries:
-            arrays = [Z, P, Vr] + ([] if curv is None else list(curv))
+        for Z, P, Vr, curv, K, free in entries:
+            arrays = [Z, P, Vr, K, free] + ([] if curv is None else list(curv))
             for a in arrays:
                 with pytest.raises(ValueError):
                     a[...] = 0.0
@@ -922,3 +922,56 @@ class TestReleaseRule:
                 assert k == int(np.argmin(duals))
         # Bland's choice differs from Dantzig's at least once here
         assert any(after_zero)
+
+
+def _bench_clears():
+    """Exact and heuristic clears of paradox instance seeds 1000-1019 and
+    day-book instance seeds 3000-3019: their master, FixFlow and pricing
+    QPs."""
+    from daclear.driver import clear_exact, clear_heuristic
+
+    for family, first in (("paradox", 1000), ("day-book", 3000)):
+        for seed in range(first, first + 20):
+            instance = bench_instance(family, seed)
+            clear_exact(instance)
+            clear_heuristic(instance)
+
+
+class TestKernelArithmetic:
+    """The active-set kernel's factorizations and ratio tests give the bits
+    that the earlier forms (``helpers.reference_factorize`` and
+    ``helpers.reference_ratio``) give, call by call."""
+
+    def test_clearing_qps(self, monkeypatch):
+        counts = kernel_reference_spy(monkeypatch)
+        _bench_clears()
+        assert counts["factorize"] > 1500 and counts["ratio"] > 700 and counts["curved"] > 800
+
+    def test_random_qps_of_criterion_9(self, monkeypatch):
+        from test_acceptance import _random_qp
+
+        counts = kernel_reference_spy(monkeypatch)
+        rng = np.random.default_rng(99)
+        for _ in range(1000):
+            solve_qp(_random_qp(rng, int(rng.integers(1, 21))))
+        assert counts["factorize"] > 10000 and counts["ratio"] > 8000 and counts["curved"] > 8000
+
+
+def test_array_starts_that_hold_every_row_pass_the_row_test(monkeypatch):
+    # FixFlow's and pricing's QPs start from arrays; when one, clipped into
+    # the box, holds every row, solve_qp skips the row test, which could
+    # not refute it
+    from daclear import pricing
+
+    checked, solve = [], pricing.solve_qp
+
+    def spy(prob, x0=None, **kwargs):
+        first = qp._clipped(prob, x0)
+        if qp.rows_hold(prob, first):
+            assert qp._row_test(replace(prob)) is None
+            checked.append(1)
+        return solve(prob, x0=x0, **kwargs)
+
+    monkeypatch.setattr(pricing, "solve_qp", spy)
+    _bench_clears()
+    assert len(checked) > 200

@@ -11,6 +11,7 @@ from daclear.verify import _all_selections, _relaxations
 
 from helpers import (
     appendix_a,
+    model_maps,
     check_kkt,
     empty_selection,
     f2,
@@ -128,7 +129,7 @@ class TestSolveRelaxation:
         assert mult.y_eq == pytest.approx([10.0, 40.0], abs=1e-7)
         # capacity multiplier equals the price spread
         _, model = pinned_relaxation(inst, empty_selection(inst))
-        assert mult.nu_upper[model.flow_col["c1", 0]] == pytest.approx(30.0, abs=1e-6)
+        assert mult.nu_upper[model_maps(model).flow_col["c1", 0]] == pytest.approx(30.0, abs=1e-6)
 
     def test_ramp_limits_bind(self):
         inst = ramp_fixture()

@@ -15,7 +15,7 @@ from daclear.io import parse_instance
 from daclear.model import build_model
 
 from helpers import (
-    bench_instance, paradox_book, random_instance, reference_fixflow_problem,
+    bench_instance, model_maps, paradox_book, random_instance, reference_fixflow_problem,
     reference_model, reference_price_rows,
 )
 
@@ -43,9 +43,10 @@ def test_model_arrays_equal_the_loop_built_ones(books):
         for name in ("c", "d", "lb", "ub", "A_eq", "b_eq", "A_in", "b_in",
                      "bin_c", "bin_A_eq", "link_A", "link_b", "vertical"):
             assert _bits(getattr(model, name)) == _bits(getattr(ref, name)), name
-        for name in ("seg_ids", "flow_keys", "eq_keys", "ramp_keys", "seg_col", "flow_col",
-                     "eq_row", "bin_keys", "bin_col"):
+        for name in ("seg_ids", "flow_keys", "eq_keys", "ramp_keys", "bin_keys", "bin_col"):
             assert getattr(model, name) == getattr(ref, name), name
+        maps = model_maps(model)
+        assert (maps.seg_col, maps.flow_col, maps.eq_row) == (ref.seg_col, ref.flow_col, ref.eq_row)
         for got, want in zip(model.flow_rows, ref.flow_rows):
             assert _bits(got) == _bits(want)
         assert len(model.row_segs) == len(ref.row_segs)

@@ -12,7 +12,9 @@ instance to the next.  Per mode the script prints each side's median CPU
 milliseconds per clear (over instances, of each instance's median clear),
 then the same median of the CPU a clear spends outside ``solve_qp`` (each
 side's ``solve_qp`` is wrapped where ``master`` and ``pricing`` call it and
-timed with ``time.process_time``, wrapper included),
+timed with ``time.process_time``, wrapper included) and of the CPU it
+spends in the master's root QP (the ``master.solve_qp`` calls without a
+parametric ``start``),
 the median over instances of the HEAD/BASE ratio, the number of instances
 whose status or selection differ between the sides, and the largest
 relative welfare difference and the largest absolute price and flow
@@ -45,20 +47,27 @@ MODES = ("exact", "heuristic")
 
 
 class QpClock:
-    """CPU seconds spent in ``solve_qp`` where the modules it wraps call it."""
+    """CPU seconds spent in ``solve_qp`` where the modules it wraps call it
+    (``total``), and in the calls of the first module's ``solve_qp`` that
+    pass no ``start`` (``root``: the master's root QP, when the first
+    module is ``master``)."""
 
     def __init__(self, *modules):
         self.total = 0.0
-        for module in modules:
-            module.solve_qp = self._wrap(module.solve_qp)
+        self.root = 0.0
+        for i, module in enumerate(modules):
+            module.solve_qp = self._wrap(module.solve_qp, i == 0)
 
-    def _wrap(self, solve):
+    def _wrap(self, solve, rooted):
         def timed(*args, **kwargs):
             start = time.process_time()
             try:
                 return solve(*args, **kwargs)
             finally:
-                self.total += time.process_time() - start
+                spent = time.process_time() - start
+                self.total += spent
+                if rooted and kwargs.get("start") is None:
+                    self.root += spent
 
         return timed
 
@@ -119,7 +128,8 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
     """Per mode: (base ms, head ms, median head/base ratio, instances whose
     status or selection differ, largest relative welfare difference,
     largest absolute price difference, largest absolute flow difference,
-    base ms outside ``solve_qp``, head ms outside it)."""
+    base ms outside ``solve_qp``, head ms outside it, base ms in the
+    master's root QP, head ms in it)."""
     sys.path.insert(0, str(ROOT / "bench"))
     import generate
 
@@ -133,20 +143,21 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
         texts = [generate.instance_text(family, seed) for seed in seeds]
         out = {}
         for mode in modes:
-            times, out_times = ([], []), ([], [])
+            times, out_times, root_times = ([], []), ([], []), ([], [])
             differ, welfare, price, flow = 0, 0.0, 0.0, 0.0
             for i, text in enumerate(texts):
                 instances = [io.parse_instance(text) for io, _, _ in sides]
                 order = (0, 1) if i % 2 == 0 else (1, 0)
-                runs, outside = ([], []), ([], [])
+                runs, outside, root = ([], []), ([], []), ([], [])
                 outcome, values = [None, None], [None, None]
                 for _ in range(repeat):
                     for side in order:
                         _, driver, clock = sides[side]
-                        in_qp = clock.total
+                        in_qp, in_root = clock.total, clock.root
                         cpu, outcome[side], values[side] = _clear(driver, mode, instances[side])
                         runs[side].append(cpu)
                         outside[side].append(cpu - (clock.total - in_qp))
+                        root[side].append(clock.root - in_root)
                 differ += outcome[0] != outcome[1]
                 (w0, p0, f0), (w1, p1, f1) = values
                 welfare = max(welfare, _relative(w0, w1))
@@ -155,6 +166,7 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                 for side in (0, 1):
                     times[side].append(statistics.median(runs[side]))
                     out_times[side].append(statistics.median(outside[side]))
+                    root_times[side].append(statistics.median(root[side]))
             ratios = [h / b for b, h in zip(*times) if b > 0.0]
             out[mode] = (
                 1e3 * statistics.median(times[0]),
@@ -166,6 +178,8 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                 flow,
                 1e3 * statistics.median(out_times[0]),
                 1e3 * statistics.median(out_times[1]),
+                1e3 * statistics.median(root_times[0]),
+                1e3 * statistics.median(root_times[1]),
             )
         return out
 
@@ -184,12 +198,13 @@ def main(argv=None) -> int:
     print(f"{args.family} seeds {seeds.start}-{seeds.stop - 1}, {args.repeat} repeats")
     print(f"base {args.base.resolve()}\nhead {args.head.resolve()}")
     print(f"{'mode':10s} {'base ms':>9s} {'head ms':>9s} {'base out':>9s} {'head out':>9s}"
+          f" {'base root':>9s} {'head root':>9s}"
           f" {'head/base':>9s} {'differ':>6s} {'welfare':>8s} {'price':>8s} {'flow':>8s}")
     results = compare(args.base, args.head, args.family, seeds, args.modes, args.repeat)
-    for mode, (base_ms, head_ms, ratio, differ, welfare, price, flow, base_out, head_out) in (
-        results.items()
-    ):
+    for mode, (base_ms, head_ms, ratio, differ, welfare, price, flow, *qp_ms) in results.items():
+        base_out, head_out, base_root, head_root = qp_ms
         print(f"{mode:10s} {base_ms:9.3f} {head_ms:9.3f} {base_out:9.3f} {head_out:9.3f}"
+              f" {base_root:9.3f} {head_root:9.3f}"
               f" {ratio:9.3f} {differ:6d} {welfare:8.1e} {price:8.1e} {flow:8.1e}")
     return 0
 
