@@ -364,25 +364,31 @@ def build_net_curve(
     return NetCurve(area=area, hour=hour, min_net_demand=pts[-1][1], segments=segments)
 
 
-def selection_terms(instance: Instance, selection: BidSelection) -> FixedSelectionTerms:
-    """Welfare constant and per-(area, hour) combinatorial volume of a selection."""
-    constant = 0.0
-    volume = {(a, t): 0.0 for a in instance.areas for t in range(instance.hours)}
+def _executed(instance: Instance, selection: BidSelection):
+    """(area, hour, limit price, quantity) per executed hour of each
+    executed bid: blocks in id order, then flex bids in id order."""
     for bid in selection.executed_blocks():
         if bid not in instance.block_by_id:
             raise UnknownId(f"unknown block id {bid!r}")
         b = instance.block_by_id[bid]
         for t, q in enumerate(b.quantities):
-            constant += b.limit_price * q
-            volume[b.area, t] += q
+            yield b.area, t, b.limit_price, q
     for fid, t in selection.executed_flex():
         if fid not in instance.flex_by_id:
             raise UnknownId(f"unknown flex id {fid!r}")
         if not 0 <= t < instance.hours:
             raise UnknownId(f"flex {fid!r} executed in unknown hour {t}")
         f = instance.flex_by_id[fid]
-        constant += f.limit_price * f.quantity
-        volume[f.area, t] += f.quantity
+        yield f.area, t, f.limit_price, f.quantity
+
+
+def selection_terms(instance: Instance, selection: BidSelection) -> FixedSelectionTerms:
+    """Welfare constant and per-(area, hour) combinatorial volume of a selection."""
+    constant = 0.0
+    volume = {(a, t): 0.0 for a in instance.areas for t in range(instance.hours)}
+    for a, t, price, q in _executed(instance, selection):
+        constant += price * q
+        volume[a, t] += q
     return FixedSelectionTerms(constant=constant, volume=volume)
 
 
@@ -407,10 +413,11 @@ def welfare(
             raise UnknownId(f"unknown segment id {sid}")
     total = 0.0
     for seg in instance.segments:
-        d = delta.get(seg.id, 0.0)
-        total += segment_fill_value(seg, d)
-    terms = selection_terms(instance, BidSelection(blocks=blocks, flex=flex))
-    return total + terms.constant
+        total += segment_fill_value(seg, delta.get(seg.id, 0.0))
+    constant = 0.0
+    for _, _, price, q in _executed(instance, BidSelection(blocks=blocks, flex=flex)):
+        constant += price * q
+    return total + constant
 
 
 def welfare_of(instance: Instance, solution: PrimalSolution) -> float:

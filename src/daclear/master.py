@@ -119,20 +119,20 @@ def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
     lowest = None
     for _ in range(PROPAGATION_PASSES):
         free = lb[cols] < ub[cols]
-        if not free.any():
+        if not np.count_nonzero(free):
             break
         lowest = low, row = _lowest_activity(prob, lb, ub)
         if row is not None:
             break
         ruled = size * free > (broken - low)[:, None]
-        if not ruled.any():
+        if not np.count_nonzero(ruled):
             break
         lowest = None
         no_one, no_zero = (ruled & positive).any(axis=0), (ruled & negative).any(axis=0)
         lb, ub = lb.copy(), ub.copy()
         ub[cols][no_one] = 0.0
         lb[cols][no_zero & ~no_one] = 1.0
-        if (no_one & no_zero).any():
+        if np.count_nonzero(no_one & no_zero):
             break
     return lb, ub, lowest
 

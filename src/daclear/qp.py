@@ -75,7 +75,7 @@ class QpProblem:
         self.b_in = np.asarray(self.b_in, dtype=float)
         self.lb = np.asarray(self.lb, dtype=float)
         self.ub = np.asarray(self.ub, dtype=float)
-        if (self.d > 1e-12).any():
+        if np.count_nonzero(self.d > 1e-12):
             raise ValueError("quadratic diagonal must be nonpositive")
 
     @property
@@ -201,6 +201,7 @@ class _ActiveSet:
         self.ub = ub
         self.n = len(c)
         self.factors = OrderedDict() if factors is None else factors
+        self.limits = None  # ``_ratio``'s, made on its first call
 
     def start(self, x):
         """Working rows and column states of the constraints tight at x."""
@@ -363,7 +364,9 @@ class _ActiveSet:
             # one the exact step leaves alone must stay where it is
             size = np.abs(dx)
             dx[size <= 1e-14 * size[size.argmax()]] = 0.0
-            duals = self._signed_duals(state, free, K, P, Vr, np.column_stack((c + d * x, d * dx)))
+            grads = np.empty((n, 2))  # np.column_stack's layout
+            grads[:, 0], grads[:, 1] = c + d * x, d * dx
+            duals = self._signed_duals(state, free, K, P, Vr, grads)
             # a constraint that becomes tight at the end, up to round-off,
             # still joins, as it would on a vertex-to-vertex path
             dx_free = np.zeros(n)
@@ -421,7 +424,7 @@ class _ActiveSet:
             Z, P, Vr, curv, K, free = entry
             return free, K, Z, P, Vr, curv
         free = mask.nonzero()[0]
-        K = np.concatenate((self.A, self.G[work])) if work else self.A.view()
+        K = np.concatenate((self.A, self.G.take(work, axis=0))) if work else self.A.view()
         Z, P, Vr = _factor(K.take(free, axis=1))
         curv = None
         df = self.d.take(free)
@@ -479,11 +482,6 @@ class _ActiveSet:
         else:
             state[k - len(work)] = FREE
 
-    @cached_property
-    def _limits(self):
-        # the ratio test's limits, as ``_ratio`` numbers its constraints
-        return np.concatenate((self.h, self.ub, -self.lb))
-
     def _ratio(self, x, p, pf, work, alpha_max):
         """(alpha, block): the longest step up to alpha_max along p, whose
         free part (zero on the other columns) is pf, and the constraint
@@ -497,9 +495,11 @@ class _ActiveSet:
         hit = (rate > 1e-12).nonzero()[0]
         if not len(hit):
             return alpha_max, None
+        if self.limits is None:
+            self.limits = np.concatenate((self.h, self.ub, -self.lb))
         # a slack that an infinite bound makes infinite gives an infinite
         # ratio, which blocks nothing
-        slack = (self._limits - np.concatenate((self.G @ x, x, -x))).take(hit)
+        slack = (self.limits - np.concatenate((self.G @ x, x, -x))).take(hit)
         ratios = np.maximum(slack, 0.0) / rate.take(hit)
         alpha = float(ratios[ratios.argmin()])
         if not alpha < alpha_max - 1e-14:
@@ -529,13 +529,12 @@ def _first_zero(level, rate):
     in an entry whose rate is positive, and the lowest such entry; (inf,
     None) when no rate is positive.  Entries already below zero count as
     zero."""
-    falling = rate > 1e-12
-    ratios = np.divide(np.maximum(level, 0.0), rate, out=np.full(len(rate), np.inf), where=falling)
-    k = int(ratios.argmin())
-    t = float(ratios[k])
+    falling = (rate > 1e-12).nonzero()[0]
+    ratios = np.maximum(level.take(falling), 0.0) / rate.take(falling)
+    t = float(ratios[ratios.argmin()]) if len(falling) else np.inf
     if t == np.inf:
         return t, None
-    return t, int((ratios <= t + 1e-14).argmax())
+    return t, int(falling[(ratios <= t + 1e-14).argmax()])
 
 
 # per state, whether its column takes a lower- or an upper-bound multiplier
@@ -562,12 +561,12 @@ def _phase1(prob: QpProblem, x0: np.ndarray, deadline=None):
     r_eq = b - A @ x0
     excess = G @ x0 - h
     viol = (excess > FEAS_TOL).nonzero()[0]
-    if (np.abs(r_eq) <= FEAS_TOL).all() and len(viol) == 0:
+    if np.count_nonzero(np.abs(r_eq) <= FEAS_TOL) == len(b) and len(viol) == 0:
         return x0, None, 0
     # z = [x, s_eq, s_in], all artificials nonnegative, maximize -sum(s)
     m, k = len(b), len(viol)
-    A1 = np.hstack([A, np.diag(np.where(r_eq >= 0, 1.0, -1.0)), np.zeros((m, k))])
-    G1 = np.hstack([G, np.zeros((len(h), m)), -np.eye(len(h))[:, viol]])
+    A1 = np.concatenate([A, np.diag(np.where(r_eq >= 0, 1.0, -1.0)), np.zeros((m, k))], axis=1)
+    G1 = np.concatenate([G, np.zeros((len(h), m)), -np.eye(len(h))[:, viol]], axis=1)
     c1 = np.concatenate([np.zeros(n), -np.ones(m + k)])
     lb1 = np.concatenate([prob.lb, np.zeros(m + k)])
     ub1 = np.concatenate([prob.ub, np.full(m + k, np.inf)])
@@ -598,8 +597,8 @@ def _lowest_activity(prob: QpProblem, lb, ub):
     the artificial on that row must carry over INFEAS_TOL."""
     M, broken, pos, neg = prob._activity_rows
     low = (M * np.where(pos, lb, np.where(neg, ub, 0.0))).sum(axis=1)
-    over = low > broken
-    return low, int(over.argmax()) if over.any() else None
+    over = (low > broken).nonzero()[0]
+    return low, int(over[0]) if len(over) else None
 
 
 def _row_test(prob: QpProblem) -> Optional[dict]:
@@ -621,9 +620,9 @@ def _row_test(prob: QpProblem) -> Optional[dict]:
 
 def rows_hold(prob: QpProblem, x: np.ndarray) -> bool:
     """True when x satisfies prob's rows at FEAS_TOL."""
-    return bool(
-        (np.abs(prob.A_eq @ x - prob.b_eq) <= FEAS_TOL).all()
-        and (prob.A_in @ x <= prob.b_in + FEAS_TOL).all()
+    return (
+        np.count_nonzero(np.abs(prob.A_eq @ x - prob.b_eq) <= FEAS_TOL) == len(prob.b_eq)
+        and np.count_nonzero(prob.A_in @ x <= prob.b_in + FEAS_TOL) == len(prob.b_in)
     )
 
 
@@ -639,12 +638,14 @@ def _warm_start(solver: _ActiveSet, prob: QpProblem, start: QpSolution, deadline
         return None
     work, state = list(start.working.rows), start.working.state.copy()
     state[prob.lb == prob.ub] = PINNED
-    out = solver.follow(start.x.copy(), work, state, deadline)
+    out = solver.follow(start.x, work, state, deadline)  # which leaves start.x as it is
     if out is None:
         return None
     x, breakpoints = out
+    n = prob.n
     if not (
-        rows_hold(prob, x) and (x >= prob.lb - FEAS_TOL).all() and (x <= prob.ub + FEAS_TOL).all()
+        rows_hold(prob, x) and np.count_nonzero(x >= prob.lb - FEAS_TOL) == n
+        and np.count_nonzero(x <= prob.ub + FEAS_TOL) == n
     ):
         return None
     return x, work, state, breakpoints
