@@ -178,14 +178,6 @@ class PriceVector:
 
 
 @dataclass(frozen=True)
-class FixedSelectionTerms:
-    """Objective constant and per-(area, hour) volume of a fixed selection."""
-
-    constant: float
-    volume: Mapping[tuple[str, int], float]
-
-
-@dataclass(frozen=True)
 class Instance:
     interval: PriceInterval
     hours: int
@@ -382,16 +374,6 @@ def _executed(instance: Instance, selection: BidSelection):
         yield f.area, t, f.limit_price, f.quantity
 
 
-def selection_terms(instance: Instance, selection: BidSelection) -> FixedSelectionTerms:
-    """Welfare constant and per-(area, hour) combinatorial volume of a selection."""
-    constant = 0.0
-    volume = {(a, t): 0.0 for a in instance.areas for t in range(instance.hours)}
-    for a, t, price, q in _executed(instance, selection):
-        constant += price * q
-        volume[a, t] += q
-    return FixedSelectionTerms(constant=constant, volume=volume)
-
-
 def segment_fill_value(seg: NetCurveSegment, delta: float) -> float:
     """Welfare contribution of filling ``seg`` to fraction ``delta``."""
     return (
@@ -430,7 +412,9 @@ def clearing_residuals(
     instance: Instance, solution: PrimalSolution
 ) -> dict[tuple[str, int], float]:
     """Executed net demand minus net import, per (area, hour)."""
-    terms = selection_terms(instance, solution.selection)
+    volume = {(a, t): 0.0 for a in instance.areas for t in range(instance.hours)}
+    for a, t, _, q in _executed(instance, solution.selection):
+        volume[a, t] += q
     res = {}
     for a in instance.areas:
         for t in range(instance.hours):
@@ -438,7 +422,7 @@ def clearing_residuals(
             vol = curve.min_net_demand + sum(
                 s.quantity_span * solution.delta.get(s.id, 0.0) for s in curve.segments
             )
-            vol += terms.volume[a, t]
+            vol += volume[a, t]
             net_import = 0.0
             for c in instance.interconnectors:
                 flow = solution.flows.get((c.id, t), 0.0)
@@ -516,31 +500,26 @@ def surplus_report(
     )
 
 
-def _price_where_quantity_below(nodes, target, interval, eps=1e-9):
-    """Smallest price at which the polyline quantity is <= target."""
-    target = target + eps
-    if nodes[0][1] <= target:
-        return interval.lower
-    for (p0, q0), (p1, q1) in zip(nodes, nodes[1:]):
-        if q1 <= target:
-            if p1 == p0 or q0 == q1:
-                return p1
-            return p0 + (q0 - target) / (q0 - q1) * (p1 - p0)
-    return interval.upper
-
-
-def _price_where_quantity_above(nodes, target, interval, eps=1e-9):
-    """Largest price at which the polyline quantity is >= target."""
-    target = target - eps
-    if nodes[-1][1] >= target:
-        return interval.upper
-    for (p0, q0), (p1, q1) in zip(reversed(nodes), list(reversed(nodes))[1:]):
-        # walking down: p0 >= p1, q0 <= q1
-        if q1 >= target:
-            if p1 == p0 or q0 == q1:
-                return p1
-            return p1 + (q1 - target) / (q1 - q0) * (p0 - p1)
-    return interval.lower
+def _price_band(nodes, lo_q, hi_q, interval, eps=1e-9):
+    """(lo_p, hi_p) in one walk up the ascending (price, quantity)
+    polyline, whose quantities fall: the smallest price at which its
+    quantity is <= hi_q and the largest at which it is >= lo_q (<= hi_q),
+    the interval's upper and lower bound where there is none."""
+    hi_t, lo_t = hi_q + eps, lo_q - eps
+    lo_p = interval.lower if nodes[0][1] <= hi_t else None
+    top = nodes[-1][1] >= lo_t  # so hi_p is the upper bound
+    hi_p = interval.upper if top else interval.lower
+    pairs = () if top and lo_p is not None else zip(nodes, nodes[1:])  # () once both are found
+    for (p0, q0), (p1, q1) in pairs:
+        if top and lo_p is not None:
+            break
+        if lo_p is None and q1 <= hi_t:
+            lo_p = p1 if p1 == p0 or q0 == q1 else p0 + (q0 - hi_t) / (q0 - q1) * (p1 - p0)
+        if q1 < lo_t:  # so lo_p is found
+            if q0 >= lo_t:  # the last node at or above lo_q
+                hi_p = p0 if p1 == p0 or q0 == q1 else p0 + (q0 - lo_t) / (q0 - q1) * (p1 - p0)
+            break
+    return (interval.upper if lo_p is None else lo_p), hi_p
 
 
 def presolve_price_bounds(instance: Instance) -> dict[tuple[str, int], PriceInterval]:
@@ -570,9 +549,7 @@ def presolve_price_bounds(instance: Instance) -> dict[tuple[str, int], PriceInte
                 if c.source == a:
                     hi_q -= c.lower[t]
                     lo_q -= c.upper[t]
-            nodes = instance.curves[a, t].nodes()
-            lo_p = _price_where_quantity_below(nodes, hi_q, instance.interval)
-            hi_p = _price_where_quantity_above(nodes, lo_q, instance.interval)
+            lo_p, hi_p = _price_band(instance.curves[a, t].nodes(), lo_q, hi_q, instance.interval)
             lo_p = instance.interval.clamp(lo_p)
             hi_p = instance.interval.clamp(max(hi_p, lo_p))
             bounds[a, t] = PriceInterval(lo_p, hi_p)

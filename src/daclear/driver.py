@@ -75,16 +75,16 @@ def _price(instance, model, x, relax_losses, deadline, duals):
 
 def _leaf_test(instance, model, solution, x, exact, deadline, duals):
     """Strict pricing and the curtailment check decide the leaf in both
-    modes (``solution`` needs only the leaf's selection and its
-    curtailment segments' fills): one with loss-free prices and no curtailment violation passes
+    modes: one with loss-free prices and no curtailment violation passes
     with empty loss sets.  Loss-free prices make the least relaxed loss 0,
     so only a leaf without them runs relaxed pricing, for its record's
     loss sets and heuristic mode's bid cut.  Exact mode cuts off a failed
     leaf with one no-good cut; heuristic mode with a bid cut on the loss
     sets plus curtailment cuts, or a no-good cut when relaxed pricing
-    fails or these give no cut.  Both pricings read x, the leaf's point
-    after FixFlow, and start from ``duals``, its multipliers in the master
-    (``MasterResult.duals``)."""
+    fails or these give no cut.  Of ``solution`` the test reads only the
+    selection and the curtailment fills.  Both pricings read x, the leaf's
+    point after FixFlow, and start from ``duals``, its multipliers in the
+    master (``MasterResult.duals``)."""
     pricing = _price(instance, model, x, False, deadline, duals)
     curt = curtailment_violations(instance, solution)
     if pricing is not None and not curt:
@@ -148,8 +148,7 @@ def _branch_and_cut(instance, options, mode):
 
     def leaf_test(leaf):
         x = solve_fixflow(instance, model, leaf.x, leaf.duals, deadline)
-        # the leaf test reads only the selection and the curtailment fills
-        fills = model.curtailment_fills(leaf.selection, x)
+        fills = PrimalSolution(leaf.selection, {s: float(x[j]) for s, j in model.curtailment}, {})
         sets, curt, pricing, cuts = _leaf_test(
             instance, model, fills, x, exact, deadline, leaf.duals
         )
@@ -173,11 +172,10 @@ def _branch_and_cut(instance, options, mode):
     bound = tested[0][0].bound if tested else float("inf")  # the cut-free master's
     if master.status == "optimal":
         leaf, x, pricing = tested[-1]
-        solution = model.primal(leaf.selection, x)
         # every selection exact mode excluded lacked loss-free prices,
         # so the accepted leaf's objective is also the tight dual bound
         final = master.objective if exact else bound
-        return _finish(instance, mode, solution, pricing, final, iterations)
+        return _finish(instance, mode, model.primal(leaf.selection, x), pricing, final, iterations)
     if exact and master.status == "limit":
         bound = master.bound
     return _no_solution(master.status, mode, bound, iterations)

@@ -44,9 +44,7 @@ class MasterResult:
     model: Optional[ClearingModel] = field(default=None, repr=False, compare=False)
 
     @property
-    def solution(self) -> Optional[PrimalSolution]:
-        """The selection with the fills and flows of x, built on each call:
-        the driver reads x and builds them only for the accepted leaf."""
+    def solution(self) -> Optional[PrimalSolution]:  # built on each call
         return None if self.selection is None else self.model.primal(self.selection, self.x)
 
 

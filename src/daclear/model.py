@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BidSelection, Instance, PrimalSolution
-from .qp import FEAS_TOL, QpProblem, rows_hold
+from .qp import FEAS_TOL, QpProblem, _clipped, rows_hold
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,6 @@ class ClearingModel:
             else:
                 flex.setdefault(key[1])
         return BidSelection(blocks=blocks, flex=flex)
-
-    def curtailment_fills(self, selection: BidSelection, x: np.ndarray) -> PrimalSolution:
-        """``selection`` with only the curtailment segments' fills that
-        ``x`` gives them: all that ``cuts.curtailment_violations`` reads."""
-        fills = x.tolist()
-        return PrimalSolution(
-            selection=selection, delta={sid: fills[j] for sid, j in self.curtailment}, flows={}
-        )
 
     def primal(self, selection: BidSelection, x: np.ndarray) -> PrimalSolution:
         """``selection`` with the fills and flows that ``x``, a point of a
@@ -291,8 +283,7 @@ def balanced_start(
     with too much empties its last filled segments.  Flows, other columns
     and inequality rows are left alone, so phase 1 runs only for the rows
     no curve can balance and for violated inequality rows."""
-    # np.clip's values, a bound on ties included, in two cheaper ufunc calls
-    x = np.minimum(np.maximum(np.zeros(prob.n) if x0 is None else x0, prob.lb), prob.ub)
+    x = _clipped(prob, x0)
     residual = prob.b_eq - prob.A_eq @ x
     rows = (np.abs(residual) > FEAS_TOL).nonzero()[0].tolist()
     if not rows:

@@ -160,19 +160,13 @@ class Multipliers:
 def _factor(K: np.ndarray):
     """(Z, P, Vr) from one SVD  K = U S V'  with the RANK_TOL rank rule: Z
     spans the null space of K, and  P @ (Vr @ g)  applies the truncated
-    pseudo-inverse of K' to g, which gives the least-squares multipliers.
-    The three arrays are read-only."""
+    pseudo-inverse of K' to g, which gives the least-squares multipliers."""
     if K.shape[0] == 0:
-        Z, P, Vr = np.eye(K.shape[1]), np.zeros((0, 0)), np.zeros((0, K.shape[1]))
-        Z.flags.writeable = Vr.flags.writeable = False
-    else:
-        u, s, vt = np.linalg.svd(K, full_matrices=True)
-        vt.flags.writeable = False  # so are Z and Vr, its views
-        tol = max(K.shape) * (float(s[0]) if len(s) else 0.0) * RANK_TOL + RANK_TOL
-        rank = int(np.count_nonzero(s > tol))
-        Z, P, Vr = vt[rank:].T, u[:, :rank] / s[:rank], vt[:rank]
-    P.flags.writeable = False
-    return Z, P, Vr
+        return np.eye(K.shape[1]), np.zeros((0, 0)), np.zeros((0, K.shape[1]))
+    u, s, vt = np.linalg.svd(K, full_matrices=True)
+    tol = max(K.shape) * (float(s[0]) if len(s) else 0.0) * RANK_TOL + RANK_TOL
+    rank = int(np.count_nonzero(s > tol))
+    return vt[rank:].T, u[:, :rank] / s[:rank], vt[:rank]
 
 
 # column states: bounds stay bounds, never rows of the working matrix
@@ -191,17 +185,10 @@ class _ActiveSet:
     lowest number."""
 
     def __init__(self, c, d, A, b, G, h, lb, ub, factors=None):
-        self.c = c
-        self.d = d
-        self.A = A
-        self.b = b
-        self.G = G
-        self.h = h
-        self.lb = lb
-        self.ub = ub
+        self.c, self.d, self.A, self.b, self.G, self.h, self.lb, self.ub = c, d, A, b, G, h, lb, ub
         self.n = len(c)
         self.factors = OrderedDict() if factors is None else factors
-        self.limits = None  # ``_ratio``'s, made on its first call
+        self.limits = np.concatenate((h, ub, -lb))  # ``_ratio``'s, in its numbering
 
     def start(self, x):
         """Working rows and column states of the constraints tight at x."""
@@ -240,14 +227,11 @@ class _ActiveSet:
                     w, V, _, wc = curv
                     gv = V.T @ gz
                     k = len(wc)
-                    if k == len(w):
-                        step = -gv / wc
-                    else:
-                        step = np.zeros(len(w))
-                        step[:k] = -gv[:k] / wc
-                        gv[:k] = 0.0
-                        if sqrt(gv @ gv) > DUAL_TOL:
-                            ascent = V @ gv
+                    step = np.zeros(len(w))
+                    step[:k] = -gv[:k] / wc
+                    gv[:k] = 0.0
+                    if k < len(w) and sqrt(gv @ gv) > DUAL_TOL:
+                        ascent = V @ gv
                     p = np.zeros(n)
                     p[free] = Z @ (V @ step)
                 elif sqrt(gz @ gz) > DUAL_TOL:
@@ -313,16 +297,13 @@ class _ActiveSet:
         dependent constraint has nothing to replace, or after
         ``2n + len(h) + 5`` breakpoints."""
         c, d, n, nh, lb = self.c, self.d, self.n, len(self.h), self.lb
-        pinned = (state == PINNED).nonzero()[0]
+        pinned = state == PINNED
         # a column that round-off alone keeps from its value takes it at once
-        xp, lp = x[pinned], lb[pinned]
-        xp = np.where(np.abs(xp - lp) <= END_TOL * np.maximum(1.0, np.abs(lp)), lp, xp)
-        x = x.copy()
-        x[pinned] = xp
-        move = pinned[xp != lp]
-        if not len(move):
+        x = np.where(pinned & (np.abs(x - lb) <= END_TOL * np.maximum(1.0, np.abs(lb))), lb, x)
+        move = pinned & (x != lb)
+        entering = move.nonzero()[0].tolist()
+        if not entering:
             return x, 0
-        entering = move.tolist()
         steps = 0
         while True:
             if steps > 2 * n + nh + 5:
@@ -352,8 +333,7 @@ class _ActiveSet:
             # per unit of the segment: the moving columns' remaining way,
             # and the free columns' least-norm answer plus the curved
             # null-space part that keeps them stationary
-            dx = np.zeros(n)
-            dx[move] = lb[move] - x[move]
+            dx = np.where(move, lb - x, 0.0)
             dxf = -(Vr.T @ (P.T @ (K @ dx)))
             if curv is not None:
                 Vc, wc = curv[2:]
@@ -406,16 +386,14 @@ class _ActiveSet:
 
     def _factorize(self, work, state):
         """(free, K, Z, P, Vr, curv) of the working rows and column states:
-        the free columns (ascending indices), the working matrix,
-        ``_factor`` of its free part and, when the free columns curve,
-        (w, V, Vc, wc): the eigendecomposition of the reduced Hessian  Z'DZ
-        (eigenvalues ascending, so the curved ones, below -CURV_TOL times
-        the largest |w| or 1, lead) and its curved columns of V and entries
-        of w.  A cache entry of
-        ``self.factors``, keyed by the working rows and the free-column
-        mask, holds (Z, P, Vr, curv, K, free), all read-only: a hit returns
-        the arrays a fresh factorization did, and a miss builds them and
-        stores them, evicting beyond FACTOR_CACHE_SIZE."""
+        the free columns' indices, the working matrix, ``_factor`` of its
+        free part and, when the free columns curve, (w, V, Vc, wc): the
+        eigendecomposition of the reduced Hessian  Z'DZ, whose ascending
+        eigenvalues put the curved ones (below -CURV_TOL times the largest
+        |w| or 1) first, and their columns of V and entries of w.  An entry
+        of ``self.factors``, keyed by the working rows and free columns,
+        holds (Z, P, Vr, curv, K, free), all read-only: a hit returns the
+        arrays a miss built and stored (evicting beyond FACTOR_CACHE_SIZE)."""
         mask = state == FREE
         key = (tuple(work), mask.tobytes())
         entry = self.factors.get(key)
@@ -433,12 +411,11 @@ class _ActiveSet:
             # eigh of a 1 x 1 matrix returns exactly its entry and [[1.0]]
             w, V = (H[0], np.ones((1, 1))) if len(H) == 1 else np.linalg.eigh(H)
             scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
-            curved = w < -CURV_TOL * scale
-            curv = (w, V, V[:, curved], w[:int(np.count_nonzero(curved))])
-            for a in curv:
-                a.setflags(write=False)
-        K.setflags(write=False)
-        free.setflags(write=False)
+            k = int(np.count_nonzero(w < -CURV_TOL * scale))
+            # V[:, :k] laid out as V[:, curved] is: column-major
+            curv = (w, V, V[:, :k].copy(order="F"), w[:k])
+        for a in (Z, P, Vr, K, free, *(curv or ())):
+            a.setflags(write=False)
         self.factors[key] = (Z, P, Vr, curv, K, free)
         if len(self.factors) > FACTOR_CACHE_SIZE:
             self.factors.popitem(last=False)
@@ -483,11 +460,8 @@ class _ActiveSet:
             state[k - len(work)] = FREE
 
     def _ratio(self, x, p, pf, work, alpha_max):
-        """(alpha, block): the longest step up to alpha_max along p, whose
-        free part (zero on the other columns) is pf, and the constraint
-        that blocks it (lowest number on ties), or (alpha_max, None).  A
-        lower bound's slack  x - lb  is taken as  -lb - (-x),  the same
-        number."""
+        """(alpha, block) of the step along p, whose free part is pf: a lower
+        bound's slack  x - lb  is taken as  -lb - (-x),  the same number."""
         gp = self.G @ p
         if work:
             gp.put(work, 0.0)
@@ -495,8 +469,6 @@ class _ActiveSet:
         hit = (rate > 1e-12).nonzero()[0]
         if not len(hit):
             return alpha_max, None
-        if self.limits is None:
-            self.limits = np.concatenate((self.h, self.ub, -self.lb))
         # a slack that an infinite bound makes infinite gives an infinite
         # ratio, which blocks nothing
         slack = (self.limits - np.concatenate((self.G @ x, x, -x))).take(hit)
@@ -642,11 +614,8 @@ def _warm_start(solver: _ActiveSet, prob: QpProblem, start: QpSolution, deadline
     if out is None:
         return None
     x, breakpoints = out
-    n = prob.n
-    if not (
-        rows_hold(prob, x) and np.count_nonzero(x >= prob.lb - FEAS_TOL) == n
-        and np.count_nonzero(x <= prob.ub + FEAS_TOL) == n
-    ):
+    inside = (x >= prob.lb - FEAS_TOL) & (x <= prob.ub + FEAS_TOL)
+    if not (rows_hold(prob, x) and np.count_nonzero(inside) == prob.n):
         return None
     return x, work, state, breakpoints
 
@@ -666,27 +635,26 @@ def solve_qp(
     """Optimum, infeasibility certificate or ascent ray of prob.
 
     Every infeasible verdict comes from here, so callers run no test of
-    their own.  The first step, ahead of ``start`` and of building x0, is
-    the row test (``_row_test``): a row whose activity over the box misses
-    its limit by more than INFEAS_TOL ends the solve with no iteration and
-    a certificate of the row, its positive columns' lower and negative
-    columns' upper bounds.
+    their own.  The row test (``_row_test``) comes first: a row whose
+    activity over the box misses its limit by more than INFEAS_TOL ends the
+    solve with no iteration and a certificate of the row, its positive
+    columns' lower and negative columns' upper bounds.  It runs ahead of
+    ``start`` and of building x0, except that an array x0 (or None) that,
+    clipped into the box, holds every row skips it: no row's lowest
+    activity over the box exceeds its activity at a point of the box.
     With ``start``, the optimal solution of a parent problem that prob
     extends by pinned columns or added inequality rows (a branch-and-bound
     child, see ``_warm_start``), a parametric pass moves the parent's
     optimum and working set to prob's pinned values, and phase 2 goes on
-    from there; it usually confirms the optimum at once.  Without
-    ``start``, or when that pass falls back, the search starts from x0
-    clipped into the box, or from the clipped origin when x0 is None;
-    callers that know a better start pass it (the clearing QPs pass
-    ``model.balanced_start`` or, at the master root, ``model.money_start``;
-    pricing passes the welfare QP's multipliers), and phase 1 runs only
-    when that point is infeasible.  x0 may also be a function that builds
-    the start, called only when the search needs it, so a caller pays for
-    the start only when the row test passes and the parametric pass, if
-    any, falls back.  Past the row test, only ``_phase1``'s artificial
-    problem proves infeasibility.  A fallback's breakpoints are not
-    counted in ``iterations``.  With a ``deadline`` (a
+    from there, usually confirming the optimum at once.  Without ``start``,
+    or when that pass falls back, the search starts from x0 clipped into
+    the box (the clipped origin when x0 is None; the clearing QPs pass
+    ``model.balanced_start`` or, at the master root, ``model.money_start``,
+    and pricing the welfare QP's multipliers), and phase 1 runs only when
+    that point is infeasible; past the row test only its artificial
+    problem proves infeasibility.  x0 may be a function that builds the
+    start, called only when the search needs it.  A fallback's
+    breakpoints are not counted in ``iterations``.  With a ``deadline`` (a
     ``time.monotonic()`` instant), every active-set iteration and
     breakpoint checks the clock and raises TimeLimit once it has passed.
     An optimal solution carries its ``working`` set and the ``duals`` that
@@ -694,10 +662,7 @@ def solve_qp(
     The active-set steps take their factorizations from ``prob.factors``;
     phase 1 keeps its own."""
     array = start is None and not callable(x0)
-    if array:
-        x = _clipped(prob, x0)
-    # no row's lowest activity over the box exceeds its activity at a point
-    # of the box, so an array start that holds every row passes the row test
+    x = _clipped(prob, x0) if array else None
     if not (array and rows_hold(prob, x)):
         cert = _row_test(prob)
         if cert is not None:
@@ -708,8 +673,7 @@ def solve_qp(
     )
     warm = None if start is None else _warm_start(solver, prob, start, deadline)
     if warm is None:
-        if not array:
-            x = _clipped(prob, x0() if callable(x0) else x0)
+        x = x if array else _clipped(prob, x0() if callable(x0) else x0)
         x, cert, iters1 = _phase1(prob, x, deadline)
         if x is None:
             return QpSolution(status="infeasible", certificate=cert, iterations=iters1)

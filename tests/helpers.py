@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from daclear import master, qp
-from daclear.core import BidSelection, PrimalSolution, selection_terms
-from daclear.errors import PriceInfeasible, SolverFailure
+from daclear.core import BidSelection, PrimalSolution
+from daclear.errors import PriceInfeasible, SolverFailure, UnknownId
 from daclear.io import parse_instance
 from daclear.master import _with_cuts
 from daclear.model import build_model
@@ -343,6 +343,37 @@ def bench_instance(family, seed):
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
     return parse_instance(generate.instance_text(family, seed))
+
+
+@dataclass(frozen=True)
+class FixedSelectionTerms:
+    """Objective constant and per-(area, hour) volume of a fixed selection."""
+
+    constant: float
+    volume: dict
+
+
+def selection_terms(instance, selection) -> FixedSelectionTerms:
+    """Welfare constant and per-(area, hour) combinatorial volume of a
+    selection, from the bids alone."""
+    constant = 0.0
+    volume = {(a, t): 0.0 for a in instance.areas for t in range(instance.hours)}
+    for bid in selection.executed_blocks():
+        if bid not in instance.block_by_id:
+            raise UnknownId(f"unknown block id {bid!r}")
+        b = instance.block_by_id[bid]
+        for t, q in enumerate(b.quantities):
+            constant += b.limit_price * q
+            volume[b.area, t] += q
+    for fid, t in selection.executed_flex():
+        if fid not in instance.flex_by_id:
+            raise UnknownId(f"unknown flex id {fid!r}")
+        if not 0 <= t < instance.hours:
+            raise UnknownId(f"flex {fid!r} executed in unknown hour {t}")
+        f = instance.flex_by_id[fid]
+        constant += f.limit_price * f.quantity
+        volume[f.area, t] += f.quantity
+    return FixedSelectionTerms(constant=constant, volume=volume)
 
 
 def welfare_row_fixflow(instance, model, solution):

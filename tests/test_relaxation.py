@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from daclear import relaxation
-from daclear.core import BidSelection, clearing_residuals, selection_terms, welfare_of
+from daclear.core import BidSelection, PrimalSolution, clearing_residuals, welfare_of
 from daclear.errors import InfeasibleSelection, UnknownId
 from daclear.model import build_model
 from daclear.qp import multipliers, solve_qp
@@ -12,6 +12,7 @@ from daclear.verify import _all_selections, _relaxations
 from helpers import (
     appendix_a,
     model_maps,
+    selection_terms,
     check_kkt,
     empty_selection,
     f2,
@@ -51,7 +52,9 @@ class TestCheckSelection:
     def test_unknown_block(self):
         inst = appendix_a()
         with pytest.raises(UnknownId):
-            selection_terms(inst, _sel({"zzz": 1}))
+            welfare_of(inst, PrimalSolution(_sel({"zzz": 1}), {}, {}))
+        with pytest.raises(UnknownId):
+            clearing_residuals(inst, PrimalSolution(_sel({"zzz": 1}), {}, {}))
 
     def test_link_violation(self):
         # the oracle never enumerates a selection that breaks a link
@@ -141,7 +144,7 @@ class TestSolveRelaxation:
 
     def test_objective_equals_welfare_of_primal(self):
         # welfare_of and clearing_residuals derive the selection's volume
-        # through core.selection_terms, not through the master's columns
+        # from the bids (``core._executed``), not through the master's columns
         checked = 0
         for seed in range(20):
             inst = random_instance(seed)

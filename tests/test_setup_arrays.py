@@ -46,7 +46,8 @@ def test_model_arrays_equal_the_loop_built_ones(books):
         for name in ("seg_ids", "flow_keys", "eq_keys", "ramp_keys", "bin_keys", "bin_col"):
             assert getattr(model, name) == getattr(ref, name), name
         maps = model_maps(model)
-        assert (maps.seg_col, maps.flow_col, maps.eq_row) == (ref.seg_col, ref.flow_col, ref.eq_row)
+        assert (maps.seg_col, maps.flow_col, maps.eq_row) == (
+            ref.seg_col, ref.flow_col, ref.eq_row)
         for got, want in zip(model.flow_rows, ref.flow_rows):
             assert _bits(got) == _bits(want)
         assert len(model.row_segs) == len(ref.row_segs)
