@@ -392,17 +392,17 @@ class _ActiveSet:
         eigenvalues put the curved ones (below -CURV_TOL times the largest
         |w| or 1) first, and their columns of V and entries of w.  An entry
         of ``self.factors``, keyed by the working rows and free columns,
-        holds (Z, P, Vr, curv, K, free), all read-only: a hit returns the
-        arrays a miss built and stored (evicting beyond FACTOR_CACHE_SIZE)."""
+        holds (Z, P, Vr, curv, free), read-only, and not K, which outweighs
+        them at a few hundred columns: a hit returns what a miss stored."""
         mask = state == FREE
         key = (tuple(work), mask.tobytes())
+        K = np.concatenate((self.A, self.G.take(work, axis=0))) if work else self.A
         entry = self.factors.get(key)
         if entry is not None:
             self.factors.move_to_end(key)
-            Z, P, Vr, curv, K, free = entry
+            Z, P, Vr, curv, free = entry
             return free, K, Z, P, Vr, curv
         free = mask.nonzero()[0]
-        K = np.concatenate((self.A, self.G.take(work, axis=0))) if work else self.A.view()
         Z, P, Vr = _factor(K.take(free, axis=1))
         curv = None
         df = self.d.take(free)
@@ -414,9 +414,9 @@ class _ActiveSet:
             k = int(np.count_nonzero(w < -CURV_TOL * scale))
             # V[:, :k] laid out as V[:, curved] is: column-major
             curv = (w, V, V[:, :k].copy(order="F"), w[:k])
-        for a in (Z, P, Vr, K, free, *(curv or ())):
+        for a in (Z, P, Vr, free, *(curv or ())):
             a.setflags(write=False)
-        self.factors[key] = (Z, P, Vr, curv, K, free)
+        self.factors[key] = (Z, P, Vr, curv, free)
         if len(self.factors) > FACTOR_CACHE_SIZE:
             self.factors.popitem(last=False)
         return free, K, Z, P, Vr, curv
@@ -426,7 +426,7 @@ class _ActiveSet:
         the working rows on the free columns, then one bound multiplier per
         column from the reduced gradient, signed so that each is
         nonnegative at an optimum (zero for free and pinned columns)."""
-        lam = P @ (Vr @ grads[free])
+        lam = P @ (Vr @ grads.take(free, axis=0))
         return np.concatenate((lam[len(self.b):], _SIDE[state][:, None] * (grads - K.T @ lam)))
 
     @staticmethod

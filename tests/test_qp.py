@@ -624,8 +624,8 @@ class TestFactorCache:
         solve_qp(prob)
         entries = list(prob.factors.values())
         assert entries
-        for Z, P, Vr, curv, K, free in entries:
-            arrays = [Z, P, Vr, K, free] + ([] if curv is None else list(curv))
+        for Z, P, Vr, curv, free in entries:
+            arrays = [Z, P, Vr, free] + ([] if curv is None else list(curv))
             for a in arrays:
                 with pytest.raises(ValueError):
                     a[...] = 0.0
