@@ -501,10 +501,9 @@ def surplus_report(
 
 
 def _price_band(nodes, lo_q, hi_q, interval, eps=1e-9):
-    """(lo_p, hi_p) in one walk up the ascending (price, quantity)
-    polyline, whose quantities fall: the smallest price at which its
-    quantity is <= hi_q and the largest at which it is >= lo_q (<= hi_q),
-    the interval's upper and lower bound where there is none."""
+    """(lo_p, hi_p) in one walk up the ascending (price, quantity) polyline,
+    whose quantities fall: the smallest price at which its quantity is <= hi_q
+    and the largest at which it is >= lo_q (<= hi_q); without one, the interval's far end."""
     hi_t, lo_t = hi_q + eps, lo_q - eps
     lo_p = interval.lower if nodes[0][1] <= hi_t else None
     top = nodes[-1][1] >= lo_t  # so hi_p is the upper bound

@@ -621,7 +621,8 @@ def _warm_start(solver: _ActiveSet, prob: QpProblem, start: QpSolution, deadline
 
 
 def _clipped(prob: QpProblem, x0) -> np.ndarray:
-    """x0 clipped into prob's box; the origin's clip when x0 is None."""
+    """x0 (the origin when None) clipped into prob's box: np.clip's values,
+    a bound on ties included, in two cheaper ufunc calls."""
     first = np.zeros(prob.n) if x0 is None else np.asarray(x0, dtype=float)
     return np.minimum(np.maximum(first, prob.lb), prob.ub)
 
