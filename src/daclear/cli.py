@@ -19,6 +19,7 @@ from .cuts import curtailment_violations
 from .driver import ClearOptions, ClearingResult, clear_exact, clear_heuristic
 from .errors import (
     ModelError,
+    OutputError,
     PriceInfeasible,
     SchemaError,
     SolverFailure,
@@ -38,6 +39,7 @@ EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
 EXIT_INPUT = 4
 EXIT_SOLVER = 5
+EXIT_OUTPUT = 6
 
 
 def _load_instance(path: str) -> Instance:
@@ -82,7 +84,10 @@ def _result_doc(instance: Instance, result: ClearingResult) -> dict:
 def _emit(doc: dict, out: str | None) -> None:
     text = io.dump_document(doc)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise OutputError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -245,6 +250,9 @@ def run(argv=None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 def main() -> None:

@@ -49,6 +49,11 @@ class TooLarge(ModelError):
     """The instance exceeds the enumeration cap of the brute-force oracle."""
 
 
+class OutputError(Exception):
+    """An output document could not be written (``--out`` names a missing
+    directory, a directory or a file without write permission)."""
+
+
 class SolverFailure(RuntimeError):
     """A numerical subproblem did not reach a verdict (iteration limit,
     phase-1 non-convergence or an unexpected status)."""

@@ -14,6 +14,12 @@ The price QP has a price column per clearing row, and its equality rows
 are the welfare QP's stationarity on the flow columns at the fixed flows:
 the price difference across each flow column meets the multipliers of the
 flow bounds and ramp rows that are tight there.
+
+Each segment's fill bounds its row's price, and a partly executed segment
+pins it.  When every price is pinned and the QPs' start holds their rows,
+the QPs would return that start's prices, so pricing returns them and
+builds no QP; otherwise the QPs decide, their row test and phase 1
+included.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from .core import Instance, PriceVector
 from .errors import PriceInfeasible, SolverFailure
 from .model import ClearingModel
-from .qp import DUAL_TOL, INFEAS_TOL, Multipliers, QpProblem, solve_qp
+from .qp import DUAL_TOL, INFEAS_TOL, Multipliers, QpProblem, rows_hold, solve_qp
 
 TIGHT_TOL = 1e-7
 
@@ -126,6 +132,134 @@ def _dual_start(model: ClearingModel, duals: Multipliers, source, lb, ub, A_in, 
     return x
 
 
+class _PriceQps:
+    """The pricing QPs of ``x`` on ``model``, short of solving them: the
+    executed bids (``executed``, in model order), the columns' bounds
+    ``lb`` and ``ub`` (the fill rule's price bounds first), the
+    stationarity rows ``A_eq``/``b_eq``, the no-loss rows ``A_in``/``b_in``
+    and the start ``start`` (``_dual_start``, or None to start cold).
+    Building them raises PriceInfeasible when the fill rule's bounds cross
+    by more than INFEAS_TOL."""
+
+    def __init__(self, instance, model, x, relax_losses, duals):
+        iv = instance.interval
+        n_seg, n = len(model.seg_ids), model.n
+        on = x[n:].tolist()
+        self.model, self.relax_losses = model, relax_losses
+        self.executed = executed = [k for k in model.bin_order if on[k] > 0.5]
+        P, G, source = _flow_stationarity(model, x[n_seg:n])
+        self.n_pi = n_pi = len(model.eq_keys)
+        self.n_lam = n_lam = len(executed) if relax_losses else 0
+        n_var = n_pi + n_lam + G.shape[1]
+
+        # execution-fraction price rule per quantity-carrying segment, as
+        # bounds of its price column: a full segment caps the price, an
+        # empty one floors it and a fractional one pins it
+        lo, hi = [iv.lower] * n_pi, [iv.upper] * n_pi
+        cols, rows, base, span = model.fill_prices
+        for r, b, s, z in zip(rows, base, span, x[cols].tolist()):
+            if z >= 1.0 - TIGHT_TOL:
+                hi[r] = min(hi[r], b + (1.0 - 1.0) * s)
+            elif z <= TIGHT_TOL:
+                lo[r] = max(lo[r], b + (1.0 - 0.0) * s)
+            else:
+                price = b + (1.0 - z) * s
+                lo[r], hi[r] = max(lo[r], price), min(hi[r], price)
+        for r, (low, high) in enumerate(zip(lo, hi)):
+            if low - high > INFEAS_TOL:
+                raise PriceInfeasible("no price meets the segment fill conditions")
+            if low > high:  # crossed by round-off: the price sits between them
+                lo[r] = hi[r] = 0.5 * (low + high)
+        self.pinned = lo == hi
+        # a loss slack is capped at its bid's largest loss over the interval
+        caps = [max(-model.bin_worst[k], 0.0) for k in executed[:n_lam]]
+        self.lb = np.array(lo + [0.0] * (n_var - n_pi))
+        self.ub = np.array(hi + caps + [np.inf] * (n_var - n_pi - n_lam))
+
+        self.A_eq = np.concatenate((P, np.zeros((len(P), n_lam)), G), axis=1)
+        self.b_eq = np.zeros(len(P))
+        # no-loss row per executed fill-or-kill bid (slack lam when relaxed)
+        self.A_in = np.zeros((len(executed), n_var))
+        self.A_in[:, :n_pi] = model.bin_A_eq.T[executed]
+        self.b_in = model.bin_b[executed]
+        if n_lam:
+            self.A_in[range(n_lam), range(n_pi, n_pi + n_lam)] = -1.0
+        self.start = None if duals is None else _dual_start(
+            model, duals, source, self.lb, self.ub, self.A_in, self.b_in, n_lam)
+
+    def pinned_prices(self) -> Optional[list]:
+        """The prices, without a QP, when the fill bounds pin every one and
+        the QPs' start, clipped into the box as ``solve_qp`` clips it,
+        holds every row (``qp.rows_hold``); None otherwise.  Prices are
+        pricing's only output, and pinned columns never move, so from a
+        start that holds every row, which phase 1 leaves as it is, both
+        QPs of ``solve`` end optimal at these prices: neither objective
+        grows without bound, as the loss slacks are nonnegative and the
+        flow-row multipliers carry no objective."""
+        if not self.pinned:
+            return None
+        start = np.zeros(len(self.lb)) if self.start is None else self.start
+        start = np.minimum(np.maximum(start, self.lb), self.ub)
+        if not rows_hold(self, start):
+            return None
+        return start[:self.n_pi].tolist()
+
+    def solve(self, deadline=None) -> list:
+        """The prices the QPs choose: with loss slacks, a first QP finds
+        the least total loss, and a second the least squared price norm
+        among the prices that keep it.  Raises PriceInfeasible when a
+        stage has no optimum."""
+        n_pi, n_lam, n_var = self.n_pi, self.n_lam, len(self.lb)
+        lam = slice(n_pi, n_pi + n_lam)
+        A_in, b_in, x1 = self.A_in, self.b_in, self.start
+        if n_lam:
+            c1 = np.zeros(n_var)
+            c1[lam] = -1.0
+            p1 = QpProblem(
+                c=c1, d=np.zeros(n_var), A_eq=self.A_eq, b_eq=self.b_eq, A_in=A_in, b_in=b_in,
+                lb=self.lb, ub=self.ub,
+            )
+            s1 = solve_qp(p1, x0=x1, deadline=deadline)
+            if s1.status != "optimal":
+                raise PriceInfeasible(
+                    f"no supporting price even with loss slacks ({s1.status})"
+                )
+            total = float(s1.x[lam].sum())
+            row = np.zeros(n_var)
+            row[lam] = 1.0
+            A_in = np.concatenate((A_in, row[None]))
+            b_in = np.concatenate((b_in, [total + 1e-9]))
+            x1 = s1.x
+
+        d2 = np.zeros(n_var)
+        d2[:n_pi] = -2.0
+        p2 = QpProblem(
+            c=np.zeros(n_var), d=d2, A_eq=self.A_eq, b_eq=self.b_eq, A_in=A_in, b_in=b_in,
+            lb=self.lb, ub=self.ub,
+        )
+        s2 = solve_qp(p2, x0=x1, deadline=deadline)
+        if s2.status != "optimal":
+            raise PriceInfeasible(
+                "no loss-free supporting price exists for this execution"
+                if not self.relax_losses
+                else f"price selection failed ({s2.status})"
+            )
+        return s2.x[:n_pi].tolist()
+
+    def outcome(self, pi: list) -> PricingOutcome:
+        """The prices ``pi`` (in clearing-row order), with the executed
+        bids' losses at them."""
+        losses = {
+            bid: max(0.0, -sum((limit - pi[r]) * q for r, q in terms))
+            for bid, limit, terms in (self.model.bin_bids[k] for k in self.executed)
+        }
+        return PricingOutcome(
+            prices=PriceVector(pi=dict(zip(self.model.eq_keys, pi))),
+            losses=losses,
+            total_loss=float(sum(losses.values())),
+        )
+
+
 def solve_qpprice(
     instance: Instance,
     model: ClearingModel,
@@ -141,93 +275,13 @@ def solve_qpprice(
     bids, and the prices are chosen among those that keep it.  ``duals``,
     the multipliers of the welfare QP with the selection pinned at a
     dispatch of x's welfare (a master leaf's or the oracle's relaxation),
-    start the QPs (``_dual_start``); without them they start cold."""
-    iv = instance.interval
-    n_seg, n = len(model.seg_ids), model.n
-    on = x[n:].tolist()
-    executed = [k for k in model.bin_order if on[k] > 0.5]
-    P, G, source = _flow_stationarity(model, x[n_seg:n])
-    n_pi = len(model.eq_keys)
-    n_lam = len(executed) if relax_losses else 0
-    lam = slice(n_pi, n_pi + n_lam)
-    n_var = n_pi + n_lam + G.shape[1]
-
-    # execution-fraction price rule per quantity-carrying segment, as bounds
-    # of its price column: a full segment caps the price, an empty one
-    # floors it and a fractional one pins it
-    lo, hi = [iv.lower] * n_pi, [iv.upper] * n_pi
-    cols, rows, base, span = model.fill_prices
-    for r, b, s, z in zip(rows, base, span, x[cols].tolist()):
-        if z >= 1.0 - TIGHT_TOL:
-            hi[r] = min(hi[r], b + (1.0 - 1.0) * s)
-        elif z <= TIGHT_TOL:
-            lo[r] = max(lo[r], b + (1.0 - 0.0) * s)
-        else:
-            price = b + (1.0 - z) * s
-            lo[r], hi[r] = max(lo[r], price), min(hi[r], price)
-    for r, (low, high) in enumerate(zip(lo, hi)):
-        if low - high > INFEAS_TOL:
-            raise PriceInfeasible("no price meets the segment fill conditions")
-        if low > high:  # crossed by round-off: the price sits between them
-            lo[r] = hi[r] = 0.5 * (low + high)
-    # a loss slack is capped at its bid's largest loss over the interval
-    caps = [max(-model.bin_worst[k], 0.0) for k in executed[:n_lam]]
-    lb = np.array(lo + [0.0] * (n_var - n_pi))
-    ub = np.array(hi + caps + [np.inf] * (n_var - n_pi - n_lam))
-
-    A_eq = np.concatenate((P, np.zeros((len(P), n_lam)), G), axis=1)
-    b_eq = np.zeros(len(P))
-    # no-loss row per executed fill-or-kill bid (slack lam when relaxed)
-    A_in = np.zeros((len(executed), n_var))
-    A_in[:, :n_pi] = model.bin_A_eq.T[executed]
-    b_in = model.bin_b[executed]
-    if n_lam:
-        A_in[range(n_lam), range(n_pi, n_pi + n_lam)] = -1.0
-    x1 = None if duals is None else _dual_start(model, duals, source, lb, ub, A_in, b_in, n_lam)
-
-    if n_lam:
-        c1 = np.zeros(n_var)
-        c1[lam] = -1.0
-        p1 = QpProblem(
-            c=c1, d=np.zeros(n_var), A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
-            lb=lb, ub=ub,
-        )
-        s1 = solve_qp(p1, x0=x1, deadline=deadline)
-        if s1.status != "optimal":
-            raise PriceInfeasible(
-                f"no supporting price even with loss slacks ({s1.status})"
-            )
-        total = float(s1.x[lam].sum())
-        row = np.zeros(n_var)
-        row[lam] = 1.0
-        A_in = np.concatenate((A_in, row[None]))
-        b_in = np.concatenate((b_in, [total + 1e-9]))
-        x1 = s1.x
-
-    d2 = np.zeros(n_var)
-    d2[:n_pi] = -2.0
-    p2 = QpProblem(
-        c=np.zeros(n_var), d=d2, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
-        lb=lb, ub=ub,
-    )
-    s2 = solve_qp(p2, x0=x1, deadline=deadline)
-    if s2.status != "optimal":
-        raise PriceInfeasible(
-            "no loss-free supporting price exists for this execution"
-            if not relax_losses
-            else f"price selection failed ({s2.status})"
-        )
-
-    pi = s2.x[:n_pi].tolist()
-    losses = {
-        bid: max(0.0, -sum((limit - pi[r]) * q for r, q in terms))
-        for bid, limit, terms in (model.bin_bids[k] for k in executed)
-    }
-    return PricingOutcome(
-        prices=PriceVector(pi=dict(zip(model.eq_keys, pi))),
-        losses=losses,
-        total_loss=float(sum(losses.values())),
-    )
+    start the QPs (``_dual_start``); without them they start cold.  When
+    the fill bounds pin every price and the QPs' start holds their rows,
+    those prices are the answer and no QP is built
+    (``_PriceQps.pinned_prices``)."""
+    qps = _PriceQps(instance, model, x, relax_losses, duals)
+    pi = qps.pinned_prices()
+    return qps.outcome(qps.solve(deadline) if pi is None else pi)
 
 
 def clamp_prices(

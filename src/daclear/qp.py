@@ -591,7 +591,9 @@ def _row_test(prob: QpProblem) -> Optional[dict]:
 
 
 def rows_hold(prob: QpProblem, x: np.ndarray) -> bool:
-    """True when x satisfies prob's rows at FEAS_TOL."""
+    """True when x satisfies prob's rows at FEAS_TOL.  Of prob it reads
+    ``A_eq``, ``b_eq``, ``A_in`` and ``b_in`` only, so any object that
+    holds these (pricing's, before it builds a problem) will do."""
     return (
         np.count_nonzero(np.abs(prob.A_eq @ x - prob.b_eq) <= FEAS_TOL) == len(prob.b_eq)
         and np.count_nonzero(prob.A_in @ x <= prob.b_in + FEAS_TOL) == len(prob.b_in)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from daclear import master, qp
+from daclear import driver, master, pricing, qp
 from daclear.core import BidSelection, PrimalSolution
 from daclear.errors import PriceInfeasible, SolverFailure, UnknownId
 from daclear.io import parse_instance
@@ -126,6 +126,32 @@ def fixflow(inst, model, solution, duals):
 def qpprice(inst, model, solution, *args, **kwargs):
     """``pricing.solve_qpprice`` of ``solution``."""
     return solve_qpprice(inst, model, point(model, solution), *args, **kwargs)
+
+
+def qp_prices(inst, model, x, relax_losses=False, deadline=None, duals=None):
+    """``pricing.solve_qpprice`` by pricing's QPs alone: the same call
+    where the prices that the fill bounds pin do not answer it
+    (``pricing._PriceQps.pinned_prices``), and the QPs' answer where they
+    do."""
+    qps = pricing._PriceQps(inst, model, x, relax_losses, duals)
+    return qps.outcome(qps.solve(deadline))
+
+
+def with_qp_path(monkeypatch):
+    """Have every pricing call of the driver that the pinned prices answer
+    build and solve pricing's QPs as well (``qp_prices``), so that a spy on
+    ``pricing.solve_qp`` sees the QPs of each priced leaf; the driver goes
+    on with the pinned path's outcome."""
+    price = driver.solve_qpprice
+
+    def spy(instance, model, x, relax_losses=False, deadline=None, duals=None):
+        out = price(instance, model, x, relax_losses, deadline, duals)
+        qps = pricing._PriceQps(instance, model, x, relax_losses, duals)
+        if qps.pinned_prices() is not None:
+            qps.solve(deadline)
+        return out
+
+    monkeypatch.setattr(driver, "solve_qpprice", spy)
 
 
 def cut_activity(inst, cut, selection):

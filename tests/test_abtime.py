@@ -24,6 +24,8 @@ def test_checkout_against_itself(capsys):
         # part of its total
         assert 0.0 < outside[0] <= base_ms and 0.0 < outside[1] <= head_ms
         assert 0.0 < outside[2] <= base_ms and 0.0 < outside[3] <= head_ms
+        # pricing's solve_qp calls per clear repeat exactly
+        assert outside[4] == outside[5] >= 0
     # day-book has flows to compare
     results = abtime.compare(ROOT, ROOT, "day-book", range(3000, 3001), ["exact"], repeat=1)
     assert results["exact"][3:7] == (0, 0.0, 0.0, 0.0)
@@ -34,12 +36,15 @@ def test_checkout_against_itself(capsys):
     assert lines[-2].split()[1:5] == ["base", "ms", "head", "ms"]
     assert lines[-2].split()[5:9] == ["base", "out", "head", "out"]
     assert lines[-2].split()[9:13] == ["base", "root", "head", "root"]
+    assert lines[-2].split()[13:17] == ["base", "pqps", "head", "pqps"]
     assert lines[-2].split()[-4:] == ["differ", "welfare", "price", "flow"]
     assert lines[-1].split()[0] == "exact"
     base_ms, head_ms, base_out, head_out = map(float, lines[-1].split()[1:5])
     assert 0.0 < base_out <= base_ms and 0.0 < head_out <= head_ms
     base_root, head_root = map(float, lines[-1].split()[5:7])
     assert 0.0 < base_root <= base_ms and 0.0 < head_root <= head_ms
+    base_priced, head_priced = map(float, lines[-1].split()[7:9])
+    assert base_priced == head_priced >= 0.0
     assert lines[-1].split()[-4:] == ["0", "0.0e+00", "0.0e+00", "0.0e+00"]
 
 
@@ -61,6 +66,17 @@ def test_qp_clock_roots_are_the_first_modules_solves_without_start():
     assert clock.total > 0.0 and clock.root == 0.0
     master.solve_qp(200000, x0=None, start=None)
     assert 0.0 < clock.root < clock.total
+
+
+def test_qp_clock_counts_each_modules_solves():
+    master, pricing = SimpleNamespace(solve_qp=lambda prob, **kw: prob), SimpleNamespace(
+        solve_qp=lambda prob, **kw: -prob)
+    clock = abtime.QpClock(master, pricing)
+    assert clock.calls == [0, 0]
+    assert pricing.solve_qp(3, x0=None) == -3
+    pricing.solve_qp(4, x0=None)
+    master.solve_qp(5, x0=None, start=object())
+    assert clock.calls == [1, 2]
 
 
 class _OtherSelection:

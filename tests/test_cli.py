@@ -408,6 +408,24 @@ class TestInputErrors:
         assert "$.areas" in captured.err
 
 
+@pytest.mark.parametrize("command", ["clear", "oracle", "verify"])
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_out_is_output_error(capsys, tmp_path, command, target):
+    # a missing directory, or a directory: a typed error and exit code 6,
+    # not a traceback
+    argv = [command, "--instance", str(FIXTURE)]
+    if command == "verify":
+        code, out = _run(capsys, "clear", "--instance", str(FIXTURE))
+        argv += ["--solution", _write(tmp_path, "sol.json", out)]
+    out = tmp_path / target
+    code = run(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_solver_failure_exit_code(capsys, monkeypatch):
     def stalled(*args, **kwargs):
         raise SolverFailure("phase-1 subproblem did not converge")

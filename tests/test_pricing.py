@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from daclear import driver, pricing, qp
+from daclear import driver, pricing, qp, verify
 from daclear.core import BidSelection, PrimalSolution, clearing_residuals, welfare_of
 from daclear.driver import clear_exact, clear_heuristic
-from daclear.errors import PriceInfeasible
+from daclear.errors import PriceInfeasible, TooLarge
+from daclear.io import parse_instance
 from daclear.model import build_model
 from daclear.pricing import clamp_prices, solve_fixflow, solve_qpprice
 from daclear.qp import rows_hold, solve_qp
@@ -24,12 +27,16 @@ from helpers import (
     f3,
     make_instance,
     pinned_relaxation,
+    point,
     price_indifferent,
+    qp_prices,
     ramp_fixture,
     random_instance,
     welfare_row_fixflow,
     without_row_test,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _master_result(inst):
@@ -228,12 +235,19 @@ def _pricing_cases(instances):
             yield inst, model.primal(model.selection_at(x), solve_fixflow(inst, model, x, duals)), duals
 
 
-def _outcome(inst, sol, relax, duals=None):
+def _outcome(inst, sol, relax, duals=None, price=qpprice):
+    """(prices, total loss) of ``price`` (``qpprice`` or ``_by_qps``) on
+    ``sol``, or the message of its PriceInfeasible."""
     try:
-        out = qpprice(inst, build_model(inst), sol, relax_losses=relax, duals=duals)
+        out = price(inst, build_model(inst), sol, relax_losses=relax, duals=duals)
     except PriceInfeasible as exc:
         return str(exc)
     return out.prices.pi, out.total_loss
+
+
+def _by_qps(inst, model, sol, **kwargs):
+    """``qpprice`` by pricing's QPs alone (``qp_prices``)."""
+    return qp_prices(inst, model, point(model, sol), **kwargs)
 
 
 def _spy_pricing_qps(monkeypatch):
@@ -302,6 +316,8 @@ class TestPriceStart:
         for inst, sol, duals in cases:
             seen.clear()
             _outcome(inst, sol, relax=True, duals=duals)
+            if not seen:  # answered by the pinned prices: the QPs' own start
+                _outcome(inst, sol, relax=True, duals=duals, price=_by_qps)
             if not seen:  # decided by the price bounds, before any QP
                 continue
             prob, x0 = seen[0]
@@ -323,6 +339,8 @@ class TestPriceStart:
             runs.clear()
             seen.clear()
             out = solve_qpprice(instance, model, x, relax_losses, deadline, duals)
+            if not seen:  # answered by the pinned prices: their QPs' start
+                qp_prices(instance, model, x, relax_losses, deadline, duals)
             if not relax_losses:
                 strict.append((list(runs), *seen[0]))
             return out
@@ -371,6 +389,132 @@ class TestPriceStart:
             assert a[0].keys() == b[0].keys()
             assert max(abs(a[0][k] - b[0][k]) for k in b[0]) <= 1e-9
             assert a[1] == pytest.approx(b[1], abs=1e-9)
+
+
+def _bits(out):
+    """A pricing outcome as bytes: its prices, losses and total loss, in
+    order, or the message of its PriceInfeasible."""
+    if isinstance(out, PriceInfeasible):
+        return str(out)
+    return (list(out.prices.pi), np.array(list(out.prices.pi.values())).tobytes(),
+            list(out.losses), np.array(list(out.losses.values())).tobytes(),
+            np.float64(out.total_loss).tobytes())
+
+
+def _either(price, *args):
+    try:
+        return price(*args)
+    except PriceInfeasible as exc:
+        return exc
+
+
+class TestPinnedPrices:
+    """Where the fill bounds pin every price and the QPs' start holds their
+    rows, pricing answers with those prices and builds no QP
+    (``pricing._PriceQps.pinned_prices``); its answers are the QPs'."""
+
+    @staticmethod
+    def _books():
+        yield from (("paradox", bench_instance("paradox", s)) for s in range(1000, 1020))
+        yield from (("day-book", bench_instance("day-book", s)) for s in range(3000, 3020))
+        yield from (("random", random_instance(s)) for s in range(50))
+        yield from (("fixture", parse_instance(path.read_text()))
+                    for path in sorted(FIXTURES.glob("*.json")))
+
+    def test_every_clears_pricing_call_gets_the_qps_outcome(self, monkeypatch):
+        calls = []
+
+        def spy(instance, model, x, relax_losses=False, deadline=None, duals=None):
+            calls.append((family, instance, model, x, relax_losses, duals))
+            return solve_qpprice(instance, model, x, relax_losses, deadline, duals)
+
+        monkeypatch.setattr(driver, "solve_qpprice", spy)
+        monkeypatch.setattr(verify, "solve_qpprice", spy)
+        for family, inst in self._books():
+            clear_exact(inst)
+            clear_heuristic(inst)
+            try:
+                verify.oracle_clear(inst)
+            except (PriceInfeasible, TooLarge):
+                pass
+        monkeypatch.undo()
+        seen = _spy_pricing_qps(monkeypatch)
+        answered = {}
+        for family, instance, model, x, relax, duals in calls:
+            args = (instance, model, x, relax, None, duals)
+            seen.clear()
+            pinned = _either(solve_qpprice, *args)
+            quiet = not seen  # no QP built
+            seen.clear()
+            assert _bits(pinned) == _bits(_either(qp_prices, *args))
+            try:
+                qps = pricing._PriceQps(instance, model, x, relax, duals)
+            except PriceInfeasible:  # the fill bounds cross: no QP on either path
+                assert quiet and not seen
+                continue
+            prob, x0 = seen[0]
+            holds = rows_hold(prob, qp._clipped(prob, x0))
+            assert quiet == (qps.pinned and holds)
+            if family == "paradox":
+                # the partly executed segment pins each hour's price
+                assert qps.pinned
+            answered[family] = answered.get(family, 0) + quiet
+        assert answered["paradox"] > 60 and answered["random"] > 60
+        assert answered["day-book"] < 20 and answered["fixture"] == 0
+
+    @staticmethod
+    def _seller(limit):
+        """One area and hour with a sloped curve, where the fill of segment
+        1 pins the price, and an executed seller block of limit ``limit``."""
+        inst = make_instance({("X", 0): [[20, 10], [80, -10]]},
+                             blocks=[block("s", "X", limit, [-1])])
+        return inst, build_model(inst)
+
+    @pytest.mark.parametrize("loss", [3e-8, 1e-6])
+    def test_a_loss_beyond_feas_tol_goes_to_the_qps(self, monkeypatch, loss):
+        # the seller loses ``loss`` at the pinned price 50: above FEAS_TOL,
+        # so the start breaks its no-loss row and the pinned path defers.
+        # 3e-8 is within the row test's margin, so phase 1 decides, and its
+        # artificial stays below INFEAS_TOL: the price stands, with its
+        # loss; 1e-6 the row test refutes
+        inst, model = self._seller(50.0 + loss)
+        sol = PrimalSolution(selection=BidSelection(blocks={"s": 1}, flex={}),
+                             delta={1: 0.5}, flows={})
+        x = point(model, sol)
+        assert inst.segments[1].price_at(0.5) == 50.0
+        qps = pricing._PriceQps(inst, model, x, False, None)
+        assert qps.pinned and qps.pinned_prices() is None
+        seen = _spy_pricing_qps(monkeypatch)
+        runs = _phase1_runs(monkeypatch)
+        out = _either(solve_qpprice, inst, model, x)
+        assert len(seen) == 1
+        if loss < qp.INFEAS_TOL:
+            assert runs == [True]
+            assert out.prices.pi == {("X", 0): 50.0}
+            assert out.total_loss == pytest.approx(loss, rel=1e-6)
+        else:
+            assert runs == [] and isinstance(out, PriceInfeasible)
+        assert _bits(out) == _bits(_either(qp_prices, inst, model, x))
+
+    def test_bounds_crossed_by_round_off_pin_the_midpoint(self, monkeypatch):
+        # segment 1 nearly full and segment 2 nearly empty pin the price at
+        # 50 plus and minus 2e-8: the bounds cross by less than INFEAS_TOL,
+        # the price sits at their midpoint, and the pinned path returns it
+        inst = make_instance({("X", 0): [[49.9, 10], [50, 0], [50.1, -10]]})
+        model = build_model(inst)
+        fills = {1: 1.0 - 2e-7, 2: 2e-7}
+        high, low = (inst.segments[k].price_at(z) for k, z in fills.items())
+        assert 1e-9 < high - low < qp.INFEAS_TOL
+        sol = PrimalSolution(selection=BidSelection(blocks={}, flex={}), delta=fills, flows={})
+        x = point(model, sol)
+        seen = _spy_pricing_qps(monkeypatch)
+        for relax in (False, True):
+            out = solve_qpprice(inst, model, x, relax)
+            assert not seen
+            assert out.prices.pi == {("X", 0): 0.5 * (high + low)}
+            assert _bits(out) == _bits(qp_prices(inst, model, x, relax))
+            assert len(seen) == 1
+            seen.clear()
 
 
 class TestDecidedByBounds:

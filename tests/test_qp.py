@@ -960,8 +960,10 @@ class TestKernelArithmetic:
 def test_array_starts_that_hold_every_row_pass_the_row_test(monkeypatch):
     # FixFlow's and pricing's QPs start from arrays; when one, clipped into
     # the box, holds every row, solve_qp skips the row test, which could
-    # not refute it
+    # not refute it.  Leaves that the pinned prices answer solve pricing's
+    # QPs too (``with_qp_path``)
     from daclear import pricing
+    from helpers import with_qp_path
 
     checked, solve = [], pricing.solve_qp
 
@@ -973,5 +975,6 @@ def test_array_starts_that_hold_every_row_pass_the_row_test(monkeypatch):
         return solve(prob, x0=x0, **kwargs)
 
     monkeypatch.setattr(pricing, "solve_qp", spy)
+    with_qp_path(monkeypatch)
     _bench_clears()
     assert len(checked) > 200

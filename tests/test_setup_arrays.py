@@ -15,8 +15,8 @@ from daclear.io import parse_instance
 from daclear.model import build_model
 
 from helpers import (
-    bench_instance, model_maps, paradox_book, random_instance, reference_fixflow_problem,
-    reference_model, reference_price_rows,
+    bench_instance, model_maps, paradox_book, qp_prices, random_instance,
+    reference_fixflow_problem, reference_model, reference_price_rows,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -120,7 +120,8 @@ def test_pricing_and_fixflow_problems_equal_the_loop_built_ones(monkeypatch, boo
     assert fixed > 100
     # each priced leaf, and the same leaf with its fills drawn at random
     # among empty, full and fractional, which the fill conditions often
-    # refute before any QP
+    # refute before any QP; priced by the QPs (``qp_prices``), also where
+    # the prices that the fills pin would answer without them
     rng = np.random.default_rng(31)
     cases = []
     for instance, model, x, relax in prices:
@@ -133,7 +134,7 @@ def test_pricing_and_fixflow_problems_equal_the_loop_built_ones(monkeypatch, boo
     for instance, model, x, relax in cases:
         solution = model.primal(model.selection_at(x), x)
         prob, out = _first_problem(
-            monkeypatch, lambda: pricing.solve_qpprice(instance, model, x, relax)
+            monkeypatch, lambda: qp_prices(instance, model, x, relax)
         )
         try:
             ref = reference_price_rows(instance, model, solution, relax)

@@ -14,7 +14,8 @@ then the same median of the CPU a clear spends outside ``solve_qp`` (each
 side's ``solve_qp`` is wrapped where ``master`` and ``pricing`` call it and
 timed with ``time.process_time``, wrapper included) and of the CPU it
 spends in the master's root QP (the ``master.solve_qp`` calls without a
-parametric ``start``),
+parametric ``start``), the same median of the number of ``solve_qp`` calls
+pricing makes per clear (a count that repeats exactly from run to run),
 the median over instances of the HEAD/BASE ratio, the number of instances
 whose status or selection differ between the sides, and the largest
 relative welfare difference and the largest absolute price and flow
@@ -50,23 +51,26 @@ class QpClock:
     """CPU seconds spent in ``solve_qp`` where the modules it wraps call it
     (``total``), and in the calls of the first module's ``solve_qp`` that
     pass no ``start`` (``root``: the master's root QP, when the first
-    module is ``master``)."""
+    module is ``master``), and the number of calls per module (``calls``,
+    in the order of the modules)."""
 
     def __init__(self, *modules):
         self.total = 0.0
         self.root = 0.0
+        self.calls = [0] * len(modules)
         for i, module in enumerate(modules):
-            module.solve_qp = self._wrap(module.solve_qp, i == 0)
+            module.solve_qp = self._wrap(module.solve_qp, i)
 
-    def _wrap(self, solve, rooted):
+    def _wrap(self, solve, i):
         def timed(*args, **kwargs):
+            self.calls[i] += 1
             start = time.process_time()
             try:
                 return solve(*args, **kwargs)
             finally:
                 spent = time.process_time() - start
                 self.total += spent
-                if rooted and kwargs.get("start") is None:
+                if i == 0 and kwargs.get("start") is None:
                     self.root += spent
 
         return timed
@@ -129,7 +133,8 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
     status or selection differ, largest relative welfare difference,
     largest absolute price difference, largest absolute flow difference,
     base ms outside ``solve_qp``, head ms outside it, base ms in the
-    master's root QP, head ms in it)."""
+    master's root QP, head ms in it, base pricing ``solve_qp`` calls per
+    clear, head calls)."""
     sys.path.insert(0, str(ROOT / "bench"))
     import generate
 
@@ -143,21 +148,22 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
         texts = [generate.instance_text(family, seed) for seed in seeds]
         out = {}
         for mode in modes:
-            times, out_times, root_times = ([], []), ([], []), ([], [])
+            times, out_times, root_times, counts = ([], []), ([], []), ([], []), ([], [])
             differ, welfare, price, flow = 0, 0.0, 0.0, 0.0
             for i, text in enumerate(texts):
                 instances = [io.parse_instance(text) for io, _, _ in sides]
                 order = (0, 1) if i % 2 == 0 else (1, 0)
-                runs, outside, root = ([], []), ([], []), ([], [])
+                runs, outside, root, priced = ([], []), ([], []), ([], []), ([], [])
                 outcome, values = [None, None], [None, None]
                 for _ in range(repeat):
                     for side in order:
                         _, driver, clock = sides[side]
-                        in_qp, in_root = clock.total, clock.root
+                        in_qp, in_root, in_pricing = clock.total, clock.root, clock.calls[1]
                         cpu, outcome[side], values[side] = _clear(driver, mode, instances[side])
                         runs[side].append(cpu)
                         outside[side].append(cpu - (clock.total - in_qp))
                         root[side].append(clock.root - in_root)
+                        priced[side].append(clock.calls[1] - in_pricing)
                 differ += outcome[0] != outcome[1]
                 (w0, p0, f0), (w1, p1, f1) = values
                 welfare = max(welfare, _relative(w0, w1))
@@ -167,6 +173,7 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                     times[side].append(statistics.median(runs[side]))
                     out_times[side].append(statistics.median(outside[side]))
                     root_times[side].append(statistics.median(root[side]))
+                    counts[side].append(statistics.median(priced[side]))
             ratios = [h / b for b, h in zip(*times) if b > 0.0]
             out[mode] = (
                 1e3 * statistics.median(times[0]),
@@ -180,6 +187,8 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                 1e3 * statistics.median(out_times[1]),
                 1e3 * statistics.median(root_times[0]),
                 1e3 * statistics.median(root_times[1]),
+                statistics.median(counts[0]),
+                statistics.median(counts[1]),
             )
         return out
 
@@ -198,13 +207,13 @@ def main(argv=None) -> int:
     print(f"{args.family} seeds {seeds.start}-{seeds.stop - 1}, {args.repeat} repeats")
     print(f"base {args.base.resolve()}\nhead {args.head.resolve()}")
     print(f"{'mode':10s} {'base ms':>9s} {'head ms':>9s} {'base out':>9s} {'head out':>9s}"
-          f" {'base root':>9s} {'head root':>9s}"
+          f" {'base root':>9s} {'head root':>9s} {'base pqps':>9s} {'head pqps':>9s}"
           f" {'head/base':>9s} {'differ':>6s} {'welfare':>8s} {'price':>8s} {'flow':>8s}")
     results = compare(args.base, args.head, args.family, seeds, args.modes, args.repeat)
     for mode, (base_ms, head_ms, ratio, differ, welfare, price, flow, *qp_ms) in results.items():
-        base_out, head_out, base_root, head_root = qp_ms
+        base_out, head_out, base_root, head_root, base_priced, head_priced = qp_ms
         print(f"{mode:10s} {base_ms:9.3f} {head_ms:9.3f} {base_out:9.3f} {head_out:9.3f}"
-              f" {base_root:9.3f} {head_root:9.3f}"
+              f" {base_root:9.3f} {head_root:9.3f} {base_priced:9.2f} {head_priced:9.2f}"
               f" {ratio:9.3f} {differ:6d} {welfare:8.1e} {price:8.1e} {flow:8.1e}")
     return 0
 
