@@ -129,10 +129,9 @@ def qpprice(inst, model, solution, *args, **kwargs):
 
 
 def qp_prices(inst, model, x, relax_losses=False, deadline=None, duals=None):
-    """``pricing.solve_qpprice`` by pricing's QPs alone: the same call
-    where the prices that the fill bounds pin do not answer it
-    (``pricing._PriceQps.pinned_prices``), and the QPs' answer where they
-    do."""
+    """``pricing.solve_qpprice`` by its QPs alone (``_PriceQps.solve``),
+    also where the prices that the fill bounds pin would answer it
+    without them (``_PriceQps.pinned_prices``)."""
     qps = pricing._PriceQps(inst, model, x, relax_losses, duals)
     return qps.outcome(qps.solve(deadline))
 
