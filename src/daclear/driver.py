@@ -1,13 +1,15 @@
 """Clearing orchestration.
 
 Each clear runs one branch-and-cut tree (``solve_master``) and tests each
-integral leaf that is the master optimum under the cuts so far: FixFlow
-picks the candidate's flows, and the candidate passes with its strict
-prices when it has loss-free prices and no curtailment violation.  The
-modes differ only in the cut for a failed leaf.  Heuristic mode cuts off
-the currently loss-making bid set; exact mode cuts off only the failed
-selection, so its accepted leaf is the welfare optimum among
-price-supportable selections.
+integral leaf that is the master optimum under the cuts so far with
+``_check_leaf``: FixFlow picks the candidate's flows, and the candidate
+passes with its strict prices when it has loss-free prices and no
+curtailment violation.  The oracle (``verify.oracle_clear``) runs the same
+check on its enumerated selections, and builds its result with the same
+``_finish``.  The modes differ only in the cut for a failed leaf.
+Heuristic mode cuts off the currently loss-making bid set; exact mode
+cuts off only the failed selection, so its accepted leaf is the welfare
+optimum among price-supportable selections.
 """
 
 from __future__ import annotations
@@ -66,61 +68,65 @@ def _relative_gap(bound: float, welfare: float) -> float:
 
 
 def _price(instance, model, x, relax_losses, deadline, duals):
-    """Pricing of a candidate, or None when no price in the interval supports it."""
+    """Prices of a candidate, or None when no price in the interval supports it."""
     try:
         return solve_qpprice(instance, model, x, relax_losses, deadline, duals)
     except PriceInfeasible:
         return None
 
 
-def _leaf_test(instance, model, solution, x, exact, deadline, duals):
-    """Strict pricing and the curtailment check decide the leaf in both
-    modes: one with loss-free prices and no curtailment violation passes
-    with empty loss sets.  Loss-free prices make the least relaxed loss 0,
-    so only a leaf without them runs relaxed pricing, for its record's
-    loss sets and heuristic mode's bid cut.  Exact mode cuts off a failed
-    leaf with one no-good cut; heuristic mode with a bid cut on the loss
-    sets plus curtailment cuts, or a no-good cut when relaxed pricing
-    fails or these give no cut.  Of ``solution`` the test reads only the
-    selection and the curtailment fills.  Both pricings read x, the leaf's
-    point after FixFlow, and start from ``duals``, its multipliers in the
-    master (``MasterResult.duals``)."""
-    pricing = _price(instance, model, x, False, deadline, duals)
-    curt = curtailment_violations(instance, solution)
-    if pricing is not None and not curt:
-        return LossSets((), ()), curt, pricing, []
-    relaxed = (
-        None if pricing is not None
-        else _price(instance, model, x, True, deadline, duals)
-    )
-    sets = LossSets((), ()) if relaxed is None else loss_sets(instance, solution, relaxed.prices)
-    no_good = [no_good_cut(model, solution.selection)]
-    if exact or (pricing is None and relaxed is None):
-        return sets, curt, pricing, no_good
+def _check_leaf(instance, model, selection, x, duals, deadline):
+    """The test of a candidate ``selection``, a leaf of the clear or a
+    selection the oracle enumerates: FixFlow from x, an optimum of the
+    welfare QP with the selection pinned, and ``duals``, its multipliers;
+    then strict pricing and the curtailment check.  Returns (FixFlow's
+    point, the selection with its curtailment fills, the strict prices or
+    None, the curtailment violations): a pass has prices and no violation."""
+    x = solve_fixflow(instance, model, x, duals, deadline)
+    fills = PrimalSolution(selection, {s: float(x[j]) for s, j in model.curtailment}, {})
+    prices = _price(instance, model, x, False, deadline, duals)
+    return x, fills, prices, curtailment_violations(instance, fills)
+
+
+def _leaf_cuts(instance, model, fills, x, prices, curt, exact, deadline, duals):
+    """(loss sets, cuts) of a leaf that failed ``_check_leaf``, whose
+    results ``fills``, ``x``, ``prices`` and ``curt`` are.  Loss-free prices
+    make the least relaxed loss 0, so only a leaf without them runs
+    relaxed pricing, for its record's loss sets and heuristic mode's bid
+    cut.  Exact mode cuts off a failed leaf with one no-good cut;
+    heuristic mode with a bid cut on the loss sets plus curtailment cuts,
+    or a no-good cut when relaxed pricing fails or these give no cut."""
+    relaxed = None if prices is not None else _price(instance, model, x, True, deadline, duals)
+    sets = LossSets((), ()) if relaxed is None else loss_sets(instance, fills, relaxed)
+    no_good = [no_good_cut(model, fills.selection)]
+    if exact or (prices is None and relaxed is None):
+        return sets, no_good
     cuts = [] if sets.empty else [bid_cut(sets)]
     for cut in map(curtailment_cut, curt.values()):
         # one row per coefficients and rhs, whatever the cut's kind
         if all((c.coeffs, c.rhs) != (cut.coeffs, cut.rhs) for c in cuts):
             cuts.append(cut)
-    return sets, curt, pricing, cuts or no_good
+    return sets, cuts or no_good
 
 
-def _finish(instance, mode, solution, pricing, bound, iterations):
+def _finish(instance, mode, solution, prices, welfare, bound, iterations, frontier):
+    """The result that accepts ``solution`` at its strict ``prices``, clamped
+    to the area intervals with a warning per moved price; ``frontier`` is the oracle's."""
     from .verify import list_prbs
 
-    prices, warnings = clamp_prices(pricing.prices, instance)
-    w = welfare_of(instance, solution)
+    prices, warnings = clamp_prices(prices, instance)
     return ClearingResult(
-        status="optimal" if mode == "exact" else "feasible",
+        status="feasible" if mode == "heuristic" else "optimal",
         mode=mode,
         solution=solution,
         prices=prices,
-        welfare=w,
+        welfare=welfare,
         bound=bound,
-        gap=_relative_gap(bound, w),
+        gap=_relative_gap(bound, welfare),
         iterations=tuple(iterations),
         prbs=tuple(list_prbs(instance, solution.selection, prices)),
         warnings=tuple(warnings),
+        frontier=frontier,
     )
 
 
@@ -133,35 +139,30 @@ def _no_solution(status, mode, bound, iterations):
 
 
 def _branch_and_cut(instance, options, mode):
-    """One master tree whose leaf test runs FixFlow and ``_leaf_test`` and
-    records each tested leaf.  Heuristic mode stops after
-    10 x (blocks + flex) failed tests.  The time limit also bounds the leaf
-    test's QPs: one that passes it ends the clear with ``limit``."""
+    """One master tree whose leaf test runs ``_check_leaf``, takes a failed
+    leaf's cuts from ``_leaf_cuts`` and records each tested leaf.
+    Heuristic mode stops after 10 x (blocks + flex) failed tests.  The
+    time limit also bounds the leaf test's QPs: one that passes it ends
+    the clear with ``limit``."""
     exact = mode == "exact"
     blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
     cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
     model = build_model(instance)
     iterations = []
-    tested = []  # (leaf, FixFlow's point, pricing) per tested leaf
+    tested = []  # (leaf, FixFlow's point, strict prices) per tested leaf
     limit = options.time_limit
     deadline = time.monotonic() + limit if limit is not None else None
 
     def leaf_test(leaf):
-        x = solve_fixflow(instance, model, leaf.x, leaf.duals, deadline)
-        fills = PrimalSolution(leaf.selection, {s: float(x[j]) for s, j in model.curtailment}, {})
-        sets, curt, pricing, cuts = _leaf_test(
-            instance, model, fills, x, exact, deadline, leaf.duals
-        )
-        tested.append((leaf, x, pricing))
-        iterations.append(
-            IterationRecord(
-                master_objective=leaf.objective,
-                loss_blocks=sets.blocks,
-                loss_flex=sets.flex,
-                curtailment_areas=tuple(sorted(curt)),
-                cuts_added=len(cuts),
-            )
-        )
+        x, fills, prices, curt = _check_leaf(
+            instance, model, leaf.selection, leaf.x, leaf.duals, deadline)
+        sets, cuts = LossSets((), ()), []
+        if prices is None or curt:
+            sets, cuts = _leaf_cuts(
+                instance, model, fills, x, prices, curt, exact, deadline, leaf.duals)
+        tested.append((leaf, x, prices))
+        iterations.append(IterationRecord(
+            leaf.objective, sets.blocks, sets.flex, tuple(sorted(curt)), len(cuts)))
         if cuts and len(iterations) >= cap:
             return None
         return cuts
@@ -171,11 +172,13 @@ def _branch_and_cut(instance, options, mode):
     )
     bound = tested[0][0].bound if tested else float("inf")  # the cut-free master's
     if master.status == "optimal":
-        leaf, x, pricing = tested[-1]
+        leaf, x, prices = tested[-1]
+        solution = model.primal(leaf.selection, x)
         # every selection exact mode excluded lacked loss-free prices,
         # so the accepted leaf's objective is also the tight dual bound
         final = master.objective if exact else bound
-        return _finish(instance, mode, model.primal(leaf.selection, x), pricing, final, iterations)
+        return _finish(instance, mode, solution, prices, welfare_of(instance, solution),
+                       final, iterations, frontier=None)
     if exact and master.status == "limit":
         bound = master.bound
     return _no_solution(master.status, mode, bound, iterations)

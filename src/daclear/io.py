@@ -12,6 +12,7 @@ as ``NaN`` or ``Infinity``, and parsing rejects those constants with a
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii
 from math import inf
 from typing import Any, Optional
@@ -89,15 +90,24 @@ def _reject_constant(name):
     raise SchemaError("$", f"non-finite number {name} is not allowed")
 
 
-def _load(text: str) -> Any:
+def _load(text: str, *, object_pairs_hook) -> Any:
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant,
+                          object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
 
 
+def _distinct_keys(pairs) -> dict:
+    """A solution document's JSON object: a repeated key is a SchemaError."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        raise SchemaError("$", "a key is repeated within one object")
+    return out
+
+
 def parse_instance(text: str) -> Instance:
-    doc = _load(text)
+    doc = _load(text, object_pairs_hook=None)
     interval = _interval(_get(doc, "price_interval", dict, "$"), "$.price_interval")
     hours = _get(doc, "hours", int, "$")
     if hours <= 0:
@@ -382,18 +392,16 @@ def solution_to_doc(
 
 def parse_solution(text: str) -> tuple[BidSelection, dict, dict, Optional[dict]]:
     """Returns (selection, delta by segment id, flows, prices or None)."""
-    doc = _load(text)
+    doc = _load(text, object_pairs_hook=_distinct_keys)
     selection = selection_from_doc(_get(doc, "selection", dict, "$"))
     delta_doc = _get(doc, "delta", dict, "$", default={})
     delta = {}
     for key, val in delta_doc.items():
-        try:
-            sid = int(key)
-        except ValueError:
-            raise SchemaError(f"$.delta.{key}", "expected an integer segment id")
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):  # one spelling per id: str(int(key))
+            raise SchemaError(f"$.delta.{key}", "expected a canonical integer segment id")
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise SchemaError(f"$.delta.{key}", "expected a number")
-        delta[sid] = float(val)
+        delta[int(key)] = float(val)
     flows = _hourly(_get(doc, "flows", list, "$", default=[]), "$.flows", "interconnector", "flow")
     prices_doc = _get(doc, "prices", list, "$", default=None)
     prices = None if prices_doc is None else _hourly(prices_doc, "$.prices", "area", "price")

@@ -45,11 +45,10 @@ class ClearingModel:
     order: per clearing
     row its segment columns in merit order and their spans (``row_segs``);
     the quantity-carrying segments' columns, rows, base prices and price
-    spans (``fill_prices``); per binary column its bid's (id, limit price,
-    ((clearing row, quantity), ...)) over the hours it executes
-    (``bin_bids``), the sums of limit price times quantity (``bin_b``) and
-    of the smaller surplus at the interval's ends (``bin_worst``) over
-    them, and the columns in key order, as ``BidSelection`` lists executed
+    spans (``fill_prices``); per binary column the sums, over the hours
+    its bid executes in, of limit price times quantity (``bin_b``) and of
+    the smaller surplus at the interval's ends (``bin_worst``), and the
+    columns in key order, as ``BidSelection`` lists executed
     bids (``bin_order``); (F, h, source), the flow columns' rows
     ``F @ flows <= h``, each flow's upper and lower bound then the ramp rows
     it ends, source[i] being the row's index in [upper bounds, lower bounds,
@@ -79,7 +78,6 @@ class ClearingModel:
     curtailment: tuple[tuple[int, int], ...]  # (id, column) of curtailment segments
     row_segs: tuple[tuple[list, list], ...]
     fill_prices: tuple
-    bin_bids: tuple[tuple, ...]
     bin_b: np.ndarray
     bin_worst: tuple[float, ...]
     bin_order: tuple[int, ...]
@@ -202,14 +200,14 @@ def build_model(instance: Instance) -> ClearingModel:
                 b_in.append(cc.ramp_rate + sgn * cc.initial_flow if t == 0 else cc.ramp_rate)
     n_ramp = len(b_in)
 
-    # per binary column: (bid id, limit price, ((clearing row, quantity),
-    # ...)) over the hours it executes its bid in
-    bids = [(b.id, b.limit_price, tuple(enumerate(b.quantities, area_row[b.area]))) for b in blocks]
-    bids += [(f.id, f.limit_price, ((area_row[f.area] + t, f.quantity),))
+    # per binary column: (limit price, ((clearing row, quantity), ...))
+    # over the hours it executes its bid in
+    bids = [(b.limit_price, tuple(enumerate(b.quantities, area_row[b.area]))) for b in blocks]
+    bids += [(f.limit_price, ((area_row[f.area] + t, f.quantity),))
              for f in flex for t in range(H)]
     c += [b.limit_price * sum(b.quantities) for b in blocks]
     c += [f.limit_price * f.quantity for f in flex for _ in range(H)]
-    for k, (_, _, terms) in enumerate(bids, n):
+    for k, (_, terms) in enumerate(bids, n):
         for r, q in terms:
             if q != 0.0:
                 eq_r.append(r)
@@ -248,7 +246,7 @@ def build_model(instance: Instance) -> ClearingModel:
     # from 0.0, as the rows were once built
     iv = instance.interval
     bin_b, bin_worst = [], []
-    for _, limit, terms in bids:
+    for limit, terms in bids:
         total, worst = 0.0, 0.0
         for _, q in terms:
             total += limit * q
@@ -266,7 +264,7 @@ def build_model(instance: Instance) -> ClearingModel:
         vertical=np.array([s.is_vertical for _, _, s in segs], dtype=bool),
         curtailment=tuple((sid, j) for j, (sid, _, s) in enumerate(segs) if s.is_curtailment),
         row_segs=tuple(row_segs), fill_prices=(np.array(fill[0], dtype=int), *fill[1:]),
-        bin_bids=tuple(bids), bin_b=np.array(bin_b, dtype=float), bin_worst=tuple(bin_worst),
+        bin_b=np.array(bin_b, dtype=float), bin_worst=tuple(bin_worst),
         bin_order=tuple(sorted(range(m), key=bin_keys.__getitem__)),
         flow_rows=(F, h, order), stationarity=(-A_eq[:, f].T, -F.T),
         master_arrays=arrays,

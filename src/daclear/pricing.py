@@ -24,8 +24,7 @@ included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,13 +83,6 @@ def solve_fixflow(
     return out
 
 
-@dataclass(frozen=True)
-class PricingOutcome:
-    prices: PriceVector
-    losses: Mapping[str, float]
-    total_loss: float
-
-
 def _flow_stationarity(model: ClearingModel, flows: np.ndarray):
     """The welfare QP's stationarity rows on its flow columns at ``flows``
     (in ``model.flow_keys`` order): ``P @ prices + G @ multipliers = 0``,
@@ -134,8 +126,8 @@ def _dual_start(model: ClearingModel, duals: Multipliers, source, lb, ub, A_in, 
 
 class _PriceQps:
     """The pricing QPs of ``x`` on ``model``, short of solving them: the
-    executed bids (``executed``, in model order), the columns' bounds
-    ``lb`` and ``ub`` (the fill rule's price bounds first), the
+    columns' bounds ``lb`` and ``ub`` (the fill rule's price bounds first,
+    then a loss slack per executed bid, in model order), the
     stationarity rows ``A_eq``/``b_eq``, the no-loss rows ``A_in``/``b_in``
     and the start ``start`` (``_dual_start``, or None to start cold).
     Building them raises PriceInfeasible when the fill rule's bounds cross
@@ -145,8 +137,8 @@ class _PriceQps:
         iv = instance.interval
         n_seg, n = len(model.seg_ids), model.n
         on = x[n:].tolist()
-        self.model, self.relax_losses = model, relax_losses
-        self.executed = executed = [k for k in model.bin_order if on[k] > 0.5]
+        self.relax_losses = relax_losses
+        executed = [k for k in model.bin_order if on[k] > 0.5]
         P, G, source = _flow_stationarity(model, x[n_seg:n])
         self.n_pi = n_pi = len(model.eq_keys)
         self.n_lam = n_lam = len(executed) if relax_losses else 0
@@ -246,19 +238,6 @@ class _PriceQps:
             )
         return s2.x[:n_pi].tolist()
 
-    def outcome(self, pi: list) -> PricingOutcome:
-        """The prices ``pi`` (in clearing-row order), with the executed
-        bids' losses at them."""
-        losses = {
-            bid: max(0.0, -sum((limit - pi[r]) * q for r, q in terms))
-            for bid, limit, terms in (self.model.bin_bids[k] for k in self.executed)
-        }
-        return PricingOutcome(
-            prices=PriceVector(pi=dict(zip(self.model.eq_keys, pi))),
-            losses=losses,
-            total_loss=float(sum(losses.values())),
-        )
-
 
 def solve_qpprice(
     instance: Instance,
@@ -267,12 +246,14 @@ def solve_qpprice(
     relax_losses: bool = False,
     deadline: Optional[float] = None,
     duals: Optional[Multipliers] = None,
-) -> PricingOutcome:
+) -> PriceVector:
     """Prices that support ``x`` on ``model``, the clearing model of
-    ``instance``: x holds the model's fills and flows, then the binaries,
-    whose columns above 0.5 are the executed bids.  With ``relax_losses``,
-    a first QP finds the least total loss of the executed fill-or-kill
-    bids, and the prices are chosen among those that keep it.  ``duals``,
+    ``instance``, by area and hour: x holds the model's fills and flows,
+    then the binaries, whose columns above 0.5 are the executed bids.
+    With ``relax_losses``, a first QP finds the least total loss of the
+    executed fill-or-kill bids, and the prices are chosen among those that
+    keep it; the prices are the only output, and the bids that lose at
+    them are ``cuts.loss_sets``'s to find.  ``duals``,
     the multipliers of the welfare QP with the selection pinned at a
     dispatch of x's welfare (a master leaf's or the oracle's relaxation),
     start the QPs (``_dual_start``); without them they start cold.  When
@@ -281,7 +262,7 @@ def solve_qpprice(
     (``_PriceQps.pinned_prices``)."""
     qps = _PriceQps(instance, model, x, relax_losses, duals)
     pi = qps.pinned_prices()
-    return qps.outcome(qps.solve(deadline) if pi is None else pi)
+    return PriceVector(pi=dict(zip(model.eq_keys, qps.solve(deadline) if pi is None else pi)))
 
 
 def clamp_prices(

@@ -13,10 +13,10 @@ from typing import Mapping
 import numpy as np
 
 from .core import BidSelection, Instance, PriceVector
-from .cuts import curtailment_violations
+from .driver import _check_leaf, _finish
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
 from .model import ClearingModel, build_model
-from .pricing import TIGHT_TOL, clamp_prices, solve_fixflow, solve_qpprice
+from .pricing import TIGHT_TOL
 from .qp import QpProblem, solve_qp
 from .relaxation import solve_relaxation
 
@@ -320,45 +320,25 @@ def _relaxations(instance: Instance, model: ClearingModel):
 def oracle_clear(instance: Instance, cap: int = 12):
     """Ground-truth clearing by enumeration of all bid selections.
 
-    Candidates are ranked by relaxed welfare and tested for supporting
-    prices from the top down; the first price-feasible one is optimal.
-    Its prices are clamped to the area intervals, with a warning per moved
-    price, as the driver's are.
+    Candidates are ranked by relaxed welfare and tested from the top down
+    by the clear's own leaf check (``driver._check_leaf``); the first that
+    passes is optimal.  Its result is built as the clear's
+    (``driver._finish``), with its relaxation objective as welfare and
+    bound, and with the frontier: (objective, selection, passed) per
+    tested candidate.
     """
-    from .driver import ClearingResult
-
     decisions = len(instance.blocks) + len(instance.flex_bids) * instance.hours
     if decisions > cap:
-        raise TooLarge(
-            f"{decisions} binary decisions exceed the enumeration cap {cap}"
-        )
+        raise TooLarge(f"{decisions} binary decisions exceed the enumeration cap {cap}")
     model = build_model(instance)
     candidates = sorted(_relaxations(instance, model), key=lambda rec: (-rec[0], rec[1]))
     frontier = []
     for objective, _, x, duals in candidates:
-        x = solve_fixflow(instance, model, x, duals)
-        fixed = model.primal(model.selection_at(x), x)
-        try:
-            pricing = solve_qpprice(instance, model, x, relax_losses=False, duals=duals)
-        except PriceInfeasible:
-            frontier.append((objective, fixed.selection, False))
-            continue
-        if curtailment_violations(instance, fixed):
-            frontier.append((objective, fixed.selection, False))
-            continue
-        frontier.append((objective, fixed.selection, True))
-        prices, warnings = clamp_prices(pricing.prices, instance)
-        return ClearingResult(
-            status="optimal",
-            mode="oracle",
-            solution=fixed,
-            prices=prices,
-            welfare=objective,
-            bound=objective,
-            gap=0.0,
-            iterations=(),
-            prbs=tuple(list_prbs(instance, fixed.selection, prices)),
-            warnings=tuple(warnings),
-            frontier=tuple(frontier),
-        )
+        x, fills, prices, curt = _check_leaf(
+            instance, model, model.selection_at(x), x, duals, None)
+        passed = prices is not None and not curt
+        frontier.append((objective, fills.selection, passed))
+        if passed:
+            return _finish(instance, "oracle", model.primal(fills.selection, x), prices,
+                           objective, objective, (), tuple(frontier))
     raise PriceInfeasible("no selection admits supporting prices")

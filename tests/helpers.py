@@ -9,13 +9,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from daclear import driver, master, pricing, qp
-from daclear.core import BidSelection, PrimalSolution
+from daclear.core import BidSelection, PriceVector, PrimalSolution
 from daclear.errors import PriceInfeasible, SolverFailure, UnknownId
 from daclear.io import parse_instance
 from daclear.master import _with_cuts
 from daclear.model import build_model
 from daclear.pricing import TIGHT_TOL, solve_fixflow, solve_qpprice
 from daclear.qp import QpProblem, QpSolution, multipliers
+from daclear.verify import check_bid_prices
 
 
 def make_instance(curves, conns=(), P=(0.0, 100.0), hours=1, areas=None,
@@ -133,14 +134,22 @@ def qp_prices(inst, model, x, relax_losses=False, deadline=None, duals=None):
     also where the prices that the fill bounds pin would answer it
     without them (``_PriceQps.pinned_prices``)."""
     qps = pricing._PriceQps(inst, model, x, relax_losses, duals)
-    return qps.outcome(qps.solve(deadline))
+    return PriceVector(pi=dict(zip(model.eq_keys, qps.solve(deadline))))
+
+
+def total_loss(inst, selection, prices):
+    """The executed bids' total loss at ``prices``: the sum of
+    ``verify.check_bid_prices``'s no-loss violations at tolerance 0, one
+    per losing bid, blocks then flex bids, each in id order."""
+    report = check_bid_prices(inst, selection, prices, tol=0.0)
+    return float(sum(v.amount for v in report.violations))
 
 
 def with_qp_path(monkeypatch):
     """Have every pricing call of the driver that the pinned prices answer
     build and solve pricing's QPs as well (``qp_prices``), so that a spy on
     ``pricing.solve_qp`` sees the QPs of each priced leaf; the driver goes
-    on with the pinned path's outcome."""
+    on with the pinned path's prices."""
     price = driver.solve_qpprice
 
     def spy(instance, model, x, relax_losses=False, deadline=None, duals=None):

@@ -12,7 +12,9 @@ from daclear.driver import clear_heuristic
 from daclear.errors import SolverFailure
 from daclear.io import dump_document, serialize_instance
 
-from helpers import appendix_a, block, connector, f3, make_instance, random_instance
+from helpers import (
+    appendix_a, bench_instance, block, connector, f3, make_instance, random_instance,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "appendix_a.json"
@@ -288,6 +290,24 @@ class TestVerify:
         assert code == 4
         assert out == ""
 
+
+    def test_second_spelling_of_a_segment_id_is_input_error(self, capsys, tmp_path):
+        # zeroing segment 1's fill fails the document; "01" once gave the
+        # fill back, after "1", and the document passed
+        path = _write(tmp_path, "inst.json", serialize_instance(bench_instance("day-book", 3000)))
+        code, out = _run(capsys, "clear", "--instance", path)
+        doc = json.loads(out)
+        fill, doc["delta"]["1"] = doc["delta"]["1"], 0.0
+        assert 0.0 < fill < 1.0
+        for extra, want in (({}, 0), ({"01": fill}, 4)):
+            delta = {**doc["delta"], **extra}
+            sol = _write(tmp_path, "sol.json", json.dumps({**doc, "delta": delta}))
+            code, out = _run(capsys, "verify", "--instance", path, "--solution", sol)
+            assert code == want
+            if want == 0:
+                assert json.loads(out)["pass"] is False
+            else:
+                assert out == ""
 
     def _verify_edited(self, capsys, tmp_path, edit):
         code, out = _run(capsys, "clear", "--instance", str(FIXTURE))

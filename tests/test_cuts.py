@@ -14,7 +14,7 @@ from daclear.cuts import (
 from daclear.errors import EmptyLossSets
 from daclear.master import solve_master
 from daclear.model import build_model
-from daclear.verify import _all_selections
+from daclear.verify import _all_selections, _relaxations, oracle_clear
 
 from helpers import (
     appendix_a, block, cut_activity, fixflow, flexbid, make_instance, paradox_book, qpprice,
@@ -33,7 +33,7 @@ def _appendix_a_relaxed():
 class TestLossSets:
     def test_appendix_a_relaxed_losses(self):
         inst, sol, out = _appendix_a_relaxed()
-        ls = loss_sets(inst, sol, out.prices)
+        ls = loss_sets(inst, sol, out)
         # at least one executed bid loses money at every uniform price
         assert not ls.empty
         assert set(ls.blocks) <= {"a", "b", "c", "d"}
@@ -44,13 +44,13 @@ class TestLossSets:
         inst = appendix_a()
         res = clear_exact(inst)
         out = qpprice(inst, build_model(inst), res.solution, relax_losses=True)
-        assert loss_sets(inst, res.solution, out.prices).empty
+        assert loss_sets(inst, res.solution, out).empty
 
 
 class TestBidCut:
     def test_excludes_exactly_supersets(self):
         inst, sol, out = _appendix_a_relaxed()
-        ls = loss_sets(inst, sol, out.prices)
+        ls = loss_sets(inst, sol, out)
         cut = bid_cut(ls)
         members = [key[1] for key, _ in cut.coeffs]
         # brute force over all 16 block selections
@@ -154,6 +154,24 @@ class TestCurtailment:
         res = clear_exact(inst)
         assert curtailment_violations(inst, res.solution) == {}
 
+    def test_oracle_rejects_a_priced_candidate_for_curtailment(self):
+        # the best candidate {gen, buy} has loss-free prices and fails
+        # only the curtailment check; the oracle rejects it and accepts
+        # {gen}, the exact clear's selection
+        inst = self._curtailing_instance()
+        model = build_model(inst)
+        _, _, x, duals = max(_relaxations(inst, model), key=lambda rec: rec[0])
+        _, fills, prices, curt = driver._check_leaf(
+            inst, model, model.selection_at(x), x, duals, None)
+        assert fills.selection.blocks == {"gen": 1, "buy": 1}
+        assert prices is not None and list(curt) == [("X", 0)]
+        res = oracle_clear(inst)
+        assert [(obj, sel.blocks, passed) for obj, sel, passed in res.frontier] == [
+            (pytest.approx(165.0), {"gen": 1, "buy": 1}, False),
+            (pytest.approx(150.0), {"gen": 1, "buy": 0}, True),
+        ]
+        assert res.solution.selection == driver.clear_exact(inst).solution.selection
+
 
 class TestLeafTestCuts:
     def test_repeated_curtailment_sets_give_one_row(self, monkeypatch):
@@ -185,16 +203,20 @@ class TestLeafTestCuts:
         # every leaf tested later in the clear meets it: a waiting leaf
         # that a later cut excludes is not tested (in heuristic mode this
         # happens on paradox_book(747) and random_instance(748))
-        leaf_test = driver._leaf_test
-        tested = []
+        check_leaf, leaf_cuts = driver._check_leaf, driver._leaf_cuts
+        tested = []  # (selection, cuts) per tested leaf
 
-        def spy(instance, model, solution, x, exact, deadline, duals):
-            out = leaf_test(instance, model, solution, x, exact, deadline, duals)
-            *_, cuts = out
-            tested.append((instance, solution.selection, cuts))
-            return out
+        def check_spy(instance, model, selection, *args):
+            tested.append((selection, []))
+            return check_leaf(instance, model, selection, *args)
 
-        monkeypatch.setattr(driver, "_leaf_test", spy)
+        def cuts_spy(*args):
+            sets, cuts = leaf_cuts(*args)
+            tested[-1][1].extend(cuts)
+            return sets, cuts
+
+        monkeypatch.setattr(driver, "_check_leaf", check_spy)
+        monkeypatch.setattr(driver, "_leaf_cuts", cuts_spy)
         clear = driver.clear_exact if mode == "exact" else driver.clear_heuristic
         n_cuts = 0
         for seed in range(700, 760):
@@ -202,7 +224,7 @@ class TestLeafTestCuts:
                 tested.clear()
                 clear(inst)
                 earlier = []
-                for _, selection, cuts in tested:
+                for selection, cuts in tested:
                     for cut in earlier:
                         assert cut_activity(inst, cut, selection) <= cut.rhs
                     for cut in cuts:

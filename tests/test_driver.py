@@ -306,7 +306,7 @@ class TestLeafTest:
             if not relax_losses:
                 relaxed = solve_qpprice(instance, model, x, True)
                 solution = model.primal(model.selection_at(x), x)
-                assert loss_sets(instance, solution, relaxed.prices).empty
+                assert loss_sets(instance, solution, relaxed).empty
                 checked.append(1)
 
         solved = 0

@@ -133,6 +133,27 @@ class TestSolutionDocs:
             parse_solution(json.dumps(doc))
         assert exc.value.path == f"$.{field}[1]"
 
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "1.0", "-0"])
+    def test_segment_id_has_one_spelling(self, key):
+        # no key here is an id as str() writes it; int() reads all but
+        # "1.0", so a second spelling of an id that the document also
+        # holds would replace its fill
+        inst = ramp_fixture()
+        res = clear_exact(inst)
+        doc = solution_to_doc(inst, res.solution, res.prices)
+        doc["delta"][key] = 0.5
+        with pytest.raises(SchemaError) as exc:
+            parse_solution(json.dumps(doc))
+        assert exc.value.path == f"$.delta.{key}"
+
+    def test_repeated_segment_id_is_rejected(self):
+        inst = ramp_fixture()
+        res = clear_exact(inst)
+        text = json.dumps(solution_to_doc(inst, res.solution, res.prices))
+        first = text.index('"delta": {') + len('"delta": {')
+        with pytest.raises(SchemaError, match="repeated"):
+            parse_solution(text[:first] + '"0": 0.0, ' + text[first:])
+
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_block_value_is_rejected(self, value):
         inst = appendix_a()

@@ -343,18 +343,18 @@ class TestNodePass:
         instances = [paradox_book(seed) for seed in range(20)]
         instances += [random_instance(seed) for seed in range(50)]
         leaves, nodes = [], []
-        leaf_test, solve = driver._leaf_test, driver.solve_master
+        check_leaf, solve = driver._check_leaf, driver.solve_master
 
-        def leaf_spy(instance, model, solution, *args):
-            leaves[-1].append(solution.selection)
-            return leaf_test(instance, model, solution, *args)
+        def leaf_spy(instance, model, selection, *args):
+            leaves[-1].append(selection)
+            return check_leaf(instance, model, selection, *args)
 
         def master_spy(*args, **kwargs):
             res = solve(*args, **kwargs)
             nodes.append(res.nodes)
             return res
 
-        monkeypatch.setattr(driver, "_leaf_test", leaf_spy)
+        monkeypatch.setattr(driver, "_check_leaf", leaf_spy)
         monkeypatch.setattr(driver, "solve_master", master_spy)
 
         def clears():

@@ -32,6 +32,7 @@ from helpers import (
     qp_prices,
     ramp_fixture,
     random_instance,
+    total_loss,
     welfare_row_fixflow,
     without_row_test,
 )
@@ -147,27 +148,26 @@ class TestQpPrice:
         inst = appendix_a()
         res = clear_exact(inst)
         out = qpprice(inst, build_model(inst), res.solution)
-        assert out.prices["X", 0] == pytest.approx(3.0, abs=1e-6)
-        assert out.total_loss == pytest.approx(0.0, abs=1e-9)
+        assert out["X", 0] == pytest.approx(3.0, abs=1e-6)
+        assert total_loss(inst, res.solution.selection, out) == pytest.approx(0.0, abs=1e-9)
 
     def test_relaxed_losses_nonnegative(self):
         inst = appendix_a()
         full = _fixflow(inst)
         out = qpprice(inst, build_model(inst), full, relax_losses=True)
-        assert out.total_loss > 0
-        assert all(v >= -1e-9 for v in out.losses.values())
+        assert total_loss(inst, full.selection, out) > 0
 
     def test_f3_congested_prices(self):
         inst = f3()
         out = qpprice(inst, build_model(inst), _fixflow(inst))
-        assert out.prices["R", 0] == pytest.approx(10.0, abs=1e-6)
-        assert out.prices["S", 0] == pytest.approx(40.0, abs=1e-6)
+        assert out["R", 0] == pytest.approx(10.0, abs=1e-6)
+        assert out["S", 0] == pytest.approx(40.0, abs=1e-6)
 
     def test_ramp_price_reflection(self):
         inst = ramp_fixture()
         out = qpprice(inst, build_model(inst), _fixflow(inst))
-        d0 = out.prices["S", 0] - out.prices["R", 0]
-        d1 = out.prices["S", 1] - out.prices["R", 1]
+        d0 = out["S", 0] - out["R", 0]
+        d1 = out["S", 1] - out["R", 1]
         assert d0 + d1 == pytest.approx(0.0, abs=1e-6)
         assert abs(d0) > 1.0
 
@@ -175,7 +175,7 @@ class TestQpPrice:
         inst = price_indifferent()
         out = qpprice(inst, build_model(inst), _fixflow(inst))
         # any price in [0, 7] supports the execution; tie broken at 0
-        assert out.prices["X", 0] == pytest.approx(0.0, abs=1e-6)
+        assert out["X", 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_resolve_gives_same_prices(self):
         for seed in range(8):
@@ -186,8 +186,8 @@ class TestQpPrice:
                 b = qpprice(inst, build_model(inst), sol)
             except PriceInfeasible:
                 continue
-            for k in a.prices.pi:
-                assert b.prices[k] == pytest.approx(a.prices[k], abs=1e-7)
+            for k in a.pi:
+                assert b[k] == pytest.approx(a[k], abs=1e-7)
 
 
 class TestPriceBounds:
@@ -221,8 +221,8 @@ class TestPriceBounds:
         fills = self._fills({0: 1.0, 1: 0.0, 2: 0.0})
         for relax in (False, True):
             out = qpprice(inst, build_model(inst), fills, relax_losses=relax)
-            assert out.prices["X", 0] == 60.0 + shift
-            assert out.total_loss == 0.0
+            assert out["X", 0] == 60.0 + shift
+            assert total_loss(inst, fills.selection, out) == 0.0
 
 
 def _pricing_cases(instances):
@@ -242,7 +242,7 @@ def _outcome(inst, sol, relax, duals=None, price=qpprice):
         out = price(inst, build_model(inst), sol, relax_losses=relax, duals=duals)
     except PriceInfeasible as exc:
         return str(exc)
-    return out.prices.pi, out.total_loss
+    return out.pi, total_loss(inst, sol.selection, out)
 
 
 def _by_qps(inst, model, sol, **kwargs):
@@ -392,13 +392,11 @@ class TestPriceStart:
 
 
 def _bits(out):
-    """A pricing outcome as bytes: its prices, losses and total loss, in
-    order, or the message of its PriceInfeasible."""
+    """A pricing's prices as bytes, in order, or the message of its
+    PriceInfeasible."""
     if isinstance(out, PriceInfeasible):
         return str(out)
-    return (list(out.prices.pi), np.array(list(out.prices.pi.values())).tobytes(),
-            list(out.losses), np.array(list(out.losses.values())).tobytes(),
-            np.float64(out.total_loss).tobytes())
+    return list(out.pi), np.array(list(out.pi.values())).tobytes()
 
 
 def _either(price, *args):
@@ -428,8 +426,7 @@ class TestPinnedPrices:
             calls.append((family, instance, model, x, relax_losses, duals))
             return solve_qpprice(instance, model, x, relax_losses, deadline, duals)
 
-        monkeypatch.setattr(driver, "solve_qpprice", spy)
-        monkeypatch.setattr(verify, "solve_qpprice", spy)
+        monkeypatch.setattr(driver, "solve_qpprice", spy)  # the oracle's pricing too
         for family, inst in self._books():
             clear_exact(inst)
             clear_heuristic(inst)
@@ -490,8 +487,8 @@ class TestPinnedPrices:
         assert len(seen) == 1
         if loss < qp.INFEAS_TOL:
             assert runs == [True]
-            assert out.prices.pi == {("X", 0): 50.0}
-            assert out.total_loss == pytest.approx(loss, rel=1e-6)
+            assert out.pi == {("X", 0): 50.0}
+            assert total_loss(inst, sol.selection, out) == pytest.approx(loss, rel=1e-6)
         else:
             assert runs == [] and isinstance(out, PriceInfeasible)
         assert _bits(out) == _bits(_either(qp_prices, inst, model, x))
@@ -511,7 +508,7 @@ class TestPinnedPrices:
         for relax in (False, True):
             out = solve_qpprice(inst, model, x, relax)
             assert not seen
-            assert out.prices.pi == {("X", 0): 0.5 * (high + low)}
+            assert out.pi == {("X", 0): 0.5 * (high + low)}
             assert _bits(out) == _bits(qp_prices(inst, model, x, relax))
             assert len(seen) == 1
             seen.clear()
@@ -630,7 +627,8 @@ class TestLinprogCrossCheck:
             sol = _fixflow(inst)
             ref = _min_loss_lp(optimize, inst, sol, strict=False)
             try:
-                total = qpprice(inst, build_model(inst), sol, relax_losses=True).total_loss
+                prices = qpprice(inst, build_model(inst), sol, relax_losses=True)
+                total = total_loss(inst, sol.selection, prices)
             except PriceInfeasible:
                 total = None
             if ref is None:
@@ -652,9 +650,9 @@ class TestClampPrices:
     def test_inside_interval_untouched(self):
         inst = f3()
         out = qpprice(inst, build_model(inst), _fixflow(inst))
-        clamped, warnings = clamp_prices(out.prices, inst)
+        clamped, warnings = clamp_prices(out, inst)
         assert warnings == []
-        assert clamped["R", 0] == out.prices["R", 0]
+        assert clamped["R", 0] == out["R", 0]
 
     def test_area_interval_clamps_and_warns(self):
         # flat zero curve: every price supports it; min-norm picks 0,
@@ -665,7 +663,7 @@ class TestClampPrices:
         )
         sol = _fixflow(inst)
         out = qpprice(inst, build_model(inst), sol)
-        assert out.prices["X", 0] == pytest.approx(0.0, abs=1e-6)
-        clamped, warnings = clamp_prices(out.prices, inst)
+        assert out["X", 0] == pytest.approx(0.0, abs=1e-6)
+        clamped, warnings = clamp_prices(out, inst)
         assert clamped["X", 0] == pytest.approx(20.0, abs=1e-12)
         assert warnings
