@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BidSelection, Instance, PrimalSolution, presolve_price_bounds
+from .core import BidSelection, Instance, presolve_price_bounds
 from .cuts import Cut
 from .errors import TimeLimit
-from .model import ClearingModel, balanced_start, money_start
+from .model import ClearingModel, balanced_start
 from .qp import END_TOL, Multipliers, QpProblem, _lowest_activity, multipliers, solve_qp
 
 @dataclass
@@ -41,11 +41,6 @@ class MasterResult:
     # or flow)
     duals: Optional[Multipliers] = None
     x: Optional[np.ndarray] = None  # with a solution: its node's optimal point
-    model: Optional[ClearingModel] = field(default=None, repr=False, compare=False)
-
-    @property
-    def solution(self) -> Optional[PrimalSolution]:  # built on each call
-        return None if self.selection is None else self.model.primal(self.selection, self.x)
 
 
 def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], model: ClearingModel) -> QpProblem:
@@ -138,17 +133,15 @@ def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
 def _solve_node(node: QpProblem, model, parent, deadline):
     """The optimal solution of one B&B node, or None when it has none.  A
     node with a ``parent`` solution (a child, or a node solved again under
-    new cuts) starts from the parent's optimum and working set; phase 1
-    from the parent's balanced point is the fallback.  The root starts from
-    ``money_start``.  These points are built only when the search needs
-    them: not for a node that ``solve_qp``'s row test refutes, and for a
-    child only when the parametric start falls back."""
+    new cuts) starts from the parent's optimum and working set.  Phase 1
+    starts the root, and any node whose parametric start falls back, from
+    ``balanced_start`` of the parent's optimum (of zero at the root),
+    built only when the search needs it: not for a node that
+    ``solve_qp``'s row test refutes, and for a child only when the
+    parametric start falls back."""
     sol = solve_qp(
         node,
-        x0=lambda: (
-            money_start(model, node) if parent is None
-            else balanced_start(model, node, parent.x)
-        ),
+        x0=lambda: balanced_start(model, node, None if parent is None else parent.x),
         deadline=deadline,
         start=parent,
     )
@@ -169,7 +162,8 @@ def solve_master(
     it gives no verdict, so a node its rows rule out still ends at
     ``solve_qp``'s row test.  Each child is solved from its parent's
     optimum and working set (``solve_qp``'s ``start``), so phase 1 runs
-    only at the root and where that parametric start falls back.  A node
+    only at the root and where that parametric start falls back, both
+    from ``model.balanced_start`` (``_solve_node``).  A node
     whose free binaries all sit on 0/1 up to round-off (``qp.END_TOL``) is
     an integral leaf; any other node branches.  A leaf goes back on the heap
     keyed by its objective plus ``abs_gap``; when it reaches the top and
@@ -211,7 +205,7 @@ def solve_master(
             return MasterResult(status=status, bound=bound, nodes=nodes)
         return MasterResult(
             status=status, selection=model.selection_at(leaf.x), objective=objective,
-            bound=bound, nodes=nodes, duals=multipliers(prob, leaf), x=leaf.x, model=model,
+            bound=bound, nodes=nodes, duals=multipliers(prob, leaf), x=leaf.x,
         )
 
     push(float("inf"), (prob.lb, base_ub, None))  # bounds and a parent solution

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BidSelection, Instance, PrimalSolution
-from .qp import FEAS_TOL, QpProblem, _clipped, rows_hold
+from .qp import FEAS_TOL, QpProblem, _clipped
 
 
 @dataclass(frozen=True)
@@ -304,58 +304,3 @@ def balanced_start(
             fill[j] = bound[j] if take >= room else fill[j] + sign * take / span
     return np.array(fill)
 
-
-def _curves_take(model: ClearingModel, prob: QpProblem, x: np.ndarray) -> bool:
-    """False when a clearing row's curve cannot take the volume that x's
-    other columns leave it, by more than round-off, anywhere in its
-    segments' box: ``balanced_start`` of x would leave that row broken, and
-    ``rows_hold`` would reject the point."""
-    s = len(model.seg_ids)
-    spans = prob.A_eq[:, :s]  # nonnegative
-    need = prob.b_eq - prob.A_eq[:, s:] @ x[s:]
-    margin = 2.0 * FEAS_TOL
-    return not ((need < spans @ prob.lb[:s] - margin) | (need > spans @ prob.ub[:s] + margin)).any()
-
-
-def money_start(model: ClearingModel, prob: QpProblem) -> np.ndarray:
-    """A start for ``prob``, a master problem on ``model``: the bids in the
-    money executed, when their balanced point meets every row of prob, and
-    otherwise ``balanced_start`` with every binary at its lower bound.
-
-    A bid is in the money when its surplus is positive at the marginal
-    prices of that balanced start: each clearing row's price is the one at
-    which its last filled segment is filled (its first segment's, at fill
-    0, when none is; 0 for a row without segments).  A link or flex-once
-    row that the bids in the money break keeps none of its columns, except
-    the hour of a flex bid with the largest surplus (the earliest on ties).
-    The executed bids' point is ``balanced_start`` of the balanced start
-    with these binaries set; it is built only when each clearing row's
-    curve can take the executed bids' volume."""
-    x = balanced_start(model, prob)
-    n = model.n
-    c, d, fill = prob.c.tolist(), prob.d.tolist(), x.tolist()
-    pi = []
-    for cols, spans in model.row_segs:
-        # the row's last filled segment, or its first
-        k = next((k for k in range(len(cols) - 1, -1, -1) if fill[cols[k]] > 0.0), 0)
-        pi.append((c[cols[k]] + d[cols[k]] * fill[cols[k]]) / spans[k] if cols else 0.0)
-    surplus = model.bin_c - np.array(pi) @ model.bin_A_eq
-    y = np.where(surplus > 0.0, prob.ub[n:], prob.lb[n:])
-    while len(model.link_b):
-        broken = (model.link_A @ y > model.link_b + FEAS_TOL).nonzero()[0]
-        if not len(broken):
-            break
-        for r in broken:
-            cols = model.link_A[r].nonzero()[0]
-            on = cols[y[cols] > 0.0]
-            y[cols] = 0.0
-            if model.link_b[r] > 0.0:  # a flex-once row
-                y[on[np.argmax(surplus[on])]] = 1.0
-    if not y.any():
-        return x
-    start = x.copy()
-    start[n:] = y
-    if not _curves_take(model, prob, start):
-        return x
-    start = balanced_start(model, prob, start)
-    return start if rows_hold(prob, start) else x

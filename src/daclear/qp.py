@@ -651,9 +651,10 @@ def solve_qp(
     optimum and working set to prob's pinned values, and phase 2 goes on
     from there, usually confirming the optimum at once.  Without ``start``,
     or when that pass falls back, the search starts from x0 clipped into
-    the box (the clipped origin when x0 is None; the clearing QPs pass
-    ``model.balanced_start`` or, at the master root, ``model.money_start``,
-    and pricing the welfare QP's multipliers), and phase 1 runs only when
+    the box (the clipped origin when x0 is None; every clearing QP passes
+    ``model.balanced_start``, the clipped point with each clearing row
+    balanced along its own curve, and pricing passes the welfare QP's
+    multipliers), and phase 1 runs only when
     that point is infeasible; past the row test only its artificial
     problem proves infeasibility.  x0 may be a function that builds the
     start, called only when the search needs it.  A fallback's

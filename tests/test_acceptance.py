@@ -122,15 +122,16 @@ def test_criterion_1_golden_fixture():
 
 def test_criterion_2_intermediate_steps():
     inst = appendix_a()
-    cut_free = solve_master(inst, build_model(inst))
+    model = build_model(inst)
+    cut_free = solve_master(inst, model)
     assert cut_free.objective == pytest.approx(3.0, abs=1e-9)
-    assert set(cut_free.solution.selection.executed_blocks()) == {"a", "b", "c", "d"}
+    assert set(cut_free.selection.executed_blocks()) == {"a", "b", "c", "d"}
 
     res = clear_exact(inst)
     assert sum(rec.cuts_added for rec in res.iterations) >= 1
 
-    full = fixflow(inst, build_model(inst), cut_free.solution, cut_free.duals)
-    relaxed = qpprice(inst, build_model(inst), full, relax_losses=True)
+    full = fixflow(inst, model, model.primal(cut_free.selection, cut_free.x), cut_free.duals)
+    relaxed = qpprice(inst, model, full, relax_losses=True)
     loss = total_loss(inst, full.selection, relaxed)
     assert loss > 0
     _ok(2, f"cut-free objective 3, cuts fired, relaxed loss {loss:.3f}")

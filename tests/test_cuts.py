@@ -24,9 +24,10 @@ from helpers import (
 
 def _appendix_a_relaxed():
     inst = appendix_a()
-    res = solve_master(inst, build_model(inst))
-    sol = fixflow(inst, build_model(inst), res.solution, res.duals)
-    out = qpprice(inst, build_model(inst), sol, relax_losses=True)
+    model = build_model(inst)
+    res = solve_master(inst, model)
+    sol = fixflow(inst, model, model.primal(res.selection, res.x), res.duals)
+    out = qpprice(inst, model, sol, relax_losses=True)
     return inst, sol, out
 
 
@@ -127,8 +128,9 @@ class TestCurtailment:
 
     def test_violation_detected(self):
         inst = self._curtailing_instance()
-        res = solve_master(inst, build_model(inst))
-        sol = fixflow(inst, build_model(inst), res.solution, res.duals)
+        model = build_model(inst)
+        res = solve_master(inst, model)
+        sol = fixflow(inst, model, model.primal(res.selection, res.x), res.duals)
         if sol.selection.blocks.get("buy") != 1:
             pytest.skip("master did not execute the block")
         viol = curtailment_violations(inst, sol)
@@ -137,13 +139,14 @@ class TestCurtailment:
 
     def test_cut_forms(self):
         inst = self._curtailing_instance()
-        res = solve_master(inst, build_model(inst))
-        sol = fixflow(inst, build_model(inst), res.solution, res.duals)
+        model = build_model(inst)
+        res = solve_master(inst, model)
+        sol = fixflow(inst, model, model.primal(res.selection, res.x), res.duals)
         viol = curtailment_violations(inst, sol)
         if not viol:
             pytest.skip("no violation to cut")
         heur = curtailment_cut(viol["X", 0])
-        exact = no_good_cut(build_model(inst), sol.selection)
+        exact = no_good_cut(model, sol.selection)
         assert cut_activity(inst, heur, sol.selection) > heur.rhs
         assert cut_activity(inst, exact, sol.selection) > exact.rhs
 

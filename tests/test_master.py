@@ -6,13 +6,13 @@ import pytest
 
 import numpy as np
 
-from daclear import master, model as clearing_model, qp
+from daclear import master, qp
 from daclear.core import BidSelection
 from daclear.cuts import LossSets, bid_cut, no_good_cut
 from daclear.errors import TimeLimit
 from daclear.io import parse_instance
 from daclear.master import _with_cuts, solve_master
-from daclear.model import balanced_start, build_model, money_start
+from daclear.model import balanced_start, build_model
 
 from helpers import (
     appendix_a, block, expiring_clock, flexbid, make_instance, paradox_book, random_instance,
@@ -28,7 +28,7 @@ class TestApppendixA:
         res = solve_master(inst, build_model(inst))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0, abs=1e-9)
-        assert res.solution.selection.blocks == {"a": 1, "b": 1, "c": 1, "d": 1}
+        assert res.selection.blocks == {"a": 1, "b": 1, "c": 1, "d": 1}
 
     def test_respects_no_good_cut(self):
         # the test rejects the four-block leaf; the same tree goes on to {c, d}
@@ -37,21 +37,21 @@ class TestApppendixA:
         tested = []
 
         def reject_all_four(leaf):
-            tested.append(leaf.solution.selection.executed_blocks())
+            tested.append(leaf.selection.executed_blocks())
             if len(tested) == 1:
-                return [no_good_cut(model, leaf.solution.selection)]
+                return [no_good_cut(model, leaf.selection)]
             return ()
 
         res = solve_master(inst, model, reject_all_four)
         assert tested == [["a", "b", "c", "d"], ["c", "d"]]
         assert res.objective == pytest.approx(2.0, abs=1e-9)
-        assert set(res.solution.selection.executed_blocks()) == {"c", "d"}
+        assert set(res.selection.executed_blocks()) == {"c", "d"}
 
     def test_stop_returns_limit(self):
         inst = appendix_a()
         res = solve_master(inst, build_model(inst), lambda leaf: None)
         assert res.status == "limit"
-        assert res.solution is None
+        assert res.selection is None
         assert res.bound == pytest.approx(3.0, abs=1e-9)
 
     def test_bound_dominates_objective(self):
@@ -68,7 +68,7 @@ class TestBranching:
             links=[("q", "p")],
         )
         res = solve_master(inst, build_model(inst))
-        sel = res.solution.selection
+        sel = res.selection
         assert sel.link_consistent(inst.links)
 
     def test_flex_single_hour(self):
@@ -79,10 +79,10 @@ class TestBranching:
             flex=[flexbid("f", "X", 90, 5)],
         )
         res = solve_master(inst, build_model(inst))
-        hours = res.solution.selection.executed_flex()
+        hours = res.selection.executed_flex()
         assert len(hours) <= 1
         # the cheaper-supply hour wins
-        assert res.solution.selection.flex.get("f") == 0
+        assert res.selection.flex.get("f") == 0
 
     def test_matches_relaxation_enumeration(self):
         from daclear.verify import _relaxations
@@ -114,7 +114,7 @@ class TestPresolve:
         _no_fixings(monkeypatch)
         without = solve_master(inst, build_model(inst))
         assert with_p.objective == pytest.approx(without.objective, abs=1e-9)
-        assert with_p.solution.selection.blocks["junk"] == 0
+        assert with_p.selection.blocks["junk"] == 0
 
     def test_presolve_never_changes_clearing_welfare(self, monkeypatch):
         from daclear.driver import clear_exact
@@ -159,7 +159,8 @@ class TestNodeSolves:
         # root takes the block in part, and its child with the block
         # executed ends at solve_qp's row test: no parametric pass, no
         # balanced start, no iteration.  Without the row test too, that
-        # child falls back and phase 1 decides it alike
+        # child falls back and phase 1 decides it alike.  The root starts
+        # from a balanced point every time
         inst = make_instance(
             {("X", 0): [[0, 10], [50, 10], [50, -10], [100, -10]]},
             blocks=[block("big", "X", 90, [15])],
@@ -171,27 +172,28 @@ class TestNodeSolves:
                             lambda *args: starts.append(1) or balanced(*args))
         monkeypatch.setattr(qp, "_warm_start", lambda *args: starts.append(0) or warm_start(*args))
         fixed = solve_master(inst, build_model(inst))
-        assert statuses == ["optimal"] and starts == []
+        assert statuses == ["optimal"] and starts == [1]
         assert fixed.nodes == 1
         statuses.clear()
+        starts.clear()
         without_node_pass(monkeypatch)
         pruned = solve_master(inst, build_model(inst))
         assert statuses == ["optimal", "optimal", "infeasible"]
-        assert starts == [0]  # the feasible child's parametric pass only
+        assert starts == [1, 0]  # the root, then the feasible child's parametric pass
         statuses.clear()
         starts.clear()
         without_row_test(monkeypatch)
         solved = solve_master(inst, build_model(inst))
         assert statuses == ["optimal", "optimal", "infeasible"]
-        assert starts == [0, 0, 1]
+        assert starts == [1, 0, 0, 1]
         assert pruned.nodes == solved.nodes == 3
         assert pruned.objective == solved.objective
         assert pruned.bound == solved.bound
-        assert pruned.solution.selection == solved.solution.selection
+        assert pruned.selection == solved.selection
         # the one-node tree reaches the same optimum by another path
         assert fixed.objective == pytest.approx(pruned.objective, rel=1e-12)
         assert fixed.bound == pytest.approx(pruned.bound, rel=1e-12)
-        assert fixed.solution.selection == pruned.solution.selection
+        assert fixed.selection == pruned.selection
 
     def test_leaf_under_its_own_cut_is_decided_alike(self, monkeypatch):
         # a rejected leaf breaks the cuts that reject it.  A leaf whose node
@@ -418,7 +420,7 @@ class TestNearlyIntegralNodes:
         res = solve_master(inst, build_model(inst))
         assert res.nodes == 1 and len(calls) == 1
         assert res.objective == exact.objective
-        assert res.solution.selection.blocks == {"b": 1}
+        assert res.selection.blocks == {"b": 1}
 
     def test_larger_offset_branches(self, monkeypatch):
         inst = self._instance()
@@ -429,7 +431,7 @@ class TestNearlyIntegralNodes:
         assert res.nodes == len(calls) == 3
         assert [(child.lb[j], child.ub[j]) for child in calls[1:]] == [(0.0, 0.0), (1.0, 1.0)]
         assert res.objective == pytest.approx(exact.objective, abs=1e-9)
-        assert res.solution.selection == exact.solution.selection
+        assert res.selection == exact.selection
 
 
 class TestLimits:
@@ -468,7 +470,7 @@ class TestLimits:
 
         res = solve_master(inst, build_model(inst), test)
         assert res.status == "limit"
-        assert res.solution is None
+        assert res.selection is None
         assert res.bound == pytest.approx(optimum, abs=1e-9)
         assert res.bound >= optimum
 
@@ -490,81 +492,6 @@ class TestStarts:
         res = solve_master(inst, build_model(inst))
         assert res.status == "optimal"
         assert runs[0] == 0
-
-    def test_root_starts_with_the_bids_in_the_money(self, monkeypatch):
-        # at the balanced start's marginal prices (50 in both hours) buyer
-        # d (limit 80) and seller s (20) are in the money and buyer e (10)
-        # is not; the curve absorbs d and s, so the root QP starts with
-        # them executed, which is its optimum
-        inst = make_instance(
-            {("X", t): [[0, 30], [100, -30]] for t in (0, 1)},
-            hours=2,
-            blocks=[block("d", "X", 80, [5, 8]), block("s", "X", 20, [-4, -6]),
-                    block("e", "X", 10, [3, 3])],
-        )
-        model = build_model(inst)
-        prob = model.master()
-        start = money_start(model, prob)
-        assert start[model.n:].tolist() == [1.0, 1.0, 0.0]
-        balanced = qp.solve_qp(prob, x0=balanced_start(model, prob))
-        started = qp.solve_qp(prob, x0=start)
-        assert started.iterations < balanced.iterations
-        assert started.objective == pytest.approx(balanced.objective, abs=1e-9)
-        roots = []
-        solve = master.solve_qp
-
-        def spy(prob, *args, **kwargs):
-            sol = solve(prob, *args, **kwargs)
-            roots.append(sol)
-            return sol
-
-        monkeypatch.setattr(master, "solve_qp", spy)
-        solve_master(inst, model)
-        assert roots[0].iterations == started.iterations
-        assert np.array_equal(roots[0].x, started.x)
-
-    def test_thin_curve_falls_back_to_the_balanced_start(self, monkeypatch):
-        # d0 and s1 are in the money at the balanced start's prices, but
-        # the thin curve cannot absorb them, so the root keeps that start
-        # without balancing their point: balanced, it would break a row
-        model = build_model(paradox_book(0))
-        prob = model.master()
-        points = []
-        balanced = clearing_model.balanced_start
-
-        def spy(*args):
-            points.append(balanced(*args))
-            return points[-1]
-
-        monkeypatch.setattr(clearing_model, "balanced_start", spy)
-        start = money_start(model, prob)
-        assert len(points) == 1
-        assert np.array_equal(start, points[0])
-        money = start.copy()
-        money[model.n:] = [0.0, 1.0, 1.0, 0.0]
-        assert not qp.rows_hold(prob, balanced(model, prob, money))
-
-    def test_curve_test_keeps_every_start(self, monkeypatch):
-        # the curve test before the second balancing skips only points that
-        # rows_hold would reject once balanced: without it, every root
-        # starts from the same point
-        instances = [paradox_book(seed) for seed in range(40)]
-        instances += [random_instance(seed) for seed in range(40)]
-        takes = clearing_model._curves_take
-        verdicts = []
-        monkeypatch.setattr(
-            clearing_model, "_curves_take",
-            lambda *args: verdicts.append(takes(*args)) or verdicts[-1],
-        )
-        starts = []
-        for inst in instances:
-            model = build_model(inst)
-            starts.append(money_start(model, model.master()))
-        monkeypatch.setattr(clearing_model, "_curves_take", lambda *args: True)
-        for inst, start in zip(instances, starts):
-            model = build_model(inst)
-            assert np.array_equal(money_start(model, model.master()), start)
-        assert verdicts.count(False) >= 30 and verdicts.count(True) >= 10
 
     def test_feasible_children_skip_phase_one(self, monkeypatch):
         # children start from their parent's optimum and working set: phase
@@ -610,7 +537,7 @@ def _reject_first_leaves(model, count):
         tested.append(leaf)
         if len(tested) > count:
             return ()
-        return [no_good_cut(model, leaf.solution.selection)]
+        return [no_good_cut(model, leaf.selection)]
 
     return test
 
@@ -630,7 +557,8 @@ class TestFactorCache:
             for inst in instances:
                 model = build_model(inst)
                 res = solve_master(inst, model, _reject_first_leaves(model, 1))
-                out.append((res.status, res.objective, res.bound, res.nodes, res.solution))
+                point = None if res.selection is None else model.primal(res.selection, res.x)
+                out.append((res.status, res.objective, res.bound, res.nodes, point))
             return out
 
         cached = solve_all()
@@ -715,7 +643,7 @@ class TestMilpCrossCheck:
     def _random_cuts(inst, model, leaf, rng):
         """The leaf's no-good cut, a bid cut on 2-4 of its executed blocks
         and a no-good cut on a random selection."""
-        selection = leaf.solution.selection
+        selection = leaf.selection
         cuts = [no_good_cut(model, selection)]
         executed = selection.executed_blocks()
         if len(executed) >= 2:

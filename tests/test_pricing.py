@@ -41,22 +41,24 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _master_result(inst):
-    res = solve_master(inst, build_model(inst))
+    """``inst``'s cut-free master optimum and its solution."""
+    model = build_model(inst)
+    res = solve_master(inst, model)
     assert res.status == "optimal"
-    return res
+    return res, model.primal(res.selection, res.x)
 
 
 def _fixflow(inst):
     """FixFlow of ``inst``'s cut-free master optimum, on its leaf's duals."""
-    res = _master_result(inst)
-    return fixflow(inst, build_model(inst), res.solution, res.duals)
+    res, sol = _master_result(inst)
+    return fixflow(inst, build_model(inst), sol, res.duals)
 
 
 class TestFixFlow:
     def test_idempotent(self):
         for inst in (f2(), f3(), ramp_fixture()):
-            res = _master_result(inst)
-            once = fixflow(inst, build_model(inst), res.solution, res.duals)
+            res, sol = _master_result(inst)
+            once = fixflow(inst, build_model(inst), sol, res.duals)
             twice = fixflow(inst, build_model(inst), once, res.duals)
             for k in once.flows:
                 assert twice.flows[k] == pytest.approx(once.flows[k], abs=1e-9)
@@ -66,8 +68,7 @@ class TestFixFlow:
     def test_preserves_welfare_and_clearing(self):
         for seed in range(12):
             inst = random_instance(seed)
-            res = _master_result(inst)
-            sol = res.solution
+            res, sol = _master_result(inst)
             fixed = fixflow(inst, build_model(inst), sol, res.duals)
             assert welfare_of(inst, fixed) == pytest.approx(
                 welfare_of(inst, sol), abs=1e-6
@@ -92,9 +93,9 @@ class TestFixFlow:
         # welfare-preserving dispatches, so both give the same flows
         for inst in self._books():
             model = build_model(inst)
-            res = _master_result(inst)
-            face = fixflow(inst, model, res.solution, res.duals)
-            ref = welfare_row_fixflow(inst, model, res.solution)
+            res, sol = _master_result(inst)
+            face = fixflow(inst, model, sol, res.duals)
+            ref = welfare_row_fixflow(inst, model, sol)
             for key in model.flow_keys:
                 assert face.flows[key] == pytest.approx(ref.flows[key], abs=1e-9)
             for seg in inst.segments:
@@ -105,8 +106,8 @@ class TestFixFlow:
     def test_idempotent_under_the_same_duals(self):
         for inst in self._books():
             model = build_model(inst)
-            res = _master_result(inst)
-            once = fixflow(inst, model, res.solution, res.duals)
+            res, sol = _master_result(inst)
+            once = fixflow(inst, model, sol, res.duals)
             twice = fixflow(inst, model, once, res.duals)
             assert twice.flows == once.flows
             assert twice.delta == once.delta
