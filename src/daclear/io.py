@@ -6,7 +6,7 @@ identical inputs always produce byte-identical output: the bytes of
 small writer (``_dump``), as ``json`` indents in pure Python.  It is also
 strict: a non-finite number raises ``ValueError`` instead of being written
 as ``NaN`` or ``Infinity``, and parsing rejects those constants with a
-``SchemaError``.
+``SchemaError``, as it does a number of magnitude above ``MAX_MAGNITUDE``.
 """
 
 from __future__ import annotations
@@ -33,10 +33,18 @@ from .errors import SchemaError
 
 _SENTINEL = object()
 
+# the largest magnitude of a number in a parsed document.  The solver's
+# tolerances are absolute: at 1e8 the oracle's FixFlow can fail on round-off,
+# at 1e15 a clear's rounding breaks ``verify``'s default tolerance, and at
+# 1e308 its sums overflow
+MAX_MAGNITUDE = 1e6
+
 
 def _number(val, path) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(path, "expected a number")
+    if abs(val) > MAX_MAGNITUDE:
+        raise SchemaError(path, f"magnitude above {MAX_MAGNITUDE:g}")
     return float(val)
 
 
@@ -76,13 +84,9 @@ def _nodes(raw, path):
         raise SchemaError(path, "expected a list of [price, quantity] pairs")
     out = []
     for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{path}[{i}]", "expected a [price, quantity] pair")
-        out.append((float(pair[0]), float(pair[1])))
+        out.append((_number(pair[0], f"{path}[{i}][0]"), _number(pair[1], f"{path}[{i}][1]")))
     return tuple(out)
 
 
@@ -399,9 +403,7 @@ def parse_solution(text: str) -> tuple[BidSelection, dict, dict, Optional[dict]]
     for key, val in delta_doc.items():
         if not re.fullmatch(r"0|-?[1-9][0-9]*", key):  # one spelling per id: str(int(key))
             raise SchemaError(f"$.delta.{key}", "expected a canonical integer segment id")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise SchemaError(f"$.delta.{key}", "expected a number")
-        delta[int(key)] = float(val)
+        delta[int(key)] = _number(val, f"$.delta.{key}")
     flows = _hourly(_get(doc, "flows", list, "$", default=[]), "$.flows", "interconnector", "flow")
     prices_doc = _get(doc, "prices", list, "$", default=None)
     prices = None if prices_doc is None else _hourly(prices_doc, "$.prices", "area", "price")

@@ -11,7 +11,7 @@ import numpy as np
 from daclear import driver, master, pricing, qp
 from daclear.core import BidSelection, PriceVector, PrimalSolution
 from daclear.errors import PriceInfeasible, SolverFailure, UnknownId
-from daclear.io import parse_instance
+from daclear.io import MAX_MAGNITUDE, parse_instance
 from daclear.master import _with_cuts
 from daclear.model import build_model
 from daclear.pricing import TIGHT_TOL, solve_fixflow, solve_qpprice
@@ -143,6 +143,80 @@ def total_loss(inst, selection, prices):
     per losing bid, blocks then flex bids, each in id order."""
     report = check_bid_prices(inst, selection, prices, tol=0.0)
     return float(sum(v.amount for v in report.violations))
+
+
+def min_loss_lp(optimize, inst, sol, strict):
+    """Minimum total executed-bid loss over the prices that support ``sol``,
+    solved by HiGHS with every fill condition written as a row; None when
+    no price supports it."""
+    keys = [(a, t) for a in inst.areas for t in range(inst.hours)]
+    pi = {k: j for j, k in enumerate(keys)}
+    bids = [(inst.block_by_id[b].area, enumerate(inst.block_by_id[b].quantities),
+             inst.block_by_id[b].limit_price) for b in sol.selection.executed_blocks()]
+    bids += [(inst.flex_by_id[f].area, [(t, inst.flex_by_id[f].quantity)],
+              inst.flex_by_id[f].limit_price) for f, t in sol.selection.executed_flex()]
+    conns = [(c, t) for c in inst.interconnectors for t in range(inst.hours)]
+    n_pi, n_loss = len(keys), len(bids)
+    # per connector and hour: upper, lower, ramp-up and ramp-down multipliers
+    mult = {ct: n_pi + n_loss + 4 * k for k, ct in enumerate(conns)}
+    n = n_pi + n_loss + 4 * len(conns)
+    lo, hi = inst.interval.lower, inst.interval.upper
+    bounds = [(lo, hi)] * n_pi + [(0.0, 0.0 if strict else None)] * n_loss
+    tol = 1e-7
+    for c, t in conns:
+        tau = sol.flows.get((c.id, t), 0.0)
+        prev = c.initial_flow if t == 0 else sol.flows.get((c.id, t - 1), 0.0)
+        ramp = np.inf if c.ramp_rate is None else c.ramp_rate
+        for tight in (c.upper[t] - tau <= tol, tau - c.lower[t] <= tol,
+                      tau - prev >= ramp - tol, prev - tau >= ramp - tol):
+            bounds.append((0.0, None if tight else 0.0))
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for seg in inst.segments:
+        if seg.quantity_span == 0.0:
+            continue
+        row = np.zeros(n)
+        row[pi[inst.segment_location[seg.id]]] = 1.0
+        z = sol.delta.get(seg.id, 0.0)
+        if z >= 1.0 - tol:
+            A_ub.append(row)
+            b_ub.append(seg.price_at(1.0))
+        elif z <= tol:
+            A_ub.append(-row)
+            b_ub.append(-seg.price_at(0.0))
+        else:
+            A_eq.append(row)
+            b_eq.append(seg.price_at(z))
+    for k, (area, hours_qty, limit) in enumerate(bids):
+        row = np.zeros(n)
+        rhs = 0.0
+        for t, q in hours_qty:
+            row[pi[area, t]] += q
+            rhs += limit * q
+        row[n_pi + k] = -1.0
+        A_ub.append(row)
+        b_ub.append(rhs)
+    # price difference = upper - lower multiplier + ramp-up(t) - ramp-down(t)
+    #                    - ramp-up(t+1) + ramp-down(t+1)
+    for c, t in conns:
+        row = np.zeros(n)
+        row[pi[c.sink, t]] += 1.0
+        row[pi[c.source, t]] -= 1.0
+        j = mult[c, t]
+        row[j:j + 4] -= [1.0, -1.0, 1.0, -1.0]
+        if t + 1 < inst.hours:
+            j = mult[c, t + 1]
+            row[j + 2:j + 4] += [1.0, -1.0]
+        A_eq.append(row)
+        b_eq.append(0.0)
+    cost = np.zeros(n)
+    cost[n_pi:n_pi + n_loss] = 1.0
+    res = optimize.linprog(
+        cost, A_ub=np.array(A_ub).reshape(-1, n) if A_ub else None,
+        b_ub=b_ub or None, A_eq=np.array(A_eq).reshape(-1, n) if A_eq else None,
+        b_eq=b_eq or None, bounds=bounds, method="highs",
+    )
+    assert res.status in (0, 2)
+    return res.fun if res.status == 0 else None
 
 
 def with_qp_path(monkeypatch):
@@ -370,13 +444,78 @@ def step_book(seed):
     return make_instance(curves, conns, hours=hours, areas=areas, blocks=blocks)
 
 
-def bench_instance(family, seed):
-    """The instance of ``bench/generate.py``'s ``family`` at ``seed``."""
+def bench_text(family, seed):
+    """The instance document of ``bench/generate.py``'s ``family`` at ``seed``."""
     path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
     spec = importlib.util.spec_from_file_location("bench_generate", path)
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
-    return parse_instance(generate.instance_text(family, seed))
+    return generate.instance_text(family, seed)
+
+
+def bench_instance(family, seed):
+    """The instance of ``bench/generate.py``'s ``family`` at ``seed``."""
+    return parse_instance(bench_text(family, seed))
+
+
+# what a scalar may become: edges of the magnitude bound
+# (``io.MAX_MAGNITUDE``) and values past it, zero, a subnormal, an integer
+# too large for a float, the non-finite constants that strict JSON
+# forbids (``json.dumps`` writes them as NaN and Infinity), and values of
+# another JSON type
+_SCALAR_EDITS = (MAX_MAGNITUDE, -MAX_MAGNITUDE, 10 * MAX_MAGNITUDE, 1e15, 1e308, -1e308, 0.0,
+                 5e-324, 10**400, float("nan"), float("inf"), "x", None, True, [])
+
+
+def _nodes_of(value, path=()):
+    """(path, value) of every node below ``value``, a JSON document, in
+    document order."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,), item
+        yield from _nodes_of(item, path + (key,))
+
+
+def mutated_document(text, rng):
+    """``text``, a JSON document, with one or two edits that ``rng`` (a
+    numpy Generator) draws.  An edit picks its kind, then a node of that
+    kind: a number (six edits in ten) is negated, scaled by 1e3, 1e-3 or
+    10, or moved by one (an integer); a scalar (two in ten) is replaced
+    from ``_SCALAR_EDITS``; a string takes another string of the document
+    or becomes empty; a list loses or repeats an entry, and an object
+    loses one."""
+    doc = json.loads(text)
+    for _ in range(int(rng.integers(1, 3))):
+        kind = rng.choice(["number", "scalar", "string", "container"], p=[0.6, 0.2, 0.1, 0.1])
+        nodes = list(_nodes_of(doc))
+        strings = [v for _, v in nodes if isinstance(v, str)]
+        nodes = [(path, v) for path, v in nodes if {
+            "number": type(v) in (int, float),
+            "scalar": not isinstance(v, (list, dict)),
+            "string": isinstance(v, str),
+            "container": isinstance(v, (list, dict)) and len(v) > 0,
+        }[kind]]
+        path, value = nodes[int(rng.integers(len(nodes)))]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if kind == "number":
+            parent[key] = value + 1 if type(value) is int else value * float(
+                rng.choice([-1.0, 1e3, 1e-3, 10.0]))
+        elif kind == "scalar":
+            parent[key] = _SCALAR_EDITS[int(rng.integers(len(_SCALAR_EDITS)))]
+        elif kind == "string":
+            parent[key] = "" if rng.random() < 0.2 else strings[int(rng.integers(len(strings)))]
+        else:
+            keys = list(value) if isinstance(value, dict) else list(range(len(value)))
+            pick = keys[int(rng.integers(len(keys)))]
+            if isinstance(value, dict) or rng.random() < 0.5:
+                del value[pick]
+            else:
+                value.insert(pick, json.loads(json.dumps(value[pick])))
+    return json.dumps(doc)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,19 @@ def test_criterion_2_intermediate_steps():
 
 
 def test_criterion_3_oracle_equivalence(suite):
+    """Exact mode reaches the oracle's welfare on every suite seed, and its
+    solution passes the solution checkers, all inside 300 s.
+
+    Independent of the clear: the checkers (``check_filling``,
+    ``check_flow_price``, ``check_bid_prices`` and ``clearing_residuals``),
+    written from the instance, so a wrong acceptance would show; and the
+    oracle's enumeration and ranking of every selection.  Not independent:
+    the oracle decides each candidate with the clear's own leaf check
+    (``driver._check_leaf``: FixFlow, strict pricing and the curtailment
+    check), so the welfare comparison checks the search, not the verdicts.
+    The price verdicts have their own check against HiGHS
+    (``test_verify.py``, ``test_every_candidates_price_verdict_agrees_with_highs``);
+    the curtailment verdict has none."""
     rows, elapsed = suite
     for row in rows:
         inst, o, e = row["instance"], row["oracle"], row["exact"]

@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from daclear.cli import _result_doc, run
@@ -13,7 +14,8 @@ from daclear.errors import SolverFailure
 from daclear.io import dump_document, serialize_instance
 
 from helpers import (
-    appendix_a, bench_instance, block, connector, f3, make_instance, random_instance,
+    appendix_a, bench_instance, bench_text, block, connector, f3, make_instance,
+    mutated_document, random_instance,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -426,6 +428,63 @@ class TestInputErrors:
         assert code == 4
         assert captured.out == ""
         assert "$.areas" in captured.err
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_huge_block_quantity_is_input_error(self, capsys, tmp_path, mode):
+        # finite, but beyond io.MAX_MAGNITUDE: the clear's sums overflowed
+        # to a NaN in the result, and writing it raised ValueError
+        doc = json.loads(bench_text("paradox", 1001))
+        next(b for b in doc["blocks"] if b["id"] == "s1")["quantities"][1] = 1e308
+        path = _write(tmp_path, "inst.json", json.dumps(doc))
+        code = run(["clear", "--instance", path, "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "$.blocks[2].quantities[1]: magnitude above" in captured.err
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_huge_curve_quantity_is_input_error(self, capsys, tmp_path, mode):
+        # the QP's eigenvalue solve raised LinAlgError on this curve node
+        doc = json.loads(bench_text("small-suite", 2))
+        doc["curves"][1]["nodes"][0][1] = 1e308
+        path = _write(tmp_path, "inst.json", json.dumps(doc))
+        code = run(["clear", "--instance", path, "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "$.curves[1].nodes[0][1]: magnitude above" in captured.err
+
+
+EXIT_CODES = {0, 2, 3, 4, 5, 6}  # the README's table
+
+
+def test_mutated_documents_end_in_documented_exit_codes(capsys, tmp_path):
+    # seeded edits of the fixtures and a few generated books
+    # (helpers.mutated_document): every command ends in a documented exit
+    # code without raising, every document it writes is strict JSON, and
+    # every document of a clear that exits 0 passes verify
+    sources = [p.read_text() for p in sorted((ROOT / "fixtures").glob("*.json"))]
+    sources += [bench_text(family, seed) for family, seeds in (
+        ("paradox", (1000, 1001)), ("day-book", (3000, 3001)), ("small-suite", (0, 1, 2, 3)))
+        for seed in seeds]
+    rng = np.random.default_rng(36)
+    inst, sol = str(tmp_path / "inst.json"), str(tmp_path / "sol.json")
+    codes = []
+    for i in range(300):
+        Path(inst).write_text(mutated_document(sources[i % len(sources)], rng))
+        for argv in (["clear", "--mode", "exact"], ["clear", "--mode", "heuristic"], ["oracle"]):
+            code, out = _run(capsys, *argv, "--instance", inst)
+            codes.append(code)
+            assert code in EXIT_CODES, (i, argv)
+            if out:
+                json.loads(out, parse_constant=_reject_constant)
+            if argv[0] == "clear" and code == 0:
+                Path(sol).write_text(out)
+                code, out = _run(capsys, "verify", "--instance", inst, "--solution", sol)
+                assert code == 0, (i, argv)
+                assert json.loads(out, parse_constant=_reject_constant)["pass"] is True, (i, argv)
+    # the edits reach the solver, not only the parser
+    assert codes.count(0) >= 100 and codes.count(4) >= 300
 
 
 @pytest.mark.parametrize("command", ["clear", "oracle", "verify"])

@@ -5,6 +5,7 @@ import pytest
 
 from daclear.errors import SchemaError
 from daclear.io import (
+    MAX_MAGNITUDE,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -50,6 +51,20 @@ class TestParseInstance:
         with pytest.raises(SchemaError) as exc:
             parse_instance(json.dumps(doc))
         assert f"$.interconnectors[0].{side}[0]" in str(exc.value)
+
+    @pytest.mark.parametrize("value", [MAX_MAGNITUDE * (1 + 1e-15), 1e308, 10**400])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_magnitude_above_the_bound_is_rejected(self, value, sign):
+        # the curve node quantities are at the bound, and the flow bound
+        # beyond it; an integer too large for a float is rejected alike
+        doc = json.loads(serialize_instance(f2()))
+        for curve in doc["curves"]:
+            curve["nodes"] = [[0, MAX_MAGNITUDE], [50, -MAX_MAGNITUDE]]
+        parse_instance(json.dumps(doc))
+        doc["interconnectors"][0]["upper"][0] = sign * value
+        with pytest.raises(SchemaError) as exc:
+            parse_instance(json.dumps(doc))
+        assert exc.value.path == "$.interconnectors[0].upper[0]"
 
     @pytest.mark.parametrize("pair", [["a", 7], [None, "a"], ["a", ["b"]]])
     def test_link_entries_must_be_block_ids(self, pair):
@@ -153,6 +168,21 @@ class TestSolutionDocs:
         first = text.index('"delta": {') + len('"delta": {')
         with pytest.raises(SchemaError, match="repeated"):
             parse_solution(text[:first] + '"0": 0.0, ' + text[first:])
+
+    @pytest.mark.parametrize("field, where", [
+        ("delta", "$.delta.0"), ("flows", "$.flows[0].flow"), ("prices", "$.prices[0].price"),
+    ])
+    def test_magnitude_above_the_bound_is_rejected(self, field, where):
+        inst = f3()
+        res = clear_exact(inst)
+        doc = solution_to_doc(inst, res.solution, res.prices)
+        if field == "delta":
+            doc["delta"]["0"] = 2 * MAX_MAGNITUDE
+        else:
+            doc[field][0][field[:-1]] = -2 * MAX_MAGNITUDE
+        with pytest.raises(SchemaError) as exc:
+            parse_solution(json.dumps(doc))
+        assert exc.value.path == where
 
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_block_value_is_rejected(self, value):

@@ -17,6 +17,7 @@ from daclear.verify import _relaxations
 from helpers import (
     appendix_a,
     model_maps,
+    min_loss_lp,
     fixflow,
     qpprice,
     bench_instance,
@@ -545,80 +546,6 @@ class TestDecidedByBounds:
         assert str(decided.value) == str(solved.value)
 
 
-def _min_loss_lp(optimize, inst, sol, strict):
-    """Minimum total executed-bid loss over the prices that support ``sol``,
-    solved by HiGHS with every fill condition written as a row; None when
-    no price supports it."""
-    keys = [(a, t) for a in inst.areas for t in range(inst.hours)]
-    pi = {k: j for j, k in enumerate(keys)}
-    bids = [(inst.block_by_id[b].area, enumerate(inst.block_by_id[b].quantities),
-             inst.block_by_id[b].limit_price) for b in sol.selection.executed_blocks()]
-    bids += [(inst.flex_by_id[f].area, [(t, inst.flex_by_id[f].quantity)],
-              inst.flex_by_id[f].limit_price) for f, t in sol.selection.executed_flex()]
-    conns = [(c, t) for c in inst.interconnectors for t in range(inst.hours)]
-    n_pi, n_loss = len(keys), len(bids)
-    # per connector and hour: upper, lower, ramp-up and ramp-down multipliers
-    mult = {ct: n_pi + n_loss + 4 * k for k, ct in enumerate(conns)}
-    n = n_pi + n_loss + 4 * len(conns)
-    lo, hi = inst.interval.lower, inst.interval.upper
-    bounds = [(lo, hi)] * n_pi + [(0.0, 0.0 if strict else None)] * n_loss
-    tol = 1e-7
-    for c, t in conns:
-        tau = sol.flows.get((c.id, t), 0.0)
-        prev = c.initial_flow if t == 0 else sol.flows.get((c.id, t - 1), 0.0)
-        ramp = np.inf if c.ramp_rate is None else c.ramp_rate
-        for tight in (c.upper[t] - tau <= tol, tau - c.lower[t] <= tol,
-                      tau - prev >= ramp - tol, prev - tau >= ramp - tol):
-            bounds.append((0.0, None if tight else 0.0))
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for seg in inst.segments:
-        if seg.quantity_span == 0.0:
-            continue
-        row = np.zeros(n)
-        row[pi[inst.segment_location[seg.id]]] = 1.0
-        z = sol.delta.get(seg.id, 0.0)
-        if z >= 1.0 - tol:
-            A_ub.append(row)
-            b_ub.append(seg.price_at(1.0))
-        elif z <= tol:
-            A_ub.append(-row)
-            b_ub.append(-seg.price_at(0.0))
-        else:
-            A_eq.append(row)
-            b_eq.append(seg.price_at(z))
-    for k, (area, hours_qty, limit) in enumerate(bids):
-        row = np.zeros(n)
-        rhs = 0.0
-        for t, q in hours_qty:
-            row[pi[area, t]] += q
-            rhs += limit * q
-        row[n_pi + k] = -1.0
-        A_ub.append(row)
-        b_ub.append(rhs)
-    # price difference = upper - lower multiplier + ramp-up(t) - ramp-down(t)
-    #                    - ramp-up(t+1) + ramp-down(t+1)
-    for c, t in conns:
-        row = np.zeros(n)
-        row[pi[c.sink, t]] += 1.0
-        row[pi[c.source, t]] -= 1.0
-        j = mult[c, t]
-        row[j:j + 4] -= [1.0, -1.0, 1.0, -1.0]
-        if t + 1 < inst.hours:
-            j = mult[c, t + 1]
-            row[j + 2:j + 4] += [1.0, -1.0]
-        A_eq.append(row)
-        b_eq.append(0.0)
-    cost = np.zeros(n)
-    cost[n_pi:n_pi + n_loss] = 1.0
-    res = optimize.linprog(
-        cost, A_ub=np.array(A_ub).reshape(-1, n) if A_ub else None,
-        b_ub=b_ub or None, A_eq=np.array(A_eq).reshape(-1, n) if A_eq else None,
-        b_eq=b_eq or None, bounds=bounds, method="highs",
-    )
-    assert res.status in (0, 2)
-    return res.fun if res.status == 0 else None
-
-
 class TestLinprogCrossCheck:
     def test_min_loss_and_verdicts_agree_with_highs(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -626,7 +553,7 @@ class TestLinprogCrossCheck:
         for seed in range(50):
             inst = random_instance(seed)
             sol = _fixflow(inst)
-            ref = _min_loss_lp(optimize, inst, sol, strict=False)
+            ref = min_loss_lp(optimize, inst, sol, strict=False)
             try:
                 prices = qpprice(inst, build_model(inst), sol, relax_losses=True)
                 total = total_loss(inst, sol.selection, prices)
@@ -636,7 +563,7 @@ class TestLinprogCrossCheck:
                 assert total is None, seed
             else:
                 assert total == pytest.approx(ref, abs=1e-7), seed
-            strict_ref = _min_loss_lp(optimize, inst, sol, strict=True) is not None
+            strict_ref = min_loss_lp(optimize, inst, sol, strict=True) is not None
             try:
                 qpprice(inst, build_model(inst), sol)
                 strict = True

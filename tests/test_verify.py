@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from daclear import verify
 from daclear.core import PriceVector
 from daclear.driver import clear_exact
-from daclear.errors import TooLarge
+from daclear.errors import PriceInfeasible, TooLarge
 from daclear.io import parse_instance, serialize_instance
 from daclear.verify import (
     check_bid_prices,
@@ -20,6 +21,7 @@ from helpers import (
     bench_instance,
     f3,
     make_instance,
+    min_loss_lp,
     block,
     diamond,
     ramp_fixture,
@@ -173,3 +175,35 @@ class TestOracle:
         assert o.prices["A0", 1] == e.prices["A0", 1] == 90.492
         assert o.warnings == e.warnings
         assert len(o.warnings) == 1 and "'A0' hour 1" in o.warnings[0]
+
+    def test_every_candidates_price_verdict_agrees_with_highs(self, monkeypatch):
+        # an independent verdict on each candidate the oracle tests: the
+        # strict minimum-loss LP (helpers.min_loss_lp), written from the
+        # instance and solved by HiGHS, finds prices where the clear's own
+        # leaf check does, and none where it finds none (678 candidates,
+        # 432 of them priced, when this was written)
+        optimize = pytest.importorskip("scipy.optimize")
+        check_leaf = verify._check_leaf
+        verdicts, disagreements = [], []
+
+        def spy(instance, model, selection, *args):
+            out = check_leaf(instance, model, selection, *args)
+            x, fills, prices, _ = out
+            sol = model.primal(fills.selection, x)
+            highs = min_loss_lp(optimize, instance, sol, strict=True) is not None
+            verdicts.append(prices is not None)
+            if highs != verdicts[-1]:
+                disagreements.append((instance, selection, highs))
+            return out
+
+        monkeypatch.setattr(verify, "_check_leaf", spy)
+        instances = [random_instance(seed) for seed in range(200)]
+        instances += [bench_instance("paradox", seed) for seed in range(1000, 1110)]
+        instances += [bench_instance("day-book", seed) for seed in range(3000, 3110)]
+        for inst in instances:
+            try:
+                oracle_clear(inst)
+            except PriceInfeasible:
+                pass
+        assert disagreements == []
+        assert len(verdicts) >= 600 and verdicts.count(True) >= 400 and verdicts.count(False) >= 200
