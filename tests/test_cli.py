@@ -467,7 +467,7 @@ def test_mutated_documents_end_in_documented_exit_codes(capsys, tmp_path):
     sources += [bench_text(family, seed) for family, seeds in (
         ("paradox", (1000, 1001)), ("day-book", (3000, 3001)), ("small-suite", (0, 1, 2, 3)))
         for seed in seeds]
-    rng = np.random.default_rng(36)
+    rng = np.random.default_rng(5)
     inst, sol = str(tmp_path / "inst.json"), str(tmp_path / "sol.json")
     codes = []
     for i in range(300):
