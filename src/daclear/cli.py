@@ -25,6 +25,7 @@ from .errors import (
     SolverFailure,
     UnknownId,
 )
+from .tolerances import CHECK_TOL, DEFAULT_GAP
 from .verify import (
     check_bid_prices,
     check_bounds,
@@ -215,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_clear.add_argument("--instance", required=True)
     p_clear.add_argument("--mode", choices=("heuristic", "exact"), default="exact")
     p_clear.add_argument("--time-limit", type=_non_negative, default=None)
-    p_clear.add_argument("--abs-gap", type=_non_negative, default=1e-9)
+    p_clear.add_argument("--abs-gap", type=_non_negative, default=DEFAULT_GAP)
     p_clear.add_argument("--out", default=None)
     p_clear.set_defaults(func=_cmd_clear)
 
     p_verify = sub.add_parser("verify", help="check a solution document")
     p_verify.add_argument("--instance", required=True)
     p_verify.add_argument("--solution", required=True)
-    p_verify.add_argument("--tol", type=_non_negative, default=1e-6)
+    p_verify.add_argument("--tol", type=_non_negative, default=CHECK_TOL)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 

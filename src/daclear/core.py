@@ -19,8 +19,7 @@ from .errors import (
     UnknownId,
     ValidationError,
 )
-
-ABS_TOL = 1e-9
+from .tolerances import CHECK_TOL, FEAS_TOL
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class PriceInterval:
         if self.lower > self.upper:
             raise ValidationError(f"price interval [{self.lower}, {self.upper}] is empty")
 
-    def contains(self, price: float, tol: float = ABS_TOL) -> bool:
+    def contains(self, price: float, tol: float = FEAS_TOL) -> bool:
         return self.lower - tol <= price <= self.upper + tol
 
     def clamp(self, price: float) -> float:
@@ -447,7 +446,7 @@ def surplus_report(
     instance: Instance,
     solution: PrimalSolution,
     prices: PriceVector,
-    tol: float = 1e-6,
+    tol: float = CHECK_TOL,
 ) -> SurplusReport:
     """Per-participant surpluses at the given prices.
 
@@ -500,10 +499,11 @@ def surplus_report(
     )
 
 
-def _price_band(nodes, lo_q, hi_q, interval, eps=1e-9):
+def _price_band(nodes, lo_q, hi_q, interval, eps):
     """(lo_p, hi_p) in one walk up the ascending (price, quantity) polyline,
     whose quantities fall: the smallest price at which its quantity is <= hi_q
-    and the largest at which it is >= lo_q (<= hi_q); without one, the interval's far end."""
+    and the largest at which it is >= lo_q (<= hi_q), quantities read within
+    eps; without one, the interval's far end."""
     hi_t, lo_t = hi_q + eps, lo_q - eps
     lo_p = interval.lower if nodes[0][1] <= hi_t else None
     top = nodes[-1][1] >= lo_t  # so hi_p is the upper bound
@@ -521,12 +521,15 @@ def _price_band(nodes, lo_q, hi_q, interval, eps=1e-9):
     return (interval.upper if lo_p is None else lo_p), hi_p
 
 
-def presolve_price_bounds(instance: Instance) -> dict[tuple[str, int], PriceInterval]:
+def presolve_price_bounds(
+    instance: Instance, tol: float = FEAS_TOL
+) -> dict[tuple[str, int], PriceInterval]:
     """Per-(area, hour) price bounds containing every feasible clearing price.
 
     The worst-case combinatorial volume plus flow extremes bound the hourly
     curve volume; walking the curve converts the quantity band to prices,
-    taking the widest consistent interval on flat stretches.
+    taking the widest consistent interval on flat stretches.  Quantities
+    are read within ``tol``.
     """
     bounds = {}
     for a in instance.areas:
@@ -548,7 +551,8 @@ def presolve_price_bounds(instance: Instance) -> dict[tuple[str, int], PriceInte
                 if c.source == a:
                     hi_q -= c.lower[t]
                     lo_q -= c.upper[t]
-            lo_p, hi_p = _price_band(instance.curves[a, t].nodes(), lo_q, hi_q, instance.interval)
+            lo_p, hi_p = _price_band(
+                instance.curves[a, t].nodes(), lo_q, hi_q, instance.interval, tol)
             lo_p = instance.interval.clamp(lo_p)
             hi_p = instance.interval.clamp(max(hi_p, lo_p))
             bounds[a, t] = PriceInterval(lo_p, hi_p)

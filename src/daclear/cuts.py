@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from .core import BidSelection, Instance, PriceVector, PrimalSolution
 from .errors import EmptyLossSets
 from .model import ClearingModel
-
-LOSS_TOL = 1e-9
+from .tolerances import CHECK_TOL, MONEY_TOL
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,9 @@ def loss_sets(
     instance: Instance,
     solution: PrimalSolution,
     prices: PriceVector,
-    tol: float = LOSS_TOL,
+    tol: float = MONEY_TOL,
 ) -> LossSets:
-    """Executed bids that strictly lose money at the given prices."""
+    """Executed bids that lose more than ``tol`` at the given prices."""
     bad_blocks = []
     for bid in solution.selection.executed_blocks():
         b = instance.block_by_id[bid]
@@ -86,7 +85,7 @@ def no_good_cut(model: ClearingModel, selection: BidSelection) -> Cut:
 
 
 def curtailment_violations(
-    instance: Instance, solution: PrimalSolution, tol: float = 1e-6
+    instance: Instance, solution: PrimalSolution, tol: float = CHECK_TOL
 ) -> dict[tuple[str, int], LossSets]:
     """Executed combinatorial bids that outrank active hourly curtailment.
 

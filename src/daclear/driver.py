@@ -31,6 +31,7 @@ from .errors import PriceInfeasible
 from .master import solve_master
 from .model import build_model
 from .pricing import clamp_prices, solve_fixflow, solve_qpprice
+from .tolerances import DEFAULT_GAP, MONEY_TOL
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class ClearingResult:
 
 @dataclass(frozen=True)
 class ClearOptions:
-    abs_gap: float = 1e-9
+    abs_gap: float = DEFAULT_GAP
     time_limit: Optional[float] = None
 
 
@@ -95,9 +96,11 @@ def _leaf_cuts(instance, model, fills, x, prices, curt, exact, deadline, duals):
     relaxed pricing, for its record's loss sets and heuristic mode's bid
     cut.  Exact mode cuts off a failed leaf with one no-good cut;
     heuristic mode with a bid cut on the loss sets plus curtailment cuts,
-    or a no-good cut when relaxed pricing fails or these give no cut."""
+    or a no-good cut when relaxed pricing fails or these give no cut.  A
+    bid loses beyond MONEY_TOL in the model's units of money."""
     relaxed = None if prices is not None else _price(instance, model, x, True, deadline, duals)
-    sets = LossSets((), ()) if relaxed is None else loss_sets(instance, fills, relaxed)
+    tol = MONEY_TOL * model.money_unit
+    sets = LossSets((), ()) if relaxed is None else loss_sets(instance, fills, relaxed, tol)
     no_good = [no_good_cut(model, fills.selection)]
     if exact or (prices is None and relaxed is None):
         return sets, no_good
@@ -109,9 +112,11 @@ def _leaf_cuts(instance, model, fills, x, prices, curt, exact, deadline, duals):
     return sets, cuts or no_good
 
 
-def _finish(instance, mode, solution, prices, welfare, bound, iterations, frontier):
+def _finish(instance, model, mode, solution, prices, welfare, bound, iterations, frontier):
     """The result that accepts ``solution`` at its strict ``prices``, clamped
-    to the area intervals with a warning per moved price; ``frontier`` is the oracle's."""
+    to the area intervals with a warning per moved price, and its PRBs, the
+    rejected bids that would profit beyond MONEY_TOL in ``model``'s units of
+    money; ``frontier`` is the oracle's."""
     from .verify import list_prbs
 
     prices, warnings = clamp_prices(prices, instance)
@@ -124,7 +129,7 @@ def _finish(instance, mode, solution, prices, welfare, bound, iterations, fronti
         bound=bound,
         gap=_relative_gap(bound, welfare),
         iterations=tuple(iterations),
-        prbs=tuple(list_prbs(instance, solution.selection, prices)),
+        prbs=tuple(list_prbs(instance, solution.selection, prices, MONEY_TOL * model.money_unit)),
         warnings=tuple(warnings),
         frontier=frontier,
     )
@@ -177,7 +182,7 @@ def _branch_and_cut(instance, options, mode):
         # every selection exact mode excluded lacked loss-free prices,
         # so the accepted leaf's objective is also the tight dual bound
         final = master.objective if exact else bound
-        return _finish(instance, mode, solution, prices, welfare_of(instance, solution),
+        return _finish(instance, model, mode, solution, prices, welfare_of(instance, solution),
                        final, iterations, frontier=None)
     if exact and master.status == "limit":
         bound = master.bound

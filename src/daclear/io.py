@@ -29,15 +29,10 @@ from .core import (
     build_net_curve,
 )
 from .errors import SchemaError
+from .tolerances import MAX_MAGNITUDE
 
 
 _SENTINEL = object()
-
-# the largest magnitude of a number in a parsed document.  The solver's
-# tolerances are absolute: at 1e8 the oracle's FixFlow can fail on round-off,
-# at 1e15 a clear's rounding breaks ``verify``'s default tolerance, and at
-# 1e308 its sums overflow
-MAX_MAGNITUDE = 1e6
 
 
 def _number(val, path) -> float:

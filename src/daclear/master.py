@@ -26,10 +26,14 @@ from .core import BidSelection, Instance, presolve_price_bounds
 from .cuts import Cut
 from .errors import TimeLimit
 from .model import ClearingModel, balanced_start
-from .qp import END_TOL, Multipliers, QpProblem, _lowest_activity, multipliers, solve_qp
+from .qp import Multipliers, QpProblem, _lowest_activity, multipliers, solve_qp
+from .tolerances import CHECK_TOL, DEFAULT_GAP, FEAS_TOL, MONEY_TOL, ROUND_TOL
 
 @dataclass
 class MasterResult:
+    """The objective and bound are in the book's units of money; ``duals``
+    and ``x`` are in the model's (``model.build_model``)."""
+
     status: str  # optimal | infeasible | limit
     selection: Optional[BidSelection] = None  # with a solution
     objective: float = float("-inf")
@@ -56,19 +60,21 @@ def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], model: ClearingModel) -> Qp
                      prob.lb, prob.ub)
 
 
-def _presolve_fixings(instance: Instance) -> set:
+def _presolve_fixings(instance: Instance, model: ClearingModel) -> set:
     """The keys of binary columns provably zero: bids that lose at every
     price inside the presolve bounds.  Only the always-loss direction is
     fixed; the never-loss direction is left to the search (forcing
-    execution is not welfare-safe in general)."""
-    bounds = presolve_price_bounds(instance)
+    execution is not welfare-safe in general).  Quantities and money are
+    read within FEAS_TOL and MONEY_TOL in ``model``'s units."""
+    bounds = presolve_price_bounds(instance, FEAS_TOL * model.quantity_unit)
+    loss = -MONEY_TOL * model.money_unit
     fixed = set()
     for b in instance.blocks:
         best = 0.0
         for t, q in enumerate(b.quantities):
             iv = bounds[b.area, t]
             best += max((b.limit_price - iv.lower) * q, (b.limit_price - iv.upper) * q)
-        if best < -1e-9:
+        if best < loss:
             fixed.add(("block", b.id))
     for f in instance.flex_bids:
         for t in range(instance.hours):
@@ -77,7 +83,7 @@ def _presolve_fixings(instance: Instance) -> set:
                 (f.limit_price - iv.lower) * f.quantity,
                 (f.limit_price - iv.upper) * f.quantity,
             )
-            if best < -1e-9:
+            if best < loss:
                 fixed.add(("flex", f.id, t))
     return fixed
 
@@ -152,7 +158,7 @@ def solve_master(
     instance: Instance,
     model: ClearingModel,
     test: Optional[Callable[[MasterResult], Optional[Sequence[Cut]]]] = None,
-    abs_gap: float = 1e-9,
+    abs_gap: float = DEFAULT_GAP,
     time_limit: Optional[float] = None,
 ) -> MasterResult:
     """Best-first branch-and-cut on ``model``, the clearing model of
@@ -163,11 +169,12 @@ def solve_master(
     ``solve_qp``'s row test.  Each child is solved from its parent's
     optimum and working set (``solve_qp``'s ``start``), so phase 1 runs
     only at the root and where that parametric start falls back, both
-    from ``model.balanced_start`` (``_solve_node``).  A node
-    whose free binaries all sit on 0/1 up to round-off (``qp.END_TOL``) is
-    an integral leaf; any other node branches.  A leaf goes back on the heap
-    keyed by its objective plus ``abs_gap``; when it reaches the top and
-    meets every cut row it is the master optimum under the cuts so far,
+    from ``model.balanced_start`` (``_solve_node``).  A node whose free
+    binaries all sit on 0/1 up to round-off (``ROUND_TOL``) is an integral
+    leaf; any other node branches.  A leaf goes back on the heap keyed by
+    its objective plus ``abs_gap``, given in the book's units of money and
+    read in the model's, as the heap's bounds are; when it reaches the top
+    and meets every cut row it is the master optimum under the cuts so far,
     and ``test`` gets it as an optimal ``MasterResult``.  The test returns
     no cuts to accept the leaf, cuts that reject it (they become rows of
     the QP, the only place cuts are kept), or None to stop the search with
@@ -184,9 +191,10 @@ def solve_master(
     binary_rows = _binary_rows(prob, n)
     cut_rows = len(prob.b_in)  # the rows after these are cuts
     deadline = time.monotonic() + time_limit if time_limit is not None else None
+    gap = abs_gap / model.money_unit
 
     base_ub = prob.ub.copy()
-    base_ub[[model.bin_col[key] for key in _presolve_fixings(instance)]] = 0.0
+    base_ub[[model.bin_col[key] for key in _presolve_fixings(instance, model)]] = 0.0
 
     nodes = 0
     counter = 0
@@ -196,15 +204,17 @@ def solve_master(
         # a leaf wins ties against the nodes its gap prunes
         nonlocal counter
         counter += 1
-        key = bound if leaf is None else bound + abs_gap
+        key = bound if leaf is None else bound + gap
         heapq.heappush(heap, (-key, leaf is None, counter, bound, node, leaf))
 
     def result(status, leaf=None, objective=float("-inf")):
-        bound = max([objective] + [entry[3] for entry in heap])
+        # the objective and bound leave the model in the book's units
+        unit = model.money_unit
+        bound = max([objective] + [entry[3] for entry in heap]) * unit
         if leaf is None:
             return MasterResult(status=status, bound=bound, nodes=nodes)
         return MasterResult(
-            status=status, selection=model.selection_at(leaf.x), objective=objective,
+            status=status, selection=model.selection_at(leaf.x), objective=objective * unit,
             bound=bound, nodes=nodes, duals=multipliers(prob, leaf), x=leaf.x,
         )
 
@@ -215,7 +225,7 @@ def solve_master(
         entry = heapq.heappop(heap)
         _, _, _, bound, (node_lb, node_ub, parent), leaf = entry
         if leaf is not None and (
-            prob.A_in[cut_rows:] @ leaf.x <= prob.b_in[cut_rows:] + 1e-6
+            prob.A_in[cut_rows:] @ leaf.x <= prob.b_in[cut_rows:] + CHECK_TOL
         ).all():
             # the master optimum under the cuts so far
             found = result("optimal", leaf, bound)
@@ -253,11 +263,11 @@ def solve_master(
         xs, lo, hi = sol.x[n:].tolist(), node_lb[n:].tolist(), node_ub[n:].tolist()
         frac = [(abs(v - round(v)), n + k) for k, v in enumerate(xs) if lo[k] < hi[k]]
         worst = max(frac)[0] if frac else 0.0
-        if worst <= END_TOL:
+        if worst <= ROUND_TOL:
             push(sol.objective, (node_lb, node_ub, sol), sol)
             continue
         # branch on the most fractional binary, lowest column on ties
-        j_star = min(j for f, j in frac if f >= worst - 1e-12)
+        j_star = min(j for f, j in frac if f >= worst - ROUND_TOL)
         # a free binary's bounds are 0 and 1, so each child changes one of
         # them and shares the other array with its parent
         no_ub, one_lb = node_ub.copy(), node_lb.copy()

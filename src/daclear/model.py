@@ -22,8 +22,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BidSelection, Instance, PrimalSolution
-from .qp import FEAS_TOL, QpProblem, _clipped
+from .core import BidSelection, Instance, PriceInterval, PrimalSolution
+from .qp import QpProblem, _clipped
+from .tolerances import FEAS_TOL
+
+# model units: a book's prices are divided by the smallest power of two, at
+# least 1, that brings its largest |price| to MODEL_PRICE or less, and its
+# quantities by the one that brings its largest |quantity| to MODEL_QUANTITY
+# or less
+MODEL_PRICE, MODEL_QUANTITY = 128.0, 64.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,17 @@ class ClearingModel:
     it ends, source[i] being the row's index in [upper bounds, lower bounds,
     ramp rows] (``flow_rows``); and (P, G) = (-A_eq' on the flow columns,
     -F'), the stationarity rows of the welfare QP there (``stationarity``);
-    and the curtailment segments' (id, column) pairs (``curtailment``)."""
+    and the curtailment segments' (id, column) pairs (``curtailment``).
+
+    Every array is in model units: prices in units of ``price_unit``
+    (S_p), quantities, flows among them, in units of ``quantity_unit``
+    (S_q) and money in units of their product (``money_unit``), the
+    smallest powers of two, at least 1, that bring the book's largest
+    |price| to MODEL_PRICE or less and its largest |quantity| to
+    MODEL_QUANTITY or less.  Fills and binaries have no unit.  ``interval``
+    is the book's price interval in model units.  Powers of two keep the
+    change of units exact, so a book and the book with every price and
+    quantity times a power of two make the same model."""
 
     seg_ids: tuple[int, ...]
     flow_keys: tuple[tuple[str, int], ...]
@@ -80,12 +97,19 @@ class ClearingModel:
     bin_order: tuple[int, ...]
     flow_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     stationarity: tuple[np.ndarray, np.ndarray]
+    price_unit: float
+    quantity_unit: float
+    interval: PriceInterval
     # (c, d, A_eq, b_eq, A_in, b_in, lb, ub) of the master problem
     master_arrays: tuple = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.seg_ids) + len(self.flow_keys)
+
+    @property
+    def money_unit(self) -> float:
+        return self.price_unit * self.quantity_unit
 
     @cached_property
     def fixflow_rows(self):
@@ -131,20 +155,52 @@ class ClearingModel:
 
     def primal(self, selection: BidSelection, x: np.ndarray) -> PrimalSolution:
         """``selection`` with the fills and flows that ``x``, a point of a
-        QP whose leading columns are this model's, gives them."""
+        QP whose leading columns are this model's, gives them, the flows
+        back in the book's units."""
         n_seg = len(self.seg_ids)
         return PrimalSolution(
             selection=selection,
             delta=dict(zip(self.seg_ids, x[:n_seg].tolist())),
-            flows=dict(zip(self.flow_keys, x[n_seg:self.n].tolist())),
+            flows=dict(zip(self.flow_keys, (x[n_seg:self.n] * self.quantity_unit).tolist())),
         )
 
 
+def _unit(largest: float, target: float) -> float:
+    """The smallest power of two, at least 1, that divides ``largest`` down
+    to ``target`` or less."""
+    unit = 1.0
+    while largest > target * unit:
+        unit *= 2.0
+    return unit
+
+
+def _units(instance: Instance) -> tuple[float, float]:
+    """(S_p, S_q), the model units of ``instance`` (``ClearingModel``), from
+    its largest finite |price| (interval ends, curve node prices, limit
+    prices) and |quantity| (curve node quantities, bid quantities, flow
+    bounds, ramp rates and initial flows)."""
+    ivs = (instance.interval, *instance.area_intervals.values())
+    segs = [s for curve in instance.curves.values() for s in curve.segments]
+    prices = [v for iv in ivs for v in (iv.lower, iv.upper)]
+    prices += [v for s in segs for v in (s.base_price, s.base_price + s.price_span)]
+    prices += [b.limit_price for b in (*instance.blocks, *instance.flex_bids)]
+    quantities = [v for s in segs for v in (s.node_quantity, s.node_quantity - s.quantity_span)]
+    quantities += [q for b in instance.blocks for q in b.quantities]
+    quantities += [f.quantity for f in instance.flex_bids]
+    for cc in instance.interconnectors:
+        quantities += [*cc.lower, *cc.upper, cc.initial_flow]
+        quantities += [] if cc.ramp_rate is None else [cc.ramp_rate]
+    largest = lambda values: max((abs(v) for v in values if isfinite(v)), default=0.0)
+    return _unit(largest(prices), MODEL_PRICE), _unit(largest(quantities), MODEL_QUANTITY)
+
+
 def build_model(instance: Instance) -> ClearingModel:
-    """The clearing model of ``instance``.  One pass over the curves,
-    connectors and bids collects each array's entries in lists; each array
-    is then made by one conversion or one assignment, the master's first
-    and the model's as views of them."""
+    """The clearing model of ``instance``, in its model units.  One pass
+    over the curves, connectors and bids collects each array's entries in
+    lists, each price divided by S_p and each quantity by S_q as it is
+    read; each array is then made by one conversion or one assignment, the
+    master's first and the model's as views of them."""
+    sp, sq = _units(instance)
     H = instance.hours
     conns, links = instance.interconnectors, instance.links
     blocks, flex = instance.blocks, instance.flex_bids
@@ -154,32 +210,34 @@ def build_model(instance: Instance) -> ClearingModel:
     # (id, clearing row, segment) in id order, so in column order
     segs = sorted((s.id, r, s) for r, curve in enumerate(curves) for s in curve.segments)
     seg_ids = tuple(sid for sid, _, _ in segs)
+    # per segment: its row, base price, price span and quantity span
+    spans = [(r, s.base_price / sp, s.price_span / sp, s.quantity_span / sq) for _, r, s in segs]
     flow_keys = tuple((cc.id, t) for cc in conns for t in range(H))
     bin_keys = tuple(("block", b.id) for b in blocks)
     bin_keys += tuple(("flex", f.id, t) for f in flex for t in range(H))
     n_seg, nf, m = len(seg_ids), len(flow_keys), len(bin_keys)
     n = n_seg + nf
 
-    c = [(s.base_price + s.price_span) * s.quantity_span for _, _, s in segs] + [0.0] * nf
-    d = [-s.price_span * s.quantity_span for _, _, s in segs] + [0.0] * (nf + m)
+    c = [(base + span) * q for _, base, span, q in spans] + [0.0] * nf
+    d = [-span * q for _, _, span, q in spans] + [0.0] * (nf + m)
     lb, ub = [0.0] * n_seg, [1.0] * n_seg
-    eq_r, eq_c = [r for _, r, _ in segs], list(range(n_seg))
-    eq_v = [s.quantity_span for _, _, s in segs]
+    eq_r, eq_c = [r for r, _, _, _ in spans], list(range(n_seg))
+    eq_v = [q for _, _, _, q in spans]
     fill = ([], [], [], [])  # pricing's fill rule: cols, rows, base, span
     row_segs = [([], []) for _ in curves]
-    for j, (_, r, s) in enumerate(segs):
-        if s.quantity_span > 0.0:
+    for j, (r, base, span, q) in enumerate(spans):
+        if q > 0.0:
             row_segs[r][0].append(j)
-            row_segs[r][1].append(s.quantity_span)
-            for lst, v in zip(fill, (j, r, s.base_price, s.price_span)):
+            row_segs[r][1].append(q)
+            for lst, v in zip(fill, (j, r, base, span)):
                 lst.append(v)
     # per flow column (from 0): its flow rows (``flow_rows``), the upper
     # and lower bound and then its ramp rows
     flow_rows = [[i, nf + i] for i in range(nf)]
     in_r, in_c, in_v, b_in, ramp_keys = [], [], [], [], []
     for k, cc in enumerate(conns):
-        lb += cc.lower
-        ub += cc.upper
+        lb += [v / sq for v in cc.lower]
+        ub += [v / sq for v in cc.upper]
         j = n_seg + k * H
         eq_r += [area_row[area] + t for area in (cc.source, cc.sink) for t in range(H)]
         eq_c += [*range(j, j + H)] * 2
@@ -194,16 +252,17 @@ def build_model(instance: Instance) -> ClearingModel:
                 in_r += [len(b_in)] * len(cols)
                 in_c += cols
                 in_v += [sgn, -sgn][:len(cols)]
-                b_in.append(cc.ramp_rate + sgn * cc.initial_flow if t == 0 else cc.ramp_rate)
+                rhs = cc.ramp_rate + sgn * cc.initial_flow if t == 0 else cc.ramp_rate
+                b_in.append(rhs / sq)
     n_ramp = len(b_in)
 
     # per binary column: (limit price, ((clearing row, quantity), ...))
     # over the hours it executes its bid in
-    bids = [(b.limit_price, tuple(enumerate(b.quantities, area_row[b.area]))) for b in blocks]
-    bids += [(f.limit_price, ((area_row[f.area] + t, f.quantity),))
+    bids = [(b.limit_price / sp, tuple(enumerate([q / sq for q in b.quantities], area_row[b.area])))
+            for b in blocks]
+    bids += [(f.limit_price / sp, ((area_row[f.area] + t, f.quantity / sq),))
              for f in flex for t in range(H)]
-    c += [b.limit_price * sum(b.quantities) for b in blocks]
-    c += [f.limit_price * f.quantity for f in flex for _ in range(H)]
+    c += [limit * sum(q for _, q in terms) for limit, terms in bids]
     for k, (_, terms) in enumerate(bids, n):
         for r, q in terms:
             if q != 0.0:
@@ -220,7 +279,7 @@ def build_model(instance: Instance) -> ClearingModel:
     lb, ub = np.array(lb + [0.0] * m, dtype=float), np.array(ub + [1.0] * m, dtype=float)
     A_eq = np.zeros((len(eq_keys), n + m))
     A_eq[np.array(eq_r, dtype=int), np.array(eq_c, dtype=int)] = np.array(eq_v, dtype=float)
-    b_eq = np.array([-curve.min_net_demand for curve in curves], dtype=float)
+    b_eq = np.array([-curve.min_net_demand / sq for curve in curves], dtype=float)
     A_in = np.zeros((n_ramp + len(links) + len(flex), n + m))
     if in_r:
         A_in[np.array(in_r, dtype=int), np.array(in_c, dtype=int)] = np.array(in_v, dtype=float)
@@ -241,7 +300,7 @@ def build_model(instance: Instance) -> ClearingModel:
 
     # pricing's no-loss right-hand sides and loss caps, summed hour by hour
     # from 0.0, as the rows were once built
-    iv = instance.interval
+    iv = PriceInterval(instance.interval.lower / sp, instance.interval.upper / sp)
     bin_b, bin_worst = [], []
     for limit, terms in bids:
         total, worst = 0.0, 0.0
@@ -263,6 +322,7 @@ def build_model(instance: Instance) -> ClearingModel:
         bin_b=np.array(bin_b, dtype=float), bin_worst=tuple(bin_worst),
         bin_order=tuple(sorted(range(m), key=bin_keys.__getitem__)),
         flow_rows=(F, h, order), stationarity=(-A_eq[:, f].T, -F.T),
+        price_unit=sp, quantity_unit=sq, interval=iv,
         master_arrays=arrays,
     )
 

@@ -31,9 +31,8 @@ import numpy as np
 from .core import Instance, PriceVector
 from .errors import PriceInfeasible, SolverFailure
 from .model import ClearingModel
-from .qp import DUAL_TOL, INFEAS_TOL, Multipliers, QpProblem, rows_hold, solve_qp
-
-TIGHT_TOL = 1e-7
+from .qp import Multipliers, QpProblem, rows_hold, solve_qp
+from .tolerances import DUAL_TOL, INFEAS_TOL, MONEY_TOL, TIGHT_TOL
 
 
 def solve_fixflow(
@@ -133,8 +132,8 @@ class _PriceQps:
     Building them raises PriceInfeasible when the fill rule's bounds cross
     by more than INFEAS_TOL."""
 
-    def __init__(self, instance, model, x, relax_losses, duals):
-        iv = instance.interval
+    def __init__(self, model, x, relax_losses, duals):
+        iv = model.interval  # in model units, as every array here is
         n_seg, n = len(model.seg_ids), model.n
         on = x[n:].tolist()
         self.relax_losses = relax_losses
@@ -220,7 +219,7 @@ class _PriceQps:
             row = np.zeros(n_var)
             row[lam] = 1.0
             A_in = np.concatenate((A_in, row[None]))
-            b_in = np.concatenate((b_in, [total + 1e-9]))
+            b_in = np.concatenate((b_in, [total + MONEY_TOL]))
             x1 = s1.x
 
         d2 = np.zeros(n_var)
@@ -259,10 +258,12 @@ def solve_qpprice(
     start the QPs (``_dual_start``); without them they start cold.  When
     the fill bounds pin every price and the QPs' start holds their rows,
     those prices are the answer and no QP is built
-    (``_PriceQps.pinned_prices``)."""
-    qps = _PriceQps(instance, model, x, relax_losses, duals)
+    (``_PriceQps.pinned_prices``).  The QPs work in the model's units, and
+    the prices leave them in the book's."""
+    qps = _PriceQps(model, x, relax_losses, duals)
     pi = qps.pinned_prices()
-    return PriceVector(pi=dict(zip(model.eq_keys, qps.solve(deadline) if pi is None else pi)))
+    pi = np.array(qps.solve(deadline) if pi is None else pi) * model.price_unit
+    return PriceVector(pi=dict(zip(model.eq_keys, pi.tolist())))
 
 
 def clamp_prices(

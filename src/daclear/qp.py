@@ -38,14 +38,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import SolverFailure, TimeLimit
+from .tolerances import (
+    CURV_TOL, DUAL_TOL, FEAS_TOL, INFEAS_TOL, RANK_TOL, RATE_TOL, ROUND_TOL, STEP_TOL, TIE_TOL,
+)
 
-FEAS_TOL = 1e-9
-DUAL_TOL = 1e-9
-STEP_TOL = 1e-11
-CURV_TOL = 1e-10
-RANK_TOL = 1e-11
-INFEAS_TOL = 1e-7  # phase-1 weight above which a problem is infeasible
-END_TOL = 1e-12  # relative round-off at the end of a parametric pass
 # working-set factorizations a problem keeps (``QpProblem.factors``), the
 # least recently used leaving first.  Over instance seeds 1000-1099, exact
 # and heuristic, paradox's 4,240 lookups need 2,393 SVDs with 8 entries and
@@ -75,7 +71,7 @@ class QpProblem:
         self.b_in = np.asarray(self.b_in, dtype=float)
         self.lb = np.asarray(self.lb, dtype=float)
         self.ub = np.asarray(self.ub, dtype=float)
-        if np.count_nonzero(self.d > 1e-12):
+        if np.count_nonzero(self.d > ROUND_TOL):
             raise ValueError("quadratic diagonal must be nonpositive")
 
     @property
@@ -291,7 +287,7 @@ class _ActiveSet:
         depends on the working set takes the place of the one whose
         multiplier reaches zero first as its own grows (``_exchange``); so
         does a moving column that the working rows need, as it starts to
-        move.  Breakpoints up to END_TOL past the end still count, and a
+        move.  Breakpoints up to ROUND_TOL past the end still count, and a
         dependent one there stays out of the working set.  The pass gives
         up when the working rows stay dependent on the free columns, when a
         dependent constraint has nothing to replace, or after
@@ -299,7 +295,7 @@ class _ActiveSet:
         c, d, n, nh, lb = self.c, self.d, self.n, len(self.h), self.lb
         pinned = state == PINNED
         # a column that round-off alone keeps from its value takes it at once
-        x = np.where(pinned & (np.abs(x - lb) <= END_TOL * np.maximum(1.0, np.abs(lb))), lb, x)
+        x = np.where(pinned & (np.abs(x - lb) <= ROUND_TOL * np.maximum(1.0, np.abs(lb))), lb, x)
         move = pinned & (x != lb)
         entering = move.nonzero()[0].tolist()
         if not entering:
@@ -343,7 +339,7 @@ class _ActiveSet:
             # the least-norm answer smears round-off over every free column;
             # one the exact step leaves alone must stay where it is
             size = np.abs(dx)
-            dx[size <= 1e-14 * size[size.argmax()]] = 0.0
+            dx[size <= TIE_TOL * size[size.argmax()]] = 0.0
             grads = np.empty((n, 2))  # np.column_stack's layout
             grads[:, 0], grads[:, 1] = c + d * x, d * dx
             duals = self._signed_duals(state, free, K, P, Vr, grads)
@@ -351,7 +347,7 @@ class _ActiveSet:
             # still joins, as it would on a vertex-to-vertex path
             dx_free = np.zeros(n)
             dx_free[free] = dx.take(free)
-            alpha, block = self._ratio(x, dx, dx_free, work, 1.0 + END_TOL)
+            alpha, block = self._ratio(x, dx, dx_free, work, 1.0 + ROUND_TOL)
             t, k = _first_zero(duals[:, 0], -duals[:, 1])
             if k is not None and t < min(alpha, 1.0):
                 x = x + t * dx
@@ -435,7 +431,7 @@ class _ActiveSet:
         working constraints: no part of it, beyond round-off, lies in their
         null space."""
         za = Z.T @ a.take(free)
-        return sqrt(za @ za) <= 1e-9 * max(1.0, sqrt(a @ a))
+        return sqrt(za @ za) <= FEAS_TOL * max(1.0, sqrt(a @ a))
 
     def _exchange(self, a, x, work, state, free, K, P, Vr):
         """Make room at x for the constraint with normal a, a combination of
@@ -466,7 +462,7 @@ class _ActiveSet:
         if work:
             gp.put(work, 0.0)
         rate = np.concatenate((gp, pf, -pf))
-        hit = (rate > 1e-12).nonzero()[0]
+        hit = (rate > RATE_TOL).nonzero()[0]
         if not len(hit):
             return alpha_max, None
         # a slack that an infinite bound makes infinite gives an infinite
@@ -474,9 +470,9 @@ class _ActiveSet:
         slack = (self.limits - np.concatenate((self.G @ x, x, -x))).take(hit)
         ratios = np.maximum(slack, 0.0) / rate.take(hit)
         alpha = float(ratios[ratios.argmin()])
-        if not alpha < alpha_max - 1e-14:
+        if not alpha < alpha_max - TIE_TOL:
             return alpha_max, None
-        k = int((ratios <= alpha + 1e-14).argmax())
+        k = int((ratios <= alpha + TIE_TOL).argmax())
         return float(ratios[k]), int(hit[k])
 
     def _step(self, x, alpha, p, block, work, state):
@@ -501,12 +497,12 @@ def _first_zero(level, rate):
     in an entry whose rate is positive, and the lowest such entry; (inf,
     None) when no rate is positive.  Entries already below zero count as
     zero."""
-    falling = (rate > 1e-12).nonzero()[0]
+    falling = (rate > RATE_TOL).nonzero()[0]
     ratios = np.maximum(level.take(falling), 0.0) / rate.take(falling)
     t = float(ratios[ratios.argmin()]) if len(falling) else np.inf
     if t == np.inf:
         return t, None
-    return t, int(falling[(ratios <= t + 1e-14).argmax()])
+    return t, int(falling[(ratios <= t + TIE_TOL).argmax()])
 
 
 # per state, whether its column takes a lower- or an upper-bound multiplier

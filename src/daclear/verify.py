@@ -16,11 +16,9 @@ from .core import BidSelection, Instance, PriceVector
 from .driver import _check_leaf, _finish
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
 from .model import ClearingModel, build_model
-from .pricing import TIGHT_TOL
 from .qp import QpProblem, solve_qp
 from .relaxation import solve_relaxation
-
-DEFAULT_TOL = 1e-6
+from .tolerances import CHECK_TOL, MONEY_TOL, TIGHT_TOL
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ def check_filling(
     instance: Instance,
     delta: Mapping[int, float],
     prices: PriceVector,
-    tol: float = DEFAULT_TOL,
+    tol: float = CHECK_TOL,
     mode: str = "case",
 ) -> ConditionReport:
     """Price/fill consistency of every quantity-carrying segment.
@@ -116,7 +114,7 @@ def check_flow_price(
     instance: Instance,
     flows: Mapping[tuple[str, int], float],
     prices: PriceVector,
-    tol: float = DEFAULT_TOL,
+    tol: float = CHECK_TOL,
 ) -> ConditionReport:
     """Existence of nonnegative congestion/ramp multipliers explaining
     every cross-border price difference at the fixed flows.  A flow bound
@@ -206,7 +204,7 @@ def check_bid_prices(
     instance: Instance,
     selection: BidSelection,
     prices: PriceVector,
-    tol: float = DEFAULT_TOL,
+    tol: float = CHECK_TOL,
 ) -> ConditionReport:
     """No executed fill-or-kill bid may lose money at the prices."""
     violations = []
@@ -239,34 +237,37 @@ def check_bounds(
     instance: Instance,
     delta: Mapping[int, float],
     flows: Mapping[tuple[str, int], float],
-    tol: float = DEFAULT_TOL,
+    tol: float = CHECK_TOL,
 ) -> ConditionReport:
     """Fills within [0, 1], flows within their interconnector's bounds, and
     ramp limits, measured from the initial flow at hour 0: the box and ramp
-    rows of the clearing model at the given fills and flows."""
+    rows of the clearing model at the given fills and flows, with the
+    flows in the model's units and each excess back in the book's."""
     model = build_model(instance)
+    sq = model.quantity_unit
     x = np.array(
         [float(delta.get(sid, 0.0)) for sid in model.seg_ids]
-        + [float(flows.get(key, 0.0)) for key in model.flow_keys]
+        + [float(flows.get(key, 0.0)) / sq for key in model.flow_keys]
     )
+    units = np.concatenate((np.ones(len(model.seg_ids)), np.full(len(model.flow_keys), sq)))
     locations = [(*instance.segment_location[sid], sid) for sid in model.seg_ids]
     locations += model.flow_keys
     kinds = ["fill-bound"] * len(model.seg_ids) + ["flow-bound"] * len(model.flow_keys)
     violations = [
         Violation(loc, float(v), kind)
-        for loc, kind, v in zip(locations, kinds, np.maximum(model.lb - x, x - model.ub))
+        for loc, kind, v in zip(locations, kinds, np.maximum(model.lb - x, x - model.ub) * units)
         if v > tol
     ]
     violations += [
         Violation(key, float(v), "ramp")
-        for key, v in zip(model.ramp_keys, model.A_in @ x - model.b_in)
+        for key, v in zip(model.ramp_keys, (model.A_in @ x - model.b_in) * sq)
         if v > tol
     ]
     return ConditionReport.from_violations(violations)
 
 
 def list_prbs(instance: Instance, selection: BidSelection, prices: PriceVector,
-              tol: float = 1e-9) -> list:
+              tol: float = MONEY_TOL) -> list:
     """Rejected combinatorial bids that would profit at the final prices."""
     prbs = []
     for b in instance.blocks:
@@ -304,7 +305,8 @@ def _relaxations(instance: Instance, model: ClearingModel):
     """(objective, index, x, duals) of each enumerated selection whose
     relaxation clears, in enumeration order (see ``solve_relaxation``).
     The relaxation is the master problem on ``model``, the clearing model
-    of ``instance``, with its binary columns pinned at the selection."""
+    of ``instance``, with its binary columns pinned at the selection; its
+    objective leaves the model in the book's units of money."""
     prob = model.master()
     for idx, selection in enumerate(_all_selections(instance)):
         lb, ub = prob.lb.copy(), prob.ub.copy()
@@ -314,7 +316,7 @@ def _relaxations(instance: Instance, model: ClearingModel):
             objective, x, duals = solve_relaxation(pinned, model, selection)
         except InfeasibleSelection:
             continue
-        yield objective, idx, x, duals
+        yield objective * model.money_unit, idx, x, duals
 
 
 def oracle_clear(instance: Instance, cap: int = 12):
@@ -339,6 +341,6 @@ def oracle_clear(instance: Instance, cap: int = 12):
         passed = prices is not None and not curt
         frontier.append((objective, fills.selection, passed))
         if passed:
-            return _finish(instance, "oracle", model.primal(fills.selection, x), prices,
+            return _finish(instance, model, "oracle", model.primal(fills.selection, x), prices,
                            objective, objective, (), tuple(frontier))
     raise PriceInfeasible("no selection admits supporting prices")

@@ -11,10 +11,11 @@ import numpy as np
 from daclear import driver, master, pricing, qp
 from daclear.core import BidSelection, PriceVector, PrimalSolution
 from daclear.errors import PriceInfeasible, SolverFailure, UnknownId
-from daclear.io import MAX_MAGNITUDE, parse_instance
+from daclear.io import parse_instance
 from daclear.master import _with_cuts
 from daclear.model import build_model
-from daclear.pricing import TIGHT_TOL, solve_fixflow, solve_qpprice
+from daclear.pricing import solve_fixflow, solve_qpprice
+from daclear.tolerances import CURV_TOL, DUAL_TOL, INFEAS_TOL, MAX_MAGNITUDE, TIGHT_TOL
 from daclear.qp import QpProblem, QpSolution, multipliers
 from daclear.verify import check_bid_prices
 
@@ -110,10 +111,11 @@ def model_maps(model):
 
 def point(model, solution):
     """``solution`` as a point of ``model``'s master problem: its fills and
-    flows in column order (0 where it has none), then its binaries."""
+    flows in column order (0 where it has none), the flows in model units,
+    then its binaries."""
     return np.concatenate((
         [solution.delta.get(sid, 0.0) for sid in model.seg_ids],
-        [solution.flows.get(key, 0.0) for key in model.flow_keys],
+        [solution.flows.get(key, 0.0) / model.quantity_unit for key in model.flow_keys],
         model.binaries(solution.selection),
     ))
 
@@ -133,8 +135,9 @@ def qp_prices(inst, model, x, relax_losses=False, deadline=None, duals=None):
     """``pricing.solve_qpprice`` by its QPs alone (``_PriceQps.solve``),
     also where the prices that the fill bounds pin would answer it
     without them (``_PriceQps.pinned_prices``)."""
-    qps = pricing._PriceQps(inst, model, x, relax_losses, duals)
-    return PriceVector(pi=dict(zip(model.eq_keys, qps.solve(deadline))))
+    qps = pricing._PriceQps(model, x, relax_losses, duals)
+    prices = np.array(qps.solve(deadline)) * model.price_unit
+    return PriceVector(pi=dict(zip(model.eq_keys, prices.tolist())))
 
 
 def total_loss(inst, selection, prices):
@@ -143,6 +146,42 @@ def total_loss(inst, selection, prices):
     per losing bid, blocks then flex bids, each in id order."""
     report = check_bid_prices(inst, selection, prices, tol=0.0)
     return float(sum(v.amount for v in report.violations))
+
+
+def curtailment_breaches(inst, sol, tol=1e-6):
+    """The curtailment-priority rule as the README states it, written apart
+    from ``cuts.curtailment_violations``: {(area, hour): (blocks, flex)} of
+    the executed bids that outrank curtailed hourly bids there.  Hourly
+    demand is curtailed when the curtailment segment that joins a
+    demand-only curve to zero is less than full (beyond ``tol``); then each
+    executed block with a positive quantity in that hour and each flex bid
+    with a positive quantity executed in that hour outranks it.  Hourly
+    supply is curtailed when the segment that joins a supply-only curve to
+    zero is filled at all (beyond ``tol``); then the bids with a negative
+    quantity there outrank it.  Blocks are listed by id, flex bids as
+    (id, hour) by id."""
+    out = {}
+    for (area, hour), curve in inst.curves.items():
+        for seg in curve.segments:
+            if not seg.is_curtailment:
+                continue
+            fill = sol.delta.get(seg.id, 0.0)
+            side = 1.0 if seg.node_quantity > 0.0 else -1.0  # demand, or supply
+            if fill >= 1.0 - tol if side > 0.0 else fill <= tol:
+                continue
+            blocks = tuple(sorted(
+                b.id for b in inst.blocks
+                if sol.selection.blocks.get(b.id) and b.area == area
+                and side * b.quantities[hour] > 0.0
+            ))
+            flex = tuple(sorted(
+                (f.id, hour) for f in inst.flex_bids
+                if sol.selection.flex.get(f.id) == hour and f.area == area
+                and side * f.quantity > 0.0
+            ))
+            if blocks or flex:
+                out[area, hour] = (blocks, flex)
+    return out
 
 
 def min_loss_lp(optimize, inst, sol, strict):
@@ -228,7 +267,7 @@ def with_qp_path(monkeypatch):
 
     def spy(instance, model, x, relax_losses=False, deadline=None, duals=None):
         out = price(instance, model, x, relax_losses, deadline, duals)
-        qps = pricing._PriceQps(instance, model, x, relax_losses, duals)
+        qps = pricing._PriceQps(model, x, relax_losses, duals)
         if qps.pinned_prices() is not None:
             qps.solve(deadline)
         return out
@@ -458,8 +497,37 @@ def bench_instance(family, seed):
     return parse_instance(bench_text(family, seed))
 
 
+def rescaled(doc, price=1.0, quantity=1.0):
+    """The instance document ``doc``, as ``io.serialize_instance`` writes
+    it, with every price times ``price``: the price intervals, the whole
+    market's and each area's, curve nodes and limit prices; and every
+    quantity times ``quantity``: curves, bids, flow limits, ramps and
+    initial flows."""
+    interval = lambda iv: {"lower": price * iv["lower"], "upper": price * iv["upper"]}
+    ramp = lambda r: None if r is None else quantity * r
+    return {
+        **doc,
+        "price_interval": interval(doc["price_interval"]),
+        "areas": [{**a, **({"price_interval": interval(a["price_interval"])}
+                           if "price_interval" in a else {})} for a in doc["areas"]],
+        "curves": [{**c, "nodes": [[price * p, quantity * q] for p, q in c["nodes"]]}
+                   for c in doc["curves"]],
+        "blocks": [{**b, "limit_price": price * b["limit_price"],
+                    "quantities": [quantity * q for q in b["quantities"]]}
+                   for b in doc["blocks"]],
+        "flex": [{**f, "limit_price": price * f["limit_price"],
+                  "quantity": quantity * f["quantity"]} for f in doc["flex"]],
+        "interconnectors": [
+            {**c, "lower": [quantity * v for v in c["lower"]],
+             "upper": [quantity * v for v in c["upper"]],
+             "ramp_rate": ramp(c["ramp_rate"]), "initial_flow": quantity * c["initial_flow"]}
+            for c in doc["interconnectors"]
+        ],
+    }
+
+
 # what a scalar may become: edges of the magnitude bound
-# (``io.MAX_MAGNITUDE``) and values past it, zero, a subnormal, an integer
+# (``tolerances.MAX_MAGNITUDE``) and values past it, zero, a subnormal, an integer
 # too large for a float, the non-finite constants that strict JSON
 # forbids (``json.dumps`` writes them as NaN and Infinity), and values of
 # another JSON type
@@ -553,9 +621,10 @@ def welfare_row_fixflow(instance, model, solution):
     """A reference FixFlow that needs no multipliers: the minimum
     squared-norm flows over the vertical fills and flows that keep the
     clearing rows, the ramp rows and the vertical fills' welfare (one
-    equality row), with the sloped fills fixed."""
+    equality row), with the sloped fills fixed, in the model's units."""
     if not instance.interconnectors:
         return solution
+    sp, sq = model.price_unit, model.quantity_unit
     free = [s for s in instance.segments if s.is_vertical]
     free_ids = {s.id for s in free}
     maps = model_maps(model)
@@ -569,25 +638,25 @@ def welfare_row_fixflow(instance, model, solution):
     b_eq = np.zeros(n_eq + 1)
     terms = selection_terms(instance, solution.selection)
     for r, (a, t) in enumerate(model.eq_keys):
-        b_eq[r] = model.b_eq[r] - terms.volume[a, t] - sum(
-            seg.quantity_span * solution.delta.get(seg.id, 0.0)
+        b_eq[r] = model.b_eq[r] - terms.volume[a, t] / sq - sum(
+            seg.quantity_span / sq * solution.delta.get(seg.id, 0.0)
             for seg in instance.curves[a, t].segments if seg.id not in free_ids
         )
     for k, seg in enumerate(free):
-        A_eq[n_eq, k] = seg.base_price * seg.quantity_span
+        A_eq[n_eq, k] = seg.base_price / sp * (seg.quantity_span / sq)
         b_eq[n_eq] += A_eq[n_eq, k] * solution.delta.get(seg.id, 0.0)
     prob = qp.QpProblem(
         c=np.zeros(n), d=d, A_eq=A_eq, b_eq=b_eq, A_in=model.A_in[:, cols],
         b_in=model.b_in, lb=model.lb[cols], ub=model.ub[cols],
     )
     x0 = [solution.delta.get(s.id, 0.0) for s in free]
-    x0 += [solution.flows.get(key, 0.0) for key in model.flow_keys]
+    x0 += [solution.flows.get(key, 0.0) / sq for key in model.flow_keys]
     sol = qp.solve_qp(prob, x0=np.array(x0))
     if sol.status != "optimal":
         raise SolverFailure(f"flow canonicalization failed: {sol.status}")
     delta = dict(solution.delta)
     delta.update({seg.id: float(sol.x[k]) for k, seg in enumerate(free)})
-    flows = {key: float(sol.x[n_free + k]) for k, key in enumerate(model.flow_keys)}
+    flows = {key: float(sol.x[n_free + k]) * sq for k, key in enumerate(model.flow_keys)}
     return PrimalSolution(selection=solution.selection, delta=delta, flows=flows)
 
 
@@ -793,7 +862,7 @@ def reference_price_rows(instance, model, solution, relax_losses):
         else:
             price = seg.price_at(dlt)
             lb[j], ub[j] = max(lb[j], price), min(ub[j], price)
-    if np.any(lb - ub > qp.INFEAS_TOL):
+    if np.any(lb - ub > INFEAS_TOL):
         raise PriceInfeasible("no price meets the segment fill conditions")
     crossed = lb > ub
     lb[crossed] = ub[crossed] = 0.5 * (lb[crossed] + ub[crossed])
@@ -820,9 +889,9 @@ def reference_fixflow_problem(instance, model, solution, duals):
     flows = [solution.flows.get(key, 0.0) for key in model.flow_keys]
     x0 = np.concatenate((fills[model.vertical], flows))
     lb, ub = model.lb[cols], model.ub[cols]
-    pinned = np.maximum(duals.nu_lower[cols], duals.nu_upper[cols]) > qp.DUAL_TOL
+    pinned = np.maximum(duals.nu_lower[cols], duals.nu_upper[cols]) > DUAL_TOL
     lb[pinned] = ub[pinned] = x0[pinned]
-    tight = duals.mu_in[:len(model.b_in)] > qp.DUAL_TOL
+    tight = duals.mu_in[:len(model.b_in)] > DUAL_TOL
     b_eq = model.b_eq - model.bin_A_eq @ model.binaries(solution.selection) - A_kept @ fills[kept]
     d_obj = np.zeros(len(x0))
     d_obj[len(x0) - len(flows):] = -2.0
@@ -846,7 +915,7 @@ def reference_factorize(solver, work, state):
         H = Z.T @ (df[:, None] * Z)
         w, V = (H[0], np.ones((1, 1))) if len(H) == 1 else np.linalg.eigh(H)
         scale = max(1.0, float(np.max(np.abs(w))))
-        curved = w < -qp.CURV_TOL * scale
+        curved = w < -CURV_TOL * scale
         curv = (w, V, curved, np.where(curved, w, 1.0))
     return free, K, Z, P, Vr, curv
 

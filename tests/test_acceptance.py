@@ -328,7 +328,7 @@ def test_criterion_9_qp_property_suite():
 
 def test_criterion_10_presolve_soundness(suite, monkeypatch):
     rows, _ = suite
-    monkeypatch.setattr(master, "_presolve_fixings", lambda instance: set())
+    monkeypatch.setattr(master, "_presolve_fixings", lambda instance, model: set())
     fixings_checked = 0
     for row in rows:
         inst, o = row["instance"], row["oracle"]

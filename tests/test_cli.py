@@ -15,7 +15,7 @@ from daclear.io import dump_document, serialize_instance
 
 from helpers import (
     appendix_a, bench_instance, bench_text, block, connector, f3, make_instance,
-    mutated_document, random_instance,
+    mutated_document, random_instance, rescaled,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,6 +128,22 @@ class TestClear:
         assert doc["welfare"] == pytest.approx(2.0)
         assert doc["bound"] is None
         assert doc["gap"] is None
+
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_a_book_times_100_clears_and_verifies(self, capsys, tmp_path, mode):
+        # day-book 7001 with every price and quantity times 100: model
+        # units bring it back to the book's own magnitudes, so it clears,
+        # and its document passes verify at the default --tol
+        doc = json.loads(serialize_instance(bench_instance("day-book", 7001)))
+        path = _write(tmp_path, "inst.json", json.dumps(rescaled(doc, 100.0, 100.0)))
+        code, out = _run(capsys, "clear", "--instance", path, "--mode", mode)
+        assert code == 0
+        assert json.loads(out)["status"] == ("optimal" if mode == "exact" else "feasible")
+        sol = _write(tmp_path, "sol.json", out)
+        code, out = _run(capsys, "verify", "--instance", path, "--solution", sol)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
 
 
 class TestOracle:
@@ -431,7 +447,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_huge_block_quantity_is_input_error(self, capsys, tmp_path, mode):
-        # finite, but beyond io.MAX_MAGNITUDE: the clear's sums overflowed
+        # finite, but beyond tolerances.MAX_MAGNITUDE: the clear's sums overflowed
         # to a NaN in the result, and writing it raised ValueError
         doc = json.loads(bench_text("paradox", 1001))
         next(b for b in doc["blocks"] if b["id"] == "s1")["quantities"][1] = 1e308

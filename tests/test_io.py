@@ -5,13 +5,13 @@ import pytest
 
 from daclear.errors import SchemaError
 from daclear.io import (
-    MAX_MAGNITUDE,
     parse_instance,
     parse_solution,
     serialize_instance,
     solution_to_doc,
 )
 from daclear.driver import clear_exact
+from daclear.tolerances import MAX_MAGNITUDE
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "appendix_a.json"
 

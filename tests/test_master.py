@@ -100,7 +100,7 @@ class TestBranching:
 
 def _no_fixings(monkeypatch):
     """Presolve fixes no binary for the rest of the test."""
-    monkeypatch.setattr(master, "_presolve_fixings", lambda instance: set())
+    monkeypatch.setattr(master, "_presolve_fixings", lambda instance, model: set())
 
 
 class TestPresolve:
@@ -403,7 +403,7 @@ def _offset_binary(monkeypatch, offset):
 
 
 class TestNearlyIntegralNodes:
-    """A node whose binaries sit within round-off (``qp.END_TOL``) of 0/1
+    """A node whose binaries sit within round-off (``tolerances.ROUND_TOL``) of 0/1
     is its own leaf; one further off branches."""
 
     def _instance(self):

@@ -6,7 +6,10 @@ quantity keeps each mode's verdict, selection and prices, and negates the
 flows or doubles the welfare.  Shifting every price by a constant shifts
 the prices, keeps the verdicts and selections, and moves the welfare by a
 constant that no selection changes; adding a block that loses at every price
-the market can clear at changes nothing, and presolve fixes it out."""
+the market can clear at changes nothing, and presolve fixes it out.
+Multiplying every price and every quantity by 1000, or by 1024, keeps each
+mode's verdict and selection and scales the prices and flows by the factor
+and the welfare by its square."""
 
 import json
 from pathlib import Path
@@ -18,9 +21,11 @@ from daclear.core import presolve_price_bounds
 from daclear.errors import PriceInfeasible
 from daclear.io import parse_instance, serialize_instance
 from daclear.master import _presolve_fixings
+from daclear.model import build_model
+from daclear.tolerances import MAX_MAGNITUDE
 from daclear.verify import oracle_clear
 
-from helpers import diamond, ramp_fixture, random_instance
+from helpers import bench_instance, diamond, ramp_fixture, random_instance, rescaled
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -84,39 +89,29 @@ def _reversed_connectors(doc):
 
 
 def _doubled(doc):
-    """Every quantity doubled: curves, bids, flow limits, ramps and initial flows."""
-    ramp = lambda r: None if r is None else 2.0 * r
-    return {
-        **doc,
-        "curves": [{**c, "nodes": [[p, 2.0 * q] for p, q in c["nodes"]]}
-                   for c in doc["curves"]],
-        "blocks": [{**b, "quantities": [2.0 * q for q in b["quantities"]]}
-                   for b in doc["blocks"]],
-        "flex": [{**f, "quantity": 2.0 * f["quantity"]} for f in doc["flex"]],
-        "interconnectors": [
-            {**c, "lower": [2.0 * v for v in c["lower"]],
-             "upper": [2.0 * v for v in c["upper"]],
-             "ramp_rate": ramp(c["ramp_rate"]), "initial_flow": 2.0 * c["initial_flow"]}
-            for c in doc["interconnectors"]
-        ],
-    }
+    """Every quantity doubled."""
+    return rescaled(doc, quantity=2.0)
 
 
 def _decisions(inst):
     return len(inst.blocks) + len(inst.flex_bids) * inst.hours
 
 
-def _transformed_pairs(transform, seeds=range(540, 580), price_shift=0.0):
+def _transformed_pairs(transform, seeds=range(540, 580), price_shift=0.0, factor=1.0,
+                       books=(), ramp=True):
     """(where, instance, result, transformed result) per instance and mode that
     clears with a solution, after asserting that the oracle, exact and
     heuristic modes keep their verdicts and selections, and that the
-    transformed prices are the prices plus ``price_shift``.  New seeds,
-    the day-book fixtures, the diamond and the ramp fixture.  The oracle
-    runs where the transformed instance is within its cap."""
+    transformed prices are the prices times ``factor`` plus ``price_shift``,
+    within 1e-7 times ``factor``.  New seeds, the (family, seed) ``books``
+    of ``bench/generate.py``, the day-book fixtures, the diamond and, with
+    ``ramp``, the ramp fixture.  The oracle runs where the transformed
+    instance is within its cap."""
     instances = [(f"seed {seed}", random_instance(seed)) for seed in seeds]
+    instances += [(f"{family} {seed}", bench_instance(family, seed)) for family, seed in books]
     instances += [(name, parse_instance((FIXTURES / f"{name}.json").read_text()))
                   for name in ("no_price_support", "exact_log_pricing_fails")]
-    instances += [("diamond", diamond()), ("ramp_fixture", ramp_fixture())]
+    instances += [("diamond", diamond())] + [("ramp_fixture", ramp_fixture())] * ramp
     for name, inst in instances:
         doc = json.loads(serialize_instance(inst))
         other = parse_instance(json.dumps(transform(doc)))
@@ -137,7 +132,8 @@ def _transformed_pairs(transform, seeds=range(540, 580), price_shift=0.0):
                 assert getattr(b.solution.selection, side)() == sel, where
             assert b.prices.pi.keys() == a.prices.pi.keys(), where
             for key, price in a.prices.pi.items():
-                assert b.prices[key] == pytest.approx(price + price_shift, abs=1e-7), where
+                expected = factor * price + price_shift
+                assert b.prices[key] == pytest.approx(expected, abs=1e-7 * factor), where
             yield where, inst, a, b
 
 
@@ -158,6 +154,30 @@ def test_doubling_every_quantity_doubles_the_welfare():
         assert b.welfare == pytest.approx(2.0 * a.welfare, abs=1e-7), where
         compared += 1
     assert compared >= 120
+
+
+# new seeds and generated books for the scale tests
+SCALE_SEEDS = range(620, 700)
+SCALE_BOOKS = [(family, seed) for family in ("day-book", "paradox") for seed in range(7000, 7040)]
+
+
+@pytest.mark.parametrize("factor", [1000.0, 1024.0])
+def test_scaling_every_price_and_quantity_scales_the_clear(factor):
+    # model units (``model.build_model``) give both books the same numbers
+    # up to round-off, exactly so at 1024; the ramp fixture's ATC of 1000
+    # is beyond ``io``'s magnitude bound at 1024
+    compared = 0
+    scaled = lambda doc: rescaled(doc, factor, factor)
+    pairs = _transformed_pairs(scaled, SCALE_SEEDS, factor=factor, books=SCALE_BOOKS,
+                               ramp=factor * 1000.0 <= MAX_MAGNITUDE)
+    for where, _, a, b in pairs:
+        money = factor * factor
+        assert b.welfare == pytest.approx(money * a.welfare, abs=1e-7 * money), where
+        assert b.solution.flows.keys() == a.solution.flows.keys(), where
+        for key, flow in a.solution.flows.items():
+            assert b.solution.flows[key] == pytest.approx(factor * flow, abs=1e-7 * factor), where
+        compared += 1
+    assert compared >= 450
 
 
 SHIFT = 37.5
@@ -222,7 +242,7 @@ def test_a_block_that_always_loses_changes_nothing():
         doc = json.loads(serialize_instance(random_instance(seed)))
         other = parse_instance(json.dumps(_with_loser(doc)))
         if any(b.id == "loser" for b in other.blocks):
-            assert ("block", "loser") in _presolve_fixings(other), seed
+            assert ("block", "loser") in _presolve_fixings(other, build_model(other)), seed
             fixed.add(seed)
     assert compared >= 100
     assert len(fixed) >= 30

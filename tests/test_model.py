@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,14 +6,14 @@ import numpy as np
 import pytest
 
 from daclear.core import BidSelection
-from daclear.io import parse_instance
+from daclear.io import parse_instance, serialize_instance
 from daclear.model import balanced_start, build_model
 from daclear.qp import QpProblem, solve_qp
 from daclear.verify import _all_selections
 
 from helpers import (
     appendix_a, block, connector, diamond, empty_selection, f2, flexbid, make_instance,
-    model_maps, pinned_relaxation, ramp_fixture, random_instance,
+    model_maps, pinned_relaxation, ramp_fixture, random_instance, rescaled,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -30,18 +31,21 @@ class TestClearingRows:
         assert np.count_nonzero(col) == 2
 
     def test_segment_spans_rhs_and_bounds(self):
+        # in model units: the ATC of 1000 makes the quantity unit 16
         inst = ramp_fixture()
         model = build_model(inst)
         maps = model_maps(model)
+        sq = model.quantity_unit
+        assert (model.price_unit, sq) == (1.0, 16.0)
         for (a, t), r in maps.eq_row.items():
             curve = inst.curves[a, t]
-            assert model.b_eq[r] == -curve.min_net_demand
+            assert model.b_eq[r] * sq == -curve.min_net_demand
             for seg in curve.segments:
-                assert model.A_eq[r, maps.seg_col[seg.id]] == seg.quantity_span
+                assert model.A_eq[r, maps.seg_col[seg.id]] * sq == seg.quantity_span
         conn = inst.interconnectors[0]
         for t in range(inst.hours):
             j = maps.flow_col[conn.id, t]
-            assert (model.lb[j], model.ub[j]) == (conn.lower[t], conn.upper[t])
+            assert (model.lb[j] * sq, model.ub[j] * sq) == (conn.lower[t], conn.upper[t])
         seg_cols = list(maps.seg_col.values())
         assert np.all(model.lb[seg_cols] == 0.0)
         assert np.all(model.ub[seg_cols] == 1.0)
@@ -51,6 +55,53 @@ class TestClearingRows:
         assert model.flow_keys == ()
         assert model.A_in.shape == (0, model.n)
         assert model.A_eq.shape == (1, model.n)
+
+
+class TestModelUnits:
+    def _times(self, inst, factor):
+        doc = json.loads(serialize_instance(inst))
+        return parse_instance(json.dumps(rescaled(doc, factor, factor)))
+
+    @pytest.mark.parametrize("make", [appendix_a, f2, ramp_fixture, diamond])
+    def test_units_are_the_least_powers_of_two_that_fit(self, make):
+        # the largest |price| to 128 or less, the largest |quantity| to 64
+        # or less, each unit at least 1
+        inst = make()
+        model = build_model(inst)
+        doc = json.loads(serialize_instance(inst))
+        prices, quantities = [], []
+        for iv in [doc["price_interval"]] + [a["price_interval"] for a in doc["areas"]
+                                             if "price_interval" in a]:
+            prices += [iv["lower"], iv["upper"]]
+        for curve in doc["curves"]:
+            prices += [p for p, _ in curve["nodes"]]
+            quantities += [q for _, q in curve["nodes"]]
+        for bid in doc["blocks"] + doc["flex"]:
+            prices.append(bid["limit_price"])
+            quantities += bid.get("quantities", [bid.get("quantity", 0.0)])
+        for c in doc["interconnectors"]:
+            quantities += c["lower"] + c["upper"] + [c["initial_flow"], c["ramp_rate"] or 0.0]
+        for unit, values, top in ((model.price_unit, prices, 128.0),
+                                  (model.quantity_unit, quantities, 64.0)):
+            largest = max(abs(v) for v in values)
+            assert largest <= top * unit
+            assert unit == 1.0 or largest > top * unit / 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_book_times_a_power_of_two_makes_the_same_model(self, seed):
+        # a book times 16 against the book times 256: both have units
+        # above 1, so the second's are 16 times the first's
+        inst = random_instance(seed)
+        model = build_model(self._times(inst, 16.0))
+        other = build_model(self._times(inst, 256.0))
+        assert model.price_unit > 1.0 and model.quantity_unit > 1.0
+        assert other.price_unit == 16.0 * model.price_unit
+        assert other.quantity_unit == 16.0 * model.quantity_unit
+        for a, b in zip(model.master_arrays, other.master_arrays):
+            assert np.array_equal(a, b)
+        assert model.interval == other.interval
+        assert model.bin_b.tolist() == other.bin_b.tolist()
+        assert model.bin_worst == other.bin_worst
 
 
 class TestRampRows:
@@ -66,6 +117,7 @@ class TestRampRows:
         inst = ramp_fixture()
         conn = inst.interconnectors[0]
         model = build_model(inst)
+        sq = model.quantity_unit  # the right-hand sides are in model units
         f0, f1 = model_maps(model).flow_col["c1", 0], model_maps(model).flow_col["c1", 1]
         for r, (_, t, sense) in enumerate(model.ramp_keys):
             sgn = 1.0 if sense == "fwd" else -1.0
@@ -73,14 +125,14 @@ class TestRampRows:
             if t == 0:
                 assert row[f0] == sgn
                 assert np.count_nonzero(row) == 1
-                assert model.b_in[r] == conn.ramp_rate + sgn * conn.initial_flow
+                assert model.b_in[r] * sq == conn.ramp_rate + sgn * conn.initial_flow
             else:
                 assert row[f1] == sgn
                 assert row[f0] == -sgn
                 assert np.count_nonzero(row) == 2
-                assert model.b_in[r] == conn.ramp_rate
+                assert model.b_in[r] * sq == conn.ramp_rate
         # ramp rate 6 from flow 18: fwd 24, bwd -12 at hour 0
-        assert list(model.b_in[:2]) == [24.0, -12.0]
+        assert list(model.b_in[:2] * sq) == [24.0, -12.0]
 
     def test_unramped_connectors_have_no_rows(self):
         model = build_model(diamond())
@@ -98,7 +150,7 @@ class TestRampRows:
             [1, 0], [-1, 0], [1, 0], [-1, 0],  # hour 0: upper, lower, fwd, bwd
             [0, 1], [0, -1], [-1, 1], [1, -1],  # hour 1
         ]
-        assert h.tolist() == [1000, 1000, 24, -12, 1000, 1000, 6, 6]
+        assert (h * model.quantity_unit).tolist() == [1000, 1000, 24, -12, 1000, 1000, 6, 6]
         assert [f.shape for f in build_model(appendix_a()).flow_rows] == [(0, 0), (0,), (0,)]
 
 
@@ -299,7 +351,8 @@ class TestBalancedStart:
         )
         prob, model = pinned_relaxation(inst, BidSelection(blocks={"big": 1}))
         x = balanced_start(model, prob)
-        resid = prob.b_eq - prob.A_eq @ x
+        sq = model.quantity_unit  # 2: the ATC of 100 is the largest quantity
+        resid = (prob.b_eq - prob.A_eq @ x) * sq
         maps = model_maps(model)
         assert abs(resid[maps.eq_row["R", 0]]) <= 1e-9
         assert resid[maps.eq_row["S", 0]] == pytest.approx(-40.0)
@@ -308,4 +361,4 @@ class TestBalancedStart:
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         # at the optimum R sells all 50 MW to S
-        assert warm.x[maps.flow_col["c1", 0]] == pytest.approx(50.0)
+        assert warm.x[maps.flow_col["c1", 0]] * sq == pytest.approx(50.0)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from daclear import driver, pricing, qp, verify
+from daclear import driver, pricing, qp, tolerances, verify
 from daclear.core import BidSelection, PrimalSolution, clearing_residuals, welfare_of
 from daclear.driver import clear_exact, clear_heuristic
 from daclear.errors import PriceInfeasible, TooLarge
@@ -130,7 +130,7 @@ class TestFixFlow:
         sol = solve_qp(prob, x0=x0)
         duals = qp.multipliers(prob, sol)
         assert sol.status == "optimal" and sol.x[j] == pytest.approx(10.0, abs=1e-12)
-        assert max(duals.nu_lower[j], duals.nu_upper[j]) <= qp.DUAL_TOL
+        assert max(duals.nu_lower[j], duals.nu_upper[j]) <= tolerances.DUAL_TOL
         candidate = model.primal(BidSelection(), sol.x)
         fixed = fixflow(inst, model, candidate, duals)
         assert fixed.flows["c", 0] == pytest.approx(0.0, abs=1e-9)
@@ -447,7 +447,7 @@ class TestPinnedPrices:
             seen.clear()
             assert _bits(pinned) == _bits(_either(qp_prices, *args))
             try:
-                qps = pricing._PriceQps(instance, model, x, relax, duals)
+                qps = pricing._PriceQps(model, x, relax, duals)
             except PriceInfeasible:  # the fill bounds cross: no QP on either path
                 assert quiet and not seen
                 continue
@@ -481,13 +481,13 @@ class TestPinnedPrices:
                              delta={1: 0.5}, flows={})
         x = point(model, sol)
         assert inst.segments[1].price_at(0.5) == 50.0
-        qps = pricing._PriceQps(inst, model, x, False, None)
+        qps = pricing._PriceQps(model, x, False, None)
         assert qps.pinned and qps.pinned_prices() is None
         seen = _spy_pricing_qps(monkeypatch)
         runs = _phase1_runs(monkeypatch)
         out = _either(solve_qpprice, inst, model, x)
         assert len(seen) == 1
-        if loss < qp.INFEAS_TOL:
+        if loss < tolerances.INFEAS_TOL:
             assert runs == [True]
             assert out.pi == {("X", 0): 50.0}
             assert total_loss(inst, sol.selection, out) == pytest.approx(loss, rel=1e-6)
@@ -503,7 +503,7 @@ class TestPinnedPrices:
         model = build_model(inst)
         fills = {1: 1.0 - 2e-7, 2: 2e-7}
         high, low = (inst.segments[k].price_at(z) for k, z in fills.items())
-        assert 1e-9 < high - low < qp.INFEAS_TOL
+        assert 1e-9 < high - low < tolerances.INFEAS_TOL
         sol = PrimalSolution(selection=BidSelection(blocks={}, flex={}), delta=fills, flows={})
         x = point(model, sol)
         seen = _spy_pricing_qps(monkeypatch)

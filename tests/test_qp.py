@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from daclear import qp
+from daclear import qp, tolerances
 from daclear.errors import TimeLimit
 from daclear.qp import QpProblem, multipliers, solve_qp
 
@@ -565,7 +565,7 @@ class TestRowBounds:
     def test_margin_is_phase_one_threshold(self):
         # x <= 1 against x >= 1 + margin: flagged only beyond INFEAS_TOL,
         # and below it phase 1 accepts the point
-        for margin, flagged in ((0.5 * qp.INFEAS_TOL, False), (2 * qp.INFEAS_TOL, True)):
+        for margin, flagged in ((0.5 * tolerances.INFEAS_TOL, False), (2 * tolerances.INFEAS_TOL, True)):
             prob = _prob([0.0], [0.0], A_in=np.array([[-1.0]]),
                          b_in=np.array([-1.0 - margin]),
                          lb=np.array([0.0]), ub=np.array([1.0]))
@@ -914,7 +914,7 @@ class TestReleaseRule:
                 alpha = event[1]
                 continue
             _, k, duals = event
-            wrong = np.flatnonzero(duals < -qp.DUAL_TOL)
+            wrong = np.flatnonzero(duals < -tolerances.DUAL_TOL)
             if alpha == 0.0:
                 assert k == wrong[0]
                 after_zero.append(k != int(np.argmin(duals)))

@@ -19,6 +19,7 @@ from daclear.verify import (
 from helpers import (
     appendix_a,
     bench_instance,
+    curtailment_breaches,
     f3,
     make_instance,
     min_loss_lp,
@@ -181,19 +182,25 @@ class TestOracle:
         # strict minimum-loss LP (helpers.min_loss_lp), written from the
         # instance and solved by HiGHS, finds prices where the clear's own
         # leaf check does, and none where it finds none (678 candidates,
-        # 432 of them priced, when this was written)
+        # 432 of them priced, when this was written); and the curtailment
+        # rule written again from the README (helpers.curtailment_breaches)
+        # finds the violations the leaf check finds (on 60 candidates)
         optimize = pytest.importorskip("scipy.optimize")
         check_leaf = verify._check_leaf
-        verdicts, disagreements = [], []
+        verdicts, disagreements, curtailed = [], [], []
 
         def spy(instance, model, selection, *args):
             out = check_leaf(instance, model, selection, *args)
-            x, fills, prices, _ = out
+            x, fills, prices, curt = out
             sol = model.primal(fills.selection, x)
             highs = min_loss_lp(optimize, instance, sol, strict=True) is not None
             verdicts.append(prices is not None)
             if highs != verdicts[-1]:
                 disagreements.append((instance, selection, highs))
+            breaches = curtailment_breaches(instance, sol)
+            if breaches != {key: (s.blocks, s.flex) for key, s in curt.items()}:
+                disagreements.append((instance, selection, breaches))
+            curtailed.append(bool(breaches))
             return out
 
         monkeypatch.setattr(verify, "_check_leaf", spy)
@@ -207,3 +214,4 @@ class TestOracle:
                 pass
         assert disagreements == []
         assert len(verdicts) >= 600 and verdicts.count(True) >= 400 and verdicts.count(False) >= 200
+        assert curtailed.count(True) >= 40
