@@ -182,15 +182,16 @@ def _units(instance: Instance) -> tuple[float, float]:
     ivs = (instance.interval, *instance.area_intervals.values())
     segs = [s for curve in instance.curves.values() for s in curve.segments]
     prices = [v for iv in ivs for v in (iv.lower, iv.upper)]
-    prices += [v for s in segs for v in (s.base_price, s.base_price + s.price_span)]
+    prices += [s.base_price for s in segs] + [s.base_price + s.price_span for s in segs]
     prices += [b.limit_price for b in (*instance.blocks, *instance.flex_bids)]
-    quantities = [v for s in segs for v in (s.node_quantity, s.node_quantity - s.quantity_span)]
+    quantities = [s.node_quantity for s in segs]
+    quantities += [s.node_quantity - s.quantity_span for s in segs]
     quantities += [q for b in instance.blocks for q in b.quantities]
     quantities += [f.quantity for f in instance.flex_bids]
-    for cc in instance.interconnectors:
-        quantities += [*cc.lower, *cc.upper, cc.initial_flow]
-        quantities += [] if cc.ramp_rate is None else [cc.ramp_rate]
-    largest = lambda values: max((abs(v) for v in values if isfinite(v)), default=0.0)
+    for cc in instance.interconnectors:  # only a connector's numbers may be infinite
+        values = (*cc.lower, *cc.upper, cc.initial_flow, cc.ramp_rate or 0.0)
+        quantities += [v for v in values if isfinite(v)]
+    largest = lambda values: max(map(abs, values), default=0.0)
     return _unit(largest(prices), MODEL_PRICE), _unit(largest(quantities), MODEL_QUANTITY)
 
 

@@ -729,9 +729,13 @@ def empty_selection(instance) -> BidSelection:
 
 def reference_model(instance):
     """The clearing model's arrays as loops build them entry by entry, one
-    ``np.zeros`` row per ramp row, with ``row_segs`` and ``flow_rows``
-    derived from them and ``master`` assembled with ``np.block``: the
-    reference that ``model.build_model``'s arrays must equal bit for bit."""
+    ``np.zeros`` row per ramp row, in the book's units and then divided by
+    ``model.build_model``'s units (prices by S_p, quantities by S_q, money
+    by both), with ``row_segs`` and ``flow_rows`` derived from them and
+    ``master`` assembled with ``np.block``: the reference that
+    ``model.build_model``'s arrays must equal bit for bit."""
+    built = build_model(instance)
+    sp, sq = built.price_unit, built.quantity_unit
     hours = range(instance.hours)
     seg_ids = tuple(s.id for s in instance.segments)
     flow_keys = tuple((cc.id, t) for cc in instance.interconnectors for t in hours)
@@ -796,6 +800,11 @@ def reference_model(instance):
             bin_A_eq[eq_row[f.area, t], k] = f.quantity
             link_A[r, k] = 1.0
     link_b = np.array([0.0] * len(instance.links) + [1.0] * len(instance.flex_bids))
+    # into model units: fills and binaries have none, flows are quantities
+    n_seg = len(seg_ids)
+    c, d, bin_c = c / (sp * sq), d / (sp * sq), bin_c / (sp * sq)
+    lb[n_seg:], ub[n_seg:], A_eq[:, :n_seg] = lb[n_seg:] / sq, ub[n_seg:] / sq, A_eq[:, :n_seg] / sq
+    b_eq, b_in, bin_A_eq = b_eq / sq, b_in / sq, bin_A_eq / sq
 
     row_segs = []
     for row in A_eq[:, :len(seg_ids)]:
@@ -828,17 +837,20 @@ def reference_price_rows(instance, model, solution, relax_losses):
     """(lb, ub, A_eq, b_eq, A_in, b_in) of the first pricing QP of
     ``solution`` (the loss QP when ``relax_losses``), as loops over the
     executed bids and over ``instance.segments`` build them; raises
-    PriceInfeasible where pricing's fill conditions do."""
-    iv = instance.interval
+    PriceInfeasible where pricing's fill conditions do; in ``model``'s
+    units, as pricing's QPs are."""
+    sp, sq = model.price_unit, model.quantity_unit
+    iv = SimpleNamespace(lower=instance.interval.lower / sp, upper=instance.interval.upper / sp)
     bids = []
     for bid in solution.selection.executed_blocks():
         b = instance.block_by_id[bid]
-        bids.append((bid, b.area, list(enumerate(b.quantities)), b.limit_price))
+        bids.append((bid, b.area, [(t, q / sq) for t, q in enumerate(b.quantities)],
+                     b.limit_price / sp))
     for fid, t in solution.selection.executed_flex():
         f = instance.flex_by_id[fid]
-        bids.append((fid, f.area, [(t, f.quantity)], f.limit_price))
+        bids.append((fid, f.area, [(t, f.quantity / sq)], f.limit_price / sp))
     F, h, source = model.flow_rows
-    tau = np.array([solution.flows.get(key, 0.0) for key in model.flow_keys])
+    tau = np.array([solution.flows.get(key, 0.0) / sq for key in model.flow_keys])
     tight = np.flatnonzero(h - F @ tau <= TIGHT_TOL)
     P, G = -model.A_eq[:, len(model.seg_ids):model.n].T, -F[tight].T
     n_pi = len(model.eq_keys)
@@ -856,11 +868,11 @@ def reference_price_rows(instance, model, solution, relax_losses):
         j = eq_row[instance.segment_location[seg.id]]
         dlt = solution.delta.get(seg.id, 0.0)
         if dlt >= 1.0 - TIGHT_TOL:
-            ub[j] = min(ub[j], seg.price_at(1.0))
+            ub[j] = min(ub[j], seg.price_at(1.0) / sp)
         elif dlt <= TIGHT_TOL:
-            lb[j] = max(lb[j], seg.price_at(0.0))
+            lb[j] = max(lb[j], seg.price_at(0.0) / sp)
         else:
-            price = seg.price_at(dlt)
+            price = seg.price_at(dlt) / sp
             lb[j], ub[j] = max(lb[j], price), min(ub[j], price)
     if np.any(lb - ub > INFEAS_TOL):
         raise PriceInfeasible("no price meets the segment fill conditions")
@@ -880,13 +892,13 @@ def reference_price_rows(instance, model, solution, relax_losses):
 
 def reference_fixflow_problem(instance, model, solution, duals):
     """FixFlow's QP for ``solution`` as it was built from the solution's
-    fill and flow dicts and its selection's binaries, or None without
-    interconnectors."""
+    fill and flow dicts (the flows in model units) and its selection's
+    binaries, or None without interconnectors."""
     if not instance.interconnectors:
         return None
     cols, kept, A_eq, A_kept, A_in, _, _ = model.fixflow_rows
     fills = np.array([solution.delta.get(sid, 0.0) for sid in model.seg_ids])
-    flows = [solution.flows.get(key, 0.0) for key in model.flow_keys]
+    flows = [solution.flows.get(key, 0.0) / model.quantity_unit for key in model.flow_keys]
     x0 = np.concatenate((fills[model.vertical], flows))
     lb, ub = model.lb[cols], model.ub[cols]
     pinned = np.maximum(duals.nu_lower[cols], duals.nu_upper[cols]) > DUAL_TOL

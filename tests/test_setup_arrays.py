@@ -4,6 +4,7 @@ bit for bit, those that loops over the instance built entry by entry
 ``reference_fixflow_problem``), and the row activities that the node pass
 hands to ``solve_qp`` are those of the node's box."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,12 @@ import pytest
 
 from daclear import driver, master, pricing, qp
 from daclear.errors import PriceInfeasible
-from daclear.io import parse_instance
+from daclear.io import parse_instance, serialize_instance
 from daclear.model import build_model
 
 from helpers import (
-    bench_instance, model_maps, paradox_book, qp_prices, random_instance,
-    reference_fixflow_problem, reference_model, reference_price_rows,
+    bench_instance, diamond, model_maps, paradox_book, qp_prices, ramp_fixture, random_instance,
+    reference_fixflow_problem, reference_model, reference_price_rows, rescaled,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -29,6 +30,12 @@ def books():
     out += [parse_instance(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
     out += [bench_instance("paradox", seed) for seed in range(1000, 1020)]
     out += [bench_instance("day-book", seed) for seed in range(3000, 3020)]
+    # books whose model units are not 1
+    out += [ramp_fixture(), diamond()]
+    for family, seed, factor in (("paradox", 1000, 1000.0), ("day-book", 3000, 1000.0),
+                                 ("day-book", 3001, 1024.0)):
+        doc = json.loads(serialize_instance(bench_instance(family, seed)))
+        out.append(parse_instance(json.dumps(rescaled(doc, factor, factor))))
     return out
 
 
