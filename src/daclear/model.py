@@ -26,10 +26,8 @@ from .core import BidSelection, Instance, PriceInterval, PrimalSolution
 from .qp import QpProblem, _clipped
 from .tolerances import FEAS_TOL
 
-# model units: a book's prices are divided by the smallest power of two, at
-# least 1, that brings its largest |price| to MODEL_PRICE or less, and its
-# quantities by the one that brings its largest |quantity| to MODEL_QUANTITY
-# or less
+# the most a book's largest |price| and |quantity| may be in model units
+# (``ClearingModel``)
 MODEL_PRICE, MODEL_QUANTITY = 128.0, 64.0
 
 
