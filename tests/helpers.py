@@ -15,8 +15,8 @@ from daclear.io import parse_instance
 from daclear.master import _with_cuts
 from daclear.model import build_model
 from daclear.pricing import solve_fixflow, solve_qpprice
-from daclear.tolerances import CURV_TOL, DUAL_TOL, INFEAS_TOL, MAX_MAGNITUDE, TIGHT_TOL
 from daclear.qp import QpProblem, QpSolution, multipliers
+from daclear.tolerances import CURV_TOL, DUAL_TOL, INFEAS_TOL, MAX_MAGNITUDE, TIGHT_TOL
 from daclear.verify import check_bid_prices
 
 
@@ -527,8 +527,8 @@ def rescaled(doc, price=1.0, quantity=1.0):
 
 
 # what a scalar may become: edges of the magnitude bound
-# (``tolerances.MAX_MAGNITUDE``) and values past it, zero, a subnormal, an integer
-# too large for a float, the non-finite constants that strict JSON
+# (``tolerances.MAX_MAGNITUDE``) and values past it, zero, a subnormal, an
+# integer too large for a float, the non-finite constants that strict JSON
 # forbids (``json.dumps`` writes them as NaN and Infinity), and values of
 # another JSON type
 _SCALAR_EDITS = (MAX_MAGNITUDE, -MAX_MAGNITUDE, 10 * MAX_MAGNITUDE, 1e15, 1e308, -1e308, 0.0,

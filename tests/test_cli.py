@@ -129,7 +129,6 @@ class TestClear:
         assert doc["bound"] is None
         assert doc["gap"] is None
 
-
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_a_book_times_100_clears_and_verifies(self, capsys, tmp_path, mode):
         # day-book 7001 with every price and quantity times 100: model
