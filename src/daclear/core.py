@@ -19,7 +19,7 @@ from .errors import (
     UnknownId,
     ValidationError,
 )
-from .tolerances import CHECK_TOL, FEAS_TOL
+from .tolerances import CHECK_TOL, FEAS_TOL, MONEY_TOL
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,13 @@ class BidSelection:
     def executed_flex(self) -> list[tuple[str, int]]:
         return sorted((f, t) for f, t in self.flex.items() if t is not None)
 
+    def executed_keys(self) -> list[tuple]:
+        """The bid keys (``Instance.bid_terms``) of the executed bids:
+        blocks, then flex bids, each in id order."""
+        keys = [("block", b) for b, v in self.blocks.items() if v]
+        keys += [("flex", f, t) for f, t in self.flex.items() if t is not None]
+        return sorted(keys)
+
     def link_consistent(self, links: Sequence[tuple[str, str]]) -> bool:
         return all(
             self.blocks.get(child, 0) <= self.blocks.get(parent, 0)
@@ -214,6 +221,23 @@ class Instance:
     @cached_property
     def flex_by_id(self) -> dict[str, FlexBid]:
         return {f.id: f for f in self.flex_bids}
+
+    @cached_property
+    def bid_terms(self) -> dict[tuple, tuple[tuple[str, int, float, float], ...]]:
+        """Per bid key, the (area, hour, limit price, quantity) of each hour
+        in which executing the key executes its bid, hours ascending.  A key
+        is ("block", id), whose terms are every hour of the block, zero
+        quantities included, or ("flex", id, hour), whose one term is that
+        hour.  Keys come in the master's column order (``ClearingModel``):
+        blocks in instance order, then each flex bid's hours."""
+        terms = {
+            ("block", b.id): tuple((b.area, t, b.limit_price, q) for t, q in enumerate(b.quantities))
+            for b in self.blocks
+        }
+        for f in self.flex_bids:
+            for t in range(self.hours):
+                terms["flex", f.id, t] = ((f.area, t, f.limit_price, f.quantity),)
+        return terms
 
     def area_interval(self, area: str) -> PriceInterval:
         return self.area_intervals.get(area, self.interval)
@@ -357,20 +381,21 @@ def build_net_curve(
 
 def _executed(instance: Instance, selection: BidSelection):
     """(area, hour, limit price, quantity) per executed hour of each
-    executed bid: blocks in id order, then flex bids in id order."""
-    for bid in selection.executed_blocks():
-        if bid not in instance.block_by_id:
-            raise UnknownId(f"unknown block id {bid!r}")
-        b = instance.block_by_id[bid]
-        for t, q in enumerate(b.quantities):
-            yield b.area, t, b.limit_price, q
-    for fid, t in selection.executed_flex():
-        if fid not in instance.flex_by_id:
-            raise UnknownId(f"unknown flex id {fid!r}")
-        if not 0 <= t < instance.hours:
-            raise UnknownId(f"flex {fid!r} executed in unknown hour {t}")
-        f = instance.flex_by_id[fid]
-        yield f.area, t, f.limit_price, f.quantity
+    executed bid, in ``executed_keys`` order."""
+    for key in selection.executed_keys():
+        if key not in instance.bid_terms:
+            kind, bid = key[:2]
+            if kind == "block" or bid not in instance.flex_by_id:
+                raise UnknownId(f"unknown {kind} id {bid!r}")
+            raise UnknownId(f"flex {bid!r} executed in unknown hour {key[2]}")
+        yield from instance.bid_terms[key]
+
+
+def bid_surplus(instance: Instance, key: tuple, prices: PriceVector) -> float:
+    """The surplus of executing bid ``key`` (``Instance.bid_terms``) at
+    ``prices``: limit price minus price, times quantity, summed over its
+    hours."""
+    return sum((limit - prices[a, t]) * q for a, t, limit, q in instance.bid_terms[key])
 
 
 def segment_fill_value(seg: NetCurveSegment, delta: float) -> float:
@@ -466,18 +491,15 @@ def surplus_report(
         executed = seg.lower_quantity + seg.quantity_span * d
         seg_surplus[seg.id] = segment_fill_value(seg, d) - pi * executed
 
-    block_surplus = {}
-    for b in instance.blocks:
-        beta = solution.selection.blocks.get(b.id, 0)
-        block_surplus[b.id] = beta * sum(
-            (b.limit_price - prices[b.area, t]) * q for t, q in enumerate(b.quantities)
-        )
-    flex_surplus = {}
-    for f in instance.flex_bids:
-        t = solution.selection.flex.get(f.id)
-        flex_surplus[f.id] = (
-            0.0 if t is None else (f.limit_price - prices[f.area, t]) * f.quantity
-        )
+    # per kind, each bid's surplus: 0 when rejected
+    bids = {"block": {}, "flex": {}}
+    taken = set(solution.selection.executed_keys())
+    for key in instance.bid_terms:
+        if key in taken:
+            bids[key[0]][key[1]] = bid_surplus(instance, key, prices)
+        else:
+            bids[key[0]].setdefault(key[1], 0.0)
+
     congestion = {}
     for c in instance.interconnectors:
         for t in range(instance.hours):
@@ -486,17 +508,31 @@ def surplus_report(
 
     total = (
         sum(seg_surplus.values())
-        + sum(block_surplus.values())
-        + sum(flex_surplus.values())
+        + sum(bids["block"].values())
+        + sum(bids["flex"].values())
         + sum(congestion.values())
     )
     return SurplusReport(
         segments=seg_surplus,
-        blocks=block_surplus,
-        flex=flex_surplus,
+        blocks=bids["block"],
+        flex=bids["flex"],
         congestion=congestion,
         total=total,
     )
+
+
+def list_prbs(instance: Instance, selection: BidSelection, prices: PriceVector,
+              tol: float = MONEY_TOL) -> list:
+    """Rejected combinatorial bids that would profit beyond ``tol`` at the
+    prices: the key of each such block and of each such flex bid's first
+    such hour."""
+    prbs = []
+    skip = {key[:2] for key in selection.executed_keys()}  # (kind, id)
+    for key in instance.bid_terms:
+        if key[:2] not in skip and bid_surplus(instance, key, prices) > tol:
+            prbs.append(key)
+            skip.add(key[:2])
+    return prbs
 
 
 def _price_band(nodes, lo_q, hi_q, interval, eps):
@@ -531,19 +567,17 @@ def presolve_price_bounds(
     taking the widest consistent interval on flat stretches.  Quantities
     are read within ``tol``.
     """
+    # per (area, hour): [hi_q, lo_q], the worst-case combinatorial volume
+    band = {(a, t): [0.0, 0.0] for a in instance.areas for t in range(instance.hours)}
+    for terms in instance.bid_terms.values():
+        for a, t, _, q in terms:
+            cell = band[a, t]
+            cell[0] -= min(0.0, q)
+            cell[1] -= max(0.0, q)
     bounds = {}
     for a in instance.areas:
         for t in range(instance.hours):
-            hi_q = 0.0
-            lo_q = 0.0
-            for b in instance.blocks:
-                if b.area == a:
-                    hi_q -= min(0.0, b.quantities[t])
-                    lo_q -= max(0.0, b.quantities[t])
-            for f in instance.flex_bids:
-                if f.area == a:
-                    hi_q -= min(0.0, f.quantity)
-                    lo_q -= max(0.0, f.quantity)
+            hi_q, lo_q = band[a, t]
             for c in instance.interconnectors:
                 if c.sink == a:
                     hi_q += c.upper[t]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BidSelection, Instance, PriceVector, PrimalSolution
+from .core import BidSelection, Instance, PriceVector, PrimalSolution, bid_surplus
 from .errors import EmptyLossSets
 from .model import ClearingModel
 from .tolerances import CHECK_TOL, MONEY_TOL
@@ -20,20 +20,29 @@ class Cut:
     """sum(coefficient * column) <= rhs over the master's binary columns;
     the master keeps each cut as a row of its QP."""
 
-    # (variable key, coefficient); a key is ("block", id) or ("flex", id, hour)
+    # (bid key, coefficient); a key is ("block", id) or ("flex", id, hour)
     coeffs: tuple[tuple[tuple, float], ...]
     rhs: float
-    kind: str = "bid-cut"  # bid-cut | no-good | curtailment
 
 
 @dataclass(frozen=True)
 class LossSets:
-    blocks: tuple[str, ...]
-    flex: tuple[tuple[str, int], ...]
+    """Keys of executed bids (``Instance.bid_terms``), in ``executed_keys``
+    order."""
+
+    keys: tuple[tuple, ...] = ()
+
+    @property
+    def blocks(self) -> tuple[str, ...]:
+        return tuple(key[1] for key in self.keys if key[0] == "block")
+
+    @property
+    def flex(self) -> tuple[tuple[str, int], ...]:
+        return tuple(key[1:] for key in self.keys if key[0] == "flex")
 
     @property
     def empty(self) -> bool:
-        return not self.blocks and not self.flex
+        return not self.keys
 
 
 def loss_sets(
@@ -43,33 +52,17 @@ def loss_sets(
     tol: float = MONEY_TOL,
 ) -> LossSets:
     """Executed bids that lose more than ``tol`` at the given prices."""
-    bad_blocks = []
-    for bid in solution.selection.executed_blocks():
-        b = instance.block_by_id[bid]
-        surplus = sum(
-            (b.limit_price - prices[b.area, t]) * q for t, q in enumerate(b.quantities)
-        )
-        if surplus < -tol:
-            bad_blocks.append(bid)
-    bad_flex = []
-    for fid, t in solution.selection.executed_flex():
-        f = instance.flex_by_id[fid]
-        if (f.limit_price - prices[f.area, t]) * f.quantity < -tol:
-            bad_flex.append((fid, t))
-    return LossSets(blocks=tuple(bad_blocks), flex=tuple(bad_flex))
+    return LossSets(tuple(
+        key for key in solution.selection.executed_keys()
+        if bid_surplus(instance, key, prices) < -tol
+    ))
 
 
 def bid_cut(sets: LossSets) -> Cut:
     """Forbid simultaneous execution of every loss-making bid."""
     if sets.empty:
         raise EmptyLossSets("no loss-making bids to cut")
-    coeffs = [(("block", b), 1.0) for b in sets.blocks]
-    coeffs += [(("flex", f, t), 1.0) for f, t in sets.flex]
-    return Cut(
-        coeffs=tuple(coeffs),
-        rhs=float(len(coeffs) - 1),
-        kind="bid-cut",
-    )
+    return Cut(coeffs=tuple((key, 1.0) for key in sets.keys), rhs=float(len(sets.keys) - 1))
 
 
 def no_good_cut(model: ClearingModel, selection: BidSelection) -> Cut:
@@ -81,7 +74,7 @@ def no_good_cut(model: ClearingModel, selection: BidSelection) -> Cut:
     """
     values = model.binaries(selection)
     coeffs = tuple((key, 1.0 if v else -1.0) for key, v in zip(model.bin_keys, values))
-    return Cut(coeffs=coeffs, rhs=float(values.sum() - 1), kind="no-good")
+    return Cut(coeffs=coeffs, rhs=float(values.sum() - 1))
 
 
 def curtailment_violations(
@@ -93,36 +86,29 @@ def curtailment_violations(
     demand blocks and flex bids there violate the hourly-priority rule;
     symmetrically for curtailed supply.
     """
-    out = {}
+    active = []  # (area, hour, demand side) per active curtailment segment
     for seg in instance.segments:
         if not seg.is_curtailment:
             continue
-        a, t = instance.segment_location[seg.id]
         dlt = solution.delta.get(seg.id, 0.0)
         demand_side = seg.node_quantity > 0
-        if demand_side and dlt >= 1.0 - tol:
-            continue
-        if not demand_side and dlt <= tol:
-            continue
-        bad_blocks = []
-        for bid in solution.selection.executed_blocks():
-            b = instance.block_by_id[bid]
-            q = b.quantities[t]
-            if b.area == a and ((demand_side and q > 0) or (not demand_side and q < 0)):
-                bad_blocks.append(bid)
-        bad_flex = []
-        for fid, ft in solution.selection.executed_flex():
-            f = instance.flex_by_id[fid]
-            q = f.quantity
-            if f.area == a and ft == t and (
-                (demand_side and q > 0) or (not demand_side and q < 0)
-            ):
-                bad_flex.append((fid, ft))
-        if bad_blocks or bad_flex:
-            out[a, t] = LossSets(blocks=tuple(bad_blocks), flex=tuple(bad_flex))
+        if not (dlt >= 1.0 - tol if demand_side else dlt <= tol):
+            active.append((*instance.segment_location[seg.id], demand_side))
+    if not active:
+        return {}
+    cells = {}  # (area, hour) -> (key, quantity) per executed term there
+    for key in solution.selection.executed_keys():
+        for a, t, _, q in instance.bid_terms[key]:
+            cells.setdefault((a, t), []).append((key, q))
+    out = {}
+    for a, t, demand_side in active:
+        bad = tuple(key for key, q in cells.get((a, t), ()) if (q > 0 if demand_side else q < 0))
+        if bad:
+            out[a, t] = LossSets(bad)
     return out
 
 
 def curtailment_cut(sets: LossSets) -> Cut:
-    cut = bid_cut(sets)
-    return Cut(coeffs=cut.coeffs, rhs=cut.rhs, kind="curtailment")
+    """Forbid simultaneous execution of the bids of one curtailment
+    violation: the bid cut on them."""
+    return bid_cut(sets)

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, PriceVector, PrimalSolution, welfare_of
+from .core import Instance, PriceVector, PrimalSolution, list_prbs, welfare_of
 from .cuts import (
     LossSets,
     bid_cut,
@@ -100,14 +100,13 @@ def _leaf_cuts(instance, model, fills, x, prices, curt, exact, deadline, duals):
     bid loses beyond MONEY_TOL in the model's units of money."""
     relaxed = None if prices is not None else _price(instance, model, x, True, deadline, duals)
     tol = MONEY_TOL * model.money_unit
-    sets = LossSets((), ()) if relaxed is None else loss_sets(instance, fills, relaxed, tol)
+    sets = LossSets() if relaxed is None else loss_sets(instance, fills, relaxed, tol)
     no_good = [no_good_cut(model, fills.selection)]
     if exact or (prices is None and relaxed is None):
         return sets, no_good
     cuts = [] if sets.empty else [bid_cut(sets)]
     for cut in map(curtailment_cut, curt.values()):
-        # one row per coefficients and rhs, whatever the cut's kind
-        if all((c.coeffs, c.rhs) != (cut.coeffs, cut.rhs) for c in cuts):
+        if cut not in cuts:  # one row per coefficients and rhs
             cuts.append(cut)
     return sets, cuts or no_good
 
@@ -117,8 +116,6 @@ def _finish(instance, model, mode, solution, prices, welfare, bound, iterations,
     to the area intervals with a warning per moved price, and its PRBs, the
     rejected bids that would profit beyond MONEY_TOL in ``model``'s units of
     money; ``frontier`` is the oracle's."""
-    from .verify import list_prbs
-
     prices, warnings = clamp_prices(prices, instance)
     return ClearingResult(
         status="feasible" if mode == "heuristic" else "optimal",
@@ -161,7 +158,7 @@ def _branch_and_cut(instance, options, mode):
     def leaf_test(leaf):
         x, fills, prices, curt = _check_leaf(
             instance, model, leaf.selection, leaf.x, leaf.duals, deadline)
-        sets, cuts = LossSets((), ()), []
+        sets, cuts = LossSets(), []
         if prices is None or curt:
             sets, cuts = _leaf_cuts(
                 instance, model, fills, x, prices, curt, exact, deadline, leaf.duals)

@@ -69,22 +69,13 @@ def _presolve_fixings(instance: Instance, model: ClearingModel) -> set:
     bounds = presolve_price_bounds(instance, FEAS_TOL * model.quantity_unit)
     loss = -MONEY_TOL * model.money_unit
     fixed = set()
-    for b in instance.blocks:
+    for key, terms in instance.bid_terms.items():
         best = 0.0
-        for t, q in enumerate(b.quantities):
-            iv = bounds[b.area, t]
-            best += max((b.limit_price - iv.lower) * q, (b.limit_price - iv.upper) * q)
+        for a, t, limit, q in terms:
+            iv = bounds[a, t]
+            best += max((limit - iv.lower) * q, (limit - iv.upper) * q)
         if best < loss:
-            fixed.add(("block", b.id))
-    for f in instance.flex_bids:
-        for t in range(instance.hours):
-            iv = bounds[f.area, t]
-            best = max(
-                (f.limit_price - iv.lower) * f.quantity,
-                (f.limit_price - iv.upper) * f.quantity,
-            )
-            if best < loss:
-                fixed.add(("flex", f.id, t))
+            fixed.add(key)
     return fixed
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .core import BidSelection, Instance, PriceInterval, PrimalSolution
 from .qp import QpProblem, _clipped
-from .tolerances import FEAS_TOL
+from .errors import ValidationError
+from .tolerances import FEAS_TOL, MAX_MAGNITUDE
 
 # the most a book's largest |price| and |quantity| may be in model units
 # (``ClearingModel``)
@@ -176,21 +177,26 @@ def _units(instance: Instance) -> tuple[float, float]:
     """(S_p, S_q), the model units of ``instance`` (``ClearingModel``), from
     its largest finite |price| (interval ends, curve node prices, limit
     prices) and |quantity| (curve node quantities, bid quantities, flow
-    bounds, ramp rates and initial flows)."""
+    bounds, ramp rates and initial flows).  ValidationError when either
+    exceeds MAX_MAGNITUDE, the bound ``io`` puts on every number it
+    parses."""
     ivs = (instance.interval, *instance.area_intervals.values())
     segs = [s for curve in instance.curves.values() for s in curve.segments]
     prices = [v for iv in ivs for v in (iv.lower, iv.upper)]
     prices += [s.base_price for s in segs] + [s.base_price + s.price_span for s in segs]
-    prices += [b.limit_price for b in (*instance.blocks, *instance.flex_bids)]
+    terms = [term for terms in instance.bid_terms.values() for term in terms]
+    prices += [limit for _, _, limit, _ in terms]
     quantities = [s.node_quantity for s in segs]
     quantities += [s.node_quantity - s.quantity_span for s in segs]
-    quantities += [q for b in instance.blocks for q in b.quantities]
-    quantities += [f.quantity for f in instance.flex_bids]
+    quantities += [q for _, _, _, q in terms]
     for cc in instance.interconnectors:  # only a connector's numbers may be infinite
         values = (*cc.lower, *cc.upper, cc.initial_flow, cc.ramp_rate or 0.0)
         quantities += [v for v in values if isfinite(v)]
-    largest = lambda values: max(map(abs, values), default=0.0)
-    return _unit(largest(prices), MODEL_PRICE), _unit(largest(quantities), MODEL_QUANTITY)
+    price, quantity = (max(map(abs, values), default=0.0) for values in (prices, quantities))
+    if max(price, quantity) > MAX_MAGNITUDE:
+        raise ValidationError(
+            f"a price or quantity of magnitude {max(price, quantity)!r} exceeds {MAX_MAGNITUDE!r}")
+    return _unit(price, MODEL_PRICE), _unit(quantity, MODEL_QUANTITY)
 
 
 def build_model(instance: Instance) -> ClearingModel:
@@ -212,8 +218,7 @@ def build_model(instance: Instance) -> ClearingModel:
     # per segment: its row, base price, price span and quantity span
     spans = [(r, s.base_price / sp, s.price_span / sp, s.quantity_span / sq) for _, r, s in segs]
     flow_keys = tuple((cc.id, t) for cc in conns for t in range(H))
-    bin_keys = tuple(("block", b.id) for b in blocks)
-    bin_keys += tuple(("flex", f.id, t) for f in flex for t in range(H))
+    bin_keys = tuple(instance.bid_terms)
     n_seg, nf, m = len(seg_ids), len(flow_keys), len(bin_keys)
     n = n_seg + nf
 
@@ -257,10 +262,8 @@ def build_model(instance: Instance) -> ClearingModel:
 
     # per binary column: (limit price, ((clearing row, quantity), ...))
     # over the hours it executes its bid in
-    bids = [(b.limit_price / sp, tuple(enumerate([q / sq for q in b.quantities], area_row[b.area])))
-            for b in blocks]
-    bids += [(f.limit_price / sp, ((area_row[f.area] + t, f.quantity / sq),))
-             for f in flex for t in range(H)]
+    bids = [(terms[0][2] / sp, tuple((area_row[a] + t, q / sq) for a, t, _, q in terms))
+            for terms in instance.bid_terms.values()]
     c += [limit * sum(q for _, q in terms) for limit, terms in bids]
     for k, (_, terms) in enumerate(bids, n):
         for r, q in terms:

@@ -12,13 +12,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import BidSelection, Instance, PriceVector
+from .core import BidSelection, Instance, PriceVector, bid_surplus
 from .driver import _check_leaf, _finish
 from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
 from .model import ClearingModel, build_model
 from .qp import QpProblem, solve_qp
 from .relaxation import solve_relaxation
-from .tolerances import CHECK_TOL, MONEY_TOL, TIGHT_TOL
+from .tolerances import CHECK_TOL, TIGHT_TOL
 
 
 @dataclass(frozen=True)
@@ -206,21 +206,13 @@ def check_bid_prices(
     prices: PriceVector,
     tol: float = CHECK_TOL,
 ) -> ConditionReport:
-    """No executed fill-or-kill bid may lose money at the prices."""
-    violations = []
-    for bid in selection.executed_blocks():
-        b = instance.block_by_id[bid]
-        surplus = sum(
-            (b.limit_price - prices[b.area, t]) * q for t, q in enumerate(b.quantities)
-        )
-        if surplus < -tol:
-            violations.append(Violation(("block", bid), -surplus, "no-loss"))
-    for fid, t in selection.executed_flex():
-        f = instance.flex_by_id[fid]
-        surplus = (f.limit_price - prices[f.area, t]) * f.quantity
-        if surplus < -tol:
-            violations.append(Violation(("flex", fid, t), -surplus, "no-loss"))
-    return ConditionReport.from_violations(violations)
+    """No executed fill-or-kill bid may lose money at the prices: one
+    violation per losing bid, located at its key."""
+    return ConditionReport.from_violations(
+        Violation(key, -surplus, "no-loss")
+        for key in selection.executed_keys()
+        if (surplus := bid_surplus(instance, key, prices)) < -tol
+    )
 
 
 def check_links(instance: Instance, selection: BidSelection) -> ConditionReport:
@@ -266,28 +258,6 @@ def check_bounds(
     return ConditionReport.from_violations(violations)
 
 
-def list_prbs(instance: Instance, selection: BidSelection, prices: PriceVector,
-              tol: float = MONEY_TOL) -> list:
-    """Rejected combinatorial bids that would profit at the final prices."""
-    prbs = []
-    for b in instance.blocks:
-        if selection.blocks.get(b.id, 0):
-            continue
-        surplus = sum(
-            (b.limit_price - prices[b.area, t]) * q for t, q in enumerate(b.quantities)
-        )
-        if surplus > tol:
-            prbs.append(("block", b.id))
-    for f in instance.flex_bids:
-        if selection.flex.get(f.id) is not None:
-            continue
-        for t in range(instance.hours):
-            if (f.limit_price - prices[f.area, t]) * f.quantity > tol:
-                prbs.append(("flex", f.id, t))
-                break
-    return prbs
-
-
 def _all_selections(instance: Instance):
     """Link-consistent selections in lexicographic order (rejected first)."""
     block_ids = [b.id for b in instance.blocks]
@@ -329,7 +299,7 @@ def oracle_clear(instance: Instance, cap: int = 12):
     bound, and with the frontier: (objective, selection, passed) per
     tested candidate.
     """
-    decisions = len(instance.blocks) + len(instance.flex_bids) * instance.hours
+    decisions = len(instance.bid_terms)
     if decisions > cap:
         raise TooLarge(f"{decisions} binary decisions exceed the enumeration cap {cap}")
     model = build_model(instance)

@@ -14,7 +14,7 @@ from daclear.errors import SolverFailure
 from daclear.io import dump_document, serialize_instance
 
 from helpers import (
-    appendix_a, bench_instance, bench_text, block, connector, f3, make_instance,
+    appendix_a, bench_instance, bench_text, block, connector, f3, flexbid, make_instance,
     mutated_document, random_instance, rescaled,
 )
 
@@ -360,6 +360,21 @@ class TestVerify:
         code, captured = self._verify_edited(
             capsys, tmp_path, lambda doc: doc["selection"][kind].update(nope=value))
         self._assert_unknown_id(code, captured, "'nope'")
+
+    @pytest.mark.parametrize("hour", [-1, 2])
+    def test_flex_in_an_unknown_hour_is_input_error(self, capsys, tmp_path, hour):
+        inst = make_instance(
+            {("X", t): [[0, 10], [50, 10], [50, -10], [100, -10]] for t in range(2)},
+            hours=2, flex=[flexbid("f", "X", 90, 5)],
+        )
+        path = _write(tmp_path, "instance.json", serialize_instance(inst))
+        code, out = _run(capsys, "clear", "--instance", path)
+        assert code == 0
+        doc = json.loads(out)
+        doc["selection"]["flex"]["f"] = hour
+        sol = _write(tmp_path, "sol.json", json.dumps(doc))
+        code = run(["verify", "--instance", path, "--solution", sol])
+        self._assert_unknown_id(code, capsys.readouterr(), f"'f' executed in unknown hour {hour}")
 
     def test_missing_price_is_input_error(self, capsys, tmp_path):
         code, captured = self._verify_prices(capsys, tmp_path, [])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from daclear.core import (
     PrimalSolution,
     PriceVector,
     build_net_curve,
+    clearing_residuals,
     presolve_price_bounds,
     surplus_report,
     welfare,
@@ -15,8 +18,15 @@ from daclear.core import (
 )
 from daclear.errors import ClearingViolated, EmptyCurve, NonMonotoneCurve, UnknownId
 
-from helpers import appendix_a, empty_selection, f3, make_instance, block
+from daclear.io import parse_instance
+from daclear.model import build_model
 
+from helpers import (
+    appendix_a, bench_instance, block, diamond, empty_selection, f3, flexbid,
+    make_instance, ramp_fixture,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 P100 = PriceInterval(0.0, 100.0)
 
 
@@ -116,6 +126,60 @@ class TestWelfare:
             welfare(inst, {999: 0.5}, {}, {})
         with pytest.raises(UnknownId):
             welfare(inst, {}, {"nope": 1}, {})
+
+
+def _flex_book():
+    """Two hours; three blocks, one with a zero-quantity hour, q linked to
+    p; two flex bids."""
+    return make_instance(
+        {("X", 0): [[0, 20], [100, -20]], ("X", 1): [[0, 20], [100, -20]]},
+        hours=2,
+        blocks=[block("p", "X", 80, [4, 6]), block("q", "X", 30, [-3, 2]),
+                block("r", "X", 50, [0, -5])],
+        links=[("q", "p")],
+        flex=[flexbid("f", "X", 60, 3), flexbid("g", "X", 5, -4)],
+    )
+
+
+class TestBidTerms:
+    def test_keys_are_the_master_columns(self):
+        books = [appendix_a(), f3(), ramp_fixture(), diamond(), _flex_book(),
+                 bench_instance("paradox", 1000), bench_instance("day-book", 3000)]
+        books += [parse_instance(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+        for inst in books:
+            assert tuple(inst.bid_terms) == build_model(inst).bin_keys
+
+    def test_a_block_keeps_its_zero_quantity_hours(self):
+        terms = _flex_book().bid_terms
+        assert terms["block", "r"] == (("X", 0, 50.0, 0.0), ("X", 1, 50.0, -5.0))
+        assert terms["block", "p"] == (("X", 0, 80.0, 4.0), ("X", 1, 80.0, 6.0))
+
+    def test_each_flex_key_has_one_term_in_its_hour(self):
+        inst = _flex_book()
+        flex = [key for key in inst.bid_terms if key[0] == "flex"]
+        assert flex == [("flex", f, t) for f in ("f", "g") for t in range(2)]
+        for key in flex:
+            f = inst.flex_by_id[key[1]]
+            assert inst.bid_terms[key] == ((f.area, key[2], f.limit_price, f.quantity),)
+
+    def test_executed_keys_list_blocks_then_flex_in_id_order(self):
+        sel = BidSelection(blocks={"q": 1, "p": 1, "r": 0}, flex={"g": 1, "f": None})
+        assert sel.executed_keys() == [("block", "p"), ("block", "q"), ("flex", "g", 1)]
+
+
+class TestUnknownFlex:
+    @pytest.mark.parametrize("flex, message", [
+        ({"nope": 0}, "unknown flex id 'nope'"),
+        ({"f": -1}, "flex 'f' executed in unknown hour -1"),
+        ({"f": 2}, "flex 'f' executed in unknown hour 2"),
+    ])
+    def test_welfare_and_residuals_reject_it(self, flex, message):
+        inst = _flex_book()
+        with pytest.raises(UnknownId, match=message):
+            welfare(inst, {}, {}, flex)
+        sol = PrimalSolution(BidSelection(blocks={}, flex=flex), delta={}, flows={})
+        with pytest.raises(UnknownId, match=message):
+            clearing_residuals(inst, sol)
 
 
 class TestSurplusReport:

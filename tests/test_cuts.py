@@ -66,7 +66,7 @@ class TestBidCut:
         from daclear.cuts import LossSets
 
         with pytest.raises(EmptyLossSets):
-            bid_cut(LossSets(blocks=(), flex=()))
+            bid_cut(LossSets())
 
 
 class TestNoGoodCut:

@@ -4,6 +4,7 @@ output, and come out the same on a rerun."""
 
 import hashlib
 import importlib.util
+import os
 import re
 from pathlib import Path
 
@@ -46,3 +47,11 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys):
     assert list(digests.digest_lines(digests.fixtures())) == lines
     # with the 200 + 110 + 110 generated instances: 423 instances, 1,269 runs
     assert sum(len(seeds) for seeds in digests.SEEDS.values()) + len(names) == 423
+
+
+def test_blas_runs_on_one_thread(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    _digests()
+    assert [os.environ[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")] == ["1", "1", "1"]

@@ -649,7 +649,7 @@ class TestMilpCrossCheck:
         if len(executed) >= 2:
             size = int(rng.integers(2, min(4, len(executed)) + 1))
             chosen = rng.choice(executed, size=size, replace=False)
-            cuts.append(bid_cut(LossSets(blocks=tuple(sorted(chosen)), flex=())))
+            cuts.append(bid_cut(LossSets(tuple(("block", b) for b in sorted(chosen)))))
         other = {b.id: int(rng.random() < 0.5) for b in inst.blocks}
         cuts.append(no_good_cut(model, BidSelection(blocks=other, flex={})))
         return cuts

@@ -5,15 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from daclear.core import BidSelection
+from daclear.core import BidSelection, build_net_curve
+from daclear.driver import clear_exact, clear_heuristic
+from daclear.errors import ValidationError
 from daclear.io import parse_instance, serialize_instance
 from daclear.model import balanced_start, build_model
 from daclear.qp import QpProblem, solve_qp
-from daclear.verify import _all_selections
+from daclear.tolerances import MAX_MAGNITUDE
+from daclear.verify import _all_selections, oracle_clear
 
 from helpers import (
-    appendix_a, block, connector, diamond, empty_selection, f2, flexbid, make_instance,
-    model_maps, pinned_relaxation, ramp_fixture, random_instance, rescaled,
+    appendix_a, bench_instance, block, connector, diamond, empty_selection, f2, flexbid,
+    make_instance, model_maps, pinned_relaxation, ramp_fixture, random_instance, rescaled,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -86,6 +89,26 @@ class TestModelUnits:
             largest = max(abs(v) for v in values)
             assert largest <= top * unit
             assert unit == 1.0 or largest > top * unit / 2
+
+    def test_a_number_above_the_magnitude_bound_is_refused(self):
+        # day-book 3000 with the first node quantity of curve (A1, 1) at
+        # 1e9, which io refuses in a document: the API entry points refuse
+        # it too, and at the bound the book builds
+        inst = bench_instance("day-book", 3000)
+        curve = inst.curves["A1", 1]
+
+        def outlier(quantity):
+            (p, _), *rest = inst.raw_nodes["A1", 1]
+            nodes = [(p, quantity), *rest]
+            new = build_net_curve(nodes, inst.area_interval("A1"), inst.interval, area="A1",
+                                  hour=1, first_segment_id=min(s.id for s in curve.segments))
+            return replace(inst, curves={**inst.curves, ("A1", 1): new})
+
+        build_model(outlier(MAX_MAGNITUDE))
+        book = outlier(1e9)
+        for clear in (clear_exact, clear_heuristic, oracle_clear):
+            with pytest.raises(ValidationError, match="exceeds"):
+                clear(book)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_a_book_times_a_power_of_two_makes_the_same_model(self, seed):

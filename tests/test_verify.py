@@ -3,7 +3,7 @@ import json
 import pytest
 
 from daclear import verify
-from daclear.core import PriceVector
+from daclear.core import PriceVector, list_prbs
 from daclear.driver import clear_exact
 from daclear.errors import PriceInfeasible, TooLarge
 from daclear.io import parse_instance, serialize_instance
@@ -12,7 +12,6 @@ from daclear.verify import (
     check_bounds,
     check_filling,
     check_flow_price,
-    list_prbs,
     oracle_clear,
 )
 

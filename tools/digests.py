@@ -18,8 +18,9 @@ Each run hashes the package under its own checkout's ``src``, which it
 puts first on ``sys.path``, whatever ``PYTHONPATH`` or the current
 directory holds.
 
-Run both with the same BLAS thread settings: a threaded matrix product may
-round differently.
+BLAS runs on one thread, as in ``tools/abtime.py``: a threaded matrix
+product may round differently, so two trees' digests compare without
+pinning it by hand.
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {
