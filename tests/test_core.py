@@ -17,7 +17,6 @@ from daclear.core import (
     welfare_of,
 )
 from daclear.errors import ClearingViolated, EmptyCurve, NonMonotoneCurve, UnknownId
-
 from daclear.io import parse_instance
 from daclear.model import build_model
 
