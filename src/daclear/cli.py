@@ -170,7 +170,7 @@ def _check_ids(instance: Instance, selection, flows, prices) -> None:
     """UnknownId for a selection, flow or price entry that names a bid,
     interconnector, area or hour the instance lacks."""
     for bid in selection.blocks:
-        if bid not in instance.block_by_id:
+        if ("block", bid) not in instance.bid_terms:
             raise UnknownId(f"unknown block id {bid!r}")
     for fid in selection.flex:
         if fid not in instance.flex_by_id:

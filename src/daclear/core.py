@@ -148,12 +148,6 @@ class BidSelection:
     blocks: Mapping[str, int] = field(default_factory=dict)
     flex: Mapping[str, Optional[int]] = field(default_factory=dict)
 
-    def executed_blocks(self) -> list[str]:
-        return sorted(b for b, v in self.blocks.items() if v)
-
-    def executed_flex(self) -> list[tuple[str, int]]:
-        return sorted((f, t) for f, t in self.flex.items() if t is not None)
-
     def executed_keys(self) -> list[tuple]:
         """The bid keys (``Instance.bid_terms``) of the executed bids:
         blocks, then flex bids, each in id order."""
@@ -213,10 +207,6 @@ class Instance:
             for t in range(self.hours)
             for s in self.curves[a, t].segments
         }
-
-    @cached_property
-    def block_by_id(self) -> dict[str, BlockBid]:
-        return {b.id: b for b in self.blocks}
 
     @cached_property
     def flex_by_id(self) -> dict[str, FlexBid]:

@@ -68,10 +68,10 @@ def _relative_gap(bound: float, welfare: float) -> float:
     return max(0.0, bound - welfare) / max(1.0, abs(bound))
 
 
-def _price(instance, model, x, relax_losses, deadline, duals):
+def _price(model, x, relax_losses, deadline, duals):
     """Prices of a candidate, or None when no price in the interval supports it."""
     try:
-        return solve_qpprice(instance, model, x, relax_losses, deadline, duals)
+        return solve_qpprice(model, x, relax_losses, deadline, duals)
     except PriceInfeasible:
         return None
 
@@ -83,9 +83,9 @@ def _check_leaf(instance, model, selection, x, duals, deadline):
     then strict pricing and the curtailment check.  Returns (FixFlow's
     point, the selection with its curtailment fills, the strict prices or
     None, the curtailment violations): a pass has prices and no violation."""
-    x = solve_fixflow(instance, model, x, duals, deadline)
+    x = solve_fixflow(model, x, duals, deadline)
     fills = PrimalSolution(selection, {s: float(x[j]) for s, j in model.curtailment}, {})
-    prices = _price(instance, model, x, False, deadline, duals)
+    prices = _price(model, x, False, deadline, duals)
     return x, fills, prices, curtailment_violations(instance, fills)
 
 
@@ -98,7 +98,7 @@ def _leaf_cuts(instance, model, fills, x, prices, curt, exact, deadline, duals):
     heuristic mode with a bid cut on the loss sets plus curtailment cuts,
     or a no-good cut when relaxed pricing fails or these give no cut.  A
     bid loses beyond MONEY_TOL in the model's units of money."""
-    relaxed = None if prices is not None else _price(instance, model, x, True, deadline, duals)
+    relaxed = None if prices is not None else _price(model, x, True, deadline, duals)
     tol = MONEY_TOL * model.money_unit
     sets = LossSets() if relaxed is None else loss_sets(instance, fills, relaxed, tol)
     no_good = [no_good_cut(model, fills.selection)]
@@ -144,8 +144,9 @@ def _branch_and_cut(instance, options, mode):
     """One master tree whose leaf test runs ``_check_leaf``, takes a failed
     leaf's cuts from ``_leaf_cuts`` and records each tested leaf.
     Heuristic mode stops after 10 x (blocks + flex) failed tests.  The
-    time limit also bounds the leaf test's QPs: one that passes it ends
-    the clear with ``limit``."""
+    time limit sets the clear's one deadline, which bounds the master's
+    nodes and the leaf test's QPs alike: one that passes it ends the
+    clear with ``limit``."""
     exact = mode == "exact"
     blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
     cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
@@ -169,9 +170,7 @@ def _branch_and_cut(instance, options, mode):
             return None
         return cuts
 
-    master = solve_master(
-        instance, model, leaf_test, abs_gap=options.abs_gap, time_limit=options.time_limit
-    )
+    master = solve_master(instance, model, leaf_test, abs_gap=options.abs_gap, deadline=deadline)
     bound = tested[0][0].bound if tested else float("inf")  # the cut-free master's
     if master.status == "optimal":
         leaf, x, prices = tested[-1]

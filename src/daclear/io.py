@@ -6,7 +6,9 @@ identical inputs always produce byte-identical output: the bytes of
 small writer (``_dump``), as ``json`` indents in pure Python.  It is also
 strict: a non-finite number raises ``ValueError`` instead of being written
 as ``NaN`` or ``Infinity``, and parsing rejects those constants with a
-``SchemaError``, as it does a number of magnitude above ``MAX_MAGNITUDE``.
+``SchemaError``, as it does a number of magnitude above ``MAX_MAGNITUDE``
+and, in an instance or a solution document alike, a key repeated within
+one object.
 """
 
 from __future__ import annotations
@@ -89,16 +91,15 @@ def _reject_constant(name):
     raise SchemaError("$", f"non-finite number {name} is not allowed")
 
 
-def _load(text: str, *, object_pairs_hook) -> Any:
+def _load(text: str) -> Any:
     try:
-        return json.loads(text, parse_constant=_reject_constant,
-                          object_pairs_hook=object_pairs_hook)
+        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from None
 
 
 def _distinct_keys(pairs) -> dict:
-    """A solution document's JSON object: a repeated key is a SchemaError."""
+    """A document's JSON object: a repeated key is a SchemaError."""
     out = dict(pairs)
     if len(out) < len(pairs):
         raise SchemaError("$", "a key is repeated within one object")
@@ -106,7 +107,7 @@ def _distinct_keys(pairs) -> dict:
 
 
 def parse_instance(text: str) -> Instance:
-    doc = _load(text, object_pairs_hook=None)
+    doc = _load(text)
     interval = _interval(_get(doc, "price_interval", dict, "$"), "$.price_interval")
     hours = _get(doc, "hours", int, "$")
     if hours <= 0:
@@ -391,7 +392,7 @@ def solution_to_doc(
 
 def parse_solution(text: str) -> tuple[BidSelection, dict, dict, Optional[dict]]:
     """Returns (selection, delta by segment id, flows, prices or None)."""
-    doc = _load(text, object_pairs_hook=_distinct_keys)
+    doc = _load(text)
     selection = selection_from_doc(_get(doc, "selection", dict, "$"))
     delta_doc = _get(doc, "delta", dict, "$", default={})
     delta = {}

@@ -5,8 +5,7 @@ variables, the binary columns of the clearing model's master problem
 (``ClearingModel.master``); every node is a concave QP (binaries relaxed
 to [0,1]) solved by the active-set engine, on the box that its rows leave
 it: before the QP, each free binary whose other value one row rules out
-over the node's box is fixed (node presolve; Savelsbergh, 1994), and the
-row activities of that box go to the QP's row test with the node.  Price
+over the node's box is fixed (node presolve; Savelsbergh, 1994).  Price
 conditions are absent here: the leaf test is the only coupling to pricing.
 The test sees each integral leaf that is the master optimum under the cuts
 so far, and either accepts it or returns cuts, which become rows of the
@@ -93,7 +92,7 @@ PROPAGATION_PASSES = 8
 
 
 def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
-    """(lb, ub, lowest): lb and ub with each free binary column fixed at v
+    """(lb, ub): lb and ub with each free binary column fixed at v
     where the row test would refute its other value over the box (node
     presolve; Savelsbergh, 1994): its |coefficient| in a stacked row
     exceeds that row's room, ``broken`` minus its lowest activity
@@ -101,30 +100,27 @@ def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
     by it breaks the row.  Passes repeat while a binary moves, at most
     PROPAGATION_PASSES.  The pass gives no verdict: at a broken row, or
     once a binary is ruled out both ways (fixed at 0), it stops and leaves
-    the node to ``solve_qp``'s row test, which takes ``lowest``, the last
-    pass's ``_lowest_activity`` when it saw the box returned (else None).
-    Continuous bounds stay as they are; lb and ub are not modified."""
+    the node to ``solve_qp``'s row test.  Continuous bounds stay as they
+    are; lb and ub are not modified."""
     cols, size, positive, negative = binary_rows
     broken = prob._activity_rows[1]
-    lowest = None
     for _ in range(PROPAGATION_PASSES):
         free = lb[cols] < ub[cols]
         if not np.count_nonzero(free):
             break
-        lowest = low, row = _lowest_activity(prob, lb, ub)
+        low, row = _lowest_activity(prob, lb, ub)
         if row is not None:
             break
         ruled = size * free > (broken - low)[:, None]
         if not np.count_nonzero(ruled):
             break
-        lowest = None
         no_one, no_zero = (ruled & positive).any(axis=0), (ruled & negative).any(axis=0)
         lb, ub = lb.copy(), ub.copy()
         ub[cols][no_one] = 0.0
         lb[cols][no_zero & ~no_one] = 1.0
         if np.count_nonzero(no_one & no_zero):
             break
-    return lb, ub, lowest
+    return lb, ub
 
 
 def _solve_node(node: QpProblem, model, parent, deadline):
@@ -150,7 +146,7 @@ def solve_master(
     model: ClearingModel,
     test: Optional[Callable[[MasterResult], Optional[Sequence[Cut]]]] = None,
     abs_gap: float = DEFAULT_GAP,
-    time_limit: Optional[float] = None,
+    deadline: Optional[float] = None,
 ) -> MasterResult:
     """Best-first branch-and-cut on ``model``, the clearing model of
     ``instance``.  Before a popped node's QP, ``_fix_binaries`` fixes
@@ -174,14 +170,16 @@ def solve_master(
     the leaf's node is solved again under them only while some binary is
     free in its box; with every binary pinned, the row test would refute
     it, and it is dropped.  Without a test the first such leaf is returned.
-    ``time_limit`` also bounds each node's QP solves: one that passes it
+    ``deadline``, a ``time.monotonic()`` instant (the clear's, which the
+    driver sets once from its time limit), stops the search with status
+    ``limit`` once it has passed: the loop checks it before each popped
+    node, and each node's QP solves check it too; one that passes it
     puts its node back on the heap, so the ``limit`` result's bound stays
     valid.  A test that raises TimeLimit puts its leaf back the same way."""
     prob = model.master()
     n = model.n  # the binary columns come after the model's
     binary_rows = _binary_rows(prob, n)
     cut_rows = len(prob.b_in)  # the rows after these are cuts
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
     gap = abs_gap / model.money_unit
 
     base_ub = prob.ub.copy()
@@ -241,8 +239,8 @@ def solve_master(
             continue
         # a node, or a leaf that a later cut removed, on the box its rows
         # leave it
-        node_lb, node_ub, lowest = _fix_binaries(prob, binary_rows, node_lb, node_ub)
-        node = prob.with_bounds(node_lb, node_ub, lowest)
+        node_lb, node_ub = _fix_binaries(prob, binary_rows, node_lb, node_ub)
+        node = prob.with_bounds(node_lb, node_ub)
         try:
             sol = _solve_node(node, model, parent, deadline)
         except TimeLimit:

@@ -36,17 +36,17 @@ from .tolerances import DUAL_TOL, INFEAS_TOL, MONEY_TOL, TIGHT_TOL
 
 
 def solve_fixflow(
-    instance: Instance,
     model: ClearingModel,
     x: np.ndarray,
     duals: Multipliers,
     deadline: Optional[float] = None,
 ) -> np.ndarray:
     """Minimum squared-norm flows on the optimal face of the welfare QP
-    with x's selection pinned, on ``model``, the clearing model of
-    ``instance``.  ``x`` is an optimum of that QP (a master leaf's point,
-    or the oracle's relaxation's) and ``duals`` are multipliers of it; the
-    result is x with the face optimum's vertical fills and flows.
+    with x's selection pinned, on the clearing model ``model``.  ``x`` is
+    an optimum of that QP (a master leaf's point, or the oracle's
+    relaxation's) and ``duals`` are multipliers of it; the result is x
+    with the face optimum's vertical fills and flows, or x itself when
+    the model has no flow column.
 
     The optimal set of a convex QP is the set of its feasible points
     complementary to any one of its dual solutions (Mangasarian, 1988),
@@ -58,7 +58,7 @@ def solve_fixflow(
     and starts the QP.  ``deadline`` goes to the QP solve, which raises
     TimeLimit once it has passed.
     """
-    if not instance.interconnectors:
+    if not model.flow_keys:
         return x
     cols, kept, A_eq, A_kept, A_in, c, d = model.fixflow_rows
     x0 = x[cols]
@@ -239,27 +239,26 @@ class _PriceQps:
 
 
 def solve_qpprice(
-    instance: Instance,
     model: ClearingModel,
     x: np.ndarray,
     relax_losses: bool = False,
     deadline: Optional[float] = None,
     duals: Optional[Multipliers] = None,
 ) -> PriceVector:
-    """Prices that support ``x`` on ``model``, the clearing model of
-    ``instance``, by area and hour: x holds the model's fills and flows,
-    then the binaries, whose columns above 0.5 are the executed bids.
-    With ``relax_losses``, a first QP finds the least total loss of the
+    """Prices that support ``x`` on the clearing model ``model``, by area
+    and hour: x holds the model's fills and flows, then the binaries,
+    whose columns above 0.5 are the executed bids.  With
+    ``relax_losses``, a first QP finds the least total loss of the
     executed fill-or-kill bids, and the prices are chosen among those that
     keep it; the prices are the only output, and the bids that lose at
-    them are ``cuts.loss_sets``'s to find.  ``duals``,
-    the multipliers of the welfare QP with the selection pinned at a
-    dispatch of x's welfare (a master leaf's or the oracle's relaxation),
-    start the QPs (``_dual_start``); without them they start cold.  When
-    the fill bounds pin every price and the QPs' start holds their rows,
-    those prices are the answer and no QP is built
-    (``_PriceQps.pinned_prices``).  The QPs work in the model's units, and
-    the prices leave them in the book's."""
+    them are ``cuts.loss_sets``'s to find.  ``duals``, the multipliers of
+    the welfare QP with the selection pinned at a dispatch of x's welfare
+    (a master leaf's or the oracle's relaxation), start the QPs
+    (``_dual_start``); without them they start cold.  When the fill
+    bounds pin every price and the QPs' start holds their rows, those
+    prices are the answer and no QP is built (``_PriceQps.pinned_prices``).
+    The QPs work in the model's units, and the prices leave them in the
+    book's."""
     qps = _PriceQps(model, x, relax_losses, duals)
     pi = qps.pinned_prices()
     pi = np.array(qps.solve(deadline) if pi is None else pi) * model.price_unit

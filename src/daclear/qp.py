@@ -78,19 +78,15 @@ class QpProblem:
     def n(self) -> int:
         return len(self.c)
 
-    _lowest = None  # ``_lowest_activity`` over the box, when ``with_bounds`` got it
-
-    def with_bounds(self, lb: np.ndarray, ub: np.ndarray, lowest=None) -> "QpProblem":
+    def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "QpProblem":
         """This problem with the float arrays ``lb`` and ``ub`` as its box.
         The copy shares the other arrays, already converted and checked,
         the stacked rows of the row activity test (``_lowest_activity``),
         built here once, and the factor cache of its rows (``factors``), so
-        a node reuses the factorizations of every node solved before it.
-        ``lowest``, when given, is ``_lowest_activity(self, lb, ub)``, which
-        the row test then takes as it is (the master's node pass hands it)."""
+        a node reuses the factorizations of every node solved before it."""
         self._activity_rows, self.factors  # made before the copy, so that copies share them
         node = QpProblem.__new__(QpProblem)
-        node.__dict__ = {**self.__dict__, "lb": lb, "ub": ub, "_lowest": lowest}
+        node.__dict__ = {**self.__dict__, "lb": lb, "ub": ub}
         return node
 
     @cached_property
@@ -571,11 +567,10 @@ def _lowest_activity(prob: QpProblem, lb, ub):
 
 def _row_test(prob: QpProblem) -> Optional[dict]:
     """The certificate of the first row that prob's box breaks
-    (``_lowest_activity``, or the one ``with_bounds`` was handed): the row,
-    its positive columns' lower bounds and its negative columns' upper
-    bounds; None when no row breaks."""
+    (``_lowest_activity``): the row, its positive columns' lower bounds and
+    its negative columns' upper bounds; None when no row breaks."""
     if len(prob.b_in) or len(prob.b_eq):  # a problem without rows stacks none
-        _, row = prob._lowest or _lowest_activity(prob, prob.lb, prob.ub)
+        _, row = _lowest_activity(prob, prob.lb, prob.ub)
         if row is not None:
             _, _, pos, neg = prob._activity_rows
             m_in = len(prob.b_in)

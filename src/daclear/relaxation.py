@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BidSelection
 from .errors import InfeasibleSelection, SolverFailure
 from .model import ClearingModel, balanced_start
 from .qp import Multipliers, QpProblem, multipliers, solve_qp
 
 
 def solve_relaxation(
-    pinned: QpProblem, model: ClearingModel, selection: BidSelection
+    pinned: QpProblem, model: ClearingModel
 ) -> tuple[float, np.ndarray, Multipliers]:
     """(objective, x, duals) of ``pinned``, a master problem on ``model``
-    with its binary columns pinned at ``selection``, solved from its
+    with its binary columns pinned at a selection, solved from its
     balanced start, which is built only when ``solve_qp``'s row test does
     not refute the selection: x is its optimum, whose fills and flows
     ``model.primal`` reads, and ``duals`` the multipliers there, which

@@ -44,21 +44,20 @@ def check_filling(
     delta: Mapping[int, float],
     prices: PriceVector,
     tol: float = CHECK_TOL,
-    mode: str = "case",
 ) -> ConditionReport:
-    """Price/fill consistency of every quantity-carrying segment.
-
-    mode "case": the three-way rule (full fill allows lower prices, no
-    fill allows higher prices, interior fill pins the price).
-    mode "gamma": construct the binary stacking chain over ascending-price
-    segments (a partially filled segment forces every higher-priced one to
-    full fill) and then apply the price rule to the stacked profile.
-    """
-    if mode == "case":
-        return _check_filling_case(instance, delta, prices, tol)
-    if mode == "gamma":
-        return _check_filling_gamma(instance, delta, prices, tol)
-    raise ValueError(f"unknown filling check mode {mode!r}")
+    """Price/fill consistency of every quantity-carrying segment, by the
+    three-way rule: full fill allows lower prices, no fill allows higher
+    prices, interior fill pins the price."""
+    violations = []
+    for seg in instance.segments:
+        if seg.quantity_span == 0.0:
+            continue
+        a, t = instance.segment_location[seg.id]
+        dlt = float(delta.get(seg.id, 0.0))
+        v = _case_violation(seg, dlt, prices[a, t], tol)
+        if v is not None:
+            violations.append(Violation((a, t, seg.id), abs(v), "filling"))
+    return ConditionReport.from_violations(violations)
 
 
 def _case_violation(seg, dlt, pi, tol):
@@ -72,20 +71,11 @@ def _case_violation(seg, dlt, pi, tol):
     return v
 
 
-def _check_filling_case(instance, delta, prices, tol):
-    violations = []
-    for seg in instance.segments:
-        if seg.quantity_span == 0.0:
-            continue
-        a, t = instance.segment_location[seg.id]
-        dlt = float(delta.get(seg.id, 0.0))
-        v = _case_violation(seg, dlt, prices[a, t], tol)
-        if v is not None:
-            violations.append(Violation((a, t, seg.id), abs(v), "filling"))
-    return ConditionReport.from_violations(violations)
-
-
-def _check_filling_gamma(instance, delta, prices, tol):
+def _check_filling_gamma(instance, delta, prices, tol=CHECK_TOL):
+    """``check_filling`` another way, for cross-validation: construct the
+    binary stacking chain over ascending-price segments (a partially
+    filled segment forces every higher-priced one to full fill) and then
+    apply the price rule to the stacked profile."""
     violations = []
     for a in instance.areas:
         for t in range(instance.hours):
@@ -283,14 +273,18 @@ def _relaxations(instance: Instance, model: ClearingModel):
         lb[model.n:] = ub[model.n:] = model.binaries(selection)
         pinned = prob.with_bounds(lb, ub)  # shares the master's rows
         try:
-            objective, x, duals = solve_relaxation(pinned, model, selection)
+            objective, x, duals = solve_relaxation(pinned, model)
         except InfeasibleSelection:
             continue
         yield objective * model.money_unit, idx, x, duals
 
 
-def oracle_clear(instance: Instance, cap: int = 12):
-    """Ground-truth clearing by enumeration of all bid selections.
+ORACLE_CAP = 12  # binary decisions (``Instance.bid_terms`` keys) at most
+
+
+def oracle_clear(instance: Instance):
+    """Ground-truth clearing by enumeration of all bid selections, for a
+    book of at most ORACLE_CAP binary decisions (else TooLarge).
 
     Candidates are ranked by relaxed welfare and tested from the top down
     by the clear's own leaf check (``driver._check_leaf``); the first that
@@ -300,8 +294,8 @@ def oracle_clear(instance: Instance, cap: int = 12):
     tested candidate.
     """
     decisions = len(instance.bid_terms)
-    if decisions > cap:
-        raise TooLarge(f"{decisions} binary decisions exceed the enumeration cap {cap}")
+    if decisions > ORACLE_CAP:
+        raise TooLarge(f"{decisions} binary decisions exceed the enumeration cap {ORACLE_CAP}")
     model = build_model(instance)
     candidates = sorted(_relaxations(instance, model), key=lambda rec: (-rec[0], rec[1]))
     frontier = []

@@ -82,7 +82,14 @@ def without_row_test(monkeypatch):
 def without_node_pass(monkeypatch):
     """Take the master's node pass (``master._fix_binaries``) out, so that
     every node is solved and branched on the box it was pushed with."""
-    monkeypatch.setattr(master, "_fix_binaries", lambda prob, binary_rows, lb, ub: (lb, ub, None))
+    monkeypatch.setattr(master, "_fix_binaries", lambda prob, binary_rows, lb, ub: (lb, ub))
+
+
+def executed_bids(selection):
+    """(block ids, (flex id, hour) pairs) of ``selection``'s executed
+    bids, each in id order, read from its bid keys (``executed_keys``)."""
+    keys = selection.executed_keys()
+    return [k[1] for k in keys if k[0] == "block"], [k[1:] for k in keys if k[0] == "flex"]
 
 
 def pinned_relaxation(inst, selection):
@@ -120,18 +127,18 @@ def point(model, solution):
     ))
 
 
-def fixflow(inst, model, solution, duals):
+def fixflow(model, solution, duals):
     """``pricing.solve_fixflow`` of ``solution``, as a solution."""
-    x = solve_fixflow(inst, model, point(model, solution), duals)
+    x = solve_fixflow(model, point(model, solution), duals)
     return model.primal(solution.selection, x)
 
 
-def qpprice(inst, model, solution, *args, **kwargs):
+def qpprice(model, solution, *args, **kwargs):
     """``pricing.solve_qpprice`` of ``solution``."""
-    return solve_qpprice(inst, model, point(model, solution), *args, **kwargs)
+    return solve_qpprice(model, point(model, solution), *args, **kwargs)
 
 
-def qp_prices(inst, model, x, relax_losses=False, deadline=None, duals=None):
+def qp_prices(model, x, relax_losses=False, deadline=None, duals=None):
     """``pricing.solve_qpprice`` by its QPs alone (``_PriceQps.solve``),
     also where the prices that the fill bounds pin would answer it
     without them (``_PriceQps.pinned_prices``)."""
@@ -190,10 +197,12 @@ def min_loss_lp(optimize, inst, sol, strict):
     no price supports it."""
     keys = [(a, t) for a in inst.areas for t in range(inst.hours)]
     pi = {k: j for j, k in enumerate(keys)}
-    bids = [(inst.block_by_id[b].area, enumerate(inst.block_by_id[b].quantities),
-             inst.block_by_id[b].limit_price) for b in sol.selection.executed_blocks()]
+    executed, flex = executed_bids(sol.selection)
+    blocks = {b.id: b for b in inst.blocks}
+    bids = [(blocks[b].area, enumerate(blocks[b].quantities), blocks[b].limit_price)
+            for b in executed]
     bids += [(inst.flex_by_id[f].area, [(t, inst.flex_by_id[f].quantity)],
-              inst.flex_by_id[f].limit_price) for f, t in sol.selection.executed_flex()]
+              inst.flex_by_id[f].limit_price) for f, t in flex]
     conns = [(c, t) for c in inst.interconnectors for t in range(inst.hours)]
     n_pi, n_loss = len(keys), len(bids)
     # per connector and hour: upper, lower, ramp-up and ramp-down multipliers
@@ -265,8 +274,8 @@ def with_qp_path(monkeypatch):
     on with the pinned path's prices."""
     price = driver.solve_qpprice
 
-    def spy(instance, model, x, relax_losses=False, deadline=None, duals=None):
-        out = price(instance, model, x, relax_losses, deadline, duals)
+    def spy(model, x, relax_losses=False, deadline=None, duals=None):
+        out = price(model, x, relax_losses, deadline, duals)
         qps = pricing._PriceQps(model, x, relax_losses, duals)
         if qps.pinned_prices() is not None:
             qps.solve(deadline)
@@ -295,6 +304,20 @@ def appendix_a():
             block("d", "X", 4, [2]),
         ],
     )
+
+
+def repeated_key_documents():
+    """{name: text} of the appendix A fixture file with one key repeated: a
+    second top-level ``blocks``, empty, and a second ``nodes`` in its curve
+    entry.  A decoder that keeps each key's last value would read no block
+    from the first and the fixture's own curve from the second."""
+    text = (Path(__file__).resolve().parent.parent / "fixtures" / "appendix_a.json").read_text()
+    nodes = '"hour": 0, "nodes": '
+    assert text.count(nodes) == 1 and text.rstrip().endswith("\n}")
+    return {
+        "top-level-blocks": text.rstrip()[:-2] + ',\n  "blocks": []\n}\n',
+        "curve-nodes": text.replace(nodes, nodes + '[[0.0, 1.0], [5.0, 1.0]], "nodes": '),
+    }
 
 
 def two_area(atc):
@@ -599,14 +622,16 @@ def selection_terms(instance, selection) -> FixedSelectionTerms:
     selection, from the bids alone."""
     constant = 0.0
     volume = {(a, t): 0.0 for a in instance.areas for t in range(instance.hours)}
-    for bid in selection.executed_blocks():
-        if bid not in instance.block_by_id:
+    executed, flex = executed_bids(selection)
+    blocks = {b.id: b for b in instance.blocks}
+    for bid in executed:
+        if bid not in blocks:
             raise UnknownId(f"unknown block id {bid!r}")
-        b = instance.block_by_id[bid]
+        b = blocks[bid]
         for t, q in enumerate(b.quantities):
             constant += b.limit_price * q
             volume[b.area, t] += q
-    for fid, t in selection.executed_flex():
+    for fid, t in flex:
         if fid not in instance.flex_by_id:
             raise UnknownId(f"unknown flex id {fid!r}")
         if not 0 <= t < instance.hours:
@@ -842,11 +867,13 @@ def reference_price_rows(instance, model, solution, relax_losses):
     sp, sq = model.price_unit, model.quantity_unit
     iv = SimpleNamespace(lower=instance.interval.lower / sp, upper=instance.interval.upper / sp)
     bids = []
-    for bid in solution.selection.executed_blocks():
-        b = instance.block_by_id[bid]
+    executed, flex = executed_bids(solution.selection)
+    blocks = {b.id: b for b in instance.blocks}
+    for bid in executed:
+        b = blocks[bid]
         bids.append((bid, b.area, [(t, q / sq) for t, q in enumerate(b.quantities)],
                      b.limit_price / sp))
-    for fid, t in solution.selection.executed_flex():
+    for fid, t in flex:
         f = instance.flex_by_id[fid]
         bids.append((fid, f.area, [(t, f.quantity / sq)], f.limit_price / sp))
     F, h, source = model.flow_rows

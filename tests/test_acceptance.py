@@ -26,6 +26,7 @@ from daclear.master import solve_master
 from daclear.model import build_model
 from daclear.qp import QpProblem, solve_qp
 from daclear.verify import (
+    _check_filling_gamma,
     _flow_fast_path,
     _flow_general,
     check_bid_prices,
@@ -35,8 +36,8 @@ from daclear.verify import (
 )
 
 from helpers import (
-    appendix_a, check_kkt, diamond, f3, fixflow, qpprice, ramp_fixture, random_instance,
-    total_loss,
+    appendix_a, check_kkt, diamond, executed_bids, f3, fixflow, qpprice, ramp_fixture,
+    random_instance, total_loss,
 )
 
 SUITE_SIZE = 200
@@ -73,10 +74,11 @@ def suite():
 def _outcome(result):
     """Status, executed bids and welfare of one clear, as JSON data."""
     sel = None if result.solution is None else result.solution.selection
+    blocks, flex = (None, None) if sel is None else executed_bids(sel)
     return {
         "status": result.status,
-        "blocks": None if sel is None else sel.executed_blocks(),
-        "flex": None if sel is None else [list(x) for x in sel.executed_flex()],
+        "blocks": blocks,
+        "flex": None if flex is None else [list(x) for x in flex],
         "welfare": result.welfare if math.isfinite(result.welfare) else None,
     }
 
@@ -113,7 +115,7 @@ def test_criterion_1_golden_fixture():
     res = clear_exact(appendix_a())
     elapsed = time.monotonic() - t0
     assert res.status == "optimal"
-    assert set(res.solution.selection.executed_blocks()) == {"c", "d"}
+    assert res.solution.selection.executed_keys() == [("block", "c"), ("block", "d")]
     assert res.prices["X", 0] == pytest.approx(3.0, abs=1e-9)
     assert res.welfare == pytest.approx(2.0, abs=1e-9)
     assert elapsed < 1.0
@@ -125,13 +127,13 @@ def test_criterion_2_intermediate_steps():
     model = build_model(inst)
     cut_free = solve_master(inst, model)
     assert cut_free.objective == pytest.approx(3.0, abs=1e-9)
-    assert set(cut_free.selection.executed_blocks()) == {"a", "b", "c", "d"}
+    assert executed_bids(cut_free.selection)[0] == ["a", "b", "c", "d"]
 
     res = clear_exact(inst)
     assert sum(rec.cuts_added for rec in res.iterations) >= 1
 
-    full = fixflow(inst, model, model.primal(cut_free.selection, cut_free.x), cut_free.duals)
-    relaxed = qpprice(inst, model, full, relax_losses=True)
+    full = fixflow(model, model.primal(cut_free.selection, cut_free.x), cut_free.duals)
+    relaxed = qpprice(model, full, relax_losses=True)
     loss = total_loss(inst, full.selection, relaxed)
     assert loss > 0
     _ok(2, f"cut-free objective 3, cuts fired, relaxed loss {loss:.3f}")
@@ -241,8 +243,8 @@ def test_criterion_8_checker_cross_validation():
                 (a, t): float(rng.uniform(inst.interval.lower, inst.interval.upper))
                 for a in inst.areas for t in range(inst.hours)
             })
-            a = check_filling(inst, delta, prices, mode="case").passed
-            b = check_filling(inst, delta, prices, mode="gamma").passed
+            a = check_filling(inst, delta, prices).passed
+            b = _check_filling_gamma(inst, delta, prices).passed
             assert a == b
             fill_samples += 1
 

@@ -15,7 +15,7 @@ from daclear.io import dump_document, serialize_instance
 
 from helpers import (
     appendix_a, bench_instance, bench_text, block, connector, f3, flexbid, make_instance,
-    mutated_document, random_instance, rescaled,
+    mutated_document, random_instance, repeated_key_documents, rescaled,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -418,6 +418,15 @@ class TestInputErrors:
         path = _write(tmp_path, "bad.json", json.dumps({"hours": 1}))
         code, _ = _run(capsys, "clear", "--instance", path)
         assert code == 4
+
+    @pytest.mark.parametrize("name", sorted(repeated_key_documents()))
+    def test_repeated_key_in_an_instance(self, capsys, tmp_path, name):
+        path = _write(tmp_path, "inst.json", repeated_key_documents()[name])
+        code = run(["clear", "--instance", path])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "repeated" in captured.err
 
     @pytest.mark.parametrize("option", ["--abs-gap", "--time-limit"])
     @pytest.mark.parametrize("value", ["inf", "nan", "-1", "x"])

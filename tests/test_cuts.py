@@ -26,8 +26,8 @@ def _appendix_a_relaxed():
     inst = appendix_a()
     model = build_model(inst)
     res = solve_master(inst, model)
-    sol = fixflow(inst, model, model.primal(res.selection, res.x), res.duals)
-    out = qpprice(inst, model, sol, relax_losses=True)
+    sol = fixflow(model, model.primal(res.selection, res.x), res.duals)
+    out = qpprice(model, sol, relax_losses=True)
     return inst, sol, out
 
 
@@ -44,7 +44,7 @@ class TestLossSets:
 
         inst = appendix_a()
         res = clear_exact(inst)
-        out = qpprice(inst, build_model(inst), res.solution, relax_losses=True)
+        out = qpprice(build_model(inst), res.solution, relax_losses=True)
         assert loss_sets(inst, res.solution, out).empty
 
 
@@ -130,7 +130,7 @@ class TestCurtailment:
         inst = self._curtailing_instance()
         model = build_model(inst)
         res = solve_master(inst, model)
-        sol = fixflow(inst, model, model.primal(res.selection, res.x), res.duals)
+        sol = fixflow(model, model.primal(res.selection, res.x), res.duals)
         if sol.selection.blocks.get("buy") != 1:
             pytest.skip("master did not execute the block")
         viol = curtailment_violations(inst, sol)
@@ -141,7 +141,7 @@ class TestCurtailment:
         inst = self._curtailing_instance()
         model = build_model(inst)
         res = solve_master(inst, model)
-        sol = fixflow(inst, model, model.primal(res.selection, res.x), res.duals)
+        sol = fixflow(model, model.primal(res.selection, res.x), res.duals)
         viol = curtailment_violations(inst, sol)
         if not viol:
             pytest.skip("no violation to cut")

@@ -1,9 +1,11 @@
-"""``tools/digests.py`` prints one line per CLI run of the comparison set;
-on the fixtures its lines have the documented format, match the CLI's own
-output, and come out the same on a rerun."""
+"""``tools/digests.py`` prints one line per CLI run of the comparison set,
+``verify`` of each exact clear's document included; on the fixtures its
+lines have the documented format, match the CLI's own output, and come
+out the same on a rerun."""
 
 import hashlib
 import importlib.util
+import json
 import os
 import re
 from pathlib import Path
@@ -12,7 +14,7 @@ from daclear.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 LINE = re.compile(
-    r"fixture (\S+) (clear-exact|clear-heuristic|oracle) (\d+) ([0-9a-f]{64}) ([0-9a-f]{64})"
+    r"fixture (\S+) (clear-exact|verify|clear-heuristic|oracle) (\d+) ([0-9a-f]{64}) ([0-9a-f]{64})"
 )
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -24,28 +26,45 @@ def _digests():
     return module
 
 
-def test_fixture_digests_are_well_formed_and_repeatable(capsys):
+def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
     digests = _digests()
     lines = list(digests.digest_lines(digests.fixtures()))
     names = sorted(p.stem for p in (ROOT / "fixtures").glob("*.json"))
     matches = [LINE.fullmatch(line) for line in lines]
     assert all(matches), lines
-    assert [(m[1], m[2]) for m in matches] == [
-        (name, command) for name in names for command in digests.COMMANDS
-    ]
     runs = {(m[1], m[2]): m for m in matches}
-    # appendix_a clears; no_price_support exits 2 with only an error message
+    # a verify line follows each exact clear that wrote a document
+    cleared = [name for name in names if runs[name, "clear-exact"][4] != EMPTY]
+    assert cleared and len(cleared) < len(names)
+    expected = []
+    for name in names:
+        for command in digests.COMMANDS:
+            expected.append((name, command))
+            if command == "clear-exact" and name in cleared:
+                expected.append((name, "verify"))
+    assert [(m[1], m[2]) for m in matches] == expected
+    # appendix_a clears and verifies; no_price_support exits 2 with only an
+    # error message
     fixture = str(ROOT / "fixtures" / "appendix_a.json")
     assert run(["clear", "--mode", "exact", "--instance", fixture]) == 0
     out = capsys.readouterr().out
     assert runs["appendix_a", "clear-exact"].group(3, 4, 5) == (
         "0", hashlib.sha256(out.encode()).hexdigest(), EMPTY
     )
+    solution = tmp_path / "solution.json"
+    solution.write_text(out, encoding="utf-8")
+    assert run(["verify", "--instance", fixture, "--solution", str(solution)]) == 0
+    report = capsys.readouterr().out
+    assert json.loads(report)["pass"] is True
+    assert runs["appendix_a", "verify"].group(3, 4, 5) == (
+        "0", hashlib.sha256(report.encode()).hexdigest(), EMPTY
+    )
     for command in digests.COMMANDS:
         code, out_sha, err_sha = runs["no_price_support", command].group(3, 4, 5)
         assert code == "2" and out_sha == EMPTY and err_sha != EMPTY
     assert list(digests.digest_lines(digests.fixtures())) == lines
-    # with the 200 + 110 + 110 generated instances: 423 instances, 1,269 runs
+    # with the 200 + 110 + 110 generated instances: 423 instances, 1,269
+    # clear and oracle runs
     assert sum(len(seeds) for seeds in digests.SEEDS.values()) + len(names) == 423
 
 

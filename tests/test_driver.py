@@ -250,15 +250,15 @@ def _spy_pricing(monkeypatch, check=None):
     ``check`` runs after each call that finds prices."""
     calls = []
 
-    def spy(instance, model, x, relax_losses, deadline, duals):
+    def spy(model, x, relax_losses, deadline, duals):
         try:
-            out = solve_qpprice(instance, model, x, relax_losses, deadline, duals)
+            out = solve_qpprice(model, x, relax_losses, deadline, duals)
         except PriceInfeasible:
             calls.append((relax_losses, False))
             raise
         calls.append((relax_losses, True))
         if check is not None:
-            check(instance, model, x, relax_losses)
+            check(model, x, relax_losses)
         return out
 
     monkeypatch.setattr(driver, "solve_qpprice", spy)
@@ -302,11 +302,11 @@ class TestLeafTest:
         # strict prices needs no relaxed pricing to find its loss sets
         checked = []
 
-        def check(instance, model, x, relax_losses):
+        def check(model, x, relax_losses):
             if not relax_losses:
-                relaxed = solve_qpprice(instance, model, x, True)
+                relaxed = solve_qpprice(model, x, True)
                 solution = model.primal(model.selection_at(x), x)
-                assert loss_sets(instance, solution, relaxed).empty
+                assert loss_sets(inst, solution, relaxed).empty
                 checked.append(1)
 
         solved = 0

@@ -15,7 +15,7 @@ from daclear.tolerances import MAX_MAGNITUDE
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "appendix_a.json"
 
-from helpers import appendix_a, f2, f3, ramp_fixture, random_instance
+from helpers import appendix_a, f2, f3, ramp_fixture, random_instance, repeated_key_documents
 
 
 class TestParseInstance:
@@ -90,6 +90,12 @@ class TestParseInstance:
         with pytest.raises(SchemaError) as exc:
             parse_instance(json.dumps(doc))
         assert where in str(exc.value)
+
+    @pytest.mark.parametrize("name", sorted(repeated_key_documents()))
+    def test_repeated_key_is_rejected(self, name):
+        # as in a solution document: the decoder keeps no value of the two
+        with pytest.raises(SchemaError, match="repeated"):
+            parse_instance(repeated_key_documents()[name])
 
     def test_no_areas_is_rejected(self):
         doc = json.loads(FIXTURE.read_text())

@@ -1,4 +1,5 @@
 import itertools
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from daclear.model import balanced_start, build_model
 
 from helpers import (
     appendix_a, block, expiring_clock, flexbid, make_instance, paradox_book, random_instance,
-    step_book, without_node_pass, without_row_test,
+    executed_bids, step_book, without_node_pass, without_row_test,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -37,7 +38,7 @@ class TestApppendixA:
         tested = []
 
         def reject_all_four(leaf):
-            tested.append(leaf.selection.executed_blocks())
+            tested.append(executed_bids(leaf.selection)[0])
             if len(tested) == 1:
                 return [no_good_cut(model, leaf.selection)]
             return ()
@@ -45,7 +46,7 @@ class TestApppendixA:
         res = solve_master(inst, model, reject_all_four)
         assert tested == [["a", "b", "c", "d"], ["c", "d"]]
         assert res.objective == pytest.approx(2.0, abs=1e-9)
-        assert set(res.selection.executed_blocks()) == {"c", "d"}
+        assert res.selection.executed_keys() == [("block", "c"), ("block", "d")]
 
     def test_stop_returns_limit(self):
         inst = appendix_a()
@@ -79,7 +80,7 @@ class TestBranching:
             flex=[flexbid("f", "X", 90, 5)],
         )
         res = solve_master(inst, build_model(inst))
-        hours = res.selection.executed_flex()
+        hours = executed_bids(res.selection)[1]
         assert len(hours) <= 1
         # the cheaper-supply hour wins
         assert res.selection.flex.get("f") == 0
@@ -437,7 +438,7 @@ class TestNearlyIntegralNodes:
 class TestLimits:
     def test_time_limit_returns_limit_status(self):
         inst = random_instance(3)
-        res = solve_master(inst, build_model(inst), time_limit=0.0)
+        res = solve_master(inst, build_model(inst), deadline=time.monotonic())
         assert res.status in ("limit", "optimal")
         if res.status == "limit":
             assert res.bound is not None
@@ -450,7 +451,7 @@ class TestLimits:
         limits = 0
         for ticks in range(40):
             monkeypatch.setattr(qp, "time", expiring_clock(ticks))
-            res = solve_master(inst, build_model(inst), time_limit=1.0)
+            res = solve_master(inst, build_model(inst), deadline=1.0)
             if res.status == "optimal":
                 assert res.objective == pytest.approx(optimum, abs=1e-9)
                 continue
@@ -645,7 +646,7 @@ class TestMilpCrossCheck:
         and a no-good cut on a random selection."""
         selection = leaf.selection
         cuts = [no_good_cut(model, selection)]
-        executed = selection.executed_blocks()
+        executed = executed_bids(selection)[0]
         if len(executed) >= 2:
             size = int(rng.integers(2, min(4, len(executed)) + 1))
             chosen = rng.choice(executed, size=size, replace=False)

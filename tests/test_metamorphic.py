@@ -127,9 +127,8 @@ def _transformed_pairs(transform, seeds=range(540, 580), price_shift=0.0, factor
             assert b.status == a.status, where
             if a.solution is None:
                 continue
-            for side in ("executed_blocks", "executed_flex"):
-                sel = getattr(a.solution.selection, side)()
-                assert getattr(b.solution.selection, side)() == sel, where
+            executed = a.solution.selection.executed_keys()
+            assert b.solution.selection.executed_keys() == executed, where
             assert b.prices.pi.keys() == a.prices.pi.keys(), where
             for key, price in a.prices.pi.items():
                 expected = factor * price + price_shift

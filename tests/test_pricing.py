@@ -52,15 +52,15 @@ def _master_result(inst):
 def _fixflow(inst):
     """FixFlow of ``inst``'s cut-free master optimum, on its leaf's duals."""
     res, sol = _master_result(inst)
-    return fixflow(inst, build_model(inst), sol, res.duals)
+    return fixflow(build_model(inst), sol, res.duals)
 
 
 class TestFixFlow:
     def test_idempotent(self):
         for inst in (f2(), f3(), ramp_fixture()):
             res, sol = _master_result(inst)
-            once = fixflow(inst, build_model(inst), sol, res.duals)
-            twice = fixflow(inst, build_model(inst), once, res.duals)
+            once = fixflow(build_model(inst), sol, res.duals)
+            twice = fixflow(build_model(inst), once, res.duals)
             for k in once.flows:
                 assert twice.flows[k] == pytest.approx(once.flows[k], abs=1e-9)
             for k in once.delta:
@@ -70,7 +70,7 @@ class TestFixFlow:
         for seed in range(12):
             inst = random_instance(seed)
             res, sol = _master_result(inst)
-            fixed = fixflow(inst, build_model(inst), sol, res.duals)
+            fixed = fixflow(build_model(inst), sol, res.duals)
             assert welfare_of(inst, fixed) == pytest.approx(
                 welfare_of(inst, sol), abs=1e-6
             )
@@ -95,7 +95,7 @@ class TestFixFlow:
         for inst in self._books():
             model = build_model(inst)
             res, sol = _master_result(inst)
-            face = fixflow(inst, model, sol, res.duals)
+            face = fixflow(model, sol, res.duals)
             ref = welfare_row_fixflow(inst, model, sol)
             for key in model.flow_keys:
                 assert face.flows[key] == pytest.approx(ref.flows[key], abs=1e-9)
@@ -108,8 +108,8 @@ class TestFixFlow:
         for inst in self._books():
             model = build_model(inst)
             res, sol = _master_result(inst)
-            once = fixflow(inst, model, sol, res.duals)
-            twice = fixflow(inst, model, once, res.duals)
+            once = fixflow(model, sol, res.duals)
+            twice = fixflow(model, once, res.duals)
             assert twice.flows == once.flows
             assert twice.delta == once.delta
 
@@ -132,7 +132,7 @@ class TestFixFlow:
         assert sol.status == "optimal" and sol.x[j] == pytest.approx(10.0, abs=1e-12)
         assert max(duals.nu_lower[j], duals.nu_upper[j]) <= tolerances.DUAL_TOL
         candidate = model.primal(BidSelection(), sol.x)
-        fixed = fixflow(inst, model, candidate, duals)
+        fixed = fixflow(model, candidate, duals)
         assert fixed.flows["c", 0] == pytest.approx(0.0, abs=1e-9)
         assert welfare_of(inst, fixed) == pytest.approx(welfare_of(inst, candidate), abs=1e-9)
 
@@ -142,32 +142,32 @@ class TestQpPrice:
         inst = appendix_a()
         # optimal selection {a,b,c,d} has no uniform supporting price
         with pytest.raises(PriceInfeasible):
-            qpprice(inst, build_model(inst), _fixflow(inst))
+            qpprice(build_model(inst), _fixflow(inst))
 
     def test_appendix_a_second_best(self):
         from daclear.driver import clear_exact
 
         inst = appendix_a()
         res = clear_exact(inst)
-        out = qpprice(inst, build_model(inst), res.solution)
+        out = qpprice(build_model(inst), res.solution)
         assert out["X", 0] == pytest.approx(3.0, abs=1e-6)
         assert total_loss(inst, res.solution.selection, out) == pytest.approx(0.0, abs=1e-9)
 
     def test_relaxed_losses_nonnegative(self):
         inst = appendix_a()
         full = _fixflow(inst)
-        out = qpprice(inst, build_model(inst), full, relax_losses=True)
+        out = qpprice(build_model(inst), full, relax_losses=True)
         assert total_loss(inst, full.selection, out) > 0
 
     def test_f3_congested_prices(self):
         inst = f3()
-        out = qpprice(inst, build_model(inst), _fixflow(inst))
+        out = qpprice(build_model(inst), _fixflow(inst))
         assert out["R", 0] == pytest.approx(10.0, abs=1e-6)
         assert out["S", 0] == pytest.approx(40.0, abs=1e-6)
 
     def test_ramp_price_reflection(self):
         inst = ramp_fixture()
-        out = qpprice(inst, build_model(inst), _fixflow(inst))
+        out = qpprice(build_model(inst), _fixflow(inst))
         d0 = out["S", 0] - out["R", 0]
         d1 = out["S", 1] - out["R", 1]
         assert d0 + d1 == pytest.approx(0.0, abs=1e-6)
@@ -175,7 +175,7 @@ class TestQpPrice:
 
     def test_price_indifference_minimizes_norm(self):
         inst = price_indifferent()
-        out = qpprice(inst, build_model(inst), _fixflow(inst))
+        out = qpprice(build_model(inst), _fixflow(inst))
         # any price in [0, 7] supports the execution; tie broken at 0
         assert out["X", 0] == pytest.approx(0.0, abs=1e-6)
 
@@ -184,8 +184,8 @@ class TestQpPrice:
             inst = random_instance(seed)
             sol = _fixflow(inst)
             try:
-                a = qpprice(inst, build_model(inst), sol)
-                b = qpprice(inst, build_model(inst), sol)
+                a = qpprice(build_model(inst), sol)
+                b = qpprice(build_model(inst), sol)
             except PriceInfeasible:
                 continue
             for k in a.pi:
@@ -210,7 +210,7 @@ class TestPriceBounds:
         fills = self._fills({0: 1.0, 2: 0.0, 4: 1.0})
         for relax in (False, True):
             with pytest.raises(PriceInfeasible):
-                qpprice(inst, build_model(inst), fills, relax_losses=relax)
+                qpprice(build_model(inst), fills, relax_losses=relax)
 
     @pytest.mark.parametrize("shift", [0.0, -100.0])
     def test_full_next_to_empty_pins_the_shared_node(self, shift):
@@ -222,7 +222,7 @@ class TestPriceBounds:
                              P=(shift, 100.0 + shift))
         fills = self._fills({0: 1.0, 1: 0.0, 2: 0.0})
         for relax in (False, True):
-            out = qpprice(inst, build_model(inst), fills, relax_losses=relax)
+            out = qpprice(build_model(inst), fills, relax_losses=relax)
             assert out["X", 0] == 60.0 + shift
             assert total_loss(inst, fills.selection, out) == 0.0
 
@@ -234,22 +234,22 @@ def _pricing_cases(instances):
     for inst in instances:
         model = build_model(inst)
         for _, _, x, duals in _relaxations(inst, model):
-            yield inst, model.primal(model.selection_at(x), solve_fixflow(inst, model, x, duals)), duals
+            yield inst, model.primal(model.selection_at(x), solve_fixflow(model, x, duals)), duals
 
 
 def _outcome(inst, sol, relax, duals=None, price=qpprice):
     """(prices, total loss) of ``price`` (``qpprice`` or ``_by_qps``) on
     ``sol``, or the message of its PriceInfeasible."""
     try:
-        out = price(inst, build_model(inst), sol, relax_losses=relax, duals=duals)
+        out = price(build_model(inst), sol, relax_losses=relax, duals=duals)
     except PriceInfeasible as exc:
         return str(exc)
     return out.pi, total_loss(inst, sol.selection, out)
 
 
-def _by_qps(inst, model, sol, **kwargs):
+def _by_qps(model, sol, **kwargs):
     """``qpprice`` by pricing's QPs alone (``qp_prices``)."""
-    return qp_prices(inst, model, point(model, sol), **kwargs)
+    return qp_prices(model, point(model, sol), **kwargs)
 
 
 def _spy_pricing_qps(monkeypatch):
@@ -336,13 +336,13 @@ class TestPriceStart:
         seen = _spy_pricing_qps(monkeypatch)
         strict = []
 
-        def spy(instance, model, x, relax_losses, deadline, duals):
+        def spy(model, x, relax_losses, deadline, duals):
             assert duals is not None
             runs.clear()
             seen.clear()
-            out = solve_qpprice(instance, model, x, relax_losses, deadline, duals)
+            out = solve_qpprice(model, x, relax_losses, deadline, duals)
             if not seen:  # answered by the pinned prices: their QPs' start
-                qp_prices(instance, model, x, relax_losses, deadline, duals)
+                qp_prices(model, x, relax_losses, deadline, duals)
             if not relax_losses:
                 strict.append((list(runs), *seen[0]))
             return out
@@ -424,9 +424,9 @@ class TestPinnedPrices:
     def test_every_clears_pricing_call_gets_the_qps_outcome(self, monkeypatch):
         calls = []
 
-        def spy(instance, model, x, relax_losses=False, deadline=None, duals=None):
-            calls.append((family, instance, model, x, relax_losses, duals))
-            return solve_qpprice(instance, model, x, relax_losses, deadline, duals)
+        def spy(model, x, relax_losses=False, deadline=None, duals=None):
+            calls.append((family, model, x, relax_losses, duals))
+            return solve_qpprice(model, x, relax_losses, deadline, duals)
 
         monkeypatch.setattr(driver, "solve_qpprice", spy)  # the oracle's pricing too
         for family, inst in self._books():
@@ -439,8 +439,8 @@ class TestPinnedPrices:
         monkeypatch.undo()
         seen = _spy_pricing_qps(monkeypatch)
         answered = {}
-        for family, instance, model, x, relax, duals in calls:
-            args = (instance, model, x, relax, None, duals)
+        for family, model, x, relax, duals in calls:
+            args = (model, x, relax, None, duals)
             seen.clear()
             pinned = _either(solve_qpprice, *args)
             quiet = not seen  # no QP built
@@ -485,7 +485,7 @@ class TestPinnedPrices:
         assert qps.pinned and qps.pinned_prices() is None
         seen = _spy_pricing_qps(monkeypatch)
         runs = _phase1_runs(monkeypatch)
-        out = _either(solve_qpprice, inst, model, x)
+        out = _either(solve_qpprice, model, x)
         assert len(seen) == 1
         if loss < tolerances.INFEAS_TOL:
             assert runs == [True]
@@ -493,7 +493,7 @@ class TestPinnedPrices:
             assert total_loss(inst, sol.selection, out) == pytest.approx(loss, rel=1e-6)
         else:
             assert runs == [] and isinstance(out, PriceInfeasible)
-        assert _bits(out) == _bits(_either(qp_prices, inst, model, x))
+        assert _bits(out) == _bits(_either(qp_prices, model, x))
 
     def test_bounds_crossed_by_round_off_pin_the_midpoint(self, monkeypatch):
         # segment 1 nearly full and segment 2 nearly empty pin the price at
@@ -508,10 +508,10 @@ class TestPinnedPrices:
         x = point(model, sol)
         seen = _spy_pricing_qps(monkeypatch)
         for relax in (False, True):
-            out = solve_qpprice(inst, model, x, relax)
+            out = solve_qpprice(model, x, relax)
             assert not seen
             assert out.pi == {("X", 0): 0.5 * (high + low)}
-            assert _bits(out) == _bits(qp_prices(inst, model, x, relax))
+            assert _bits(out) == _bits(qp_prices(model, x, relax))
             assert len(seen) == 1
             seen.clear()
 
@@ -537,11 +537,11 @@ class TestDecidedByBounds:
         seen = _spy_pricing_qps(monkeypatch)
         runs = _phase1_runs(monkeypatch)
         with pytest.raises(PriceInfeasible) as decided:
-            qpprice(inst, build_model(inst), sol, relax_losses=relax)
+            qpprice(build_model(inst), sol, relax_losses=relax)
         assert len(seen) == 1 and runs == []
         without_row_test(monkeypatch)
         with pytest.raises(PriceInfeasible) as solved:
-            qpprice(inst, build_model(inst), sol, relax_losses=relax)
+            qpprice(build_model(inst), sol, relax_losses=relax)
         assert len(seen) == 2 and runs == [True]
         assert str(decided.value) == str(solved.value)
 
@@ -555,7 +555,7 @@ class TestLinprogCrossCheck:
             sol = _fixflow(inst)
             ref = min_loss_lp(optimize, inst, sol, strict=False)
             try:
-                prices = qpprice(inst, build_model(inst), sol, relax_losses=True)
+                prices = qpprice(build_model(inst), sol, relax_losses=True)
                 total = total_loss(inst, sol.selection, prices)
             except PriceInfeasible:
                 total = None
@@ -565,7 +565,7 @@ class TestLinprogCrossCheck:
                 assert total == pytest.approx(ref, abs=1e-7), seed
             strict_ref = min_loss_lp(optimize, inst, sol, strict=True) is not None
             try:
-                qpprice(inst, build_model(inst), sol)
+                qpprice(build_model(inst), sol)
                 strict = True
             except PriceInfeasible:
                 strict = False
@@ -577,7 +577,7 @@ class TestLinprogCrossCheck:
 class TestClampPrices:
     def test_inside_interval_untouched(self):
         inst = f3()
-        out = qpprice(inst, build_model(inst), _fixflow(inst))
+        out = qpprice(build_model(inst), _fixflow(inst))
         clamped, warnings = clamp_prices(out, inst)
         assert warnings == []
         assert clamped["R", 0] == out["R", 0]
@@ -590,7 +590,7 @@ class TestClampPrices:
             area_intervals={"X": {"lower": 20, "upper": 50}},
         )
         sol = _fixflow(inst)
-        out = qpprice(inst, build_model(inst), sol)
+        out = qpprice(build_model(inst), sol)
         assert out["X", 0] == pytest.approx(0.0, abs=1e-6)
         clamped, warnings = clamp_prices(out, inst)
         assert clamped["X", 0] == pytest.approx(20.0, abs=1e-12)

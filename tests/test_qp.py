@@ -462,18 +462,6 @@ def _spy_proofs(monkeypatch):
 
 
 class TestRowBounds:
-    def test_handed_activities_give_the_fresh_verdict(self):
-        # a box whose lowest activities come with it (``with_bounds``, as
-        # the master's node pass hands them over) gets the verdict and
-        # certificate that a fresh row test gives
-        refuted = 0
-        for prob in _boxed_problems(77):
-            fresh = qp._row_test(prob)
-            lowest = qp._lowest_activity(prob, prob.lb, prob.ub)
-            assert qp._row_test(prob.with_bounds(prob.lb, prob.ub, lowest)) == fresh
-            refuted += fresh is not None
-        assert 100 < refuted < 500
-
     def test_flags_only_infeasible_problems(self, monkeypatch):
         # solve_qp refutes the problems the row test flags with no
         # iteration and no phase 1; phase 1 alone, from the clipped origin,

@@ -31,7 +31,7 @@ def _sel(blocks=None, flex=None):
 
 def _relax(inst, selection):
     pinned, model = pinned_relaxation(inst, selection)
-    objective, x, duals = solve_relaxation(pinned, model, selection)
+    objective, x, duals = solve_relaxation(pinned, model)
     return objective, model.primal(selection, x), duals
 
 

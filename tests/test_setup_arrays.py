@@ -1,8 +1,7 @@
 """The clearing set-up is built from per-model arrays: its arrays equal,
 bit for bit, those that loops over the instance built entry by entry
 (``helpers.reference_model``, ``reference_price_rows`` and
-``reference_fixflow_problem``), and the row activities that the node pass
-hands to ``solve_qp`` are those of the node's box."""
+``reference_fixflow_problem``)."""
 
 import json
 from pathlib import Path
@@ -10,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from daclear import driver, master, pricing, qp
+from daclear import driver, pricing
 from daclear.errors import PriceInfeasible
 from daclear.io import parse_instance, serialize_instance
 from daclear.model import build_model
 
 from helpers import (
-    bench_instance, diamond, model_maps, paradox_book, qp_prices, ramp_fixture, random_instance,
+    bench_instance, diamond, model_maps, qp_prices, ramp_fixture, random_instance,
     reference_fixflow_problem, reference_model, reference_price_rows, rescaled,
 )
 
@@ -73,17 +72,17 @@ def _leaf_calls(monkeypatch, books):
     fixflows, prices = [], []
     fix, price = driver.solve_fixflow, driver.solve_qpprice
 
-    def fix_spy(instance, model, x, duals, deadline=None):
-        fixflows.append((instance, model, x, duals))
-        return fix(instance, model, x, duals, deadline)
+    def fix_spy(model, x, duals, deadline=None):
+        fixflows.append((inst, model, x, duals))
+        return fix(model, x, duals, deadline)
 
-    def price_spy(instance, model, x, relax_losses=False, deadline=None, duals=None):
-        prices.append((instance, model, x, relax_losses))
-        return price(instance, model, x, relax_losses, deadline, duals)
+    def price_spy(model, x, relax_losses=False, deadline=None, duals=None):
+        prices.append((inst, model, x, relax_losses))
+        return price(model, x, relax_losses, deadline, duals)
 
     monkeypatch.setattr(driver, "solve_fixflow", fix_spy)
     monkeypatch.setattr(driver, "solve_qpprice", price_spy)
-    for inst in books:
+    for inst in books:  # the book each spied call belongs to
         driver.clear_exact(inst)
         driver.clear_heuristic(inst)
     monkeypatch.undo()
@@ -117,7 +116,7 @@ def test_pricing_and_fixflow_problems_equal_the_loop_built_ones(monkeypatch, boo
         solution = model.primal(model.selection_at(x), x)
         ref = reference_fixflow_problem(instance, model, solution, duals)
         prob, _ = _first_problem(
-            monkeypatch, lambda: pricing.solve_fixflow(instance, model, x, duals)
+            monkeypatch, lambda: pricing.solve_fixflow(model, x, duals)
         )
         assert (prob is None) == (ref is None)
         if prob is not None:
@@ -141,7 +140,7 @@ def test_pricing_and_fixflow_problems_equal_the_loop_built_ones(monkeypatch, boo
     for instance, model, x, relax in cases:
         solution = model.primal(model.selection_at(x), x)
         prob, out = _first_problem(
-            monkeypatch, lambda: qp_prices(instance, model, x, relax)
+            monkeypatch, lambda: qp_prices(model, x, relax)
         )
         try:
             ref = reference_price_rows(instance, model, solution, relax)
@@ -154,27 +153,3 @@ def test_pricing_and_fixflow_problems_equal_the_loop_built_ones(monkeypatch, boo
         for name, a, b in zip(("lb", "ub", "A_eq", "b_eq", "A_in", "b_in"), got, ref):
             assert _bits(a) == _bits(b), name
     assert 100 < refuted < len(cases) - 400
-
-
-def test_node_pass_hands_over_the_activities_of_the_box(monkeypatch):
-    # whenever the pass hands activities to the node, they are those of
-    # the box it returns, bit for bit, and the row test's verdict on them
-    # is the fresh one
-    handed = []
-    fix = master._fix_binaries
-
-    def spy(prob, binary_rows, lb, ub):
-        out = fix(prob, binary_rows, lb, ub)
-        handed.append((prob, *out))
-        return out
-
-    monkeypatch.setattr(master, "_fix_binaries", spy)
-    for inst in [paradox_book(seed) for seed in range(20)] + [random_instance(s) for s in range(30)]:
-        driver.clear_exact(inst)
-    given = [(prob, lb, ub, lowest) for prob, lb, ub, lowest in handed if lowest is not None]
-    assert len(given) > 100 and len(given) < len(handed)
-    for prob, lb, ub, (low, row) in given:
-        fresh_low, fresh_row = qp._lowest_activity(prob, lb, ub)
-        assert _bits(low) == _bits(fresh_low) and row == fresh_row
-        node = prob.with_bounds(lb, ub, (low, row))
-        assert qp._row_test(node) == qp._row_test(prob.with_bounds(lb, ub))

@@ -8,6 +8,7 @@ from daclear.driver import clear_exact
 from daclear.errors import PriceInfeasible, TooLarge
 from daclear.io import parse_instance, serialize_instance
 from daclear.verify import (
+    _check_filling_gamma,
     check_bid_prices,
     check_bounds,
     check_filling,
@@ -33,9 +34,9 @@ class TestFilling:
     def test_exact_solutions_pass_both_modes(self):
         for inst in (appendix_a(), f3(), ramp_fixture(), diamond()):
             res = clear_exact(inst)
-            for mode in ("case", "gamma"):
-                rep = check_filling(inst, res.solution.delta, res.prices, mode=mode)
-                assert rep.passed, (mode, rep.violations)
+            for check in (check_filling, _check_filling_gamma):
+                rep = check(inst, res.solution.delta, res.prices)
+                assert rep.passed, (check.__name__, rep.violations)
 
     def test_detects_wrong_price(self):
         inst = f3()
@@ -54,8 +55,8 @@ class TestFilling:
             res = clear_exact(inst)
             pin = {k: float(rng.uniform(inst.interval.lower, inst.interval.upper)) for k in res.prices.pi}
             noisy = PriceVector(pi=pin)
-            a = check_filling(inst, res.solution.delta, noisy, mode="case")
-            b = check_filling(inst, res.solution.delta, noisy, mode="gamma")
+            a = check_filling(inst, res.solution.delta, noisy)
+            b = _check_filling_gamma(inst, res.solution.delta, noisy)
             assert a.passed == b.passed
             agree += 1
         assert agree == 30
@@ -143,7 +144,7 @@ class TestOracle:
         inst = appendix_a()
         res = oracle_clear(inst)
         assert res.welfare == pytest.approx(2.0, abs=1e-9)
-        assert set(res.solution.selection.executed_blocks()) == {"c", "d"}
+        assert res.solution.selection.executed_keys() == [("block", "c"), ("block", "d")]
         assert res.prices["X", 0] == pytest.approx(3.0, abs=1e-6)
         # full execution appears on the frontier but is price-infeasible
         assert any(w == pytest.approx(3.0, abs=1e-9) for w, _, _ in res.frontier)

@@ -4,6 +4,8 @@ Runs ``clear --mode exact``, ``clear --mode heuristic`` and ``oracle``
 in-process through ``daclear.cli.run`` on every instance of the set:
 small-suite seeds 0-199, paradox seeds 1000-1109 and day-book seeds
 3000-3109 from ``bench/generate.py``, then the instances in ``fixtures/``.
+Each document that ``clear --mode exact`` writes is also checked by
+``verify``, right after it, so the checkers' reports are digested too.
 It prints one line per run:
 
     family seed command exit-code sha256(stdout) sha256(stderr)
@@ -70,21 +72,30 @@ def _sha(text: str) -> str:
 
 
 def digest_lines(instances):
-    """One digest line per command and instance of ``instances``, from the
+    """One digest line per command and instance of ``instances``, and one
+    per ``verify`` of a document that ``clear-exact`` wrote, from the
     ``daclear`` of this script's own checkout."""
     sys.path.insert(0, str(ROOT / "src"))
     from daclear.cli import run
 
+    def digest(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        return code, out.getvalue(), f"{_sha(out.getvalue())} {_sha(err.getvalue())}"
+
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "instance.json"
+        path, solution = Path(tmp) / "instance.json", Path(tmp) / "solution.json"
         for family, seed, text in instances:
             path.write_text(text, encoding="utf-8")
             for name, argv in COMMANDS.items():
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = run([*argv, "--instance", str(path)])
-                digests = f"{_sha(out.getvalue())} {_sha(err.getvalue())}"
+                code, out, digests = digest([*argv, "--instance", str(path)])
                 yield f"{family} {seed} {name} {code} {digests}"
+                if name == "clear-exact" and out:
+                    solution.write_text(out, encoding="utf-8")
+                    code, _, digests = digest(
+                        ["verify", "--instance", str(path), "--solution", str(solution)])
+                    yield f"{family} {seed} verify {code} {digests}"
 
 
 def main() -> int:
