@@ -99,10 +99,13 @@ def _load(text: str) -> Any:
 
 
 def _distinct_keys(pairs) -> dict:
-    """A document's JSON object: a repeated key is a SchemaError."""
+    """A document's JSON object: a repeated key is a SchemaError that names
+    the first key to repeat."""
     out = dict(pairs)
     if len(out) < len(pairs):
-        raise SchemaError("$", "a key is repeated within one object")
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise SchemaError("$", f"a key is repeated within one object: {key!r}")
     return out
 
 

@@ -36,6 +36,13 @@ from math import sqrt
 from typing import Callable, Optional, Union
 
 import numpy as np
+# the LAPACK gufuncs that np.linalg.svd (full_matrices=True) and
+# np.linalg.eigh (UPLO="L") call, called directly: the same bits without
+# the wrappers' checks, errstate and result wrapping, which cost as much as
+# LAPACK itself on working sets of a few rows.  On non-convergence they
+# return NaN (with numpy's "invalid value" RuntimeWarning) instead of
+# raising, so their callers check the outputs
+from numpy.linalg._umath_linalg import eigh_lo, svd_f
 
 from .errors import SolverFailure, TimeLimit
 from .tolerances import (
@@ -152,10 +159,13 @@ class Multipliers:
 def _factor(K: np.ndarray):
     """(Z, P, Vr) from one SVD  K = U S V'  with the RANK_TOL rank rule: Z
     spans the null space of K, and  P @ (Vr @ g)  applies the truncated
-    pseudo-inverse of K' to g, which gives the least-squares multipliers."""
+    pseudo-inverse of K' to g, which gives the least-squares multipliers.
+    Raises SolverFailure when LAPACK does not converge."""
     if K.shape[0] == 0:
         return np.eye(K.shape[1]), np.zeros((0, 0)), np.zeros((0, K.shape[1]))
-    u, s, vt = np.linalg.svd(K, full_matrices=True)
+    u, s, vt = svd_f(K, signature="d->ddd")
+    if not s @ s < np.inf:
+        raise SolverFailure("the SVD of a working set did not converge")
     tol = max(K.shape) * (float(s[0]) if len(s) else 0.0) * RANK_TOL + RANK_TOL
     rank = int(np.count_nonzero(s > tol))
     return vt[rank:].T, u[:, :rank] / s[:rank], vt[:rank]
@@ -401,7 +411,9 @@ class _ActiveSet:
         if Z.shape[1] and np.count_nonzero(df):
             H = Z.T @ (df[:, None] * Z)
             # eigh of a 1 x 1 matrix returns exactly its entry and [[1.0]]
-            w, V = (H[0], np.ones((1, 1))) if len(H) == 1 else np.linalg.eigh(H)
+            w, V = (H[0], np.ones((1, 1))) if len(H) == 1 else eigh_lo(H, signature="d->dd")
+            if not w @ w < np.inf:
+                raise SolverFailure("the eigendecomposition of a reduced Hessian did not converge")
             scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
             k = int(np.count_nonzero(w < -CURV_TOL * scale))
             # V[:, :k] laid out as V[:, curved] is: column-major

@@ -16,7 +16,7 @@ from daclear.master import _with_cuts
 from daclear.model import build_model
 from daclear.pricing import solve_fixflow, solve_qpprice
 from daclear.qp import QpProblem, QpSolution, multipliers
-from daclear.tolerances import CURV_TOL, DUAL_TOL, INFEAS_TOL, MAX_MAGNITUDE, TIGHT_TOL
+from daclear.tolerances import CURV_TOL, DUAL_TOL, INFEAS_TOL, MAX_MAGNITUDE, RANK_TOL, TIGHT_TOL
 from daclear.verify import check_bid_prices
 
 
@@ -306,11 +306,16 @@ def appendix_a():
     )
 
 
+# per document of ``repeated_key_documents``, the key it repeats
+REPEATED_KEYS = {"top-level-blocks": "blocks", "curve-nodes": "nodes"}
+
+
 def repeated_key_documents():
     """{name: text} of the appendix A fixture file with one key repeated: a
     second top-level ``blocks``, empty, and a second ``nodes`` in its curve
-    entry.  A decoder that keeps each key's last value would read no block
-    from the first and the fixture's own curve from the second."""
+    entry (``REPEATED_KEYS``).  A decoder that keeps each key's last value
+    would read no block from the first and the fixture's own curve from the
+    second."""
     text = (Path(__file__).resolve().parent.parent / "fixtures" / "appendix_a.json").read_text()
     nodes = '"hour": 0, "nodes": '
     assert text.count(nodes) == 1 and text.rstrip().endswith("\n}")
@@ -941,13 +946,25 @@ def reference_fixflow_problem(instance, model, solution, duals):
     )
 
 
+def reference_factor(K):
+    """``qp._factor`` through numpy's public ``np.linalg.svd``, as it was
+    before it called LAPACK's gufunc directly: (Z, P, Vr)."""
+    if K.shape[0] == 0:
+        return np.eye(K.shape[1]), np.zeros((0, 0)), np.zeros((0, K.shape[1]))
+    u, s, vt = np.linalg.svd(K, full_matrices=True)
+    tol = max(K.shape) * (float(s[0]) if len(s) else 0.0) * RANK_TOL + RANK_TOL
+    rank = int(np.count_nonzero(s > tol))
+    return vt[rank:].T, u[:, :rank] / s[:rank], vt[:rank]
+
+
 def reference_factorize(solver, work, state):
     """``qp._ActiveSet._factorize`` as it was before its cache entries kept
-    the working matrix, computed afresh with no cache: (free, K, Z, P, Vr,
-    curv), free a column mask and curv (w, V, curved, divisor) or None."""
+    the working matrix, computed afresh with no cache and numpy's public
+    ``svd`` and ``eigh``: (free, K, Z, P, Vr, curv), free a column mask and
+    curv (w, V, curved, divisor) or None."""
     free = state == qp.FREE
     K = np.concatenate((solver.A, solver.G[work])) if work else solver.A
-    Z, P, Vr = qp._factor(K[:, free])
+    Z, P, Vr = reference_factor(K[:, free])
     curv = None
     df = solver.d[free]
     if Z.shape[1] and df.any():

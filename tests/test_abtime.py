@@ -24,8 +24,10 @@ def test_checkout_against_itself(capsys):
         # part of its total
         assert 0.0 < outside[0] <= base_ms and 0.0 < outside[1] <= head_ms
         assert 0.0 < outside[2] <= base_ms and 0.0 < outside[3] <= head_ms
-        # pricing's solve_qp calls per clear repeat exactly
+        # pricing's solve_qp calls and the factorizations per clear repeat
+        # exactly
         assert outside[4] == outside[5] >= 0
+        assert outside[6] == outside[7] > 0
     # day-book has flows to compare
     results = abtime.compare(ROOT, ROOT, "day-book", range(3000, 3001), ["exact"], repeat=1)
     assert results["exact"][3:7] == (0, 0.0, 0.0, 0.0)
@@ -37,6 +39,7 @@ def test_checkout_against_itself(capsys):
     assert lines[-2].split()[5:9] == ["base", "out", "head", "out"]
     assert lines[-2].split()[9:13] == ["base", "root", "head", "root"]
     assert lines[-2].split()[13:17] == ["base", "pqps", "head", "pqps"]
+    assert lines[-2].split()[17:21] == ["base", "fact", "head", "fact"]
     assert lines[-2].split()[-4:] == ["differ", "welfare", "price", "flow"]
     assert lines[-1].split()[0] == "exact"
     base_ms, head_ms, base_out, head_out = map(float, lines[-1].split()[1:5])
@@ -45,6 +48,8 @@ def test_checkout_against_itself(capsys):
     assert 0.0 < base_root <= base_ms and 0.0 < head_root <= head_ms
     base_priced, head_priced = map(float, lines[-1].split()[7:9])
     assert base_priced == head_priced >= 0.0
+    base_factored, head_factored = map(float, lines[-1].split()[9:11])
+    assert base_factored == head_factored > 0.0
     assert lines[-1].split()[-4:] == ["0", "0.0e+00", "0.0e+00", "0.0e+00"]
 
 
@@ -66,6 +71,14 @@ def test_qp_clock_roots_are_the_first_modules_solves_without_start():
     assert clock.total > 0.0 and clock.root == 0.0
     master.solve_qp(200000, x0=None, start=None)
     assert 0.0 < clock.root < clock.total
+
+
+def test_call_count_counts_the_wrapped_calls():
+    module = SimpleNamespace(_factor=lambda K: 2 * K)
+    factors = abtime.CallCount(module, "_factor")
+    assert factors.count == 0
+    assert module._factor(3) == 6 and module._factor(4) == 8
+    assert factors.count == 2
 
 
 def test_qp_clock_counts_each_modules_solves():

@@ -14,8 +14,8 @@ from daclear.errors import SolverFailure
 from daclear.io import dump_document, serialize_instance
 
 from helpers import (
-    appendix_a, bench_instance, bench_text, block, connector, f3, flexbid, make_instance,
-    mutated_document, random_instance, repeated_key_documents, rescaled,
+    REPEATED_KEYS, appendix_a, bench_instance, bench_text, block, connector, f3, flexbid,
+    make_instance, mutated_document, random_instance, repeated_key_documents, rescaled,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -426,7 +426,7 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert "repeated" in captured.err
+        assert f"a key is repeated within one object: '{REPEATED_KEYS[name]}'" in captured.err
 
     @pytest.mark.parametrize("option", ["--abs-gap", "--time-limit"])
     @pytest.mark.parametrize("value", ["inf", "nan", "-1", "x"])
@@ -553,6 +553,23 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 5
     assert "phase-1" in err
+
+
+def test_svd_non_convergence_exit_code(capsys, monkeypatch):
+    # LAPACK fails on NaN entries, as it may on a matrix it cannot
+    # decompose; np.linalg.svd would raise LinAlgError, which no exit code
+    # names
+    from daclear import qp
+
+    svd_f = qp.svd_f
+    monkeypatch.setattr(qp, "svd_f", lambda K, signature: svd_f(np.full_like(K, np.nan),
+                                                                signature=signature))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        code = run(["clear", "--instance", str(FIXTURE)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert "the SVD of a working set did not converge" in captured.err
 
 
 def test_python_m_daclear(capsys):

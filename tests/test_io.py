@@ -15,7 +15,9 @@ from daclear.tolerances import MAX_MAGNITUDE
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "appendix_a.json"
 
-from helpers import appendix_a, f2, f3, ramp_fixture, random_instance, repeated_key_documents
+from helpers import (
+    REPEATED_KEYS, appendix_a, f2, f3, ramp_fixture, random_instance, repeated_key_documents,
+)
 
 
 class TestParseInstance:
@@ -93,9 +95,11 @@ class TestParseInstance:
 
     @pytest.mark.parametrize("name", sorted(repeated_key_documents()))
     def test_repeated_key_is_rejected(self, name):
-        # as in a solution document: the decoder keeps no value of the two
-        with pytest.raises(SchemaError, match="repeated"):
+        # as in a solution document: the decoder keeps no value of the two,
+        # and the message names the key
+        with pytest.raises(SchemaError) as exc:
             parse_instance(repeated_key_documents()[name])
+        assert str(exc.value) == f"$: a key is repeated within one object: '{REPEATED_KEYS[name]}'"
 
     def test_no_areas_is_rejected(self):
         doc = json.loads(FIXTURE.read_text())

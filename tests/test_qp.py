@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from daclear import qp, tolerances
-from daclear.errors import TimeLimit
+from daclear.errors import SolverFailure, TimeLimit
 from daclear.qp import QpProblem, multipliers, solve_qp
 
-from helpers import bench_instance, check_kkt, kernel_reference_spy
+from helpers import bench_instance, check_kkt, kernel_reference_spy, reference_factor, same_bits
 
 
 def _prob(c, d, **kw):
@@ -396,8 +396,9 @@ class TestRankDeficientWorkingSets:
         assert sol.x == pytest.approx([0.5, 2.0], abs=1e-12)
         assert mult.nu_upper[1] == pytest.approx(1.0, abs=1e-12)
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
+        eigh_lo, eigh = qp.eigh_lo, np.linalg.eigh
+        monkeypatch.setattr(qp, "eigh_lo", lambda H, signature: calls.append(H.shape)
+                            or eigh_lo(H, signature=signature))
         # y rises to its bound with no decomposition; x is released (no free
         # column); x steps to 0.5 with its 1 x 1 reduced Hessian decomposed
         # in closed form, as eigh would, and the optimum check after that
@@ -421,6 +422,60 @@ class TestRankDeficientWorkingSets:
         sol = solve_qp(lp)
         assert sol.status == "optimal" and sol.iterations > 0
         assert calls == [] and all(entry[3] is None for entry in lp.factors.values())
+
+
+class TestLapack:
+    """``_factor`` and the reduced Hessian's decomposition call LAPACK's
+    gufuncs directly: the bits of numpy's public ``svd`` and ``eigh``, and
+    a typed failure where those raise LinAlgError."""
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(7)
+        random = [rng.standard_normal((m, n)) for m in range(1, 5) for n in range(1, 7)]
+        a, b = rng.standard_normal((2, 5))
+        # dependent rows: a repeated row and a combination of two
+        deficient = [np.array([a, a]), np.array([a, b, 2.0 * a - 3.0 * b]), np.zeros((2, 3))]
+        no_rows = [np.zeros((0, n)) for n in range(4)]
+        one_column = [rng.standard_normal((m, 1)) for m in range(1, 4)]
+        no_columns = [np.zeros((m, 0)) for m in range(1, 3)]
+        return random + deficient + no_rows + one_column + no_columns
+
+    def test_factor_has_the_bits_of_the_public_svd(self):
+        for K in self._matrices():
+            for got, want in zip(qp._factor(K), reference_factor(K)):
+                assert same_bits(got, want) and got.strides == want.strides, K.shape
+
+    def test_reduced_hessian_has_the_bits_of_the_public_eigh(self, monkeypatch):
+        calls = []
+        eigh_lo = qp.eigh_lo
+        monkeypatch.setattr(qp, "eigh_lo", lambda H, signature: calls.append(H)
+                            or eigh_lo(H, signature=signature))
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            solve_qp(_random_problem(rng, n=5))
+        assert len(calls) > 10
+        for H in calls:
+            for got, want in zip(eigh_lo(H, signature="d->dd"), np.linalg.eigh(H)):
+                assert same_bits(got, want)
+
+    def test_svd_non_convergence_is_a_solver_failure(self):
+        # LAPACK fails on NaN entries; np.linalg.svd would raise LinAlgError
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(SolverFailure, match="SVD"):
+                qp._factor(np.full((2, 3), np.nan))
+
+    def test_eigh_non_convergence_is_a_solver_failure(self):
+        # no working rows and two free columns whose curvature is NaN: the
+        # 2 x 2 reduced Hessian is all NaN.  LAPACK returns NaN eigenvalues
+        # for it without reporting a failure (as np.linalg.eigh does), and
+        # the output check makes that a failure too
+        nan = np.full(2, np.nan)
+        solver = qp._ActiveSet(np.zeros(2), nan, np.zeros((0, 2)), np.zeros(0),
+                               np.zeros((0, 2)), np.zeros(0), np.full(2, -1.0), np.ones(2))
+        with pytest.raises(SolverFailure, match="eigendecomposition"):
+            solver._factorize([], np.full(2, qp.FREE))
+        assert not solver.factors
 
 
 def _boxed_problems(seed, count=600):

@@ -15,8 +15,10 @@ side's ``solve_qp`` is wrapped where ``master`` and ``pricing`` call it and
 timed with ``time.process_time``, wrapper included) and of the CPU it
 spends in the master's root QP (the ``master.solve_qp`` calls without a
 parametric ``start``), the same median of the number of ``solve_qp`` calls
-pricing makes per clear (a count that repeats exactly from run to run),
-the median over instances of the HEAD/BASE ratio, the number of instances
+pricing makes per clear and of the number of working-set factorizations
+(``qp._factor`` calls) per clear, counts that repeat exactly from run to
+run, so that a kernel change can show equal work at lower cost, the
+median over instances of the HEAD/BASE ratio, the number of instances
 whose status or selection differ between the sides, and the largest
 relative welfare difference and the largest absolute price and flow
 differences between them, which round-off alone makes nonzero.
@@ -76,11 +78,26 @@ class QpClock:
         return timed
 
 
+class CallCount:
+    """The number of calls of ``module.name`` (``count``), which it wraps."""
+
+    def __init__(self, module, name):
+        self.count = 0
+        call = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            self.count += 1
+            return call(*args, **kwargs)
+
+        setattr(module, name, counted)
+
+
 def load_side(checkout: Path, name: str, tmp: Path):
     """``checkout``'s ``src/daclear``, copied to ``tmp/name`` and imported
     as the package ``name`` (``tmp`` must be on ``sys.path``), replacing
-    any earlier import under that name; (io, driver, clock) with a
-    ``QpClock`` on its ``master`` and ``pricing`` modules."""
+    any earlier import under that name; (io, driver, clock, factors) with a
+    ``QpClock`` on its ``master`` and ``pricing`` modules and a
+    ``CallCount`` of its ``qp._factor``."""
     shutil.copytree(
         Path(checkout) / "src" / "daclear", tmp / name,
         ignore=shutil.ignore_patterns("__pycache__"),
@@ -89,7 +106,9 @@ def load_side(checkout: Path, name: str, tmp: Path):
         del sys.modules[module]
     importlib.invalidate_caches()
     clock = QpClock(*(importlib.import_module(f"{name}.{m}") for m in ("master", "pricing")))
-    return importlib.import_module(f"{name}.io"), importlib.import_module(f"{name}.driver"), clock
+    factors = CallCount(importlib.import_module(f"{name}.qp"), "_factor")
+    return (importlib.import_module(f"{name}.io"), importlib.import_module(f"{name}.driver"),
+            clock, factors)
 
 
 def _clear(driver, mode, instance):
@@ -134,7 +153,7 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
     largest absolute price difference, largest absolute flow difference,
     base ms outside ``solve_qp``, head ms outside it, base ms in the
     master's root QP, head ms in it, base pricing ``solve_qp`` calls per
-    clear, head calls)."""
+    clear, head calls, base ``_factor`` calls per clear, head calls)."""
     sys.path.insert(0, str(ROOT / "bench"))
     import generate
 
@@ -148,22 +167,24 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
         texts = [generate.instance_text(family, seed) for seed in seeds]
         out = {}
         for mode in modes:
-            times, out_times, root_times, counts = ([], []), ([], []), ([], []), ([], [])
+            times, out_times, root_times, counts, factor_counts = (([], []) for _ in range(5))
             differ, welfare, price, flow = 0, 0.0, 0.0, 0.0
             for i, text in enumerate(texts):
-                instances = [io.parse_instance(text) for io, _, _ in sides]
+                instances = [io.parse_instance(text) for io, *_ in sides]
                 order = (0, 1) if i % 2 == 0 else (1, 0)
-                runs, outside, root, priced = ([], []), ([], []), ([], []), ([], [])
+                runs, outside, root, priced, factored = (([], []) for _ in range(5))
                 outcome, values = [None, None], [None, None]
                 for _ in range(repeat):
                     for side in order:
-                        _, driver, clock = sides[side]
+                        _, driver, clock, factors = sides[side]
                         in_qp, in_root, in_pricing = clock.total, clock.root, clock.calls[1]
+                        in_factor = factors.count
                         cpu, outcome[side], values[side] = _clear(driver, mode, instances[side])
                         runs[side].append(cpu)
                         outside[side].append(cpu - (clock.total - in_qp))
                         root[side].append(clock.root - in_root)
                         priced[side].append(clock.calls[1] - in_pricing)
+                        factored[side].append(factors.count - in_factor)
                 differ += outcome[0] != outcome[1]
                 (w0, p0, f0), (w1, p1, f1) = values
                 welfare = max(welfare, _relative(w0, w1))
@@ -174,6 +195,7 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                     out_times[side].append(statistics.median(outside[side]))
                     root_times[side].append(statistics.median(root[side]))
                     counts[side].append(statistics.median(priced[side]))
+                    factor_counts[side].append(statistics.median(factored[side]))
             ratios = [h / b for b, h in zip(*times) if b > 0.0]
             out[mode] = (
                 1e3 * statistics.median(times[0]),
@@ -189,6 +211,8 @@ def compare(base: Path, head: Path, family: str, seeds, modes=MODES, repeat: int
                 1e3 * statistics.median(root_times[1]),
                 statistics.median(counts[0]),
                 statistics.median(counts[1]),
+                statistics.median(factor_counts[0]),
+                statistics.median(factor_counts[1]),
             )
         return out
 
@@ -208,12 +232,15 @@ def main(argv=None) -> int:
     print(f"base {args.base.resolve()}\nhead {args.head.resolve()}")
     print(f"{'mode':10s} {'base ms':>9s} {'head ms':>9s} {'base out':>9s} {'head out':>9s}"
           f" {'base root':>9s} {'head root':>9s} {'base pqps':>9s} {'head pqps':>9s}"
+          f" {'base fact':>9s} {'head fact':>9s}"
           f" {'head/base':>9s} {'differ':>6s} {'welfare':>8s} {'price':>8s} {'flow':>8s}")
     results = compare(args.base, args.head, args.family, seeds, args.modes, args.repeat)
     for mode, (base_ms, head_ms, ratio, differ, welfare, price, flow, *qp_ms) in results.items():
-        base_out, head_out, base_root, head_root, base_priced, head_priced = qp_ms
+        (base_out, head_out, base_root, head_root,
+         base_priced, head_priced, base_factored, head_factored) = qp_ms
         print(f"{mode:10s} {base_ms:9.3f} {head_ms:9.3f} {base_out:9.3f} {head_out:9.3f}"
               f" {base_root:9.3f} {head_root:9.3f} {base_priced:9.2f} {head_priced:9.2f}"
+              f" {base_factored:9.2f} {head_factored:9.2f}"
               f" {ratio:9.3f} {differ:6d} {welfare:8.1e} {price:8.1e} {flow:8.1e}")
     return 0
 
