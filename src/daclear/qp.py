@@ -108,8 +108,8 @@ class QpProblem:
 
     @cached_property
     def factors(self) -> OrderedDict:
-        """The factorizations of working sets that solves of this problem
-        made (``_ActiveSet._factorize``), least recently used first.  An
+        """The ``_Factor``s of working sets that solves of this problem
+        built (``_ActiveSet._factorize``), least recently used first.  An
         entry depends only on the equality rows, the inequality rows it
         names and ``d``, so a problem that appends inequality rows to these
         may take this cache over; one whose rows differ must not."""
@@ -157,10 +157,10 @@ class Multipliers:
 
 
 def _factor(K: np.ndarray):
-    """(Z, P, Vr) from one SVD  K = U S V'  with the RANK_TOL rank rule: Z
-    spans the null space of K, and  P @ (Vr @ g)  applies the truncated
-    pseudo-inverse of K' to g, which gives the least-squares multipliers.
-    Raises SolverFailure when LAPACK does not converge."""
+    """``_Factor``'s SVD: (Z, P, Vr) from  K = U S V'  with the RANK_TOL
+    rank rule: Z spans the null space of K, and  P @ (Vr @ g)  applies the
+    truncated pseudo-inverse of K' to g, which gives the least-squares
+    multipliers.  Raises SolverFailure when LAPACK does not converge."""
     if K.shape[0] == 0:
         return np.eye(K.shape[1]), np.zeros((0, 0)), np.zeros((0, K.shape[1]))
     u, s, vt = svd_f(K, signature="d->ddd")
@@ -169,6 +169,59 @@ def _factor(K: np.ndarray):
     tol = max(K.shape) * (float(s[0]) if len(s) else 0.0) * RANK_TOL + RANK_TOL
     rank = int(np.count_nonzero(s > tol))
     return vt[rank:].T, u[:, :rank] / s[:rank], vt[:rank]
+
+
+class _Factor:
+    """The factorization of one working set's working matrix K, built from
+    the free columns' indices ``free`` and the quadratic diagonal d.
+
+    It holds ``free``, ``Z``, an orthonormal basis of the null space of
+    K's free columns, their ``rank`` and, when the free columns curve,
+    ``curv`` = (w, V, Vc, wc): the eigendecomposition of the reduced
+    Hessian  Z'DZ,  whose ascending eigenvalues put the curved ones (below
+    -CURV_TOL times the largest |w| or 1) first, and their columns of V
+    and entries of w; otherwise None.  Its arrays are read-only.  It
+    answers the kernel's least-squares questions (``lstsq``,
+    ``least_norm``, ``dependent``) from one SVD (``_factor``), whose parts
+    no other code reads.  Raises SolverFailure when LAPACK does not
+    converge."""
+
+    __slots__ = ("free", "Z", "rank", "curv", "_P", "_Vr")
+
+    def __init__(self, K, free, d):
+        Z, self._P, self._Vr = _factor(K.take(free, axis=1))
+        self.free, self.Z, self.rank, self.curv = free, Z, len(self._Vr), None
+        df = d.take(free)
+        if Z.shape[1] and np.count_nonzero(df):
+            H = Z.T @ (df[:, None] * Z)
+            # eigh of a 1 x 1 matrix returns exactly its entry and [[1.0]]
+            w, V = (H[0], np.ones((1, 1))) if len(H) == 1 else eigh_lo(H, signature="d->dd")
+            if not w @ w < np.inf:
+                raise SolverFailure("the eigendecomposition of a reduced Hessian did not converge")
+            scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
+            k = int(np.count_nonzero(w < -CURV_TOL * scale))
+            # V[:, :k] laid out as V[:, curved] is: column-major
+            self.curv = (w, V, V[:, :k].copy(order="F"), w[:k])
+        for a in (Z, self._P, self._Vr, free, *(self.curv or ())):
+            a.setflags(write=False)
+
+    def lstsq(self, g):
+        """The least-squares working-row multipliers of the gradient g (n
+        entries, or n x k for k gradients), minimum-norm when the working
+        rows are dependent on the free columns."""
+        return self._P @ (self._Vr @ g.take(self.free, axis=0))
+
+    def least_norm(self, r):
+        """The least-norm step of the free columns that changes the working
+        rows' activities by r, for r in the range of K's free columns."""
+        return self._Vr.T @ (self._P.T @ r)
+
+    def dependent(self, a):
+        """True when the constraint with normal a is a combination of the
+        working constraints: no part of it, beyond round-off, lies in their
+        null space."""
+        za = self.Z.T @ a.take(self.free)
+        return sqrt(za @ za) <= FEAS_TOL * max(1.0, sqrt(a @ a))
 
 
 # column states: bounds stay bounds, never rows of the working matrix
@@ -216,13 +269,13 @@ class _ActiveSet:
             # one factorization serves the step and the multipliers; an
             # unblocked step keeps the working set, so the next iteration
             # finds it in the cache
-            free, K, Z, P, Vr, curv = self._factorize(work, state)
+            K, factor = self._factorize(work, state)
+            free, Z, curv = factor.free, factor.Z, factor.curv
             g = c + d * x
-            gf = g.take(free)
             p = None  # the Newton step, when the free columns curve
             ascent = None  # flat null-space direction along which g ascends
             if Z.shape[1]:
-                gz = Z.T @ gf
+                gz = Z.T @ g.take(free)
                 if curv is not None:
                     # Newton step along the curved directions (the leading
                     # ones), ascent along the flat ones, if any
@@ -255,7 +308,7 @@ class _ActiveSet:
             if p is None or sqrt(p @ p) <= STEP_TOL * max(1.0, sqrt(x @ x)):
                 # working-row multipliers, then the bound multipliers: the
                 # reduced gradient signed by side, in ``_signed_duals``' order
-                lam = P @ (Vr @ gf)
+                lam = factor.lstsq(g)
                 r = g - K.T @ lam
                 duals = np.concatenate((lam[m:], _SIDE[state] * r))
                 wrong = duals < -DUAL_TOL
@@ -285,7 +338,7 @@ class _ActiveSet:
         and Diehl, 2014).  On each segment the free columns keep the
         working rows tight and the gradient in the range of their rows,
         with no component along flat directions, and the multipliers follow
-        by least squares, all from one ``_factor``.  A segment ends at the
+        by least squares, all from the segment's one ``_Factor``.  A segment ends at the
         first breakpoint: a working row or bound whose multiplier reaches
         the wrong sign leaves the working set (working rows by position,
         then bounds by column, on ties), or else a constraint that becomes
@@ -312,31 +365,30 @@ class _ActiveSet:
                 return None
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeLimit("QP solve passed its deadline")
-            free, K, Z, P, Vr, curv = self._factorize(work, state)
-            if len(Vr) < len(K):
+            K, factor = self._factorize(work, state)
+            if factor.rank < len(K):
                 # the working rows need a moving column: it enters as a
                 # bound pushing it toward its value, in place of another
                 if not entering:
                     return None
                 j = entering.pop(0)
                 state[j] = FREE
-                free, K, Z, P, Vr, _ = self._factorize(work, state)
+                K, factor = self._factorize(work, state)
                 a = np.zeros(n)
                 a[j] = -1.0 if lb[j] > x[j] else 1.0
-                dropped = self._dependent(a, free, Z) and self._exchange(
-                    a, x, work, state, free, K, P, Vr
-                )
+                dropped = factor.dependent(a) and self._exchange(a, x, work, state, K, factor)
                 state[j] = PINNED
                 if not dropped:
                     return None
                 steps += 1
                 continue
             entering = []
+            free, Z, curv = factor.free, factor.Z, factor.curv
             # per unit of the segment: the moving columns' remaining way,
             # and the free columns' least-norm answer plus the curved
             # null-space part that keeps them stationary
             dx = np.where(move, lb - x, 0.0)
-            dxf = -(Vr.T @ (P.T @ (K @ dx)))
+            dxf = -factor.least_norm(K @ dx)
             if curv is not None:
                 Vc, wc = curv[2:]
                 gv = Vc.T @ (Z.T @ (d.take(free) * dxf))
@@ -348,7 +400,7 @@ class _ActiveSet:
             dx[size <= TIE_TOL * size[size.argmax()]] = 0.0
             grads = np.empty((n, 2))  # np.column_stack's layout
             grads[:, 0], grads[:, 1] = c + d * x, d * dx
-            duals = self._signed_duals(state, free, K, P, Vr, grads)
+            duals = self._signed_duals(state, K, factor, grads)
             # a constraint that becomes tight at the end, up to round-off,
             # still joins, as it would on a vertex-to-vertex path
             dx_free = np.zeros(n)
@@ -371,7 +423,7 @@ class _ActiveSet:
                 else:
                     a = np.zeros(n)
                     a[(block - nh) % n] = 1.0 if block < nh + n else -1.0
-                dependent = self._dependent(a, free, Z)
+                dependent = factor.dependent(a)
             if block is None or (end and dependent):
                 # at the end, a constraint the working set implies may stay
                 # out; a bound it reaches still takes its value exactly
@@ -379,7 +431,7 @@ class _ActiveSet:
                     j = (block - nh) % n
                     x[j] = (self.ub if block < nh + n else lb)[j]
                 return x, steps
-            if dependent and not self._exchange(a, x, work, state, free, K, P, Vr):
+            if dependent and not self._exchange(a, x, work, state, K, factor):
                 return None
             x = self._step(x, 0.0, dx, block, work, state)
             steps += 1
@@ -387,67 +439,38 @@ class _ActiveSet:
                 return x, steps
 
     def _factorize(self, work, state):
-        """(free, K, Z, P, Vr, curv) of the working rows and column states:
-        the free columns' indices, the working matrix, ``_factor`` of its
-        free part and, when the free columns curve, (w, V, Vc, wc): the
-        eigendecomposition of the reduced Hessian  Z'DZ, whose ascending
-        eigenvalues put the curved ones (below -CURV_TOL times the largest
-        |w| or 1) first, and their columns of V and entries of w.  An entry
-        of ``self.factors``, keyed by the working rows and free columns,
-        holds (Z, P, Vr, curv, free), read-only, and not K, which outweighs
-        them at a few hundred columns: a hit returns what a miss stored."""
+        """(K, factor): the working matrix of the working rows and the
+        ``_Factor`` of its free columns.  ``self.factors`` keeps the
+        factors, keyed by the working rows and free columns, and not K,
+        which outweighs them at a few hundred columns: a hit returns the
+        factor a miss built."""
         mask = state == FREE
         key = (tuple(work), mask.tobytes())
         K = np.concatenate((self.A, self.G.take(work, axis=0))) if work else self.A
-        entry = self.factors.get(key)
-        if entry is not None:
+        factor = self.factors.get(key)
+        if factor is not None:
             self.factors.move_to_end(key)
-            Z, P, Vr, curv, free = entry
-            return free, K, Z, P, Vr, curv
-        free = mask.nonzero()[0]
-        Z, P, Vr = _factor(K.take(free, axis=1))
-        curv = None
-        df = self.d.take(free)
-        if Z.shape[1] and np.count_nonzero(df):
-            H = Z.T @ (df[:, None] * Z)
-            # eigh of a 1 x 1 matrix returns exactly its entry and [[1.0]]
-            w, V = (H[0], np.ones((1, 1))) if len(H) == 1 else eigh_lo(H, signature="d->dd")
-            if not w @ w < np.inf:
-                raise SolverFailure("the eigendecomposition of a reduced Hessian did not converge")
-            scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
-            k = int(np.count_nonzero(w < -CURV_TOL * scale))
-            # V[:, :k] laid out as V[:, curved] is: column-major
-            curv = (w, V, V[:, :k].copy(order="F"), w[:k])
-        for a in (Z, P, Vr, free, *(curv or ())):
-            a.setflags(write=False)
-        self.factors[key] = (Z, P, Vr, curv, free)
+            return K, factor
+        factor = self.factors[key] = _Factor(K, mask.nonzero()[0], self.d)
         if len(self.factors) > FACTOR_CACHE_SIZE:
             self.factors.popitem(last=False)
-        return free, K, Z, P, Vr, curv
+        return K, factor
 
-    def _signed_duals(self, state, free, K, P, Vr, grads):
+    def _signed_duals(self, state, K, factor, grads):
         """Per column of ``grads`` (n x k): the least-squares multipliers of
         the working rows on the free columns, then one bound multiplier per
         column from the reduced gradient, signed so that each is
         nonnegative at an optimum (zero for free and pinned columns)."""
-        lam = P @ (Vr @ grads.take(free, axis=0))
+        lam = factor.lstsq(grads)
         return np.concatenate((lam[len(self.b):], _SIDE[state][:, None] * (grads - K.T @ lam)))
 
-    @staticmethod
-    def _dependent(a, free, Z):
-        """True when the constraint with normal a is a combination of the
-        working constraints: no part of it, beyond round-off, lies in their
-        null space."""
-        za = Z.T @ a.take(free)
-        return sqrt(za @ za) <= FEAS_TOL * max(1.0, sqrt(a @ a))
-
-    def _exchange(self, a, x, work, state, free, K, P, Vr):
+    def _exchange(self, a, x, work, state, K, factor):
         """Make room at x for the constraint with normal a, a combination of
         the working constraints: as its multiplier grows, theirs fall by
         their coefficients in a, and the first to reach zero leaves (lowest
         number on ties).  False when none falls."""
         grads = np.column_stack((self.c + self.d * x, a))
-        duals = self._signed_duals(state, free, K, P, Vr, grads)
+        duals = self._signed_duals(state, K, factor, grads)
         _, k = _first_zero(duals[:, 0], duals[:, 1])
         if k is None:
             return False

@@ -1005,19 +1005,31 @@ def same_bits(a, b) -> bool:
 def kernel_reference_spy(monkeypatch):
     """Compare every ``_factorize`` and ``_ratio`` call of the active-set
     kernel, bit for bit, with ``reference_factorize`` and
-    ``reference_ratio``; returns the counts of calls compared,
-    {"factorize": n, "ratio": n, "curved": n}.  A mismatch fails at once."""
+    ``reference_ratio``: of a factorization, the working matrix, the
+    factor's ``free``, ``Z``, ``rank`` and ``curv``, and its ``lstsq`` and
+    ``least_norm`` answers for random gradients and row changes against
+    the reference's  P @ (Vr @ g[free])  and  Vr' @ (P' @ r).  Returns the
+    counts of calls compared, {"factorize": n, "ratio": n, "curved": n}.
+    A mismatch fails at once."""
     counts = {"factorize": 0, "ratio": 0, "curved": 0}
     factorize, ratio = qp._ActiveSet._factorize, qp._ActiveSet._ratio
     last = {}
+    rng = np.random.default_rng(0)
 
     def factorize_spy(self, work, state):
         out = factorize(self, work, state)
-        free, K, Z, P, Vr, curv = out
+        K, factor = out
+        free, Z, curv = factor.free, factor.Z, factor.curv
         ref_free, ref_K, ref_Z, ref_P, ref_Vr, ref_curv = reference_factorize(self, work, state)
         assert np.array_equal(free, ref_free.nonzero()[0])
-        for a, b in ((K, ref_K), (Z, ref_Z), (P, ref_P), (Vr, ref_Vr)):
+        for a, b in ((K, ref_K), (Z, ref_Z)):
             assert same_bits(a, b) and a.strides == b.strides
+        assert factor.rank == len(ref_Vr)
+        # one gradient and two stacked as columns, as ``_signed_duals`` asks
+        for g in (rng.standard_normal(self.n), rng.standard_normal((self.n, 2))):
+            assert same_bits(factor.lstsq(g), ref_P @ (ref_Vr @ g[ref_free]))
+        r = rng.standard_normal(len(K))
+        assert same_bits(factor.least_norm(r), ref_Vr.T @ (ref_P.T @ r))
         assert (curv is None) == (ref_curv is None)
         if curv is not None:
             w, V, Vc, wc = curv

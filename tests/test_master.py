@@ -586,12 +586,20 @@ class TestFactorCache:
         assert probs[0].factors is not probs[1].factors
         for prob in probs:
             assert qp.solve_qp(prob, x0=balanced_start(model, prob)).status == "optimal"
+        rng = np.random.default_rng(5)
         for prob in probs:
             assert any(k in rows for rows, _ in prob.factors)
             for (rows, free), cached in prob.factors.items():
                 K = np.concatenate((prob.A_eq, prob.A_in[list(rows)]))
-                fresh = qp._factor(K[:, np.frombuffer(free, dtype=bool)])
-                assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+                fresh = qp._Factor(K, np.frombuffer(free, dtype=bool).nonzero()[0], prob.d)
+                g, r = rng.standard_normal(prob.n), rng.standard_normal(len(K))
+                assert cached.rank == fresh.rank
+                assert (cached.curv is None) == (fresh.curv is None)
+                pairs = [(cached.free, fresh.free), (cached.Z, fresh.Z),
+                         (cached.lstsq(g), fresh.lstsq(g)),
+                         (cached.least_norm(r), fresh.least_norm(r)),
+                         *zip(cached.curv or (), fresh.curv or ())]
+                assert all(np.array_equal(a, b) for a, b in pairs)
 
     def test_cut_problems_take_over_the_cache(self, monkeypatch):
         # each problem the master builds under new cuts starts from the

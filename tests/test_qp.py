@@ -127,9 +127,8 @@ class TestKkt:
             work, state = list(sol.working.rows), sol.working.state
             free = state == qp.FREE
             K = np.concatenate((prob.A_eq, prob.A_in[work]))
-            _, P, Vr = qp._factor(K[:, free])
             g = prob.c + prob.d * sol.x
-            lam = P @ (Vr @ g[free])
+            lam = qp._Factor(K, free.nonzero()[0], prob.d).lstsq(g)
             m = len(prob.b_eq)
             mu_in = np.zeros(len(prob.b_in))
             mu_in[work] = np.maximum(lam[m:], 0.0)
@@ -406,7 +405,7 @@ class TestRankDeficientWorkingSets:
         # starts with an empty factor cache, which the solves above filled
         fresh = replace(prob)
         assert solve_qp(fresh, x0=x0).iterations == 3
-        curv = [entry[3] for entry in fresh.factors.values()]
+        curv = [factor.curv for factor in fresh.factors.values()]
         assert curv[:2] == [None, None] and len(curv) == 3
         w, V, Vc, wc = curv[2]
         assert (w.tolist(), V.tolist(), Vc.tolist(), wc.tolist()) == (
@@ -421,7 +420,7 @@ class TestRankDeficientWorkingSets:
                    lb=np.zeros(2), ub=np.ones(2))
         sol = solve_qp(lp)
         assert sol.status == "optimal" and sol.iterations > 0
-        assert calls == [] and all(entry[3] is None for entry in lp.factors.values())
+        assert calls == [] and all(factor.curv is None for factor in lp.factors.values())
 
 
 class TestLapack:
@@ -476,6 +475,84 @@ class TestLapack:
         with pytest.raises(SolverFailure, match="eigendecomposition"):
             solver._factorize([], np.full(2, qp.FREE))
         assert not solver.factors
+
+
+class TestFactor:
+    """What any factorization of a working set must answer, whatever its
+    route: a null-space basis and the rank, least-squares multipliers, a
+    least-norm step, a dependence test and the reduced Hessian's curved
+    directions, on random, rank-deficient, 0-row and 0-free-column
+    working matrices."""
+
+    @staticmethod
+    def _cases():
+        """(K, free, d) triples; d is zero on some columns."""
+        rng = np.random.default_rng(12)
+
+        def d(n):
+            return np.where(rng.random(n) < 0.7, -rng.random(n) - 0.1, 0.0)
+
+        a, b = rng.standard_normal((2, 5))
+        cases = []
+        for m in range(1, 5):
+            for n in range(1, 8):
+                K = rng.standard_normal((m, n))
+                cases.append((K, np.arange(n), d(n)))
+                # the same rows with a random half of the columns free
+                cases.append((K, np.sort(rng.permutation(n)[:(n + 1) // 2]), d(n)))
+        for K in (np.array([a, a]), np.array([a, b, 2.0 * a - 3.0 * b]), np.zeros((2, 5))):
+            cases.append((K, np.arange(5), d(5)))
+            cases.append((K, np.array([0, 2, 3]), d(5)))
+        cases += [(np.zeros((0, n)), np.arange(n), d(n)) for n in range(1, 5)]
+        cases += [(rng.standard_normal((m, 3)), np.zeros(0, dtype=int), d(3)) for m in (0, 2)]
+        # no curvature at all: every free direction is flat
+        cases.append((rng.standard_normal((1, 4)), np.arange(4), np.zeros(4)))
+        return cases
+
+    def test_answers(self):
+        rng = np.random.default_rng(13)
+        deficient = full = 0
+        for K, free, d in self._cases():
+            factor = qp._Factor(K, free, d)
+            m, n = K.shape
+            Kf, Z = K[:, free], factor.Z
+            rank = int(np.linalg.matrix_rank(Kf))
+            assert np.array_equal(factor.free, free)
+            assert factor.rank == rank and rank + Z.shape[1] == len(free)
+            assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max(initial=0.0) <= 1e-12
+            assert np.abs(Kf @ Z).max(initial=0.0) <= 1e-12
+            if rank == m:
+                full += 1
+                for g in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+                    ref = np.linalg.lstsq(Kf.T, g[free], rcond=None)[0]
+                    assert ref.shape == factor.lstsq(g).shape
+                    assert np.abs(factor.lstsq(g) - ref).max(initial=0.0) <= 1e-10
+            else:
+                deficient += 1
+            # a step that meets row changes in the range of K's free part,
+            # with no part in the null space: the least-norm one
+            r = Kf @ rng.standard_normal(len(free))
+            step = factor.least_norm(r)
+            assert step.shape == (len(free),)
+            assert np.abs(Kf @ step - r).max(initial=0.0) <= 1e-10
+            assert np.abs(Z.T @ step).max(initial=0.0) <= 1e-10
+            assert factor.dependent(K.T @ rng.standard_normal(m))
+            # a generic normal depends on the rows only when no free
+            # direction is left
+            assert factor.dependent(rng.standard_normal(n)) == (Z.shape[1] == 0)
+            df = d[free]
+            assert (factor.curv is None) == (Z.shape[1] == 0 or not df.any())
+            if factor.curv is not None:
+                # the curved directions, in the columns' space, are
+                # orthonormal and diagonalize D with the curved eigenvalues,
+                # one per negative eigenvalue of the reduced Hessian
+                _, _, Vc, wc = factor.curv
+                C = Z @ Vc
+                assert np.abs(C.T @ C - np.eye(len(wc))).max(initial=0.0) <= 1e-12
+                assert np.abs(C.T @ (df[:, None] * C) - np.diag(wc)).max(initial=0.0) <= 1e-12
+                H = Z.T @ (df[:, None] * Z)
+                assert len(wc) == np.count_nonzero(np.linalg.eigvalsh(H) < -1e-9)
+        assert full > 30 and deficient > 5
 
 
 def _boxed_problems(seed, count=600):
@@ -667,8 +744,11 @@ class TestFactorCache:
         solve_qp(prob)
         entries = list(prob.factors.values())
         assert entries
-        for Z, P, Vr, curv, free in entries:
-            arrays = [Z, P, Vr, free] + ([] if curv is None else list(curv))
+        for factor in entries:
+            # every array the factor holds, whatever its route names them
+            fields = [getattr(factor, name) for name in qp._Factor.__slots__]
+            arrays = [a for a in fields if isinstance(a, np.ndarray)] + list(factor.curv or ())
+            assert len(arrays) > 2
             for a in arrays:
                 with pytest.raises(ValueError):
                     a[...] = 0.0
@@ -891,8 +971,8 @@ def _spy_releases(monkeypatch, prob):
 
     def release_spy(k, work, state):
         # with d = 0 the gradient is c wherever the iterate is
-        free, K, _, P, Vr, _ = solver._factorize(work, state)
-        duals = solver._signed_duals(state, free, K, P, Vr, prob.c[:, None])[:, 0]
+        K, factor = solver._factorize(work, state)
+        duals = solver._signed_duals(state, K, factor, prob.c[:, None])[:, 0]
         events.append(("release", k, duals))
         release(k, work, state)
 
