@@ -338,11 +338,11 @@ class _ActiveSet:
         and Diehl, 2014).  On each segment the free columns keep the
         working rows tight and the gradient in the range of their rows,
         with no component along flat directions, and the multipliers follow
-        by least squares, all from the segment's one ``_Factor``.  A segment ends at the
-        first breakpoint: a working row or bound whose multiplier reaches
-        the wrong sign leaves the working set (working rows by position,
-        then bounds by column, on ties), or else a constraint that becomes
-        tight joins it (``_ratio``'s order).  A joining constraint that
+        by least squares, all from the segment's one ``_Factor``.  A segment
+        ends at the first breakpoint: a working row or bound whose
+        multiplier reaches the wrong sign leaves the working set (working
+        rows by position, then bounds by column, on ties), or else a
+        constraint that becomes tight joins it (``_ratio``'s order).  A joining constraint that
         depends on the working set takes the place of the one whose
         multiplier reaches zero first as its own grows (``_exchange``); so
         does a moving column that the working rows need, as it starts to
