@@ -66,16 +66,7 @@ def _result_doc(instance: Instance, result: ClearingResult) -> dict:
         **scores,
         prbs=[list(p) for p in result.prbs],
         warnings=list(result.warnings),
-        iterations=[
-            {
-                "master_objective": rec.master_objective,
-                "loss_blocks": list(rec.loss_blocks),
-                "loss_flex": [list(x) for x in rec.loss_flex],
-                "curtailment_areas": [list(x) for x in rec.curtailment_areas],
-                "cuts_added": rec.cuts_added,
-            }
-            for rec in result.iterations
-        ],
+        iterations=[io.record_doc(rec) for rec in result.iterations],
     )
     if result.solution is None:
         return {"selection": None, "delta": None, "flows": None, "prices": None, **fields}
@@ -188,10 +179,7 @@ def _check_ids(instance: Instance, selection, flows, prices) -> None:
 def _report_doc(report) -> dict:
     return {
         "pass": report.passed,
-        "violations": [
-            {"location": list(v.location), "amount": v.amount, "condition": v.condition}
-            for v in report.violations
-        ],
+        "violations": [io.record_doc(v) for v in report.violations],
     }
 
 

@@ -155,12 +155,6 @@ class BidSelection:
         keys += [("flex", f, t) for f, t in self.flex.items() if t is not None]
         return sorted(keys)
 
-    def link_consistent(self, links: Sequence[tuple[str, str]]) -> bool:
-        return all(
-            self.blocks.get(child, 0) <= self.blocks.get(parent, 0)
-            for child, parent in links
-        )
-
 
 @dataclass(frozen=True)
 class PrimalSolution:

@@ -33,10 +33,6 @@ class ClearingViolated(ModelError):
     """The clearing balance (executed net demand vs. net import) does not hold."""
 
 
-class InfeasibleSelection(ModelError):
-    """The fixed combinatorial volume cannot be cleared within curve and flow bounds."""
-
-
 class PriceInfeasible(ModelError):
     """No loss-free linear price supports the given execution."""
 

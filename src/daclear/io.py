@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from math import inf
 from typing import Any, Optional
@@ -70,10 +71,45 @@ def _get(obj, key, kind, path, default=_SENTINEL):
     return val
 
 
-def _interval(obj, path) -> PriceInterval:
-    return PriceInterval(
-        lower=_get(obj, "lower", float, path), upper=_get(obj, "upper", float, path)
-    )
+def _real_or_null(obj, key, path) -> Optional[float]:
+    if _get(obj, key, object, path, default=None) is None:
+        return None
+    return _get(obj, key, float, path)
+
+
+def _real_or_zero(obj, key, path) -> float:
+    return _get(obj, key, float, path, default=0.0)
+
+
+# Each instance record's document fields, in the order they are read (an
+# interconnector's ramp rate first), and the reader of each: a kind that
+# ``_get`` checks, or a function of (object, key, path).
+_FIELDS = {
+    PriceInterval: {"lower": float, "upper": float},
+    BlockBid: {"id": str, "area": str, "limit_price": float, "quantities": _numbers},
+    FlexBid: {"id": str, "area": str, "limit_price": float, "quantity": float},
+    Interconnector: {"ramp_rate": _real_or_null, "id": str, "source": str, "sink": str,
+                     "lower": _numbers, "upper": _numbers, "initial_flow": _real_or_zero},
+}
+
+
+def _record(cls, obj, path):
+    """The ``cls`` record that the document object ``obj`` at ``path`` holds."""
+    values = {}
+    for key, read in _FIELDS[cls].items():
+        values[key] = _get(obj, key, read, path) if isinstance(read, type) else read(obj, key, path)
+    return cls(**values)
+
+
+def _records(cls, doc, key) -> tuple:
+    """The ``cls`` records of the document's optional list ``key``."""
+    entries = _get(doc, key, list, "$", default=[])
+    return tuple([_record(cls, entry, f"$.{key}[{i}]") for i, entry in enumerate(entries)])
+
+
+def record_doc(record) -> dict:
+    """A dataclass record's fields by name, as its document writes them."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _nodes(raw, path):
@@ -111,7 +147,7 @@ def _distinct_keys(pairs) -> dict:
 
 def parse_instance(text: str) -> Instance:
     doc = _load(text)
-    interval = _interval(_get(doc, "price_interval", dict, "$"), "$.price_interval")
+    interval = _record(PriceInterval, _get(doc, "price_interval", dict, "$"), "$.price_interval")
     hours = _get(doc, "hours", int, "$")
     if hours <= 0:
         raise SchemaError("$.hours", "must be positive")
@@ -124,7 +160,7 @@ def parse_instance(text: str) -> Instance:
         areas.append(aid)
         sub = _get(entry, "price_interval", dict, path, default=None)
         if sub is not None:
-            area_intervals[aid] = _interval(sub, f"{path}.price_interval")
+            area_intervals[aid] = _record(PriceInterval, sub, f"{path}.price_interval")
     if not areas:
         raise SchemaError("$.areas", "must name at least one area")
 
@@ -161,17 +197,7 @@ def parse_instance(text: str) -> Instance:
             curves[a, t] = curve
             raw_nodes[a, t] = nodes
 
-    blocks = []
-    for i, entry in enumerate(_get(doc, "blocks", list, "$", default=[])):
-        path = f"$.blocks[{i}]"
-        blocks.append(
-            BlockBid(
-                id=_get(entry, "id", str, path),
-                area=_get(entry, "area", str, path),
-                limit_price=_get(entry, "limit_price", float, path),
-                quantities=_numbers(entry, "quantities", path),
-            )
-        )
+    blocks = _records(BlockBid, doc, "blocks")
     links = []
     for i, entry in enumerate(_get(doc, "links", list, "$", default=[])):
         path = f"$.links[{i}]"
@@ -182,34 +208,6 @@ def parse_instance(text: str) -> Instance:
         ):
             raise SchemaError(path, "expected a [child, parent] pair of block ids")
         links.append(tuple(entry))
-    flex = []
-    for i, entry in enumerate(_get(doc, "flex", list, "$", default=[])):
-        path = f"$.flex[{i}]"
-        flex.append(
-            FlexBid(
-                id=_get(entry, "id", str, path),
-                area=_get(entry, "area", str, path),
-                limit_price=_get(entry, "limit_price", float, path),
-                quantity=_get(entry, "quantity", float, path),
-            )
-        )
-    conns = []
-    for i, entry in enumerate(_get(doc, "interconnectors", list, "$", default=[])):
-        path = f"$.interconnectors[{i}]"
-        ramp = entry.get("ramp_rate") if isinstance(entry, dict) else None
-        if ramp is not None:
-            ramp = _get(entry, "ramp_rate", float, path)
-        conns.append(
-            Interconnector(
-                id=_get(entry, "id", str, path),
-                source=_get(entry, "source", str, path),
-                sink=_get(entry, "sink", str, path),
-                lower=_numbers(entry, "lower", path),
-                upper=_numbers(entry, "upper", path),
-                ramp_rate=ramp,
-                initial_flow=_get(entry, "initial_flow", float, path, default=0.0),
-            )
-        )
 
     instance = Instance(
         interval=interval,
@@ -217,10 +215,10 @@ def parse_instance(text: str) -> Instance:
         areas=tuple(areas),
         area_intervals=area_intervals,
         curves=curves,
-        blocks=tuple(blocks),
+        blocks=blocks,
         links=tuple(links),
-        flex_bids=tuple(flex),
-        interconnectors=tuple(conns),
+        flex_bids=_records(FlexBid, doc, "flex"),
+        interconnectors=_records(Interconnector, doc, "interconnectors"),
         raw_nodes=raw_nodes,
     )
     instance.validate()
@@ -276,21 +274,13 @@ def _write(value: Any, parts: list, newline: str) -> None:
 
 def serialize_instance(instance: Instance) -> str:
     doc = {
-        "price_interval": {
-            "lower": instance.interval.lower,
-            "upper": instance.interval.upper,
-        },
+        "price_interval": record_doc(instance.interval),
         "hours": instance.hours,
         "areas": [
             {
                 "id": a,
                 **(
-                    {
-                        "price_interval": {
-                            "lower": instance.area_intervals[a].lower,
-                            "upper": instance.area_intervals[a].upper,
-                        }
-                    }
+                    {"price_interval": record_doc(instance.area_intervals[a])}
                     if a in instance.area_intervals
                     else {}
                 ),
@@ -313,37 +303,10 @@ def serialize_instance(instance: Instance) -> str:
             for a in instance.areas
             for t in range(instance.hours)
         ],
-        "blocks": [
-            {
-                "id": b.id,
-                "area": b.area,
-                "limit_price": b.limit_price,
-                "quantities": list(b.quantities),
-            }
-            for b in instance.blocks
-        ],
+        "blocks": [record_doc(b) for b in instance.blocks],
         "links": [list(pair) for pair in instance.links],
-        "flex": [
-            {
-                "id": f.id,
-                "area": f.area,
-                "limit_price": f.limit_price,
-                "quantity": f.quantity,
-            }
-            for f in instance.flex_bids
-        ],
-        "interconnectors": [
-            {
-                "id": c.id,
-                "source": c.source,
-                "sink": c.sink,
-                "lower": list(c.lower),
-                "upper": list(c.upper),
-                "ramp_rate": c.ramp_rate,
-                "initial_flow": c.initial_flow,
-            }
-            for c in instance.interconnectors
-        ],
+        "flex": [record_doc(f) for f in instance.flex_bids],
+        "interconnectors": [record_doc(c) for c in instance.interconnectors],
     }
     return _dump(doc)
 

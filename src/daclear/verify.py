@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import BidSelection, Instance, PriceVector, bid_surplus
 from .driver import _check_leaf, _finish
-from .errors import InfeasibleSelection, PriceInfeasible, TooLarge
+from .errors import PriceInfeasible, TooLarge
 from .model import ClearingModel, build_model
 from .qp import QpProblem, solve_qp
 from .relaxation import solve_relaxation
@@ -249,14 +249,13 @@ def check_bounds(
 
 
 def _all_selections(instance: Instance):
-    """Link-consistent selections in lexicographic order (rejected first)."""
+    """All selections in lexicographic order (rejected first), link-breaking
+    ones too: the model's link rows refute those in ``solve_qp``'s row test."""
     block_ids = [b.id for b in instance.blocks]
     flex_ids = [f.id for f in instance.flex_bids]
     hour_choices = [None] + list(range(instance.hours))
     for bits in itertools.product((0, 1), repeat=len(block_ids)):
         blocks = dict(zip(block_ids, bits))
-        if not BidSelection(blocks=blocks).link_consistent(instance.links):
-            continue
         for assign in itertools.product(hour_choices, repeat=len(flex_ids)):
             yield BidSelection(blocks=blocks, flex=dict(zip(flex_ids, assign)))
 
@@ -272,11 +271,10 @@ def _relaxations(instance: Instance, model: ClearingModel):
         lb, ub = prob.lb.copy(), prob.ub.copy()
         lb[model.n:] = ub[model.n:] = model.binaries(selection)
         pinned = prob.with_bounds(lb, ub)  # shares the master's rows
-        try:
-            objective, x, duals = solve_relaxation(pinned, model)
-        except InfeasibleSelection:
-            continue
-        yield objective * model.money_unit, idx, x, duals
+        relaxed = solve_relaxation(pinned, model)
+        if relaxed is not None:
+            objective, x, duals = relaxed
+            yield objective * model.money_unit, idx, x, duals
 
 
 ORACLE_CAP = 12  # binary decisions (``Instance.bid_terms`` keys) at most

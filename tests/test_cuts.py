@@ -96,8 +96,8 @@ class TestNoGoodCut:
             assert cut_activity(inst, cut, other) <= cut.rhs
 
     def test_excludes_only_its_selection_with_links_and_flex_hours(self):
-        # three blocks with q linked to p, two 2-hour flex bids: 6 x 9
-        # link-consistent selections
+        # three blocks with q linked to p, two 2-hour flex bids: 8 x 9
+        # selections, the 2 x 9 that break the link included
         inst = make_instance(
             {("X", 0): [[0, 20], [100, -20]], ("X", 1): [[0, 20], [100, -20]]},
             hours=2,
@@ -108,7 +108,7 @@ class TestNoGoodCut:
         )
         model = build_model(inst)
         selections = list(_all_selections(inst))
-        assert len(selections) == 54
+        assert len(selections) == 72
         for target in selections:
             cut = no_good_cut(model, target)
             assert [key for key, _ in cut.coeffs] == list(model.bin_keys)

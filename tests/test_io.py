@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from daclear.errors import SchemaError
 from daclear.io import (
+    _FIELDS,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -117,6 +119,26 @@ class TestParseInstance:
             assert again.areas == inst.areas
             assert again.hours == inst.hours
             assert len(again.segments) == len(inst.segments)
+
+    def test_field_table_names_each_record_field(self):
+        for cls, readers in _FIELDS.items():
+            assert set(readers) == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+    @pytest.mark.parametrize("name", ["no_price_support", "exact_log_pricing_fails"])
+    def test_written_fixture_round_trips_byte_for_byte(self, name):
+        # both were written by serialize_instance; appendix_a.json is hand-written
+        text = (FIXTURE.parent / f"{name}.json").read_text()
+        assert serialize_instance(parse_instance(text)) == text
+
+    def test_interconnector_ramp_rate_is_read_first(self):
+        # a bad ramp rate is reported before the missing id, as the table
+        # lists an interconnector's fields
+        doc = json.loads(serialize_instance(f2()))
+        del doc["interconnectors"][0]["id"]
+        doc["interconnectors"][0]["ramp_rate"] = "fast"
+        with pytest.raises(SchemaError) as exc:
+            parse_instance(json.dumps(doc))
+        assert exc.value.path == "$.interconnectors[0].ramp_rate"
 
 
 class TestSolutionDocs:

@@ -14,6 +14,7 @@ from daclear.errors import TimeLimit
 from daclear.io import parse_instance
 from daclear.master import _with_cuts, solve_master
 from daclear.model import balanced_start, build_model
+from daclear.verify import check_links
 
 from helpers import (
     appendix_a, block, expiring_clock, flexbid, make_instance, paradox_book, random_instance,
@@ -70,7 +71,7 @@ class TestBranching:
         )
         res = solve_master(inst, build_model(inst))
         sel = res.selection
-        assert sel.link_consistent(inst.links)
+        assert check_links(inst, sel).passed
 
     def test_flex_single_hour(self):
         inst = make_instance(

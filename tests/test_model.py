@@ -238,7 +238,7 @@ class TestLayout:
                 assert model.selection_at(pinned.lb) == selection
                 checked += 1
         assert linked == 2 and multi_hour_flex == 10
-        assert checked == 695
+        assert checked == 736
 
     def test_master_problems_share_no_factor_cache(self):
         # a search that appends its cuts at row k must not see factorizations

@@ -3,7 +3,7 @@ import pytest
 
 from daclear import relaxation
 from daclear.core import BidSelection, PrimalSolution, clearing_residuals, welfare_of
-from daclear.errors import InfeasibleSelection, UnknownId
+from daclear.errors import UnknownId
 from daclear.model import build_model
 from daclear.qp import multipliers, solve_qp
 from daclear.relaxation import solve_relaxation
@@ -57,14 +57,19 @@ class TestCheckSelection:
             clearing_residuals(inst, PrimalSolution(_sel({"zzz": 1}), {}, {}))
 
     def test_link_violation(self):
-        # the oracle never enumerates a selection that breaks a link
+        # the oracle enumerates a selection that breaks a link, but the
+        # model's link rows make its relaxation infeasible, so it never
+        # ranks it
         inst = make_instance(
             {("X", 0): [[0, 10], [100, -10]]},
             blocks=[block("p", "X", 50, [5]), block("q", "X", 50, [5])],
             links=[("q", "p")],
         )
         blocks = [dict(sel.blocks) for sel in _all_selections(inst)]
-        assert blocks == [{"p": 0, "q": 0}, {"p": 1, "q": 0}, {"p": 1, "q": 1}]
+        assert blocks == [{"p": 0, "q": 0}, {"p": 0, "q": 1}, {"p": 1, "q": 0}, {"p": 1, "q": 1}]
+        model = build_model(inst)
+        ranked = [dict(model.selection_at(x).blocks) for _, _, x, _ in _relaxations(inst, model)]
+        assert ranked == [{"p": 0, "q": 0}, {"p": 1, "q": 0}, {"p": 1, "q": 1}]
 
 
 class TestAssemble:
@@ -105,12 +110,11 @@ class TestSolveRelaxation:
         res = clearing_residuals(inst, primal)
         assert max(abs(r) for r in res.values()) <= 1e-9
 
-    def test_infeasible_selection_raises(self):
+    def test_infeasible_selection_is_none(self):
         inst = appendix_a()
         # d alone injects +2 into a flat zero curve with no counterparty
         d_only = _sel({"a": 0, "b": 0, "c": 0, "d": 1})
-        with pytest.raises(InfeasibleSelection):
-            _relax(inst, d_only)
+        assert solve_relaxation(*pinned_relaxation(inst, d_only)) is None
         # so the oracle never ranks it
         model = build_model(inst)
         assert d_only not in [model.selection_at(x) for _, _, x, _ in _relaxations(inst, model)]
