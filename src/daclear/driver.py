@@ -27,7 +27,7 @@ from .cuts import (
     loss_sets,
     no_good_cut,
 )
-from .errors import PriceInfeasible
+from .errors import PriceInfeasible, TimeLimit
 from .master import solve_master
 from .model import build_model
 from .pricing import clamp_prices, solve_fixflow, solve_qpprice
@@ -143,10 +143,11 @@ def _no_solution(status, mode, bound, iterations):
 def _branch_and_cut(instance, options, mode):
     """One master tree whose leaf test runs ``_check_leaf``, takes a failed
     leaf's cuts from ``_leaf_cuts`` and records each tested leaf.
-    Heuristic mode stops after 10 x (blocks + flex) failed tests.  The
-    time limit sets the clear's one deadline, which bounds the master's
-    nodes and the leaf test's QPs alike: one that passes it ends the
-    clear with ``limit``."""
+    Heuristic mode tests at most 10 x (blocks + flex) leaves: the test
+    raises TimeLimit when a leaf past that cap comes up, so a tree its cuts
+    have used up ends ``infeasible`` first.  The time limit sets the
+    clear's one deadline, which bounds the master's nodes and the leaf
+    test's QPs alike.  Either limit ends the clear with ``limit``."""
     exact = mode == "exact"
     blocks_and_flex = len(instance.blocks) + len(instance.flex_bids)
     cap = float("inf") if exact else max(1, 10 * blocks_and_flex)
@@ -157,6 +158,8 @@ def _branch_and_cut(instance, options, mode):
     deadline = time.monotonic() + limit if limit is not None else None
 
     def leaf_test(leaf):
+        if len(iterations) >= cap:
+            raise TimeLimit(f"heuristic mode's cap of {cap} leaf tests")
         x, fills, prices, curt = _check_leaf(
             instance, model, leaf.selection, leaf.x, leaf.duals, deadline)
         sets, cuts = LossSets(), []
@@ -166,11 +169,9 @@ def _branch_and_cut(instance, options, mode):
         tested.append((leaf, x, prices))
         iterations.append(IterationRecord(
             leaf.objective, sets.blocks, sets.flex, tuple(sorted(curt)), len(cuts)))
-        if cuts and len(iterations) >= cap:
-            return None
         return cuts
 
-    master = solve_master(instance, model, leaf_test, abs_gap=options.abs_gap, deadline=deadline)
+    master = solve_master(model, leaf_test, abs_gap=options.abs_gap, deadline=deadline)
     bound = tested[0][0].bound if tested else float("inf")  # the cut-free master's
     if master.status == "optimal":
         leaf, x, prices = tested[-1]

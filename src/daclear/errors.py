@@ -56,5 +56,5 @@ class SolverFailure(RuntimeError):
 
 
 class TimeLimit(RuntimeError):
-    """A solve passed the deadline its caller set; the caller turns this
-    into a ``limit`` result."""
+    """A solve passed the deadline its caller set, or heuristic mode's leaf
+    test reached its cap; the caller turns this into a ``limit`` result."""

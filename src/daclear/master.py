@@ -21,12 +21,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BidSelection, Instance, presolve_price_bounds
+from .core import BidSelection
 from .cuts import Cut
 from .errors import TimeLimit
 from .model import ClearingModel, balanced_start
 from .qp import Multipliers, QpProblem, _lowest_activity, multipliers, solve_qp
-from .tolerances import CHECK_TOL, DEFAULT_GAP, FEAS_TOL, MONEY_TOL, ROUND_TOL
+from .tolerances import CHECK_TOL, DEFAULT_GAP, ROUND_TOL
 
 @dataclass
 class MasterResult:
@@ -57,25 +57,6 @@ def _with_cuts(prob: QpProblem, cuts: Sequence[Cut], model: ClearingModel) -> Qp
     b_in = np.concatenate((prob.b_in, [cut.rhs for cut in cuts]))
     return QpProblem(prob.c, prob.d, prob.A_eq, prob.b_eq, np.concatenate((prob.A_in, rows)), b_in,
                      prob.lb, prob.ub)
-
-
-def _presolve_fixings(instance: Instance, model: ClearingModel) -> set:
-    """The keys of binary columns provably zero: bids that lose at every
-    price inside the presolve bounds.  Only the always-loss direction is
-    fixed; the never-loss direction is left to the search (forcing
-    execution is not welfare-safe in general).  Quantities and money are
-    read within FEAS_TOL and MONEY_TOL in ``model``'s units."""
-    bounds = presolve_price_bounds(instance, FEAS_TOL * model.quantity_unit)
-    loss = -MONEY_TOL * model.money_unit
-    fixed = set()
-    for key, terms in instance.bid_terms.items():
-        best = 0.0
-        for a, t, limit, q in terms:
-            iv = bounds[a, t]
-            best += max((limit - iv.lower) * q, (limit - iv.upper) * q)
-        if best < loss:
-            fixed.add(key)
-    return fixed
 
 
 def _binary_rows(prob: QpProblem, n: int):
@@ -142,17 +123,17 @@ def _solve_node(node: QpProblem, model, parent, deadline):
 
 
 def solve_master(
-    instance: Instance,
     model: ClearingModel,
-    test: Optional[Callable[[MasterResult], Optional[Sequence[Cut]]]] = None,
+    test: Optional[Callable[[MasterResult], Sequence[Cut]]] = None,
     abs_gap: float = DEFAULT_GAP,
     deadline: Optional[float] = None,
 ) -> MasterResult:
-    """Best-first branch-and-cut on ``model``, the clearing model of
-    ``instance``.  Before a popped node's QP, ``_fix_binaries`` fixes
-    each free binary whose other value the row test would refute over the
-    node's box, and the node is solved and branched on that tightened box;
-    it gives no verdict, so a node its rows rule out still ends at
+    """Best-first branch-and-cut on ``model``, a book's clearing model,
+    from the root box with the model's presolve fixings (``fixed_cols``)
+    at 0.  Before a popped node's QP, ``_fix_binaries`` fixes each free
+    binary whose other value the row test would refute over the node's
+    box, and the node is solved and branched on that tightened box; it
+    gives no verdict, so a node its rows rule out still ends at
     ``solve_qp``'s row test.  Each child is solved from its parent's
     optimum and working set (``solve_qp``'s ``start``), so phase 1 runs
     only at the root and where that parametric start falls back, both
@@ -163,19 +144,20 @@ def solve_master(
     read in the model's, as the heap's bounds are; when it reaches the top
     and meets every cut row it is the master optimum under the cuts so far,
     and ``test`` gets it as an optimal ``MasterResult``.  The test returns
-    no cuts to accept the leaf, cuts that reject it (they become rows of
-    the QP, the only place cuts are kept), or None to stop the search with
-    status ``limit``.  Rejecting cuts cut the leaf off: each is violated at
-    the leaf's binaries, as the bid, curtailment and no-good cuts are.  So
-    the leaf's node is solved again under them only while some binary is
-    free in its box; with every binary pinned, the row test would refute
-    it, and it is dropped.  Without a test the first such leaf is returned.
-    ``deadline``, a ``time.monotonic()`` instant (the clear's, which the
-    driver sets once from its time limit), stops the search with status
-    ``limit`` once it has passed: the loop checks it before each popped
-    node, and each node's QP solves check it too; one that passes it
-    puts its node back on the heap, so the ``limit`` result's bound stays
-    valid.  A test that raises TimeLimit puts its leaf back the same way."""
+    no cuts to accept the leaf, or cuts that reject it (they become rows
+    of the QP, the only place cuts are kept).  Rejecting cuts cut the leaf
+    off: each is violated at the leaf's binaries, as the bid, curtailment
+    and no-good cuts are.  So the leaf's node is solved again under them
+    only while some binary is free in its box; with every binary pinned,
+    the row test would refute it, and it is dropped.  Without a test the
+    first such leaf is returned.  ``deadline``, a ``time.monotonic()``
+    instant (the clear's, which the driver sets once from its time limit),
+    stops the search with status ``limit`` once it has passed: the loop
+    checks it before each popped node, and each node's QP solves check it
+    too; one that passes it puts its node back on the heap, so the
+    ``limit`` result's bound stays valid.  A test that raises TimeLimit
+    (at the deadline, or at the driver's cap on heuristic mode's tests)
+    puts its leaf back the same way."""
     prob = model.master()
     n = model.n  # the binary columns come after the model's
     binary_rows = _binary_rows(prob, n)
@@ -183,7 +165,7 @@ def solve_master(
     gap = abs_gap / model.money_unit
 
     base_ub = prob.ub.copy()
-    base_ub[[model.bin_col[key] for key in _presolve_fixings(instance, model)]] = 0.0
+    base_ub[list(model.fixed_cols)] = 0.0
 
     nodes = 0
     counter = 0
@@ -219,18 +201,15 @@ def solve_master(
             # the master optimum under the cuts so far
             found = result("optimal", leaf, bound)
             try:
-                verdict = () if test is None else test(found)
+                cuts = () if test is None else test(found)
             except TimeLimit:
                 heapq.heappush(heap, entry)  # the tested leaf keeps its bound
                 return result("limit")
-            if verdict is not None and not verdict:
+            if not cuts:
                 return found
-            if verdict is None:
-                push(bound, (node_lb, node_ub, parent))  # the leaf keeps its bound
-                return result("limit")
             if (node_lb[n:] < node_ub[n:]).any():
                 push(bound, (node_lb, node_ub, parent))  # solved again under the new cuts
-            cut_prob = _with_cuts(prob, verdict, model)
+            cut_prob = _with_cuts(prob, cuts, model)
             # the rows before the cuts keep their indices, so every cached
             # factorization still holds for the longer problem
             cut_prob.factors = prob.factors

@@ -22,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BidSelection, Instance, PriceInterval, PrimalSolution
+from .core import BidSelection, Instance, PriceInterval, PrimalSolution, presolve_price_bounds
 from .qp import QpProblem, _clipped
 from .errors import ValidationError
-from .tolerances import FEAS_TOL, MAX_MAGNITUDE
+from .tolerances import FEAS_TOL, MAX_MAGNITUDE, MONEY_TOL
 
 # the most a book's largest |price| and |quantity| may be in model units
 # (``ClearingModel``)
@@ -46,6 +46,10 @@ class ClearingModel:
     The master problem (``master``) adds their objective and their link
     rows ``y_child - y_parent <= 0`` and flex-once rows ``sum_t y <= 1``.
     These arrays are read-only views of the master problem's.
+    ``fixed_cols`` are the binary columns of the bids that lose beyond
+    MONEY_TOL at every price inside the presolve bounds
+    (``core.presolve_price_bounds``): ``solve_master`` fixes them at 0 in
+    its root box, and ``master`` leaves them free.
 
     The rest is what starts, pricing and the leaf test read, in model
     order: per clearing
@@ -94,6 +98,7 @@ class ClearingModel:
     bin_b: np.ndarray
     bin_worst: tuple[float, ...]
     bin_order: tuple[int, ...]
+    fixed_cols: tuple[int, ...]
     flow_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
     stationarity: tuple[np.ndarray, np.ndarray]
     price_unit: float
@@ -301,17 +306,26 @@ def build_model(instance: Instance) -> ClearingModel:
         h = np.concatenate((ub[f], -lb[f], b_in[:n_ramp]))[order]
 
     # pricing's no-loss right-hand sides and loss caps, summed hour by hour
-    # from 0.0, as the rows were once built
+    # from 0.0, as the rows were once built, and the fixings: only the
+    # always-loss direction, since forcing execution is not welfare-safe in
+    # general; presolve reads quantities within FEAS_TOL in model units
     iv = PriceInterval(instance.interval.lower / sp, instance.interval.upper / sp)
-    bin_b, bin_worst = [], []
-    for limit, terms in bids:
-        total, worst = 0.0, 0.0
-        for _, q in terms:
+    bounds = presolve_price_bounds(instance, FEAS_TOL * sq)
+    row_bounds = [(bounds[key].lower / sp, bounds[key].upper / sp) for key in eq_keys]
+    bin_b, bin_worst, fixed_cols = [], [], []
+    for k, (limit, terms) in enumerate(bids, n):
+        total, worst, best = 0.0, 0.0, 0.0
+        for r, q in terms:
             total += limit * q
             low, high = (limit - iv.lower) * q, (limit - iv.upper) * q
             worst += high if high < low else low  # min(low, high)
+            lower, upper = row_bounds[r]
+            low, high = (limit - lower) * q, (limit - upper) * q
+            best += high if high > low else low  # max(low, high)
         bin_b.append(total)
         bin_worst.append(worst)
+        if best < -MONEY_TOL:
+            fixed_cols.append(k)
 
     return ClearingModel(
         seg_ids=seg_ids, flow_keys=flow_keys, eq_keys=eq_keys, ramp_keys=tuple(ramp_keys),
@@ -322,7 +336,7 @@ def build_model(instance: Instance) -> ClearingModel:
         curtailment=tuple((sid, j) for j, (sid, _, s) in enumerate(segs) if s.is_curtailment),
         row_segs=tuple(row_segs), fill_prices=(np.array(fill[0], dtype=int), *fill[1:]),
         bin_b=np.array(bin_b, dtype=float), bin_worst=tuple(bin_worst),
-        bin_order=tuple(sorted(range(m), key=bin_keys.__getitem__)),
+        bin_order=tuple(sorted(range(m), key=bin_keys.__getitem__)), fixed_cols=tuple(fixed_cols),
         flow_rows=(F, h, order), stationarity=(-A_eq[:, f].T, -F.T),
         price_unit=sp, quantity_unit=sq, interval=iv,
         master_arrays=arrays,

@@ -12,7 +12,8 @@ the checkers' default, in the document's own units, as ``--tol`` is.
 # primal feasibility: a row or bound holds, or is tight, within it; a
 # constraint whose normal has no larger part (relative) in the working
 # rows' null space is implied by them; a price in a book is in its interval
-# within it, and presolve reads a curve's quantities within it
+# within it, and the model's presolve fixings read a curve's quantities
+# within it
 FEAS_TOL = 1e-9
 # multiplier sign: a multiplier below -DUAL_TOL has the wrong sign, one
 # above DUAL_TOL is positive, and a null-space gradient above it ascends
@@ -41,8 +42,9 @@ RATE_TOL = 1e-12
 # ties: step lengths within TIE_TOL tie, and a component of a parametric
 # step below TIE_TOL times its largest is round-off
 TIE_TOL = 1e-14
-# money round-off: a bid loses, or would profit, only beyond MONEY_TOL, and
-# the least total loss that pricing keeps may grow by it
+# money round-off: a bid loses (loss sets, the model's presolve fixings), or
+# would profit, only beyond MONEY_TOL, and the least total loss that pricing
+# keeps may grow by it
 MONEY_TOL = 1e-9
 # checker tolerance: the default ``--tol`` of ``daclear verify`` and of the
 # solution checkers; a fill within it of full or empty is full or empty in

@@ -7,6 +7,7 @@ pytest -s to see them).
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from daclear.core import (
     surplus_report,
     welfare_of,
 )
-from daclear import master
+from daclear import driver
 from daclear.driver import clear_exact, clear_heuristic
 from daclear.master import solve_master
 from daclear.model import build_model
@@ -125,7 +126,7 @@ def test_criterion_1_golden_fixture():
 def test_criterion_2_intermediate_steps():
     inst = appendix_a()
     model = build_model(inst)
-    cut_free = solve_master(inst, model)
+    cut_free = solve_master(model)
     assert cut_free.objective == pytest.approx(3.0, abs=1e-9)
     assert executed_bids(cut_free.selection)[0] == ["a", "b", "c", "d"]
 
@@ -330,7 +331,8 @@ def test_criterion_9_qp_property_suite():
 
 def test_criterion_10_presolve_soundness(suite, monkeypatch):
     rows, _ = suite
-    monkeypatch.setattr(master, "_presolve_fixings", lambda instance, model: set())
+    build = driver.build_model
+    monkeypatch.setattr(driver, "build_model", lambda inst: replace(build(inst), fixed_cols=()))
     fixings_checked = 0
     for row in rows:
         inst, o = row["instance"], row["oracle"]

@@ -117,6 +117,20 @@ class TestClear:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("clear", "--mode", "exact"), ("clear", "--mode", "heuristic"), ("oracle",),
+    ])
+    def test_zero_bid_book_without_price_support_exit_code(self, capsys, tmp_path, argv):
+        # the fixture without its blocks and flex bids: its convex market has
+        # no price in [0, 100].  Heuristic mode's cap is then one test, which
+        # must not end the clear with limit before the master finds that the
+        # first leaf's no-good cut leaves no selection
+        doc = {**json.loads(NO_PRICE_SUPPORT.read_text()), "blocks": [], "flex": []}
+        path = _write(tmp_path, "no_bids.json", json.dumps(doc))
+        code, out = _run(capsys, argv[0], "--instance", path, *argv[1:])
+        assert code == 2
+        assert out == ""
+
     def test_unbounded_limit_with_solution_is_strict_json(self):
         # a result with a solution but no finite bound or gap: both are
         # written as null

@@ -25,7 +25,7 @@ from helpers import (
 def _appendix_a_relaxed():
     inst = appendix_a()
     model = build_model(inst)
-    res = solve_master(inst, model)
+    res = solve_master(model)
     sol = fixflow(model, model.primal(res.selection, res.x), res.duals)
     out = qpprice(model, sol, relax_losses=True)
     return inst, sol, out
@@ -129,7 +129,7 @@ class TestCurtailment:
     def test_violation_detected(self):
         inst = self._curtailing_instance()
         model = build_model(inst)
-        res = solve_master(inst, model)
+        res = solve_master(model)
         sol = fixflow(model, model.primal(res.selection, res.x), res.duals)
         if sol.selection.blocks.get("buy") != 1:
             pytest.skip("master did not execute the block")
@@ -140,7 +140,7 @@ class TestCurtailment:
     def test_cut_forms(self):
         inst = self._curtailing_instance()
         model = build_model(inst)
-        res = solve_master(inst, model)
+        res = solve_master(model)
         sol = fixflow(model, model.primal(res.selection, res.x), res.duals)
         viol = curtailment_violations(inst, sol)
         if not viol:

@@ -1,14 +1,16 @@
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from daclear import driver, master, qp
-from daclear.core import welfare_of
-from daclear.cuts import loss_sets
+from daclear.cli import run
+from daclear.core import PrimalSolution, welfare_of
+from daclear.cuts import LossSets, loss_sets, no_good_cut
 from daclear.driver import ClearOptions, clear_exact, clear_heuristic
 from daclear.errors import PriceInfeasible, TimeLimit
-from daclear.io import parse_instance
+from daclear.io import parse_instance, serialize_instance
 from daclear.pricing import solve_qpprice
 from daclear.verify import (
     check_bid_prices,
@@ -171,6 +173,34 @@ class TestLimits:
                 if clear is clear_exact:
                     assert res.bound >= optimum - 1e-9
         assert {"solve_fixflow", "solve_qpprice"} <= set(in_leaf_test)
+
+    def test_heuristic_cap_ends_the_clear(self, monkeypatch, tmp_path, capsys):
+        # six buyer blocks that any selection of clears: 64 selections
+        # outnumber heuristic mode's cap of 10 x 6 tests, and every leaf
+        # fails with its one no-good cut, so the cap ends the clear
+        inst = make_instance(
+            {("X", 0): [[0, 100], [50, 100], [50, -100], [100, -100]]},
+            blocks=[block(f"b{i}", "X", 60 + i, [1 + i]) for i in range(6)],
+        )
+        cap = 10 * len(inst.blocks)
+
+        def failed(instance, model, selection, x, duals, deadline):
+            return x, PrimalSolution(selection, {}, {}), None, {}
+
+        def one_no_good(instance, model, fills, *args):
+            return LossSets(), [no_good_cut(model, fills.selection)]
+
+        monkeypatch.setattr(driver, "_check_leaf", failed)
+        monkeypatch.setattr(driver, "_leaf_cuts", one_no_good)
+        res = clear_heuristic(inst)
+        assert res.status == "limit"
+        assert len(res.iterations) == cap
+        assert all(rec.cuts_added == 1 for rec in res.iterations)
+        assert res.solution is None and res.prices is None
+        path = tmp_path / "six_blocks.json"
+        path.write_text(serialize_instance(inst))
+        assert run(["clear", "--instance", str(path), "--mode", "heuristic"]) == 3
+        assert json.loads(capsys.readouterr().out)["status"] == "limit"
 
 
 def _fixture(name):

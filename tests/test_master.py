@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from daclear import master, qp
+from daclear import driver, master, qp
 from daclear.core import BidSelection
 from daclear.cuts import LossSets, bid_cut, no_good_cut
 from daclear.errors import TimeLimit
@@ -27,7 +28,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 class TestApppendixA:
     def test_cut_free_optimum_takes_all_four(self):
         inst = appendix_a()
-        res = solve_master(inst, build_model(inst))
+        res = solve_master(build_model(inst))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(3.0, abs=1e-9)
         assert res.selection.blocks == {"a": 1, "b": 1, "c": 1, "d": 1}
@@ -44,21 +45,14 @@ class TestApppendixA:
                 return [no_good_cut(model, leaf.selection)]
             return ()
 
-        res = solve_master(inst, model, reject_all_four)
+        res = solve_master(model, reject_all_four)
         assert tested == [["a", "b", "c", "d"], ["c", "d"]]
         assert res.objective == pytest.approx(2.0, abs=1e-9)
         assert res.selection.executed_keys() == [("block", "c"), ("block", "d")]
 
-    def test_stop_returns_limit(self):
-        inst = appendix_a()
-        res = solve_master(inst, build_model(inst), lambda leaf: None)
-        assert res.status == "limit"
-        assert res.selection is None
-        assert res.bound == pytest.approx(3.0, abs=1e-9)
-
     def test_bound_dominates_objective(self):
         inst = appendix_a()
-        res = solve_master(inst, build_model(inst))
+        res = solve_master(build_model(inst))
         assert res.bound >= res.objective - 1e-9
 
 
@@ -69,7 +63,7 @@ class TestBranching:
             blocks=[block("p", "X", 80, [6]), block("q", "X", 10, [6])],
             links=[("q", "p")],
         )
-        res = solve_master(inst, build_model(inst))
+        res = solve_master(build_model(inst))
         sel = res.selection
         assert check_links(inst, sel).passed
 
@@ -80,7 +74,7 @@ class TestBranching:
             hours=2,
             flex=[flexbid("f", "X", 90, 5)],
         )
-        res = solve_master(inst, build_model(inst))
+        res = solve_master(build_model(inst))
         hours = executed_bids(res.selection)[1]
         assert len(hours) <= 1
         # the cheaper-supply hour wins
@@ -93,49 +87,47 @@ class TestBranching:
             inst = random_instance(seed)
             relaxed = _relaxations(inst, build_model(inst))
             best = max((objective for objective, *_ in relaxed), default=None)
-            res = solve_master(inst, build_model(inst))
+            res = solve_master(build_model(inst))
             if best is None:
                 assert res.status == "infeasible"
             else:
                 assert res.objective == pytest.approx(best, abs=1e-6)
 
 
-def _no_fixings(monkeypatch):
-    """Presolve fixes no binary for the rest of the test."""
-    monkeypatch.setattr(master, "_presolve_fixings", lambda instance, model: set())
+def _unfixed(model):
+    """``model`` without its presolve fixings."""
+    return dataclasses.replace(model, fixed_cols=())
 
 
 class TestPresolve:
-    def test_always_loss_block_fixed_out(self, monkeypatch):
+    def test_always_loss_block_fixed_out(self):
         # flat zero curve, pure demand block priced below any feasible price
         inst = make_instance(
             {("X", 0): [[0, 20], [50, 20], [50, -20], [100, -20]]},
             blocks=[block("junk", "X", 1.0, [5])],
         )
-        with_p = solve_master(inst, build_model(inst))
-        _no_fixings(monkeypatch)
-        without = solve_master(inst, build_model(inst))
+        model = build_model(inst)
+        assert model.fixed_cols == (model.bin_col["block", "junk"],)
+        with_p = solve_master(model)
+        without = solve_master(_unfixed(model))
         assert with_p.objective == pytest.approx(without.objective, abs=1e-9)
         assert with_p.selection.blocks["junk"] == 0
 
     def test_presolve_never_changes_clearing_welfare(self, monkeypatch):
-        from daclear.driver import clear_exact
-
         instances = [random_instance(seed) for seed in range(10)]
-        presolved = [clear_exact(inst) for inst in instances]
-        _no_fixings(monkeypatch)
+        presolved = [driver.clear_exact(inst) for inst in instances]
+        build = driver.build_model
+        monkeypatch.setattr(driver, "build_model", lambda inst: _unfixed(build(inst)))
         for inst, a in zip(instances, presolved):
-            b = clear_exact(inst)
+            b = driver.clear_exact(inst)
             assert a.status == b.status
             if a.status == "optimal":
                 assert a.welfare == pytest.approx(b.welfare, abs=1e-7)
 
-    def test_presolve_only_tightens_master(self, monkeypatch):
-        instances = [random_instance(seed) for seed in range(10)]
-        presolved = [solve_master(inst, build_model(inst)) for inst in instances]
-        _no_fixings(monkeypatch)
-        for inst, a in zip(instances, presolved):
-            b = solve_master(inst, build_model(inst))
+    def test_presolve_only_tightens_master(self):
+        for seed in range(10):
+            model = build_model(random_instance(seed))
+            a, b = solve_master(model), solve_master(_unfixed(model))
             if a.status == b.status == "optimal":
                 assert a.objective <= b.objective + 1e-7
 
@@ -173,19 +165,19 @@ class TestNodeSolves:
         monkeypatch.setattr(master, "balanced_start",
                             lambda *args: starts.append(1) or balanced(*args))
         monkeypatch.setattr(qp, "_warm_start", lambda *args: starts.append(0) or warm_start(*args))
-        fixed = solve_master(inst, build_model(inst))
+        fixed = solve_master(build_model(inst))
         assert statuses == ["optimal"] and starts == [1]
         assert fixed.nodes == 1
         statuses.clear()
         starts.clear()
         without_node_pass(monkeypatch)
-        pruned = solve_master(inst, build_model(inst))
+        pruned = solve_master(build_model(inst))
         assert statuses == ["optimal", "optimal", "infeasible"]
         assert starts == [1, 0]  # the root, then the feasible child's parametric pass
         statuses.clear()
         starts.clear()
         without_row_test(monkeypatch)
-        solved = solve_master(inst, build_model(inst))
+        solved = solve_master(build_model(inst))
         assert statuses == ["optimal", "optimal", "infeasible"]
         assert starts == [1, 0, 0, 1]
         assert pruned.nodes == solved.nodes == 3
@@ -249,14 +241,12 @@ class TestNodeSolves:
         # master QP is a pinned node that a cut row refutes.  Over paradox
         # books 0-9 the trees take 51 nodes; 6 rejected leaves among them
         # pin every binary and are not solved again
-        from daclear import driver
-
         nodes, refuted_at_cuts = [], []
         where = {}  # the first binary column and the first cut row
         solve_tree, solve = driver.solve_master, master.solve_qp
 
-        def tree_spy(instance, model, *args, **kwargs):
-            res = solve_tree(instance, model, *args, **kwargs)
+        def tree_spy(model, *args, **kwargs):
+            res = solve_tree(model, *args, **kwargs)
             nodes.append(res.nodes)
             return res
 
@@ -280,7 +270,7 @@ class TestNodeSolves:
     def test_integral_root_runs_no_pinned_resolve(self, monkeypatch):
         inst = random_instance(0)
         statuses = _count_master_qps(monkeypatch)
-        res = solve_master(inst, build_model(inst))
+        res = solve_master(build_model(inst))
         assert res.status == "optimal" and res.nodes == 1
         assert statuses == ["optimal"]
 
@@ -342,8 +332,6 @@ class TestNodePass:
     def test_same_leaves_with_fewer_nodes(self, monkeypatch):
         # the pass only removes values no feasible selection takes, so the
         # clears test the same leaves in the same order, in fewer nodes
-        from daclear import driver
-
         instances = [paradox_book(seed) for seed in range(20)]
         instances += [random_instance(seed) for seed in range(50)]
         leaves, nodes = [], []
@@ -417,18 +405,18 @@ class TestNearlyIntegralNodes:
 
     def test_round_off_offset_is_its_own_leaf(self, monkeypatch):
         inst = self._instance()
-        exact = solve_master(inst, build_model(inst))
+        exact = solve_master(build_model(inst))
         calls = _offset_binary(monkeypatch, 1e-15)
-        res = solve_master(inst, build_model(inst))
+        res = solve_master(build_model(inst))
         assert res.nodes == 1 and len(calls) == 1
         assert res.objective == exact.objective
         assert res.selection.blocks == {"b": 1}
 
     def test_larger_offset_branches(self, monkeypatch):
         inst = self._instance()
-        exact = solve_master(inst, build_model(inst))
+        exact = solve_master(build_model(inst))
         calls = _offset_binary(monkeypatch, 1e-9)
-        res = solve_master(inst, build_model(inst))
+        res = solve_master(build_model(inst))
         j = len(calls[0].c) - 1
         assert res.nodes == len(calls) == 3
         assert [(child.lb[j], child.ub[j]) for child in calls[1:]] == [(0.0, 0.0), (1.0, 1.0)]
@@ -439,7 +427,7 @@ class TestNearlyIntegralNodes:
 class TestLimits:
     def test_time_limit_returns_limit_status(self):
         inst = random_instance(3)
-        res = solve_master(inst, build_model(inst), deadline=time.monotonic())
+        res = solve_master(build_model(inst), deadline=time.monotonic())
         assert res.status in ("limit", "optimal")
         if res.status == "limit":
             assert res.bound is not None
@@ -447,12 +435,12 @@ class TestLimits:
     def test_interrupted_node_keeps_its_bound(self, monkeypatch):
         # the deadline passes inside a node's QP, at each possible tick
         inst = appendix_a()
-        optimum = solve_master(inst, build_model(inst)).objective
+        optimum = solve_master(build_model(inst)).objective
         monkeypatch.setattr(master, "time", SimpleNamespace(monotonic=lambda: 0.0))
         limits = 0
         for ticks in range(40):
             monkeypatch.setattr(qp, "time", expiring_clock(ticks))
-            res = solve_master(inst, build_model(inst), deadline=1.0)
+            res = solve_master(build_model(inst), deadline=1.0)
             if res.status == "optimal":
                 assert res.objective == pytest.approx(optimum, abs=1e-9)
                 continue
@@ -465,12 +453,12 @@ class TestLimits:
         # the test's own solves pass the deadline: the leaf goes back on
         # the heap, so its objective is still the bound
         inst = appendix_a()
-        optimum = solve_master(inst, build_model(inst)).objective
+        optimum = solve_master(build_model(inst)).objective
 
         def test(leaf):
             raise TimeLimit("leaf test passed its deadline")
 
-        res = solve_master(inst, build_model(inst), test)
+        res = solve_master(build_model(inst), test)
         assert res.status == "limit"
         assert res.selection is None
         assert res.bound == pytest.approx(optimum, abs=1e-9)
@@ -491,7 +479,7 @@ class TestStarts:
             return out
 
         monkeypatch.setattr(qp, "_phase1", spy)
-        res = solve_master(inst, build_model(inst))
+        res = solve_master(build_model(inst))
         assert res.status == "optimal"
         assert runs[0] == 0
 
@@ -558,7 +546,7 @@ class TestFactorCache:
             out = []
             for inst in instances:
                 model = build_model(inst)
-                res = solve_master(inst, model, _reject_first_leaves(model, 1))
+                res = solve_master(model, _reject_first_leaves(model, 1))
                 point = None if res.selection is None else model.primal(res.selection, res.x)
                 out.append((res.status, res.objective, res.bound, res.nodes, point))
             return out
@@ -620,7 +608,7 @@ class TestFactorCache:
         )
         inst = appendix_a()
         model = build_model(inst)
-        solve_master(inst, model, _reject_first_leaves(model, 2))
+        solve_master(model, _reject_first_leaves(model, 2))
         assert len(caches) == 2
         assert all(prob.factors is caches[0] for prob in solved)
 
@@ -665,30 +653,29 @@ class TestMilpCrossCheck:
         return cuts
 
     @pytest.mark.parametrize("presolve", [True, False], ids=["presolve", "no-fixings"])
-    def test_master_matches_milp(self, monkeypatch, presolve):
+    def test_master_matches_milp(self, presolve):
         pytest.importorskip("scipy.optimize")
-        if not presolve:
-            _no_fixings(monkeypatch)
         for seed in self.SEEDS:
-            inst = step_book(seed)
-            model = build_model(inst)
-            prob = model.master()
+            model = build_model(step_book(seed))
+            prob = model.master()  # the reference leaves the fixed columns free
+            if not presolve:
+                model = _unfixed(model)
             assert 12 < prob.n - model.n <= 20 and not prob.d.any()
-            res = solve_master(inst, model)
+            res = solve_master(model)
             assert res.status == "optimal"
             assert res.objective == pytest.approx(self._milp(prob, model.n), rel=1e-7)
 
     @pytest.mark.parametrize("presolve", [True, False], ids=["presolve", "no-fixings"])
-    def test_master_matches_milp_under_random_cuts(self, monkeypatch, presolve):
+    def test_master_matches_milp_under_random_cuts(self, presolve):
         # three rounds of cuts per book; the accepted leaf is the optimum
         # of the master with every cut added as a row
         pytest.importorskip("scipy.optimize")
-        if not presolve:
-            _no_fixings(monkeypatch)
         statuses = set()
         for seed in self.SEEDS:
             inst = step_book(seed)
             model = build_model(inst)
+            if not presolve:
+                model = _unfixed(model)
             rng = np.random.default_rng(seed)
             rounds, added = [], []
 
@@ -700,7 +687,7 @@ class TestMilpCrossCheck:
                 added.extend(cuts)
                 return cuts
 
-            res = solve_master(inst, model, test)
+            res = solve_master(model, test)
             ref = self._milp(_with_cuts(model.master(), added, model), model.n)
             statuses.add(res.status)
             if ref is None:

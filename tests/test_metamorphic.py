@@ -20,7 +20,6 @@ from daclear.driver import clear_exact, clear_heuristic
 from daclear.core import presolve_price_bounds
 from daclear.errors import PriceInfeasible
 from daclear.io import parse_instance, serialize_instance
-from daclear.master import _presolve_fixings
 from daclear.model import build_model
 from daclear.tolerances import MAX_MAGNITUDE
 from daclear.verify import oracle_clear
@@ -241,7 +240,8 @@ def test_a_block_that_always_loses_changes_nothing():
         doc = json.loads(serialize_instance(random_instance(seed)))
         other = parse_instance(json.dumps(_with_loser(doc)))
         if any(b.id == "loser" for b in other.blocks):
-            assert ("block", "loser") in _presolve_fixings(other, build_model(other)), seed
+            model = build_model(other)
+            assert model.bin_col["block", "loser"] in model.fixed_cols, seed
             fixed.add(seed)
     assert compared >= 100
     assert len(fixed) >= 30

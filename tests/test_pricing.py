@@ -44,7 +44,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def _master_result(inst):
     """``inst``'s cut-free master optimum and its solution."""
     model = build_model(inst)
-    res = solve_master(inst, model)
+    res = solve_master(model)
     assert res.status == "optimal"
     return res, model.primal(res.selection, res.x)
 
