@@ -104,6 +104,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Check a solution document and write the report: one entry and one
+    part of ``pass`` per ``ConditionReport`` in ``reports``, besides the
+    balance residual, curtailment priority and welfare."""
     instance = _load_instance(args.instance)
     try:
         text = Path(args.solution).read_text(encoding="utf-8")
@@ -121,28 +124,19 @@ def _cmd_verify(args) -> int:
 
     residuals = clearing_residuals(instance, solution)
     balance = max(abs(v) for v in residuals.values())
-    bounds = check_bounds(instance, delta, flows, tol=args.tol)
-    filling = check_filling(instance, delta, prices, tol=args.tol)
-    flow = check_flow_price(instance, flows, prices, tol=args.tol)
-    bids = check_bid_prices(instance, selection, prices, tol=args.tol)
-    links = check_links(instance, selection)
+    reports = {
+        "bounds": check_bounds(instance, delta, flows, tol=args.tol),
+        "filling": check_filling(instance, delta, prices, tol=args.tol),
+        "flow_price": check_flow_price(instance, flows, prices, tol=args.tol),
+        "bid_prices": check_bid_prices(instance, selection, prices, tol=args.tol),
+        "links": check_links(instance, selection),
+    }
     curt = curtailment_violations(instance, solution, tol=args.tol)
     doc = {
-        "pass": (
-            balance <= args.tol
-            and bounds.passed
-            and filling.passed
-            and flow.passed
-            and bids.passed
-            and links.passed
-            and not curt
-        ),
+        "pass": balance <= args.tol and all(r.passed for r in reports.values()) and not curt,
         "clearing_balance_residual": balance,
-        "bounds": _report_doc(bounds),
-        "filling": _report_doc(filling),
-        "flow_price": _report_doc(flow),
-        "bid_prices": _report_doc(bids),
-        "links": _report_doc(links),
+        **{name: {"pass": r.passed, "violations": [io.record_doc(v) for v in r.violations]}
+           for name, r in reports.items()},
         "curtailment_priority": {
             "pass": not curt,
             "violations": [
@@ -174,13 +168,6 @@ def _check_ids(instance: Instance, selection, flows, prices) -> None:
     for a, t in prices:
         if a not in instance.areas or t not in hours:
             raise UnknownId(f"price for unknown area {a!r} or hour {t}")
-
-
-def _report_doc(report) -> dict:
-    return {
-        "pass": report.passed,
-        "violations": [io.record_doc(v) for v in report.violations],
-    }
 
 
 def _non_negative(text: str) -> float:

@@ -657,6 +657,7 @@ def _clipped(prob: QpProblem, x0) -> np.ndarray:
 
 def solve_qp(
     prob: QpProblem,
+    *,
     x0: Union[np.ndarray, Callable[[], np.ndarray], None] = None,
     deadline: Optional[float] = None,
     start: Optional[QpSolution] = None,

@@ -114,10 +114,8 @@ def check_flow_price(
     violations = []
     for c in instance.interconnectors:
         ramp = c.ramp_rate if c.ramp_rate is not None else np.inf
-        if not np.isfinite(ramp):
-            violations.extend(_flow_fast_path(instance, c, flows, prices, tol))
-        else:
-            violations.extend(_flow_general(instance, c, flows, prices, tol))
+        path = _flow_general if np.isfinite(ramp) else _flow_fast_path
+        violations.extend(path(instance, c, flows, prices, tol))
     return ConditionReport.from_violations(violations)
 
 
@@ -138,56 +136,31 @@ def _flow_fast_path(instance, c, flows, prices, tol):
 
 def _flow_general(instance, c, flows, prices, tol):
     """Multiplier-existence test: minimize slack in the per-hour
-    stationarity rows over the multipliers of tight constraints."""
-    T = instance.hours
+    stationarity rows over the multipliers of tight constraints, judged in
+    book units (``rise = tau - prev``, ``prev`` the initial flow at hour 0).
+    Multiplier columns: the held (hour, kind) entries of ``E, -E, D, -D``
+    (upper, lower, ramp up, ramp down; ``E = I``, ``D = I - eye(T, k=1)``),
+    hour-major; slack columns: ``kron(E, [1, -1])``.  ``+ 0.0`` clears each
+    ``-0.0``, as the QP kernel's vertex on a degenerate LP depends on it."""
+    T, tight = instance.hours, max(tol, TIGHT_TOL)
     ramp = c.ramp_rate if c.ramp_rate is not None else np.inf
-    tight = max(tol, TIGHT_TOL)
-    cols = []  # (hour, kind)
-    for t in range(T):
-        tau = flows.get((c.id, t), 0.0)
-        prev = c.initial_flow if t == 0 else flows.get((c.id, t - 1), 0.0)
-        if c.upper[t] - tau <= tight:
-            cols.append((t, "mu_upper"))
-        if tau - c.lower[t] <= tight:
-            cols.append((t, "mu_lower"))
-        if tau - prev >= ramp - tight:
-            cols.append((t, "rho_fwd"))
-        if prev - tau >= ramp - tight:
-            cols.append((t, "rho_bwd"))
-    n = len(cols) + 2 * T  # multipliers plus +/- slack per hour
-    A_eq = np.zeros((T, n))
-    b_eq = np.zeros(T)
-    for t in range(T):
-        b_eq[t] = prices[c.sink, t] - prices[c.source, t]
-        for j, (tt, kind) in enumerate(cols):
-            coef = 0.0
-            if kind == "mu_upper" and tt == t:
-                coef = 1.0
-            elif kind == "mu_lower" and tt == t:
-                coef = -1.0
-            elif kind == "rho_fwd":
-                coef = 1.0 if tt == t else (-1.0 if tt == t + 1 else 0.0)
-            elif kind == "rho_bwd":
-                coef = -1.0 if tt == t else (1.0 if tt == t + 1 else 0.0)
-            A_eq[t, j] = coef
-        A_eq[t, len(cols) + 2 * t] = 1.0
-        A_eq[t, len(cols) + 2 * t + 1] = -1.0
-    obj = np.zeros(n)
-    obj[len(cols):] = -1.0
-    prob = QpProblem(
-        c=obj, d=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
-        A_in=np.zeros((0, n)), b_in=np.zeros(0),
-        lb=np.zeros(n), ub=np.full(n, np.inf),
-    )
-    sol = solve_qp(prob)
-    out = []
+    tau = np.array([flows.get((c.id, t), 0.0) for t in range(T)])
+    rise = tau - np.append(c.initial_flow, tau[:-1])
+    held = np.column_stack((np.array(c.upper) - tau <= tight, tau - np.array(c.lower) <= tight,
+                            rise >= ramp - tight, -rise >= ramp - tight))
+    E, D = np.eye(T), np.eye(T) - np.eye(T, k=1)
+    mult = np.stack((E, -E, D, -D), axis=2)[:, held] + 0.0
+    A_eq = np.hstack((mult, np.kron(E, [1.0, -1.0]) + 0.0))
+    b_eq = np.array([prices[c.sink, t] - prices[c.source, t] for t in range(T)])
+    n, k = A_eq.shape[1], mult.shape[1]
+    sol = solve_qp(QpProblem(
+        c=np.r_[np.zeros(k), np.full(2 * T, -1.0)], d=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
+        A_in=np.zeros((0, n)), b_in=np.zeros(0), lb=np.zeros(n), ub=np.full(n, np.inf)))
     if sol.status != "optimal":
         return [Violation((c.id,), float("inf"), "flow-price")]
-    resid = b_eq - A_eq[:, : len(cols)] @ sol.x[: len(cols)]
-    for t in range(T):
-        if abs(resid[t]) > tol:
-            out.append(Violation((c.id, t), abs(float(resid[t])), "flow-price"))
-    return out
+    resid = b_eq - mult @ sol.x[:k]
+    return [Violation((c.id, t), abs(float(r)), "flow-price")
+            for t, r in enumerate(resid) if abs(r) > tol]
 
 
 def check_bid_prices(

@@ -1,5 +1,6 @@
-"""Shared fixture builders and the random small-instance generator."""
+"""Shared fixture builders; random small instances come from ``bench/generate.py``."""
 
+import functools
 import importlib.util
 import json
 from dataclasses import dataclass
@@ -376,70 +377,10 @@ def price_indifferent():
     )
 
 
-def _random_curve(rng, demand_only=False):
-    """Monotone node list on [0, 100] with jittered prices."""
-    k = int(rng.integers(2, 5))
-    prices = np.sort(rng.uniform(1.0, 99.0, size=k)) + rng.uniform(0, 1e-3, size=k)
-    prices = np.unique(np.round(prices, 6))
-    if demand_only:
-        qty = np.sort(rng.uniform(1.0, 40.0, size=len(prices)))[::-1]
-    else:
-        hi = rng.uniform(5.0, 40.0)
-        lo = -rng.uniform(5.0, 40.0)
-        qty = np.sort(rng.uniform(lo, hi, size=len(prices)))[::-1]
-        qty[0] = hi
-        qty[-1] = lo
-    return [[float(p), float(q)] for p, q in zip(prices, qty)]
-
-
 def random_instance(seed):
-    """Small jittered instance within the enumeration-oracle caps."""
-    rng = np.random.default_rng(seed)
-    n_areas = int(rng.integers(1, 3))
-    hours = int(rng.integers(1, 4))
-    areas = ["A0", "A1"][:n_areas]
-    curves = {}
-    for a in areas:
-        for t in range(hours):
-            curves[a, t] = _random_curve(rng, demand_only=rng.random() < 0.15)
-
-    n_blocks = int(rng.choice([1, 2, 2, 3, 3, 4], p=[0.15, 0.25, 0.25, 0.15, 0.1, 0.1]))
-    blocks = []
-    for i in range(n_blocks):
-        q = rng.uniform(-15.0, 15.0, size=hours)
-        q[rng.random(hours) < 0.3] = 0.0
-        if not np.any(q):
-            q[0] = float(rng.uniform(3.0, 12.0)) * (1 if rng.random() < 0.5 else -1)
-        blocks.append(block(
-            f"b{i}", str(rng.choice(areas)),
-            float(rng.uniform(5.0, 95.0) + rng.uniform(0, 1e-3)),
-            [float(v) for v in q],
-        ))
-    links = []
-    if n_blocks >= 2 and rng.random() < 0.2:
-        links.append((blocks[1]["id"], blocks[0]["id"]))
-
-    n_flex = int(rng.choice([0, 0, 1, 1, 2], p=[0.35, 0.25, 0.2, 0.1, 0.1]))
-    if n_blocks + n_flex * hours > 12:
-        n_flex = 0
-    flex = [
-        flexbid(f"f{i}", str(rng.choice(areas)),
-                float(rng.uniform(5.0, 95.0) + rng.uniform(0, 1e-3)),
-                float(rng.uniform(2.0, 12.0)) * (1 if rng.random() < 0.5 else -1))
-        for i in range(n_flex)
-    ]
-
-    conns = []
-    if n_areas == 2:
-        atc = float(rng.uniform(5.0, 40.0))
-        ramp = float(rng.uniform(2.0, 15.0)) if rng.random() < 0.5 else None
-        initial = float(rng.uniform(-5.0, 5.0)) if ramp is not None else 0.0
-        conns.append(connector(
-            "c1", "A0", "A1", [-atc] * hours, [atc] * hours,
-            ramp=ramp, initial=initial,
-        ))
-    return make_instance(curves, conns, hours=hours, areas=areas,
-                         blocks=blocks, links=links, flex=flex)
+    """Small jittered instance within the enumeration-oracle caps: the
+    small-suite instance of ``bench/generate.py`` at ``seed``."""
+    return bench_instance("small-suite", seed)
 
 
 def paradox_book(seed):
@@ -511,13 +452,19 @@ def step_book(seed):
     return make_instance(curves, conns, hours=hours, areas=areas, blocks=blocks)
 
 
-def bench_text(family, seed):
-    """The instance document of ``bench/generate.py``'s ``family`` at ``seed``."""
+@functools.cache
+def _generate():
+    """``bench/generate.py``, loaded once."""
     path = Path(__file__).resolve().parent.parent / "bench" / "generate.py"
     spec = importlib.util.spec_from_file_location("bench_generate", path)
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
-    return generate.instance_text(family, seed)
+    return generate
+
+
+def bench_text(family, seed):
+    """The instance document of ``bench/generate.py``'s ``family`` at ``seed``."""
+    return _generate().instance_text(family, seed)
 
 
 def bench_instance(family, seed):

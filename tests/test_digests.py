@@ -1,7 +1,7 @@
 """``tools/digests.py`` prints one line per CLI run of the comparison set,
-``verify`` of each exact clear's document included; on the fixtures its
-lines have the documented format, match the CLI's own output, and come
-out the same on a rerun."""
+``verify`` of each exact clear's document and of its price-shifted copy
+included; on the fixtures its lines have the documented format, match the
+CLI's own output, and come out the same on a rerun."""
 
 import hashlib
 import importlib.util
@@ -14,7 +14,7 @@ from daclear.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 LINE = re.compile(
-    r"fixture (\S+) (clear-exact|verify|clear-heuristic|oracle) (\d+) ([0-9a-f]{64}) ([0-9a-f]{64})"
+    r"fixture (\S+) (clear-exact|verify|verify-shifted|clear-heuristic|oracle) (\d+) ([0-9a-f]{64}) ([0-9a-f]{64})"
 )
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -33,7 +33,8 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
     matches = [LINE.fullmatch(line) for line in lines]
     assert all(matches), lines
     runs = {(m[1], m[2]): m for m in matches}
-    # a verify line follows each exact clear that wrote a document
+    # a verify and a verify-shifted line follow each exact clear that
+    # wrote a document
     cleared = [name for name in names if runs[name, "clear-exact"][4] != EMPTY]
     assert cleared and len(cleared) < len(names)
     expected = []
@@ -41,7 +42,7 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
         for command in digests.COMMANDS:
             expected.append((name, command))
             if command == "clear-exact" and name in cleared:
-                expected.append((name, "verify"))
+                expected += [(name, "verify"), (name, "verify-shifted")]
     assert [(m[1], m[2]) for m in matches] == expected
     # appendix_a clears and verifies; no_price_support exits 2 with only an
     # error message
@@ -57,6 +58,25 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
     report = capsys.readouterr().out
     assert json.loads(report)["pass"] is True
     assert runs["appendix_a", "verify"].group(3, 4, 5) == (
+        "0", hashlib.sha256(report.encode()).hexdigest(), EMPTY
+    )
+    # exact_log_pricing_fails's exact document with its first area's
+    # prices raised by 1.0 fails, with filling and flow-price violations
+    fixture = ROOT / "fixtures" / "exact_log_pricing_fails.json"
+    assert run(["clear", "--mode", "exact", "--instance", str(fixture)]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(digests.shifted(out, fixture.read_text(encoding="utf-8")))
+    first = json.loads(fixture.read_text(encoding="utf-8"))["areas"][0]["id"]
+    assert [p["price"] for p in doc["prices"]] == [
+        p["price"] + (p["area"] == first) for p in json.loads(out)["prices"]
+    ]
+    solution.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify", "--instance", str(fixture), "--solution", str(solution)]) == 0
+    report = capsys.readouterr().out
+    checks = json.loads(report)
+    assert checks["pass"] is False
+    assert checks["filling"]["violations"] and checks["flow_price"]["violations"]
+    assert runs["exact_log_pricing_fails", "verify-shifted"].group(3, 4, 5) == (
         "0", hashlib.sha256(report.encode()).hexdigest(), EMPTY
     )
     for command in digests.COMMANDS:

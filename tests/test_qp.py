@@ -1101,3 +1101,15 @@ def test_array_starts_that_hold_every_row_pass_the_row_test(monkeypatch):
     with_qp_path(monkeypatch)
     _bench_clears()
     assert len(checked) > 200
+
+
+def test_options_are_keyword_only():
+    # only the problem is positional, so a wrapper that reads x0, deadline
+    # or start from its keyword arguments sees every call's options
+    import inspect
+
+    params = inspect.signature(solve_qp).parameters.values()
+    assert [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD] == ["prob"]
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["x0", "deadline", "start"]
+    with pytest.raises(TypeError):
+        solve_qp(_prob([3.0], [-2.0]), np.zeros(1))

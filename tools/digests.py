@@ -5,8 +5,10 @@ in-process through ``daclear.cli.run`` on every instance of the set:
 small-suite seeds 0-199, paradox seeds 1000-1109 and day-book seeds
 3000-3109 from ``bench/generate.py``, then the instances in ``fixtures/``.
 Each document that ``clear --mode exact`` writes is also checked by
-``verify``, right after it, so the checkers' reports are digested too.
-It prints one line per run:
+``verify``, right after it, so the checkers' reports are digested too,
+and then a copy of it whose prices in the book's first area are each
+raised by 1.0 (``verify-shifted``), so that failing reports and their
+violation lists are digested as well.  It prints one line per run:
 
     family seed command exit-code sha256(stdout) sha256(stderr)
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -71,10 +74,21 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def shifted(solution: str, instance: str) -> str:
+    """The solution document ``solution`` with each price in the first
+    area of the instance document ``instance`` raised by 1.0."""
+    area = json.loads(instance)["areas"][0]["id"]
+    doc = json.loads(solution)
+    for entry in doc["prices"] or ():
+        if entry["area"] == area:
+            entry["price"] += 1.0
+    return json.dumps(doc)
+
+
 def digest_lines(instances):
-    """One digest line per command and instance of ``instances``, and one
-    per ``verify`` of a document that ``clear-exact`` wrote, from the
-    ``daclear`` of this script's own checkout."""
+    """One digest line per command and instance of ``instances``, and two
+    per document that ``clear-exact`` wrote, ``verify`` of it and of its
+    ``shifted`` copy, from the ``daclear`` of this script's own checkout."""
     sys.path.insert(0, str(ROOT / "src"))
     from daclear.cli import run
 
@@ -92,10 +106,11 @@ def digest_lines(instances):
                 code, out, digests = digest([*argv, "--instance", str(path)])
                 yield f"{family} {seed} {name} {code} {digests}"
                 if name == "clear-exact" and out:
-                    solution.write_text(out, encoding="utf-8")
-                    code, _, digests = digest(
-                        ["verify", "--instance", str(path), "--solution", str(solution)])
-                    yield f"{family} {seed} verify {code} {digests}"
+                    for check, doc in (("verify", out), ("verify-shifted", shifted(out, text))):
+                        solution.write_text(doc, encoding="utf-8")
+                        code, _, digests = digest(
+                            ["verify", "--instance", str(path), "--solution", str(solution)])
+                        yield f"{family} {seed} {check} {code} {digests}"
 
 
 def main() -> int:
