@@ -173,34 +173,45 @@ class PriceVector:
 
 @dataclass(frozen=True)
 class Instance:
+    """An order book.  ``nodes`` holds each (area, hour)'s curve as its
+    document's (price, quantity) nodes, from which ``curves`` derives the
+    net curves.  A book checks itself (``validate``) when made."""
+
     interval: PriceInterval
     hours: int
     areas: tuple[str, ...]
     area_intervals: Mapping[str, PriceInterval]
-    curves: Mapping[tuple[str, int], NetCurve]
+    nodes: Mapping[tuple[str, int], Sequence[tuple[float, float]]]
     blocks: tuple[BlockBid, ...]
     links: tuple[tuple[str, str], ...]
     flex_bids: tuple[FlexBid, ...]
     interconnectors: tuple[Interconnector, ...]
-    # raw curve nodes as given by the source document, kept for round-trips
-    raw_nodes: Optional[Mapping[tuple[str, int], tuple]] = None
+
+    def __post_init__(self):
+        self.validate()
+
+    @cached_property
+    def curves(self) -> dict[tuple[str, int], NetCurve]:
+        """Each (area, hour)'s net curve (``build_net_curve``), built in
+        area-then-hour order with running segment ids."""
+        curves, next_seg = {}, 0
+        for a in self.areas:
+            for t in range(self.hours):
+                if (a, t) not in self.nodes:
+                    raise ValidationError(f"missing net curve for area {a!r} hour {t}")
+                curve = build_net_curve(self.nodes[a, t], self.area_interval(a), self.interval,
+                                        area=a, hour=t, first_segment_id=next_seg)
+                next_seg += len(curve.segments)
+                curves[a, t] = curve
+        return curves
 
     @cached_property
     def segments(self) -> tuple[NetCurveSegment, ...]:
-        segs = []
-        for a in self.areas:
-            for t in range(self.hours):
-                segs.extend(self.curves[a, t].segments)
-        return tuple(sorted(segs, key=lambda s: s.id))
+        return tuple(s for curve in self.curves.values() for s in curve.segments)
 
     @cached_property
     def segment_location(self) -> dict[int, tuple[str, int]]:
-        return {
-            s.id: (a, t)
-            for a in self.areas
-            for t in range(self.hours)
-            for s in self.curves[a, t].segments
-        }
+        return {s.id: key for key, curve in self.curves.items() for s in curve.segments}
 
     @cached_property
     def flex_by_id(self) -> dict[str, FlexBid]:
@@ -231,10 +242,9 @@ class Instance:
             raise ValidationError("instance needs at least one hour")
         if len(set(self.areas)) != len(self.areas):
             raise ValidationError("duplicate area ids")
-        for a in self.areas:
-            for t in range(self.hours):
-                if (a, t) not in self.curves:
-                    raise ValidationError(f"missing net curve for area {a!r} hour {t}")
+        self.curves  # building a curve checks its nodes
+        if len(self.nodes) != len(self.areas) * self.hours:
+            raise ValidationError("net curve for an unknown area or hour")
         ids: set[str] = set()
         for b in self.blocks:
             if b.id in ids:

@@ -29,7 +29,6 @@ from .core import (
     PriceInterval,
     PriceVector,
     PrimalSolution,
-    build_net_curve,
 )
 from .errors import SchemaError
 from .tolerances import MAX_MAGNITUDE
@@ -146,6 +145,9 @@ def _distinct_keys(pairs) -> dict:
 
 
 def parse_instance(text: str) -> Instance:
+    """The book that the instance document ``text`` holds.  This reads the
+    document and checks what it holds (``SchemaError``); the book then
+    checks itself when made (``Instance.validate``), its curves included."""
     doc = _load(text)
     interval = _record(PriceInterval, _get(doc, "price_interval", dict, "$"), "$.price_interval")
     hours = _get(doc, "hours", int, "$")
@@ -164,12 +166,8 @@ def parse_instance(text: str) -> Instance:
     if not areas:
         raise SchemaError("$.areas", "must name at least one area")
 
-    curves = {}
-    raw_nodes = {}
-    next_seg = 0
-    entries = _get(doc, "curves", list, "$")
-    by_key = {}
-    for i, entry in enumerate(entries):
+    nodes = {}
+    for i, entry in enumerate(_get(doc, "curves", list, "$")):
         path = f"$.curves[{i}]"
         a = _get(entry, "area", str, path)
         t = _get(entry, "hour", int, path)
@@ -177,25 +175,13 @@ def parse_instance(text: str) -> Instance:
             raise SchemaError(f"{path}.area", f"unknown area {a!r}")
         if not 0 <= t < hours:
             raise SchemaError(f"{path}.hour", f"hour {t} is outside 0..{hours - 1}")
-        if (a, t) in by_key:
+        if (a, t) in nodes:
             raise SchemaError(path, f"repeated curve for area {a!r} hour {t}")
-        by_key[a, t] = (_nodes(_get(entry, "nodes", list, path), f"{path}.nodes"), path)
+        nodes[a, t] = _nodes(_get(entry, "nodes", list, path), f"{path}.nodes")
     for a in areas:
         for t in range(hours):
-            if (a, t) not in by_key:
+            if (a, t) not in nodes:
                 raise SchemaError("$.curves", f"missing curve for area {a!r} hour {t}")
-            nodes, path = by_key[a, t]
-            curve = build_net_curve(
-                nodes,
-                area_intervals.get(a, interval),
-                interval,
-                area=a,
-                hour=t,
-                first_segment_id=next_seg,
-            )
-            next_seg += len(curve.segments)
-            curves[a, t] = curve
-            raw_nodes[a, t] = nodes
 
     blocks = _records(BlockBid, doc, "blocks")
     links = []
@@ -209,20 +195,17 @@ def parse_instance(text: str) -> Instance:
             raise SchemaError(path, "expected a [child, parent] pair of block ids")
         links.append(tuple(entry))
 
-    instance = Instance(
+    return Instance(
         interval=interval,
         hours=hours,
         areas=tuple(areas),
         area_intervals=area_intervals,
-        curves=curves,
+        nodes=nodes,
         blocks=blocks,
         links=tuple(links),
         flex_bids=_records(FlexBid, doc, "flex"),
         interconnectors=_records(Interconnector, doc, "interconnectors"),
-        raw_nodes=raw_nodes,
     )
-    instance.validate()
-    return instance
 
 
 def _dump(doc: Any) -> str:
@@ -273,6 +256,8 @@ def _write(value: Any, parts: list, newline: str) -> None:
 
 
 def serialize_instance(instance: Instance) -> str:
+    """The instance document of ``instance``: its curves as their nodes
+    (``Instance.nodes``), so that ``parse_instance`` reads back the book."""
     doc = {
         "price_interval": record_doc(instance.interval),
         "hours": instance.hours,
@@ -291,14 +276,7 @@ def serialize_instance(instance: Instance) -> str:
             {
                 "area": a,
                 "hour": t,
-                "nodes": [
-                    list(pq)
-                    for pq in (
-                        instance.raw_nodes[a, t]
-                        if instance.raw_nodes is not None
-                        else instance.curves[a, t].nodes()
-                    )
-                ],
+                "nodes": [list(pq) for pq in instance.nodes[a, t]],
             }
             for a in instance.areas
             for t in range(instance.hours)

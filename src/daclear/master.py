@@ -67,59 +67,35 @@ def _binary_rows(prob: QpProblem, n: int):
     return slice(n, None), np.abs(M), M > 0.0, M < 0.0
 
 
-# passes the node pass (``_fix_binaries``) makes at most; a pass that fixes
-# no binary ends them sooner
-PROPAGATION_PASSES = 8
-
-
 def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
     """(lb, ub): lb and ub with each free binary column fixed at v
     where the row test would refute its other value over the box (node
     presolve; Savelsbergh, 1994): its |coefficient| in a stacked row
     exceeds that row's room, ``broken`` minus its lowest activity
     (``qp._lowest_activity``), so the value that raises the row's activity
-    by it breaks the row.  Passes repeat while a binary moves, at most
-    PROPAGATION_PASSES.  The pass gives no verdict: at a broken row, or
+    by it breaks the row.  Passes repeat while a binary moves, so at most
+    one per binary.  The pass gives no verdict: at a broken row, or
     once a binary is ruled out both ways (fixed at 0), it stops and leaves
     the node to ``solve_qp``'s row test.  Continuous bounds stay as they
     are; lb and ub are not modified."""
     cols, size, positive, negative = binary_rows
     broken = prob._activity_rows[1]
-    for _ in range(PROPAGATION_PASSES):
+    while True:
         free = lb[cols] < ub[cols]
         if not np.count_nonzero(free):
-            break
+            return lb, ub
         low, row = _lowest_activity(prob, lb, ub)
         if row is not None:
-            break
+            return lb, ub
         ruled = size * free > (broken - low)[:, None]
         if not np.count_nonzero(ruled):
-            break
+            return lb, ub
         no_one, no_zero = (ruled & positive).any(axis=0), (ruled & negative).any(axis=0)
         lb, ub = lb.copy(), ub.copy()
         ub[cols][no_one] = 0.0
         lb[cols][no_zero & ~no_one] = 1.0
         if np.count_nonzero(no_one & no_zero):
-            break
-    return lb, ub
-
-
-def _solve_node(node: QpProblem, model, parent, deadline):
-    """The optimal solution of one B&B node, or None when it has none.  A
-    node with a ``parent`` solution (a child, or a node solved again under
-    new cuts) starts from the parent's optimum and working set.  Phase 1
-    starts the root, and any node whose parametric start falls back, from
-    ``balanced_start`` of the parent's optimum (of zero at the root),
-    built only when the search needs it: not for a node that
-    ``solve_qp``'s row test refutes, and for a child only when the
-    parametric start falls back."""
-    sol = solve_qp(
-        node,
-        x0=lambda: balanced_start(model, node, None if parent is None else parent.x),
-        deadline=deadline,
-        start=parent,
-    )
-    return sol if sol.status == "optimal" else None
+            return lb, ub
 
 
 def solve_master(
@@ -137,7 +113,8 @@ def solve_master(
     ``solve_qp``'s row test.  Each child is solved from its parent's
     optimum and working set (``solve_qp``'s ``start``), so phase 1 runs
     only at the root and where that parametric start falls back, both
-    from ``model.balanced_start`` (``_solve_node``).  A node whose free
+    from ``model.balanced_start`` of the parent's optimum (of zero at the
+    root), which is built only then.  A node whose free
     binaries all sit on 0/1 up to round-off (``ROUND_TOL``) is an integral
     leaf; any other node branches.  A leaf goes back on the heap keyed by
     its objective plus ``abs_gap``, given in the book's units of money and
@@ -221,12 +198,13 @@ def solve_master(
         node_lb, node_ub = _fix_binaries(prob, binary_rows, node_lb, node_ub)
         node = prob.with_bounds(node_lb, node_ub)
         try:
-            sol = _solve_node(node, model, parent, deadline)
+            sol = solve_qp(node, deadline=deadline, start=parent, x0=lambda: balanced_start(
+                model, node, None if parent is None else parent.x))
         except TimeLimit:
             heapq.heappush(heap, entry)  # the interrupted node keeps its bound
             return result("limit")
         nodes += 1
-        if sol is None:
+        if sol.status != "optimal":
             continue
         xs, lo, hi = sol.x[n:].tolist(), node_lb[n:].tolist(), node_ub[n:].tolist()
         frac = [(abs(v - round(v)), n + k) for k, v in enumerate(xs) if lo[k] < hi[k]]

@@ -1,7 +1,8 @@
-"""``tools/digests.py`` prints one line per CLI run of the comparison set,
-``verify`` of each exact clear's document and of its price-shifted copy
-included; on the fixtures its lines have the documented format, match the
-CLI's own output, and come out the same on a rerun."""
+"""``tools/digests.py`` prints one line per instance of the comparison set
+as ``serialize_instance`` writes it again, and one per CLI run, ``verify``
+of each exact clear's document and of its price-shifted copy included; on
+the fixtures its lines have the documented format, match the writer's and
+the CLI's own output, and come out the same on a rerun."""
 
 import hashlib
 import importlib.util
@@ -11,10 +12,12 @@ import re
 from pathlib import Path
 
 from daclear.cli import run
+from daclear.io import parse_instance, serialize_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 LINE = re.compile(
     r"fixture (\S+) (clear-exact|verify|verify-shifted|clear-heuristic|oracle) (\d+) ([0-9a-f]{64}) ([0-9a-f]{64})"
+    r"|fixture (\S+) serialize ([0-9a-f]{64})"
 )
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -32,18 +35,28 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
     names = sorted(p.stem for p in (ROOT / "fixtures").glob("*.json"))
     matches = [LINE.fullmatch(line) for line in lines]
     assert all(matches), lines
-    runs = {(m[1], m[2]): m for m in matches}
+    runs = {(m[1], m[2]): m for m in matches if m[1]}
+    written = {m[6]: m[7] for m in matches if m[6]}
     # a verify and a verify-shifted line follow each exact clear that
     # wrote a document
     cleared = [name for name in names if runs[name, "clear-exact"][4] != EMPTY]
     assert cleared and len(cleared) < len(names)
     expected = []
     for name in names:
+        expected.append((name, "serialize"))
         for command in digests.COMMANDS:
             expected.append((name, command))
             if command == "clear-exact" and name in cleared:
                 expected += [(name, "verify"), (name, "verify-shifted")]
-    assert [(m[1], m[2]) for m in matches] == expected
+    assert [(m[1], m[2]) if m[1] else (m[6], "serialize") for m in matches] == expected
+    # the serialize line digests the writer's document of the parsed book,
+    # which is the fixture's own text where the writer wrote the fixture
+    for name in names:
+        text = (ROOT / "fixtures" / f"{name}.json").read_text(encoding="utf-8")
+        assert written[name] == hashlib.sha256(
+            serialize_instance(parse_instance(text)).encode()).hexdigest()
+    assert written["no_price_support"] == hashlib.sha256(
+        (ROOT / "fixtures" / "no_price_support.json").read_bytes()).hexdigest()
     # appendix_a clears and verifies; no_price_support exits 2 with only an
     # error message
     fixture = str(ROOT / "fixtures" / "appendix_a.json")
@@ -83,8 +96,8 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
         code, out_sha, err_sha = runs["no_price_support", command].group(3, 4, 5)
         assert code == "2" and out_sha == EMPTY and err_sha != EMPTY
     assert list(digests.digest_lines(digests.fixtures())) == lines
-    # with the 200 + 110 + 110 generated instances: 423 instances, 1,269
-    # clear and oracle runs
+    # with the 200 + 110 + 110 generated instances: 423 instances, 423
+    # serialize lines and 1,269 clear and oracle runs
     assert sum(len(seeds) for seeds in digests.SEEDS.values()) + len(names) == 423
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from daclear.errors import SchemaError
+from daclear.core import Instance
+from daclear.errors import NonMonotoneCurve, SchemaError, ValidationError
 from daclear.io import (
     _FIELDS,
     parse_instance,
@@ -18,7 +19,8 @@ from daclear.tolerances import MAX_MAGNITUDE
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "appendix_a.json"
 
 from helpers import (
-    REPEATED_KEYS, appendix_a, f2, f3, ramp_fixture, random_instance, repeated_key_documents,
+    REPEATED_KEYS, appendix_a, bench_instance, f2, f3, ramp_fixture, random_instance,
+    repeated_key_documents,
 )
 
 
@@ -119,6 +121,42 @@ class TestParseInstance:
             assert again.areas == inst.areas
             assert again.hours == inst.hours
             assert len(again.segments) == len(inst.segments)
+
+    @pytest.mark.parametrize("family, seeds", [
+        ("small-suite", range(200)), ("paradox", range(1000, 1110)), ("day-book", range(3000, 3110)),
+    ])
+    def test_a_book_made_in_code_reads_back_as_written(self, family, seeds):
+        # each comparison book made again through Instance(...) from its
+        # fields: the writer writes its nodes, so the document reads back
+        # as the same book, with the same net curves and segment ids
+        for seed in seeds:
+            book = bench_instance(family, seed)
+            made = Instance(**{f.name: getattr(book, f.name) for f in dataclasses.fields(book)})
+            again = parse_instance(serialize_instance(made))
+            assert again == made, seed
+            assert again.curves == made.curves == book.curves, seed
+
+    def test_a_book_checks_its_curves_when_made(self):
+        inst = f2()
+        with pytest.raises(NonMonotoneCurve):
+            dataclasses.replace(inst, nodes={**inst.nodes, ("R", 0): ((0.0, 0.0), (10.0, 5.0))})
+        with pytest.raises(ValidationError, match="missing net curve"):
+            dataclasses.replace(inst, nodes={("S", 0): inst.nodes["S", 0]})
+        with pytest.raises(ValidationError, match="unknown area or hour"):
+            dataclasses.replace(inst, nodes={**inst.nodes, ("R", 1): ((0.0, 0.0),)})
+
+    def test_record_errors_come_before_curve_errors(self):
+        # a document with a bad block and a curve whose nodes are not
+        # monotone: io reports the block, as it reads the records before
+        # the book builds its curves
+        doc = json.loads(serialize_instance(f2()))
+        doc["curves"][0]["nodes"] = [[0.0, 0.0], [10.0, 5.0]]
+        with pytest.raises(NonMonotoneCurve):
+            parse_instance(json.dumps(doc))
+        doc["blocks"] = [{"id": "b", "area": "R", "limit_price": "one", "quantities": [1.0]}]
+        with pytest.raises(SchemaError) as exc:
+            parse_instance(json.dumps(doc))
+        assert exc.value.path == "$.blocks[0].limit_price"
 
     def test_field_table_names_each_record_field(self):
         for cls, readers in _FIELDS.items():

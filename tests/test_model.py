@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from daclear.core import BidSelection, build_net_curve
+from daclear.core import BidSelection
 from daclear.driver import clear_exact, clear_heuristic
 from daclear.errors import ValidationError
 from daclear.io import parse_instance, serialize_instance
@@ -95,14 +95,10 @@ class TestModelUnits:
         # 1e9, which io refuses in a document: the API entry points refuse
         # it too, and at the bound the book builds
         inst = bench_instance("day-book", 3000)
-        curve = inst.curves["A1", 1]
 
         def outlier(quantity):
-            (p, _), *rest = inst.raw_nodes["A1", 1]
-            nodes = [(p, quantity), *rest]
-            new = build_net_curve(nodes, inst.area_interval("A1"), inst.interval, area="A1",
-                                  hour=1, first_segment_id=min(s.id for s in curve.segments))
-            return replace(inst, curves={**inst.curves, ("A1", 1): new})
+            (p, _), *rest = inst.nodes["A1", 1]
+            return replace(inst, nodes={**inst.nodes, ("A1", 1): ((p, quantity), *rest)})
 
         build_model(outlier(MAX_MAGNITUDE))
         book = outlier(1e9)

@@ -12,6 +12,11 @@ violation lists are digested as well.  It prints one line per run:
 
     family seed command exit-code sha256(stdout) sha256(stderr)
 
+and, before an instance's runs, one line for the instance document as
+``daclear.io.serialize_instance`` writes the book it parses to:
+
+    family seed serialize sha256(serialize_instance(parse_instance(text)))
+
 Two trees behave the same on the set when their outputs diff empty:
 
     python tools/digests.py > before.txt   # in one tree
@@ -86,11 +91,13 @@ def shifted(solution: str, instance: str) -> str:
 
 
 def digest_lines(instances):
-    """One digest line per command and instance of ``instances``, and two
-    per document that ``clear-exact`` wrote, ``verify`` of it and of its
-    ``shifted`` copy, from the ``daclear`` of this script's own checkout."""
+    """One digest line per instance of ``instances`` as written again
+    (``serialize``) and per command and instance, and two per document that
+    ``clear-exact`` wrote, ``verify`` of it and of its ``shifted`` copy,
+    from the ``daclear`` of this script's own checkout."""
     sys.path.insert(0, str(ROOT / "src"))
     from daclear.cli import run
+    from daclear.io import parse_instance, serialize_instance
 
     def digest(argv):
         out, err = io.StringIO(), io.StringIO()
@@ -102,6 +109,7 @@ def digest_lines(instances):
         path, solution = Path(tmp) / "instance.json", Path(tmp) / "solution.json"
         for family, seed, text in instances:
             path.write_text(text, encoding="utf-8")
+            yield f"{family} {seed} serialize {_sha(serialize_instance(parse_instance(text)))}"
             for name, argv in COMMANDS.items():
                 code, out, digests = digest([*argv, "--instance", str(path)])
                 yield f"{family} {seed} {name} {code} {digests}"
