@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from daclear.cli import run
