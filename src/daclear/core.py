@@ -1,9 +1,12 @@
 """Domain model: order books, net curves, welfare and presolve bounds.
 
 Quantities are MW with demand positive and supply negative; prices are
-currency per MW.  A net curve is stored as segments sorted by descending
-price, so a segment's execution fraction runs from the high-price end
-(fraction 0) to the low-price end (fraction 1).
+currency per MW.  A book keeps each curve once, as its document's nodes.
+``_polyline`` turns them into the curve's ascending polyline on the global
+price interval; the net curve is cut from it into segments sorted by
+descending price, so a segment's execution fraction runs from the
+high-price end (fraction 0) to the low-price end (fraction 1), and
+presolve walks it.
 """
 
 from __future__ import annotations
@@ -75,23 +78,6 @@ class NetCurve:
     hour: int
     min_net_demand: float
     segments: tuple[NetCurveSegment, ...]
-
-    @property
-    def max_net_demand(self) -> float:
-        return self.min_net_demand + sum(s.quantity_span for s in self.segments)
-
-    def ascending_segments(self) -> list[NetCurveSegment]:
-        return sorted(self.segments, key=lambda s: (s.base_price, s.price_span))
-
-    def nodes(self) -> list[tuple[float, float]]:
-        """Reconstruct the ascending (price, quantity) polyline."""
-        pts = []
-        q = self.max_net_demand
-        for seg in self.ascending_segments():
-            pts.append((seg.base_price, q))
-            q -= seg.quantity_span
-            pts.append((seg.base_price + seg.price_span, q))
-        return pts
 
 
 @dataclass(frozen=True)
@@ -279,24 +265,44 @@ class Instance:
                 raise ValidationError(f"interconnector {c.id!r} bound vector length mismatch")
 
 
-def _collapse_nodes(nodes: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Drop duplicate points and middle nodes of constant-price or
-    constant-quantity triples."""
+def _collapse_nodes(nodes: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The monotone nodes as float pairs without duplicate points or the
+    middle nodes of constant-price or constant-quantity triples."""
     out: list[tuple[float, float]] = []
     for p, q in nodes:
+        p, q = float(p), float(q)
         if out and out[-1] == (p, q):
             continue
+        while len(out) > 1 and (out[-2][0] == out[-1][0] == p or out[-2][1] == out[-1][1] == q):
+            out.pop()
         out.append((p, q))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(out) - 1):
-            (p0, q0), (p1, q1), (p2, q2) = out[i - 1], out[i], out[i + 1]
-            if (p0 == p1 == p2) or (q0 == q1 == q2):
-                del out[i]
-                changed = True
-                break
     return out
+
+
+def _polyline(
+    nodes: Sequence[tuple[float, float]], interval: PriceInterval
+) -> tuple[list[tuple[float, float]], Optional[tuple[float, float]]]:
+    """(pts, curtail): the ascending (price, quantity) polyline of a
+    curve's monotone nodes (``_collapse_nodes``), connected to the quantity
+    axis by a vertical curtailment step when it does not cross zero and
+    extended flat to the ends of ``interval``, and that step's (price,
+    juncture quantity), or None.  The collapse keeps the first and last
+    nodes, so they decide the step and the extensions."""
+    (p_first, q_first), (p_last, q_last) = nodes[0], nodes[-1]
+    head, tail, curtail = [], [], None
+    if q_last > 0:
+        # pure demand: curtail at the top price down to the axis
+        curtail, q_last = (float(p_last), float(q_last)), 0.0
+        tail.append((p_last, q_last))
+    elif q_first < 0:
+        # pure supply: curtail at the bottom price up to the axis
+        curtail, q_first = (float(p_first), float(q_first)), 0.0
+        head.append((p_first, q_first))
+    if p_first > interval.lower:
+        head.insert(0, (interval.lower, q_first))
+    if p_last < interval.upper:
+        tail.append((interval.upper, q_last))
+    return _collapse_nodes([*head, *nodes, *tail]), curtail
 
 
 def build_net_curve(
@@ -308,44 +314,24 @@ def build_net_curve(
     hour: int = 0,
     first_segment_id: int = 0,
 ) -> NetCurve:
-    """Build a net curve from raw (price, quantity) nodes.
-
-    The raw curve is first connected to the quantity axis with a vertical
-    curtailment segment when it does not cross zero, then extended
-    horizontally so it is defined on the whole global price interval.
-    """
+    """Build a net curve from raw (price, quantity) nodes: one segment per
+    stretch of their polyline on the global price interval (``_polyline``),
+    sorted by descending price."""
     if not nodes:
         raise EmptyCurve(f"net curve for area {area!r} hour {hour} has no nodes")
-    pts = [(float(p), float(q)) for p, q in nodes]
-    for (p0, q0), (p1, q1) in zip(pts, pts[1:]):
+    for (p0, q0), (p1, q1) in zip(nodes, nodes[1:]):
         if p1 < p0 or q1 > q0:
             raise NonMonotoneCurve(
                 f"curve nodes for area {area!r} hour {hour} are not monotone "
                 f"at ({p0}, {q0}) -> ({p1}, {q1})"
             )
-    for p, _ in pts:
+    for p, _ in nodes:
         if not area_interval.contains(p):
             raise ValidationError(
                 f"curve node price {p} outside area interval "
                 f"[{area_interval.lower}, {area_interval.upper}]"
             )
-    pts = _collapse_nodes(pts)
-
-    curtail: Optional[tuple[float, float]] = None  # (price, juncture quantity)
-    if pts[-1][1] > 0:
-        # pure demand: curtail at the top price down to the axis
-        curtail = (pts[-1][0], pts[-1][1])
-        pts.append((pts[-1][0], 0.0))
-    elif pts[0][1] < 0:
-        # pure supply: curtail at the bottom price up to the axis
-        curtail = (pts[0][0], pts[0][1])
-        pts.insert(0, (pts[0][0], 0.0))
-
-    if pts[0][0] > global_interval.lower:
-        pts.insert(0, (global_interval.lower, pts[0][1]))
-    if pts[-1][0] < global_interval.upper:
-        pts.append((global_interval.upper, pts[-1][1]))
-    pts = _collapse_nodes(pts)
+    pts, curtail = _polyline(nodes, global_interval)
 
     raw_segments = []
     for (p0, q0), (p1, q1) in zip(pts, pts[1:]):
@@ -557,9 +543,10 @@ def presolve_price_bounds(
     """Per-(area, hour) price bounds containing every feasible clearing price.
 
     The worst-case combinatorial volume plus flow extremes bound the hourly
-    curve volume; walking the curve converts the quantity band to prices,
-    taking the widest consistent interval on flat stretches.  Quantities
-    are read within ``tol``.
+    curve volume; walking the curve's polyline (``_polyline`` of the book's
+    nodes, the one its net curve is cut from) converts the quantity band to
+    prices, taking the widest consistent interval on flat stretches.
+    Quantities are read within ``tol``.
     """
     # per (area, hour): [hi_q, lo_q], the worst-case combinatorial volume
     band = {(a, t): [0.0, 0.0] for a in instance.areas for t in range(instance.hours)}
@@ -579,8 +566,8 @@ def presolve_price_bounds(
                 if c.source == a:
                     hi_q -= c.lower[t]
                     lo_q -= c.upper[t]
-            lo_p, hi_p = _price_band(
-                instance.curves[a, t].nodes(), lo_q, hi_q, instance.interval, tol)
+            pts, _ = _polyline(instance.nodes[a, t], instance.interval)
+            lo_p, hi_p = _price_band(pts, lo_q, hi_q, instance.interval, tol)
             lo_p = instance.interval.clamp(lo_p)
             hi_p = instance.interval.clamp(max(hi_p, lo_p))
             bounds[a, t] = PriceInterval(lo_p, hi_p)

@@ -67,8 +67,8 @@ def _binary_rows(prob: QpProblem, n: int):
     return slice(n, None), np.abs(M), M > 0.0, M < 0.0
 
 
-def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
-    """(lb, ub): lb and ub with each free binary column fixed at v
+def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray) -> QpProblem:
+    """prob on the box lb..ub with each free binary column fixed at v
     where the row test would refute its other value over the box (node
     presolve; Savelsbergh, 1994): its |coefficient| in a stacked row
     exceeds that row's room, ``broken`` minus its lowest activity
@@ -76,26 +76,28 @@ def _fix_binaries(prob: QpProblem, binary_rows, lb: np.ndarray, ub: np.ndarray):
     by it breaks the row.  Passes repeat while a binary moves, so at most
     one per binary.  The pass gives no verdict: at a broken row, or
     once a binary is ruled out both ways (fixed at 0), it stops and leaves
-    the node to ``solve_qp``'s row test.  Continuous bounds stay as they
-    are; lb and ub are not modified."""
+    the node to ``solve_qp``'s row test, which reads the last pass's
+    activities when that pass ran on the node's box (``with_bounds``).
+    Continuous bounds stay as they are; lb and ub are not modified."""
     cols, size, positive, negative = binary_rows
     broken = prob._activity_rows[1]
     while True:
         free = lb[cols] < ub[cols]
         if not np.count_nonzero(free):
-            return lb, ub
-        low, row = _lowest_activity(prob, lb, ub)
+            return prob.with_bounds(lb, ub)
+        activity = _lowest_activity(prob, lb, ub)
+        low, row = activity
         if row is not None:
-            return lb, ub
+            return prob.with_bounds(lb, ub, activity)
         ruled = size * free > (broken - low)[:, None]
         if not np.count_nonzero(ruled):
-            return lb, ub
+            return prob.with_bounds(lb, ub, activity)
         no_one, no_zero = (ruled & positive).any(axis=0), (ruled & negative).any(axis=0)
         lb, ub = lb.copy(), ub.copy()
         ub[cols][no_one] = 0.0
         lb[cols][no_zero & ~no_one] = 1.0
         if np.count_nonzero(no_one & no_zero):
-            return lb, ub
+            return prob.with_bounds(lb, ub)
 
 
 def solve_master(
@@ -195,8 +197,8 @@ def solve_master(
             continue
         # a node, or a leaf that a later cut removed, on the box its rows
         # leave it
-        node_lb, node_ub = _fix_binaries(prob, binary_rows, node_lb, node_ub)
-        node = prob.with_bounds(node_lb, node_ub)
+        node = _fix_binaries(prob, binary_rows, node_lb, node_ub)
+        node_lb, node_ub = node.lb, node.ub
         try:
             sol = solve_qp(node, deadline=deadline, start=parent, x0=lambda: balanced_start(
                 model, node, None if parent is None else parent.x))

@@ -85,15 +85,21 @@ class QpProblem:
     def n(self) -> int:
         return len(self.c)
 
-    def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "QpProblem":
+    # ``_lowest_activity`` over the box, when the problem's maker computed
+    # it (``with_bounds``); the row test then reads it
+    _box_activity = None
+
+    def with_bounds(self, lb: np.ndarray, ub: np.ndarray, activity=None) -> "QpProblem":
         """This problem with the float arrays ``lb`` and ``ub`` as its box.
         The copy shares the other arrays, already converted and checked,
         the stacked rows of the row activity test (``_lowest_activity``),
         built here once, and the factor cache of its rows (``factors``), so
-        a node reuses the factorizations of every node solved before it."""
+        a node reuses the factorizations of every node solved before it.
+        ``activity``, when given, is ``_lowest_activity`` over the new box,
+        as the master's node pass computed it; this box's is not copied."""
         self._activity_rows, self.factors  # made before the copy, so that copies share them
         node = QpProblem.__new__(QpProblem)
-        node.__dict__ = {**self.__dict__, "lb": lb, "ub": ub}
+        node.__dict__ = {**self.__dict__, "lb": lb, "ub": ub, "_box_activity": activity}
         return node
 
     @cached_property
@@ -605,7 +611,7 @@ def _row_test(prob: QpProblem) -> Optional[dict]:
     (``_lowest_activity``): the row, its positive columns' lower bounds and
     its negative columns' upper bounds; None when no row breaks."""
     if len(prob.b_in) or len(prob.b_eq):  # a problem without rows stacks none
-        _, row = _lowest_activity(prob, prob.lb, prob.ub)
+        _, row = prob._box_activity or _lowest_activity(prob, prob.lb, prob.ub)
         if row is not None:
             _, _, pos, neg = prob._activity_rows
             m_in = len(prob.b_in)

@@ -71,35 +71,6 @@ def _case_violation(seg, dlt, pi, tol):
     return v
 
 
-def _check_filling_gamma(instance, delta, prices, tol=CHECK_TOL):
-    """``check_filling`` another way, for cross-validation: construct the
-    binary stacking chain over ascending-price segments (a partially
-    filled segment forces every higher-priced one to full fill) and then
-    apply the price rule to the stacked profile."""
-    violations = []
-    for a in instance.areas:
-        for t in range(instance.hours):
-            segs = [
-                s
-                for s in instance.curves[a, t].ascending_segments()
-                if s.quantity_span != 0.0
-            ]
-            for lo, hi in zip(segs, segs[1:]):
-                d_lo = float(delta.get(lo.id, 0.0))
-                d_hi = float(delta.get(hi.id, 0.0))
-                # gamma between the pair must be >= d_lo and <= d_hi
-                if d_lo > tol and d_hi < 1.0 - tol:
-                    violations.append(
-                        Violation((a, t, lo.id, hi.id), d_lo - d_hi, "stacking")
-                    )
-            pi = prices[a, t]
-            for seg in segs:
-                v = _case_violation(seg, float(delta.get(seg.id, 0.0)), pi, tol)
-                if v is not None:
-                    violations.append(Violation((a, t, seg.id), abs(v), "price-rule"))
-    return ConditionReport.from_violations(violations)
-
-
 def check_flow_price(
     instance: Instance,
     flows: Mapping[tuple[str, int], float],

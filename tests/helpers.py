@@ -17,8 +17,10 @@ from daclear.master import _with_cuts
 from daclear.model import build_model
 from daclear.pricing import solve_fixflow, solve_qpprice
 from daclear.qp import QpProblem, QpSolution, multipliers
-from daclear.tolerances import CURV_TOL, DUAL_TOL, INFEAS_TOL, MAX_MAGNITUDE, RANK_TOL, TIGHT_TOL
-from daclear.verify import check_bid_prices
+from daclear.tolerances import (
+    CHECK_TOL, CURV_TOL, DUAL_TOL, INFEAS_TOL, MAX_MAGNITUDE, RANK_TOL, TIGHT_TOL,
+)
+from daclear.verify import ConditionReport, Violation, _case_violation, check_bid_prices
 
 
 def make_instance(curves, conns=(), P=(0.0, 100.0), hours=1, areas=None,
@@ -83,7 +85,8 @@ def without_row_test(monkeypatch):
 def without_node_pass(monkeypatch):
     """Take the master's node pass (``master._fix_binaries``) out, so that
     every node is solved and branched on the box it was pushed with."""
-    monkeypatch.setattr(master, "_fix_binaries", lambda prob, binary_rows, lb, ub: (lb, ub))
+    monkeypatch.setattr(master, "_fix_binaries",
+                        lambda prob, binary_rows, lb, ub: prob.with_bounds(lb, ub))
 
 
 def executed_bids(selection):
@@ -154,6 +157,34 @@ def total_loss(inst, selection, prices):
     per losing bid, blocks then flex bids, each in id order."""
     report = check_bid_prices(inst, selection, prices, tol=0.0)
     return float(sum(v.amount for v in report.violations))
+
+
+def check_filling_gamma(instance, delta, prices, tol=CHECK_TOL):
+    """``verify.check_filling`` another way, for cross-validation:
+    construct the binary stacking chain over ascending-price segments (a
+    partially filled segment forces every higher-priced one to full fill)
+    and then apply the price rule to the stacked profile."""
+    violations = []
+    for a in instance.areas:
+        for t in range(instance.hours):
+            segs = sorted(
+                (s for s in instance.curves[a, t].segments if s.quantity_span != 0.0),
+                key=lambda s: (s.base_price, s.price_span),
+            )
+            for lo, hi in zip(segs, segs[1:]):
+                d_lo = float(delta.get(lo.id, 0.0))
+                d_hi = float(delta.get(hi.id, 0.0))
+                # gamma between the pair must be >= d_lo and <= d_hi
+                if d_lo > tol and d_hi < 1.0 - tol:
+                    violations.append(
+                        Violation((a, t, lo.id, hi.id), d_lo - d_hi, "stacking")
+                    )
+            pi = prices[a, t]
+            for seg in segs:
+                v = _case_violation(seg, float(delta.get(seg.id, 0.0)), pi, tol)
+                if v is not None:
+                    violations.append(Violation((a, t, seg.id), abs(v), "price-rule"))
+    return ConditionReport.from_violations(violations)
 
 
 def curtailment_breaches(inst, sol, tol=1e-6):

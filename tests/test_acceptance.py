@@ -27,7 +27,6 @@ from daclear.master import solve_master
 from daclear.model import build_model
 from daclear.qp import QpProblem, solve_qp
 from daclear.verify import (
-    _check_filling_gamma,
     _flow_fast_path,
     _flow_general,
     check_bid_prices,
@@ -37,8 +36,8 @@ from daclear.verify import (
 )
 
 from helpers import (
-    appendix_a, check_kkt, diamond, executed_bids, f3, fixflow, qpprice, ramp_fixture,
-    random_instance, total_loss,
+    appendix_a, check_filling_gamma, check_kkt, diamond, executed_bids, f3, fixflow, qpprice,
+    ramp_fixture, random_instance, total_loss,
 )
 
 SUITE_SIZE = 200
@@ -245,7 +244,7 @@ def test_criterion_8_checker_cross_validation():
                 for a in inst.areas for t in range(inst.hours)
             })
             a = check_filling(inst, delta, prices).passed
-            b = _check_filling_gamma(inst, delta, prices).passed
+            b = check_filling_gamma(inst, delta, prices).passed
             assert a == b
             fill_samples += 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from daclear.core import (
+    _polyline,
     BidSelection,
     BlockBid,
     PriceInterval,
@@ -19,6 +20,7 @@ from daclear.core import (
 from daclear.errors import ClearingViolated, EmptyCurve, NonMonotoneCurve, UnknownId
 from daclear.io import parse_instance
 from daclear.model import build_model
+from daclear.tolerances import FEAS_TOL
 
 from helpers import (
     appendix_a, bench_instance, block, diamond, empty_selection, f3, flexbid,
@@ -53,12 +55,11 @@ class TestBuildNetCurve:
     def test_horizontal_extension_to_global_interval(self):
         wide = PriceInterval(-3000.0, 3000.0)
         narrow = PriceInterval(-200.0, 2000.0)
+        pts, curtail = _polyline([(-200, 50), (2000, -50)], wide)
+        assert pts == [(-3000.0, 50.0), (-200.0, 50.0), (2000.0, -50.0), (3000.0, -50.0)]
+        assert curtail is None
         curve = build_net_curve([(-200, 50), (2000, -50)], narrow, wide)
-        nodes = curve.nodes()
-        assert nodes[0][0] == -3000.0
-        assert nodes[-1][0] == 3000.0
-        assert nodes[0][1] == 50.0
-        assert nodes[-1][1] == -50.0
+        assert _cut_from(curve, pts)
 
     def test_curtailment_inserted_for_pure_demand(self):
         curve = build_net_curve([(0, 30), (60, 10)], P100, P100)
@@ -73,7 +74,32 @@ class TestBuildNetCurve:
         curt = [s for s in curve.segments if s.is_curtailment]
         assert len(curt) == 1
         assert curt[0].base_price == 20.0
-        assert curve.max_net_demand == 0.0
+        pts, curtail = _polyline([(20, -10), (60, -30)], P100)
+        assert pts[:2] == [(0.0, 0.0), (20.0, 0.0)]
+        assert curtail == (20.0, -10.0)
+
+    def test_polyline_of_tied_nodes_keeps_only_corners(self):
+        # nodes with many equal prices and quantities: the polyline spans
+        # the interval, keeps no repeated point and no middle node of a
+        # constant-price or constant-quantity triple, and passes through
+        # every node
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            k = int(rng.integers(1, 8))
+            ps = np.sort(rng.choice([10.0, 20.0, 30.0], size=k))
+            qs = np.sort(rng.choice([-5.0, 0.0, 5.0], size=k))[::-1]
+            nodes = list(zip(ps.tolist(), qs.tolist()))
+            pts, _ = _polyline(nodes, P100)
+            assert pts[0][0] == 0.0 and pts[-1][0] == 100.0
+            assert len(set(pts)) == len(pts)
+            for (p0, q0), (p1, q1), (p2, q2) in zip(pts, pts[1:], pts[2:]):
+                assert not (p0 == p1 == p2 or q0 == q1 == q2)
+            for p, q in nodes:  # on a stretch: inside its box and on its line
+                assert any(
+                    a[0] <= p <= b[0] and b[1] <= q <= a[1]
+                    and (p - a[0]) * (b[1] - a[1]) == (q - a[1]) * (b[0] - a[0])
+                    for a, b in zip(pts, pts[1:])
+                )
 
     def test_rejects_empty_and_non_monotone(self):
         with pytest.raises(EmptyCurve):
@@ -89,18 +115,31 @@ class TestBuildNetCurve:
             k = int(rng.integers(2, 6))
             prices = np.sort(rng.uniform(1, 99, size=k))
             qty = np.sort(rng.uniform(-40, 40, size=k))[::-1]
-            curve = build_net_curve(
-                [(float(p), float(q)) for p, q in zip(prices, qty)], P100, P100
-            )
-            nodes = curve.nodes()
-            assert nodes[-1][1] == pytest.approx(curve.min_net_demand, abs=1e-9)
-            # quantity nonincreasing along the reconstructed polyline
-            qs = [q for _, q in nodes]
-            assert all(a >= b - 1e-9 for a, b in zip(qs, qs[1:]))
+            nodes = [(float(p), float(q)) for p, q in zip(prices, qty)]
+            curve = build_net_curve(nodes, P100, P100)
+            pts, _ = _polyline(nodes, P100)
+            assert pts[-1][1] == curve.min_net_demand
+            assert _cut_from(curve, pts)
+            # quantity nonincreasing along the polyline
+            qs = [q for _, q in pts]
+            assert all(a >= b for a, b in zip(qs, qs[1:]))
             # lower-quantity anchors telescope to the curve minimum
             assert sum(s.lower_quantity for s in curve.segments) == pytest.approx(
                 curve.min_net_demand, abs=1e-9
             )
+
+
+def _cut_from(curve, pts):
+    """Whether ``curve``'s segments, ascending in price, are the stretches
+    of the polyline ``pts``, bit for bit."""
+    stretches = [
+        (p0, p1 - p0, q0, q0 - q1)
+        for (p0, q0), (p1, q1) in zip(pts, pts[1:])
+    ]
+    segments = sorted(curve.segments, key=lambda s: (s.base_price, s.price_span))
+    return stretches == [
+        (s.base_price, s.price_span, s.node_quantity, s.quantity_span) for s in segments
+    ]
 
 
 class TestWelfare:
@@ -245,6 +284,20 @@ class TestPresolveBounds:
         iv = presolve_price_bounds(inst)["X", 0]
         # every selection-feasible price of the flat curve lies inside
         assert iv.lower <= 1.0 and iv.upper >= 4.0
+
+    def test_bounds_come_from_the_documents_prices(self):
+        # 0.09 + (0.34 - 0.09) is not 0.34 in floats, so a polyline rebuilt
+        # from the segments' base prices and spans moves the sloped
+        # segment's top node; the bounds interpolate the document's nodes
+        p0, p1, q0, q1 = 0.09, 0.34, 10.0, -10.0
+        assert p0 + (p1 - p0) != p1
+        inst = make_instance({("X", 0): [[p0, q0], [p1, q1]]},
+                             blocks=[block("b", "X", 50, [4])])
+        iv = presolve_price_bounds(inst)["X", 0]
+        # the block's worst case: net demand in [-4, 0], read within FEAS_TOL
+        hi_t, lo_t = 0.0 + FEAS_TOL, -4.0 - FEAS_TOL
+        assert iv.lower == p0 + (q0 - hi_t) / (q0 - q1) * (p1 - p0)
+        assert iv.upper == p0 + (q0 - lo_t) / (q0 - q1) * (p1 - p0)
 
     def test_f3_bounds_contain_oracle_prices(self):
         inst = f3()

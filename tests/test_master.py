@@ -300,7 +300,7 @@ class TestNodePass:
 
         def spy(prob, binary_rows, lb, ub):
             out = fix(prob, binary_rows, lb, ub)
-            passes.append((prob, np.arange(prob.n)[binary_rows[0]], lb, ub, *out[:2]))
+            passes.append((prob, np.arange(prob.n)[binary_rows[0]], lb, ub, out.lb, out.ub))
             return out
 
         monkeypatch.setattr(master, "_fix_binaries", spy)
@@ -371,6 +371,36 @@ class TestNodePass:
                 assert (a.loss_blocks, a.loss_flex, a.curtailment_areas, a.cuts_added) == (
                     b.loss_blocks, b.loss_flex, b.curtailment_areas, b.cuts_added)
         assert with_pass < sum(nodes)
+
+    def test_the_row_test_reads_the_pass_activities(self, monkeypatch):
+        # a node whose last pass ran on its box carries that pass's
+        # activities, which are the box's, and the row test reads them
+        # instead of computing them again
+        computed, handed = [], []
+        lowest, row_test = qp._lowest_activity, qp._row_test
+
+        def activity_spy(prob, lb, ub):
+            computed.append(1)
+            return lowest(prob, lb, ub)
+
+        def row_test_spy(prob):
+            if prob._box_activity is None:
+                return row_test(prob)
+            before = len(computed)
+            cert = row_test(prob)
+            assert len(computed) == before
+            low, row = lowest(prob, prob.lb, prob.ub)
+            assert np.array_equal(prob._box_activity[0], low) and prob._box_activity[1] == row
+            assert prob.with_bounds(prob.lb, prob.ub)._box_activity is None
+            handed.append(cert)
+            return cert
+
+        monkeypatch.setattr(master, "_lowest_activity", activity_spy)
+        monkeypatch.setattr(qp, "_lowest_activity", activity_spy)
+        monkeypatch.setattr(qp, "_row_test", row_test_spy)
+        for inst in [paradox_book(seed) for seed in range(10)] + [random_instance(0)]:
+            solve_master(build_model(inst))
+        assert len(handed) > 10 and any(cert is not None for cert in handed)
 
 
 def _offset_binary(monkeypatch, offset):

@@ -8,7 +8,6 @@ from daclear.driver import clear_exact
 from daclear.errors import PriceInfeasible, TooLarge
 from daclear.io import parse_instance, serialize_instance
 from daclear.verify import (
-    _check_filling_gamma,
     check_bid_prices,
     check_bounds,
     check_filling,
@@ -19,6 +18,7 @@ from daclear.verify import (
 from helpers import (
     appendix_a,
     bench_instance,
+    check_filling_gamma,
     curtailment_breaches,
     f3,
     make_instance,
@@ -34,7 +34,7 @@ class TestFilling:
     def test_exact_solutions_pass_both_modes(self):
         for inst in (appendix_a(), f3(), ramp_fixture(), diamond()):
             res = clear_exact(inst)
-            for check in (check_filling, _check_filling_gamma):
+            for check in (check_filling, check_filling_gamma):
                 rep = check(inst, res.solution.delta, res.prices)
                 assert rep.passed, (check.__name__, rep.violations)
 
@@ -56,7 +56,7 @@ class TestFilling:
             pin = {k: float(rng.uniform(inst.interval.lower, inst.interval.upper)) for k in res.prices.pi}
             noisy = PriceVector(pi=pin)
             a = check_filling(inst, res.solution.delta, noisy)
-            b = _check_filling_gamma(inst, res.solution.delta, noisy)
+            b = check_filling_gamma(inst, res.solution.delta, noisy)
             assert a.passed == b.passed
             agree += 1
         assert agree == 30
