@@ -1,7 +1,10 @@
 """Independent equilibrium checkers and a brute-force clearing oracle.
 
-The checkers re-derive every price condition from the primal values alone,
-without trusting any multiplier produced by the solvers.
+The checkers re-derive every bound and price condition from the book and
+the primal values alone, without trusting any multiplier produced by the
+solvers or building the clearing model; only the flow-price check solves
+a QP, a small LP per interconnector.  The oracle clears by enumeration on
+the clearing model.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .core import BidSelection, Instance, PriceVector, bid_surplus
 from .driver import _check_leaf, _finish
-from .errors import PriceInfeasible, TooLarge
+from .errors import PriceInfeasible, SolverFailure, TooLarge
 from .model import ClearingModel, build_model
 from .qp import QpProblem, solve_qp
 from .relaxation import solve_relaxation
@@ -78,41 +81,25 @@ def check_flow_price(
     tol: float = CHECK_TOL,
 ) -> ConditionReport:
     """Existence of nonnegative congestion/ramp multipliers explaining
-    every cross-border price difference at the fixed flows.  A flow bound
-    or ramp row counts as tight within max(tol, TIGHT_TOL), the tolerance
-    of pricing's tight sets at the least, so a pass at one ``tol`` is a
-    pass at every larger one."""
-    violations = []
-    for c in instance.interconnectors:
-        ramp = c.ramp_rate if c.ramp_rate is not None else np.inf
-        path = _flow_general if np.isfinite(ramp) else _flow_fast_path
-        violations.extend(path(instance, c, flows, prices, tol))
-    return ConditionReport.from_violations(violations)
-
-
-def _flow_fast_path(instance, c, flows, prices, tol):
-    """No ramping: a price rise toward the sink requires a tight upper
-    bound, a price drop a tight lower bound."""
-    tight = max(tol, TIGHT_TOL)
-    out = []
-    for t in range(instance.hours):
-        tau = flows.get((c.id, t), 0.0)
-        diff = prices[c.sink, t] - prices[c.source, t]
-        if diff > tol and c.upper[t] - tau > tight:
-            out.append(Violation((c.id, t), diff, "flow-price"))
-        elif diff < -tol and tau - c.lower[t] > tight:
-            out.append(Violation((c.id, t), -diff, "flow-price"))
-    return out
+    every cross-border price difference at the fixed flows, one LP per
+    interconnector (``_flow_general``).  A flow bound or ramp row counts
+    as tight within max(tol, TIGHT_TOL), the tolerance of pricing's tight
+    sets at the least, so a pass at one ``tol`` is a pass at every larger
+    one."""
+    return ConditionReport.from_violations(
+        v for c in instance.interconnectors for v in _flow_general(instance, c, flows, prices, tol))
 
 
 def _flow_general(instance, c, flows, prices, tol):
     """Multiplier-existence test: minimize slack in the per-hour
     stationarity rows over the multipliers of tight constraints, judged in
-    book units (``rise = tau - prev``, ``prev`` the initial flow at hour 0).
+    book units (``rise = tau - prev``, ``prev`` the initial flow at hour 0;
+    a connector without a ramp limit has no tight ramp row).
     Multiplier columns: the held (hour, kind) entries of ``E, -E, D, -D``
     (upper, lower, ramp up, ramp down; ``E = I``, ``D = I - eye(T, k=1)``),
     hour-major; slack columns: ``kron(E, [1, -1])``.  ``+ 0.0`` clears each
-    ``-0.0``, as the QP kernel's vertex on a degenerate LP depends on it."""
+    ``-0.0``, as the QP kernel's vertex on a degenerate LP depends on it.
+    SolverFailure when the LP, which always has a solution, ends otherwise."""
     T, tight = instance.hours, max(tol, TIGHT_TOL)
     ramp = c.ramp_rate if c.ramp_rate is not None else np.inf
     tau = np.array([flows.get((c.id, t), 0.0) for t in range(T)])
@@ -128,7 +115,7 @@ def _flow_general(instance, c, flows, prices, tol):
         c=np.r_[np.zeros(k), np.full(2 * T, -1.0)], d=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
         A_in=np.zeros((0, n)), b_in=np.zeros(0), lb=np.zeros(n), ub=np.full(n, np.inf)))
     if sol.status != "optimal":
-        return [Violation((c.id,), float("inf"), "flow-price")]
+        raise SolverFailure(f"unexpected flow-price LP status {sol.status!r} on {c.id!r}")
     resid = b_eq - mult @ sol.x[:k]
     return [Violation((c.id, t), abs(float(r)), "flow-price")
             for t, r in enumerate(resid) if abs(r) > tol]
@@ -165,31 +152,30 @@ def check_bounds(
     flows: Mapping[tuple[str, int], float],
     tol: float = CHECK_TOL,
 ) -> ConditionReport:
-    """Fills within [0, 1], flows within their interconnector's bounds, and
-    ramp limits, measured from the initial flow at hour 0: the box and ramp
-    rows of the clearing model at the given fills and flows, with the
-    flows in the model's units and each excess back in the book's."""
-    model = build_model(instance)
-    sq = model.quantity_unit
-    x = np.array(
-        [float(delta.get(sid, 0.0)) for sid in model.seg_ids]
-        + [float(flows.get(key, 0.0)) / sq for key in model.flow_keys]
-    )
-    units = np.concatenate((np.ones(len(model.seg_ids)), np.full(len(model.flow_keys), sq)))
-    locations = [(*instance.segment_location[sid], sid) for sid in model.seg_ids]
-    locations += model.flow_keys
-    kinds = ["fill-bound"] * len(model.seg_ids) + ["flow-bound"] * len(model.flow_keys)
-    violations = [
-        Violation(loc, float(v), kind)
-        for loc, kind, v in zip(locations, kinds, np.maximum(model.lb - x, x - model.ub) * units)
-        if v > tol
-    ]
-    violations += [
-        Violation(key, float(v), "ramp")
-        for key, v in zip(model.ramp_keys, (model.A_in @ x - model.b_in) * sq)
-        if v > tol
-    ]
-    return ConditionReport.from_violations(violations)
+    """Fills within [0, 1], by segment id; flows within their
+    interconnector's bounds, by connector and hour; then the ramp rows
+    ``+-(flow[t] - flow[t-1]) <= ramp_rate`` (``fwd``, then ``bwd``), by
+    connector and hour, with the initial flow as ``flow[-1]``, moved to
+    the right-hand side at hour 0 as in the clearing model.  Each excess
+    beyond ``tol``, in the book's units, is a violation."""
+    bounds, ramps = [], []
+    for sid, (a, t) in sorted(instance.segment_location.items()):
+        x = float(delta.get(sid, 0.0))
+        bounds.append(((a, t, sid), -x, x - 1.0, "fill-bound"))
+    for c in instance.interconnectors:
+        prev, r = c.initial_flow, c.ramp_rate
+        for t in range(instance.hours):
+            tau = float(flows.get((c.id, t), 0.0))
+            bounds.append(((c.id, t), c.lower[t] - tau, tau - c.upper[t], "flow-bound"))
+            if r is not None:
+                up, down = (tau - (r + prev), -tau - (r - prev)) if t == 0 else (
+                    tau - prev - r, prev - tau - r)
+                ramps += [((c.id, t, "fwd"), up), ((c.id, t, "bwd"), down)]
+            prev = tau
+    return ConditionReport.from_violations(
+        [Violation(loc, v, kind) for loc, below, above, kind in bounds
+         if (v := max(below, above)) > tol]
+        + [Violation(loc, v, "ramp") for loc, v in ramps if v > tol])
 
 
 def _all_selections(instance: Instance):

@@ -187,6 +187,23 @@ def check_filling_gamma(instance, delta, prices, tol=CHECK_TOL):
     return ConditionReport.from_violations(violations)
 
 
+def flow_fast_path(instance, c, flows, prices, tol):
+    """The flow-price violations of connector ``c``, which has no ramp
+    limit, by the direct rule, for cross-validation with
+    ``verify._flow_general``: a price rise toward the sink requires a
+    tight upper bound, a price drop a tight lower bound."""
+    tight = max(tol, TIGHT_TOL)
+    out = []
+    for t in range(instance.hours):
+        tau = flows.get((c.id, t), 0.0)
+        diff = prices[c.sink, t] - prices[c.source, t]
+        if diff > tol and c.upper[t] - tau > tight:
+            out.append(Violation((c.id, t), diff, "flow-price"))
+        elif diff < -tol and tau - c.lower[t] > tight:
+            out.append(Violation((c.id, t), -diff, "flow-price"))
+    return out
+
+
 def curtailment_breaches(inst, sol, tol=1e-6):
     """The curtailment-priority rule as the README states it, written apart
     from ``cuts.curtailment_violations``: {(area, hour): (blocks, flex)} of

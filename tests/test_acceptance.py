@@ -27,7 +27,6 @@ from daclear.master import solve_master
 from daclear.model import build_model
 from daclear.qp import QpProblem, solve_qp
 from daclear.verify import (
-    _flow_fast_path,
     _flow_general,
     check_bid_prices,
     check_filling,
@@ -36,8 +35,8 @@ from daclear.verify import (
 )
 
 from helpers import (
-    appendix_a, check_filling_gamma, check_kkt, diamond, executed_bids, f3, fixflow, qpprice,
-    ramp_fixture, random_instance, total_loss,
+    appendix_a, check_filling_gamma, check_kkt, diamond, executed_bids, f3, fixflow, flow_fast_path,
+    qpprice, ramp_fixture, random_instance, total_loss,
 )
 
 SUITE_SIZE = 200
@@ -271,7 +270,7 @@ def test_criterion_8_checker_cross_validation():
                 for a in inst.areas for t in range(inst.hours)
             })
             for c in conns:
-                fast = not _flow_fast_path(inst, c, flows, prices, 1e-6)
+                fast = not flow_fast_path(inst, c, flows, prices, 1e-6)
                 general = not _flow_general(inst, c, flows, prices, 1e-6)
                 assert fast == general
                 flow_samples += 1

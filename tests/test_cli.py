@@ -15,7 +15,8 @@ from daclear.io import dump_document, serialize_instance
 
 from helpers import (
     REPEATED_KEYS, appendix_a, bench_instance, bench_text, block, connector, f3, flexbid,
-    make_instance, mutated_document, random_instance, repeated_key_documents, rescaled,
+    make_instance, mutated_document, ramp_fixture, random_instance, repeated_key_documents,
+    rescaled,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -567,6 +568,24 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 5
     assert "phase-1" in err
+
+
+@pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+def test_verify_flow_price_lp_failure_exit_code(capsys, monkeypatch, tmp_path, status):
+    # the flow-price LP always has a solution; a subproblem that ends
+    # otherwise is a solver failure, not a violation of infinite amount
+    from daclear import verify
+
+    path = _write(tmp_path, "inst.json", serialize_instance(ramp_fixture()))
+    code, out = _run(capsys, "clear", "--instance", path)
+    sol = _write(tmp_path, "sol.json", out)
+    solve_qp = verify.solve_qp
+    monkeypatch.setattr(verify, "solve_qp", lambda prob: replace(solve_qp(prob), status=status))
+    code = run(["verify", "--instance", path, "--solution", sol])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert f"unexpected flow-price LP status {status!r} on 'c1'" in captured.err
 
 
 def test_svd_non_convergence_exit_code(capsys, monkeypatch):

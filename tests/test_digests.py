@@ -1,6 +1,7 @@
 """``tools/digests.py`` prints one line per instance of the comparison set
 as ``serialize_instance`` writes it again, and one per CLI run, ``verify``
-of each exact clear's document and of its price-shifted copy included; on
+of each exact clear's document and of its price-shifted and its moved
+copies included; on
 the fixtures its lines have the documented format, match the writer's and
 the CLI's own output, and come out the same on a rerun."""
 
@@ -15,7 +16,8 @@ from daclear.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 LINE = re.compile(
-    r"fixture (\S+) (clear-exact|verify|verify-shifted|clear-heuristic|oracle) (\d+) ([0-9a-f]{64}) ([0-9a-f]{64})"
+    r"fixture (\S+) (clear-exact|verify|verify-shifted|verify-moved|clear-heuristic|oracle) (\d+)"
+    r" ([0-9a-f]{64}) ([0-9a-f]{64})"
     r"|fixture (\S+) serialize ([0-9a-f]{64})"
 )
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -36,8 +38,8 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
     assert all(matches), lines
     runs = {(m[1], m[2]): m for m in matches if m[1]}
     written = {m[6]: m[7] for m in matches if m[6]}
-    # a verify and a verify-shifted line follow each exact clear that
-    # wrote a document
+    # a verify, a verify-shifted and a verify-moved line follow each exact
+    # clear that wrote a document
     cleared = [name for name in names if runs[name, "clear-exact"][4] != EMPTY]
     assert cleared and len(cleared) < len(names)
     expected = []
@@ -46,7 +48,7 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
         for command in digests.COMMANDS:
             expected.append((name, command))
             if command == "clear-exact" and name in cleared:
-                expected += [(name, "verify"), (name, "verify-shifted")]
+                expected += [(name, "verify"), (name, "verify-shifted"), (name, "verify-moved")]
     assert [(m[1], m[2]) if m[1] else (m[6], "serialize") for m in matches] == expected
     # the serialize line digests the writer's document of the parsed book:
     # the fixture's own bytes for the two fixtures the writer wrote
@@ -86,6 +88,19 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
     assert checks["pass"] is False
     assert checks["filling"]["violations"] and checks["flow_price"]["violations"]
     assert runs["exact_log_pricing_fails", "verify-shifted"].group(3, 4, 5) == (
+        "0", hashlib.sha256(report.encode()).hexdigest(), EMPTY
+    )
+    # its document with every fill raised by 0.5 and every flow by 100.0
+    # breaks fill bounds, flow bounds and ramp rows
+    doc = json.loads(digests.moved(out))
+    assert doc["delta"] == {sid: fill + 0.5 for sid, fill in json.loads(out)["delta"].items()}
+    assert [f["flow"] for f in doc["flows"]] == [f["flow"] + 100.0 for f in json.loads(out)["flows"]]
+    solution.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify", "--instance", str(fixture), "--solution", str(solution)]) == 0
+    report = capsys.readouterr().out
+    kinds = {v["condition"] for v in json.loads(report)["bounds"]["violations"]}
+    assert kinds == {"fill-bound", "flow-bound", "ramp"}
+    assert runs["exact_log_pricing_fails", "verify-moved"].group(3, 4, 5) == (
         "0", hashlib.sha256(report.encode()).hexdigest(), EMPTY
     )
     for command in digests.COMMANDS:

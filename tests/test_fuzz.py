@@ -4,14 +4,16 @@ and with the interval ends.  Each book is made in code, written by
 ``serialize_instance`` and cleared through the CLI in exact and heuristic
 mode and by the oracle; exact mode must agree with the oracle, heuristic
 mode must not beat exact mode, and every ``clear`` document must pass
-``verify``.  Tier-1 runs a fixed, derandomized budget and keeps no
-example database; ``check_book`` runs on any drawn book, for longer
-offline runs."""
+``verify``.  A drawn book's connector split into two parallel halves
+must clear as the whole.  Tier-1 runs a fixed, derandomized budget and
+keeps no example database; ``check_book`` and ``check_split`` run on any
+drawn book, for longer offline runs."""
 
 import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -100,8 +102,8 @@ def _cli(argv):
 
 def check_book(book):
     """The fuzz's properties on one book, AssertionError on a breach; the
-    (exit code, status, welfare) of each clear by name, status and welfare
-    None where it wrote no document."""
+    (exit code, document) of each clear by name, the document None where
+    it wrote none."""
     text = serialize_instance(book)
     again = parse_instance(text)
     assert again == book and again.curves == book.curves
@@ -114,20 +116,62 @@ def check_book(book):
                                   ("oracle", ["oracle"], (0, 2))):
             code, out = _cli([*argv, "--instance", str(path)])
             assert code in codes, (name, code)
-            doc = json.loads(out) if out else {"status": None, "welfare": None}
-            outcome[name] = code, doc["status"], doc["welfare"]
+            outcome[name] = code, json.loads(out) if out else None
             if name != "oracle" and code == 0:
                 solution.write_text(out, encoding="utf-8")
                 code, report = _cli(["verify", "--instance", str(path),
                                      "--solution", str(solution)])
                 assert code == 0 and json.loads(report)["pass"], (name, report)
-    exact, oracle, heuristic = (outcome[name][2] for name in ("exact", "oracle", "heuristic"))
-    assert outcome["exact"][:2] == outcome["oracle"][:2], outcome
-    if exact is not None:
-        assert abs(exact - oracle) <= 1e-7 * max(1.0, abs(oracle)), outcome
-    if heuristic is not None:
-        assert exact is not None and heuristic <= exact + 1e-9, outcome
+    exact, oracle, heuristic = (
+        _status_welfare(outcome[name]) for name in ("exact", "oracle", "heuristic"))
+    assert exact[0] == oracle[0], outcome
+    _assert_same_welfare(exact[1], oracle[1], outcome)
+    if heuristic[1] is not None:
+        assert exact[1] is not None and heuristic[1] <= exact[1] + 1e-9, outcome
     return outcome
+
+
+def _status_welfare(run):
+    """(exit code, status), welfare of one clear's (exit code, document)."""
+    code, doc = run
+    return (code, doc and doc["status"]), doc and doc["welfare"]
+
+
+def _assert_same_welfare(a, b, outcome):
+    assert (a is None) == (b is None), outcome
+    if a is not None:
+        assert abs(a - b) <= 1e-7 * max(1.0, abs(b)), outcome
+
+
+def split(book):
+    """``book`` with its connector split into two parallel ones, each with
+    half its bounds, ramp rate and initial flow."""
+    (c,) = book.interconnectors
+    half = lambda values: tuple(v / 2 for v in values)
+    ramp = None if c.ramp_rate is None else c.ramp_rate / 2
+    return replace(book, interconnectors=tuple(
+        replace(c, id=c.id + part, lower=half(c.lower), upper=half(c.upper), ramp_rate=ramp,
+                initial_flow=c.initial_flow / 2)
+        for part in ("a", "b")))
+
+
+def check_split(book):
+    """The split relation on one book with a connector: ``check_book``'s
+    properties on the split book (so each of its ``clear`` documents
+    passes ``verify``), its exact clear's status and welfare those of the
+    whole book's and, where the selections match, the halves' flows
+    summing to the whole's flow."""
+    whole, halves = check_book(book)["exact"], check_book(split(book))["exact"]
+    (code, status), welfare = _status_welfare(whole)
+    assert (code, status) == _status_welfare(halves)[0], (whole, halves)
+    _assert_same_welfare(_status_welfare(halves)[1], welfare, (whole, halves))
+    if whole[1] is None or whole[1]["selection"] != halves[1]["selection"]:
+        return
+    (c,) = book.interconnectors
+    flows = {(f["interconnector"], f["hour"]): f["flow"] for f in halves[1]["flows"]}
+    for f in whole[1]["flows"]:
+        total = flows[c.id + "a", f["hour"]] + flows[c.id + "b", f["hour"]]
+        assert abs(total - f["flow"]) <= 1e-7 * max(1.0, abs(f["flow"])), (whole, halves)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
@@ -135,3 +179,11 @@ def check_book(book):
 @given(books())
 def test_drawn_books_clear_as_the_oracle_does(book):
     check_book(book)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large,
+                                 HealthCheck.filter_too_much])
+@given(books().filter(lambda book: book.interconnectors))
+def test_a_connector_split_in_halves_clears_as_the_whole(book):
+    check_split(book)

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from daclear import verify
@@ -7,7 +9,9 @@ from daclear.core import PriceVector, list_prbs
 from daclear.driver import clear_exact
 from daclear.errors import PriceInfeasible, TooLarge
 from daclear.io import parse_instance, serialize_instance
+from daclear.model import build_model
 from daclear.verify import (
+    Violation,
     check_bid_prices,
     check_bounds,
     check_filling,
@@ -27,6 +31,7 @@ from helpers import (
     diamond,
     ramp_fixture,
     random_instance,
+    rescaled,
 )
 
 
@@ -109,15 +114,16 @@ class TestFlowPrice:
             if passes:
                 assert check_flow_price(inst, flows, res.prices, tol=1e-4).passed
 
-    def test_ramped_path_agrees_with_highs(self):
-        # an independent verdict on ramped connectors: r*, the least total
-        # residual of the stationarity rows diff_t = mu_up_t - mu_lo_t +
-        # rho_up_t - rho_up_t+1 - rho_down_t + rho_down_t+1 over the
-        # multipliers of tight rows, solved by HiGHS.  A zero r* admits no
-        # violation, and an r* above T * tol needs one; in between, tied
-        # optima may spread a residual over the hours differently (of 1,120
-        # draws, 247 had a zero r*, 873 one above T * tol and none another
-        # when this was written)
+    def test_lp_agrees_with_highs(self):
+        # an independent verdict on every connector, ramped or not: r*, the
+        # least total residual of the stationarity rows diff_t = mu_up_t -
+        # mu_lo_t + rho_up_t - rho_up_t+1 - rho_down_t + rho_down_t+1 over
+        # the multipliers of tight rows (no ramp row is tight without a
+        # ramp limit), solved by HiGHS.  A zero r* admits no violation, and
+        # an r* above T * tol needs one; in between, tied optima may spread
+        # a residual over the hours differently (of 1,120 ramped draws, 253
+        # had a zero r*, 867 one above T * tol and none another when this
+        # was written; of 590 unramped draws, 90 and 500)
         optimize = pytest.importorskip("scipy.optimize")
         import numpy as np
 
@@ -127,16 +133,20 @@ class TestFlowPrice:
         books = [bench_instance("day-book", seed) for seed in range(3000, 3020)]
         books += [random_instance(seed) for seed in range(200)]
         rng = np.random.default_rng(45)
-        zero = positive = 0
+        zero, positive = {True: 0, False: 0}, {True: 0, False: 0}
         for inst in books:
             T = inst.hours
-            for c in (c for c in inst.interconnectors if c.ramp_rate is not None):
+            for c in inst.interconnectors:
+                ramped = c.ramp_rate is not None
+                ramp = c.ramp_rate if ramped else np.inf
                 for _ in range(10):
                     flows, prev = {}, c.initial_flow
                     for t in range(T):
-                        kind = rng.integers(4)
-                        tau = (c.upper[t], c.lower[t], prev + rng.choice((-1, 1)) * c.ramp_rate,
-                               rng.uniform(c.lower[t], c.upper[t]))[kind]
+                        # a bound, a point inside them or, when ramped, a
+                        # ramp step from the hour before
+                        kind = rng.integers(4 if ramped else 3)
+                        tau = (c.upper[t], c.lower[t], rng.uniform(c.lower[t], c.upper[t]),
+                               prev + rng.choice((-1, 1)) * ramp)[kind]
                         flows[c.id, t] = prev = float(tau)
                     prices = PriceVector(pi={
                         (a, t): float(rng.uniform(0.0, 100.0)) for a in inst.areas for t in range(T)
@@ -149,8 +159,7 @@ class TestFlowPrice:
                         tau = flows[c.id, t]
                         before = c.initial_flow if t == 0 else flows[c.id, t - 1]
                         held = (c.upper[t] - tau <= tight, tau - c.lower[t] <= tight,
-                                tau - before >= c.ramp_rate - tight,
-                                before - tau >= c.ramp_rate - tight)
+                                tau - before >= ramp - tight, before - tau >= ramp - tight)
                         bounds += [(0.0, None if h else 0.0) for h in held]
                         A[t, 4 * t:4 * t + 4] = (1.0, -1.0, 1.0, -1.0)
                         if t > 0:
@@ -164,11 +173,75 @@ class TestFlowPrice:
                     found = verify._flow_general(inst, c, flows, prices, tol)
                     if lp.fun <= 1e-9:
                         assert not found, (c, flows, prices.pi)
-                        zero += 1
+                        zero[ramped] += 1
                     elif lp.fun > T * tol:
                         assert found, (c, flows, prices.pi)
-                        positive += 1
-        assert zero >= 200 and positive >= 700, (zero, positive)
+                        positive[ramped] += 1
+        assert zero[True] >= 200 and positive[True] >= 700, (zero, positive)
+        assert zero[False] >= 70 and positive[False] >= 400, (zero, positive)
+
+
+def _model_bounds(inst, delta, flows, tol):
+    """``check_bounds``'s violations as the clearing model's box and ramp
+    rows give them: ``max(lb - x, x - ub)`` and ``A_in @ x - b_in`` at the
+    fills and the flows in model units, each excess back in book units."""
+    model = build_model(inst)
+    sq = model.quantity_unit
+    x = np.array([float(delta.get(sid, 0.0)) for sid in model.seg_ids]
+                 + [float(flows.get(key, 0.0)) / sq for key in model.flow_keys])
+    units = np.r_[np.ones(len(model.seg_ids)), np.full(len(model.flow_keys), sq)]
+    locations = [(*inst.segment_location[sid], sid) for sid in model.seg_ids]
+    locations += model.flow_keys
+    kinds = ["fill-bound"] * len(model.seg_ids) + ["flow-bound"] * len(model.flow_keys)
+    excess = np.maximum(model.lb - x, x - model.ub) * units
+    out = [Violation(loc, float(v), kind)
+           for loc, kind, v in zip(locations, kinds, excess) if v > tol]
+    out += [Violation(key, float(v), "ramp")
+            for key, v in zip(model.ramp_keys, (model.A_in @ x - model.b_in) * sq) if v > tol]
+    return out
+
+
+def _bits(violations):
+    return [(v.location, v.amount.hex(), v.condition) for v in violations]
+
+
+class TestBounds:
+    def test_book_level_check_is_the_models_rows_bit_for_bit(self):
+        # exact solutions pushed out of their bounds: every fill and flow
+        # moved together, and each moved on its own; on books whose model
+        # units are not 1 (rescaled, the ramp fixture's ATC of 1000, the
+        # diamond's of 200) and on a connector without flow bounds, with a
+        # ramp of 0 from a nonzero initial flow
+        docs = [json.loads(serialize_instance(bench_instance("day-book", 3000))),
+                json.loads(serialize_instance(random_instance(3)))]
+        books = [parse_instance(json.dumps(rescaled(doc, factor, factor)))
+                 for doc in docs for factor in (1.0, 1000.0, 1024.0)]
+        fixture = ramp_fixture()
+        (c,) = fixture.interconnectors
+        free = replace(c, lower=(-np.inf,) * 2, upper=(np.inf,) * 2, ramp_rate=0.0)
+        books += [fixture, diamond(), replace(fixture, interconnectors=(free,))]
+        assert {build_model(inst).quantity_unit for inst in books} >= {1.0, 4.0, 16.0, 1024.0}
+        rng = np.random.default_rng(49)
+        kinds, compared = set(), 0
+        for inst in books:
+            sol = clear_exact(inst).solution
+            limits = [v for c in inst.interconnectors for v in (*c.lower, *c.upper)]
+            scale = max([1.0, *(abs(v) for v in limits if np.isfinite(v))])
+            pushes = [(0.5, 100.0), (-0.5, -100.0)]
+            pushes += [(rng.uniform(-0.6, 0.6, len(sol.delta)),
+                        rng.uniform(-1.5, 1.5, len(sol.flows)) * scale) for _ in range(20)]
+            for fill, flow in pushes:
+                delta = dict(zip(sol.delta, np.array(list(sol.delta.values())) + fill))
+                flows = dict(zip(sol.flows, np.array(list(sol.flows.values())) + flow))
+                delta, flows = ({k: float(v) for k, v in d.items()} for d in (delta, flows))
+                for tol in (1e-6, 1e-3):
+                    found = check_bounds(inst, delta, flows, tol=tol).violations
+                    assert _bits(found) == _bits(_model_bounds(inst, delta, flows, tol))
+                    kinds |= {(build_model(inst).quantity_unit > 1.0, v.condition) for v in found}
+                    compared += 1
+        assert kinds == {(big, kind) for big in (False, True)
+                         for kind in ("fill-bound", "flow-bound", "ramp")}
+        assert compared == 2 * 22 * len(books)
 
 
 class TestBidPrices:

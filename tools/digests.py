@@ -6,9 +6,11 @@ small-suite seeds 0-199, paradox seeds 1000-1109 and day-book seeds
 3000-3109 from ``bench/generate.py``, then the instances in ``fixtures/``.
 Each document that ``clear --mode exact`` writes is also checked by
 ``verify``, right after it, so the checkers' reports are digested too,
-and then a copy of it whose prices in the book's first area are each
-raised by 1.0 (``verify-shifted``), so that failing reports and their
-violation lists are digested as well.  It prints one line per run:
+then a copy of it whose prices in the book's first area are each raised
+by 1.0 (``verify-shifted``), and then a copy of it whose fills are each
+raised by 0.5 and flows by 100.0 (``verify-moved``), so that failing
+reports and their violation lists, the bounds check's included, are
+digested as well.  It prints one line per run:
 
     family seed command exit-code sha256(stdout) sha256(stderr)
 
@@ -90,11 +92,22 @@ def shifted(solution: str, instance: str) -> str:
     return json.dumps(doc)
 
 
+def moved(solution: str) -> str:
+    """The solution document ``solution`` with each fill raised by 0.5
+    and each flow by 100.0."""
+    doc = json.loads(solution)
+    doc["delta"] = {sid: fill + 0.5 for sid, fill in (doc["delta"] or {}).items()}
+    for entry in doc["flows"] or ():
+        entry["flow"] += 100.0
+    return json.dumps(doc)
+
+
 def digest_lines(instances):
     """One digest line per instance of ``instances`` as written again
-    (``serialize``) and per command and instance, and two per document that
-    ``clear-exact`` wrote, ``verify`` of it and of its ``shifted`` copy,
-    from the ``daclear`` of this script's own checkout."""
+    (``serialize``) and per command and instance, and three per document
+    that ``clear-exact`` wrote, ``verify`` of it and of its ``shifted``
+    and ``moved`` copies, from the ``daclear`` of this script's own
+    checkout."""
     sys.path.insert(0, str(ROOT / "src"))
     from daclear.cli import run
     from daclear.io import parse_instance, serialize_instance
@@ -114,7 +127,8 @@ def digest_lines(instances):
                 code, out, digests = digest([*argv, "--instance", str(path)])
                 yield f"{family} {seed} {name} {code} {digests}"
                 if name == "clear-exact" and out:
-                    for check, doc in (("verify", out), ("verify-shifted", shifted(out, text))):
+                    for check, doc in (("verify", out), ("verify-shifted", shifted(out, text)),
+                                       ("verify-moved", moved(out))):
                         solution.write_text(doc, encoding="utf-8")
                         code, _, digests = digest(
                             ["verify", "--instance", str(path), "--solution", str(solution)])
