@@ -1,10 +1,7 @@
 """Independent equilibrium checkers and a brute-force clearing oracle.
 
-The checkers re-derive every bound and price condition from the book and
-the primal values alone, without trusting any multiplier produced by the
-solvers or building the clearing model; only the flow-price check solves
-a QP, a small LP per interconnector.  The oracle clears by enumeration on
-the clearing model.
+The checkers re-derive every condition from the book and the primal values
+alone, without the clearing model or any multiplier the solvers produce.
 """
 
 from __future__ import annotations

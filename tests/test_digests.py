@@ -92,9 +92,9 @@ def test_fixture_digests_are_well_formed_and_repeatable(capsys, tmp_path):
     )
     # its document with every fill raised by 0.5 and every flow by 100.0
     # breaks fill bounds, flow bounds and ramp rows
-    doc = json.loads(digests.moved(out))
-    assert doc["delta"] == {sid: fill + 0.5 for sid, fill in json.loads(out)["delta"].items()}
-    assert [f["flow"] for f in doc["flows"]] == [f["flow"] + 100.0 for f in json.loads(out)["flows"]]
+    doc, cleared = json.loads(digests.moved(out)), json.loads(out)
+    assert doc["delta"] == {sid: fill + 0.5 for sid, fill in cleared["delta"].items()}
+    assert [f["flow"] for f in doc["flows"]] == [f["flow"] + 100.0 for f in cleared["flows"]]
     solution.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["verify", "--instance", str(fixture), "--solution", str(solution)]) == 0
     report = capsys.readouterr().out
