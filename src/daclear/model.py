@@ -1,16 +1,17 @@
 """The clearing model shared by every clearing QP.
 
-Columns are the segment fills (in segment id order) followed by the
-interconnector flows (connector, then hour).  There is one clearing row per
-(area, hour) and two ramp rows per ramped connector and hour.  The master's
-binary columns come after these: one per block in instance order, then one
-per flex (bid, hour), with their clearing-row entries and the link and
-flex-once rows.  The master, FixFlow and pricing all start from this model:
-the master is the whole of it (the oracle's fixed-selection relaxation is
-the master with every binary pinned), FixFlow keeps the vertical segment
-and flow columns, and pricing's rows are the stationarity conditions of
-the continuous QP on its flow columns, one price per clearing row.  Each
-array is made once per clear from lists of its entries, in model order.
+Columns are the fills of the segments that carry quantity (in segment id
+order; a flat one has no column and fills 0), then the interconnector flows
+(connector, then hour).  There is one clearing row per (area, hour) and two
+ramp rows per ramped connector and hour.  The master's binary columns come
+after these: one per block in instance order, then one per flex (bid,
+hour), with their clearing-row entries and the link and flex-once rows.
+The master, FixFlow and pricing all start from this model: the master is
+the whole of it (the oracle's fixed-selection relaxation is the master with
+every binary pinned), FixFlow keeps the vertical segment and flow columns,
+and pricing's rows are the stationarity conditions of the continuous QP on
+its flow columns, one price per clearing row.  Each array is made once per
+clear from lists of its entries, in model order.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ MODEL_PRICE, MODEL_QUANTITY = 128.0, 64.0
 class ClearingModel:
     """Layout and rows of  max c'x + 1/2 sum d x^2  over fills and flows.
 
+    Fills are columns of the segments with a nonzero quantity span, whose
+    ids are ``seg_ids``; ``primal`` writes 0.0 for the rest of ``book_ids``.
     ``A_eq x = b_eq`` balances each (area, hour): segment spans, +1 for
     flows leaving the area and -1 for flows entering it, against
     ``-min_net_demand``.  ``A_in x <= b_in`` holds the ramp limits
@@ -54,8 +57,8 @@ class ClearingModel:
     The rest is what starts, pricing and the leaf test read, in model
     order: per clearing
     row its segment columns in merit order and their spans (``row_segs``);
-    the quantity-carrying segments' columns, rows, base prices and price
-    spans (``fill_prices``); per binary column the sums, over the hours
+    per segment column its row, base price, price span and quantity span
+    (``fill_prices``); per binary column the sums, over the hours
     its bid executes in, of limit price times quantity (``bin_b``) and of
     the smaller surplus at the interval's ends (``bin_worst``), and the
     columns in key order, as ``BidSelection`` lists executed
@@ -77,6 +80,7 @@ class ClearingModel:
     quantity times a power of two make the same model."""
 
     seg_ids: tuple[int, ...]
+    book_ids: tuple[int, ...]
     flow_keys: tuple[tuple[str, int], ...]
     eq_keys: tuple[tuple[str, int], ...]
     ramp_keys: tuple[tuple[str, int, str], ...]  # (connector, hour, fwd|bwd)
@@ -162,9 +166,11 @@ class ClearingModel:
         QP whose leading columns are this model's, gives them, the flows
         back in the book's units."""
         n_seg = len(self.seg_ids)
+        delta = dict.fromkeys(self.book_ids, 0.0)
+        delta.update(zip(self.seg_ids, x[:n_seg].tolist()))
         return PrimalSolution(
             selection=selection,
-            delta=dict(zip(self.seg_ids, x[:n_seg].tolist())),
+            delta=delta,
             flows=dict(zip(self.flow_keys, (x[n_seg:self.n] * self.quantity_unit).tolist())),
         )
 
@@ -217,8 +223,10 @@ def build_model(instance: Instance) -> ClearingModel:
     eq_keys = tuple((a, t) for a in instance.areas for t in range(H))
     curves = [instance.curves[key] for key in eq_keys]
     area_row = {a: H * i for i, a in enumerate(instance.areas)}  # the row of (a, 0)
-    # (id, clearing row, segment) in id order, so in column order
+    # (id, clearing row, segment) in id order, then those with a column
     segs = sorted((s.id, r, s) for r, curve in enumerate(curves) for s in curve.segments)
+    book_ids = tuple(sid for sid, _, _ in segs)
+    segs = [(sid, r, s) for sid, r, s in segs if s.quantity_span / sq > 0.0]
     seg_ids = tuple(sid for sid, _, _ in segs)
     # per segment: its row, base price, price span and quantity span
     spans = [(r, s.base_price / sp, s.price_span / sp, s.quantity_span / sq) for _, r, s in segs]
@@ -232,14 +240,10 @@ def build_model(instance: Instance) -> ClearingModel:
     lb, ub = [0.0] * n_seg, [1.0] * n_seg
     eq_r, eq_c = [r for r, _, _, _ in spans], list(range(n_seg))
     eq_v = [q for _, _, _, q in spans]
-    fill = ([], [], [], [])  # pricing's fill rule: cols, rows, base, span
     row_segs = [([], []) for _ in curves]
-    for j, (r, base, span, q) in enumerate(spans):
-        if q > 0.0:
-            row_segs[r][0].append(j)
-            row_segs[r][1].append(q)
-            for lst, v in zip(fill, (j, r, base, span)):
-                lst.append(v)
+    for j, (r, _, _, q) in enumerate(spans):
+        row_segs[r][0].append(j)
+        row_segs[r][1].append(q)
     # per flow column (from 0): its flow rows (``flow_rows``), the upper
     # and lower bound and then its ramp rows
     flow_rows = [[i, nf + i] for i in range(nf)]
@@ -334,11 +338,11 @@ def build_model(instance: Instance) -> ClearingModel:
         bin_keys=bin_keys, bin_col=bin_col, bin_A_eq=A_eq[:, n:],
         vertical=np.array([s.is_vertical for _, _, s in segs], dtype=bool),
         curtailment=tuple((sid, j) for j, (sid, _, s) in enumerate(segs) if s.is_curtailment),
-        row_segs=tuple(row_segs), fill_prices=(np.array(fill[0], dtype=int), *fill[1:]),
+        row_segs=tuple(row_segs), fill_prices=tuple(spans),
         bin_b=np.array(bin_b, dtype=float), bin_worst=tuple(bin_worst),
         bin_order=tuple(sorted(range(m), key=bin_keys.__getitem__)), fixed_cols=tuple(fixed_cols),
         flow_rows=(F, h, order), stationarity=(-A_eq[:, f].T, -F.T),
-        price_unit=sp, quantity_unit=sq, interval=iv,
+        price_unit=sp, quantity_unit=sq, interval=iv, book_ids=book_ids,
         master_arrays=arrays,
     )
 

@@ -143,12 +143,11 @@ class _PriceQps:
         self.n_lam = n_lam = len(executed) if relax_losses else 0
         n_var = n_pi + n_lam + G.shape[1]
 
-        # execution-fraction price rule per quantity-carrying segment, as
-        # bounds of its price column: a full segment caps the price, an
-        # empty one floors it and a fractional one pins it
+        # execution-fraction price rule per segment column, as bounds of
+        # its price column: a full segment caps the price, an empty one
+        # floors it and a fractional one pins it
         lo, hi = [iv.lower] * n_pi, [iv.upper] * n_pi
-        cols, rows, base, span = model.fill_prices
-        for r, b, s, z in zip(rows, base, span, x[cols].tolist()):
+        for (r, b, s, _), z in zip(model.fill_prices, x[:n_seg].tolist()):
             if z >= 1.0 - TIGHT_TOL:
                 hi[r] = min(hi[r], b + (1.0 - 1.0) * s)
             elif z <= TIGHT_TOL:

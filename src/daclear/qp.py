@@ -72,10 +72,10 @@ class QpProblem:
         n = len(self.c)
         self.c = np.asarray(self.c, dtype=float)
         self.d = np.asarray(self.d, dtype=float)
-        self.A_eq = np.asarray(self.A_eq, dtype=float).reshape(-1, n)
         self.b_eq = np.asarray(self.b_eq, dtype=float)
-        self.A_in = np.asarray(self.A_in, dtype=float).reshape(-1, n)
         self.b_in = np.asarray(self.b_in, dtype=float)
+        self.A_eq = np.asarray(self.A_eq, dtype=float).reshape(len(self.b_eq), n)
+        self.A_in = np.asarray(self.A_in, dtype=float).reshape(len(self.b_in), n)
         self.lb = np.asarray(self.lb, dtype=float)
         self.ub = np.asarray(self.ub, dtype=float)
         if np.count_nonzero(self.d > ROUND_TOL):

@@ -758,11 +758,14 @@ def reference_model(instance):
     ``model.build_model``'s units (prices by S_p, quantities by S_q, money
     by both), with ``row_segs`` and ``flow_rows`` derived from them and
     ``master`` assembled with ``np.block``: the reference that
-    ``model.build_model``'s arrays must equal bit for bit."""
+    ``model.build_model``'s arrays must equal bit for bit.  Only segments
+    with a nonzero quantity span have a column (``segments``); ``book_ids``
+    are every segment's ids."""
     built = build_model(instance)
     sp, sq = built.price_unit, built.quantity_unit
     hours = range(instance.hours)
-    seg_ids = tuple(s.id for s in instance.segments)
+    segments = [s for s in instance.segments if s.quantity_span != 0.0]
+    seg_ids = tuple(s.id for s in segments)
     flow_keys = tuple((cc.id, t) for cc in instance.interconnectors for t in hours)
     eq_keys = tuple((a, t) for a in instance.areas for t in hours)
     seg_col = {sid: j for j, sid in enumerate(seg_ids)}
@@ -771,7 +774,7 @@ def reference_model(instance):
     n = len(seg_ids) + len(flow_keys)
 
     c, d, lb, ub = np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n)
-    for j, seg in enumerate(instance.segments):
+    for j, seg in enumerate(segments):
         c[j] = (seg.base_price + seg.price_span) * seg.quantity_span
         d[j] = -seg.price_span * seg.quantity_span
     A_eq = np.zeros((len(eq_keys), n))
@@ -779,7 +782,8 @@ def reference_model(instance):
     for r, (a, t) in enumerate(eq_keys):
         curve = instance.curves[a, t]
         for seg in curve.segments:
-            A_eq[r, seg_col[seg.id]] = seg.quantity_span
+            if seg.id in seg_col:
+                A_eq[r, seg_col[seg.id]] = seg.quantity_span
         b_eq[r] = -curve.min_net_demand
     ramp_keys, in_rows, in_rhs = [], [], []
     for cc in instance.interconnectors:
@@ -802,7 +806,7 @@ def reference_model(instance):
                 ramp_keys.append((cc.id, t, sense))
                 in_rows.append(row)
                 in_rhs.append(rhs)
-    A_in, b_in = np.array(in_rows).reshape(-1, n), np.array(in_rhs)
+    A_in, b_in = np.array(in_rows).reshape(len(in_rhs), n), np.array(in_rhs)
 
     bin_keys = tuple(("block", b.id) for b in instance.blocks)
     bin_keys += tuple(("flex", f.id, t) for f in instance.flex_bids for t in hours)
@@ -849,11 +853,12 @@ def reference_model(instance):
         lb=np.concatenate([lb, np.zeros(m)]), ub=np.concatenate([ub, np.ones(m)]),
     )
     return SimpleNamespace(
-        seg_ids=seg_ids, flow_keys=flow_keys, eq_keys=eq_keys, ramp_keys=tuple(ramp_keys),
-        seg_col=seg_col, flow_col=flow_col, eq_row=eq_row, bin_keys=bin_keys, bin_col=bin_col,
+        seg_ids=seg_ids, book_ids=tuple(s.id for s in instance.segments), flow_keys=flow_keys,
+        eq_keys=eq_keys, ramp_keys=tuple(ramp_keys), seg_col=seg_col, flow_col=flow_col,
+        eq_row=eq_row, bin_keys=bin_keys, bin_col=bin_col,
         c=c, d=d, lb=lb, ub=ub, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
         bin_c=bin_c, bin_A_eq=bin_A_eq, link_A=link_A, link_b=link_b,
-        vertical=np.array([seg.is_vertical for seg in instance.segments], dtype=bool),
+        vertical=np.array([seg.is_vertical for seg in segments], dtype=bool),
         row_segs=row_segs, flow_rows=(F[order], h[order], order), master=master_arrays,
     )
 

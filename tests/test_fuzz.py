@@ -5,9 +5,12 @@ and with the interval ends.  Each book is made in code, written by
 mode and by the oracle; exact mode must agree with the oracle, heuristic
 mode must not beat exact mode, and every ``clear`` document must pass
 ``verify``.  A drawn book's connector split into two parallel halves
-must clear as the whole.  Tier-1 runs a fixed, derandomized budget and
-keeps no example database; ``check_book`` and ``check_split`` run on any
-drawn book, for longer offline runs."""
+must clear as the whole, as must the book with a sloped curve step split
+at its midpoint, and the book with its areas renamed and reordered must
+clear as the same book relabelled.  Tier-1 runs a fixed, derandomized
+budget and keeps no example database; ``check_book``, ``check_split``,
+``check_slope_split`` and ``check_relabel`` run on any drawn book, for
+longer offline runs."""
 
 import contextlib
 import io
@@ -139,6 +142,16 @@ def _summary(run):
     return code, doc and doc["status"], doc and doc["welfare"]
 
 
+def _same_welfare(a, b):
+    """Exact mode's (exit code, status) equal on the clears ``a`` and
+    ``b``, (exit code, document) each, and their welfare within 1e-7
+    relative."""
+    x, y = _summary(a), _summary(b)
+    assert x[:2] == y[:2], (a, b)
+    if x[2] is not None:
+        assert abs(y[2] - x[2]) <= 1e-7 * max(1.0, abs(x[2])), (a, b)
+
+
 def split(book):
     """``book`` with its connector split into two parallel ones, each with
     half its bounds, ramp rate and initial flow."""
@@ -158,10 +171,7 @@ def check_split(book):
     whole book's and, where the selections match, the halves' flows
     summing to the whole's flow."""
     whole, halves = check_book(book)["exact"], check_book(split(book))["exact"]
-    a, b = _summary(whole), _summary(halves)
-    assert a[:2] == b[:2], (whole, halves)
-    if a[2] is not None:
-        assert abs(b[2] - a[2]) <= 1e-7 * max(1.0, abs(a[2])), (whole, halves)
+    _same_welfare(whole, halves)
     if whole[1] is None or whole[1]["selection"] != halves[1]["selection"]:
         return
     (c,) = book.interconnectors
@@ -169,6 +179,74 @@ def check_split(book):
     for f in whole[1]["flows"]:
         total = flows[c.id + "a", f["hour"]] + flows[c.id + "b", f["hour"]]
         assert abs(total - f["flow"]) <= 1e-7 * max(1.0, abs(f["flow"])), (whole, halves)
+
+
+def slope_split(book):
+    """(split book, (area, hour), (p0, p1)): ``book`` with the first
+    sloped step of its curves, from (p0, q0) to (p1, q1) with p1 > p0 and
+    q1 < q0, split at its midpoint, which the integer data makes exact;
+    None when no curve has a sloped step."""
+    for key, nodes in book.nodes.items():
+        for i, ((p0, q0), (p1, q1)) in enumerate(zip(nodes, nodes[1:])):
+            if p1 > p0 and q1 < q0:
+                nodes = (*nodes[:i + 1], ((p0 + p1) / 2, (q0 + q1) / 2), *nodes[i + 1:])
+                return replace(book, nodes={**book.nodes, key: nodes}), key, (p0, p1)
+    return None
+
+
+def _executed(book, doc, key, start, end):
+    """The quantity that ``doc`` executes on ``book``'s segments of curve
+    ``key`` whose prices span [start, end]."""
+    return sum(seg.quantity_span * doc["delta"][str(seg.id)] for seg in book.curves[key].segments
+               if start <= seg.base_price and seg.base_price + seg.price_span <= end)
+
+
+def check_slope_split(book):
+    """The slope-split relation on one book with a sloped step:
+    ``check_book``'s properties on the split book, its exact clear's status
+    and welfare those of the whole book's and, where the selections match,
+    the two halves executing the quantity the whole step executes."""
+    split_book, key, (p0, p1) = slope_split(book)
+    whole, halves = check_book(book)["exact"], check_book(split_book)["exact"]
+    _same_welfare(whole, halves)
+    if whole[1] is None or whole[1]["selection"] != halves[1]["selection"]:
+        return
+    a, b = _executed(book, whole[1], key, p0, p1), _executed(split_book, halves[1], key, p0, p1)
+    assert abs(a - b) <= 1e-7 * max(1.0, abs(a)), (whole, halves)
+
+
+NAMES = {"A": "Z", "B": "Y"}
+
+
+def relabel(book):
+    """``book`` with area A renamed Z and B renamed Y, and the areas in
+    reverse order, so that its clearing rows and segment ids permute."""
+    area = NAMES.__getitem__
+    return replace(
+        book,
+        areas=tuple(map(area, reversed(book.areas))),
+        nodes={(area(a), t): book.nodes[a, t] for a in reversed(book.areas)
+               for t in range(book.hours)},
+        blocks=tuple(replace(b, area=area(b.area)) for b in book.blocks),
+        flex_bids=tuple(replace(f, area=area(f.area)) for f in book.flex_bids),
+        interconnectors=tuple(replace(c, source=area(c.source), sink=area(c.sink))
+                              for c in book.interconnectors))
+
+
+def check_relabel(book):
+    """The relabelling relation on one book: ``check_book``'s properties on
+    the relabelled book, its exact clear's status and welfare those of the
+    book's and, where the selections match, each area's prices under its
+    new name."""
+    plain, renamed = check_book(book)["exact"], check_book(relabel(book))["exact"]
+    _same_welfare(plain, renamed)
+    if plain[1] is None or plain[1]["selection"] != renamed[1]["selection"]:
+        return
+    prices = {(p["area"], p["hour"]): p["price"] for p in renamed[1]["prices"]}
+    assert len(prices) == len(plain[1]["prices"])
+    for p in plain[1]["prices"]:
+        got = prices[NAMES[p["area"]], p["hour"]]
+        assert abs(got - p["price"]) <= 1e-7 * max(1.0, abs(p["price"])), (plain, renamed)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
@@ -184,3 +262,31 @@ def test_drawn_books_clear_as_the_oracle_does(book):
 @given(books().filter(lambda book: book.interconnectors))
 def test_a_connector_split_in_halves_clears_as_the_whole(book):
     check_split(book)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large,
+                                 HealthCheck.filter_too_much])
+@given(books().filter(slope_split))
+def test_a_sloped_step_split_at_its_midpoint_clears_as_the_whole(book):
+    check_slope_split(book)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(books())
+def test_renamed_and_reordered_areas_relabel_the_clear(book):
+    check_relabel(book)
+
+
+def test_a_book_without_columns_clears():
+    # one flat curve at quantity 0, no bid and no connector: its one
+    # segment has no quantity span, so the clearing model has no column
+    book = Instance(interval=PriceInterval(0.0, 10.0), hours=1, areas=("A",), area_intervals={},
+                    nodes={("A", 0): ((5.0, 0.0),)}, blocks=(), links=(), flex_bids=(),
+                    interconnectors=())
+    assert [s.quantity_span for s in book.segments] == [0.0]
+    outcome = check_book(book)
+    for name in ("exact", "heuristic", "oracle"):
+        code, doc = outcome[name]
+        assert code == 0 and doc["delta"] == {"0": 0.0}, (name, doc)

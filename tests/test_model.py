@@ -43,8 +43,15 @@ class TestClearingRows:
         for (a, t), r in maps.eq_row.items():
             curve = inst.curves[a, t]
             assert model.b_eq[r] * sq == -curve.min_net_demand
+            # by segment id: a segment with a quantity span has a column
+            # that carries it, a flat one has none
             for seg in curve.segments:
-                assert model.A_eq[r, maps.seg_col[seg.id]] * sq == seg.quantity_span
+                if seg.quantity_span:
+                    assert model.A_eq[r, maps.seg_col[seg.id]] * sq == seg.quantity_span
+                else:
+                    assert seg.id not in maps.seg_col
+            assert np.flatnonzero(model.A_eq[r, :len(model.seg_ids)]).tolist() == sorted(
+                maps.seg_col[seg.id] for seg in curve.segments if seg.quantity_span)
         conn = inst.interconnectors[0]
         for t in range(inst.hours):
             j = maps.flow_col[conn.id, t]
@@ -179,7 +186,8 @@ class TestLayout:
         inst = make()
         model = build_model(inst)
         maps = model_maps(model)
-        assert model.seg_ids == tuple(s.id for s in inst.segments)
+        assert model.book_ids == tuple(s.id for s in inst.segments)
+        assert model.seg_ids == tuple(s.id for s in inst.segments if s.quantity_span)
         assert list(maps.seg_col) == list(model.seg_ids)
         assert list(maps.seg_col.values()) == list(range(len(model.seg_ids)))
         assert model.flow_keys == tuple(

@@ -46,6 +46,26 @@ class TestSolve:
         assert sol.x[0] == pytest.approx(1.5, abs=1e-10)
         assert sol.objective == pytest.approx(2.25, abs=1e-10)
 
+    @pytest.mark.parametrize("rows, status", [
+        ({}, "optimal"),
+        ({"b_eq": [0.0], "b_in": [0.0, 1.0]}, "optimal"),
+        ({"b_eq": [0.0, 1.0]}, "infeasible"),
+        ({"b_in": [-1.0]}, "infeasible"),
+    ])
+    def test_no_columns(self, rows, status):
+        # a book whose curves are all flat has no fill column; its rows are
+        # shaped by their right-hand sides, and 0 = b or 0 <= b decides them
+        b_eq, b_in = rows.get("b_eq", []), rows.get("b_in", [])
+        prob = QpProblem(c=[], d=[], A_eq=np.zeros((len(b_eq), 0)), b_eq=b_eq,
+                         A_in=[], b_in=b_in, lb=[], ub=[])
+        assert (prob.A_eq.shape, prob.A_in.shape) == ((len(b_eq), 0), (len(b_in), 0))
+        sol = solve_qp(prob)
+        assert sol.status == status
+        if status == "optimal":
+            assert sol.x.shape == (0,) and sol.objective == 0.0
+            duals = multipliers(prob, sol)
+            assert (len(duals.y_eq), len(duals.mu_in)) == (len(b_eq), len(b_in))
+
     def test_box_clipped(self):
         prob = _prob([3.0], [-2.0], lb=np.array([-1.0]), ub=np.array([1.0]))
         sol = solve_qp(prob)

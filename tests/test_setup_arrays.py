@@ -49,7 +49,8 @@ def test_model_arrays_equal_the_loop_built_ones(books):
         for name in ("c", "d", "lb", "ub", "A_eq", "b_eq", "A_in", "b_in", "bin_A_eq",
                      "vertical"):
             assert _bits(getattr(model, name)) == _bits(getattr(ref, name)), name
-        for name in ("seg_ids", "flow_keys", "eq_keys", "ramp_keys", "bin_keys", "bin_col"):
+        for name in ("seg_ids", "book_ids", "flow_keys", "eq_keys", "ramp_keys", "bin_keys",
+                     "bin_col"):
             assert getattr(model, name) == getattr(ref, name), name
         maps = model_maps(model)
         assert (maps.seg_col, maps.flow_col, maps.eq_row) == (
@@ -62,8 +63,23 @@ def test_model_arrays_equal_the_loop_built_ones(books):
         prob = model.master()
         for name in PROBLEM_ARRAYS:
             assert _bits(getattr(prob, name)) == _bits(ref.master[name]), name
-        # the model's arrays are read-only views of the master's
-        assert np.shares_memory(model.A_eq, prob.A_eq) and not model.A_eq.flags.writeable
+        # the model's arrays are read-only views of the master's (by their
+        # base, as a book may leave the model no column to share)
+        assert model.A_eq.base is prob.A_eq.base is not None
+        assert not model.A_eq.flags.writeable
+
+
+def test_every_master_column_has_a_row_entry_or_an_objective(books):
+    # a segment without quantity, a flat extension to the price interval or
+    # a flat step, would be a column that nothing moves: it gets none
+    flat = 0
+    for inst in books:
+        model = build_model(inst)
+        prob = model.master()
+        rows = np.concatenate((prob.A_eq, prob.A_in))
+        assert np.all((rows != 0.0).any(axis=0) | (prob.c != 0.0) | (prob.d != 0.0))
+        flat += len(model.book_ids) - len(model.seg_ids)
+    assert flat == 763  # columns that the model once gave them
 
 
 def _leaf_calls(monkeypatch, books):

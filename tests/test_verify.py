@@ -184,20 +184,29 @@ class TestFlowPrice:
 def _model_bounds(inst, delta, flows, tol):
     """``check_bounds``'s violations as the clearing model's box and ramp
     rows give them: ``max(lb - x, x - ub)`` and ``A_in @ x - b_in`` at the
-    fills and the flows in model units, each excess back in book units."""
+    fills, by segment id, and the flows in model units, each excess back
+    in book units.  A segment with a column has the model's box, and one
+    without (a flat segment) the book's [0, 1]."""
     model = build_model(inst)
-    sq = model.quantity_unit
-    x = np.array([float(delta.get(sid, 0.0)) for sid in model.seg_ids]
-                 + [float(flows.get(key, 0.0)) / sq for key in model.flow_keys])
-    units = np.r_[np.ones(len(model.seg_ids)), np.full(len(model.flow_keys), sq)]
-    locations = [(*inst.segment_location[sid], sid) for sid in model.seg_ids]
+    sq, n_seg = model.quantity_unit, len(model.seg_ids)
+    col = dict(zip(model.seg_ids, range(n_seg)))
+    fills = {sid: float(delta.get(sid, 0.0)) for sid in model.book_ids}
+    tau = [float(flows.get(key, 0.0)) / sq for key in model.flow_keys]
+    x = np.array([*fills.values(), *tau])
+    lb, ub = ([bounds[col[sid]] if sid in col else end for sid in model.book_ids]
+              for bounds, end in ((model.lb, 0.0), (model.ub, 1.0)))
+    lb, ub = np.r_[lb, model.lb[n_seg:]], np.r_[ub, model.ub[n_seg:]]
+    units = np.r_[np.ones(len(fills)), np.full(len(model.flow_keys), sq)]
+    locations = [(*inst.segment_location[sid], sid) for sid in model.book_ids]
     locations += model.flow_keys
-    kinds = ["fill-bound"] * len(model.seg_ids) + ["flow-bound"] * len(model.flow_keys)
-    excess = np.maximum(model.lb - x, x - model.ub) * units
+    kinds = ["fill-bound"] * len(fills) + ["flow-bound"] * len(model.flow_keys)
+    excess = np.maximum(lb - x, x - ub) * units
     out = [Violation(loc, float(v), kind)
            for loc, kind, v in zip(locations, kinds, excess) if v > tol]
+    x_model = np.array([*(fills[sid] for sid in model.seg_ids), *tau])
     out += [Violation(key, float(v), "ramp")
-            for key, v in zip(model.ramp_keys, (model.A_in @ x - model.b_in) * sq) if v > tol]
+            for key, v in zip(model.ramp_keys, (model.A_in @ x_model - model.b_in) * sq)
+            if v > tol]
     return out
 
 
