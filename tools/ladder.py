@@ -21,9 +21,8 @@ and does not change:
   a limit ``U(20, 80) + U(0, 1e-3)``;
 - no flex bids and no links, on the price interval (0, 100).
 
-Each book is cleared once in exact mode with a per-clear time limit
-(``--time-limit``, 120 s by default), and the script prints one JSON
-record per clear:
+Each book is cleared once in exact mode with a per-clear time limit of
+``TIME_LIMIT`` (120 s), and the script prints one JSON record per clear:
 
 - the rung, seed and the model's segment, flow, binary and master columns;
 - whether the convex market (every block rejected) has a price in the
@@ -70,6 +69,7 @@ from daclear.qp import solve_qp  # noqa: E402
 from daclear.relaxation import solve_relaxation  # noqa: E402
 
 RUNGS = ("3x12x10", "3x24x12", "4x24x20", "6x24x40")
+TIME_LIMIT = 120.0
 
 
 @functools.cache
@@ -199,7 +199,7 @@ def _finite(v: float):
     return v if math.isfinite(v) else None
 
 
-def record(rung: str, seed: int, time_limit: float = 120.0) -> dict:
+def record(rung: str, seed: int) -> dict:
     """One clear's record (see the module docstring)."""
     instance = book(rung, seed)
     model = build_model(instance)
@@ -207,7 +207,7 @@ def record(rung: str, seed: int, time_limit: float = 120.0) -> dict:
            "convex_price": convex_price(instance, model)}
     with _Counts() as counts:
         cpu, wall = time.process_time(), time.perf_counter()
-        result = clear_exact(instance, ClearOptions(time_limit=time_limit))
+        result = clear_exact(instance, ClearOptions(time_limit=TIME_LIMIT))
         cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
     failed = [it for it in result.iterations if it.cuts_added]
     curtailment = sum(1 for it in failed if it.curtailment_areas)
@@ -227,11 +227,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rungs", nargs="+", default=list(RUNGS), metavar="AxHxB")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    parser.add_argument("--time-limit", type=float, default=120.0)
     args = parser.parse_args(argv)
     for rung in args.rungs:
         for seed in args.seeds:
-            rec = record(rung, seed, args.time_limit)
+            rec = record(rung, seed)
             print(json.dumps(rec, sort_keys=True), flush=True)
     return 0
 
